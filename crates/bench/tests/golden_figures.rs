@@ -1,10 +1,12 @@
 //! Golden-output pins for the cluster figure binaries.
 //!
-//! The population/instance refactor promises that exact simulation (the default
-//! `FleetApproximation::Exact`) is *byte-identical* to the pre-population simulator.
-//! These tests enforce the promise end to end: each figure binary is run with its
-//! default flags and its `--json` output is compared byte-for-byte against the golden
-//! file captured before the refactor landed.
+//! Exact simulation (the default `FleetApproximation::Exact`) runs the same
+//! replica-weighted fleet code as the clustered approximation, with every weight 1.
+//! These tests pin its output end to end: each figure binary is run with its default
+//! flags and its `--json` output is compared byte-for-byte against a committed golden.
+//! The four goldens cover the fleet's coupling branches: `fig_cluster` (no autoscaler,
+//! no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware serving masks and
+//! requeues) and `fig_topology` (racked placement, rack outages and consolidation).
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
@@ -14,6 +16,10 @@
 //!     > crates/bench/tests/golden/fig_cluster.json
 //! cargo run --release -p pliant-bench --bin fig_energy -- --json \
 //!     > crates/bench/tests/golden/fig_energy.json
+//! cargo run --release -p pliant-bench --bin fig_failure -- --json \
+//!     > crates/bench/tests/golden/fig_failure.json
+//! cargo run --release -p pliant-bench --bin fig_topology -- --json \
+//!     > crates/bench/tests/golden/fig_topology.json
 //! ```
 //!
 //! An *unintentional* diff here means the exact simulation path changed behavior —
@@ -61,6 +67,37 @@ fn fig_energy_default_output_is_byte_identical_to_the_golden() {
         "fig_energy --json drifted from the pre-population golden; exact simulation \
          must stay byte-identical (see the module docs before refreshing)"
     );
+}
+
+#[test]
+fn fig_failure_default_output_is_byte_identical_to_the_golden() {
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig_failure"), &[]);
+    assert_eq!(
+        fresh,
+        golden("fig_failure.json"),
+        "fig_failure --json drifted from its golden; the fault-aware fleet path must \
+         stay byte-identical (see the module docs before refreshing)"
+    );
+}
+
+#[test]
+fn fig_topology_default_output_is_byte_identical_to_the_golden() {
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig_topology"), &[]);
+    assert_eq!(
+        fresh,
+        golden("fig_topology.json"),
+        "fig_topology --json drifted from its golden; racked placement and \
+         consolidation must stay byte-identical (see the module docs before refreshing)"
+    );
+}
+
+#[test]
+fn clustering_with_more_representatives_than_members_is_exact() {
+    // K = 1000 exceeds every node group of the 8-node racked fleet, so each group is
+    // planned as one weight-1 instance per member: exact simulation is the clustered
+    // pipeline with K >= group size, byte for byte.
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig_topology"), &["--approx", "1000"]);
+    assert_eq!(fresh, golden("fig_topology.json"));
 }
 
 #[test]
