@@ -325,15 +325,6 @@ pub struct Autoscaler {
 }
 
 impl Autoscaler {
-    /// Creates an autoscaler for a fleet of `nodes` nodes, all initially active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or `min_active` exceeds the fleet size.
-    pub fn new(config: AutoscalerConfig, nodes: usize) -> Self {
-        Self::for_instances(config, vec![1; nodes])
-    }
-
     /// Creates an autoscaler over `weights.len()` simulated instances, where instance
     /// `i` stands for `weights[i]` logical nodes (see [`crate::population`]). All
     /// instances start active. `min_active` is interpreted in *logical* nodes, exactly
@@ -379,16 +370,8 @@ impl Autoscaler {
         &self.states
     }
 
-    /// Nodes currently serving traffic.
-    pub fn active_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s == NodePowerState::Active)
-            .count()
-    }
-
-    /// *Logical* nodes currently serving traffic: the replica-weighted active count.
-    /// Equal to [`Self::active_count`] on an exact (all-ones) fleet.
+    /// *Logical* nodes currently serving traffic: the replica-weighted active count
+    /// (the plain active count on an exact, all-ones fleet).
     pub fn active_replicas(&self) -> usize {
         self.states
             .iter()
@@ -451,158 +434,25 @@ impl Autoscaler {
         Ok(())
     }
 
-    /// Plans one interval: transitions fully-drained nodes to parked, updates the
-    /// trigger streaks from `snapshots` (the previous interval's node states), and
+    /// Plans one interval: transitions fully-drained instances to parked, updates the
+    /// trigger streaks from `snapshots` (the previous interval's instance states), and
     /// fires at most one membership change. `total_load` is the fleet's offered load
     /// for the coming interval in node-saturation units; `slots_per_node` is the
-    /// co-location width (a draining node parks once all its slots are free).
+    /// co-location width (a draining instance parks once all its slots are free).
     ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots.len()` differs from the fleet size.
-    pub fn plan(
-        &mut self,
-        total_load: f64,
-        snapshots: &[NodeSnapshot],
-        slots_per_node: usize,
-    ) -> AutoscalerAction {
-        assert_eq!(
-            snapshots.len(),
-            self.states.len(),
-            "autoscaler built for {} nodes, got {} snapshots",
-            self.states.len(),
-            snapshots.len()
-        );
-
-        // Park fully-drained nodes (suspending costs nothing to decide; no cooldown).
-        for (state, snap) in self.states.iter_mut().zip(snapshots) {
-            if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
-                *state = NodePowerState::Parked;
-            }
-        }
-
-        let active_count = self.active_count();
-        let per_node_load = total_load / active_count.max(1) as f64;
-        let violating = self
-            .states
-            .iter()
-            .zip(snapshots)
-            .filter(|(state, snap)| {
-                **state == NodePowerState::Active && snap.smoothed_p99_s > snap.qos_target_s
-            })
-            .count();
-        let pressure = violating > 0
-            && violating as f64 >= self.config.scale_out_violation_fraction * active_count as f64;
-        let can_grow = active_count < self.states.len();
-        let projected_after_drain = if active_count > 1 {
-            total_load / (active_count - 1) as f64
-        } else {
-            f64::INFINITY
-        };
-        // Scale-in needs demonstrated headroom on every serving node, not merely the
-        // absence of violations: a fleet hovering just under its target would fail the
-        // drain it is about to attempt. The projection must also clear both the
-        // configured ceiling and the learned one.
-        let headroom = self.states.iter().zip(snapshots).all(|(state, snap)| {
-            *state != NodePowerState::Active
-                || snap.smoothed_p99_s <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
-        });
-        let drain_ceiling = self
-            .config
-            .scale_in_max_load
-            .min(BURN_MARGIN * self.burned_per_node_load);
-        let can_shrink = active_count > self.config.min_active
-            && violating == 0
-            && headroom
-            && projected_after_drain <= drain_ceiling;
-
-        // Streaks accumulate even through a cooldown, so an operating point that keeps
-        // its trigger asserted acts immediately once the hold expires. The pressure
-        // streak also tracks its peak per-node load (see `streak_peak_load`).
-        self.out_streak = if pressure && can_grow {
-            self.streak_peak_load = if self.out_streak == 0 {
-                per_node_load
-            } else {
-                self.streak_peak_load.max(per_node_load)
-            };
-            self.out_streak + 1
-        } else {
-            0
-        };
-        self.in_streak = if can_shrink { self.in_streak + 1 } else { 0 };
-
-        // Feed-forward overload: the coming interval's load is *known*, so a fleet
-        // asked to serve more per node than the (configured or learned) ceiling grows
-        // immediately — no sustain, no cooldown. This cannot flap against scale-in:
-        // drains only fire while the projection stays in the hysteresis band below.
-        let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load);
-        if can_grow && per_node_load > overload_ceiling {
-            let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleOut(target);
-        }
-
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return AutoscalerAction::Hold;
-        }
-
-        if self.out_streak >= self.config.scale_out_sustain_intervals {
-            // The fleet demonstrated it cannot serve the streak's peak per-node load
-            // within QoS: remember the ceiling so scale-in never projects back into
-            // it. The ceiling is deliberately monotone (no decay) — conservative, and
-            // what keeps autoscaled runs deterministic functions of their history.
-            self.burned_per_node_load = self.burned_per_node_load.min(self.streak_peak_load);
-            let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleOut(target);
-        }
-
-        if self.in_streak >= self.config.scale_in_sustain_intervals {
-            // Drain the least-loaded active node: lowest service utilization, ties
-            // broken toward the highest index (node 0 stays active the longest).
-            let target = snapshots
-                .iter()
-                .filter(|s| self.states[s.index] == NodePowerState::Active)
-                .min_by(|a, b| {
-                    a.utilization
-                        .total_cmp(&b.utilization)
-                        .then(b.index.cmp(&a.index))
-                })
-                // pliant-lint: allow(panic-hygiene): scale-in is only considered while
-                // the active count exceeds `min_active >= 1` (checked just above).
-                .expect("an active node exists")
-                .index;
-            self.states[target] = NodePowerState::Draining;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleIn(target);
-        }
-
-        AutoscalerAction::Hold
-    }
-
-    /// Clustered-fleet variant of [`Self::plan`]: membership changes are
-    /// instance-atomic (a representative and all the logical nodes it stands for drain
-    /// or reactivate as one block — which is what keeps replica weights constant over a
-    /// run, so node-side weighted accounting stays exact), while every trigger is
-    /// evaluated in logical-node units: per-node load divides by the replica-weighted
-    /// active count, the violation fraction weighs each violating instance by its
-    /// replicas, `min_active` bounds logical nodes, and a drain's load projection
-    /// removes the candidate's whole weight. With unit weights every quantity
-    /// coincides with [`Self::plan`]'s and the two make identical decisions.
+    /// Membership changes are instance-atomic: an instance and all the logical nodes
+    /// it stands for drain or reactivate as one block, which keeps replica weights
+    /// constant over a run so node-side weighted accounting stays exact. Every trigger
+    /// is evaluated in logical-node units: per-node load divides by the
+    /// replica-weighted active count, the violation fraction weighs each violating
+    /// instance by its replicas, `min_active` bounds logical nodes, and a drain's load
+    /// projection removes the candidate's whole weight. On an exact fleet every weight
+    /// is 1 and these are the plain per-node quantities.
     ///
     /// # Panics
     ///
     /// Panics if `snapshots.len()` differs from the instance count.
-    pub fn plan_grouped(
+    pub fn plan(
         &mut self,
         total_load: f64,
         snapshots: &[NodeSnapshot],
@@ -658,9 +508,15 @@ impl Autoscaler {
                     && total_load / remaining as f64 <= drain_ceiling
             }
         };
+        // Scale-in needs demonstrated headroom on every serving node, not merely the
+        // absence of violations: a fleet hovering just under its target would fail the
+        // drain it is about to attempt.
         let can_shrink =
             violating == 0 && headroom && (0..self.states.len()).any(|i| drain_eligible(self, i));
 
+        // Streaks accumulate even through a cooldown, so an operating point that keeps
+        // its trigger asserted acts immediately once the hold expires. The pressure
+        // streak also tracks its peak per-node load (see `streak_peak_load`).
         self.out_streak = if pressure && can_grow {
             self.streak_peak_load = if self.out_streak == 0 {
                 per_node_load
@@ -673,6 +529,10 @@ impl Autoscaler {
         };
         self.in_streak = if can_shrink { self.in_streak + 1 } else { 0 };
 
+        // Feed-forward overload: the coming interval's load is *known*, so a fleet
+        // asked to serve more per node than the (configured or learned) ceiling grows
+        // immediately — no sustain, no cooldown. This cannot flap against scale-in:
+        // drains only fire while the projection stays in the hysteresis band below.
         let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load);
         if can_grow && per_node_load > overload_ceiling {
             let target = self.reactivation_target();
@@ -689,6 +549,10 @@ impl Autoscaler {
         }
 
         if self.out_streak >= self.config.scale_out_sustain_intervals {
+            // The fleet demonstrated it cannot serve the streak's peak per-node load
+            // within QoS: remember the ceiling so scale-in never projects back into
+            // it. The ceiling is deliberately monotone (no decay) — conservative, and
+            // what keeps autoscaled runs deterministic functions of their history.
             self.burned_per_node_load = self.burned_per_node_load.min(self.streak_peak_load);
             let target = self.reactivation_target();
             self.states[target] = NodePowerState::Active;
@@ -699,8 +563,8 @@ impl Autoscaler {
         }
 
         if self.in_streak >= self.config.scale_in_sustain_intervals {
-            // Drain the least-utilized *eligible* instance, ties toward the highest
-            // index, mirroring the exact policy.
+            // Drain the least-utilized *eligible* instance, ties broken toward the
+            // highest index (instance 0 stays active the longest).
             let target = snapshots
                 .iter()
                 .filter(|s| drain_eligible(self, s.index))
@@ -768,7 +632,7 @@ impl Autoscaler {
                     .position(|s| *s == NodePowerState::Parked)
             })
             // pliant-lint: allow(panic-hygiene): both scale-out paths check
-            // `active_count < n` before calling, so a non-active node exists.
+            // `can_grow` before calling, so a non-active node exists.
             .expect("scale-out requires an inactive node")
     }
 }
@@ -789,6 +653,11 @@ mod tests {
 
     fn healthy(n: usize) -> Vec<NodeSnapshot> {
         (0..n).map(|i| snapshot(i, 0.005, 0.5, 0)).collect()
+    }
+
+    /// An autoscaler over an exact fleet: `n` instances of one logical node each.
+    fn exact(config: AutoscalerConfig, n: usize) -> Autoscaler {
+        Autoscaler::for_instances(config, vec![1; n])
     }
 
     fn config() -> AutoscalerConfig {
@@ -845,7 +714,7 @@ mod tests {
 
     #[test]
     fn scale_in_requires_latency_headroom_on_every_active_node() {
-        let mut scaler = Autoscaler::new(config(), 3);
+        let mut scaler = exact(config(), 3);
         let mut snaps = healthy(3);
         // One node hovering at 90% of its target (no violation, no headroom either):
         // the fleet must not drain.
@@ -853,7 +722,7 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(scaler.plan(0.8, &snaps, 1), AutoscalerAction::Hold);
         }
-        assert_eq!(scaler.active_count(), 3);
+        assert_eq!(scaler.active_replicas(), 3);
         // Headroom restored → the drain proceeds.
         snaps[1].smoothed_p99_s = 0.004;
         scaler.plan(0.8, &snaps, 1);
@@ -865,14 +734,14 @@ mod tests {
 
     #[test]
     fn sustained_headroom_drains_the_least_loaded_node() {
-        let mut scaler = Autoscaler::new(config(), 4);
+        let mut scaler = exact(config(), 4);
         let mut snaps = healthy(4);
         snaps[2].utilization = 0.2; // least loaded
                                     // Total load 1.0 over 3 remaining nodes = 0.33 <= 0.7 → eligible.
         assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
         assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::ScaleIn(2));
         assert_eq!(scaler.states()[2], NodePowerState::Draining);
-        assert_eq!(scaler.active_count(), 3);
+        assert_eq!(scaler.active_replicas(), 3);
         // Cooldown holds even though the trigger stays asserted (1.0 / 2 = 0.5 ≤ 0.7)...
         for _ in 0..3 {
             assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
@@ -886,12 +755,12 @@ mod tests {
             scaler.plan(1.0, &snaps, 1);
         }
         assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
-        assert_eq!(scaler.active_count(), 2);
+        assert_eq!(scaler.active_replicas(), 2);
     }
 
     #[test]
     fn draining_nodes_park_once_their_slots_are_free() {
-        let mut scaler = Autoscaler::new(config(), 3);
+        let mut scaler = exact(config(), 3);
         let mut snaps = healthy(3);
         snaps[1].utilization = 0.1;
         scaler.plan(0.8, &snaps, 1);
@@ -908,7 +777,7 @@ mod tests {
 
     #[test]
     fn sustained_qos_pressure_reactivates_a_node() {
-        let mut scaler = Autoscaler::new(config(), 3);
+        let mut scaler = exact(config(), 3);
         let mut snaps = healthy(3);
         snaps[0].utilization = 0.1;
         scaler.plan(0.8, &snaps, 1); // streak 1
@@ -923,12 +792,12 @@ mod tests {
         scaler.plan(2.0, &snaps, 1); // streak 1
         assert_eq!(scaler.plan(2.0, &snaps, 1), AutoscalerAction::ScaleOut(0));
         assert_eq!(scaler.states()[0], NodePowerState::Active);
-        assert_eq!(scaler.active_count(), 3);
+        assert_eq!(scaler.active_replicas(), 3);
     }
 
     #[test]
     fn scale_out_prefers_draining_over_parked_nodes() {
-        let mut scaler = Autoscaler::new(config(), 4);
+        let mut scaler = exact(config(), 4);
         let mut snaps = healthy(4);
         // Drain node 3, park it; then drain node 2 and keep it draining.
         snaps[3].utilization = 0.1;
@@ -956,7 +825,7 @@ mod tests {
 
     #[test]
     fn feed_forward_overload_grows_immediately_and_bypasses_cooldown() {
-        let mut scaler = Autoscaler::new(config(), 3);
+        let mut scaler = exact(config(), 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
         scaler.plan(0.8, &snaps, 1);
@@ -964,7 +833,7 @@ mod tests {
         // Load jumps above the ceiling (2.2 / 2 = 1.1 > 1.0) while the cooldown is
         // still running: the offered load is known, so the fleet grows at once.
         assert_eq!(scaler.plan(2.2, &snaps, 1), AutoscalerAction::ScaleOut(2));
-        assert_eq!(scaler.active_count(), 3);
+        assert_eq!(scaler.active_replicas(), 3);
     }
 
     #[test]
@@ -973,7 +842,7 @@ mod tests {
             cooldown_intervals: 0,
             ..config()
         };
-        let mut scaler = Autoscaler::new(cfg, 3);
+        let mut scaler = exact(cfg, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
         // Drain to 2 nodes at 0.6 per node (projection 1.2/2 = 0.6 ≤ 0.7).
@@ -992,7 +861,7 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(scaler.plan(1.2, &snaps, 1), AutoscalerAction::Hold);
         }
-        assert_eq!(scaler.active_count(), 3);
+        assert_eq!(scaler.active_replicas(), 3);
         // A lighter load projects below the burned ceiling and may drain again.
         scaler.plan(1.0, &snaps, 1);
         assert!(matches!(
@@ -1010,7 +879,7 @@ mod tests {
             cooldown_intervals: 0,
             ..config()
         };
-        let mut scaler = Autoscaler::new(cfg, 3);
+        let mut scaler = exact(cfg, 3);
         let snaps = healthy(3);
         assert!(matches!(
             scaler.plan(0.4, &snaps, 1),
@@ -1018,16 +887,16 @@ mod tests {
         ));
         // At min_active, unconditional hold regardless of headroom.
         assert_eq!(scaler.plan(0.1, &snaps, 1), AutoscalerAction::Hold);
-        assert_eq!(scaler.active_count(), 2);
+        assert_eq!(scaler.active_replicas(), 2);
         // Fully-active fleet under pressure cannot grow.
         let mut hot = healthy(3);
         for s in &mut hot {
             s.smoothed_p99_s = 0.05;
         }
-        let mut full = Autoscaler::new(config(), 2);
+        let mut full = exact(config(), 2);
         assert_eq!(full.plan(3.0, &hot[..2], 1), AutoscalerAction::Hold);
         assert_eq!(full.plan(3.0, &hot[..2], 1), AutoscalerAction::Hold);
-        assert_eq!(full.active_count(), 2);
+        assert_eq!(full.active_replicas(), 2);
     }
 
     #[test]
@@ -1040,7 +909,7 @@ mod tests {
             cooldown_intervals: 0,
             ..config()
         };
-        let mut scaler = Autoscaler::new(cfg, 3);
+        let mut scaler = exact(cfg, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
         scaler.plan(1.2, &snaps, 1);
@@ -1059,34 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_planning_with_unit_weights_matches_the_exact_planner() {
-        // Replay a load trace that exercises scale-in, park, feed-forward scale-out,
-        // and pressure through both planners; decisions and states must agree.
-        let loads = [
-            0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 2.2, 2.2, 0.8, 0.8, 0.8, 0.8,
-        ];
-        let mut exact = Autoscaler::new(config(), 4);
-        let mut grouped = Autoscaler::for_instances(config(), vec![1; 4]);
-        let mut snaps = healthy(4);
-        snaps[2].utilization = 0.2;
-        for (t, &load) in loads.iter().enumerate() {
-            if t == 6 {
-                // Whatever drained by now reports free slots so it can park.
-                for (i, s) in exact.states().iter().enumerate() {
-                    if *s != NodePowerState::Active {
-                        snaps[i].free_slots = 1;
-                    }
-                }
-            }
-            let a = exact.plan(load, &snaps, 1);
-            let b = grouped.plan_grouped(load, &snaps, 1);
-            assert_eq!(a, b, "interval {t}: planners diverged");
-            assert_eq!(exact.states(), grouped.states(), "interval {t}");
-        }
-        assert_eq!(exact.active_count(), grouped.active_replicas());
-    }
-
-    #[test]
     fn grouped_planning_is_instance_atomic_and_counts_logical_nodes() {
         // Two instances of 5 replicas each, min_active = 6: draining either block
         // would leave 5 < 6 logical nodes, so no drain is ever eligible even at a
@@ -1100,7 +941,7 @@ mod tests {
         let mut scaler = Autoscaler::for_instances(cfg, vec![5, 5]);
         let snaps = healthy(2);
         for _ in 0..4 {
-            assert_eq!(scaler.plan_grouped(0.5, &snaps, 1), AutoscalerAction::Hold);
+            assert_eq!(scaler.plan(0.5, &snaps, 1), AutoscalerAction::Hold);
         }
         assert_eq!(scaler.active_replicas(), 10);
 
@@ -1115,18 +956,12 @@ mod tests {
         let mut scaler = Autoscaler::for_instances(cfg, vec![5, 5]);
         let mut snaps = healthy(2);
         snaps[0].utilization = 0.2;
-        assert_eq!(
-            scaler.plan_grouped(3.0, &snaps, 1),
-            AutoscalerAction::ScaleIn(0)
-        );
+        assert_eq!(scaler.plan(3.0, &snaps, 1), AutoscalerAction::ScaleIn(0));
         assert_eq!(scaler.active_replicas(), 5);
-        assert_eq!(scaler.active_count(), 1);
+        assert_eq!(scaler.states()[0], NodePowerState::Draining);
         // Feed-forward overload measures per *logical* node: 5.5 / 5 = 1.1 > 1.0.
         snaps[0].free_slots = 1;
-        assert_eq!(
-            scaler.plan_grouped(5.5, &snaps, 1),
-            AutoscalerAction::ScaleOut(0)
-        );
+        assert_eq!(scaler.plan(5.5, &snaps, 1), AutoscalerAction::ScaleOut(0));
         assert_eq!(scaler.active_replicas(), 10);
     }
 
@@ -1164,7 +999,7 @@ mod tests {
 
     #[test]
     fn mid_interval_park_pass_retires_drains_completed_by_migration() {
-        let mut scaler = Autoscaler::new(config(), 3);
+        let mut scaler = exact(config(), 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
         scaler.plan(0.8, &snaps, 1);

@@ -146,30 +146,15 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Builds node `index` of the fleet described by `scenario`, co-locating
-    /// `initial_jobs` (one per batch slot). All of the node's RNG streams derive from
-    /// the cluster seed and the node index, mirroring how suites derive per-cell seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial_jobs` is empty or names an application missing from the
-    /// catalog.
-    pub fn new(
-        scenario: &ClusterScenario,
-        index: usize,
-        initial_jobs: &[pliant_approx::catalog::AppId],
-        catalog: &Catalog,
-    ) -> Self {
-        Self::representative(scenario, index, index, 1, initial_jobs, catalog)
-    }
-
-    /// Builds a clustered representative standing for `replicas` logical nodes of one
-    /// population group. `index` is the instance's position in the simulated fleet (the
-    /// index snapshots and intervals report); `seed_member` is the *logical* node whose
-    /// derived RNG streams the representative consumes, which is what gives different
-    /// representatives of one group independent randomness (per-replica seed jitter)
-    /// and makes `replicas == 1, seed_member == index` coincide exactly with
-    /// [`Self::new`].
+    /// Builds instance `index` of the fleet described by `scenario`, standing for
+    /// `replicas` logical nodes of one population group and co-locating `initial_jobs`
+    /// (one per batch slot). `index` is the instance's position in the simulated fleet
+    /// (the index snapshots and intervals report); `seed_member` is the *logical* node
+    /// whose derived RNG streams the instance consumes, which is what gives different
+    /// representatives of one group independent randomness (per-replica seed jitter).
+    /// An exact node is `replicas == 1, seed_member == index`; every RNG stream then
+    /// derives from the cluster seed and the node index, mirroring how suites derive
+    /// per-cell seeds.
     ///
     /// # Panics
     ///
@@ -397,7 +382,7 @@ impl ClusterNode {
     /// it exactly where the source node stopped (see
     /// [`ColocationSim::implant_app`](pliant_sim::colocation::ColocationSim::implant_app)).
     ///
-    /// Mirrors [`Self::place_job_weighted`]: the job is rebased onto the slot's core
+    /// Mirrors [`Self::place_job`]: the job is rebased onto the slot's core
     /// state, the completion latch re-arms so the migrated job's eventual completion
     /// is reported (at its original weight), and the node's policy is notified so its
     /// per-slot variant ledger restarts — the destination controller re-learns the
@@ -501,15 +486,11 @@ impl ClusterNode {
     /// core state (see
     /// [`ColocationSim::replace_app`](pliant_sim::colocation::ColocationSim::replace_app))
     /// and the node's policy is notified so per-slot variant state resets while the core
-    /// ledger persists. Returns the slot used, or `None` when no slot is free.
-    pub fn place_job(&mut self, profile: &AppProfile) -> Option<usize> {
-        self.place_job_weighted(profile, 1)
-    }
-
-    /// Like [`Self::place_job`], but the placed job stands for `weight` logical jobs
-    /// (the grouped scheduler pops a batch of identical queued jobs and runs one copy
-    /// on the representative). Completion accounting reports the job at this weight.
-    pub fn place_job_weighted(&mut self, profile: &AppProfile, weight: usize) -> Option<usize> {
+    /// ledger persists. The placed job stands for `weight` logical jobs (the scheduler
+    /// pops a batch of queued jobs for a replicated instance and runs one copy on it;
+    /// 1 on an exact node), and completion accounting reports it at this weight.
+    /// Returns the slot used, or `None` when no slot is free.
+    pub fn place_job(&mut self, profile: &AppProfile, weight: usize) -> Option<usize> {
         assert!(weight > 0, "a placed job must stand for at least one job");
         let slot = (0..self.sim.app_count()).find(|&s| self.sim.app(s).is_finished())?;
         let variant_count = profile.variant_count();

@@ -178,35 +178,23 @@ impl BatchScheduler {
         }
     }
 
-    /// The next job to place, if the policy finds a node with capacity: returns
-    /// `(node_index, app)` and pops the job from the queue. `snapshots` must reflect
-    /// current free-slot counts; the caller performs the actual placement and calls this
-    /// again (with updated snapshots) until it returns `None`.
-    pub fn pop_placement(&mut self, snapshots: &[NodeSnapshot]) -> Option<(usize, AppId)> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let node = self.kind.choose(snapshots)?;
-        // pliant-lint: allow(panic-hygiene): guarded by the is_empty() early return.
-        let app = self.queue.pop_front().expect("queue checked non-empty");
-        self.stats.placed += 1;
-        Some((node, app))
-    }
-
-    /// Clustered-fleet variant of [`Self::pop_placement`]: the chosen instance stands
-    /// for `weights[instance]` logical nodes, each of which would have absorbed one
-    /// queued job this round, so up to that many jobs are popped as one batch and the
-    /// returned `(instance, app, batch)` places the *first* popped job on the
-    /// representative at replica weight `batch`. The jobs a batch collapses need not be
-    /// identical — running the front job as the batch's representative is part of the
-    /// clustered approximation (under common random numbers the queue is a
-    /// statistically homogeneous mix), and with unit weights the batch is always one
-    /// job, identical to the exact path.
+    /// The next placement, if the policy finds an instance with capacity. `snapshots`
+    /// must reflect current free-slot counts; the caller performs the actual placement
+    /// and calls this again (with updated snapshots) until it returns `None`.
+    ///
+    /// The chosen instance stands for `weights[instance]` logical nodes, each of which
+    /// would have absorbed one queued job this round, so up to that many jobs are
+    /// popped as one batch and the returned `(instance, app, batch)` places the
+    /// *first* popped job on the instance at replica weight `batch`. The jobs a batch
+    /// collapses need not be identical — running the front job as the batch's
+    /// representative is part of the clustered approximation (under common random
+    /// numbers the queue is a statistically homogeneous mix). On an exact fleet every
+    /// weight is 1 and each call pops exactly one job.
     ///
     /// # Panics
     ///
     /// Panics if the chosen instance's weight is zero.
-    pub fn pop_placement_grouped(
+    pub fn pop_placement(
         &mut self,
         snapshots: &[NodeSnapshot],
         weights: &[usize],
@@ -293,10 +281,10 @@ mod tests {
         assert_eq!(s.stats().placed, 4);
         assert_eq!(s.pending(), 2);
         let snaps = [snapshot(0, 1, 0.5, 0.001)];
-        assert_eq!(s.pop_placement(&snaps), Some((0, AppId::Canneal)));
-        assert_eq!(s.pop_placement(&[snapshot(0, 0, 0.5, 0.001)]), None);
-        assert_eq!(s.pop_placement(&snaps), Some((0, AppId::Snp)));
-        assert_eq!(s.pop_placement(&snaps), None, "queue exhausted");
+        assert_eq!(s.pop_placement(&snaps, &[1]), Some((0, AppId::Canneal, 1)));
+        assert_eq!(s.pop_placement(&[snapshot(0, 0, 0.5, 0.001)], &[1]), None);
+        assert_eq!(s.pop_placement(&snaps, &[1]), Some((0, AppId::Snp, 1)));
+        assert_eq!(s.pop_placement(&snaps, &[1]), None, "queue exhausted");
         s.record_completions(3);
         assert_eq!(s.stats().placed, 6);
         assert_eq!(s.stats().completed, 3);
@@ -312,22 +300,16 @@ mod tests {
         let snaps = [snapshot(0, 1, 0.5, 0.001), snapshot(1, 1, 0.5, 0.001)];
         // Instance 0 stands for 3 logical nodes: one batch of 3 collapses onto it.
         assert_eq!(
-            s.pop_placement_grouped(&snaps, &[3, 2]),
+            s.pop_placement(&snaps, &[3, 2]),
             Some((0, AppId::Canneal, 3))
         );
         assert_eq!(s.stats().placed, 3);
         // The tail batch is clipped to the remaining queue.
         assert_eq!(
-            s.pop_placement_grouped(&snaps, &[3, 2]),
+            s.pop_placement(&snaps, &[3, 2]),
             Some((0, AppId::Canneal, 1))
         );
-        assert_eq!(s.pop_placement_grouped(&snaps, &[3, 2]), None);
-        // Unit weights behave exactly like pop_placement.
-        let mut unit = BatchScheduler::new(SchedulerKind::FirstFit, [AppId::Snp], 0);
-        assert_eq!(
-            unit.pop_placement_grouped(&snaps, &[1, 1]),
-            Some((0, AppId::Snp, 1))
-        );
+        assert_eq!(s.pop_placement(&snaps, &[3, 2]), None);
     }
 
     #[test]

@@ -1,28 +1,39 @@
 //! The fleet simulator: N nodes coupled by a load balancer and a batch scheduler.
 //!
-//! A [`ClusterSim`] advances the whole fleet one decision interval at a time:
+//! A [`ClusterSim`] advances the whole fleet one decision interval at a time.
+//! [`ClusterSim::advance_threads`] samples the per-node-average load profile, scales it
+//! to the logical fleet's total offered load, and runs one method per phase:
 //!
-//! 1. the per-node-average load profile is sampled and scaled to the fleet's total
-//!    offered load;
-//! 2. the batch scheduler places queued jobs into slots freed by jobs that completed in
-//!    the previous interval;
-//! 3. the [`LoadBalancer`] splits the total load into
-//!    per-node assignments (using the previous interval's node snapshots);
-//! 4. every node advances independently — its simulator, monitor, policy, and actuator
-//!    run the exact single-node loop.
+//! 1. `apply_faults` — recoveries, then this interval's scheduled crashes and
+//!    stragglers, then replica-weighted availability accounting;
+//! 2. `plan_serving_set` — the autoscaler plans from the previous interval's
+//!    snapshots, parked and crashed nodes are suspended, and the interval's serving
+//!    mask (autoscaler `Active` and fault-healthy) is computed once;
+//! 3. `admit_racks` — racks whose measured draw reached their power budget close to
+//!    new work;
+//! 4. `consolidate` — draining nodes live-migrate in-flight jobs onto serving nodes
+//!    and park once empty;
+//! 5. `place_jobs` — the batch scheduler places queued jobs into free slots on serving
+//!    nodes, each placement confined to a sampled rack on racked fleets
+//!    (`confine_to_sampled_rack`);
+//! 6. `balance_load` — the [`LoadBalancer`] splits the total load over the serving
+//!    mask (using the previous interval's node snapshots);
+//! 7. `step_nodes` — every node advances independently: its simulator, monitor,
+//!    policy, and actuator run the exact single-node loop;
+//! 8. `close_interval` — job completions are recorded, rack power is metered, and the
+//!    interval rollup is emitted.
 //!
-//! Step 4 is embarrassingly parallel: nodes share no state within an interval, and all
-//! cross-node decisions (balancing, placement) happen between intervals on the
-//! coordinating thread. [`ClusterSim::advance_threads`] therefore produces results
-//! byte-identical to [`ClusterSim::advance`] for any worker count.
+//! Phase 7 is embarrassingly parallel: nodes share no state within an interval, and all
+//! cross-node decisions happen in the other phases on the coordinating thread.
+//! [`ClusterSim::advance_threads`] therefore produces results byte-identical to
+//! [`ClusterSim::advance`] for any worker count.
 //!
 //! # Population vs instances
 //!
 //! The scenario describes a *population* of logical nodes
 //! (see [`NodePopulation`]); what the simulator steps are *instances*. Under
 //! [`FleetApproximation::Exact`](crate::scenario::FleetApproximation::Exact) the two
-//! coincide — one instance per logical node, byte-identical to the pre-population
-//! simulator. Under
+//! coincide — one weight-1 instance per logical node. Under
 //! [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)
 //! each instance is a representative standing for
 //! `replicas` interchangeable logical nodes: the balancer splits the *logical* total
@@ -30,7 +41,8 @@
 //! job batches, the autoscaler parks and drains whole replica blocks, and every
 //! per-node statistic a representative produces is replicated by its weight
 //! node-side. Interval cost then scales with the number of instances while the
-//! reported fleet stays at its logical size.
+//! reported fleet stays at its logical size. Both modes run the same phases; an exact
+//! fleet is the case where every replica weight is 1.
 
 use pliant_approx::catalog::{AppId, Catalog};
 use pliant_telemetry::obs::{
@@ -88,31 +100,28 @@ pub struct ClusterSim {
     nodes: Vec<Option<ClusterNode>>,
     /// Logical nodes each instance stands for (all ones in exact mode).
     replica_weights: Vec<usize>,
-    /// Whether the clustered approximation is active (instances ≠ logical nodes).
-    clustered: bool,
     balancer: LoadBalancer,
     scheduler: BatchScheduler,
     /// Energy-aware sizing of the active node set (`None` = every node always serves).
     autoscaler: Option<Autoscaler>,
     /// Fault injection: the compiled schedule and per-instance health (`None` when the
-    /// scenario carries no fault profile — fault-free runs take exactly the historical
-    /// code paths, byte-for-byte).
+    /// scenario carries no fault profile, which leaves every instance healthy).
     faults: Option<FaultState>,
     time_s: f64,
     intervals: usize,
     /// Persistent worker pool for parallel node updates, created on first parallel
     /// advance and kept for the simulator's lifetime (see [`NodeWorkerPool`]).
     pool: Option<NodeWorkerPool>,
-    /// Scratch buffer of node snapshots, reused across placement/balancing rounds.
+    /// Scratch buffer of node snapshots, refreshed by [`Self::refresh_snapshots`] and
+    /// reused across the planning, placement, and balancing phases.
     snapshot_scratch: Vec<NodeSnapshot>,
     /// Scratch buffer of pooled step results, reused across intervals.
     result_scratch: Vec<Option<NodeInterval>>,
-    /// Scratch buffer of per-instance load assignments (clustered mode only; the exact
-    /// path keeps the historical allocating balancer calls for byte-identity).
+    /// Per-replica load the balancer assigned each instance this interval.
     assigned_scratch: Vec<f64>,
-    /// Scratch buffer of per-instance active flags (clustered mode and fault-aware
-    /// exact mode).
-    active_scratch: Vec<bool>,
+    /// This interval's serving mask: autoscaler `Active` and fault-healthy, computed
+    /// once per interval by [`Self::plan_serving_set`].
+    serving: Vec<bool>,
     /// Scratch buffer of `(app, weight)` jobs aborted off a crashed node, reused
     /// across crash events.
     requeue_scratch: Vec<(AppId, usize)>,
@@ -125,7 +134,7 @@ pub struct ClusterSim {
     power_state_scratch: Vec<NodePowerState>,
     /// The resolved physical topology: racks as shared power budgets and failure
     /// domains. A flat scenario resolves to one unbudgeted rack holding the whole
-    /// fleet and takes the historical code paths byte-for-byte.
+    /// fleet and skips rack admission, sampling, and metering.
     topology: Topology,
     /// Rack of each instance, via its seed member (replica groups never span racks —
     /// see [`NodeGroup::rack`](crate::population::NodeGroup::rack) — so the seed
@@ -143,6 +152,14 @@ pub struct ClusterSim {
     rack_candidates: Vec<usize>,
     /// Scratch: instances parked by the mid-interval consolidation pass.
     park_scratch: Vec<usize>,
+}
+
+/// The telemetry code of a batch job: its position in [`AppId::all`].
+fn job_code(app: AppId) -> u32 {
+    AppId::all()
+        .iter()
+        .position(|a| *a == app)
+        .map_or(u32::MAX, |p| p as u32)
 }
 
 /// Converts an autoscaler power state into its telemetry mirror.
@@ -207,8 +224,8 @@ impl ClusterSim {
             ),
             _ => population.plan_instances(&scenario.approximation),
         };
-        // In exact mode the plans are one weight-1 instance per logical node in node
-        // order, so this loop is the historical per-node construction verbatim.
+        // In exact mode the plans are one weight-1 instance per logical node, in node
+        // order.
         let nodes: Vec<Option<ClusterNode>> = plans
             .iter()
             .enumerate()
@@ -294,7 +311,6 @@ impl ClusterSim {
             population,
             nodes,
             replica_weights,
-            clustered,
             balancer,
             scheduler,
             autoscaler,
@@ -305,7 +321,7 @@ impl ClusterSim {
             snapshot_scratch: Vec::new(),
             result_scratch: Vec::new(),
             assigned_scratch: Vec::new(),
-            active_scratch: Vec::new(),
+            serving: Vec::new(),
             requeue_scratch: Vec::new(),
             fleet_obs,
             power_state_scratch: Vec::new(),
@@ -337,13 +353,11 @@ impl ClusterSim {
     pub fn take_event_log(&mut self) -> EventLog {
         let level = self.fleet_obs.level();
         let fleet = std::mem::replace(&mut self.fleet_obs, ObsBuffer::disabled());
-        let buffers = std::iter::once(fleet).chain(self.nodes.iter_mut().map(|slot| {
-            slot.as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full between intervals;
-                // the log is taken after the run, never mid-step.
-                .expect("node slots are only empty while a step is in flight")
-                .take_obs_buffer()
-        }));
+        let buffers = std::iter::once(fleet).chain(
+            self.nodes
+                .iter_mut()
+                .map(|slot| Self::expect_node_mut(slot).take_obs_buffer()),
+        );
         EventLog::merge(level, buffers)
     }
 
@@ -443,18 +457,37 @@ impl ClusterSim {
         self.node(index).completed_inaccuracy_pct()
     }
 
+    /// Unwraps a node slot to the instance in it.
     fn expect_node(slot: &Option<ClusterNode>) -> &ClusterNode {
-        slot.as_ref()
-            // pliant-lint: allow(panic-hygiene): the worker pool refills every slot
-            // before step() returns; observers never run while a step is in flight.
-            .expect("node slots are only empty while a step is in flight")
+        Self::expect_filled(slot.as_ref())
     }
 
-    /// Scores a candidate rack for online placement: fractional power headroom
-    /// (1.0 when unbudgeted) plus the replica-weighted mean QoS slack of its member
-    /// instances. Returns `(score, headroom_w, mean_slack)`; the headroom in watts is
-    /// reported as 0.0 for unbudgeted racks, which have no meaningful wattage.
-    fn rack_score(&self, rack: usize, snapshots: &[NodeSnapshot]) -> (f64, f64, f64) {
+    /// Unwraps a node slot to the instance in it, for mutation.
+    fn expect_node_mut(slot: &mut Option<ClusterNode>) -> &mut ClusterNode {
+        Self::expect_filled(slot.as_mut())
+    }
+
+    fn expect_filled<T>(slot: Option<T>) -> T {
+        // pliant-lint: allow(panic-hygiene): the worker pool refills every slot before
+        // a step returns, and nothing reads or writes a slot while a step is in flight.
+        slot.expect("node slots are only empty while a step is in flight")
+    }
+
+    /// Refreshes `snapshot_scratch` with every instance's current snapshot.
+    fn refresh_snapshots(&mut self) {
+        self.snapshot_scratch.clear();
+        self.snapshot_scratch.extend(
+            self.nodes
+                .iter()
+                .map(|slot| Self::expect_node(slot).snapshot()),
+        );
+    }
+
+    /// Scores a candidate rack for online placement from `snapshot_scratch`: fractional
+    /// power headroom (1.0 when unbudgeted) plus the replica-weighted mean QoS slack of
+    /// its member instances. Returns `(score, headroom_w, mean_slack)`; the headroom in
+    /// watts is reported as 0.0 for unbudgeted racks, which have no meaningful wattage.
+    fn rack_score(&self, rack: usize) -> (f64, f64, f64) {
         let (headroom_frac, headroom_w) = match self.topology.power_budget_w(rack) {
             Some(budget) if budget > 0.0 => {
                 let headroom = (budget - self.rack_power_w[rack]).max(0.0);
@@ -464,7 +497,7 @@ impl ClusterSim {
         };
         let mut slack_sum = 0.0;
         let mut members = 0usize;
-        for snap in snapshots {
+        for snap in &self.snapshot_scratch {
             if self.instance_racks[snap.index] != rack {
                 continue;
             }
@@ -506,202 +539,182 @@ impl ClusterSim {
     /// hundreds of times per run. The result is byte-identical to [`Self::advance`]:
     /// parallelism changes wall-clock time, never output.
     pub fn advance_threads(&mut self, threads: usize) -> ClusterInterval {
-        let n = self.nodes.len();
-        let dt = self.scenario.decision_interval_s;
-        let racked = !self.topology.is_flat();
+        self.apply_faults();
+        // The offered load scales with the *logical* fleet: approximating with fewer
+        // instances must not shrink it.
+        let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
+        let total_offered_load = avg_offered_load * self.population.total_nodes() as f64;
+        let active_nodes = self.plan_serving_set(total_offered_load);
+        self.admit_racks();
+        self.consolidate();
+        let jobs_placed = self.place_jobs();
+        self.balance_load(total_offered_load);
+        let nodes = self.step_nodes(threads);
+        self.close_interval(&nodes, total_offered_load, active_nodes, jobs_placed);
+        ClusterInterval {
+            time_s: self.time_s,
+            avg_offered_load,
+            total_offered_load,
+            active_nodes,
+            jobs_placed,
+            nodes,
+        }
+    }
 
-        // 0. Fault injection: recover nodes whose outage/degradation expired, then
-        //    apply every fault scheduled for this interval (a zero-allocation cursor
-        //    walk over the pre-compiled schedule; see [`crate::faults`]). Runs before
-        //    anything else so placement, balancing, and the autoscaler all see this
-        //    interval's health.
-        if let Some(faults) = self.faults.as_mut() {
-            let interval = self.intervals as u64;
-            let obs_interval = self.intervals as u32;
-            // A rack outage lands as per-member crashes (compiled into the schedule),
-            // but the cause is a fleet-level event: record each power-domain failure
-            // the interval it strikes, before its member crashes are applied.
-            if self.fleet_obs.enabled() {
-                if let Some(profile) = &self.scenario.fault_profile {
-                    for outage in &profile.rack_outages {
-                        if outage.at_interval == interval {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::RackOutage {
-                                    rack: outage.rack as u32,
-                                    nodes: self.topology.racks()[outage.rack].members.len() as u32,
-                                    duration_intervals: outage.duration_intervals as u32,
-                                },
-                            );
-                        }
+    /// Fault phase: recovers instances whose outage or degradation expired, then
+    /// applies every fault scheduled for this interval (a zero-allocation cursor walk
+    /// over the pre-compiled schedule; see [`crate::faults`]) and accounts the
+    /// interval's replica-weighted availability. Runs first, so placement, balancing,
+    /// and the autoscaler all see this interval's health.
+    fn apply_faults(&mut self) {
+        let Some(faults) = self.faults.as_mut() else {
+            return;
+        };
+        let interval = self.intervals as u64;
+        let obs_interval = self.intervals as u32;
+        // A rack outage lands as per-member crashes (compiled into the schedule), but
+        // the cause is a fleet-level event: record each power-domain failure the
+        // interval it strikes, before its member crashes are applied.
+        if self.fleet_obs.enabled() {
+            if let Some(profile) = &self.scenario.fault_profile {
+                for outage in &profile.rack_outages {
+                    if outage.at_interval == interval {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::RackOutage {
+                                rack: outage.rack as u32,
+                                nodes: self.topology.racks()[outage.rack].members.len() as u32,
+                                duration_intervals: outage.duration_intervals as u32,
+                            },
+                        );
                     }
-                }
-            }
-            // Recoveries first, so a node can be struck again the interval it returns.
-            for (i, health) in faults.health.iter_mut().enumerate() {
-                match *health {
-                    NodeHealth::Down { until } if until <= interval => {
-                        *health = NodeHealth::Up;
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            // The autoscaler pass below re-parks it if it planned so.
-                            .set_parked(false);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeRecovered { node: i as u32 },
-                            );
-                        }
-                    }
-                    NodeHealth::Degraded { until, .. } if until <= interval => {
-                        *health = NodeHealth::Up;
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_degrade(1.0);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeRecovered { node: i as u32 },
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Apply the events scheduled for this interval. Events addressing a
-            // logical node with no exact instance (impossible by construction — the
-            // isolating planner carves every faulted node out) or a node that is not
-            // healthy (a crash cannot crash an already-down node) are dropped.
-            while faults.cursor < faults.schedule.len()
-                && faults.schedule[faults.cursor].interval == interval
-            {
-                let event = faults.schedule[faults.cursor];
-                faults.cursor += 1;
-                let Some(instance) = faults.instance_of[event.node] else {
-                    continue;
-                };
-                if faults.health[instance] != NodeHealth::Up {
-                    continue;
-                }
-                match event.kind {
-                    FaultKind::Crash => {
-                        faults.health[instance] = NodeHealth::Down {
-                            until: interval + event.duration,
-                        };
-                        faults.crashes += 1;
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeFailed {
-                                    node: instance as u32,
-                                    outage_intervals: event.duration as u32,
-                                },
-                            );
-                        }
-                        // Unfinished batch jobs die with the node; hand them back to
-                        // the scheduler queue. (The node's slots keep simulating the
-                        // abandoned work and free up when it would have finished —
-                        // the requeued copy may complete elsewhere first.)
-                        self.requeue_scratch.clear();
-                        self.nodes[instance]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .abort_unfinished_jobs(&mut self.requeue_scratch);
-                        for &(app, weight) in &self.requeue_scratch {
-                            self.scheduler.requeue(app, weight);
-                            faults.jobs_requeued += weight as u64;
-                            if self.fleet_obs.enabled() {
-                                let job_code = AppId::all()
-                                    .iter()
-                                    .position(|a| *a == app)
-                                    .map_or(u32::MAX, |p| p as u32);
-                                self.fleet_obs.emit(
-                                    obs_interval,
-                                    self.time_s,
-                                    Event::JobRequeued {
-                                        node: instance as u32,
-                                        job_code,
-                                        weight: weight as u32,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    FaultKind::Degrade { factor } => {
-                        faults.health[instance] = NodeHealth::Degraded {
-                            until: interval + event.duration,
-                            factor,
-                        };
-                        faults.degradations += 1;
-                        self.nodes[instance]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_degrade(factor);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeDegraded {
-                                    node: instance as u32,
-                                    factor,
-                                    intervals: event.duration as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            // Replica-weighted availability accounting for the interval about to run.
-            for (i, health) in faults.health.iter().enumerate() {
-                match health {
-                    NodeHealth::Down { .. } => {
-                        faults.down_node_intervals += self.replica_weights[i] as u64;
-                    }
-                    NodeHealth::Degraded { .. } => {
-                        faults.degraded_node_intervals += self.replica_weights[i] as u64;
-                    }
-                    NodeHealth::Up => {}
                 }
             }
         }
+        // Recoveries first, so a node can be struck again the interval it returns.
+        for (i, health) in faults.health.iter_mut().enumerate() {
+            let node = Self::expect_node_mut(&mut self.nodes[i]);
+            match *health {
+                // The autoscaler phase re-parks a recovered node if it planned so.
+                NodeHealth::Down { until } if until <= interval => node.set_parked(false),
+                NodeHealth::Degraded { until, .. } if until <= interval => node.set_degrade(1.0),
+                _ => continue,
+            }
+            *health = NodeHealth::Up;
+            if self.fleet_obs.enabled() {
+                self.fleet_obs.emit(
+                    obs_interval,
+                    self.time_s,
+                    Event::NodeRecovered { node: i as u32 },
+                );
+            }
+        }
+        // Apply the events scheduled for this interval. Events addressing a logical
+        // node with no exact instance (impossible by construction — the isolating
+        // planner carves every faulted node out) or a node that is not healthy (a
+        // crash cannot crash an already-down node) are dropped.
+        while faults.cursor < faults.schedule.len()
+            && faults.schedule[faults.cursor].interval == interval
+        {
+            let event = faults.schedule[faults.cursor];
+            faults.cursor += 1;
+            let Some(instance) = faults.instance_of[event.node] else {
+                continue;
+            };
+            if faults.health[instance] != NodeHealth::Up {
+                continue;
+            }
+            let until = interval + event.duration;
+            match event.kind {
+                FaultKind::Crash => {
+                    faults.health[instance] = NodeHealth::Down { until };
+                    faults.crashes += 1;
+                    if self.fleet_obs.enabled() {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::NodeFailed {
+                                node: instance as u32,
+                                outage_intervals: event.duration as u32,
+                            },
+                        );
+                    }
+                    // Unfinished batch jobs die with the node; hand them back to the
+                    // scheduler queue. (The node's slots keep simulating the abandoned
+                    // work and free up when it would have finished — the requeued copy
+                    // may complete elsewhere first.)
+                    self.requeue_scratch.clear();
+                    Self::expect_node_mut(&mut self.nodes[instance])
+                        .abort_unfinished_jobs(&mut self.requeue_scratch);
+                    for &(app, weight) in &self.requeue_scratch {
+                        self.scheduler.requeue(app, weight);
+                        faults.jobs_requeued += weight as u64;
+                        if self.fleet_obs.enabled() {
+                            self.fleet_obs.emit(
+                                obs_interval,
+                                self.time_s,
+                                Event::JobRequeued {
+                                    node: instance as u32,
+                                    job_code: job_code(app),
+                                    weight: weight as u32,
+                                },
+                            );
+                        }
+                    }
+                }
+                FaultKind::Degrade { factor } => {
+                    faults.health[instance] = NodeHealth::Degraded { until, factor };
+                    faults.degradations += 1;
+                    Self::expect_node_mut(&mut self.nodes[instance]).set_degrade(factor);
+                    if self.fleet_obs.enabled() {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::NodeDegraded {
+                                node: instance as u32,
+                                factor,
+                                intervals: event.duration as u32,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        // Replica-weighted availability accounting for the interval about to run.
+        for (health, &weight) in faults.health.iter().zip(&self.replica_weights) {
+            match health {
+                NodeHealth::Down { .. } => faults.down_node_intervals += weight as u64,
+                NodeHealth::Degraded { .. } => faults.degraded_node_intervals += weight as u64,
+                NodeHealth::Up => {}
+            }
+        }
+    }
 
-        // 1. Sample the fleet's load for this interval. The total scales with the
-        //    *logical* fleet: approximating with fewer instances must not shrink the
-        //    offered load (in exact mode the two counts coincide).
-        let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
-        let total_offered_load = avg_offered_load * self.population.total_nodes() as f64;
-
-        // 1b. Size the active set for the interval: the autoscaler plans from the
-        //     previous interval's snapshots (park fully-drained nodes, then at most one
-        //     membership change), and parked nodes are switched to suspend billing
-        //     before they are stepped.
+    /// Autoscaler phase: plans the active set from the previous interval's snapshots
+    /// (park fully-drained instances, then at most one membership change) and suspends
+    /// parked instances before they are stepped. Crashed instances stay suspended
+    /// whatever the plan: a down node bills the parked draw until it recovers (a
+    /// modelling simplification — an outage is billed like a park, not as zero draw).
+    ///
+    /// Then computes the interval's serving mask into `serving`: autoscaler `Active`
+    /// and fault-healthy. Consolidation, placement, balancing, and the dispatch audit
+    /// all read it. Returns the logical nodes serving, the replica-weighted count over
+    /// the mask.
+    fn plan_serving_set(&mut self, total_offered_load: f64) -> usize {
+        if self.autoscaler.is_some() {
+            self.refresh_snapshots();
+        }
         if let Some(scaler) = &mut self.autoscaler {
-            let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-            snapshots.clear();
-            snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
             if self.fleet_obs.enabled() {
                 self.power_state_scratch.clear();
                 self.power_state_scratch.extend_from_slice(scaler.states());
             }
-            if self.clustered {
-                scaler.plan_grouped(total_offered_load, &snapshots, self.scenario.slots_per_node);
-            } else {
-                scaler.plan(total_offered_load, &snapshots, self.scenario.slots_per_node);
-            }
+            scaler.plan(
+                total_offered_load,
+                &self.snapshot_scratch,
+                self.scenario.slots_per_node,
+            );
             if self.fleet_obs.enabled() {
                 // Diff the plan's state changes into transition events. The trigger is
                 // recovered from the edge itself: reactivation = scale-out, a fresh
@@ -733,423 +746,312 @@ impl ClusterSim {
                     );
                 }
             }
-            self.snapshot_scratch = snapshots;
             for (slot, state) in self.nodes.iter_mut().zip(scaler.states()) {
-                slot.as_mut()
-                    // pliant-lint: allow(panic-hygiene): slots are full here — the
-                    // pool hands every node back before the previous step returns.
-                    .expect("node slots are only empty while a step is in flight")
-                    .set_parked(*state == NodePowerState::Parked);
+                Self::expect_node_mut(slot).set_parked(*state == NodePowerState::Parked);
             }
         }
-
-        // 1c. Crashed nodes stay suspended no matter what the autoscaler planned: a
-        //     down node bills the parked draw until it recovers (the recovery pass
-        //     above un-parks it before this runs). Modelling simplification: an outage
-        //     is billed like a park, not as zero draw.
+        self.serving.clear();
+        match &self.autoscaler {
+            Some(scaler) => self
+                .serving
+                .extend(scaler.states().iter().map(|s| *s == NodePowerState::Active)),
+            None => self.serving.resize(self.nodes.len(), true),
+        }
         if let Some(faults) = &self.faults {
-            for (slot, health) in self.nodes.iter_mut().zip(&faults.health) {
+            for ((slot, health), serving) in self
+                .nodes
+                .iter_mut()
+                .zip(&faults.health)
+                .zip(self.serving.iter_mut())
+            {
                 if !health.is_serving() {
-                    slot.as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .set_parked(true);
+                    Self::expect_node_mut(slot).set_parked(true);
+                    *serving = false;
                 }
             }
         }
+        self.serving
+            .iter()
+            .zip(&self.replica_weights)
+            .filter(|(serving, _)| **serving)
+            .map(|(_, &weight)| weight)
+            .sum()
+    }
 
-        // 1d. Rack power admission: a rack whose measured draw reached its budget over
-        //     the previous interval admits no new work this interval — neither queue
-        //     placements nor migration arrivals. Flat fleets have a single unbudgeted
-        //     rack and skip the scan entirely.
-        if racked {
-            self.rack_admissible.clear();
-            for rack in 0..self.topology.rack_count() {
-                let admissible = self
-                    .topology
-                    .power_budget_w(rack)
-                    .is_none_or(|budget| self.rack_power_w[rack] < budget);
-                self.rack_admissible.push(admissible);
-                if !admissible && self.fleet_obs.enabled() {
-                    self.fleet_obs.emit(
-                        self.intervals as u32,
-                        self.time_s,
-                        Event::RackPowerCapped {
-                            rack: rack as u32,
-                            power_w: self.rack_power_w[rack],
-                            budget_w: self.topology.power_budget_w(rack).unwrap_or(0.0),
-                        },
-                    );
-                }
+    /// Rack admission phase: a rack whose measured draw reached its budget over the
+    /// previous interval admits no new work this interval — neither queue placements
+    /// nor migration arrivals. Flat fleets have a single unbudgeted rack and skip the
+    /// scan entirely.
+    fn admit_racks(&mut self) {
+        if self.topology.is_flat() {
+            return;
+        }
+        self.rack_admissible.clear();
+        for rack in 0..self.topology.rack_count() {
+            let admissible = self
+                .topology
+                .power_budget_w(rack)
+                .is_none_or(|budget| self.rack_power_w[rack] < budget);
+            self.rack_admissible.push(admissible);
+            if !admissible && self.fleet_obs.enabled() {
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::RackPowerCapped {
+                        rack: rack as u32,
+                        power_w: self.rack_power_w[rack],
+                        budget_w: self.topology.power_budget_w(rack).unwrap_or(0.0),
+                    },
+                );
             }
         }
+    }
 
-        // 1e. Active consolidation: instead of waiting for a draining node's batch
-        //     jobs to run to completion, migrate their in-flight state onto active
-        //     nodes with free slots, then park every drain the migrations completed —
-        //     in the same interval, so the node bills the parked draw from here on and
-        //     the active-node trace never double-counts it. Deterministic by
-        //     construction: sources scan in instance order, each job lands on the
-        //     lowest-indexed admissible destination, and no RNG is drawn.
-        if self
+    /// Consolidation phase (autoscalers configured to consolidate only): instead of
+    /// waiting for a draining node's batch jobs to run to completion, migrate their
+    /// in-flight state onto serving nodes with free slots, then park every drain the
+    /// migrations completed — in the same interval, so the node bills the parked draw
+    /// from here on and the active-node trace never double-counts it. Deterministic by
+    /// construction: sources scan in instance order, each job lands on the
+    /// lowest-indexed admissible destination, and no RNG is drawn.
+    fn consolidate(&mut self) {
+        if !self
             .autoscaler
             .as_ref()
             .is_some_and(|a| a.config().consolidate)
         {
-            let mut migrations = 0usize;
-            for src in 0..n {
-                let draining = self
-                    .autoscaler
-                    .as_ref()
-                    .is_some_and(|a| a.states()[src] == NodePowerState::Draining);
-                let serving = self
-                    .faults
-                    .as_ref()
-                    .is_none_or(|f| f.health[src].is_serving());
-                // A crashed drain has nothing live to move: the crash pass already
-                // aborted (and requeued) its unfinished jobs.
-                if !draining || !serving {
-                    continue;
-                }
-                loop {
-                    // Pick the destination *before* extracting: extraction latches the
-                    // source slot irreversibly, so a job must never leave its node
-                    // without a confirmed landing spot.
-                    let dst = (0..n).find(|&d| {
-                        d != src
-                            && self
-                                .autoscaler
-                                .as_ref()
-                                .is_some_and(|a| a.states()[d] == NodePowerState::Active)
-                            && self
-                                .faults
-                                .as_ref()
-                                .is_none_or(|f| f.health[d].is_serving())
-                            && (!racked || self.rack_admissible[self.instance_racks[d]])
-                            && Self::expect_node(&self.nodes[d]).free_slots() > 0
-                    });
-                    let Some(dst) = dst else { break };
-                    let Some((state, weight)) = self.nodes[src]
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .extract_job()
-                    else {
-                        break;
-                    };
-                    let implanted = self.nodes[dst]
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .implant_job(state, weight);
-                    assert!(
-                        implanted.is_some(),
-                        "destination advertised a free slot but refused the implant"
-                    );
-                    migrations += 1;
-                    if self.fleet_obs.enabled() {
-                        self.fleet_obs.emit(
-                            self.intervals as u32,
-                            self.time_s,
-                            Event::JobMigrated {
-                                node: src as u32,
-                                to_node: dst as u32,
-                                weight: weight as u32,
-                            },
-                        );
-                    }
-                }
-            }
-            if migrations > 0 {
-                if let Some(scaler) = &mut self.autoscaler {
-                    let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-                    snapshots.clear();
-                    snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-                    let mut parked = std::mem::take(&mut self.park_scratch);
-                    parked.clear();
-                    scaler.park_fully_drained(
-                        &snapshots,
-                        self.scenario.slots_per_node,
-                        &mut parked,
-                    );
-                    for &i in &parked {
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_parked(true);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                self.intervals as u32,
-                                self.time_s,
-                                Event::AutoscalerTransition {
-                                    node: i as u32,
-                                    from: PowerStateKind::Draining,
-                                    to: PowerStateKind::Parked,
-                                    trigger: ScaleTrigger::DrainComplete,
-                                },
-                            );
-                        }
-                    }
-                    self.park_scratch = parked;
-                    self.snapshot_scratch = snapshots;
-                }
-            }
+            return;
         }
-
-        // 2. Place queued jobs into slots freed by the previous interval. Snapshots are
-        //    refreshed after every placement so one node does not soak up the whole
-        //    queue just because it was chosen first. Nodes outside the active set
-        //    (draining or parked) advertise zero free slots: the autoscaler is draining
-        //    them, so handing them fresh jobs would keep them from ever parking.
-        let mut jobs_placed = 0usize;
-        loop {
-            let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-            snapshots.clear();
-            snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-            if let Some(scaler) = &self.autoscaler {
-                for (snap, state) in snapshots.iter_mut().zip(scaler.states()) {
-                    if *state != NodePowerState::Active {
-                        snap.free_slots = 0;
-                    }
-                }
+        let racked = !self.topology.is_flat();
+        let n = self.nodes.len();
+        let mut migrations = 0usize;
+        for src in 0..n {
+            let draining = self
+                .autoscaler
+                .as_ref()
+                .is_some_and(|a| a.states()[src] == NodePowerState::Draining);
+            // A crashed drain has nothing live to move: the fault phase already
+            // aborted (and requeued) its unfinished jobs.
+            let healthy = self
+                .faults
+                .as_ref()
+                .is_none_or(|f| f.health[src].is_serving());
+            if !draining || !healthy {
+                continue;
             }
-            if let Some(faults) = &self.faults {
-                // Crashed nodes advertise no free slots: the scheduler must not hand
-                // fresh jobs to a node that cannot run them.
-                for (snap, health) in snapshots.iter_mut().zip(&faults.health) {
-                    if !health.is_serving() {
-                        snap.free_slots = 0;
-                    }
-                }
-            }
-            if racked {
-                // Online rack placement: sample up to two admissible candidate racks
-                // with free capacity, score each by fractional power headroom plus
-                // mean QoS slack, and confine this placement to the winner (the
-                // power-aware sampling of Microsoft's online rack placement; the job
-                // queue itself is untouched). An empty queue or an empty candidate
-                // set ends the round *before* any sampling draw, so RNG consumption
-                // is a pure function of simulation state, never of tracing level.
-                if self.scheduler.pending() == 0 {
-                    self.snapshot_scratch = snapshots;
+            loop {
+                // Pick the destination *before* extracting: extraction latches the
+                // source slot irreversibly, so a job must never leave its node without
+                // a confirmed landing spot. The draining source is never serving.
+                let dst = (0..n).find(|&d| {
+                    self.serving[d]
+                        && (!racked || self.rack_admissible[self.instance_racks[d]])
+                        && Self::expect_node(&self.nodes[d]).free_slots() > 0
+                });
+                let Some(dst) = dst else { break };
+                let Some((state, weight)) =
+                    Self::expect_node_mut(&mut self.nodes[src]).extract_job()
+                else {
                     break;
-                }
-                self.rack_candidates.clear();
-                for rack in 0..self.topology.rack_count() {
-                    let has_free = snapshots
-                        .iter()
-                        .any(|s| self.instance_racks[s.index] == rack && s.free_slots > 0);
-                    if self.rack_admissible[rack] && has_free {
-                        self.rack_candidates.push(rack);
-                    }
-                }
-                if self.rack_candidates.is_empty() {
-                    self.snapshot_scratch = snapshots;
-                    break;
-                }
-                let k = self.rack_candidates.len();
-                let (first, second) = if k == 1 {
-                    (0, 0)
-                } else {
-                    let rng = self
-                        .rack_rng
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): racked fleets always
-                        // construct the sampling stream; see `with_obs`.
-                        .expect("racked fleets carry a rack-sampling stream");
-                    let first = rng.gen_range(0..k);
-                    let mut second = rng.gen_range(0..k - 1);
-                    if second >= first {
-                        second += 1;
-                    }
-                    (first, second)
                 };
-                let mut winner = self.rack_candidates[first];
-                let mut best = self.rack_score(winner, &snapshots);
-                if second != first {
-                    let other = self.rack_candidates[second];
-                    let score = self.rack_score(other, &snapshots);
-                    match score.0.total_cmp(&best.0) {
-                        std::cmp::Ordering::Greater => {
-                            winner = other;
-                            best = score;
-                        }
-                        std::cmp::Ordering::Equal if other < winner => {
-                            winner = other;
-                            best = score;
-                        }
-                        _ => {}
-                    }
-                }
+                let implanted =
+                    Self::expect_node_mut(&mut self.nodes[dst]).implant_job(state, weight);
+                assert!(
+                    implanted.is_some(),
+                    "destination advertised a free slot but refused the implant"
+                );
+                migrations += 1;
                 if self.fleet_obs.enabled() {
                     self.fleet_obs.emit(
                         self.intervals as u32,
                         self.time_s,
-                        Event::RackPlacement {
-                            rack: winner as u32,
-                            candidates: if k == 1 { 1 } else { 2 },
-                            power_headroom_w: best.1,
-                            qos_slack: best.2,
+                        Event::JobMigrated {
+                            node: src as u32,
+                            to_node: dst as u32,
+                            weight: weight as u32,
                         },
                     );
                 }
-                for snap in snapshots.iter_mut() {
-                    if self.instance_racks[snap.index] != winner {
-                        snap.free_slots = 0;
-                    }
+            }
+        }
+        if migrations == 0 {
+            return;
+        }
+        self.refresh_snapshots();
+        if let Some(scaler) = &mut self.autoscaler {
+            self.park_scratch.clear();
+            scaler.park_fully_drained(
+                &self.snapshot_scratch,
+                self.scenario.slots_per_node,
+                &mut self.park_scratch,
+            );
+            for &i in &self.park_scratch {
+                Self::expect_node_mut(&mut self.nodes[i]).set_parked(true);
+                if self.fleet_obs.enabled() {
+                    self.fleet_obs.emit(
+                        self.intervals as u32,
+                        self.time_s,
+                        Event::AutoscalerTransition {
+                            node: i as u32,
+                            from: PowerStateKind::Draining,
+                            to: PowerStateKind::Parked,
+                            trigger: ScaleTrigger::DrainComplete,
+                        },
+                    );
                 }
             }
-            let placement = if self.clustered {
-                self.scheduler
-                    .pop_placement_grouped(&snapshots, &self.replica_weights)
-            } else {
-                self.scheduler
-                    .pop_placement(&snapshots)
-                    .map(|(node, app)| (node, app, 1))
-            };
-            self.snapshot_scratch = snapshots;
-            let Some((node, app, weight)) = placement else {
+        }
+    }
+
+    /// Placement phase: places queued jobs into slots freed by the previous interval,
+    /// returning the logical jobs placed. Snapshots are refreshed after every
+    /// placement so one node does not soak up the whole queue just because it was
+    /// chosen first. Instances outside the serving mask advertise zero free slots: a
+    /// draining node handed fresh jobs would never park, and a crashed one cannot run
+    /// them. On a racked fleet each placement is confined to a sampled rack first.
+    fn place_jobs(&mut self) -> usize {
+        let racked = !self.topology.is_flat();
+        let mut jobs_placed = 0usize;
+        loop {
+            self.refresh_snapshots();
+            for (snap, &serving) in self.snapshot_scratch.iter_mut().zip(&self.serving) {
+                if !serving {
+                    snap.free_slots = 0;
+                }
+            }
+            if racked && !self.confine_to_sampled_rack() {
+                break;
+            }
+            let Some((node, app, weight)) = self
+                .scheduler
+                .pop_placement(&self.snapshot_scratch, &self.replica_weights)
+            else {
                 break;
             };
             let profile = self
                 .catalog
                 .profile(app)
-                .unwrap_or_else(|| panic!("{app} missing from catalog"))
-                .clone();
-            self.nodes[node]
-                .as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full here — the pool
-                // hands every node back before the previous step returns.
-                .expect("node slots are only empty while a step is in flight")
-                .place_job_weighted(&profile, weight)
+                .unwrap_or_else(|| panic!("{app} missing from catalog"));
+            Self::expect_node_mut(&mut self.nodes[node])
+                .place_job(profile, weight)
                 // pliant-lint: allow(panic-hygiene): the scheduler chose this node
                 // from snapshots with `free_slots > 0` taken this same interval.
                 .expect("scheduler only places onto nodes with free slots");
             jobs_placed += weight;
             if self.fleet_obs.enabled() {
-                let job_code = AppId::all()
-                    .iter()
-                    .position(|a| *a == app)
-                    .map_or(u32::MAX, |p| p as u32);
                 self.fleet_obs.emit(
                     self.intervals as u32,
                     self.time_s,
                     Event::JobPlaced {
                         node: node as u32,
-                        job_code,
+                        job_code: job_code(app),
                         weight: weight as u32,
                     },
                 );
             }
         }
+        jobs_placed
+    }
 
-        // 3. Split the offered load across the serving nodes. The clustered path hands
-        //    out *per-replica* loads over the weighted instances through reused scratch
-        //    buffers; the exact path keeps the historical allocating calls verbatim so
-        //    its output stays byte-identical.
-        let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-        snapshots.clear();
-        snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-        let (assigned, active_nodes) = if self.clustered {
-            let mut active = std::mem::take(&mut self.active_scratch);
-            active.clear();
-            match &self.autoscaler {
-                Some(scaler) => {
-                    active.extend(scaler.states().iter().map(|s| *s == NodePowerState::Active));
-                }
-                None => active.resize(n, true),
+    /// Online rack placement for the next queued job: samples up to two admissible
+    /// candidate racks with free capacity, scores each by fractional power headroom
+    /// plus mean QoS slack, and confines the placement to the winner by zeroing the
+    /// other racks' free slots in `snapshot_scratch` (the power-aware sampling of
+    /// Microsoft's online rack placement; the job queue itself is untouched). Returns
+    /// `false` when the queue or the candidate set is empty — *before* any sampling
+    /// draw, so RNG consumption is a pure function of simulation state, never of
+    /// tracing level.
+    fn confine_to_sampled_rack(&mut self) -> bool {
+        if self.scheduler.pending() == 0 {
+            return false;
+        }
+        self.rack_candidates.clear();
+        for rack in 0..self.topology.rack_count() {
+            let has_free = self
+                .snapshot_scratch
+                .iter()
+                .any(|s| self.instance_racks[s.index] == rack && s.free_slots > 0);
+            if self.rack_admissible[rack] && has_free {
+                self.rack_candidates.push(rack);
             }
-            if let Some(faults) = &self.faults {
-                // The balancer sheds dead nodes: traffic is split over the serving
-                // set only (health ANDed into the autoscaler's active set).
-                for (flag, health) in active.iter_mut().zip(&faults.health) {
-                    if !health.is_serving() {
-                        *flag = false;
-                    }
-                }
-            }
-            let mut out = std::mem::take(&mut self.assigned_scratch);
-            self.balancer.split_grouped(
-                total_offered_load,
-                &snapshots,
-                &self.replica_weights,
-                &active,
-                &mut out,
-            );
-            let serving = if self.faults.is_some() {
-                active
-                    .iter()
-                    .zip(&self.replica_weights)
-                    .filter(|(flag, _)| **flag)
-                    .map(|(_, &weight)| weight)
-                    .sum()
-            } else {
-                self.autoscaler
-                    .as_ref()
-                    .map_or(self.population.total_nodes(), |a| a.active_replicas())
-            };
-            self.active_scratch = active;
-            (out, serving)
-        } else if let Some(faults) = &self.faults {
-            // Fault-aware exact path: always split over an explicit serving mask
-            // (health ANDed into the autoscaler's active set when one is configured).
-            let mut active = std::mem::take(&mut self.active_scratch);
-            active.clear();
-            match &self.autoscaler {
-                Some(scaler) => {
-                    active.extend(scaler.states().iter().map(|s| *s == NodePowerState::Active));
-                }
-                None => active.resize(n, true),
-            }
-            for (flag, health) in active.iter_mut().zip(&faults.health) {
-                if !health.is_serving() {
-                    *flag = false;
-                }
-            }
-            let serving = active.iter().filter(|&&flag| flag).count();
-            let split = self
-                .balancer
-                .split_active(total_offered_load, &snapshots, &active);
-            self.active_scratch = active;
-            (split, serving)
+        }
+        let k = self.rack_candidates.len();
+        if k == 0 {
+            return false;
+        }
+        let (first, second) = if k == 1 {
+            (0, 0)
         } else {
-            match &mut self.autoscaler {
-                Some(scaler) => {
-                    let active: Vec<bool> = scaler
-                        .states()
-                        .iter()
-                        .map(|s| *s == NodePowerState::Active)
-                        .collect();
-                    (
-                        self.balancer
-                            .split_active(total_offered_load, &snapshots, &active),
-                        scaler.active_count(),
-                    )
-                }
-                None => (self.balancer.split(total_offered_load, &snapshots), n),
+            let rng = self
+                .rack_rng
+                .as_mut()
+                // pliant-lint: allow(panic-hygiene): racked fleets always construct
+                // the sampling stream; see `with_obs`.
+                .expect("racked fleets carry a rack-sampling stream");
+            let first = rng.gen_range(0..k);
+            let mut second = rng.gen_range(0..k - 1);
+            if second >= first {
+                second += 1;
             }
+            (first, second)
         };
-        self.snapshot_scratch = snapshots;
+        let mut winner = self.rack_candidates[first];
+        let mut best = self.rack_score(winner);
+        if second != first {
+            let other = self.rack_candidates[second];
+            let score = self.rack_score(other);
+            match score.0.total_cmp(&best.0) {
+                std::cmp::Ordering::Greater => {
+                    winner = other;
+                    best = score;
+                }
+                std::cmp::Ordering::Equal if other < winner => {
+                    winner = other;
+                    best = score;
+                }
+                _ => {}
+            }
+        }
+        if self.fleet_obs.enabled() {
+            self.fleet_obs.emit(
+                self.intervals as u32,
+                self.time_s,
+                Event::RackPlacement {
+                    rack: winner as u32,
+                    candidates: if k == 1 { 1 } else { 2 },
+                    power_headroom_w: best.1,
+                    qos_slack: best.2,
+                },
+            );
+        }
+        for snap in self.snapshot_scratch.iter_mut() {
+            if self.instance_racks[snap.index] != winner {
+                snap.free_slots = 0;
+            }
+        }
+        true
+    }
 
+    /// Balancing phase: splits the offered load over the serving mask into
+    /// `assigned_scratch` — per-replica loads from fresh snapshots; see
+    /// [`LoadBalancer::split`] — and records the dispatch audit on traced runs.
+    fn balance_load(&mut self, total_offered_load: f64) {
+        self.refresh_snapshots();
+        self.balancer.split(
+            total_offered_load,
+            &self.snapshot_scratch,
+            &self.replica_weights,
+            &self.serving,
+            &mut self.assigned_scratch,
+        );
         if self.fleet_obs.enabled() && total_offered_load > 0.0 {
             // Dispatch audit: at Full level every routed assignment is recorded; at
-            // Decisions level only sheds are (an active node squeezed out of the
+            // Decisions level only sheds are (a serving node squeezed out of the
             // rotation is a balancer decision worth auditing, per-node routing isn't).
             let interval = self.intervals as u32;
-            for (i, &load) in assigned.iter().enumerate() {
-                let active = self
-                    .autoscaler
-                    .as_ref()
-                    .is_none_or(|a| a.states()[i] == NodePowerState::Active)
-                    && self
-                        .faults
-                        .as_ref()
-                        .is_none_or(|f| f.health[i].is_serving());
+            for (i, (&load, &serving)) in
+                self.assigned_scratch.iter().zip(&self.serving).enumerate()
+            {
                 if load > 0.0 {
                     self.fleet_obs.emit(
                         interval,
@@ -1159,7 +1061,7 @@ impl ClusterSim {
                             assigned_load: load,
                         },
                     );
-                } else if active {
+                } else if serving {
                     self.fleet_obs.emit(
                         interval,
                         self.time_s,
@@ -1168,8 +1070,13 @@ impl ClusterSim {
                 }
             }
         }
+    }
 
-        // 4. Advance every node independently.
+    /// Node step phase: advances every instance independently at its assigned load —
+    /// on the calling thread for one worker, else on the persistent pool — and returns
+    /// the per-instance results in instance order.
+    fn step_nodes(&mut self, threads: usize) -> Vec<NodeInterval> {
+        let n = self.nodes.len();
         let workers = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -1178,63 +1085,64 @@ impl ClusterSim {
             threads
         }
         .clamp(1, n);
-        let node_intervals: Vec<NodeInterval> = if workers == 1 {
-            self.nodes
+        if workers == 1 {
+            return self
+                .nodes
                 .iter_mut()
-                .zip(&assigned)
-                .map(|(slot, &load)| {
-                    slot.as_mut()
-                        // pliant-lint: allow(panic-hygiene): single-worker path never
-                        // vacates slots; they are full on entry to every step.
-                        .expect("node slots are only empty while a step is in flight")
-                        .step(load)
-                })
-                .collect()
-        } else {
-            // Lazily create (or resize) the persistent pool, then ship each node to its
-            // sticky worker and stitch the results back in node order.
-            if self
-                .pool
-                .as_ref()
-                .is_none_or(|p| p.worker_count() != workers)
-            {
-                self.pool = Some(NodeWorkerPool::sized_for(workers, n));
-            }
-            // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
-            let pool = self.pool.as_ref().expect("pool was just ensured");
-            let mut results = std::mem::take(&mut self.result_scratch);
-            pool.step_all(&mut self.nodes, &assigned, &mut results);
-            let intervals = results
-                .iter_mut()
-                // pliant-lint: allow(panic-hygiene): step_all resizes `results` to one
-                // entry per node and fills each, or re-raises the worker panic.
-                .map(|r| r.take().expect("step_all fills every slot or panics"))
+                .zip(&self.assigned_scratch)
+                .map(|(slot, &load)| Self::expect_node_mut(slot).step(load))
                 .collect();
-            self.result_scratch = results;
-            intervals
-        };
+        }
+        // Lazily create (or resize) the persistent pool, then ship each node to its
+        // sticky worker and stitch the results back in node order.
+        if self
+            .pool
+            .as_ref()
+            .is_none_or(|p| p.worker_count() != workers)
+        {
+            self.pool = Some(NodeWorkerPool::sized_for(workers, n));
+        }
+        // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
+        let pool = self.pool.as_ref().expect("pool was just ensured");
+        pool.step_all(
+            &mut self.nodes,
+            &self.assigned_scratch,
+            &mut self.result_scratch,
+        );
+        self.result_scratch
+            .iter_mut()
+            // pliant-lint: allow(panic-hygiene): step_all resizes `results` to one
+            // entry per node and fills each, or re-raises the worker panic.
+            .map(|r| r.take().expect("step_all fills every slot or panics"))
+            .collect()
+    }
 
-        let completions: usize = node_intervals.iter().map(|ni| ni.jobs_completed).sum();
+    /// Rack metering and interval summary: records the interval's job completions,
+    /// meters each rack's draw over the interval just stepped (the next admission
+    /// phase compares it against the rack budget), advances the clock, and emits the
+    /// interval rollup on traced runs.
+    fn close_interval(
+        &mut self,
+        nodes: &[NodeInterval],
+        total_offered_load: f64,
+        active_nodes: usize,
+        jobs_placed: usize,
+    ) {
+        let dt = self.scenario.decision_interval_s;
+        let completions: usize = nodes.iter().map(|ni| ni.jobs_completed).sum();
         self.scheduler.record_completions(completions);
-        // Measure each rack's draw over the interval just stepped; the admission scan
-        // at the top of the next interval compares it against the rack budget.
-        if racked {
-            for power in self.rack_power_w.iter_mut() {
-                *power = 0.0;
-            }
-            for ni in &node_intervals {
+        if !self.topology.is_flat() {
+            self.rack_power_w.fill(0.0);
+            for ni in nodes {
                 self.rack_power_w[self.instance_racks[ni.node]] +=
                     ni.observation.energy_j * ni.replicas as f64 / dt;
             }
-        }
-        if self.clustered {
-            self.assigned_scratch = assigned;
         }
         self.time_s += dt;
         if self.fleet_obs.enabled() {
             let mut busy = 0usize;
             let mut violating = 0usize;
-            for ni in &node_intervals {
+            for ni in nodes {
                 if ni.observation.arrivals > 0 {
                     busy += ni.replicas;
                     if ni.observation.qos_violated() {
@@ -1255,15 +1163,6 @@ impl ClusterSim {
             );
         }
         self.intervals += 1;
-
-        ClusterInterval {
-            time_s: self.time_s,
-            avg_offered_load,
-            total_offered_load,
-            active_nodes,
-            jobs_placed,
-            nodes: node_intervals,
-        }
     }
 
     /// Captures the full mutable state of the fleet between intervals: every node's
@@ -1324,8 +1223,10 @@ impl ClusterSim {
             || checkpoint.node_checkpoints.len() != self.nodes.len()
         {
             return Err(format!(
-                "checkpoint covers {} nodes / {} instances, fleet has {} / {}",
+                "checkpoint covers {} nodes / {} instances / {} node checkpoints, \
+                 fleet has {} nodes / {} instances",
                 checkpoint.nodes,
+                checkpoint.instances,
                 checkpoint.node_checkpoints.len(),
                 self.population.total_nodes(),
                 self.nodes.len()
@@ -1396,10 +1297,7 @@ impl ClusterSim {
             .zip(&checkpoint.node_checkpoints)
             .enumerate()
         {
-            slot.as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full between intervals;
-                // checkpoints are only restored outside of advance calls.
-                .expect("node slots are only empty while a step is in flight")
+            Self::expect_node_mut(slot)
                 .restore(node_checkpoint)
                 .map_err(|e| format!("node {index}: {e}"))?;
         }

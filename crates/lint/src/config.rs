@@ -13,7 +13,8 @@ pub struct LintConfig {
     /// (`ClusterNode::step`, matching only inside `impl ClusterNode`).
     pub hot_path_fns: Vec<String>,
     /// Path prefixes where wall-clock reads (`Instant::now`, `SystemTime`) are allowed:
-    /// the bench harness and the criterion compat shim measure real time by design.
+    /// the bench harness, the repo benchmark (`perfbench/`), and the criterion compat
+    /// shim measure real time by design.
     pub wallclock_allowed: Vec<String>,
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
@@ -52,11 +53,12 @@ impl LintConfig {
                 "poly_exp",
                 "sample_normal_ziggurat",
                 "fill_lognormals",
-                // The hyperscale grouped-dispatch path (PR 7): runs once per interval
-                // on clustered fleets whose logical size can reach 100k nodes, and the
-                // per-sample replication inside ClusterNode::step.
-                "LoadBalancer::split_grouped",
-                "Autoscaler::plan_grouped",
+                // The replica-weighted dispatch path (PR 7): runs once per interval
+                // on every fleet, including clustered ones whose logical size can
+                // reach 1M nodes, and the per-sample replication inside
+                // ClusterNode::step.
+                "LoadBalancer::split",
+                "Autoscaler::plan",
                 "LatencyHistogram::record_n",
                 // The observability emit path (PR 8): called at every decision point
                 // of every per-interval loop above; the Null sink (Off) and the
@@ -66,10 +68,8 @@ impl LintConfig {
                 "MetricsRegistry::record",
                 // The fault-injection per-interval path (PR 9): node-health masking
                 // runs for every instance of every interval whenever a fleet carries
-                // a fault profile, and the fault-aware balancer split sits on the
-                // same dispatch path as split/split_grouped above.
+                // a fault profile.
                 "NodeHealth::is_serving",
-                "LoadBalancer::split_active",
                 // The topology placement/migration path (PR 10): rack scoring runs at
                 // every placement decision, the extract/implant pair moves in-flight
                 // batch state between nodes on the consolidation pass, and the drain
@@ -81,8 +81,21 @@ impl LintConfig {
                 "ColocationSim::extract_app",
                 "ColocationSim::implant_app",
                 "Autoscaler::park_fully_drained",
+                // The fleet coordinator's per-interval phases: every phase of
+                // ClusterSim::advance_threads except the node step, which builds the
+                // interval's per-node results. They run on exact and clustered fleets
+                // alike and reuse the simulator's scratch buffers.
+                "ClusterSim::apply_faults",
+                "ClusterSim::plan_serving_set",
+                "ClusterSim::admit_racks",
+                "ClusterSim::consolidate",
+                "ClusterSim::place_jobs",
+                "ClusterSim::confine_to_sampled_rack",
+                "ClusterSim::balance_load",
+                "ClusterSim::close_interval",
+                "ClusterSim::refresh_snapshots",
             ]),
-            wallclock_allowed: s(&["crates/bench/", "crates/compat/criterion/"]),
+            wallclock_allowed: s(&["crates/bench/", "crates/compat/criterion/", "perfbench/"]),
             hash_container_scoped: s(&[
                 "crates/sim/",
                 "crates/core/",

@@ -133,7 +133,7 @@ fn fault_and_checkpoint_modules_stay_in_the_determinism_scopes() {
             render(&findings)
         );
     }
-    for hot in ["NodeHealth::is_serving", "LoadBalancer::split_active"] {
+    for hot in ["NodeHealth::is_serving", "LoadBalancer::split"] {
         assert!(
             cfg.hot_path_fns.iter().any(|f| f == hot),
             "{hot} must stay on the hot-path-alloc denylist"
@@ -190,6 +190,55 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
             render(&findings)
         );
     }
+}
+
+/// Regression (one fleet code path): exact and clustered fleets share the
+/// coordinator's phase methods, so every phase except the node step (which builds the
+/// interval's per-node results) must stay on the hot-path-alloc denylist.
+#[test]
+fn fleet_coordinator_phases_stay_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for hot in [
+        "ClusterSim::apply_faults",
+        "ClusterSim::plan_serving_set",
+        "ClusterSim::admit_racks",
+        "ClusterSim::consolidate",
+        "ClusterSim::place_jobs",
+        "ClusterSim::confine_to_sampled_rack",
+        "ClusterSim::balance_load",
+        "ClusterSim::close_interval",
+        "Autoscaler::plan",
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+    }
+}
+
+/// The repo benchmark measures host time by design, so `perfbench/` may read the wall
+/// clock; the simulation crates it drives may not.
+#[test]
+fn perfbench_may_read_the_wall_clock() {
+    let cfg = LintConfig::repo_default();
+    assert!(pliant_lint::config::path_in(
+        "perfbench/src/measure.rs",
+        &cfg.wallclock_allowed
+    ));
+    let findings = lint_source(
+        "perfbench/src/measure.rs",
+        "fn time() { let t = std::time::Instant::now(); }",
+        &cfg,
+    );
+    assert!(
+        findings.is_empty(),
+        "perfbench wall-clock reads must not be flagged, got:\n{}",
+        render(&findings)
+    );
+    assert!(!pliant_lint::config::path_in(
+        "crates/cluster/src/sim.rs",
+        &cfg.wallclock_allowed
+    ));
 }
 
 #[test]

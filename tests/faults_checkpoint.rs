@@ -160,6 +160,26 @@ fn restore_rejects_a_checkpoint_from_a_different_scenario() {
 }
 
 #[test]
+fn restore_reports_a_mismatched_instance_count_by_value() {
+    let engine = Engine::new();
+    let scenario = failure_scenario(6, PolicyKind::Pliant);
+    let mut donor = ClusterRun::new(&scenario, &engine);
+    while donor.intervals() < 10 && donor.step() {}
+    let wire = serde_json::to_string(&donor.checkpoint()).expect("checkpoints are serializable");
+    let mut checkpoint: ClusterRunCheckpoint =
+        serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
+    checkpoint.sim.instances = 9;
+
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&checkpoint)
+        .expect_err("a checkpoint claiming 9 instances must not restore into 6");
+    assert!(
+        err.contains("9 instances"),
+        "the rejection must name the checkpoint's instance count, got: {err}"
+    );
+}
+
+#[test]
 fn faulted_runs_are_deterministic_across_execution_modes() {
     // Fault injection and recovery live on the fleet coordinator path, so the usual
     // guarantee must survive: parallelism changes wall-clock, never output.
