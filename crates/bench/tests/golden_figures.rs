@@ -1,31 +1,52 @@
-//! Golden-output pins for the cluster figure binaries.
+//! Golden-output pins for the figure binaries and the single-node event stream.
 //!
-//! Exact simulation (the default `FleetApproximation::Exact`) runs the same
+//! Each figure binary is run with its default flags and its `--json` output is
+//! compared byte-for-byte against a committed golden.
+//!
+//! The single-node goldens pin the [`Engine`] end to end: `fig4_dynamic_behavior`
+//! (one co-location traced over time), `fig5_aggregate` (every service × application
+//! pair under Precise and Pliant), `fig6_multi_app` (multi-application co-locations,
+//! which exercise the seed-derived round-robin start pointer) and `fig_load_transient`
+//! (time-varying load profiles). A traced golden pins the full-level decision-event
+//! stream of one two-application Pliant run as JSON Lines.
+//!
+//! Exact fleet simulation (the default `FleetApproximation::Exact`) runs the same
 //! replica-weighted fleet code as the clustered approximation, with every weight 1.
-//! These tests pin its output end to end: each figure binary is run with its default
-//! flags and its `--json` output is compared byte-for-byte against a committed golden.
-//! The four goldens cover the fleet's coupling branches: `fig_cluster` (no autoscaler,
-//! no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware serving masks and
-//! requeues) and `fig_topology` (racked placement, rack outages and consolidation).
+//! The four fleet goldens cover the fleet's coupling branches: `fig_cluster` (no
+//! autoscaler, no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware
+//! serving masks and requeues) and `fig_topology` (racked placement, rack outages and
+//! consolidation).
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
 //!
 //! ```text
-//! cargo run --release -p pliant-bench --bin fig_cluster -- --json \
-//!     > crates/bench/tests/golden/fig_cluster.json
-//! cargo run --release -p pliant-bench --bin fig_energy -- --json \
-//!     > crates/bench/tests/golden/fig_energy.json
-//! cargo run --release -p pliant-bench --bin fig_failure -- --json \
-//!     > crates/bench/tests/golden/fig_failure.json
-//! cargo run --release -p pliant-bench --bin fig_topology -- --json \
-//!     > crates/bench/tests/golden/fig_topology.json
+//! for fig in fig4_dynamic_behavior fig5_aggregate fig6_multi_app fig_load_transient \
+//!            fig_cluster fig_energy fig_failure fig_topology; do
+//!     cargo run --release -p pliant-bench --bin "$fig" -- --json \
+//!         > "crates/bench/tests/golden/$fig.json"
+//! done
 //! ```
 //!
-//! An *unintentional* diff here means the exact simulation path changed behavior —
-//! treat it as a correctness regression, not as a golden to refresh.
+//! The traced test writes the stream it produced to `target/tmp/` before comparing,
+//! so the trace golden is regenerated with:
+//!
+//! ```text
+//! cargo test -p pliant-bench --test golden_figures single_node_full_trace
+//! cp target/tmp/single_node_full_trace.jsonl crates/bench/tests/golden/
+//! ```
+//!
+//! An *unintentional* diff here means a simulation path changed behavior — treat it
+//! as a correctness regression, not as a golden to refresh.
 
 use std::process::Command;
+
+use pliant_approx::catalog::AppId;
+use pliant_core::engine::Engine;
+use pliant_core::policy::PolicyKind;
+use pliant_core::scenario::Scenario;
+use pliant_telemetry::obs::ObsLevel;
+use pliant_workloads::service::ServiceId;
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -45,6 +66,69 @@ fn run_json(bin: &str, extra_args: &[&str]) -> String {
         String::from_utf8_lossy(&output.stderr)
     );
     String::from_utf8(output.stdout).expect("figure JSON is UTF-8")
+}
+
+/// Runs a figure binary with its default flags and compares its `--json` output with
+/// the committed golden of the same name.
+fn assert_matches_golden(bin: &str, name: &str) {
+    let fresh = run_json(bin, &[]);
+    assert_eq!(
+        fresh,
+        golden(&format!("{name}.json")),
+        "{name} --json drifted from its golden; the single-node engine must stay \
+         byte-identical (see the module docs before refreshing)"
+    );
+}
+
+#[test]
+fn fig4_dynamic_behavior_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(
+        env!("CARGO_BIN_EXE_fig4_dynamic_behavior"),
+        "fig4_dynamic_behavior",
+    );
+}
+
+#[test]
+fn fig5_aggregate_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig5_aggregate"), "fig5_aggregate");
+}
+
+#[test]
+fn fig6_multi_app_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig6_multi_app"), "fig6_multi_app");
+}
+
+#[test]
+fn fig_load_transient_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(
+        env!("CARGO_BIN_EXE_fig_load_transient"),
+        "fig_load_transient",
+    );
+}
+
+#[test]
+fn single_node_full_trace_is_byte_identical_to_the_golden() {
+    // Two co-runners: the round-robin arbiter, core reclamation and variant switches
+    // all show up in the stream, in the order the runtime emitted them.
+    let scenario = Scenario::builder(ServiceId::Nginx)
+        .apps([AppId::Canneal, AppId::Bayesian])
+        .policy(PolicyKind::Pliant)
+        .horizon_intervals(60)
+        .seed(17)
+        .build();
+    let (_, log) = Engine::new().run_scenario_traced(&scenario, ObsLevel::Full);
+    let fresh = log.to_jsonl_string();
+    let out = format!(
+        "{}/single_node_full_trace.jsonl",
+        env!("CARGO_TARGET_TMPDIR")
+    );
+    std::fs::write(&out, &fresh).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    assert!(!fresh.is_empty(), "a Pliant two-app run must emit events");
+    assert_eq!(
+        fresh,
+        golden("single_node_full_trace.jsonl"),
+        "the single-node event stream drifted from its golden (fresh copy in {out})"
+    );
 }
 
 #[test]
