@@ -3,29 +3,28 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pliant_approx::catalog::AppId;
-use pliant_core::experiment::{run_colocation, ExperimentOptions};
 use pliant_core::policy::PolicyKind;
+use pliant_core::scenario::Scenario;
 use pliant_sim::events::{simulate, EventSimConfig};
 use pliant_workloads::service::{ServiceId, ServiceProfile};
 
 fn bench_colocation(c: &mut Criterion) {
     let mut group = c.benchmark_group("colocation_experiment");
     group.sample_size(10);
-    let options = ExperimentOptions {
-        max_intervals: 40,
-        ..ExperimentOptions::default()
-    };
     for (service, app) in [
         (ServiceId::Memcached, AppId::Canneal),
         (ServiceId::Nginx, AppId::Bayesian),
         (ServiceId::MongoDb, AppId::Snp),
     ] {
+        let scenario = Scenario::builder(service)
+            .app(app)
+            .policy(PolicyKind::Pliant)
+            .horizon_intervals(40)
+            .build();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{}+{}", service.name(), app.name())),
-            &(service, app),
-            |b, &(service, app)| {
-                b.iter(|| run_colocation(service, &[app], PolicyKind::Pliant, &options));
-            },
+            &scenario,
+            |b, scenario| b.iter(|| scenario.run()),
         );
     }
     group.finish();

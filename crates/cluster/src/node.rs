@@ -1,25 +1,24 @@
-//! One fleet node: a co-location simulator plus its own Pliant runtime.
+//! One fleet node: the single-node Pliant runtime plus the fleet's per-node books.
 //!
-//! A [`ClusterNode`] wraps exactly what a single-node experiment runs — a
-//! [`ColocationSim`], a [`PerformanceMonitor`], a policy built from the scenario's
-//! [`PolicyKind`](pliant_core::policy::PolicyKind), and an [`Actuator`] — and advances it
+//! A [`ClusterNode`] holds the same [`NodeRuntime`] a single-node experiment runs — a
+//! co-location simulator driven by its monitor, policy and actuator — and advances it
 //! one decision interval at a time under whatever offered load the cluster's balancer
-//! assigns. Nodes are fully independent within an interval (each derives its own RNG
-//! streams from the cluster seed), which is what lets the cluster engine advance them in
-//! parallel without changing any result.
+//! assigns. Around the runtime it keeps what only a fleet needs: per-slot completion
+//! latches and replica weights, the post-warm-up latency histogram and QoS counters,
+//! energy, and the balancer-visible latency estimate. Nodes are fully independent
+//! within an interval (each derives its own RNG streams from the cluster seed), which is
+//! what lets the cluster engine advance them in parallel without changing any result.
 
 use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::{AppId, AppProfile, Catalog};
-use pliant_core::actuator::{Action, Actuator, ActuatorStats};
+use pliant_core::actuator::ActuatorStats;
 use pliant_core::controller::ControllerConfig;
-use pliant_core::monitor::{MonitorConfig, MonitorSnapshot, PerformanceMonitor};
-use pliant_core::policy::Policy;
-use pliant_sim::colocation::{
-    ColocationConfig, ColocationSim, ColocationSimSnapshot, IntervalObservation,
-};
+use pliant_core::monitor::MonitorSnapshot;
+use pliant_core::runtime::NodeRuntime;
+use pliant_sim::colocation::{ColocationConfig, ColocationSimSnapshot, IntervalObservation};
 use pliant_telemetry::histogram::LatencyHistogram;
-use pliant_telemetry::obs::{Event, ObsAction, ObsBuffer, ObsLevel, DEFAULT_NODE_CAPACITY};
+use pliant_telemetry::obs::{Event, ObsBuffer, ObsLevel, DEFAULT_NODE_CAPACITY};
 use pliant_telemetry::rng::derive_seed;
 
 use crate::scenario::ClusterScenario;
@@ -95,11 +94,7 @@ pub struct NodeInterval {
 /// per-interval hot path identical in both modes.
 pub struct ClusterNode {
     index: usize,
-    sim: ColocationSim,
-    policy: Box<dyn Policy + Send>,
-    monitor: PerformanceMonitor,
-    actuator: Actuator,
-    fair_service_cores: u32,
+    runtime: NodeRuntime,
     /// Per-slot completion latch, used to report each job's completion exactly once.
     slot_done: Vec<bool>,
     /// Inaccuracy of every job completed on this node so far, in percent.
@@ -176,41 +171,14 @@ impl ClusterNode {
         if let Some(qos_s) = scenario.qos_target_s {
             config.service.qos_target_s = qos_s;
         }
-        let qos_target_s = config.service.qos_target_s;
-        let sim = ColocationSim::new(config, catalog);
-        let fair_service_cores = sim.service_cores();
-
-        let variant_counts: Vec<usize> = initial_jobs
-            .iter()
-            .map(|id| catalog.profile(*id).map_or(0, |p| p.variant_count()))
-            .collect();
-        let initial_cores: Vec<u32> = (0..initial_jobs.len())
-            .map(|i| sim.app(i).cores())
-            .collect();
         let controller_config = ControllerConfig {
             decision_interval_s: scenario.decision_interval_s,
             slack_threshold: scenario.slack_threshold,
             consecutive_slack_required: scenario.consecutive_slack_required,
         };
-        let start_pointer = (derive_seed(node_seed, 7) % initial_jobs.len() as u64) as usize;
-        let policy = scenario.policy.build(
-            controller_config,
-            &variant_counts,
-            &initial_cores,
-            start_pointer,
-        );
-        let monitor = PerformanceMonitor::new(
-            MonitorConfig::for_qos(qos_target_s),
-            derive_seed(node_seed, 8),
-        );
-
         Self {
             index,
-            sim,
-            policy,
-            monitor,
-            actuator: Actuator::new(),
-            fair_service_cores,
+            runtime: NodeRuntime::new(config, catalog, scenario.policy, controller_config),
             slot_done: vec![false; initial_jobs.len()],
             completed_inaccuracy_pct: Vec::new(),
             smoothed_p99_s: 0.0,
@@ -249,11 +217,6 @@ impl ClusterNode {
         std::mem::replace(&mut self.obs, ObsBuffer::disabled())
     }
 
-    /// Index of the node within the fleet.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// Logical nodes this instance stands for (1 = exact node).
     pub fn replicas(&self) -> usize {
         self.replicas
@@ -272,22 +235,16 @@ impl ClusterNode {
             smoothed_p99_s: self.smoothed_p99_s,
             utilization: self.utilization,
             free_slots: self.free_slots(),
-            qos_target_s: self.sim.config().service.qos_target_s,
+            qos_target_s: self.runtime.sim().config().service.qos_target_s,
         }
     }
 
     /// Batch slots whose job has finished.
     pub fn free_slots(&self) -> usize {
-        (0..self.sim.app_count())
-            .filter(|&slot| self.sim.app(slot).is_finished())
+        let sim = self.runtime.sim();
+        (0..sim.app_count())
+            .filter(|&slot| sim.app(slot).is_finished())
             .count()
-    }
-
-    /// Cores the interactive service holds beyond its fair share.
-    pub fn extra_service_cores(&self) -> u32 {
-        self.sim
-            .service_cores()
-            .saturating_sub(self.fair_service_cores)
     }
 
     /// Inaccuracy of every job completed on this node so far, in percent.
@@ -326,17 +283,19 @@ impl ClusterNode {
     }
 
     /// Suspends the node (autoscaler park) or powers it back on; forwarded to
-    /// [`ColocationSim::set_parked`]. While parked the node bills the suspend draw —
-    /// the autoscaler guarantees it is assigned zero load and holds no running jobs.
+    /// [`ColocationSim::set_parked`](pliant_sim::colocation::ColocationSim::set_parked).
+    /// While parked the node bills the suspend draw — the autoscaler guarantees it is
+    /// assigned zero load and holds no running jobs.
     pub fn set_parked(&mut self, parked: bool) {
-        self.sim.set_parked(parked);
+        self.runtime.sim_mut().set_parked(parked);
     }
 
     /// Sets the node's effective speed to `factor` of nominal (`1.0` = healthy);
-    /// forwarded to [`ColocationSim::set_degrade`]. Fault injection uses this to model
-    /// degraded-frequency stragglers.
+    /// forwarded to
+    /// [`ColocationSim::set_degrade`](pliant_sim::colocation::ColocationSim::set_degrade).
+    /// Fault injection uses this to model degraded-frequency stragglers.
     pub fn set_degrade(&mut self, factor: f64) {
-        self.sim.set_degrade(factor);
+        self.runtime.sim_mut().set_degrade(factor);
     }
 
     /// Abandons every batch job still running on the node (a crash): each unfinished
@@ -346,10 +305,11 @@ impl ClusterNode {
     /// until the abandoned work runs out, modelling the post-reboot cleanup window —
     /// but its completion, inaccuracy, and weight will never be reported.
     pub fn abort_unfinished_jobs(&mut self, lost: &mut Vec<(AppId, usize)>) {
-        for slot in 0..self.sim.app_count() {
-            if !self.slot_done[slot] && !self.sim.app(slot).is_finished() {
+        let sim = self.runtime.sim();
+        for slot in 0..sim.app_count() {
+            if !self.slot_done[slot] && !sim.app(slot).is_finished() {
                 self.slot_done[slot] = true;
-                lost.push((self.sim.app(slot).profile().id, self.slot_weight[slot]));
+                lost.push((sim.app(slot).profile().id, self.slot_weight[slot]));
             }
         }
     }
@@ -366,10 +326,10 @@ impl ClusterNode {
     /// exactly once. Slots already latched (post-crash cleanup of abandoned work) are
     /// skipped — their jobs were re-queued at the crash and must not also migrate.
     pub fn extract_job(&mut self) -> Option<(pliant_sim::batch::BatchAppState, usize)> {
-        let slot = (0..self.sim.app_count())
-            .find(|&s| !self.slot_done[s] && !self.sim.app(s).is_finished())?;
-        let state = self
-            .sim
+        let sim = self.runtime.sim_mut();
+        let slot =
+            (0..sim.app_count()).find(|&s| !self.slot_done[s] && !sim.app(s).is_finished())?;
+        let state = sim
             .extract_app(slot)
             // pliant-lint: allow(panic-hygiene): the slot was selected as
             // `!is_finished()` above, and `extract_app` only refuses finished slots.
@@ -396,14 +356,14 @@ impl ClusterNode {
         weight: usize,
     ) -> Option<usize> {
         assert!(weight > 0, "a migrated job must stand for at least one job");
-        let slot = (0..self.sim.app_count())
-            .find(|&s| self.slot_done[s] && self.sim.app(s).is_finished())?;
+        let sim = self.runtime.sim_mut();
+        let slot = (0..sim.app_count()).find(|&s| self.slot_done[s] && sim.app(s).is_finished())?;
         let variant_count = state.profile().variant_count();
         assert!(
-            self.sim.implant_app(slot, state),
+            sim.implant_app(slot, state),
             "a finished slot must accept a migrated job"
         );
-        self.policy.on_app_replaced(slot, variant_count);
+        self.runtime.on_app_replaced(slot, variant_count);
         self.slot_done[slot] = false;
         self.slot_weight[slot] = weight;
         Some(slot)
@@ -414,10 +374,10 @@ impl ClusterNode {
     /// (see [`ClusterSim::checkpoint`](crate::sim::ClusterSim::checkpoint)).
     pub fn checkpoint(&self) -> NodeCheckpoint {
         NodeCheckpoint {
-            sim: self.sim.snapshot(),
-            policy: self.policy.snapshot_state(),
-            monitor: self.monitor.snapshot(),
-            actuator_stats: self.actuator.stats(),
+            sim: self.runtime.sim().snapshot(),
+            policy: self.runtime.policy_state(),
+            monitor: self.runtime.monitor_snapshot(),
+            actuator_stats: self.runtime.actuator_stats(),
             slot_done: self.slot_done.clone(),
             slot_weight: self.slot_weight.clone(),
             completed_inaccuracy_pct: self.completed_inaccuracy_pct.clone(),
@@ -435,27 +395,32 @@ impl ClusterNode {
 
     /// Restores a checkpoint captured by [`Self::checkpoint`] into this node, which
     /// must have been built for the same scenario slot (same seed, jobs, and slot
-    /// count — violations are rejected). The observation-recycling buffer is dropped
-    /// (a capacity-only optimization with no observable effect).
+    /// count — violations, including per-slot and per-completion vectors of the wrong
+    /// length, are rejected). The observation-recycling buffer is dropped (a
+    /// capacity-only optimization with no observable effect).
     pub fn restore(&mut self, checkpoint: &NodeCheckpoint) -> Result<(), String> {
-        if checkpoint.slot_done.len() != self.slot_done.len() {
+        let (slots, completed) = (self.slot_done.len(), checkpoint.completed_weights.len());
+        if checkpoint.slot_done.len() != slots
+            || checkpoint.slot_weight.len() != slots
+            || checkpoint.completed_inaccuracy_pct.len() != completed
+        {
             return Err(format!(
-                "node {} checkpoint covers {} slots, node has {}",
+                "node {} checkpoint does not fit the node: {} slot latches and {} slot weights \
+                 for {slots} slots, {completed} completed-job weights for {} completed jobs",
                 self.index,
                 checkpoint.slot_done.len(),
-                self.slot_done.len()
+                checkpoint.slot_weight.len(),
+                checkpoint.completed_inaccuracy_pct.len()
             ));
         }
-        self.sim
-            .restore(&checkpoint.sim)
-            .map_err(|e| format!("node {} simulator: {e}", self.index))?;
-        self.policy
-            .restore_state(&checkpoint.policy)
-            .map_err(|e| format!("node {} policy state: {e}", self.index))?;
-        self.monitor
-            .restore(&checkpoint.monitor)
-            .map_err(|e| format!("node {} monitor: {e}", self.index))?;
-        self.actuator.restore_stats(checkpoint.actuator_stats);
+        self.runtime
+            .restore(
+                &checkpoint.sim,
+                &checkpoint.policy,
+                &checkpoint.monitor,
+                checkpoint.actuator_stats,
+            )
+            .map_err(|e| format!("node {} {e}", self.index))?;
         self.slot_done.clone_from(&checkpoint.slot_done);
         self.slot_weight.clone_from(&checkpoint.slot_weight);
         self.completed_inaccuracy_pct
@@ -476,8 +441,9 @@ impl ClusterNode {
 
     /// Hands a consumed interval observation back to the node so its heap buffers are
     /// recycled into the next [`Self::step`] (see
-    /// [`ColocationSim::advance_reusing`]). Purely an allocation optimization: the
-    /// observation's contents are discarded, only its capacity is reused.
+    /// [`ColocationSim::advance_reusing`](pliant_sim::colocation::ColocationSim::advance_reusing)).
+    /// Purely an allocation optimization: the observation's contents are discarded,
+    /// only its capacity is reused.
     pub fn recycle_observation(&mut self, observation: IntervalObservation) {
         self.recycle = Some(observation);
     }
@@ -492,13 +458,13 @@ impl ClusterNode {
     /// Returns the slot used, or `None` when no slot is free.
     pub fn place_job(&mut self, profile: &AppProfile, weight: usize) -> Option<usize> {
         assert!(weight > 0, "a placed job must stand for at least one job");
-        let slot = (0..self.sim.app_count()).find(|&s| self.sim.app(s).is_finished())?;
-        let variant_count = profile.variant_count();
+        let sim = self.runtime.sim_mut();
+        let slot = (0..sim.app_count()).find(|&s| sim.app(s).is_finished())?;
         assert!(
-            self.sim.replace_app(slot, profile.clone()),
+            sim.replace_app(slot, profile.clone()),
             "a finished slot must accept a replacement job"
         );
-        self.policy.on_app_replaced(slot, variant_count);
+        self.runtime.on_app_replaced(slot, profile.variant_count());
         self.slot_done[slot] = false;
         self.slot_weight[slot] = weight;
         self.obs.emit(
@@ -514,19 +480,18 @@ impl ClusterNode {
     }
 
     /// Advances the node one decision interval at the balancer-assigned offered load:
-    /// the simulator runs the interval, the monitor reports on its latency samples, and
-    /// the policy's actions are applied before the next interval — exactly the
-    /// single-node loop, per node.
+    /// the simulator runs the interval, the fleet's books are updated, and the node's
+    /// [`NodeRuntime`] acts on the interval's latency samples — the same runtime, and
+    /// the same control step, as a single-node experiment.
     pub fn step(&mut self, assigned_load: f64) -> NodeInterval {
         // A saturated-fleet spill can nudge an assignment slightly past the profile
         // bound; clamp into the range the simulator accepts (it caps the generator at
         // 1.2x saturation anyway).
-        self.sim.set_load_fraction(
+        let sim = self.runtime.sim_mut();
+        sim.set_load_fraction(
             assigned_load.clamp(0.0, pliant_workloads::profile::MAX_LOAD_FRACTION),
         );
-        let observation = self
-            .sim
-            .advance_reusing(self.decision_interval_s, self.recycle.take());
+        let observation = sim.advance_reusing(self.decision_interval_s, self.recycle.take());
 
         // QoS accounting and fleet-histogram recording happen here, on whichever worker
         // thread is advancing the node, so the coordinating thread never touches
@@ -555,7 +520,7 @@ impl ClusterNode {
                         Event::QosViolation {
                             node: self.index as u32,
                             p99_s: observation.p99_latency_s,
-                            qos_target_s: self.sim.config().service.qos_target_s,
+                            qos_target_s: self.runtime.sim().config().service.qos_target_s,
                         },
                     );
                 }
@@ -569,11 +534,12 @@ impl ClusterNode {
         // Latch completions so each job is counted exactly once, at the replica weight
         // the job was placed with.
         let mut jobs_completed = 0usize;
-        for slot in 0..self.sim.app_count() {
-            if !self.slot_done[slot] && self.sim.app(slot).is_finished() {
+        let sim = self.runtime.sim();
+        for slot in 0..sim.app_count() {
+            if !self.slot_done[slot] && sim.app(slot).is_finished() {
                 self.slot_done[slot] = true;
                 jobs_completed += self.slot_weight[slot];
-                let inaccuracy_pct = self.sim.app(slot).inaccuracy_pct();
+                let inaccuracy_pct = sim.app(slot).inaccuracy_pct();
                 self.completed_inaccuracy_pct.push(inaccuracy_pct);
                 self.completed_weights.push(self.slot_weight[slot]);
                 self.obs.emit(
@@ -589,55 +555,13 @@ impl ClusterNode {
             }
         }
 
-        let report = self
-            .monitor
-            .observe_interval(&observation.latency_samples_s);
-        let actions = self.policy.decide(&report);
-        if self.obs.enabled() {
-            // Traced path: one ControllerDecision per action, plus the state-change
-            // event for each action the actuator accepts. Applying actions one at a
-            // time is semantically identical to `apply_all`; the untraced hot path
-            // below stays untouched.
-            let node = self.index as u32;
-            for action in &actions {
-                let (app, obs_action) = match *action {
-                    Action::SetVariant { app, .. } => (app, ObsAction::SetVariant),
-                    Action::ReclaimCore { app } => (app, ObsAction::ReclaimCore),
-                    Action::ReturnCore { app } => (app, ObsAction::ReturnCore),
-                };
-                self.obs.emit(
-                    interval,
-                    observation.time_s,
-                    Event::ControllerDecision {
-                        node,
-                        app: app as u32,
-                        signal_p99_s: report.smoothed_p99_s,
-                        slack: report.slack_fraction,
-                        action: obs_action,
-                    },
-                );
-                if self.actuator.apply(&mut self.sim, *action) {
-                    let applied = match *action {
-                        Action::SetVariant { app, variant } => Event::VariantSwitch {
-                            node,
-                            app: app as u32,
-                            variant: variant.map_or(-1, |v| v as i64),
-                        },
-                        Action::ReclaimCore { app } => Event::CoreReclaimed {
-                            node,
-                            app: app as u32,
-                        },
-                        Action::ReturnCore { app } => Event::CoreReturned {
-                            node,
-                            app: app as u32,
-                        },
-                    };
-                    self.obs.emit(interval, observation.time_s, applied);
-                }
-            }
-        } else {
-            self.actuator.apply_all(&mut self.sim, &actions);
-        }
+        let report = self.runtime.control(
+            &observation.latency_samples_s,
+            &mut self.obs,
+            self.index as u32,
+            interval,
+            observation.time_s,
+        );
         if report.no_signal {
             // The monitor rightly holds its EWMA through idle intervals (no evidence —
             // the *controller* must not relax), but the balancer-visible estimate must
@@ -653,7 +577,7 @@ impl ClusterNode {
         NodeInterval {
             node: self.index,
             assigned_load,
-            extra_service_cores: self.extra_service_cores(),
+            extra_service_cores: self.runtime.extra_service_cores(),
             jobs_completed,
             smoothed_p99_s: self.smoothed_p99_s,
             replicas: self.replicas,
@@ -673,7 +597,7 @@ pub struct NodeCheckpoint {
     /// Full co-location simulator state.
     pub sim: ColocationSimSnapshot,
     /// Opaque policy-specific controller state
-    /// (see [`Policy::snapshot_state`]).
+    /// (see [`Policy::snapshot_state`](pliant_core::policy::Policy::snapshot_state)).
     pub policy: serde::Value,
     /// Performance-monitor state (EWMA, sampling RNG, hysteresis).
     pub monitor: MonitorSnapshot,

@@ -18,8 +18,9 @@
 //!    (`confine_to_sampled_rack`);
 //! 6. `balance_load` — the [`LoadBalancer`] splits the total load over the serving
 //!    mask (using the previous interval's node snapshots);
-//! 7. `step_nodes` — every node advances independently: its simulator, monitor,
-//!    policy, and actuator run the exact single-node loop;
+//! 7. `step_nodes` — every node advances independently: its simulator runs the
+//!    interval and its [`NodeRuntime`](pliant_core::runtime::NodeRuntime), the same
+//!    runtime a single-node experiment runs, monitors, decides and actuates;
 //! 8. `close_interval` — job completions are recorded, rack power is metered, and the
 //!    interval rollup is emitted.
 //!
@@ -450,11 +451,6 @@ impl ClusterSim {
     /// Immutable access to instance `index`.
     pub fn node(&self, index: usize) -> &ClusterNode {
         Self::expect_node(&self.nodes[index])
-    }
-
-    /// Inaccuracies of every job completed on node `index` so far, in percent.
-    pub fn node_completed_inaccuracies(&self, index: usize) -> &[f64] {
-        self.node(index).completed_inaccuracy_pct()
     }
 
     /// Unwraps a node slot to the instance in it.

@@ -17,18 +17,15 @@ use std::sync::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::Catalog;
-use pliant_sim::colocation::{ColocationConfig, ColocationSim};
-use pliant_telemetry::obs::{Event, EventLog, ObsAction, ObsBuffer, ObsLevel};
-use pliant_telemetry::rng::derive_seed;
+use pliant_sim::colocation::ColocationConfig;
+use pliant_telemetry::obs::{Event, EventLog, ObsBuffer, ObsLevel};
 use pliant_telemetry::series::{TimeSeries, TraceBundle};
 use pliant_telemetry::stats::OnlineStats;
 use pliant_workloads::profile::LoadPhase;
-use pliant_workloads::service::ServiceProfile;
 
-use crate::actuator::{Action, Actuator};
 use crate::controller::ControllerConfig;
 use crate::experiment::{AppOutcome, ColocationOutcome, PhaseQosStats};
-use crate::monitor::{MonitorConfig, PerformanceMonitor};
+use crate::runtime::NodeRuntime;
 use crate::scenario::Scenario;
 use crate::suite::Suite;
 
@@ -278,12 +275,13 @@ impl Engine {
 }
 
 /// Runs one scenario against a catalog. This is the execution core every public entry
-/// point (engine, legacy free functions) funnels through.
+/// point funnels through.
 pub(crate) fn execute_scenario(scenario: &Scenario, catalog: &Catalog) -> ColocationOutcome {
     execute_scenario_traced(scenario, catalog, ObsLevel::Off).0
 }
 
-/// Runs one scenario against a catalog with observability at `level`.
+/// Runs one scenario against a catalog with observability at `level`: a
+/// [`NodeRuntime`] plus the outcome's statistics and trace series.
 pub(crate) fn execute_scenario_traced(
     scenario: &Scenario,
     catalog: &Catalog,
@@ -305,46 +303,16 @@ pub(crate) fn execute_scenario_traced(
     if let Some(samples) = scenario.samples_per_interval {
         config.samples_per_interval = samples;
     }
-    execute_with_config(scenario, config, catalog, level)
-}
-
-/// Runs one scenario with an explicit simulator configuration (the scenario supplies the
-/// policy, controller knobs, horizon, and seed).
-pub(crate) fn execute_with_config(
-    scenario: &Scenario,
-    config: ColocationConfig,
-    catalog: &Catalog,
-    level: ObsLevel,
-) -> (ColocationOutcome, EventLog) {
     let service_id = config.service.id;
-    let service_profile: ServiceProfile = config.service.clone();
+    let qos_target_s = config.service.qos_target_s;
     let app_ids = config.apps.clone();
-    let mut sim = ColocationSim::new(config, catalog);
-
-    let variant_counts: Vec<usize> = app_ids
-        .iter()
-        .map(|id| catalog.profile(*id).map_or(0, |p| p.variant_count()))
-        .collect();
-    let initial_cores: Vec<u32> = (0..app_ids.len()).map(|i| sim.app(i).cores()).collect();
     let controller_config = ControllerConfig {
         decision_interval_s: scenario.decision_interval_s,
         slack_threshold: scenario.slack_threshold,
         consecutive_slack_required: scenario.consecutive_slack_required,
     };
-    let start_pointer = (derive_seed(scenario.seed, 7) % app_ids.len() as u64) as usize;
-    let mut policy = scenario.policy.build(
-        controller_config,
-        &variant_counts,
-        &initial_cores,
-        start_pointer,
-    );
-    let mut monitor = PerformanceMonitor::new(
-        MonitorConfig::for_qos(service_profile.qos_target_s),
-        derive_seed(scenario.seed, 8),
-    );
-    let mut actuator = Actuator::new();
+    let mut runtime = NodeRuntime::new(config, catalog, scenario.policy, controller_config);
 
-    let fair_service_cores = sim.service_cores();
     let mut p99_stats = OnlineStats::new();
     let mut violations = 0usize;
     let mut intervals = 0usize;
@@ -373,7 +341,6 @@ pub(crate) fn execute_with_config(
     let mut phase_p99_sum = [0.0f64; 4];
     let mut phase_load_sum = [0.0f64; 4];
 
-    let max_intervals = scenario.max_intervals();
     let mut idle_intervals = 0usize;
     // Decision-event buffer for the run (source 1 = the node, matching the cluster
     // convention where source 0 is the fleet coordinator). At the default
@@ -382,8 +349,10 @@ pub(crate) fn execute_with_config(
     // The previous interval's observation is recycled into the next advance so the
     // sample and status buffers are allocated once per run, not once per interval.
     let mut recycled = None;
-    for k in 0..max_intervals {
-        let obs = sim.advance_reusing(scenario.decision_interval_s, recycled.take());
+    for k in 0..horizon {
+        let obs = runtime
+            .sim_mut()
+            .advance_reusing(scenario.decision_interval_s, recycled.take());
         intervals += 1;
         // An idle interval (zero arrivals, e.g. a load-profile trough) served no
         // requests: there is no latency to report, so it contributes nothing to the
@@ -401,7 +370,7 @@ pub(crate) fn execute_with_config(
                     Event::QosViolation {
                         node: 0,
                         p99_s: obs.p99_latency_s,
-                        qos_target_s: service_profile.qos_target_s,
+                        qos_target_s,
                     },
                 );
             }
@@ -416,7 +385,7 @@ pub(crate) fn execute_with_config(
             phase_p99_sum[phase_idx] += obs.p99_latency_s;
             phase_load_sum[phase_idx] += obs.offered_load;
         }
-        let extra = sim.service_cores().saturating_sub(fair_service_cores);
+        let extra = runtime.extra_service_cores();
         max_extra_cores = max_extra_cores.max(extra);
 
         latency_series.push(obs.time_s, if idle { 0.0 } else { obs.p99_latency_s });
@@ -437,62 +406,20 @@ pub(crate) fn execute_with_config(
             break;
         }
 
-        // Monitor → policy → actuator, exactly once per decision interval. No-signal
-        // reports are passed through rather than filtered: policies that keep pending
-        // time-insensitive actions (e.g. the static-most-approximate ablation's initial
-        // pin) must still get their turn even when a run starts in an idle trough; the
-        // `Policy` contract requires treating no-signal as neither violation nor slack.
-        let report = monitor.observe_interval(&obs.latency_samples_s);
-        let actions = policy.decide(&report);
-        if obs_buf.enabled() {
-            // Traced path: record each controller decision and, when the actuator
-            // accepts it, the resulting state change. Applying actions one at a time
-            // is semantically identical to `apply_all`.
-            for action in &actions {
-                let (app, obs_action) = match *action {
-                    Action::SetVariant { app, .. } => (app, ObsAction::SetVariant),
-                    Action::ReclaimCore { app } => (app, ObsAction::ReclaimCore),
-                    Action::ReturnCore { app } => (app, ObsAction::ReturnCore),
-                };
-                obs_buf.emit(
-                    k as u32,
-                    obs.time_s,
-                    Event::ControllerDecision {
-                        node: 0,
-                        app: app as u32,
-                        signal_p99_s: report.smoothed_p99_s,
-                        slack: report.slack_fraction,
-                        action: obs_action,
-                    },
-                );
-                if actuator.apply(&mut sim, *action) {
-                    let applied = match *action {
-                        Action::SetVariant { app, variant } => Event::VariantSwitch {
-                            node: 0,
-                            app: app as u32,
-                            variant: variant.map_or(-1, |v| v as i64),
-                        },
-                        Action::ReclaimCore { app } => Event::CoreReclaimed {
-                            node: 0,
-                            app: app as u32,
-                        },
-                        Action::ReturnCore { app } => Event::CoreReturned {
-                            node: 0,
-                            app: app as u32,
-                        },
-                    };
-                    obs_buf.emit(k as u32, obs.time_s, applied);
-                }
-            }
-        } else {
-            actuator.apply_all(&mut sim, &actions);
-        }
+        // Monitor → policy → actuator, exactly once per decision interval.
+        runtime.control(
+            &obs.latency_samples_s,
+            &mut obs_buf,
+            0,
+            k as u32,
+            obs.time_s,
+        );
         recycled = Some(obs);
     }
 
     let app_outcomes: Vec<AppOutcome> = (0..app_ids.len())
         .map(|i| {
-            let state = sim.app(i);
+            let state = runtime.sim().app(i);
             AppOutcome {
                 app: app_ids[i],
                 finished: state.is_finished(),
@@ -523,10 +450,7 @@ pub(crate) fn execute_with_config(
     trace.insert(load_series);
     trace.insert(cores_series);
     trace.insert(power_series);
-    for s in variant_series {
-        trace.insert(s);
-    }
-    for s in reclaimed_series {
+    for s in variant_series.into_iter().chain(reclaimed_series) {
         trace.insert(s);
     }
 
@@ -540,11 +464,11 @@ pub(crate) fn execute_with_config(
         apps: app_ids,
         intervals,
         idle_intervals,
-        qos_target_s: service_profile.qos_target_s,
+        qos_target_s,
         mean_p99_s,
         max_p99_s: p99_stats.max(),
         qos_violation_fraction: violations as f64 / busy_intervals.max(1) as f64,
-        tail_latency_ratio: mean_p99_s / service_profile.qos_target_s,
+        tail_latency_ratio: mean_p99_s / qos_target_s,
         max_extra_service_cores: max_extra_cores,
         total_energy_j,
         mean_power_w: if simulated_s > 0.0 {

@@ -1,18 +1,9 @@
-//! Experiment outcome types and legacy free-function drivers.
+//! Experiment outcome types.
 //!
-//! The outcome types ([`ColocationOutcome`], [`AppOutcome`], [`EffortClass`]) are produced
-//! by the [`crate::engine::Engine`] for every scenario it runs.
-//!
-//! The free functions in this module ([`run_colocation`], [`aggregate_comparison`],
-//! [`load_sweep`], [`interval_sweep`]) are the pre-scenario API, kept as thin wrappers
-//! over [`crate::scenario::Scenario`] / [`crate::suite::Suite`] so code importing them
-//! from this module path (and the equivalence tests below) can keep calling them; they
-//! are intentionally no longer re-exported from the `pliant` prelude. Two behavioral
-//! notes versus the pre-scenario implementations: options now pass through scenario
-//! validation, so degenerate inputs (zero `max_intervals`, non-positive loads or
-//! intervals) panic with a clear message instead of silently producing empty outcomes,
-//! and `interval_sweep` holds the wall clock constant (see its docs). New code should
-//! build scenarios directly — see the crate-level docs.
+//! The outcome types ([`ColocationOutcome`], [`AppOutcome`], [`PhaseQosStats`]) are
+//! produced by the [`crate::engine::Engine`] for every scenario it runs;
+//! [`classify_effort`] bins an outcome for the Fig. 10 breakdown. Experiments themselves
+//! are described as [`crate::scenario::Scenario`]s and swept as [`crate::suite::Suite`]s.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,62 +13,7 @@ use pliant_telemetry::series::TraceBundle;
 use pliant_workloads::profile::LoadPhase;
 use pliant_workloads::service::ServiceId;
 
-use crate::engine::Engine;
 use crate::policy::PolicyKind;
-use crate::scenario::Scenario;
-use crate::suite::Suite;
-
-/// Options controlling one co-location experiment (legacy; superseded by
-/// [`crate::scenario::Scenario`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentOptions {
-    /// Offered load as a fraction of the service's saturation throughput.
-    pub load_fraction: f64,
-    /// Decision interval in seconds.
-    pub decision_interval_s: f64,
-    /// Latency-slack threshold for relaxing approximation / returning cores.
-    pub slack_threshold: f64,
-    /// Hard cap on the number of decision intervals simulated.
-    pub max_intervals: usize,
-    /// Whether to stop as soon as every batch application finishes.
-    pub stop_when_apps_finish: bool,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for ExperimentOptions {
-    fn default() -> Self {
-        Self {
-            load_fraction: 0.75,
-            decision_interval_s: 1.0,
-            slack_threshold: 0.10,
-            max_intervals: 120,
-            stop_when_apps_finish: true,
-            seed: 42,
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// The equivalent scenario for one (service, apps, policy) triple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the options describe an invalid scenario (no applications, zero
-    /// `max_intervals`, non-positive load or decision interval).
-    pub fn to_scenario(&self, service: ServiceId, apps: &[AppId], policy: PolicyKind) -> Scenario {
-        Scenario::builder(service)
-            .apps(apps.iter().copied())
-            .policy(policy)
-            .load(self.load_fraction)
-            .decision_interval_s(self.decision_interval_s)
-            .slack_threshold(self.slack_threshold)
-            .horizon_intervals(self.max_intervals)
-            .stop_when_apps_finish(self.stop_when_apps_finish)
-            .seed(self.seed)
-            .build()
-    }
-}
 
 /// Per-application outcome of one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,108 +133,10 @@ impl ColocationOutcome {
             / self.app_outcomes.len() as f64
     }
 
-    /// Whether approximation alone (no core reclamation) was sufficient for the whole run.
-    pub fn approximation_alone(&self) -> bool {
-        self.max_extra_service_cores == 0
-    }
-
     /// The QoS statistics of one load phase, if the run entered it.
     pub fn phase(&self, phase: LoadPhase) -> Option<&PhaseQosStats> {
         self.phase_qos.iter().find(|s| s.phase == phase)
     }
-}
-
-/// Runs one co-location experiment with the paper-default platform and calibration.
-///
-/// Legacy wrapper over [`Scenario`]; equivalent to
-/// `options.to_scenario(service, apps, policy).run()`.
-pub fn run_colocation(
-    service: ServiceId,
-    apps: &[AppId],
-    policy: PolicyKind,
-    options: &ExperimentOptions,
-) -> ColocationOutcome {
-    options.to_scenario(service, apps, policy).run()
-}
-
-/// Runs the Fig. 5-style aggregate comparison (Precise vs Pliant) for one service across a
-/// set of applications, returning `(app, precise outcome, pliant outcome)` triples.
-///
-/// Legacy wrapper over a policy-sweep [`Suite`] with common random numbers, so each
-/// (precise, pliant) pair sees identical workload randomness.
-pub fn aggregate_comparison(
-    service: ServiceId,
-    apps: &[AppId],
-    options: &ExperimentOptions,
-) -> Vec<(AppId, ColocationOutcome, ColocationOutcome)> {
-    if apps.is_empty() {
-        return Vec::new();
-    }
-    let suite = Suite::new(options.to_scenario(service, &[apps[0]], PolicyKind::Pliant))
-        .named("aggregate-comparison")
-        .for_each_app(apps.iter().copied())
-        .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant]);
-    let results = Engine::new().run_collect(&suite);
-    results
-        .chunks_exact(2)
-        .zip(apps)
-        .map(|(pair, &app)| (app, pair[0].outcome.clone(), pair[1].outcome.clone()))
-        .collect()
-}
-
-/// Runs the Fig. 8 load sweep for one service/application pair, returning
-/// `(load_fraction, outcome)` pairs under the Pliant policy.
-///
-/// Legacy wrapper over a load-sweep [`Suite`].
-pub fn load_sweep(
-    service: ServiceId,
-    app: AppId,
-    loads: &[f64],
-    options: &ExperimentOptions,
-) -> Vec<(f64, ColocationOutcome)> {
-    let suite = Suite::new(options.to_scenario(service, &[app], PolicyKind::Pliant))
-        .named("load-sweep")
-        .sweep_loads(loads.iter().copied());
-    Engine::new()
-        .run_collect(&suite)
-        .into_iter()
-        .map(|cell| (cell.scenario.load_fraction, cell.outcome))
-        .collect()
-}
-
-/// Runs the Fig. 9 decision-interval sweep for one service/application pair, returning
-/// `(interval_s, outcome)` pairs under the Pliant policy.
-///
-/// Legacy wrapper over an interval-sweep [`Suite`] with a wall-clock horizon: every cell
-/// simulates the same `options.max_intervals × options.decision_interval_s` seconds of
-/// service time. (The pre-scenario implementation clamped coarse cells to ≥25% of the
-/// fine cell's interval *count*, silently giving 8 s decisions several times the wall
-/// clock of 1 s decisions.)
-pub fn interval_sweep(
-    service: ServiceId,
-    app: AppId,
-    intervals_s: &[f64],
-    options: &ExperimentOptions,
-) -> Vec<(f64, ColocationOutcome)> {
-    let wall_clock_s = options.max_intervals as f64 * options.decision_interval_s;
-    let base = Scenario::builder(service)
-        .app(app)
-        .policy(PolicyKind::Pliant)
-        .load(options.load_fraction)
-        .decision_interval_s(options.decision_interval_s)
-        .slack_threshold(options.slack_threshold)
-        .horizon_seconds(wall_clock_s)
-        .stop_when_apps_finish(options.stop_when_apps_finish)
-        .seed(options.seed)
-        .build();
-    let suite = Suite::new(base)
-        .named("interval-sweep")
-        .sweep_decision_intervals_s(intervals_s.iter().copied());
-    Engine::new()
-        .run_collect(&suite)
-        .into_iter()
-        .map(|cell| (cell.scenario.decision_interval_s, cell.outcome))
-        .collect()
 }
 
 /// Classification used by the Fig. 10 breakdown: what it took to restore QoS.
@@ -324,21 +162,26 @@ pub fn classify_effort(outcome: &ColocationOutcome) -> EffortClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::scenario::Scenario;
+    use crate::suite::Suite;
 
-    fn quick_options(seed: u64) -> ExperimentOptions {
-        ExperimentOptions {
-            max_intervals: 60,
-            seed,
-            ..ExperimentOptions::default()
-        }
+    /// A 60-interval paper-default run of `apps` next to `service`.
+    fn run(service: ServiceId, apps: &[AppId], policy: PolicyKind, seed: u64) -> ColocationOutcome {
+        Scenario::builder(service)
+            .apps(apps.iter().copied())
+            .policy(policy)
+            .horizon_intervals(60)
+            .seed(seed)
+            .build()
+            .run()
     }
 
     #[test]
     fn pliant_meets_qos_where_precise_does_not() {
-        let options = quick_options(5);
         for service in [ServiceId::Nginx, ServiceId::Memcached] {
-            let precise = run_colocation(service, &[AppId::Canneal], PolicyKind::Precise, &options);
-            let pliant = run_colocation(service, &[AppId::Canneal], PolicyKind::Pliant, &options);
+            let precise = run(service, &[AppId::Canneal], PolicyKind::Precise, 5);
+            let pliant = run(service, &[AppId::Canneal], PolicyKind::Pliant, 5);
             assert!(
                 precise.tail_latency_ratio > 1.4,
                 "{service}: precise baseline should violate QoS (ratio {})",
@@ -356,39 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_comparison_of_no_apps_is_empty() {
-        let options = quick_options(1);
-        assert!(aggregate_comparison(ServiceId::Nginx, &[], &options).is_empty());
-    }
-
-    #[test]
-    fn wrapper_equals_scenario_api() {
-        let options = quick_options(21);
-        let via_wrapper = run_colocation(
-            ServiceId::Nginx,
-            &[AppId::KMeans],
-            PolicyKind::Pliant,
-            &options,
-        );
-        let via_scenario = options
-            .to_scenario(ServiceId::Nginx, &[AppId::KMeans], PolicyKind::Pliant)
-            .run();
-        assert_eq!(via_wrapper.mean_p99_s, via_scenario.mean_p99_s);
-        assert_eq!(
-            via_wrapper.qos_violation_fraction,
-            via_scenario.qos_violation_fraction
-        );
-        assert_eq!(via_wrapper.app_outcomes, via_scenario.app_outcomes);
-    }
-
-    #[test]
     fn pliant_respects_the_quality_threshold() {
-        let options = quick_options(7);
-        let outcome = run_colocation(
+        let outcome = run(
             ServiceId::Memcached,
             &[AppId::Canneal],
             PolicyKind::Pliant,
-            &options,
+            7,
         );
         for app in &outcome.app_outcomes {
             assert!(
@@ -402,13 +218,7 @@ mod tests {
 
     #[test]
     fn precise_baseline_has_zero_inaccuracy() {
-        let options = quick_options(9);
-        let outcome = run_colocation(
-            ServiceId::Nginx,
-            &[AppId::Bayesian],
-            PolicyKind::Precise,
-            &options,
-        );
+        let outcome = run(ServiceId::Nginx, &[AppId::Bayesian], PolicyKind::Precise, 9);
         assert_eq!(outcome.mean_inaccuracy_pct(), 0.0);
         assert_eq!(outcome.max_extra_service_cores, 0);
         assert_eq!(outcome.policy, PolicyKind::Precise);
@@ -416,13 +226,7 @@ mod tests {
 
     #[test]
     fn trace_contains_expected_series() {
-        let options = quick_options(11);
-        let outcome = run_colocation(
-            ServiceId::Nginx,
-            &[AppId::Snp],
-            PolicyKind::Pliant,
-            &options,
-        );
+        let outcome = run(ServiceId::Nginx, &[AppId::Snp], PolicyKind::Pliant, 11);
         assert!(outcome.trace.get("p99_latency_s").is_some());
         assert!(outcome.trace.get("service_extra_cores").is_some());
         assert!(outcome.trace.get("variant_snp").is_some());
@@ -435,13 +239,7 @@ mod tests {
 
     #[test]
     fn snp_with_memcached_uses_approximation_alone() {
-        let options = quick_options(13);
-        let outcome = run_colocation(
-            ServiceId::Memcached,
-            &[AppId::Snp],
-            PolicyKind::Pliant,
-            &options,
-        );
+        let outcome = run(ServiceId::Memcached, &[AppId::Snp], PolicyKind::Pliant, 13);
         assert!(
             outcome.max_extra_service_cores <= 1,
             "SNP + memcached should need at most a brief single-core reclamation, got {}",
@@ -458,12 +256,11 @@ mod tests {
 
     #[test]
     fn multi_app_colocation_balances_the_burden() {
-        let options = quick_options(17);
-        let outcome = run_colocation(
+        let outcome = run(
             ServiceId::Nginx,
             &[AppId::Canneal, AppId::Bayesian],
             PolicyKind::Pliant,
-            &options,
+            17,
         );
         assert_eq!(outcome.app_outcomes.len(), 2);
         let reclaimed: Vec<u32> = outcome
@@ -480,26 +277,30 @@ mod tests {
 
     #[test]
     fn load_sweep_is_monotone_in_violations_at_the_extremes() {
-        let options = ExperimentOptions {
-            max_intervals: 30,
-            ..quick_options(19)
-        };
-        let sweep = load_sweep(ServiceId::Nginx, AppId::KMeans, &[0.4, 0.95], &options);
-        let low = &sweep[0].1;
-        let high = &sweep[1].1;
+        let base = Scenario::builder(ServiceId::Nginx)
+            .app(AppId::KMeans)
+            .horizon_intervals(30)
+            .seed(19)
+            .build();
+        let sweep = Engine::new().run_collect(&Suite::new(base).sweep_loads([0.4, 0.95]));
+        let low = &sweep[0].outcome;
+        let high = &sweep[1].outcome;
         assert!(low.qos_violation_fraction <= high.qos_violation_fraction);
         assert!(low.tail_latency_ratio < high.tail_latency_ratio);
     }
 
     #[test]
     fn interval_sweep_penalizes_coarse_intervals() {
-        let options = ExperimentOptions {
-            max_intervals: 60,
-            ..quick_options(23)
-        };
-        let sweep = interval_sweep(ServiceId::Memcached, AppId::Canneal, &[1.0, 8.0], &options);
-        let fine = &sweep[0].1;
-        let coarse = &sweep[1].1;
+        // Every cell simulates the same 60 s of service time.
+        let base = Scenario::builder(ServiceId::Memcached)
+            .app(AppId::Canneal)
+            .horizon_seconds(60.0)
+            .seed(23)
+            .build();
+        let sweep =
+            Engine::new().run_collect(&Suite::new(base).sweep_decision_intervals_s([1.0, 8.0]));
+        let fine = &sweep[0].outcome;
+        let coarse = &sweep[1].outcome;
         assert!(
             fine.qos_violation_fraction <= coarse.qos_violation_fraction + 0.05,
             "1 s decisions ({}) should not be worse than 8 s decisions ({})",
@@ -509,35 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn interval_sweep_holds_wall_clock_constant() {
-        let options = ExperimentOptions {
-            max_intervals: 40,
-            stop_when_apps_finish: false,
-            ..quick_options(27)
-        };
-        let sweep = interval_sweep(
-            ServiceId::Memcached,
-            AppId::Canneal,
-            &[1.0, 2.0, 8.0],
-            &options,
-        );
-        for (dt, outcome) in &sweep {
-            let simulated_s = *dt * outcome.intervals as f64;
-            assert!(
-                (simulated_s - 40.0).abs() <= *dt,
-                "dt={dt}: simulated {simulated_s}s, want ≈40s of wall clock"
-            );
-        }
-    }
-
-    #[test]
     fn effort_classification_bins_correctly() {
-        let options = quick_options(29);
-        let outcome = run_colocation(
+        let outcome = run(
             ServiceId::MongoDb,
             &[AppId::Raytrace],
             PolicyKind::Pliant,
-            &options,
+            29,
         );
         let class = classify_effort(&outcome);
         match outcome.max_extra_service_cores {

@@ -17,6 +17,9 @@
 //! * [`multi`] — the round-robin arbiter for multi-application co-locations (§4.4).
 //! * [`policy`] — the [`policy::Policy`] abstraction plus baselines (the paper's Precise
 //!   baseline and two ablations).
+//! * [`runtime`] — one node's runtime: a co-location simulator plus the monitor →
+//!   policy → actuator loop controlling it, shared by the single-node engine and every
+//!   fleet node.
 //! * [`scenario`] — the declarative, serializable description of one experiment, built
 //!   with the fluent [`scenario::ScenarioBuilder`].
 //! * [`suite`] — composable sweeps (loads, intervals, policies, seeds, services,
@@ -24,8 +27,8 @@
 //!   per-cell seeds.
 //! * [`engine`] — executes scenarios and suites serially or on a thread pool, streaming
 //!   results through pluggable [`engine::ResultSink`]s in deterministic order.
-//! * [`experiment`] — the outcome types plus the legacy free-function drivers, kept as
-//!   thin wrappers over the scenario API.
+//! * [`experiment`] — the outcome types every scenario run produces, and the Fig. 10
+//!   effort classification.
 //!
 //! # Example
 //!
@@ -64,15 +67,17 @@ pub mod experiment;
 pub mod monitor;
 pub mod multi;
 pub mod policy;
+pub mod runtime;
 pub mod scenario;
 pub mod suite;
 
 pub use actuator::{Action, Actuator};
 pub use controller::{ControllerConfig, PliantController};
 pub use engine::{CellOutcome, Collector, Engine, ExecMode, ResultSink};
-pub use experiment::{ColocationOutcome, ExperimentOptions, PhaseQosStats};
+pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};
 pub use multi::MultiAppController;
 pub use policy::{Policy, PolicyKind, PrecisePolicy};
+pub use runtime::NodeRuntime;
 pub use scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
 pub use suite::{SeedMode, Suite, SuiteError, SweepAxis};

@@ -48,6 +48,9 @@ impl LintConfig {
                 "ColocationSim::advance_reusing",
                 "PerformanceMonitor::observe_interval",
                 "ClusterNode::step",
+                // The monitor -> policy -> actuator step every node runs per interval,
+                // single-node engine and fleet instance alike.
+                "NodeRuntime::control",
                 "fast_exp",
                 "fast_ln",
                 "poly_exp",

@@ -133,7 +133,12 @@ fn fault_and_checkpoint_modules_stay_in_the_determinism_scopes() {
             render(&findings)
         );
     }
-    for hot in ["NodeHealth::is_serving", "LoadBalancer::split"] {
+    for hot in [
+        "NodeHealth::is_serving",
+        "LoadBalancer::split",
+        "ClusterNode::step",
+        "NodeRuntime::control",
+    ] {
         assert!(
             cfg.hot_path_fns.iter().any(|f| f == hot),
             "{hot} must stay on the hot-path-alloc denylist"

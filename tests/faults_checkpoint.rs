@@ -180,6 +180,49 @@ fn restore_reports_a_mismatched_instance_count_by_value() {
 }
 
 #[test]
+fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later() {
+    let engine = Engine::new();
+    let scenario = failure_scenario(6, PolicyKind::Pliant);
+    let mut donor = ClusterRun::new(&scenario, &engine);
+    while donor.intervals() < 10 && donor.step() {}
+    let wire = serde_json::to_string(&donor.checkpoint()).expect("checkpoints are serializable");
+    let pristine: ClusterRunCheckpoint =
+        serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
+
+    let node0 = &pristine.sim.node_checkpoints[0];
+    let (slots, completed) = (node0.slot_done.len(), node0.completed_weights.len());
+
+    // A short slot-weight vector used to restore and then panic on the next step.
+    let mut short_weights = pristine.clone();
+    short_weights.sim.node_checkpoints[0].slot_weight.pop();
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&short_weights)
+        .expect_err("a node checkpoint with too few slot weights must not restore");
+    let want = format!("{} slot weights for {slots} slots", slots - 1);
+    assert!(
+        err.contains("node 0") && err.contains(&want),
+        "the rejection must name the node and its {want}, got: {err}"
+    );
+
+    // Completed-job weights must pair up with completed-job inaccuracies.
+    let mut unpaired = pristine.clone();
+    unpaired.sim.node_checkpoints[0].completed_weights.push(1);
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&unpaired)
+        .expect_err("unpaired completed-job weights must not restore");
+    let want = format!("{} completed-job weights for {completed}", completed + 1);
+    assert!(
+        err.contains("node 0") && err.contains(&want),
+        "the rejection must name the node and its {want}, got: {err}"
+    );
+
+    // The untouched checkpoint still restores.
+    ClusterRun::new(&scenario, &engine)
+        .restore(&pristine)
+        .expect("a well-formed checkpoint restores");
+}
+
+#[test]
 fn faulted_runs_are_deterministic_across_execution_modes() {
     // Fault injection and recovery live on the fleet coordinator path, so the usual
     // guarantee must survive: parallelism changes wall-clock, never output.
