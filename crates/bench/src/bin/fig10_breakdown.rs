@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::print_table;
+use pliant_bench::{parse_flag, print_table};
 use pliant_core::engine::Engine;
 use pliant_core::experiment::{classify_effort, EffortClass};
 use pliant_core::scenario::Scenario;
@@ -52,12 +52,7 @@ fn mixes(combos: usize) -> Vec<Vec<AppId>> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let combos = args
-        .iter()
-        .position(|a| a == "--combos")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(12);
+    let combos: usize = parse_flag(&args, "--combos").unwrap_or(12);
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)

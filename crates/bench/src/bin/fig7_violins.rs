@@ -11,7 +11,7 @@
 //! Usage: `fig7_violins [--json] [--combos N] [--full]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::print_table;
+use pliant_bench::{parse_flag, print_table};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::{SeedMode, Suite};
@@ -63,12 +63,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
     let full = args.iter().any(|a| a == "--full");
-    let combos = args
-        .iter()
-        .position(|a| a == "--combos")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(20);
+    let combos: usize = parse_flag(&args, "--combos").unwrap_or(20);
     let limit = if full { None } else { Some(combos) };
 
     let apps = AppId::all();

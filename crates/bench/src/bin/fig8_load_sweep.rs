@@ -6,7 +6,7 @@
 //! Usage: `fig8_load_sweep [--json] [--apps N]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::print_table;
+use pliant_bench::{parse_flag, print_table};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::Suite;
@@ -29,12 +29,7 @@ struct LoadRow {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let app_limit = args
-        .iter()
-        .position(|a| a == "--apps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(24);
+    let app_limit: usize = parse_flag(&args, "--apps").unwrap_or(24);
 
     let loads = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
     let apps: Vec<AppId> = AppId::all().into_iter().take(app_limit).collect();

@@ -32,7 +32,7 @@
 
 use pliant_bench::{
     approximation_from_args, cluster_machines_needed_scenario, export_trace, flag_value,
-    format_latency, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    format_latency, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -72,47 +72,24 @@ struct ClusterFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let seed: u64 = flag("--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
-    let total_load: f64 = flag("--total-load").map_or(2.6, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --total-load expects a number");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
+    let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
     let approximation = approximation_from_args(&args);
     let topology_spec = topology_spec_from_args(&args);
-    let node_counts: Vec<usize> = match flag_value(&args, "--nodes") {
-        Some(v) => vec![v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --nodes expects an integer");
-            std::process::exit(2);
-        })],
+    let node_counts: Vec<usize> = match parse_flag(&args, "--nodes") {
+        Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
 
     let trace = trace_opts(&args);
 
-    let checkpoint_at: Option<usize> = flag("--checkpoint-at").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --checkpoint-at expects an interval count");
-            std::process::exit(2);
-        })
-    });
-    let checkpoint_dir = flag("--checkpoint-dir").cloned();
+    let checkpoint_at: Option<usize> = parse_flag(&args, "--checkpoint-at");
+    let checkpoint_dir = flag_value(&args, "--checkpoint-dir").cloned();
     if checkpoint_at.is_some() != checkpoint_dir.is_some() {
         eprintln!("error: --checkpoint-at and --checkpoint-dir must be given together");
         std::process::exit(2);
     }
-    let resume_dir = flag("--resume-dir").cloned();
+    let resume_dir = flag_value(&args, "--resume-dir").cloned();
 
     let service = ServiceId::Memcached;
     let engine = Engine::new().parallel();

@@ -24,8 +24,8 @@
 //! JSON loadable in Perfetto, otherwise JSON Lines readable by `pliant-trace`).
 
 use pliant_bench::{
-    approximation_from_args, cluster_energy_scenario_at_scale, export_trace, flag_value,
-    format_latency, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    approximation_from_args, cluster_energy_scenario_at_scale, export_trace, format_latency,
+    parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -83,18 +83,8 @@ struct EnergyFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let seed: u64 = flag_value(&args, "--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
-    let fleet_nodes: usize = flag_value(&args, "--nodes").map_or(6, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --nodes expects an integer");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
+    let fleet_nodes: usize = parse_flag(&args, "--nodes").unwrap_or(6);
     let approximation = approximation_from_args(&args);
     let topology_spec = topology_spec_from_args(&args);
     let trace = trace_opts(&args);

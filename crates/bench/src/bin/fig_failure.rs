@@ -23,7 +23,7 @@
 //! PATH` additionally exports each run's event stream tagged `{nodes}n-{policy}`.
 
 use pliant_bench::{
-    cluster_failure_scenario, cluster_failure_trace, export_trace, flag_value, format_latency,
+    cluster_failure_scenario, cluster_failure_trace, export_trace, format_latency, parse_flag,
     print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
@@ -70,23 +70,10 @@ struct FailureFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let seed: u64 = flag_value(&args, "--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
-    let total_load: f64 = flag_value(&args, "--total-load").map_or(2.6, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --total-load expects a number");
-            std::process::exit(2);
-        })
-    });
-    let node_counts: Vec<usize> = match flag_value(&args, "--nodes") {
-        Some(v) => vec![v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --nodes expects an integer");
-            std::process::exit(2);
-        })],
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
+    let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
+    let node_counts: Vec<usize> = match parse_flag(&args, "--nodes") {
+        Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
     let topology_spec = topology_spec_from_args(&args);

@@ -7,7 +7,8 @@
 //! simulated under common random numbers, and each representative's contribution is
 //! replicated per logical node it stands for. The sweep that takes minutes per point
 //! exactly finishes interactively, because the instance count depends on the job mix
-//! (a few groups), not the fleet size.
+//! (a few groups), not the fleet size. The `simulated` columns report that instance
+//! count; the repo benchmark's `fleet_clustered` workload measures the host time.
 //!
 //! Two headlines are reported:
 //!
@@ -25,13 +26,11 @@
 //! `--trace PATH` exports the two day/night energy runs' decision-event streams to
 //! `PATH` tagged `energy-{policy}` (`.json` = Chrome trace-event JSON loadable in
 //! Perfetto, otherwise JSON Lines readable by `pliant-trace`); the machines sweep is
-//! left untraced so the interactivity headline stays a pure simulation timing.
-
-use std::time::Instant;
+//! left untraced.
 
 use pliant_bench::{
     approximation_from_args, cluster_energy_scenario_at_scale, cluster_machines_needed_scenario,
-    export_trace, flag_value, format_latency, print_table, trace_opts, TraceRunSummary,
+    export_trace, format_latency, parse_flag, print_table, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -79,11 +78,6 @@ struct HyperscaleFigure {
     machines_needed_pliant: Option<usize>,
     energy: Vec<EnergyPoint>,
     pliant_to_precise_energy_ratio: f64,
-    /// Logical node-intervals covered per wall-clock second by the day/night energy
-    /// run — the interactivity headline (exact simulation advances `nodes` instances
-    /// per interval; the approximation covers the same logical work with a handful).
-    effective_node_intervals_per_sec: f64,
-    energy_run_elapsed_s: f64,
     /// Per-run observability rollups for the energy runs (empty when untraced).
     obs: Vec<TraceRunSummary>,
 }
@@ -91,18 +85,8 @@ struct HyperscaleFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let seed: u64 = flag_value(&args, "--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
-    let fleet_nodes: usize = flag_value(&args, "--nodes").map_or(10_000, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --nodes expects an integer");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
+    let fleet_nodes: usize = parse_flag(&args, "--nodes").unwrap_or(10_000);
     if fleet_nodes < 6 {
         eprintln!("error: --nodes must be at least 6 (the sweep scales the 6-node study)");
         std::process::exit(2);
@@ -159,13 +143,10 @@ fn main() {
     let machines_precise = machines_needed(&sweeps[0]);
     let machines_pliant = machines_needed(&sweeps[1]);
 
-    // Energy at scale: the day/night cycle on the requested fleet, timed — the
-    // wall-clock of this run is the interactivity headline.
+    // Energy at scale: the day/night cycle on the requested fleet.
     let mut energy = Vec::new();
     let mut energies = [0.0f64; 2];
-    let mut node_intervals = 0u64;
     let mut energy_logs = Vec::new();
-    let started = Instant::now();
     for (pi, policy) in [PolicyKind::Precise, PolicyKind::Pliant]
         .into_iter()
         .enumerate()
@@ -177,7 +158,6 @@ fn main() {
             energy_logs.push((format!("energy-{policy}"), log));
         }
         energies[pi] = outcome.fleet_energy_j;
-        node_intervals += (outcome.nodes * outcome.intervals) as u64;
         energy.push(EnergyPoint {
             policy: policy.to_string(),
             simulated_instances: outcome.simulated_instances,
@@ -190,10 +170,7 @@ fn main() {
             qos_met: outcome.qos_met(),
         });
     }
-    let energy_run_elapsed_s = started.elapsed().as_secs_f64();
     let ratio = energies[1] / energies[0];
-    // File export happens after the clock stops, so the interactivity headline times
-    // the simulation (including in-memory event recording), not disk I/O.
     let obs: Vec<TraceRunSummary> = energy_logs
         .iter()
         .map(|(run, log)| export_trace(&trace, run, log))
@@ -209,8 +186,6 @@ fn main() {
         machines_needed_pliant: machines_pliant,
         energy,
         pliant_to_precise_energy_ratio: ratio,
-        effective_node_intervals_per_sec: node_intervals as f64 / energy_run_elapsed_s,
-        energy_run_elapsed_s,
         obs,
     };
 
@@ -317,13 +292,6 @@ fn main() {
         "\npliant / precise fleet energy = {:.2} ({:.0}% of the precise fleet's joules)",
         ratio,
         ratio * 100.0
-    );
-    println!(
-        "energy runs covered {:.1}M logical node-intervals in {:.2} s \
-         ({:.1}M node-intervals/s effective)",
-        node_intervals as f64 / 1e6,
-        energy_run_elapsed_s,
-        figure.effective_node_intervals_per_sec / 1e6
     );
     for t in &figure.obs {
         if let Some(file) = &t.trace_file {

@@ -11,7 +11,7 @@
 //! Usage: `fig_load_transient [--json] [--service nginx|memcached|mongodb]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{format_latency, print_table};
+use pliant_bench::{flag_value, format_latency, print_table};
 use pliant_core::engine::Engine;
 use pliant_core::experiment::PhaseQosStats;
 use pliant_core::policy::PolicyKind;
@@ -57,10 +57,7 @@ struct TransientResult {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let service = args
-        .iter()
-        .position(|a| a == "--service")
-        .and_then(|i| args.get(i + 1))
+    let service = flag_value(&args, "--service")
         .map(|name| {
             ServiceId::all()
                 .into_iter()

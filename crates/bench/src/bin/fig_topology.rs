@@ -22,7 +22,7 @@
 //! each run's decision-event stream tagged by run name.
 
 use pliant_bench::{
-    approximation_from_args, cluster_topology_scenario, export_trace, flag_value, print_table,
+    approximation_from_args, cluster_topology_scenario, export_trace, parse_flag, print_table,
     topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
@@ -128,12 +128,7 @@ struct TopologyFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let seed: u64 = flag_value(&args, "--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
     let approximation = approximation_from_args(&args);
     let spec = topology_spec_from_args(&args);
     let trace = trace_opts(&args);

@@ -21,7 +21,7 @@
 
 use std::io::{BufRead, BufReader};
 
-use pliant_bench::print_table;
+use pliant_bench::{flag_value, parse_flag, print_table};
 use pliant_telemetry::obs::{Event, EventKind, EventRecord, EVENT_KINDS};
 
 fn usage() -> ! {
@@ -37,21 +37,6 @@ fn usage() -> ! {
          narrative FILE...                    machines-needed story from the logs alone"
     );
     std::process::exit(2);
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag_value(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {name} expects a number");
-            std::process::exit(2);
-        })
-    })
 }
 
 /// Positional (non-flag) arguments: everything not starting with `--` and not

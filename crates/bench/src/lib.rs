@@ -1,13 +1,16 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion benches.
+//! Shared helpers for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the paper's evaluation:
 //! it describes the corresponding experiment grid as a `pliant_core` scenario
 //! [`Suite`](pliant_core::suite::Suite), executes it on the
 //! [`Engine`](pliant_core::engine::Engine) (in parallel), and prints the same rows/series
-//! the paper plots (plus a machine-readable JSON dump when `--json` is passed). The
-//! Criterion benches under `benches/` measure the throughput of the key components
-//! (design-space exploration, controller decisions, co-location simulation, kernel
-//! execution, and the suite engine itself).
+//! the paper plots (plus a machine-readable JSON dump when `--json` is passed). Figures
+//! report simulated outcomes only and are seed-deterministic; host-time measurement
+//! lives in the repo benchmark (`perfbench/`). `pliant-trace` inspects the event
+//! streams the fleet figures export with `--trace`.
+//!
+//! Flags are hand-parsed through [`flag_value`] and [`parse_flag`]: a value flag
+//! without a value, or with an unparsable one, exits with status 2.
 //!
 //! This crate also provides the harness-side [`ResultSink`] implementations:
 //! [`JsonLinesSink`] (one JSON object per cell, streamable) and [`SummaryTableSink`]
@@ -297,17 +300,11 @@ pub fn topology_spec_from_args(args: &[String]) -> Option<TopologySpec> {
         eprintln!("error: --topology dimensions must be positive");
         std::process::exit(2);
     }
-    let rack_power_w = flag_value(args, "--rack-power-w").map(|v| {
-        let watts: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --rack-power-w expects a wattage");
-            std::process::exit(2);
-        });
-        if !watts.is_finite() || watts <= 0.0 {
-            eprintln!("error: --rack-power-w must be positive");
-            std::process::exit(2);
-        }
-        watts
-    });
+    let rack_power_w: Option<f64> = parse_flag(args, "--rack-power-w");
+    if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
+        eprintln!("error: --rack-power-w must be positive");
+        std::process::exit(2);
+    }
     Some(TopologySpec {
         racks,
         nodes_per_rack,
@@ -382,25 +379,39 @@ pub fn write_trace_log(
     Ok(path)
 }
 
-/// Returns the value following `name` in a harness binary's argument list, if any.
+/// Returns the value following `name` in a harness binary's argument list, or `None`
+/// when the flag is absent. Exits with status 2 when the flag is given without a value
+/// (it is the last argument, or the next argument is another `--flag`), so a value
+/// flag is never silently ignored.
 pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Some(value),
+        _ => {
+            eprintln!("error: {name} expects a value");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses the value of the flag `name` (see [`flag_value`]), or `None` when the flag
+/// is absent. Exits with status 2 on a missing or unparsable value.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    flag_value(args, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("error: invalid value `{v}` for {name}");
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Parses the shared `--approx K` flag of the cluster figure binaries into the fleet
 /// approximation knob: absent or `0` means exact simulation (every logical node is
 /// stepped — the byte-identical default), `K >= 1` means the clustered approximation
 /// with `K` representatives simulated per node group. Exits with status 2 on a
-/// non-integer value.
+/// missing or non-integer value.
 pub fn approximation_from_args(args: &[String]) -> pliant_cluster::FleetApproximation {
-    let k: usize = flag_value(args, "--approx").map_or(0, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --approx expects a non-negative integer");
-            std::process::exit(2);
-        })
-    });
+    let k: usize = parse_flag(args, "--approx").unwrap_or(0);
     if k == 0 {
         pliant_cluster::FleetApproximation::Exact
     } else {

@@ -15,14 +15,15 @@
 //! The four fleet goldens cover the fleet's coupling branches: `fig_cluster` (no
 //! autoscaler, no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware
 //! serving masks and requeues) and `fig_topology` (racked placement, rack outages and
-//! consolidation).
+//! consolidation). `fig_hyperscale` pins the clustered approximation at 10k logical
+//! nodes, including its simulated instance counts.
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
 //!
 //! ```text
 //! for fig in fig4_dynamic_behavior fig5_aggregate fig6_multi_app fig_load_transient \
-//!            fig_cluster fig_energy fig_failure fig_topology; do
+//!            fig_cluster fig_energy fig_failure fig_topology fig_hyperscale; do
 //!     cargo run --release -p pliant-bench --bin "$fig" -- --json \
 //!         > "crates/bench/tests/golden/$fig.json"
 //! done
@@ -75,7 +76,7 @@ fn assert_matches_golden(bin: &str, name: &str) {
     assert_eq!(
         fresh,
         golden(&format!("{name}.json")),
-        "{name} --json drifted from its golden; the single-node engine must stay \
+        "{name} --json drifted from its golden; simulated outcomes must stay \
          byte-identical (see the module docs before refreshing)"
     );
 }
@@ -133,46 +134,22 @@ fn single_node_full_trace_is_byte_identical_to_the_golden() {
 
 #[test]
 fn fig_cluster_default_output_is_byte_identical_to_the_golden() {
-    let fresh = run_json(env!("CARGO_BIN_EXE_fig_cluster"), &[]);
-    assert_eq!(
-        fresh,
-        golden("fig_cluster.json"),
-        "fig_cluster --json drifted from the pre-population golden; exact simulation \
-         must stay byte-identical (see the module docs before refreshing)"
-    );
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig_cluster"), "fig_cluster");
 }
 
 #[test]
 fn fig_energy_default_output_is_byte_identical_to_the_golden() {
-    let fresh = run_json(env!("CARGO_BIN_EXE_fig_energy"), &[]);
-    assert_eq!(
-        fresh,
-        golden("fig_energy.json"),
-        "fig_energy --json drifted from the pre-population golden; exact simulation \
-         must stay byte-identical (see the module docs before refreshing)"
-    );
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig_energy"), "fig_energy");
 }
 
 #[test]
 fn fig_failure_default_output_is_byte_identical_to_the_golden() {
-    let fresh = run_json(env!("CARGO_BIN_EXE_fig_failure"), &[]);
-    assert_eq!(
-        fresh,
-        golden("fig_failure.json"),
-        "fig_failure --json drifted from its golden; the fault-aware fleet path must \
-         stay byte-identical (see the module docs before refreshing)"
-    );
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig_failure"), "fig_failure");
 }
 
 #[test]
 fn fig_topology_default_output_is_byte_identical_to_the_golden() {
-    let fresh = run_json(env!("CARGO_BIN_EXE_fig_topology"), &[]);
-    assert_eq!(
-        fresh,
-        golden("fig_topology.json"),
-        "fig_topology --json drifted from its golden; racked placement and \
-         consolidation must stay byte-identical (see the module docs before refreshing)"
-    );
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig_topology"), "fig_topology");
 }
 
 #[test]
@@ -191,26 +168,40 @@ fn explicit_exact_approx_flag_matches_the_default_path() {
     assert_eq!(fresh, golden("fig_energy.json"));
 }
 
-fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
-    v.as_object()
-        .and_then(|o| o.iter().find(|(k, _)| k == key).map(|(_, inner)| inner))
-        .unwrap_or_else(|| panic!("missing field {key}"))
+#[test]
+fn fig_hyperscale_output_is_byte_identical_to_the_golden() {
+    // The default 10k-node figure runs the clustered approximation with 4
+    // representatives per group; the golden pins every point's simulated instance count.
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig_hyperscale"), "fig_hyperscale");
 }
 
+/// A value flag given without a value must fail loudly instead of falling back to its
+/// default: both binaries exit before simulating anything.
 #[test]
-fn hyperscale_figure_runs_clustered_at_scale() {
-    // Smoke: the default 10k-node hyperscale figure must produce valid JSON with the
-    // clustered approximation engaged (a handful of instances, not 10k).
-    let fresh = run_json(env!("CARGO_BIN_EXE_fig_hyperscale"), &[]);
-    let v: serde_json::Value = serde_json::from_str(&fresh).expect("valid JSON");
-    assert_eq!(field(&v, "fleet_nodes").as_u64(), Some(10_000));
-    assert_eq!(field(&v, "approx_representatives").as_u64(), Some(4));
-    let energy_rows = field(&v, "energy").as_array().expect("energy rows");
-    let instances = field(&energy_rows[0], "simulated_instances")
-        .as_u64()
-        .expect("instance count");
-    assert!(
-        (1..100).contains(&instances),
-        "clustered 10k-node run must simulate a handful of instances, got {instances}"
-    );
+fn value_flags_without_a_valid_value_exit_with_status_2() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig_hyperscale"),
+            ["--approx"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig8_load_sweep"),
+            ["--apps", "x"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--seed", "--json"].as_slice(),
+        ),
+    ] {
+        let output = Command::new(bin)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{bin} {args:?} must exit with status 2, stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
 }

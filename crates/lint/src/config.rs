@@ -13,8 +13,8 @@ pub struct LintConfig {
     /// (`ClusterNode::step`, matching only inside `impl ClusterNode`).
     pub hot_path_fns: Vec<String>,
     /// Path prefixes where wall-clock reads (`Instant::now`, `SystemTime`) are allowed:
-    /// the bench harness, the repo benchmark (`perfbench/`), and the criterion compat
-    /// shim measure real time by design.
+    /// only the repo benchmark (`perfbench/`) measures real time by design. The figure
+    /// binaries report simulated outcomes, so their output stays seed-deterministic.
     pub wallclock_allowed: Vec<String>,
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
@@ -98,7 +98,7 @@ impl LintConfig {
                 "ClusterSim::close_interval",
                 "ClusterSim::refresh_snapshots",
             ]),
-            wallclock_allowed: s(&["crates/bench/", "crates/compat/criterion/", "perfbench/"]),
+            wallclock_allowed: s(&["perfbench/"]),
             hash_container_scoped: s(&[
                 "crates/sim/",
                 "crates/core/",

@@ -37,7 +37,7 @@ pub const ALL_RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: rules::NONDETERMINISM,
-        summary: "wall-clock read outside the bench allowlist, or HashMap/HashSet in \
+        summary: "wall-clock read outside the benchmark allowlist, or HashMap/HashSet in \
                   determinism-sensitive code",
     },
     RuleInfo {

@@ -119,7 +119,7 @@ fn hot_path_alloc(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding
     }
 }
 
-/// Wall-clock reads outside the bench allowlist, and hash-ordered containers in
+/// Wall-clock reads outside the benchmark allowlist, and hash-ordered containers in
 /// determinism-sensitive code: both break the serial==parallel byte-identity guarantee
 /// the engine tests pin.
 fn nondeterminism(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>) {
@@ -133,7 +133,7 @@ fn nondeterminism(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding
                     a,
                     toks[i].line,
                     "Instant::now reads the wall clock; simulated components must derive all \
-                     timing from simulated time (only the bench harness measures real time)"
+                     timing from simulated time (only the repo benchmark measures real time)"
                         .to_string(),
                 );
             } else if toks[i].is_ident("SystemTime") {

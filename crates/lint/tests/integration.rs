@@ -246,6 +246,27 @@ fn perfbench_may_read_the_wall_clock() {
     ));
 }
 
+/// The figure binaries report simulated outcomes only (their `--json` is pinned by
+/// byte-for-byte goldens), so they may not read the wall clock: `perfbench/` is the
+/// only allowed prefix.
+#[test]
+fn figure_binaries_may_not_read_the_wall_clock() {
+    let cfg = LintConfig::repo_default();
+    assert_eq!(cfg.wallclock_allowed, ["perfbench/"]);
+    let path = "crates/bench/src/bin/fig_hyperscale.rs";
+    assert!(!pliant_lint::config::path_in(path, &cfg.wallclock_allowed));
+    let findings = lint_source(
+        path,
+        "fn main() { let t = std::time::Instant::now(); }",
+        &cfg,
+    );
+    assert!(
+        findings.iter().any(|f| f.rule == "nondeterminism"),
+        "Instant::now in {path} must be flagged, got:\n{}",
+        render(&findings)
+    );
+}
+
 #[test]
 fn cli_check_fails_on_the_violations_fixture() {
     let (code, stdout, stderr) = run_cli(&fixtures_dir(), &["--check", "violations.rs"]);

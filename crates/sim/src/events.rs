@@ -5,7 +5,7 @@
 //! simulator that processes individual requests (Poisson arrivals, lognormal service
 //! times, `k` parallel workers, FIFO queueing) and reports the empirical latency
 //! distribution. Tests use it to validate the analytic model's shape; it is also exposed
-//! for finer-grained experiments and the `colocation` Criterion bench.
+//! for finer-grained experiments.
 
 use std::collections::BinaryHeap;
 

@@ -160,8 +160,10 @@ fn clustered_runs_are_byte_identical_across_execution_modes() {
 #[test]
 fn ten_thousand_node_fleet_collapses_to_a_handful_of_instances() {
     // The hyperscale headline: 10k logical nodes, a handful of simulated instances,
-    // full logical-fleet statistics. (The >= 10x throughput-over-exact claim is gated
-    // in perf_report's hyperscale metric, not re-timed here.)
+    // full logical-fleet statistics. The >= 10x claim is checked deterministically, not
+    // timed: fewer than 100 instances stand for 10k logical nodes, i.e. at least 100x
+    // fewer instance-steps than exact simulation. The repo benchmark's fleet_clustered
+    // workload measures the host time.
     let scenario = diurnal(
         10_000,
         FleetApproximation::Clustered {
