@@ -9,13 +9,16 @@
 //! Pliant's reclaimed headroom absorbs the shed traffic of a dead node at fleet sizes
 //! where the Precise baseline violates QoS.
 //!
-//! Usage: `fig_failure [--json] [--seed N] [--total-load X] [--nodes N]
+//! Usage: `fig_failure [--json] [--seed N] [--total-load X] [--nodes N] [--approx K]
 //!                     [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
 //!                     [--trace PATH] [--trace-level off|decisions|full]`
 //!
 //! `--topology` lays each fleet out in racked power domains (sizes the rack shape
 //! cannot tile stay flat — see [`pliant_bench::TopologySpec`]) and `--rack-power-w`
 //! adds a per-rack admission budget; both default to the flat, rack-free fleet.
+//! `--approx K` simulates each fleet through the clustered approximation with `K`
+//! representatives per node group (`0` or absent = exact); faulted nodes are always
+//! carved out of their groups and simulated exactly.
 //!
 //! Runs always record decision events (tracing never perturbs the simulation), so the
 //! `--json` output's `obs` block carries the fault-event rollup — `NodeFailed`,
@@ -23,8 +26,8 @@
 //! PATH` additionally exports each run's event stream tagged `{nodes}n-{policy}`.
 
 use pliant_bench::{
-    cluster_failure_scenario, cluster_failure_trace, export_trace, format_latency, parse_flag,
-    print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    approximation_from_args, cluster_failure_scenario, cluster_failure_trace, export_trace,
+    format_latency, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -76,6 +79,7 @@ fn main() {
         Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
+    let approximation = approximation_from_args(&args);
     let topology_spec = topology_spec_from_args(&args);
     let trace = trace_opts(&args);
     // The figure's JSON contract includes the fault-event rollup, so runs record
@@ -104,6 +108,7 @@ fn main() {
                 );
                 continue;
             };
+            scenario.approximation = approximation;
             if let Some(spec) = &topology_spec {
                 scenario.topology = spec.config_for(scenario.nodes);
             }

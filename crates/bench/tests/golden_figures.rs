@@ -16,7 +16,9 @@
 //! autoscaler, no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware
 //! serving masks and requeues) and `fig_topology` (racked placement, rack outages and
 //! consolidation). `fig_hyperscale` pins the clustered approximation at 10k logical
-//! nodes, including its simulated instance counts.
+//! nodes, including its simulated instance counts. With more representatives than
+//! group members (`--approx 1000`), `fig_topology` and the fault-injected `fig_failure`
+//! must reproduce their exact goldens.
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
@@ -166,6 +168,82 @@ fn explicit_exact_approx_flag_matches_the_default_path() {
     // `--approx 0` must route through the same exact path as no flag at all.
     let fresh = run_json(env!("CARGO_BIN_EXE_fig_energy"), &["--approx", "0"]);
     assert_eq!(fresh, golden("fig_energy.json"));
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig_failure"), &["--approx", "0"]);
+    assert_eq!(fresh, golden("fig_failure.json"));
+}
+
+#[test]
+fn faulted_clustering_with_more_representatives_than_members_is_exact() {
+    // Faulted nodes are carved out of their groups as weight-1 instances. At K = 1000
+    // every group is planned one instance per member in logical order, faulted or not,
+    // so the fault-injected fleets reproduce the exact figure. Only the obs rollups can
+    // tell the runs apart: clustered fleets emit one `ApproximationPlan` per group.
+    let parse = |text: &str| -> serde_json::Value {
+        serde_json::from_str(text).expect("figure JSON parses")
+    };
+    let fresh = parse(&run_json(
+        env!("CARGO_BIN_EXE_fig_failure"),
+        &["--approx", "1000"],
+    ));
+    let exact = parse(&golden("fig_failure.json"));
+    let field = |doc: &serde_json::Value, key: &str| -> serde_json::Value {
+        doc.get(key)
+            .unwrap_or_else(|| panic!("fig_failure JSON has no `{key}`"))
+            .clone()
+    };
+    assert_eq!(
+        serde_json::to_string_pretty(&field(&fresh, "curve")).expect("serializable"),
+        serde_json::to_string_pretty(&field(&exact, "curve")).expect("serializable"),
+        "fig_failure --approx 1000 curve drifted from the exact golden"
+    );
+    for (key, _) in exact.as_object().expect("figure JSON is an object") {
+        if key != "curve" && key != "obs" {
+            assert_eq!(field(&fresh, key), field(&exact, key), "field `{key}`");
+        }
+    }
+    let runs = |doc: &serde_json::Value| field(doc, "obs").as_array().unwrap_or(&[]).to_vec();
+    let (fresh_runs, exact_runs) = (runs(&fresh), runs(&exact));
+    assert_eq!(fresh_runs.len(), exact_runs.len());
+    for (clustered, exact) in fresh_runs.iter().zip(&exact_runs) {
+        let (c, e) = (field(clustered, "summary"), field(exact, "summary"));
+        let is_plan = |counter: &&serde_json::Value| {
+            counter.get("name").and_then(|n| n.as_str()) == Some("ApproximationPlan")
+        };
+        let c_counters = field(&c, "counters");
+        let c_counters = c_counters.as_array().expect("counters are a list");
+        let plans: Vec<_> = c_counters.iter().filter(is_plan).collect();
+        assert_eq!(
+            plans.len(),
+            1,
+            "a clustered run emits ApproximationPlan events"
+        );
+        let planned = |key: &str| plans[0].get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+        assert!(planned("count") > 0);
+        for (key, expected) in e.as_object().expect("a summary is an object") {
+            let got = field(&c, key);
+            match key.as_str() {
+                "counters" => {
+                    let others = c_counters.iter().filter(|c| !is_plan(c)).cloned();
+                    assert_eq!(&serde_json::Value::Array(others.collect()), expected);
+                }
+                "events_recorded" | "events_weighted" => {
+                    let plan_key = if key == "events_recorded" {
+                        "count"
+                    } else {
+                        "weighted"
+                    };
+                    let total = got.as_u64().expect("a count");
+                    assert_eq!(Some(total - planned(plan_key)), expected.as_u64(), "{key}");
+                }
+                _ => assert_eq!(&got, expected, "summary field `{key}`"),
+            }
+        }
+        for (key, expected) in exact.as_object().expect("a run is an object") {
+            if key != "summary" {
+                assert_eq!(&field(clustered, key), expected, "run field `{key}`");
+            }
+        }
+    }
 }
 
 #[test]

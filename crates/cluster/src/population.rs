@@ -165,8 +165,10 @@ impl NodePopulation {
     ///
     /// Under [`FleetApproximation::Exact`] this is identical to
     /// [`Self::plan_instances`] (every node is already simulated exactly). Within each
-    /// group the non-isolated chunks come first, then the isolated members in
-    /// ascending logical order; replica weights still sum to [`Self::total_nodes`].
+    /// group the pooled chunks and the isolated members are ordered by seed member, so
+    /// at `K >= group size` every group is one weight-1 instance per member in logical
+    /// order, exactly as unfaulted clustering plans it; replica weights still sum to
+    /// [`Self::total_nodes`].
     ///
     /// # Panics
     ///
@@ -190,6 +192,7 @@ impl NodePopulation {
                 let mut plans = Vec::new();
                 let mut pooled: Vec<usize> = Vec::new();
                 for (gi, group) in self.groups.iter().enumerate() {
+                    let first = plans.len();
                     pooled.clear();
                     pooled.extend(group.members.iter().copied().filter(|&m| !isolated[m]));
                     chunk_group(gi, &pooled, k, &mut plans);
@@ -200,6 +203,7 @@ impl NodePopulation {
                             replicas: 1,
                         });
                     }
+                    plans[first..].sort_by_key(|p| p.seed_member);
                 }
                 plans
             }
@@ -344,12 +348,22 @@ mod tests {
                 "node {node} must be simulated exactly: {plans:?}"
             );
         }
-        // Group 0 = [0,3,6,9]: pooled [0,6,9] chunks into 2+1, then isolated 3.
+        // Group 0 = [0,3,6,9]: pooled [0,6,9] chunks into 2+1, and isolated 3 takes
+        // its place in seed-member order.
         let g0: Vec<_> = plans.iter().filter(|p| p.group == 0).collect();
         assert_eq!(g0.len(), 3);
         assert_eq!((g0[0].seed_member, g0[0].replicas), (0, 2));
-        assert_eq!((g0[1].seed_member, g0[1].replicas), (9, 1));
-        assert_eq!((g0[2].seed_member, g0[2].replicas), (3, 1));
+        assert_eq!((g0[1].seed_member, g0[1].replicas), (3, 1));
+        assert_eq!((g0[2].seed_member, g0[2].replicas), (9, 1));
+        // With K >= group size, isolation changes nothing: every member is already a
+        // weight-1 instance in logical order within its group.
+        let wide = FleetApproximation::Clustered {
+            representatives_per_group: 100,
+        };
+        assert_eq!(
+            pop.plan_instances_isolating(&wide, &isolated),
+            pop.plan_instances(&wide)
+        );
         // With nothing isolated the plan is exactly the plain clustered plan.
         let none = vec![false; 12];
         assert_eq!(

@@ -9,7 +9,11 @@
 //! The estimator is streaming and allocation-free: the interval histogram is owned by the
 //! monitor and reset between intervals (never reallocated), the subsample is chosen by
 //! geometric skip-sampling (one logarithm per *selected* request instead of one uniform
-//! draw per request), and recording a sample is O(1) bit manipulation. Because the
+//! draw per request), and recording a sample is O(1) bit manipulation. The skip gaps are
+//! drawn in chunks of 32 so their logarithms run as independent iterations; at the end
+//! of an interval the RNG is rewound to the last chunk's start and advanced by exactly
+//! the gaps consumed, so the selection, the stream position and every
+//! [`MonitorSnapshot`] match drawing one gap per selection. Because the
 //! histogram is the same [`LatencyHistogram`] (same bucket layout, same microsecond
 //! scale) the cluster layer merges for fleet-level quantiles, per-interval monitor
 //! histograms are exact-merge-compatible with fleet aggregation. The price of the
@@ -25,7 +29,11 @@ use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::rng::seeded_rng;
 use pliant_telemetry::window::EwmaTracker;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// Geometric gaps drawn per batch by the skip-sampler in
+/// [`PerformanceMonitor::observe_interval`].
+const GAP_CHUNK: usize = 32;
 
 /// Configuration of the performance monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -222,14 +230,47 @@ impl PerformanceMonitor {
             } else {
                 self.base_skip_ln
             };
-            let mut index = self.skip(ln_one_minus_rate);
-            while index < latencies_s.len() {
-                let l = latencies_s[index];
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6);
-                sum += l;
-                sampled += 1;
-                index += 1 + self.skip(ln_one_minus_rate);
+            // Gaps are drawn GAP_CHUNK at a time: the uniforms first (the serial RNG
+            // steps), then the logarithms and divisions in a separate loop whose
+            // iterations are independent, then a walk that consumes them. The walk stops
+            // at the first gap that jumps past the interval, usually mid-chunk; the RNG
+            // is then rewound to the chunk's start and advanced by exactly the gaps
+            // consumed, so the stream position matches drawing one gap per selection.
+            let mut uniforms = [0.0f64; GAP_CHUNK];
+            let mut gaps = [0usize; GAP_CHUNK];
+            let mut next = 0usize;
+            loop {
+                let chunk_start = self.rng.clone();
+                for u in uniforms.iter_mut() {
+                    *u = 1.0 - self.rng.gen_range(0.0f64..1.0);
+                }
+                // 1 - unit uniform lies in (0, 1], so the logarithm is finite and <= 0;
+                // the ratio of two non-positive finite numbers is non-negative, and the
+                // cast saturates on the (bounded) maximum.
+                for (gap, &u) in gaps.iter_mut().zip(&uniforms) {
+                    *gap = (fast_ln(u) / ln_one_minus_rate) as usize;
+                }
+                let mut past_end = None;
+                for (k, &gap) in gaps.iter().enumerate() {
+                    let index = next + gap;
+                    if index >= latencies_s.len() {
+                        past_end = Some(k);
+                        break;
+                    }
+                    let l = latencies_s[index];
+                    let l = if l.is_finite() { l } else { 0.0 };
+                    self.hist.record(l * 1e6);
+                    sum += l;
+                    sampled += 1;
+                    next = index + 1;
+                }
+                if let Some(last) = past_end {
+                    self.rng = chunk_start;
+                    for _ in 0..=last {
+                        self.rng.next_u64();
+                    }
+                    break;
+                }
             }
         }
         // Guard against an empty sample (tiny intervals at low load): fall back to the full
@@ -271,16 +312,6 @@ impl PerformanceMonitor {
     /// (see [`LatencyHistogram::try_merge`]).
     pub fn interval_histogram(&self) -> &LatencyHistogram {
         &self.hist
-    }
-
-    /// Number of unselected requests to jump over before the next monitored one
-    /// (geometric with the current sampling rate).
-    fn skip(&mut self, ln_one_minus_rate: f64) -> usize {
-        // 1 - unit uniform lies in (0, 1], so the logarithm is finite and <= 0; the
-        // ratio of two non-positive finite numbers is non-negative, and the cast
-        // saturates on the (bounded) maximum.
-        let u = 1.0 - self.rng.gen_range(0.0f64..1.0);
-        (fast_ln(u) / ln_one_minus_rate) as usize
     }
 }
 
@@ -433,6 +464,81 @@ mod tests {
         let idle = monitor.observe_interval(&[]);
         assert!(idle.no_signal);
         assert!(monitor.interval_histogram().is_empty());
+    }
+
+    /// The skip-sampling loop the chunked walk replaced: one uniform and one gap per
+    /// selection, drawn only when needed. Returns the interval's `(sampled, mean, p99)`
+    /// with the same small-interval fallback as the monitor.
+    fn one_gap_at_a_time(
+        rng: &mut SmallRng,
+        ln_one_minus_rate: f64,
+        latencies_s: &[f64],
+    ) -> (u64, f64, f64) {
+        let skip = |rng: &mut SmallRng| {
+            let u = 1.0 - rng.gen_range(0.0f64..1.0);
+            (fast_ln(u) / ln_one_minus_rate) as usize
+        };
+        let mut hist = LatencyHistogram::new();
+        let (mut sum, mut sampled) = (0.0, 0u64);
+        let mut index = skip(rng);
+        while index < latencies_s.len() {
+            let l = latencies_s[index];
+            hist.record(l * 1e6);
+            sum += l;
+            sampled += 1;
+            index += 1 + skip(rng);
+        }
+        if sampled < 20 {
+            hist.reset();
+            let mut full_sum = 0.0;
+            for &l in latencies_s {
+                hist.record(l * 1e6);
+                full_sum += l;
+            }
+            let n = latencies_s.len();
+            return (n as u64, full_sum / n as f64, hist.p99() / 1e6);
+        }
+        (sampled, sum / sampled as f64, hist.p99() / 1e6)
+    }
+
+    #[test]
+    fn chunked_gaps_are_bit_identical_to_one_gap_at_a_time() {
+        let lengths = [1usize, 31, 32, 33, 1_000, 5_000];
+        for &rate in &[0.05, 0.25, 1e-12, 0.999] {
+            let config = MonitorConfig {
+                base_sample_rate: rate,
+                elevated_sample_rate: rate,
+                ..MonitorConfig::for_qos(0.010)
+            };
+            let ln_one_minus_rate = (1.0 - rate).ln();
+            for seed in 0..4u64 {
+                let mut monitor = PerformanceMonitor::new(config, seed);
+                let mut reference = seeded_rng(seed);
+                let mut resumed: Option<PerformanceMonitor> = None;
+                for round in 0..3u64 {
+                    for (li, &len) in lengths.iter().enumerate() {
+                        let samples = synthetic_interval(0.003, 0.4, len, 100 * round + li as u64);
+                        let report = monitor.observe_interval(&samples);
+                        let (sampled, mean, p99) =
+                            one_gap_at_a_time(&mut reference, ln_one_minus_rate, &samples);
+                        let at = format!("rate {rate} seed {seed} round {round} len {len}");
+                        assert_eq!(report.sampled, sampled, "{at}");
+                        assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
+                        assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
+                        assert_eq!(monitor.snapshot().rng, reference.state().to_vec(), "{at}");
+                        // A monitor restored mid-run continues identically.
+                        if let Some(twin) = resumed.as_mut() {
+                            assert_eq!(twin.observe_interval(&samples), report, "{at}");
+                            assert_eq!(twin.snapshot().rng, monitor.snapshot().rng, "{at}");
+                        } else if round == 1 && li == 2 {
+                            let mut twin = PerformanceMonitor::new(config, seed);
+                            twin.restore(&monitor.snapshot()).expect("valid snapshot");
+                            resumed = Some(twin);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

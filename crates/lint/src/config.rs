@@ -52,9 +52,12 @@ impl LintConfig {
                 // single-node engine and fleet instance alike.
                 "NodeRuntime::control",
                 "fast_exp",
+                "fast_exp_in_range",
                 "fast_ln",
                 "poly_exp",
                 "sample_normal_ziggurat",
+                "zig_normal",
+                "zig_reject",
                 "fill_lognormals",
                 // The replica-weighted dispatch path (PR 7): runs once per interval
                 // on every fleet, including clustered ones whose logical size can

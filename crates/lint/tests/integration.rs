@@ -221,6 +221,33 @@ fn fleet_coordinator_phases_stay_on_the_hot_path_denylist() {
     }
 }
 
+/// Regression (two-pass sample generation): the batch sampler's vectorized exponential
+/// and the ziggurat's per-sample and rejection paths run for every latency sample, so
+/// each must stay on the hot-path-alloc denylist beside the functions that call them.
+#[test]
+fn sample_generation_passes_stay_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for hot in [
+        "fill_lognormals",
+        "fast_exp_in_range",
+        "sample_normal_ziggurat",
+        "zig_normal",
+        "zig_reject",
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let src = format!("fn {hot}(x: f64) -> f64 {{ let v = vec![x]; v[0] }}");
+        let findings = lint_source("crates/telemetry/src/rng.rs", &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a vec! inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// The repo benchmark measures host time by design, so `perfbench/` may read the wall
 /// clock; the simulation crates it drives may not.
 #[test]

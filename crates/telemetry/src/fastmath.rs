@@ -5,7 +5,10 @@
 //! `libm` transcendental calls inside that loop dominate the whole simulation. These
 //! replacements use the standard range-reduction + short-polynomial constructions
 //! (Cody–Waite for `exp`, atanh-series for `ln`), written as plain multiply/add chains
-//! so the compiler can pipeline independent iterations.
+//! so the compiler can pipeline independent iterations. [`fast_exp_in_range`] is
+//! [`fast_exp`] without its range branches, bit-identical on `[-700, 700]`, so a loop
+//! over it vectorizes; the batch lognormal sampler uses it because its ziggurat normals
+//! satisfy `|z| <= 13.71`, which keeps `sigma * z` in range for every `sigma <= 51`.
 //!
 //! Accuracy is bounded well below `1e-11` relative error across the full double range
 //! (tested against `std` in this module), which is far tighter than the statistical
@@ -62,6 +65,26 @@ pub fn fast_exp(x: f64) -> f64 {
     }
 }
 
+/// [`fast_exp`] restricted to `x` in `[-700, 700]`: the same operation sequence with
+/// the same result bits, minus the NaN, overflow and subnormal branches.
+///
+/// `n` is read from the mantissa bits of the rounding-shift sum `x·log2(e) + 1.5·2^52`
+/// (whose ulp is 1, so its low bits hold `n` in two's complement) instead of through a
+/// float-to-integer conversion. The body is straight-line `f64` and `u64` arithmetic
+/// that LLVM vectorizes on baseline SSE2, which is what the batch lognormal sampler
+/// ([`crate::rng::fill_lognormals`]) relies on. Within the range, `|n| <= 1010`, so the
+/// single-step scale `2^n` is a normal double and no branch of [`fast_exp`] can differ.
+/// Outside it the result is unspecified (but never a panic).
+#[inline]
+pub fn fast_exp_in_range(x: f64) -> f64 {
+    let shifted = x * LOG2_E + ROUND_SHIFT;
+    let nf = shifted - ROUND_SHIFT;
+    let r = (x - nf * LN2_HI) - nf * LN2_LO;
+    let p = poly_exp(r);
+    let n = shifted.to_bits().wrapping_sub(ROUND_SHIFT.to_bits());
+    p * f64::from_bits(n.wrapping_add(1023) << 52)
+}
+
 /// Degree-11 Taylor polynomial of `e^r`, Horner form.
 #[inline]
 fn poly_exp(r: f64) -> f64 {
@@ -116,15 +139,14 @@ pub fn fast_ln(x: f64) -> f64 {
         (x, 0.0)
     };
     let bits = x.to_bits();
-    let mut e = ((bits >> 52) as i64 & 0x7ff) - 1023;
+    let e = ((bits >> 52) as i64 & 0x7ff) - 1023;
     // Mantissa m in [1, 2).
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    // Center m on 1 (m in [sqrt(1/2), sqrt(2))) so the atanh series argument stays small.
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let ef = e as f64 - sub_offset;
+    let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+    // Center m on 1 (m in [sqrt(1/2), sqrt(2))) so the atanh series argument stays small;
+    // a select rather than a branch, since the comparison is a coin flip on uniforms.
+    let high = m > std::f64::consts::SQRT_2;
+    let m = if high { m * 0.5 } else { m };
+    let ef = (e + i64::from(high)) as f64 - sub_offset;
     // ln m = 2·atanh(t) with t = (m-1)/(m+1), |t| <= 0.1716.
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
@@ -206,6 +228,102 @@ mod tests {
         assert!((fast_ln(sub) - sub.ln()).abs() < 1e-10);
         // MIN_POSITIVE boundary uses the normal path.
         assert!((fast_ln(f64::MIN_POSITIVE) - f64::MIN_POSITIVE.ln()).abs() < 1e-10);
+    }
+
+    #[test]
+    fn exp_in_range_is_bit_identical_to_fast_exp() {
+        // Dense sweep with an irrational-ish step, so the points land on every residue
+        // of the range reduction, plus the exact endpoints and signed zeros.
+        let mut x = -700.0f64;
+        while x <= 700.0 {
+            assert_eq!(
+                fast_exp_in_range(x).to_bits(),
+                fast_exp(x).to_bits(),
+                "x = {x}"
+            );
+            x += 0.000_713_3;
+        }
+        for x in [-700.0, 700.0, 0.0, -0.0, 1e-300, -1e-300, 0.5 * LN2_HI] {
+            assert_eq!(
+                fast_exp_in_range(x).to_bits(),
+                fast_exp(x).to_bits(),
+                "x = {x}"
+            );
+        }
+    }
+
+    /// `fast_ln` as it was written before its mantissa-centring branch became a select.
+    fn branchy_ln(x: f64) -> f64 {
+        if x.is_nan() || x < 0.0 {
+            return f64::NAN;
+        }
+        if x == 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        if x == f64::INFINITY {
+            return f64::INFINITY;
+        }
+        let (x, sub_offset) = if x < f64::MIN_POSITIVE {
+            (x * 18_014_398_509_481_984.0, 54.0)
+        } else {
+            (x, 0.0)
+        };
+        let bits = x.to_bits();
+        let mut e = ((bits >> 52) as i64 & 0x7ff) - 1023;
+        let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+        if m > std::f64::consts::SQRT_2 {
+            m *= 0.5;
+            e += 1;
+        }
+        let ef = e as f64 - sub_offset;
+        let t = (m - 1.0) / (m + 1.0);
+        let t2 = t * t;
+        let mut p = 1.0 / 15.0;
+        p = p * t2 + 1.0 / 13.0;
+        p = p * t2 + 1.0 / 11.0;
+        p = p * t2 + 1.0 / 9.0;
+        p = p * t2 + 1.0 / 7.0;
+        p = p * t2 + 1.0 / 5.0;
+        p = p * t2 + 1.0 / 3.0;
+        p = p * t2 + 1.0;
+        let ln_m = 2.0 * t * p;
+        (ef * LN2_HI + ln_m) + ef * LN2_LO
+    }
+
+    #[test]
+    fn ln_select_is_bit_identical_to_the_branchy_form() {
+        // Every uniform the samplers feed it: k·2^-53 for k in (0, 2^53], sampled densely
+        // at the bottom and strided across the rest of (0, 1].
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for k in 1..=100_000u64 {
+            let u = k as f64 * ulp;
+            assert_eq!(fast_ln(u).to_bits(), branchy_ln(u).to_bits(), "u = {u}");
+        }
+        let mut u = 1.0f64;
+        while u > 1e-9 {
+            assert_eq!(fast_ln(u).to_bits(), branchy_ln(u).to_bits(), "u = {u}");
+            u -= 0.000_012_7 * u.max(1e-3);
+        }
+        assert_eq!(fast_ln(1.0).to_bits(), branchy_ln(1.0).to_bits());
+        // The select's switch point: mantissas on both sides of sqrt(2), at every scale.
+        let root2 = std::f64::consts::SQRT_2.to_bits();
+        for scale in [1e-300, 2.0f64.powi(-53), 0.5, 1.0, 4.0, 1e300] {
+            for d in -2_000i64..=2_000 {
+                let x = f64::from_bits((root2 as i64 + d) as u64) * scale;
+                assert_eq!(fast_ln(x).to_bits(), branchy_ln(x).to_bits(), "x = {x}");
+            }
+        }
+        // Edge values and subnormals take the same path through both forms.
+        for x in [
+            0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            5e-320,
+            1.5e-310,
+        ] {
+            assert_eq!(fast_ln(x).to_bits(), branchy_ln(x).to_bits(), "x = {x}");
+        }
     }
 
     #[test]

@@ -111,14 +111,12 @@ impl LatencyHistogram {
     }
 
     /// Representative (upper-edge midpoint) value of a bucket, used when reporting
-    /// percentiles.
+    /// percentiles. The first power-of-two bucket reports its `[1, 2)` value even for
+    /// sub-unit values recorded through the linear path; [`Self::percentile`] clamps
+    /// the result to the recorded range.
     fn bucket_value(index: usize) -> f64 {
         let exp = index / SUB_BUCKETS;
         let sub = index % SUB_BUCKETS;
-        if exp == 0 && sub < SUB_BUCKETS {
-            // First bucket may hold sub-1.0 values recorded via the linear path; treat it
-            // as the standard log bucket otherwise.
-        }
         let base = 2f64.powi(exp as i32);
         base + base * (sub as f64 + 0.5) / SUB_BUCKETS as f64
     }

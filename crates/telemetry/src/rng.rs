@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fastmath::{fast_exp, fast_ln};
+use crate::fastmath::{fast_exp, fast_exp_in_range, fast_ln};
 
 /// Creates a deterministic RNG from an explicit seed.
 ///
@@ -171,20 +171,58 @@ fn zig_tables() -> &'static ZigTables {
 /// [`sample_standard_normal`]. The two samplers produce the same distribution but
 /// different streams; Box–Muller is kept for the calibrated kernel and noise streams
 /// whose historical sequences tests pin, while batch sample generation uses this one.
+///
+/// Every variate satisfies `|z| < R + 53·ln(2)/R ≈ 13.71` (`R` = 3.654, the base
+/// strip's edge): rectangles and wedges stay below `R`, and the tail's exponential
+/// candidate is at most `-ln(2^-53)/R` because the smallest non-zero uniform is
+/// `2^-53` (a zero uniform is rejected).
 pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let t = zig_tables();
+    let bits: u64 = rng.gen();
+    zig_normal(rng, t, bits)
+}
+
+/// One ziggurat variate from its first draw `bits`: the inline fast-accept test, with
+/// everything else in [`zig_reject`].
+#[inline(always)]
+fn zig_normal<R: Rng + ?Sized>(rng: &mut R, t: &ZigTables, bits: u64) -> f64 {
+    let (i, x) = zig_candidate(t, bits);
+    // Wholly inside the layer's inner rectangle: accept immediately.
+    if x < t.x[i + 1] {
+        return with_sign(x, bits);
+    }
+    zig_reject(rng, t, bits, i, x)
+}
+
+/// The layer `i` and magnitude `x` a draw proposes: one draw provides the layer in the
+/// low 8 bits, the sign in bit 8 and a 53-bit uniform in bits 11..64, all independent.
+#[inline(always)]
+fn zig_candidate(t: &ZigTables, bits: u64) -> (usize, f64) {
+    let i = (bits & 0xff) as usize;
+    let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * t.x[i];
+    (i, x)
+}
+
+/// Gives the non-negative `x` the sign of draw bit 8 by XOR into the sign bit: the same
+/// bits as multiplying by ±1, without the multiply.
+#[inline(always)]
+fn with_sign(x: f64, bits: u64) -> f64 {
+    f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55))
+}
+
+/// The ziggurat's rare paths (~2% of draws): the tail and wedge tests for a draw that
+/// missed its layer's inner rectangle, then fresh draws until one is accepted. Consumes
+/// exactly the RNG words the textbook loop would, in the same order.
+#[cold]
+#[inline(never)]
+fn zig_reject<R: Rng + ?Sized>(
+    rng: &mut R,
+    t: &ZigTables,
+    mut bits: u64,
+    mut i: usize,
+    mut x: f64,
+) -> f64 {
     loop {
-        // One draw provides the layer (low 8 bits), the sign (bit 8), and a 53-bit
-        // uniform (bits 11..64) — all independent.
-        let bits: u64 = rng.gen();
-        let i = (bits & 0xff) as usize;
-        let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
-        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let x = u * t.x[i];
-        // Wholly inside the layer's inner rectangle: accept immediately.
-        if x < t.x[i + 1] {
-            return sign * x;
-        }
         if i == 0 {
             // Base strip: x in [R, x[0]) selects the tail (Marsaglia's exponential
             // rejection; a zero uniform yields an infinite candidate and is rejected).
@@ -194,7 +232,7 @@ pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
                 let xt = -fast_ln(u1) / ZIG_R;
                 let yt = -fast_ln(u2);
                 if xt.is_finite() && 2.0 * yt >= xt * xt {
-                    return sign * (ZIG_R + xt);
+                    return with_sign(ZIG_R + xt, bits);
                 }
             }
         }
@@ -202,19 +240,38 @@ pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // density overhang above the layer's flat top.
         let y = t.f[i] + (t.f[i + 1] - t.f[i]) * rng.gen::<f64>();
         if y < fast_exp(-0.5 * x * x) {
-            return sign * x;
+            return with_sign(x, bits);
+        }
+        bits = rng.gen();
+        (i, x) = zig_candidate(t, bits);
+        if x < t.x[i + 1] {
+            return with_sign(x, bits);
         }
     }
 }
+
+/// Largest `sigma` for which `sigma·z` provably stays inside [`fast_exp_in_range`]'s
+/// `[-700, 700]` domain: `51 × 13.71 ≈ 699` (see [`sample_normal_ziggurat`] for the
+/// bound on `|z|`).
+const IN_RANGE_MAX_SIGMA: f64 = 51.0;
 
 /// Clears `out` and fills it with `n` lognormal samples parameterized like
 /// [`sample_lognormal`] (median and shape `sigma`).
 ///
 /// This is the batch sampler the co-location hot path uses for per-interval latency
-/// sample generation: ziggurat normals plus the polynomial
-/// [`fast_exp`], roughly 3x faster per sample than
-/// [`sample_lognormal`]'s Box–Muller + `libm` pipeline. Identical distribution,
-/// different stream.
+/// sample generation: ziggurat normals plus the polynomial exponential, several times
+/// faster per sample than [`sample_lognormal`]'s Box–Muller + `libm` pipeline.
+/// Identical distribution, different stream.
+///
+/// It runs in two passes over `out`. The first draws the `n` ziggurat normals; only the
+/// fast-accept test is inline, so the loop is one RNG step, a table lookup and a
+/// well-predicted compare per sample. The second maps each `z` to
+/// `median * fast_exp_in_range(sigma * z)`, a branch-free loop LLVM vectorizes.
+/// Because `|z| <= 13.71`, `sigma * z` stays inside `[-700, 700]` whenever
+/// `sigma <= 51`, where [`fast_exp_in_range`] returns [`fast_exp`]'s bits; larger
+/// shapes fall back to [`fast_exp`] itself. The output, and the RNG position after the
+/// call, are bit-identical to drawing `sample_normal_ziggurat` then `fast_exp` one
+/// sample at a time.
 ///
 /// # Panics
 ///
@@ -228,11 +285,20 @@ pub fn fill_lognormals<R: Rng + ?Sized>(
 ) {
     assert!(median > 0.0, "lognormal median must be positive");
     assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
+    let t = zig_tables();
     out.clear();
-    out.reserve(n);
-    for _ in 0..n {
-        let z = sample_normal_ziggurat(rng);
-        out.push(median * fast_exp(sigma * z));
+    out.extend((0..n).map(|_| {
+        let bits: u64 = rng.gen();
+        zig_normal(rng, t, bits)
+    }));
+    if sigma <= IN_RANGE_MAX_SIGMA {
+        for v in out.iter_mut() {
+            *v = median * fast_exp_in_range(sigma * *v);
+        }
+    } else {
+        for v in out.iter_mut() {
+            *v = median * fast_exp(sigma * *v);
+        }
     }
 }
 
@@ -410,6 +476,59 @@ mod tests {
         assert_eq!(batch.len(), 10);
         assert!(batch.iter().all(|x| (*x - 1.0).abs() < 1e-12));
         assert_eq!(batch.capacity(), cap_before, "the buffer must be reused");
+    }
+
+    /// Counts the 64-bit words drawn, to tell which ziggurat path a sample took.
+    struct CountingRng {
+        inner: SmallRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn fill_lognormals_is_bit_identical_to_the_per_sample_loop() {
+        let (mut tails, mut wedges) = (0usize, 0usize);
+        let mut batch = Vec::new();
+        for seed in 0..1_200u64 {
+            let n = 64 + (seed % 7) as usize;
+            for &sigma in &[0.0, 0.05, 0.6, 1.3, 60.0] {
+                // The per-sample loop `fill_lognormals` replaced: one ziggurat normal,
+                // then one `fast_exp`, per sample.
+                let mut reference = CountingRng {
+                    inner: seeded_rng(seed),
+                    words: 0,
+                };
+                let mut expected = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let before = reference.words;
+                    let z = sample_normal_ziggurat(&mut reference);
+                    expected.push(2.5 * fast_exp(sigma * z));
+                    // Only the tail returns |z| >= R; any other sample that drew more
+                    // than one word ran at least one wedge test.
+                    if z.abs() >= ZIG_R {
+                        tails += 1;
+                    } else if reference.words - before > 1 {
+                        wedges += 1;
+                    }
+                }
+                let mut rng = seeded_rng(seed);
+                fill_lognormals(&mut rng, 2.5, sigma, n, &mut batch);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&batch), bits(&expected), "seed {seed} sigma {sigma}");
+                assert_eq!(
+                    rng.state(),
+                    reference.inner.state(),
+                    "seed {seed} sigma {sigma}"
+                );
+            }
+        }
+        assert!(tails > 0 && wedges > 0, "tails {tails} wedges {wedges}");
     }
 
     #[test]
