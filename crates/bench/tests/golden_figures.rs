@@ -8,7 +8,10 @@
 //! pair under Precise and Pliant), `fig6_multi_app` (multi-application co-locations,
 //! which exercise the seed-derived round-robin start pointer) and `fig_load_transient`
 //! (time-varying load profiles). A traced golden pins the full-level decision-event
-//! stream of one two-application Pliant run as JSON Lines.
+//! stream of one two-application Pliant run as JSON Lines. The sweep figures
+//! `fig1_design_space`, `fig7_violins`, `fig8_load_sweep`, `fig9_decision_interval`
+//! and `fig10_breakdown` pin the rest of the suite grids; `fig7` and `fig10` are the
+//! only figures that derive per-cell seeds with `SeedMode::Independent`.
 //!
 //! Exact fleet simulation (the default `FleetApproximation::Exact`) runs the same
 //! replica-weighted fleet code as the clustered approximation, with every weight 1.
@@ -24,8 +27,10 @@
 //! figure struct), regenerate the golden in the same commit:
 //!
 //! ```text
-//! for fig in fig4_dynamic_behavior fig5_aggregate fig6_multi_app fig_load_transient \
-//!            fig_cluster fig_energy fig_failure fig_topology fig_hyperscale; do
+//! for fig in fig1_design_space fig4_dynamic_behavior fig5_aggregate fig6_multi_app \
+//!            fig7_violins fig8_load_sweep fig9_decision_interval fig10_breakdown \
+//!            fig_load_transient fig_cluster fig_energy fig_failure fig_topology \
+//!            fig_hyperscale; do
 //!     cargo run --release -p pliant-bench --bin "$fig" -- --json \
 //!         > "crates/bench/tests/golden/$fig.json"
 //! done
@@ -99,6 +104,34 @@ fn fig5_aggregate_output_is_byte_identical_to_the_golden() {
 #[test]
 fn fig6_multi_app_output_is_byte_identical_to_the_golden() {
     assert_matches_golden(env!("CARGO_BIN_EXE_fig6_multi_app"), "fig6_multi_app");
+}
+
+#[test]
+fn fig1_design_space_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig1_design_space"), "fig1_design_space");
+}
+
+#[test]
+fn fig7_violins_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig7_violins"), "fig7_violins");
+}
+
+#[test]
+fn fig8_load_sweep_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig8_load_sweep"), "fig8_load_sweep");
+}
+
+#[test]
+fn fig9_decision_interval_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(
+        env!("CARGO_BIN_EXE_fig9_decision_interval"),
+        "fig9_decision_interval",
+    );
+}
+
+#[test]
+fn fig10_breakdown_output_is_byte_identical_to_the_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig10_breakdown"), "fig10_breakdown");
 }
 
 #[test]
