@@ -11,10 +11,6 @@
 //!
 //! Flags are hand-parsed through [`flag_value`] and [`parse_flag`]: a value flag
 //! without a value, or with an unparsable one, exits with status 2.
-//!
-//! This crate also provides the harness-side [`ResultSink`] implementations:
-//! [`JsonLinesSink`] (one JSON object per cell, streamable) and [`SummaryTableSink`]
-//! (an aligned text table printed when the suite completes).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,9 +18,7 @@
 use std::io::Write;
 
 use pliant_approx::catalog::AppId;
-use pliant_core::engine::{CellOutcome, ResultSink};
 use pliant_core::experiment::ColocationOutcome;
-use pliant_core::scenario::Scenario;
 use pliant_workloads::service::ServiceId;
 
 /// The four approximate applications Fig. 4 and Fig. 6 focus on, chosen in the paper for
@@ -546,102 +540,12 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// A [`ResultSink`] writing one JSON object per cell (JSON-lines), streamable while the
-/// suite is still running.
-///
-/// Each line has the shape `{"index": …, "scenario": {…}, "outcome": {…}}`, so an
-/// archived suite run can be re-aggregated without re-simulating.
-pub struct JsonLinesSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps a writer (e.g. a locked stdout or a file).
-    pub fn new(out: W) -> Self {
-        JsonLinesSink { out }
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> ResultSink for JsonLinesSink<W> {
-    fn on_result(&mut self, index: usize, scenario: &Scenario, outcome: &ColocationOutcome) {
-        let cell = CellOutcome {
-            index,
-            scenario: scenario.clone(),
-            outcome: outcome.clone(),
-        };
-        let line = serde_json::to_string(&cell).expect("cell outcomes are serializable");
-        writeln!(self.out, "{line}").expect("writing a result line must succeed");
-    }
-
-    fn on_complete(&mut self, _total: usize) {
-        self.out
-            .flush()
-            .expect("flushing the result stream must succeed");
-    }
-}
-
-/// A [`ResultSink`] that accumulates one summary row per cell and prints an aligned table
-/// when the suite completes.
-#[derive(Debug, Default)]
-pub struct SummaryTableSink {
-    rows: Vec<Vec<String>>,
-}
-
-impl SummaryTableSink {
-    /// Creates an empty summary sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The header matching this sink's row shape.
-    pub fn header() -> [&'static str; 7] {
-        [
-            "cell",
-            "policy",
-            "p99/QoS",
-            "violations",
-            "max cores",
-            "mean inacc(%)",
-            "intervals",
-        ]
-    }
-
-    /// Rows collected so far (one per delivered cell).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-}
-
-impl ResultSink for SummaryTableSink {
-    fn on_result(&mut self, _index: usize, scenario: &Scenario, outcome: &ColocationOutcome) {
-        self.rows.push(vec![
-            scenario.describe(),
-            scenario.policy.to_string(),
-            format!("{:.2}", outcome.tail_latency_ratio),
-            format!("{:.0}%", outcome.qos_violation_fraction * 100.0),
-            outcome.max_extra_service_cores.to_string(),
-            format!("{:.1}", outcome.mean_inaccuracy_pct()),
-            outcome.intervals.to_string(),
-        ]);
-    }
-
-    fn on_complete(&mut self, _total: usize) {
-        let header = Self::header();
-        print_table(&header, &self.rows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pliant_core::engine::Engine;
     use pliant_core::policy::PolicyKind;
-    use pliant_core::suite::Suite;
+    use pliant_core::scenario::Scenario;
 
     fn scenario(service: ServiceId, app: AppId, policy: PolicyKind) -> Scenario {
         Scenario::builder(service)
@@ -682,38 +586,5 @@ mod tests {
     fn json_flag_detection() {
         assert!(json_requested(&["--json".to_string()]));
         assert!(!json_requested(&["--full".to_string()]));
-    }
-
-    #[test]
-    fn json_lines_sink_emits_one_parseable_line_per_cell() {
-        let suite = Suite::new(scenario(
-            ServiceId::Memcached,
-            AppId::Canneal,
-            PolicyKind::Pliant,
-        ))
-        .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant]);
-        let mut sink = JsonLinesSink::new(Vec::new());
-        Engine::new().run_suite(&suite, &mut sink);
-        let text = String::from_utf8(sink.into_inner()).expect("utf-8 output");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let cell: CellOutcome = serde_json::from_str(line).expect("parseable cell");
-            assert_eq!(cell.index, i);
-            assert_eq!(
-                cell.outcome.intervals,
-                cell.outcome.trace.get("p99_latency_s").unwrap().len()
-            );
-        }
-    }
-
-    #[test]
-    fn summary_sink_collects_one_row_per_cell() {
-        let suite = Suite::new(scenario(ServiceId::Nginx, AppId::Snp, PolicyKind::Pliant))
-            .sweep_loads([0.5, 0.9]);
-        let mut sink = SummaryTableSink::new();
-        Engine::new().run_suite(&suite, &mut sink);
-        assert_eq!(sink.rows().len(), 2);
-        assert_eq!(sink.rows()[0].len(), SummaryTableSink::header().len());
     }
 }

@@ -1,10 +1,14 @@
-//! Executing cluster scenarios and suites on the core [`Engine`].
+//! Executing cluster scenarios on the core [`Engine`].
 //!
 //! [`ClusterEngineExt`] extends [`pliant_core::engine::Engine`] with fleet execution:
 //! the engine's catalog is shared with every node and its [`ExecMode`] decides how many
 //! worker threads the fleet's node updates fan out over. As everywhere else in this
 //! codebase, parallelism changes wall-clock time, never output — a serial and a parallel
 //! engine produce byte-identical [`ClusterOutcome`]s for the same scenario.
+//!
+//! Fleet suites ([`crate::suite::ClusterSuite`]) run through
+//! [`Engine::run_collect`] like single-node suites: there the engine's workers take
+//! whole fleets, and each fleet steps its nodes serially.
 
 use pliant_core::engine::{Engine, ExecMode};
 use pliant_telemetry::histogram::LatencyHistogram;
@@ -15,7 +19,6 @@ use serde::{Deserialize, Serialize};
 use crate::outcome::{ClusterOutcome, NodeOutcome};
 use crate::scenario::ClusterScenario;
 use crate::sim::{ClusterCheckpoint, ClusterSim, CLUSTER_CHECKPOINT_VERSION};
-use crate::suite::{ClusterCellOutcome, ClusterSuite};
 
 /// Fleet execution on the core [`Engine`]; see the module docs.
 pub trait ClusterEngineExt {
@@ -42,29 +45,11 @@ pub trait ClusterEngineExt {
         scenario: &ClusterScenario,
         level: ObsLevel,
     ) -> (ClusterOutcome, EventLog);
-
-    /// Runs every cell of a cluster suite, returning the outcomes in cell-index order.
-    ///
-    /// Cells execute sequentially; a parallel engine parallelizes *within* each fleet
-    /// (across its nodes). For sweeps of small fleets on many-core machines that
-    /// leaves cores idle — cell-level fan-out across whole fleets is a possible future
-    /// extension, but per-fleet memory (N simulators plus histograms) makes the
-    /// sequential default the predictable choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the suite fails [`ClusterSuite::validate`] or any cell's scenario is
-    /// invalid.
-    fn run_cluster_collect(&self, suite: &ClusterSuite) -> Vec<ClusterCellOutcome>;
 }
 
 impl ClusterEngineExt for Engine {
     fn run_cluster(&self, scenario: &ClusterScenario) -> ClusterOutcome {
-        let threads = match self.mode() {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-        };
-        execute_cluster(scenario, self, threads, ObsLevel::Off).0
+        self.run_cluster_traced(scenario, ObsLevel::Off).0
     }
 
     fn run_cluster_traced(
@@ -72,39 +57,8 @@ impl ClusterEngineExt for Engine {
         scenario: &ClusterScenario,
         level: ObsLevel,
     ) -> (ClusterOutcome, EventLog) {
-        let threads = match self.mode() {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-        };
-        execute_cluster(scenario, self, threads, level)
+        ClusterRun::with_obs(scenario, self, level).finish()
     }
-
-    fn run_cluster_collect(&self, suite: &ClusterSuite) -> Vec<ClusterCellOutcome> {
-        if let Err(e) = suite.validate() {
-            panic!("invalid cluster suite `{}`: {e}", suite.name());
-        }
-        suite
-            .scenarios()
-            .iter()
-            .enumerate()
-            .map(|(index, scenario)| ClusterCellOutcome {
-                index,
-                scenario: scenario.clone(),
-                outcome: self.run_cluster(scenario),
-            })
-            .collect()
-    }
-}
-
-/// Runs one cluster scenario against the engine's catalog with the given node-update
-/// worker count (`0` = one per available core, `1` = serial).
-fn execute_cluster(
-    scenario: &ClusterScenario,
-    engine: &Engine,
-    threads: usize,
-    level: ObsLevel,
-) -> (ClusterOutcome, EventLog) {
-    ClusterRun::with_threads(scenario, engine, threads, level).finish()
 }
 
 /// A cluster execution that can be paused, checkpointed, and resumed.
@@ -185,7 +139,9 @@ impl ClusterRun {
         Self::with_threads(scenario, engine, threads, level)
     }
 
-    fn with_threads(
+    /// Like [`Self::with_obs`], with an explicit node-update worker count (`0` = one
+    /// per available core, `1` = serial).
+    pub(crate) fn with_threads(
         scenario: &ClusterScenario,
         engine: &Engine,
         threads: usize,

@@ -83,7 +83,7 @@ pub use scenario::{
 };
 pub use scheduler::{BatchScheduler, SchedulerKind, SchedulerStats};
 pub use sim::{ClusterCheckpoint, ClusterInterval, ClusterSim, CLUSTER_CHECKPOINT_VERSION};
-pub use suite::{ClusterCellOutcome, ClusterSuite, ClusterSuiteError, ClusterSweepAxis};
+pub use suite::{ClusterSuite, ClusterSweepAxis};
 pub use topology::{Rack, Topology, TopologyConfig, TopologyConfigError};
 
 /// Commonly-used items, re-exported for convenience.
@@ -101,6 +101,6 @@ pub mod prelude {
     };
     pub use crate::scheduler::SchedulerKind;
     pub use crate::sim::{ClusterInterval, ClusterSim};
-    pub use crate::suite::{ClusterCellOutcome, ClusterSuite, ClusterSweepAxis};
+    pub use crate::suite::{ClusterSuite, ClusterSweepAxis};
     pub use crate::topology::{Topology, TopologyConfig};
 }

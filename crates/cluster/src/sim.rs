@@ -411,17 +411,6 @@ impl ClusterSim {
         self.scheduler.pending()
     }
 
-    /// Per-node power states, when an autoscaler is configured.
-    pub fn node_power_states(&self) -> Option<&[NodePowerState]> {
-        self.autoscaler.as_ref().map(|a| a.states())
-    }
-
-    /// Per-instance fault health, when the scenario carries a (non-empty) fault
-    /// profile.
-    pub fn node_health(&self) -> Option<&[NodeHealth]> {
-        self.faults.as_ref().map(|f| f.health.as_slice())
-    }
-
     /// Fault-injection outcome counters so far, when the scenario carries a
     /// (non-empty) fault profile. Availability is computed over the logical fleet and
     /// the intervals advanced so far.

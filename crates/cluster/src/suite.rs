@@ -1,30 +1,63 @@
-//! Composable sweeps over cluster-scenario axes.
+//! Fleet-level sweeps: the cluster axes of the generic [`pliant_core::suite::Suite`].
 //!
-//! A [`ClusterSuite`] is the fleet-level analogue of
-//! [`pliant_core::suite::Suite`]: a base [`ClusterScenario`] plus an ordered list of
-//! sweep axes — node counts, balancer and scheduler policies, per-node runtime
-//! policies, loads, and seeds — expanding into the cartesian grid of all axis values.
-//! Seed handling mirrors the single-node suite exactly:
-//! [`SeedMode::CommonRandomNumbers`] gives paired cells (e.g. a Precise and a Pliant
-//! fleet at the same node count) identical workload randomness, which is what makes the
-//! machines-needed comparison a paired experiment; [`SeedMode::Independent`] derives a
-//! unique deterministic seed per cell.
+//! A [`ClusterSuite`] is a [`Suite`] over a base [`ClusterScenario`], swept by
+//! [`ClusterSweepAxis`] values — node counts, balancer and scheduler policies,
+//! per-node runtime policies, loads, and seeds — and run with
+//! [`Engine::run_collect`](pliant_core::engine::Engine::run_collect), which fans whole
+//! fleets out over the engine's workers while each fleet steps its nodes serially.
+//! Seed handling is the single-node suite's: [`SeedMode::CommonRandomNumbers`] gives
+//! paired cells (e.g. a Precise and a Pliant fleet at the same node count) identical
+//! workload randomness, which is what makes the machines-needed comparison a paired
+//! experiment; [`SeedMode::Independent`] derives a unique deterministic seed per cell.
+//!
+//! [`SeedMode::CommonRandomNumbers`]: pliant_core::suite::SeedMode::CommonRandomNumbers
+//! [`SeedMode::Independent`]: pliant_core::suite::SeedMode::Independent
 
 use serde::{Deserialize, Serialize};
 
+use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
-use pliant_core::suite::SeedMode;
-use pliant_telemetry::rng::derive_seed;
+use pliant_core::suite::{Axis, Suite, SweepScenario};
+use pliant_telemetry::obs::ObsLevel;
 
 use crate::balancer::BalancerKind;
+use crate::engine::ClusterRun;
 use crate::outcome::ClusterOutcome;
-use crate::scenario::ClusterScenario;
+use crate::scenario::{ClusterScenario, ClusterScenarioError};
 use crate::scheduler::SchedulerKind;
+
+/// A base cluster scenario plus sweep axes, expanding into a cartesian grid.
+///
+/// # Example
+///
+/// ```
+/// use pliant_approx::catalog::AppId;
+/// use pliant_cluster::scenario::ClusterScenario;
+/// use pliant_cluster::suite::{ClusterSuite, ClusterSweepAxis};
+/// use pliant_core::engine::Engine;
+/// use pliant_core::policy::PolicyKind;
+/// use pliant_workloads::service::ServiceId;
+///
+/// let base = ClusterScenario::builder(ServiceId::Memcached)
+///     .nodes(2)
+///     .jobs(vec![AppId::Canneal; 4])
+///     .horizon_intervals(20)
+///     .build();
+/// let suite = ClusterSuite::new(base)
+///     .sweep(ClusterSweepAxis::Policies(vec![PolicyKind::Precise, PolicyKind::Pliant]))
+///     .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4]));
+/// assert_eq!(suite.len(), 6);
+/// let cells = Engine::new().parallel().run_collect(&suite);
+/// assert_eq!(cells[5].outcome.nodes, 4);
+/// ```
+pub type ClusterSuite = Suite<ClusterScenario>;
 
 /// One sweep dimension of a [`ClusterSuite`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClusterSweepAxis {
-    /// Vary the fleet size (the axis the machines-needed search minimizes over).
+    /// Vary the fleet size (the axis the machines-needed search minimizes over). The
+    /// base scenario's job list must cover the largest node count
+    /// (`nodes × slots_per_node` jobs), or validation rejects the suite.
     NodeCounts(Vec<usize>),
     /// Vary the load-balancing policy.
     Balancers(Vec<BalancerKind>),
@@ -38,8 +71,8 @@ pub enum ClusterSweepAxis {
     Seeds(Vec<u64>),
 }
 
-impl ClusterSweepAxis {
-    fn len(&self) -> usize {
+impl Axis<ClusterScenario> for ClusterSweepAxis {
+    fn value_count(&self) -> usize {
         match self {
             ClusterSweepAxis::NodeCounts(v) => v.len(),
             ClusterSweepAxis::Balancers(v) => v.len(),
@@ -50,11 +83,6 @@ impl ClusterSweepAxis {
         }
     }
 
-    fn is_seeds(&self) -> bool {
-        matches!(self, ClusterSweepAxis::Seeds(_))
-    }
-
-    /// The scenario knob this axis writes; axes writing the same knob cannot coexist.
     fn knob(&self) -> &'static str {
         match self {
             ClusterSweepAxis::NodeCounts(_) => "nodes",
@@ -66,8 +94,6 @@ impl ClusterSweepAxis {
         }
     }
 
-    /// Applies coordinate `idx` of this axis to a scenario, returning the label
-    /// fragment.
     fn apply(&self, idx: usize, scenario: &mut ClusterScenario) -> String {
         match self {
             ClusterSweepAxis::NodeCounts(v) => {
@@ -99,276 +125,31 @@ impl ClusterSweepAxis {
     }
 }
 
-/// Why a [`ClusterSuite`] failed [`ClusterSuite::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClusterSuiteError {
-    /// An axis has no values (the grid would be empty).
-    EmptyAxis,
-    /// Two axes write the same scenario knob.
-    DuplicateKnob(&'static str),
-    /// A grid cell expands into an invalid scenario (e.g. a node-count value the base
-    /// scenario's job list cannot fill).
-    InvalidCell {
-        /// Index of the first invalid cell.
-        index: usize,
-        /// Why that cell's scenario failed validation.
-        error: crate::scenario::ClusterScenarioError,
-    },
-}
+impl SweepScenario for ClusterScenario {
+    type Axis = ClusterSweepAxis;
+    type Outcome = ClusterOutcome;
+    type Error = ClusterScenarioError;
+    const SEED_SALT: u64 = 0xC1D0_5EED;
+    const DEFAULT_NAME: &'static str = "cluster-suite";
 
-impl std::fmt::Display for ClusterSuiteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterSuiteError::EmptyAxis => f.write_str("sweep axes must not be empty"),
-            ClusterSuiteError::DuplicateKnob(knob) => {
-                write!(f, "two axes sweep the `{knob}` knob")
-            }
-            ClusterSuiteError::InvalidCell { index, error } => {
-                write!(f, "cell {index} expands into an invalid scenario: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClusterSuiteError {}
-
-/// One executed cluster-suite cell: the scenario that was run and what came out.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClusterCellOutcome {
-    /// Cell index within the suite grid.
-    pub index: usize,
-    /// The fully-materialized cluster scenario (including derived seed and label).
-    pub scenario: ClusterScenario,
-    /// The fleet outcome.
-    pub outcome: ClusterOutcome,
-}
-
-/// A base cluster scenario plus sweep axes, expanding into a cartesian grid.
-///
-/// # Example
-///
-/// ```
-/// use pliant_approx::catalog::AppId;
-/// use pliant_cluster::scenario::ClusterScenario;
-/// use pliant_cluster::suite::ClusterSuite;
-/// use pliant_core::policy::PolicyKind;
-/// use pliant_workloads::service::ServiceId;
-///
-/// let base = ClusterScenario::builder(ServiceId::Memcached)
-///     .nodes(2)
-///     .jobs(vec![AppId::Canneal; 4])
-///     .horizon_intervals(20)
-///     .build();
-/// let suite = ClusterSuite::new(base)
-///     .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant])
-///     .sweep_node_counts([2, 3, 4]);
-/// assert_eq!(suite.len(), 6);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ClusterSuite {
-    name: String,
-    base: ClusterScenario,
-    seed_mode: SeedMode,
-    axes: Vec<ClusterSweepAxis>,
-}
-
-// Hand-written (not derived) so duplicate-knob, empty-axis, or invalid-cell archives
-// are rejected at the archive boundary with a descriptive error, not when the engine
-// finally expands the grid. The mirror struct keeps the derived field plumbing.
-impl serde::Deserialize for ClusterSuite {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct ClusterSuiteWire {
-            name: String,
-            base: ClusterScenario,
-            seed_mode: SeedMode,
-            axes: Vec<ClusterSweepAxis>,
-        }
-        let w = ClusterSuiteWire::from_value(value)?;
-        let suite = ClusterSuite {
-            name: w.name,
-            base: w.base,
-            seed_mode: w.seed_mode,
-            axes: w.axes,
-        };
-        suite
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid cluster suite: {e}")))?;
-        Ok(suite)
-    }
-}
-
-impl ClusterSuite {
-    /// Creates a suite with no sweep axes (a single-cell grid of `base`).
-    pub fn new(base: ClusterScenario) -> Self {
-        ClusterSuite {
-            name: "cluster-suite".to_string(),
-            base,
-            seed_mode: SeedMode::CommonRandomNumbers,
-            axes: Vec::new(),
-        }
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.seed
     }
 
-    /// Names the suite (used as the label prefix of every cell).
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
+    fn label_mut(&mut self) -> &mut Option<String> {
+        &mut self.label
     }
 
-    /// Selects how per-cell seeds are derived; see [`SeedMode`].
-    pub fn seed_mode(mut self, mode: SeedMode) -> Self {
-        self.seed_mode = mode;
-        self
+    fn validate(&self) -> Result<(), ClusterScenarioError> {
+        ClusterScenario::validate(self)
     }
 
-    /// Adds a sweep over fleet sizes. The base scenario's job list must cover the
-    /// largest node count (`nodes × slots_per_node` jobs) or [`Self::validate`] — and
-    /// hence the engine — rejects the suite.
-    pub fn sweep_node_counts(self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.push_axis(ClusterSweepAxis::NodeCounts(counts.into_iter().collect()))
-    }
-
-    /// Adds a sweep over load-balancing policies.
-    pub fn sweep_balancers(self, balancers: impl IntoIterator<Item = BalancerKind>) -> Self {
-        self.push_axis(ClusterSweepAxis::Balancers(balancers.into_iter().collect()))
-    }
-
-    /// Adds a sweep over job-placement policies.
-    pub fn sweep_schedulers(self, schedulers: impl IntoIterator<Item = SchedulerKind>) -> Self {
-        self.push_axis(ClusterSweepAxis::Schedulers(
-            schedulers.into_iter().collect(),
-        ))
-    }
-
-    /// Adds a sweep over per-node runtime policies.
-    pub fn sweep_policies(self, policies: impl IntoIterator<Item = PolicyKind>) -> Self {
-        self.push_axis(ClusterSweepAxis::Policies(policies.into_iter().collect()))
-    }
-
-    /// Adds a sweep over average per-node loads.
-    pub fn sweep_avg_loads(self, loads: impl IntoIterator<Item = f64>) -> Self {
-        self.push_axis(ClusterSweepAxis::AvgLoads(loads.into_iter().collect()))
-    }
-
-    /// Adds a sweep over explicit base seeds (replications).
-    pub fn sweep_seeds(self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.push_axis(ClusterSweepAxis::Seeds(seeds.into_iter().collect()))
-    }
-
-    fn push_axis(mut self, axis: ClusterSweepAxis) -> Self {
-        assert!(axis.len() > 0, "sweep axes must not be empty");
-        assert!(
-            !self
-                .axes
-                .iter()
-                .any(|existing| existing.knob() == axis.knob()),
-            "a cluster suite cannot sweep the `{}` knob twice; merge the values into one axis",
-            axis.knob()
-        );
-        self.axes.push(axis);
-        self
-    }
-
-    /// The suite's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The base scenario the sweeps are applied to.
-    pub fn base(&self) -> &ClusterScenario {
-        &self.base
-    }
-
-    /// The sweep axes in application order (earlier axes vary slowest).
-    pub fn axes(&self) -> &[ClusterSweepAxis] {
-        &self.axes
-    }
-
-    /// Number of grid cells (product of axis lengths; 1 with no axes).
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(ClusterSweepAxis::len).product()
-    }
-
-    /// Whether the grid is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Re-checks the invariants the builder methods enforce plus per-cell scenario
-    /// validity (a node-count axis can outgrow the base job list). The engine calls
-    /// this before executing a suite.
-    pub fn validate(&self) -> Result<(), ClusterSuiteError> {
-        let mut knobs: Vec<&'static str> = Vec::with_capacity(self.axes.len());
-        for axis in &self.axes {
-            if axis.len() == 0 {
-                return Err(ClusterSuiteError::EmptyAxis);
-            }
-            let knob = axis.knob();
-            if knobs.contains(&knob) {
-                return Err(ClusterSuiteError::DuplicateKnob(knob));
-            }
-            knobs.push(knob);
-        }
-        for index in 0..self.len() {
-            if let Err(error) = self.scenario_at(index).validate() {
-                return Err(ClusterSuiteError::InvalidCell { index, error });
-            }
-        }
-        Ok(())
-    }
-
-    /// The mixed-radix coordinates of cell `index` (earlier axes vary slowest).
-    fn coords(&self, index: usize) -> Vec<usize> {
-        let mut coords = vec![0; self.axes.len()];
-        let mut rem = index;
-        for (i, axis) in self.axes.iter().enumerate().rev() {
-            coords[i] = rem % axis.len();
-            rem /= axis.len();
-        }
-        coords
-    }
-
-    /// Materializes the scenario of cell `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn scenario_at(&self, index: usize) -> ClusterScenario {
-        assert!(index < self.len(), "cell index {index} out of range");
-        let coords = self.coords(index);
-        let mut scenario = self.base.clone();
-        let mut parts: Vec<String> = Vec::with_capacity(coords.len());
-        for (axis, &c) in self.axes.iter().zip(&coords) {
-            parts.push(axis.apply(c, &mut scenario));
-        }
-        scenario.seed = self.cell_seed(&scenario, &coords);
-        scenario.label = Some(if parts.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}/{}", self.name, parts.join("/"))
-        });
-        scenario
-    }
-
-    /// The seed of the cell at `coords`, mirroring the single-node suite's derivation.
-    fn cell_seed(&self, scenario: &ClusterScenario, coords: &[usize]) -> u64 {
-        match self.seed_mode {
-            SeedMode::CommonRandomNumbers => scenario.seed,
-            SeedMode::Independent => {
-                let mut seed = derive_seed(scenario.seed, 0xC1D0_5EED);
-                for (i, (axis, &c)) in self.axes.iter().zip(coords).enumerate() {
-                    if !axis.is_seeds() {
-                        seed = derive_seed(seed, ((i as u64 + 1) << 32) | c as u64);
-                    }
-                }
-                seed
-            }
-        }
-    }
-
-    /// Materializes every cell in index order.
-    pub fn scenarios(&self) -> Vec<ClusterScenario> {
-        (0..self.len()).map(|i| self.scenario_at(i)).collect()
+    /// Runs the whole fleet on the calling thread: a suite's parallelism is across
+    /// fleets, never within one.
+    fn run_cell(&self, engine: &Engine) -> ClusterOutcome {
+        ClusterRun::with_threads(self, engine, 1, ObsLevel::Off)
+            .finish()
+            .0
     }
 }
 
@@ -376,6 +157,7 @@ impl ClusterSuite {
 mod tests {
     use super::*;
     use pliant_approx::catalog::AppId;
+    use pliant_core::suite::{SeedMode, SuiteError};
     use pliant_workloads::service::ServiceId;
 
     fn base() -> ClusterScenario {
@@ -391,8 +173,11 @@ mod tests {
     fn cartesian_expansion_orders_cells_row_major() {
         let suite = ClusterSuite::new(base())
             .named("grid")
-            .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant])
-            .sweep_node_counts([2, 3, 4]);
+            .sweep(ClusterSweepAxis::Policies(vec![
+                PolicyKind::Precise,
+                PolicyKind::Pliant,
+            ]))
+            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4]));
         assert_eq!(suite.len(), 6);
         let cells = suite.scenarios();
         assert_eq!(cells[0].policy, PolicyKind::Precise);
@@ -405,8 +190,10 @@ mod tests {
 
     #[test]
     fn common_random_numbers_pair_fleet_cells() {
-        let suite =
-            ClusterSuite::new(base()).sweep_policies([PolicyKind::Precise, PolicyKind::Pliant]);
+        let suite = ClusterSuite::new(base()).sweep(ClusterSweepAxis::Policies(vec![
+            PolicyKind::Precise,
+            PolicyKind::Pliant,
+        ]));
         let cells = suite.scenarios();
         assert_eq!(cells[0].seed, 7);
         assert_eq!(cells[1].seed, 7);
@@ -416,9 +203,9 @@ mod tests {
     fn independent_seeds_never_collide() {
         let suite = ClusterSuite::new(base())
             .seed_mode(SeedMode::Independent)
-            .sweep_node_counts([2, 3])
-            .sweep_balancers(BalancerKind::all())
-            .sweep_schedulers(SchedulerKind::all());
+            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]))
+            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()))
+            .sweep(ClusterSweepAxis::Schedulers(SchedulerKind::all().to_vec()));
         let seeds: std::collections::BTreeSet<u64> =
             suite.scenarios().iter().map(|s| s.seed).collect();
         assert_eq!(seeds.len(), suite.len(), "per-cell seeds must be unique");
@@ -426,9 +213,9 @@ mod tests {
 
     #[test]
     fn node_counts_beyond_the_job_list_fail_validation() {
-        let suite = ClusterSuite::new(base()).sweep_node_counts([2, 40]);
+        let suite = ClusterSuite::new(base()).sweep(ClusterSweepAxis::NodeCounts(vec![2, 40]));
         match suite.validate() {
-            Err(ClusterSuiteError::InvalidCell { index: 1, error }) => {
+            Err(SuiteError::InvalidCell { index: 1, error }) => {
                 assert!(matches!(
                     error,
                     crate::scenario::ClusterScenarioError::NotEnoughJobs { .. }
@@ -442,8 +229,8 @@ mod tests {
     #[should_panic(expected = "cannot sweep the `balancer` knob twice")]
     fn duplicate_axes_are_rejected() {
         let _ = ClusterSuite::new(base())
-            .sweep_balancers([BalancerKind::RoundRobin])
-            .sweep_balancers(BalancerKind::all());
+            .sweep(ClusterSweepAxis::Balancers(vec![BalancerKind::RoundRobin]))
+            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()));
     }
 
     #[test]
@@ -451,8 +238,8 @@ mod tests {
         let suite = ClusterSuite::new(base())
             .named("rt")
             .seed_mode(SeedMode::Independent)
-            .sweep_avg_loads([0.5, 0.8])
-            .sweep_seeds([1, 2]);
+            .sweep(ClusterSweepAxis::AvgLoads(vec![0.5, 0.8]))
+            .sweep(ClusterSweepAxis::Seeds(vec![1, 2]));
         let json = serde_json::to_string(&suite).expect("serializable");
         let back: ClusterSuite = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, suite);
@@ -474,7 +261,7 @@ mod tests {
             .build();
         let suite = ClusterSuite::new(clustered_base)
             .named("approx-rt")
-            .sweep_node_counts([2, 3]);
+            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]));
         let json = serde_json::to_string(&suite).expect("serializable");
         let back: ClusterSuite = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, suite);
@@ -524,5 +311,48 @@ mod tests {
             msg.contains("at least one representative"),
             "unexpected error message: {msg}"
         );
+    }
+
+    fn pinned_suite() -> ClusterSuite {
+        ClusterSuite::new(base())
+            .named("pin")
+            .seed_mode(SeedMode::Independent)
+            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]))
+            .sweep(ClusterSweepAxis::Balancers(vec![
+                BalancerKind::RoundRobin,
+                BalancerKind::LeastLoaded,
+            ]))
+    }
+
+    #[test]
+    fn suite_wire_format_is_pinned() {
+        // Captured while fleet suites still had their own implementation: the generic
+        // suite must write and read the same archive bytes.
+        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"nodes":2,"service":"Nginx","policy":"pliant","balancer":"least-loaded","scheduler":"first-fit","jobs":["Canneal","Canneal","Canneal","Canneal","Canneal","Canneal"],"slots_per_node":1,"avg_node_load":0.75,"load_profile":null,"decision_interval_s":1.0,"slack_threshold":0.1,"consecutive_slack_required":2,"horizon":{"Intervals":15},"warmup_intervals":5,"qos_target_s":null,"autoscaler":null,"approximation":"Exact","seed":7},"seed_mode":"Independent","axes":[{"NodeCounts":[2,3]},{"Balancers":["round-robin","least-loaded"]}]}"#;
+        let suite = pinned_suite();
+        assert_eq!(serde_json::to_string(&suite).expect("serializable"), PINNED);
+        let back: ClusterSuite = serde_json::from_str(PINNED).expect("deserializable");
+        assert_eq!(back, suite);
+    }
+
+    #[test]
+    fn independent_fleet_seeds_are_pinned() {
+        // No figure golden covers fleet suites in Independent mode, so pin the derived
+        // seeds (fleet salt, two coordinate axes) captured from the original derivation.
+        let cells: Vec<(u64, String)> = pinned_suite()
+            .scenarios()
+            .into_iter()
+            .map(|s| (s.seed, s.label.expect("suites label every cell")))
+            .collect();
+        let expected = [
+            (6531731496540709764, "pin/nodes=2/round-robin"),
+            (4356111305606929025, "pin/nodes=2/least-loaded"),
+            (13690443037434887891, "pin/nodes=3/round-robin"),
+            (8405753463952676410, "pin/nodes=3/least-loaded"),
+        ];
+        assert_eq!(cells.len(), expected.len());
+        for ((seed, label), (want_seed, want_label)) in cells.iter().zip(expected) {
+            assert_eq!((*seed, label.as_str()), (want_seed, want_label));
+        }
     }
 }

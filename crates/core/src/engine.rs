@@ -2,19 +2,19 @@
 //!
 //! The [`Engine`] is the single place a [`Scenario`] is turned into a
 //! [`ColocationOutcome`]: it owns the application [`Catalog`] (built once and shared
-//! across every run) and an execution mode. Suites stream their results through a
-//! pluggable [`ResultSink`]; results are always delivered in cell-index order, so a sink
-//! observes the exact same sequence whether the engine runs serially or on a thread pool —
-//! parallelism changes wall-clock time, never output.
+//! across every run) and an execution mode. [`Engine::run_collect`] runs every cell of
+//! a [`Suite`] of any [`SweepScenario`] type — single nodes here, whole fleets in
+//! `pliant_cluster` — and returns the cells in index order, so the result is the same
+//! whether the engine runs serially or on worker threads: parallelism changes
+//! wall-clock time, never output.
 //!
 //! Each scenario derives all of its randomness from its own seed, so the grid cells are
 //! embarrassingly parallel; the parallel mode fans cells out over `std::thread::scope`
-//! workers pulling from an atomic work queue.
+//! workers pulling from an atomic work queue. A worker's panic reaches the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use pliant_approx::catalog::Catalog;
 use pliant_sim::colocation::ColocationConfig;
@@ -27,7 +27,7 @@ use crate::controller::ControllerConfig;
 use crate::experiment::{AppOutcome, ColocationOutcome, PhaseQosStats};
 use crate::runtime::NodeRuntime;
 use crate::scenario::Scenario;
-use crate::suite::Suite;
+use crate::suite::{field, Suite, SweepScenario};
 
 /// How an [`Engine`] schedules the cells of a suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,55 +35,43 @@ pub enum ExecMode {
     /// Run cells one after another on the calling thread.
     Serial,
     /// Fan cells out over worker threads (`threads == 0` means one worker per available
-    /// core). Results are still delivered to the sink in cell-index order.
+    /// core). Results are still returned in cell-index order.
     Parallel {
         /// Worker-thread count; 0 = auto-detect.
         threads: usize,
     },
 }
 
-/// Receives suite results as they complete, in deterministic cell-index order.
-pub trait ResultSink {
-    /// Called once per cell with the cell index, the materialized scenario, and its
-    /// outcome.
-    fn on_result(&mut self, index: usize, scenario: &Scenario, outcome: &ColocationOutcome);
-
-    /// Called once after every cell has been delivered.
-    fn on_complete(&mut self, _total: usize) {}
-}
-
-/// One executed suite cell: the scenario that was run and what came out.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellOutcome {
+/// One executed suite cell: the scenario that was run and what came out. Serialized, a
+/// cell reads `{"index": …, "scenario": {…}, "outcome": {…}}`, so a suite run archived
+/// one cell per JSON line can be re-aggregated without re-simulating.
+#[derive(Debug, Clone)]
+pub struct CellOutcome<S: SweepScenario = Scenario> {
     /// Cell index within the suite grid.
     pub index: usize,
     /// The fully-materialized scenario (including derived seed and label).
-    pub scenario: Scenario,
-    /// The experiment outcome.
-    pub outcome: ColocationOutcome,
+    pub scenario: S,
+    /// What the run produced.
+    pub outcome: S::Outcome,
 }
 
-/// In-memory [`ResultSink`] collecting every cell outcome.
-#[derive(Debug, Default)]
-pub struct Collector {
-    /// Collected results in cell-index order.
-    pub results: Vec<CellOutcome>,
-}
-
-impl Collector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
+impl<S: SweepScenario> Serialize for CellOutcome<S> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("index".to_string(), self.index.to_value()),
+            ("scenario".to_string(), self.scenario.to_value()),
+            ("outcome".to_string(), self.outcome.to_value()),
+        ])
     }
 }
 
-impl ResultSink for Collector {
-    fn on_result(&mut self, index: usize, scenario: &Scenario, outcome: &ColocationOutcome) {
-        self.results.push(CellOutcome {
-            index,
-            scenario: scenario.clone(),
-            outcome: outcome.clone(),
-        });
+impl<S: SweepScenario> Deserialize for CellOutcome<S> {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        Ok(CellOutcome {
+            index: usize::from_value(field(value, "CellOutcome", "index")?)?,
+            scenario: S::from_value(field(value, "CellOutcome", "scenario")?)?,
+            outcome: S::Outcome::from_value(field(value, "CellOutcome", "outcome")?)?,
+        })
     }
 }
 
@@ -162,115 +150,60 @@ impl Engine {
         execute_scenario_traced(scenario, &self.catalog, level)
     }
 
-    /// Runs every cell of a suite, streaming outcomes into `sink` in cell-index order.
+    /// Runs every cell of a suite and returns the outcomes in cell-index order.
+    ///
+    /// The cells are materialized and validated once, before any of them runs; in
+    /// parallel mode they then fan out over the engine's workers, one whole cell (a
+    /// node run, or a fleet stepping its nodes serially) per worker at a time.
     ///
     /// # Panics
     ///
-    /// Panics if the suite violates its builder invariants (possible only for suites
-    /// deserialized from an archive; see [`Suite::validate`]) or a cell's scenario is
-    /// invalid.
-    pub fn run_suite(&self, suite: &Suite, sink: &mut dyn ResultSink) {
-        if let Err(e) = suite.validate() {
-            panic!("invalid suite `{}`: {e}", suite.name());
-        }
-        let scenarios = suite.scenarios();
-        match self.mode {
-            ExecMode::Serial => {
-                for (i, scenario) in scenarios.iter().enumerate() {
-                    let outcome = execute_scenario(scenario, &self.catalog);
-                    sink.on_result(i, scenario, &outcome);
-                }
+    /// Panics if the suite fails [`Suite::validate`] (possible only for a suite whose
+    /// sweep values expand into a cell that cannot run), or re-raises the panic of a
+    /// cell that fails while running.
+    pub fn run_collect<S: SweepScenario>(&self, suite: &Suite<S>) -> Vec<CellOutcome<S>> {
+        let scenarios = suite
+            .checked_scenarios()
+            .unwrap_or_else(|e| panic!("invalid suite `{}`: {e}", suite.name()));
+        let run = |index: usize| CellOutcome {
+            index,
+            scenario: scenarios[index].clone(),
+            outcome: scenarios[index].run_cell(self),
+        };
+        let workers = match self.mode {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel { threads: 0 } => {
+                std::thread::available_parallelism().map_or(1, |p| p.get())
             }
-            ExecMode::Parallel { threads } => {
-                self.run_parallel(&scenarios, threads, sink);
-            }
+            ExecMode::Parallel { threads } => threads,
         }
-        sink.on_complete(scenarios.len());
-    }
-
-    /// Runs a suite and returns every cell outcome (convenience over a [`Collector`]).
-    pub fn run_collect(&self, suite: &Suite) -> Vec<CellOutcome> {
-        let mut collector = Collector::new();
-        self.run_suite(suite, &mut collector);
-        collector.results
-    }
-
-    fn run_parallel(&self, scenarios: &[Scenario], threads: usize, sink: &mut dyn ResultSink) {
-        let n = scenarios.len();
-        if n == 0 {
-            return;
+        .min(scenarios.len());
+        if workers <= 1 {
+            return (0..scenarios.len()).map(run).collect();
         }
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(n)
-        .max(1);
-
         let next = AtomicUsize::new(0);
-        // Each slot holds the cell's outcome or the payload of a panicking worker; the
-        // delivery loop re-raises the first panic on the calling thread so a failing
-        // scenario behaves the same in parallel mode as in serial mode (it must not
-        // leave the delivery loop waiting on a slot that will never fill).
-        type Slot = std::thread::Result<ColocationOutcome>;
-        let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..n).map(|_| None).collect());
-        let ready = Condvar::new();
-        let catalog = &self.catalog;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        execute_scenario(&scenarios[i], catalog)
-                    }));
-                    let died = result.is_err();
-                    // pliant-lint: allow(panic-hygiene): cell panics are captured by
-                    // catch_unwind above and the lock only guards plain assignments,
-                    // so the mutex cannot be poisoned.
-                    let mut slots = slots.lock().expect("engine result slots poisoned");
-                    slots[i] = Some(result);
-                    drop(slots);
-                    ready.notify_all();
-                    if died {
-                        break;
-                    }
-                });
-            }
-
-            // Deliver completed cells to the sink in index order as they become ready.
-            let mut delivered = 0;
-            // pliant-lint: allow(panic-hygiene): see above — workers cannot poison it.
-            let mut guard = slots.lock().expect("engine result slots poisoned");
-            while delivered < n {
-                match guard[delivered].take() {
-                    Some(Ok(outcome)) => {
-                        drop(guard);
-                        sink.on_result(delivered, &scenarios[delivered], &outcome);
-                        delivered += 1;
-                        // pliant-lint: allow(panic-hygiene): see above — unpoisonable.
-                        guard = slots.lock().expect("engine result slots poisoned");
-                    }
-                    Some(Err(panic_payload)) => {
-                        drop(guard);
-                        // Stop handing out further cells, then re-raise once the
-                        // in-flight workers drain (thread::scope joins them).
-                        next.store(n, Ordering::Relaxed);
-                        std::panic::resume_unwind(panic_payload);
-                    }
-                    None => {
-                        // pliant-lint: allow(panic-hygiene): see above — unpoisonable.
-                        guard = ready.wait(guard).expect("engine result slots poisoned");
-                    }
-                }
-            }
+        let mut cells: Vec<CellOutcome<S>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut cells = Vec::new();
+                        loop {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            if index >= scenarios.len() {
+                                break cells;
+                            }
+                            cells.push(run(index));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
+        cells.sort_unstable_by_key(|cell| cell.index);
+        cells
     }
 }
 
@@ -531,29 +464,39 @@ mod tests {
 
     #[test]
     fn results_arrive_in_cell_index_order() {
-        struct OrderCheck {
-            next: usize,
-            completed: Option<usize>,
-        }
-        impl ResultSink for OrderCheck {
-            fn on_result(&mut self, index: usize, _s: &Scenario, _o: &ColocationOutcome) {
-                assert_eq!(index, self.next, "results must stream in cell order");
-                self.next += 1;
-            }
-            fn on_complete(&mut self, total: usize) {
-                self.completed = Some(total);
-            }
-        }
         let suite = small_suite();
-        let mut sink = OrderCheck {
-            next: 0,
-            completed: None,
-        };
-        Engine::new()
-            .parallel_threads(3)
-            .run_suite(&suite, &mut sink);
-        assert_eq!(sink.completed, Some(suite.len()));
-        assert_eq!(sink.next, suite.len());
+        let cells = Engine::new().parallel_threads(3).run_collect(&suite);
+        assert_eq!(cells.len(), suite.len());
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(cell.index, i, "results must come back in cell order");
+            assert_eq!(cell.scenario, suite.scenario_at(i));
+        }
+    }
+
+    #[test]
+    fn cells_archive_as_one_parseable_json_line_each() {
+        let suite = small_suite();
+        let cells = Engine::new().run_collect(&suite);
+        let archive: String = cells
+            .iter()
+            .map(|cell| serde_json::to_string(cell).expect("serializable") + "\n")
+            .collect();
+        let lines: Vec<&str> = archive.lines().collect();
+        assert_eq!(lines.len(), suite.len());
+        for (line, cell) in lines.iter().zip(&cells) {
+            let back: CellOutcome = serde_json::from_str(line).expect("parseable cell");
+            assert_eq!(back.index, cell.index);
+            assert_eq!(back.scenario, cell.scenario);
+            assert_eq!(
+                back.outcome.intervals,
+                back.outcome
+                    .trace
+                    .get("p99_latency_s")
+                    .expect("p99 series")
+                    .len()
+            );
+            assert_eq!(serde_json::to_string(&back).expect("serializable"), *line);
+        }
     }
 
     #[test]
@@ -570,19 +513,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "missing from catalog")]
     fn parallel_worker_panic_propagates_instead_of_deadlocking() {
         // An engine whose catalog is missing the scenario's app panics during execution;
-        // in parallel mode that panic must reach the caller (not hang the delivery loop).
+        // in parallel mode that panic must reach the caller with its own message.
         let empty = Catalog::from_profiles(Vec::new());
         let suite = small_suite();
         let engine = Engine::new().with_catalog(empty).parallel_threads(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_collect(&suite);
-        }));
-        assert!(
-            result.is_err(),
-            "the worker panic must propagate to the caller"
-        );
+        engine.run_collect(&suite);
     }
 
     #[test]

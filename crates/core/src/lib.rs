@@ -24,9 +24,11 @@
 //!   with the fluent [`scenario::ScenarioBuilder`].
 //! * [`suite`] — composable sweeps (loads, intervals, policies, seeds, services,
 //!   application mixes) expanding into cartesian grids of scenarios with deterministic
-//!   per-cell seeds.
-//! * [`engine`] — executes scenarios and suites serially or on a thread pool, streaming
-//!   results through pluggable [`engine::ResultSink`]s in deterministic order.
+//!   per-cell seeds; generic over the [`suite::SweepScenario`], so fleet suites share
+//!   it.
+//! * [`engine`] — executes scenarios and suites serially or on worker threads;
+//!   [`engine::Engine::run_collect`] returns a suite's cells in index order either
+//!   way.
 //! * [`experiment`] — the outcome types every scenario run produces, and the Fig. 10
 //!   effort classification.
 //!
@@ -73,11 +75,11 @@ pub mod suite;
 
 pub use actuator::{Action, Actuator};
 pub use controller::{ControllerConfig, PliantController};
-pub use engine::{CellOutcome, Collector, Engine, ExecMode, ResultSink};
+pub use engine::{CellOutcome, Engine, ExecMode};
 pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};
 pub use multi::MultiAppController;
 pub use policy::{Policy, PolicyKind, PrecisePolicy};
 pub use runtime::NodeRuntime;
 pub use scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
-pub use suite::{SeedMode, Suite, SuiteError, SweepAxis};
+pub use suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};

@@ -303,16 +303,6 @@ impl PerformanceMonitor {
             no_signal: false,
         }
     }
-
-    /// The histogram of the most recently observed interval's subsample, in
-    /// microseconds.
-    ///
-    /// Shares bucket layout and unit with the cluster layer's fleet histograms, so
-    /// per-interval monitor histograms can be merged exactly into fleet-level quantiles
-    /// (see [`LatencyHistogram::try_merge`]).
-    pub fn interval_histogram(&self) -> &LatencyHistogram {
-        &self.hist
-    }
 }
 
 #[cfg(test)]
@@ -440,30 +430,6 @@ mod tests {
         let report = monitor.observe_interval(&[f64::NAN, 0.002, f64::INFINITY, 0.003]);
         assert!(report.p99_s.is_finite());
         assert!(report.mean_s.is_finite());
-    }
-
-    #[test]
-    fn interval_histogram_is_reused_and_merge_compatible() {
-        use pliant_telemetry::histogram::LatencyHistogram;
-        let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 4);
-        let busy = synthetic_interval(0.003, 0.3, 5_000, 9);
-        let r1 = monitor.observe_interval(&busy);
-        assert_eq!(monitor.interval_histogram().count(), r1.sampled);
-        // The same (reset, not reallocated) histogram serves the next interval.
-        let r2 = monitor.observe_interval(&busy);
-        assert_eq!(monitor.interval_histogram().count(), r2.sampled);
-        // Exact-merge compatibility with fleet aggregation: same layout, same unit.
-        let mut fleet = LatencyHistogram::new();
-        fleet
-            .try_merge(monitor.interval_histogram())
-            .expect("monitor histograms must merge into fleet histograms");
-        assert_eq!(fleet.count(), r2.sampled);
-        assert_eq!(fleet.p99() / 1e6, r2.p99_s);
-        // A no-signal interval ingested nothing, so the interval histogram must read
-        // empty — per-interval merging must not double-count the last busy interval.
-        let idle = monitor.observe_interval(&[]);
-        assert!(idle.no_signal);
-        assert!(monitor.interval_histogram().is_empty());
     }
 
     /// The skip-sampling loop the chunked walk replaced: one uniform and one gap per

@@ -42,14 +42,6 @@ impl Horizon {
             Horizon::Seconds(s) => ((s / dt_s).ceil() as usize).max(1),
         }
     }
-
-    /// The simulated wall-clock budget in seconds at interval length `dt_s`.
-    pub fn wall_clock_s(&self, dt_s: f64) -> f64 {
-        match *self {
-            Horizon::Intervals(n) => n.max(1) as f64 * dt_s,
-            Horizon::Seconds(s) => s,
-        }
-    }
 }
 
 /// A complete, serializable description of one co-location experiment.
@@ -597,10 +589,8 @@ mod tests {
         assert_eq!(h.max_intervals(1.0), 60);
         assert_eq!(h.max_intervals(8.0), 8);
         assert_eq!(h.max_intervals(0.2), 300);
-        assert_eq!(h.wall_clock_s(8.0), 60.0);
         let fixed = Horizon::Intervals(60);
         assert_eq!(fixed.max_intervals(8.0), 60);
-        assert_eq!(fixed.wall_clock_s(8.0), 480.0);
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Composable sweeps over scenario axes.
+//! Composable sweeps over scenario axes, for single nodes and fleets alike.
 //!
-//! A [`Suite`] is a base [`Scenario`] plus an ordered list of sweep axes (loads, decision
-//! intervals, policies, seeds, services, application sets). The suite expands into the
-//! cartesian grid of all axis values; each grid cell is a fully-specified scenario with a
-//! deterministic seed and a generated label, ready for the [`crate::engine::Engine`] to
-//! execute serially or in parallel.
+//! A [`Suite`] is a base scenario plus an ordered list of sweep axes. The suite expands
+//! into the cartesian grid of all axis values; each grid cell is a fully-specified
+//! scenario with a deterministic seed and a generated label, ready for
+//! [`crate::engine::Engine::run_collect`] to execute serially or in parallel.
+//!
+//! The suite is generic over the [`SweepScenario`] it sweeps: [`Scenario`] (one node,
+//! swept by [`SweepAxis`]) here, and the fleet-level `ClusterScenario` in
+//! `pliant_cluster`. Grid expansion, seed derivation, labels, validation and the
+//! archive format exist once for both.
 //!
 //! # Seed derivation
 //!
@@ -15,25 +19,66 @@
 //!   vs Pliant at the same load — then see *identical* arrival and service-time
 //!   randomness, which is the classic variance-reduction technique for A/B comparisons
 //!   and matches how the legacy free-function drivers behaved.
-//! * [`SeedMode::Independent`]: every cell's seed is derived from the base seed and the
-//!   cell's sweep coordinates through the SplitMix64 finalizer chain, so no two cells
-//!   share an RNG stream — the right mode when aggregating across cells as if they were
-//!   independent experiments.
+//! * [`SeedMode::Independent`]: every cell's seed is derived from the base seed, the
+//!   scenario type's [`SweepScenario::SEED_SALT`] and the cell's sweep coordinates
+//!   through the SplitMix64 finalizer chain, so no two cells share an RNG stream — the
+//!   right mode when aggregating across cells as if they were independent experiments.
 //!
 //! Both modes are fully deterministic: the same suite always expands to the same
 //! scenarios with the same seeds.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
+
+use serde::{Deserialize, Serialize, Value};
 
 use pliant_approx::catalog::AppId;
 use pliant_telemetry::rng::derive_seed;
 use pliant_workloads::profile::LoadProfile;
 use pliant_workloads::service::ServiceId;
 
+use crate::engine::Engine;
+use crate::experiment::ColocationOutcome;
 use crate::policy::PolicyKind;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioError};
 
-/// One sweep dimension of a [`Suite`].
+/// A scenario type a [`Suite`] can sweep and an [`Engine`] can run cell by cell.
+pub trait SweepScenario: Clone + Serialize + Deserialize + Send + Sync {
+    /// One sweep dimension over this scenario's knobs.
+    type Axis: Axis<Self>;
+    /// What running one cell produces.
+    type Outcome: Serialize + Deserialize + Send;
+    /// Why a cell's scenario cannot run.
+    type Error: fmt::Display;
+    /// Salt of the [`SeedMode::Independent`] derivation; distinct per scenario type.
+    const SEED_SALT: u64;
+    /// The name of a suite that was never [`Suite::named`].
+    const DEFAULT_NAME: &'static str;
+    /// The seed the suite derives per cell.
+    fn seed_mut(&mut self) -> &mut u64;
+    /// The label the suite writes per cell.
+    fn label_mut(&mut self) -> &mut Option<String>;
+    /// Checks that the scenario can run.
+    fn validate(&self) -> Result<(), Self::Error>;
+    /// Runs the scenario on `engine`'s catalog. Suites fan cells out across the
+    /// engine's workers, so a cell itself runs on one thread.
+    fn run_cell(&self, engine: &Engine) -> Self::Outcome;
+}
+
+/// One sweep dimension of a [`Suite`] over scenario type `S`: a list of values for one
+/// scenario knob.
+pub trait Axis<S>: Serialize + Deserialize {
+    /// Number of values.
+    fn value_count(&self) -> usize;
+    /// The scenario knob this axis writes. Axes writing the same knob cannot coexist in
+    /// one suite (the later one would silently overwrite the earlier in every cell).
+    /// The knob `"seed"` marks the replication axis, which
+    /// [`SeedMode::Independent`] leaves out of the coordinate hash.
+    fn knob(&self) -> &'static str;
+    /// Applies value `idx` to `scenario`, returning the label fragment.
+    fn apply(&self, idx: usize, scenario: &mut S) -> String;
+}
+
+/// One sweep dimension of a single-node [`Suite`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SweepAxis {
     /// Vary the interactive service.
@@ -55,8 +100,8 @@ pub enum SweepAxis {
     Seeds(Vec<u64>),
 }
 
-impl SweepAxis {
-    fn len(&self) -> usize {
+impl Axis<Scenario> for SweepAxis {
+    fn value_count(&self) -> usize {
         match self {
             SweepAxis::Services(v) => v.len(),
             SweepAxis::AppSets(v) => v.len(),
@@ -68,12 +113,6 @@ impl SweepAxis {
         }
     }
 
-    fn is_seeds(&self) -> bool {
-        matches!(self, SweepAxis::Seeds(_))
-    }
-
-    /// The scenario knob this axis writes. Axes writing the same knob cannot coexist in
-    /// one suite (the later one would silently overwrite the earlier in every cell).
     fn knob(&self) -> &'static str {
         match self {
             SweepAxis::Services(_) => "service",
@@ -85,7 +124,6 @@ impl SweepAxis {
         }
     }
 
-    /// Applies coordinate `idx` of this axis to a scenario, returning the label fragment.
     fn apply(&self, idx: usize, scenario: &mut Scenario) -> String {
         match self {
             SweepAxis::Services(v) => {
@@ -122,35 +160,73 @@ impl SweepAxis {
     }
 }
 
+impl SweepScenario for Scenario {
+    type Axis = SweepAxis;
+    type Outcome = ColocationOutcome;
+    type Error = ScenarioError;
+    const SEED_SALT: u64 = 0x1D0_5EED;
+    const DEFAULT_NAME: &'static str = "suite";
+
+    fn seed_mut(&mut self) -> &mut u64 {
+        &mut self.seed
+    }
+
+    fn label_mut(&mut self) -> &mut Option<String> {
+        &mut self.label
+    }
+
+    fn validate(&self) -> Result<(), ScenarioError> {
+        Scenario::validate(self)
+    }
+
+    fn run_cell(&self, engine: &Engine) -> ColocationOutcome {
+        // Retain a copy, not the run's own outcome. The copy is allocated after the
+        // run's scratch buffers are freed, so retained cells pack together instead of
+        // pinning the holes those buffers leave, and its trace series hold their length
+        // rather than the `horizon` capacity they were reserved at (cells that stop
+        // when their apps finish use about half). Keeping the originals raised a
+        // 1,152-cell suite's peak RSS by 40%; the copy costs no measurable run time.
+        engine.run_scenario(self).clone()
+    }
+}
+
 /// Why a [`Suite`] failed [`Suite::validate`].
 ///
-/// The builder methods enforce these invariants at construction, but suites are plain
-/// serde data: an archived or hand-edited suite can violate them, so the engine
-/// re-checks before executing.
+/// The builder methods enforce the axis invariants at construction, but suites are
+/// plain serde data: an archived or hand-edited suite can violate them, and any sweep
+/// value can expand into a cell that cannot run. Deserialization and the engine both
+/// check every cell before anything runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuiteError {
+pub enum SuiteError<E = ScenarioError> {
     /// An axis has no values (the grid would be empty).
     EmptyAxis,
     /// Two axes write the same scenario knob; the later one would silently overwrite
     /// the earlier in every cell while labels still claim the full grid.
     DuplicateKnob(&'static str),
-    /// A swept load profile fails its own validation.
-    InvalidLoadProfile(pliant_workloads::profile::LoadProfileError),
+    /// A grid cell expands into a scenario that fails its own validation.
+    InvalidCell {
+        /// Index of the first invalid cell.
+        index: usize,
+        /// Why that cell's scenario failed validation.
+        error: E,
+    },
 }
 
-impl std::fmt::Display for SuiteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<E: fmt::Display> fmt::Display for SuiteError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SuiteError::EmptyAxis => f.write_str("sweep axes must not be empty"),
             SuiteError::DuplicateKnob(knob) => {
                 write!(f, "two axes sweep the `{knob}` knob")
             }
-            SuiteError::InvalidLoadProfile(e) => write!(f, "invalid load profile: {e}"),
+            SuiteError::InvalidCell { index, error } => {
+                write!(f, "cell {index} expands into an invalid scenario: {error}")
+            }
         }
     }
 }
 
-impl std::error::Error for SuiteError {}
+impl<E: fmt::Debug + fmt::Display> std::error::Error for SuiteError<E> {}
 
 /// How a [`Suite`] assigns seeds to grid cells; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,32 +263,45 @@ pub enum SeedMode {
 /// assert_eq!(cells[0].policy, PolicyKind::Precise);
 /// assert_eq!(cells[0].load_fraction, 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Suite {
+#[derive(Debug, Clone, PartialEq)]
+pub struct Suite<S: SweepScenario = Scenario> {
     name: String,
-    base: Scenario,
+    base: S,
     seed_mode: SeedMode,
-    axes: Vec<SweepAxis>,
+    axes: Vec<S::Axis>,
 }
 
-// Hand-written (not derived) so duplicate-knob or empty-axis archives are rejected at
-// the archive boundary with a descriptive error, not when the engine finally runs the
-// silently-masked grid. The mirror struct keeps the derived field plumbing.
-impl serde::Deserialize for Suite {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct SuiteWire {
-            name: String,
-            base: Scenario,
-            seed_mode: SeedMode,
-            axes: Vec<SweepAxis>,
-        }
-        let w = SuiteWire::from_value(value)?;
+/// The field `key` of the object `value`, for the hand-written generic serde impls.
+pub(crate) fn field<'a>(value: &'a Value, ty: &str, key: &str) -> Result<&'a Value, serde::Error> {
+    if value.as_object().is_none() {
+        return Err(serde::Error::unexpected(ty, value));
+    }
+    value
+        .get(key)
+        .ok_or_else(|| serde::Error::missing_field(ty, key))
+}
+
+impl<S: SweepScenario> Serialize for Suite<S> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("base".to_string(), self.base.to_value()),
+            ("seed_mode".to_string(), self.seed_mode.to_value()),
+            ("axes".to_string(), self.axes.to_value()),
+        ])
+    }
+}
+
+// Hand-written (the derive does not cover generics) so that every archive is validated
+// at the boundary: an empty axis, a duplicated knob or a cell that cannot run is
+// rejected with a descriptive error, not when the engine reaches it.
+impl<S: SweepScenario> Deserialize for Suite<S> {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let suite = Suite {
-            name: w.name,
-            base: w.base,
-            seed_mode: w.seed_mode,
-            axes: w.axes,
+            name: String::from_value(field(value, "Suite", "name")?)?,
+            base: S::from_value(field(value, "Suite", "base")?)?,
+            seed_mode: SeedMode::from_value(field(value, "Suite", "seed_mode")?)?,
+            axes: Vec::from_value(field(value, "Suite", "axes")?)?,
         };
         suite
             .validate()
@@ -221,11 +310,11 @@ impl serde::Deserialize for Suite {
     }
 }
 
-impl Suite {
+impl<S: SweepScenario> Suite<S> {
     /// Creates a suite with no sweep axes (a single-cell grid of `base`).
-    pub fn new(base: Scenario) -> Self {
+    pub fn new(base: S) -> Self {
         Suite {
-            name: "suite".to_string(),
+            name: S::DEFAULT_NAME.to_string(),
             base,
             seed_mode: SeedMode::CommonRandomNumbers,
             axes: Vec::new(),
@@ -244,31 +333,147 @@ impl Suite {
         self
     }
 
+    /// Adds a sweep axis; earlier axes vary slowest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the axis is empty or sweeps a knob an earlier axis already sweeps.
+    /// (Constant loads and load profiles share one knob — fold constant loads into the
+    /// profile axis as `LoadProfile::constant(...)` cells instead.)
+    pub fn sweep(mut self, axis: S::Axis) -> Self {
+        assert!(axis.value_count() > 0, "sweep axes must not be empty");
+        assert!(
+            !self.axes.iter().any(|a| a.knob() == axis.knob()),
+            "a suite cannot sweep the `{}` knob twice; merge the values into one axis",
+            axis.knob()
+        );
+        self.axes.push(axis);
+        self
+    }
+
+    /// The suite's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The base scenario the sweeps are applied to.
+    pub fn base(&self) -> &S {
+        &self.base
+    }
+
+    /// The sweep axes in application order (earlier axes vary slowest).
+    pub fn axes(&self) -> &[S::Axis] {
+        &self.axes
+    }
+
+    /// Re-checks the invariants the builder enforces (non-empty axes, one axis per
+    /// scenario knob) and that every cell's scenario passes its own validation.
+    /// Deserialization and [`Engine::run_collect`] call this before anything runs.
+    pub fn validate(&self) -> Result<(), SuiteError<S::Error>> {
+        self.checked_scenarios().map(drop)
+    }
+
+    /// Every cell in index order, after [`Self::validate`]'s checks.
+    pub(crate) fn checked_scenarios(&self) -> Result<Vec<S>, SuiteError<S::Error>> {
+        let mut knobs: Vec<&'static str> = Vec::with_capacity(self.axes.len());
+        for axis in &self.axes {
+            if axis.value_count() == 0 {
+                return Err(SuiteError::EmptyAxis);
+            }
+            let knob = axis.knob();
+            if knobs.contains(&knob) {
+                return Err(SuiteError::DuplicateKnob(knob));
+            }
+            knobs.push(knob);
+        }
+        let scenarios = self.scenarios();
+        for (index, scenario) in scenarios.iter().enumerate() {
+            scenario
+                .validate()
+                .map_err(|error| SuiteError::InvalidCell { index, error })?;
+        }
+        Ok(scenarios)
+    }
+
+    /// Number of grid cells (product of axis lengths; 1 with no axes).
+    pub fn len(&self) -> usize {
+        self.axes.iter().map(Axis::value_count).product()
+    }
+
+    /// Whether the grid is empty (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Materializes the scenario of cell `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn scenario_at(&self, index: usize) -> S {
+        assert!(index < self.len(), "cell index {index} out of range");
+        // Mixed-radix coordinates of the cell (earlier axes vary slowest).
+        let mut coords = vec![0; self.axes.len()];
+        let mut rem = index;
+        for (i, axis) in self.axes.iter().enumerate().rev() {
+            coords[i] = rem % axis.value_count();
+            rem /= axis.value_count();
+        }
+        let mut scenario = self.base.clone();
+        let mut parts: Vec<String> = Vec::with_capacity(coords.len());
+        for (axis, &c) in self.axes.iter().zip(&coords) {
+            parts.push(axis.apply(c, &mut scenario));
+        }
+        // The seed axis, if any, has already written the base seed of this cell.
+        if self.seed_mode == SeedMode::Independent {
+            let mut seed = derive_seed(*scenario.seed_mut(), S::SEED_SALT);
+            for (i, (axis, &c)) in self.axes.iter().zip(&coords).enumerate() {
+                if axis.knob() != "seed" {
+                    seed = derive_seed(seed, ((i as u64 + 1) << 32) | c as u64);
+                }
+            }
+            *scenario.seed_mut() = seed;
+        }
+        *scenario.label_mut() = Some(if parts.is_empty() {
+            self.name.clone()
+        } else {
+            format!("{}/{}", self.name, parts.join("/"))
+        });
+        scenario
+    }
+
+    /// Materializes every cell in index order.
+    pub fn scenarios(&self) -> Vec<S> {
+        (0..self.len()).map(|i| self.scenario_at(i)).collect()
+    }
+}
+
+impl Suite<Scenario> {
     /// Adds a sweep over interactive services.
     pub fn for_each_service(self, services: impl IntoIterator<Item = ServiceId>) -> Self {
-        self.push_axis(SweepAxis::Services(services.into_iter().collect()))
+        self.sweep(SweepAxis::Services(services.into_iter().collect()))
     }
 
     /// Adds a sweep running each application on its own (singleton application sets).
     pub fn for_each_app(self, apps: impl IntoIterator<Item = AppId>) -> Self {
-        self.push_axis(SweepAxis::AppSets(
+        self.sweep(SweepAxis::AppSets(
             apps.into_iter().map(|a| vec![a]).collect(),
         ))
     }
 
     /// Adds a sweep over explicit application sets (multi-application mixes).
     pub fn for_each_app_set(self, sets: impl IntoIterator<Item = Vec<AppId>>) -> Self {
-        self.push_axis(SweepAxis::AppSets(sets.into_iter().collect()))
+        self.sweep(SweepAxis::AppSets(sets.into_iter().collect()))
     }
 
     /// Adds a sweep over policies.
     pub fn sweep_policies(self, policies: impl IntoIterator<Item = PolicyKind>) -> Self {
-        self.push_axis(SweepAxis::Policies(policies.into_iter().collect()))
+        self.sweep(SweepAxis::Policies(policies.into_iter().collect()))
     }
 
     /// Adds a sweep over load fractions.
     pub fn sweep_loads(self, loads: impl IntoIterator<Item = f64>) -> Self {
-        self.push_axis(SweepAxis::Loads(loads.into_iter().collect()))
+        self.sweep(SweepAxis::Loads(loads.into_iter().collect()))
     }
 
     /// Adds a sweep over time-varying load profiles. Like every other axis this composes
@@ -290,157 +495,28 @@ impl Suite {
                 );
             }
         }
-        self.push_axis(SweepAxis::LoadProfiles(profiles))
+        self.sweep(SweepAxis::LoadProfiles(profiles))
     }
 
     /// Adds a sweep over decision intervals (seconds). Pair with a wall-clock horizon
     /// ([`crate::scenario::ScenarioBuilder::horizon_seconds`]) so all cells simulate the
     /// same amount of service time.
     pub fn sweep_decision_intervals_s(self, intervals: impl IntoIterator<Item = f64>) -> Self {
-        self.push_axis(SweepAxis::DecisionIntervalsS(
+        self.sweep(SweepAxis::DecisionIntervalsS(
             intervals.into_iter().collect(),
         ))
     }
 
     /// Adds a sweep over explicit base seeds (replications).
     pub fn sweep_seeds(self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.push_axis(SweepAxis::Seeds(seeds.into_iter().collect()))
-    }
-
-    /// Adds a sweep over `count` replication seeds derived from the base scenario's seed.
-    pub fn sweep_seed_count(self, count: usize) -> Self {
-        let base = self.base.seed;
-        self.sweep_seeds((0..count as u64).map(move |i| derive_seed(base, 0x5EED_0000 + i)))
-    }
-
-    fn push_axis(mut self, axis: SweepAxis) -> Self {
-        assert!(axis.len() > 0, "sweep axes must not be empty");
-        // Two axes writing the same scenario knob are not a cartesian product: whichever
-        // applies later silently overwrites the earlier one in every cell while the
-        // labels still claim the full grid. Reject the combination outright. (Constant
-        // loads and load profiles share one knob — fold constant loads into the profile
-        // axis as `LoadProfile::constant(...)` cells instead.)
-        assert!(
-            !self
-                .axes
-                .iter()
-                .any(|existing| existing.knob() == axis.knob()),
-            "a suite cannot sweep the `{}` knob twice; merge the values into one axis",
-            axis.knob()
-        );
-        self.axes.push(axis);
-        self
-    }
-
-    /// The suite's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The base scenario the sweeps are applied to.
-    pub fn base(&self) -> &Scenario {
-        &self.base
-    }
-
-    /// The sweep axes in application order (earlier axes vary slowest).
-    pub fn axes(&self) -> &[SweepAxis] {
-        &self.axes
-    }
-
-    /// Re-checks the invariants the builder methods enforce (non-empty axes, one axis
-    /// per scenario knob, valid load profiles). Suites built through the fluent API
-    /// always pass; a suite deserialized from an archive may not, so
-    /// [`crate::engine::Engine::run_suite`] calls this before executing.
-    pub fn validate(&self) -> Result<(), SuiteError> {
-        let mut knobs: Vec<&'static str> = Vec::with_capacity(self.axes.len());
-        for axis in &self.axes {
-            if axis.len() == 0 {
-                return Err(SuiteError::EmptyAxis);
-            }
-            let knob = axis.knob();
-            if knobs.contains(&knob) {
-                return Err(SuiteError::DuplicateKnob(knob));
-            }
-            knobs.push(knob);
-            if let SweepAxis::LoadProfiles(profiles) = axis {
-                for profile in profiles {
-                    profile.validate().map_err(SuiteError::InvalidLoadProfile)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of grid cells (product of axis lengths; 1 with no axes).
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(SweepAxis::len).product()
-    }
-
-    /// Whether the grid is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The mixed-radix coordinates of cell `index` (earlier axes vary slowest).
-    fn coords(&self, index: usize) -> Vec<usize> {
-        let mut coords = vec![0; self.axes.len()];
-        let mut rem = index;
-        for (i, axis) in self.axes.iter().enumerate().rev() {
-            coords[i] = rem % axis.len();
-            rem /= axis.len();
-        }
-        coords
-    }
-
-    /// Materializes the scenario of cell `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn scenario_at(&self, index: usize) -> Scenario {
-        assert!(index < self.len(), "cell index {index} out of range");
-        let coords = self.coords(index);
-        let mut scenario = self.base.clone();
-        let mut parts: Vec<String> = Vec::with_capacity(coords.len());
-        for (axis, &c) in self.axes.iter().zip(&coords) {
-            parts.push(axis.apply(c, &mut scenario));
-        }
-        scenario.seed = self.cell_seed(&scenario, &coords);
-        scenario.label = Some(if parts.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}/{}", self.name, parts.join("/"))
-        });
-        scenario
-    }
-
-    /// The seed of the cell at `coords` (after axis application set `scenario.seed` to
-    /// the seed-axis value, if any).
-    fn cell_seed(&self, scenario: &Scenario, coords: &[usize]) -> u64 {
-        match self.seed_mode {
-            SeedMode::CommonRandomNumbers => scenario.seed,
-            SeedMode::Independent => {
-                let mut seed = derive_seed(scenario.seed, 0x1D0_5EED);
-                for (i, (axis, &c)) in self.axes.iter().zip(coords).enumerate() {
-                    if !axis.is_seeds() {
-                        seed = derive_seed(seed, ((i as u64 + 1) << 32) | c as u64);
-                    }
-                }
-                seed
-            }
-        }
-    }
-
-    /// Materializes every cell in index order.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        (0..self.len()).map(|i| self.scenario_at(i)).collect()
+        self.sweep(SweepAxis::Seeds(seeds.into_iter().collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Horizon;
+    use crate::scenario::{Horizon, ScenarioError};
 
     fn base() -> Scenario {
         Scenario::builder(ServiceId::Nginx)
@@ -584,15 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_seed_replications_are_deterministic() {
-        let a = Suite::new(base()).sweep_seed_count(5).scenarios();
-        let b = Suite::new(base()).sweep_seed_count(5).scenarios();
-        assert_eq!(a, b);
-        let seeds: std::collections::BTreeSet<u64> = a.iter().map(|s| s.seed).collect();
-        assert_eq!(seeds.len(), 5);
-    }
-
-    #[test]
     fn corrupted_suites_are_rejected_at_the_deserialization_boundary() {
         // Serde bypasses the builder, so duplicate-knob archives must be caught by the
         // validate() call inside Deserialize before anything runs a silently-masked grid.
@@ -643,5 +710,64 @@ mod tests {
         let back: Suite = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, suite);
         assert_eq!(back.scenarios(), suite.scenarios());
+    }
+
+    #[test]
+    fn suite_wire_format_is_pinned() {
+        // Captured before the node and fleet suites shared one generic implementation:
+        // archives written by either must keep reading back, and new archives must
+        // keep the same bytes.
+        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"service":"Nginx","apps":["Canneal"],"policy":"pliant","load_fraction":0.75,"load_profile":null,"decision_interval_s":1.0,"slack_threshold":0.1,"consecutive_slack_required":2,"horizon":{"Intervals":30},"stop_when_apps_finish":true,"instrumented":null,"qos_target_s":null,"samples_per_interval":null,"seed":7},"seed_mode":"Independent","axes":[{"AppSets":[["Canneal"],["Snp"]]},{"Policies":["precise","pliant"]},{"Loads":[0.5,0.9]}]}"#;
+        let suite = Suite::new(base())
+            .named("pin")
+            .seed_mode(SeedMode::Independent)
+            .for_each_app([AppId::Canneal, AppId::Snp])
+            .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant])
+            .sweep_loads([0.5, 0.9]);
+        assert_eq!(serde_json::to_string(&suite).expect("serializable"), PINNED);
+        let back: Suite = serde_json::from_str(PINNED).expect("deserializable");
+        assert_eq!(back, suite);
+    }
+
+    #[test]
+    fn cells_that_cannot_run_fail_validation_with_their_index() {
+        let overload = Suite::new(base()).sweep_loads([0.5, 2.0]);
+        assert!(matches!(
+            overload.validate(),
+            Err(SuiteError::InvalidCell {
+                index: 1,
+                error: ScenarioError::InvalidLoad
+            })
+        ));
+        let no_apps = Suite::new(base()).for_each_app_set([vec![AppId::Snp], vec![]]);
+        assert!(matches!(
+            no_apps.validate(),
+            Err(SuiteError::InvalidCell {
+                index: 1,
+                error: ScenarioError::NoApps
+            })
+        ));
+    }
+
+    #[test]
+    fn archives_with_a_cell_that_cannot_run_are_rejected_at_the_boundary() {
+        // A zero-length decision interval passes the builder's axis checks; the archive
+        // must still be refused before any cell runs, naming the offending cell.
+        let suite = Suite::new(base())
+            .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant])
+            .sweep_decision_intervals_s([1.0, 2.0]);
+        let json = serde_json::to_string(&suite).expect("serializable");
+        let forged = json.replace(
+            "{\"DecisionIntervalsS\":[1.0,2.0]}",
+            "{\"DecisionIntervalsS\":[1.0,0.0]}",
+        );
+        assert_ne!(forged, json, "the forgery must have taken effect");
+        let err = serde_json::from_str::<Suite>(&forged)
+            .expect_err("a cell with a zero decision interval must be rejected");
+        assert!(
+            err.to_string()
+                .contains("cell 1 expands into an invalid scenario"),
+            "error should name the cell, got: {err}"
+        );
     }
 }

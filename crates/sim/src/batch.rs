@@ -242,11 +242,6 @@ impl BatchAppState {
         }
     }
 
-    /// Execution time so far (or total, once finished), in seconds.
-    pub fn execution_time_s(&self) -> f64 {
-        self.elapsed_s
-    }
-
     /// Execution time relative to the nominal precise execution time.
     pub fn relative_execution_time(&self) -> f64 {
         self.elapsed_s / self.profile.nominal_exec_time_s

@@ -121,12 +121,6 @@ impl ColocationConfig {
         self.load = profile;
         self
     }
-
-    /// Disables instrumentation (precise baseline).
-    pub fn without_instrumentation(mut self) -> Self {
-        self.instrumented = false;
-        self
-    }
 }
 
 /// Observation of one elapsed decision interval, returned by [`ColocationSim::advance`].
@@ -386,11 +380,6 @@ impl ColocationSim {
     /// guarantees this), and un-parking restores normal billing from the next interval.
     pub fn set_parked(&mut self, parked: bool) {
         self.parked = parked;
-    }
-
-    /// Whether the node is currently parked (see [`Self::set_parked`]).
-    pub fn is_parked(&self) -> bool {
-        self.parked
     }
 
     /// Marks the node as a degraded straggler delivering `factor` of its nominal service
@@ -1253,7 +1242,6 @@ mod tests {
         assert!(on.power_w > parked_w);
         sim.set_load_fraction(0.0);
         sim.set_parked(true);
-        assert!(sim.is_parked());
         let parked = sim.advance(1.0);
         assert_eq!(parked.power_w, parked_w);
         assert_eq!(parked.energy_j, parked_w);

@@ -329,11 +329,6 @@ impl LatencyHistogram {
         self.percentile(0.99)
     }
 
-    /// Convenience accessor for the 95th percentile.
-    pub fn p95(&self) -> f64 {
-        self.percentile(0.95)
-    }
-
     /// Convenience accessor for the median.
     pub fn p50(&self) -> f64 {
         self.percentile(0.50)

@@ -3,7 +3,7 @@
 //! This crate provides the measurement substrate every other crate builds on:
 //!
 //! * [`histogram::LatencyHistogram`] — a log-bucketed histogram with percentile queries,
-//!   used by the performance monitor to estimate tail latency (p95/p99/p999).
+//!   used by the performance monitor to estimate tail latency (p99).
 //! * [`stats`] — streaming summary statistics (mean/variance/min/max) and
 //!   [`stats::Summary`] snapshots.
 //! * [`window`] — sliding-window and exponentially-weighted latency trackers used for

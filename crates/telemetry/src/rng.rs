@@ -302,24 +302,6 @@ pub fn fill_lognormals<R: Rng + ?Sized>(
     }
 }
 
-/// Samples a bounded Pareto variate with shape `alpha` on `[min, max]`.
-///
-/// Used to inject occasional very slow requests (e.g. MongoDB disk stalls) into the
-/// discrete-event simulator.
-///
-/// # Panics
-///
-/// Panics if the bounds are not `0 < min < max` or `alpha <= 0`.
-pub fn sample_bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, min: f64, max: f64) -> f64 {
-    assert!(min > 0.0 && max > min, "require 0 < min < max");
-    assert!(alpha > 0.0, "alpha must be positive");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let ha = max.powf(alpha);
-    let la = min.powf(alpha);
-    let x = -(u * ha - u * la - ha) / (ha * la);
-    x.powf(-1.0 / alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,18 +372,6 @@ mod tests {
         let mut rng = seeded_rng(5);
         for _ in 0..10 {
             assert!((sample_lognormal(&mut rng, 3.0, 0.0) - 3.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_within_bounds() {
-        let mut rng = seeded_rng(9);
-        for _ in 0..5_000 {
-            let x = sample_bounded_pareto(&mut rng, 1.5, 1.0, 100.0);
-            assert!(
-                (1.0 - 1e-9..=100.0 + 1e-9).contains(&x),
-                "out of bounds: {x}"
-            );
         }
     }
 

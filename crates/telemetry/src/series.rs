@@ -107,26 +107,6 @@ impl TimeSeries {
             Some(self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64)
         }
     }
-
-    /// Fraction of points whose value is strictly greater than `threshold`.
-    ///
-    /// Used to report how often a service's tail latency exceeded its QoS target.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let above = self.points.iter().filter(|p| p.value > threshold).count();
-        above as f64 / self.points.len() as f64
-    }
-
-    /// Renders the series as CSV rows (`time_s,value` with a header line).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,value\n");
-        for p in &self.points {
-            out.push_str(&format!("{:.6},{:.6}\n", p.time_s, p.value));
-        }
-        out
-    }
 }
 
 /// A bundle of related time series captured by one experiment run (e.g. tail latency +
@@ -188,26 +168,6 @@ mod tests {
         assert_eq!(s.min_value(), Some(10.0));
         assert_eq!(s.mean_value(), Some(20.0));
         assert_eq!(s.values(), vec![10.0, 30.0, 20.0]);
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let mut s = TimeSeries::new("lat");
-        for (t, v) in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0), (3.0, 7.0)] {
-            s.push(t, v);
-        }
-        assert!((s.fraction_above(4.0) - 0.5).abs() < 1e-12);
-        assert_eq!(s.fraction_above(100.0), 0.0);
-        assert_eq!(TimeSeries::new("x").fraction_above(0.0), 0.0);
-    }
-
-    #[test]
-    fn csv_rendering_has_header_and_rows() {
-        let mut s = TimeSeries::new("lat");
-        s.push(0.0, 1.5);
-        let csv = s.to_csv();
-        assert!(csv.starts_with("time_s,value\n"));
-        assert_eq!(csv.lines().count(), 2);
     }
 
     #[test]

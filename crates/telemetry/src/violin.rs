@@ -117,12 +117,6 @@ impl ViolinSummary {
         }
     }
 
-    /// Interquartile range (`q3 - q1`), a dispersion measure used in the evaluation to show
-    /// that inaccuracy becomes "more centralized" as more applications are colocated.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Full range (`max - min`).
     pub fn range(&self) -> f64 {
         self.max - self.min
@@ -169,7 +163,7 @@ mod tests {
         let v = ViolinSummary::from_samples("const", &[5.0; 50], 8);
         assert_eq!(v.min, 5.0);
         assert_eq!(v.max, 5.0);
-        assert_eq!(v.iqr(), 0.0);
+        assert_eq!(v.q3 - v.q1, 0.0);
         assert!(v.density.iter().all(|d| d.is_finite()));
     }
 
@@ -179,7 +173,7 @@ mod tests {
         let narrow: Vec<f64> = (0..300).map(|i| 50.0 + (i % 10) as f64).collect();
         let vw = ViolinSummary::from_samples("wide", &wide, 16);
         let vn = ViolinSummary::from_samples("narrow", &narrow, 16);
-        assert!(vn.iqr() < vw.iqr());
+        assert!(vn.q3 - vn.q1 < vw.q3 - vw.q1);
         assert!(vn.range() < vw.range());
     }
 
@@ -189,7 +183,7 @@ mod tests {
             let v = ViolinSummary::from_samples("p", &samples, 16);
             prop_assert_eq!(v.count, samples.len());
             prop_assert!(v.min <= v.median && v.median <= v.max);
-            prop_assert!(v.iqr() >= 0.0);
+            prop_assert!(v.q1 <= v.q3);
             prop_assert!(v.range() >= 0.0);
             prop_assert!(v.density.iter().all(|d| d.is_finite()));
         }

@@ -274,17 +274,6 @@ impl LoadProfile {
         LoadProfile::Constant { load }
     }
 
-    /// Whether the profile is constant in time.
-    pub fn is_constant(&self) -> bool {
-        match self {
-            LoadProfile::Constant { .. } => true,
-            LoadProfile::Step { base, to, .. } => base == to,
-            LoadProfile::Diurnal { amplitude, .. } => *amplitude == 0.0,
-            LoadProfile::FlashCrowd { base, peak, .. } => base == peak,
-            LoadProfile::Trace { points } => points.iter().all(|(_, l)| *l == points[0].1),
-        }
-    }
-
     /// The offered load fraction at simulated time `t_s` (seconds), clamped to
     /// `[0, MAX_LOAD_FRACTION]`.
     pub fn load_at(&self, t_s: f64) -> f64 {
@@ -602,7 +591,6 @@ mod tests {
             assert_eq!(p.load_at(t), 0.75);
             assert_eq!(p.phase_at(t), LoadPhase::Steady);
         }
-        assert!(p.is_constant());
         assert!(p.validate().is_ok());
     }
 
@@ -644,7 +632,7 @@ mod tests {
         assert_eq!(p.phase_at(10.0), LoadPhase::RampUp);
         assert_eq!(p.phase_at(60.0), LoadPhase::RampDown);
         assert!(p.validate().is_ok());
-        assert!(!p.is_constant());
+        assert!(p.min_load() < p.max_load());
     }
 
     #[test]
@@ -714,7 +702,7 @@ mod tests {
         };
         assert_eq!(p.load_at(0.0), 0.7);
         assert_eq!(p.load_at(50.0), 0.7);
-        assert!(p.is_constant());
+        assert_eq!(p.min_load(), p.max_load());
         assert_eq!(p.phase_at(50.0), LoadPhase::Steady);
     }
 

@@ -144,14 +144,6 @@ impl ServiceProfile {
         }
     }
 
-    /// All three paper-calibrated profiles.
-    pub fn all_paper_defaults() -> Vec<ServiceProfile> {
-        ServiceId::all()
-            .into_iter()
-            .map(Self::paper_default)
-            .collect()
-    }
-
     /// Per-core service rate (requests per second per core) implied by the saturation
     /// throughput and the fair-share core count.
     pub fn per_core_rate(&self) -> f64 {
@@ -207,9 +199,8 @@ mod tests {
 
     #[test]
     fn memcached_is_most_sensitive() {
-        let profiles = ServiceProfile::all_paper_defaults();
-        let memcached = &profiles[1];
-        for other in [&profiles[0], &profiles[2]] {
+        let memcached = ServiceProfile::paper_default(ServiceId::Memcached);
+        for other in [ServiceId::Nginx, ServiceId::MongoDb].map(ServiceProfile::paper_default) {
             assert!(memcached.llc_sensitivity >= other.llc_sensitivity);
             assert!(memcached.cpu_sensitivity >= other.cpu_sensitivity);
         }
@@ -226,7 +217,7 @@ mod tests {
 
     #[test]
     fn base_latency_well_below_qos() {
-        for p in ServiceProfile::all_paper_defaults() {
+        for p in ServiceId::all().map(ServiceProfile::paper_default) {
             assert!(
                 p.base_service_time_s < p.qos_target_s / 2.0,
                 "{}: base latency must leave headroom below QoS",

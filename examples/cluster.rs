@@ -54,8 +54,11 @@ fn main() {
     let engine = Engine::new().parallel();
     let suite = ClusterSuite::new(base)
         .named("cluster-demo")
-        .sweep_schedulers([SchedulerKind::FirstFit, SchedulerKind::QosSlackAware]);
-    for cell in engine.run_cluster_collect(&suite) {
+        .sweep(ClusterSweepAxis::Schedulers(vec![
+            SchedulerKind::FirstFit,
+            SchedulerKind::QosSlackAware,
+        ]));
+    for cell in engine.run_collect(&suite) {
         let o = &cell.outcome;
         println!("scheduler = {}", o.scheduler);
         println!(

@@ -36,8 +36,8 @@
 //! ```
 //!
 //! Grids of experiments are described with [`prelude::Suite`] and executed with
-//! [`prelude::Engine`], which can fan cells out over all cores while still streaming
-//! results in deterministic order:
+//! [`prelude::Engine`], which can fan cells out over all cores while still returning
+//! the cells in deterministic order:
 //!
 //! ```
 //! use pliant::prelude::*;
@@ -69,13 +69,13 @@ pub mod prelude {
     pub use pliant_approx::catalog::{AppId, AppProfile, Catalog};
     pub use pliant_approx::kernel::{ApproxConfig, ApproxKernel};
     pub use pliant_cluster::prelude::*;
-    pub use pliant_core::engine::{CellOutcome, Collector, Engine, ExecMode, ResultSink};
+    pub use pliant_core::engine::{CellOutcome, Engine, ExecMode};
     pub use pliant_core::experiment::{
         classify_effort, ColocationOutcome, EffortClass, PhaseQosStats,
     };
     pub use pliant_core::policy::PolicyKind;
     pub use pliant_core::scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
-    pub use pliant_core::suite::{SeedMode, Suite, SuiteError, SweepAxis};
+    pub use pliant_core::suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};
     pub use pliant_core::{ControllerConfig, MonitorConfig, PerformanceMonitor, PliantController};
     pub use pliant_explore::{explore_kernel, ExplorationConfig};
     pub use pliant_sim::colocation::{ColocationConfig, ColocationSim};

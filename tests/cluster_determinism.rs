@@ -2,7 +2,8 @@
 //!
 //! 1. `Engine::run_cluster` in serial and parallel mode must produce byte-identical
 //!    serialized [`ClusterOutcome`]s for the same seed — node-level parallelism changes
-//!    wall-clock time, never output.
+//!    wall-clock time, never output. The same holds for fleet suites, whose cells fan
+//!    out over the engine's workers.
 //! 2. The fleet p99 reported from the merged per-node histograms must match a recompute
 //!    over every latency sample the fleet produced.
 //! 3. Under common random numbers, the Pliant fleet absorbs load the Precise fleet
@@ -95,8 +96,11 @@ fn fleet_p99_matches_a_recompute_over_all_samples() {
 fn cluster_suites_pair_policies_under_common_random_numbers() {
     let suite = ClusterSuite::new(scenario())
         .named("pairing")
-        .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant]);
-    let cells = Engine::new().parallel().run_cluster_collect(&suite);
+        .sweep(ClusterSweepAxis::Policies(vec![
+            PolicyKind::Precise,
+            PolicyKind::Pliant,
+        ]));
+    let cells = Engine::new().parallel().run_collect(&suite);
     assert_eq!(cells.len(), 2);
     assert_eq!(cells[0].scenario.seed, cells[1].scenario.seed);
     let precise = &cells[0].outcome;
@@ -182,8 +186,8 @@ fn balancer_policies_change_distribution_but_conserve_load() {
     let base = scenario();
     let suite = ClusterSuite::new(base)
         .named("balancers")
-        .sweep_balancers(BalancerKind::all());
-    let cells = Engine::new().run_cluster_collect(&suite);
+        .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()));
+    let cells = Engine::new().run_collect(&suite);
     for cell in &cells {
         let assigned: f64 = cell
             .outcome
@@ -205,4 +209,37 @@ fn balancer_policies_change_distribution_but_conserve_load() {
             "round-robin assigns every node the same mean load"
         );
     }
+}
+
+#[test]
+fn fleet_suites_are_byte_identical_for_any_worker_count() {
+    // Whole fleets fan out over the workers: 1, 2 and 3 workers split five cells
+    // differently, and every split must return the same cells in the same order.
+    let base = ClusterScenario::builder(ServiceId::Memcached)
+        .nodes(2)
+        .jobs(jobs())
+        .avg_node_load(0.7)
+        .horizon_intervals(12)
+        .seed(5)
+        .build();
+    let suite = ClusterSuite::new(base)
+        .named("workers")
+        .seed_mode(SeedMode::Independent)
+        .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4, 5, 6]));
+    let archive = |threads: usize| -> Vec<String> {
+        Engine::new()
+            .parallel_threads(threads)
+            .run_collect(&suite)
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                assert_eq!(cell.index, i);
+                serde_json::to_string(cell).expect("serializable")
+            })
+            .collect()
+    };
+    let one = archive(1);
+    assert_eq!(one.len(), 5);
+    assert_eq!(one, archive(2), "2 workers changed the archive");
+    assert_eq!(one, archive(3), "3 workers changed the archive");
 }

@@ -54,17 +54,12 @@ fn parallel_engine_is_byte_identical_to_serial() {
 
 #[test]
 fn results_stream_in_cell_order_even_in_parallel() {
-    struct Ordered(Vec<usize>);
-    impl ResultSink for Ordered {
-        fn on_result(&mut self, index: usize, _s: &Scenario, _o: &ColocationOutcome) {
-            self.0.push(index);
-        }
-    }
     let suite = grid();
-    let mut sink = Ordered(Vec::new());
-    Engine::new().parallel().run_suite(&suite, &mut sink);
-    let expected: Vec<usize> = (0..suite.len()).collect();
-    assert_eq!(sink.0, expected);
+    let cells = Engine::new().parallel().run_collect(&suite);
+    assert_eq!(cells.len(), suite.len());
+    for (i, cell) in cells.iter().enumerate() {
+        assert_eq!(cell.index, i, "cells must come back in index order");
+    }
 }
 
 #[test]
