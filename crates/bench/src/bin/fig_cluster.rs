@@ -32,7 +32,8 @@
 
 use pliant_bench::{
     approximation_from_args, cluster_machines_needed_scenario, export_trace, flag_value,
-    format_latency, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    format_latency, nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts,
+    TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -76,7 +77,7 @@ fn main() {
     let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
     let approximation = approximation_from_args(&args);
     let topology_spec = topology_spec_from_args(&args);
-    let node_counts: Vec<usize> = match parse_flag(&args, "--nodes") {
+    let node_counts: Vec<usize> = match nodes_flag(&args, 1, "a fleet needs a machine") {
         Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
@@ -92,7 +93,7 @@ fn main() {
     let resume_dir = flag_value(&args, "--resume-dir").cloned();
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
     let mut curve = Vec::new();
     let mut obs = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];

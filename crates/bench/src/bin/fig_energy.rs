@@ -25,7 +25,7 @@
 
 use pliant_bench::{
     approximation_from_args, cluster_energy_scenario_at_scale, export_trace, format_latency,
-    parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -84,13 +84,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let fleet_nodes: usize = parse_flag(&args, "--nodes").unwrap_or(6);
+    let fleet_nodes = nodes_flag(&args, 2, "the autoscaler keeps 2 machines active").unwrap_or(6);
     let approximation = approximation_from_args(&args);
     let topology_spec = topology_spec_from_args(&args);
     let trace = trace_opts(&args);
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
     let mut policies = Vec::new();
     let mut energies = [0.0f64; 2];
     let mut nodes = 0usize;

@@ -27,7 +27,8 @@
 
 use pliant_bench::{
     approximation_from_args, cluster_failure_scenario, cluster_failure_trace, export_trace,
-    format_latency, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    format_latency, nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts,
+    TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -75,7 +76,7 @@ fn main() {
     let json = pliant_bench::json_requested(&args);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
     let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
-    let node_counts: Vec<usize> = match parse_flag(&args, "--nodes") {
+    let node_counts: Vec<usize> = match nodes_flag(&args, 1, "a fleet needs a machine") {
         Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
@@ -91,7 +92,7 @@ fn main() {
     };
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
     let mut curve = Vec::new();
     let mut obs = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];

@@ -30,7 +30,7 @@
 
 use pliant_bench::{
     approximation_from_args, cluster_energy_scenario_at_scale, cluster_machines_needed_scenario,
-    export_trace, format_latency, parse_flag, print_table, trace_opts, TraceRunSummary,
+    export_trace, format_latency, nodes_flag, parse_flag, print_table, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -86,11 +86,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let fleet_nodes: usize = parse_flag(&args, "--nodes").unwrap_or(10_000);
-    if fleet_nodes < 6 {
-        eprintln!("error: --nodes must be at least 6 (the sweep scales the 6-node study)");
-        std::process::exit(2);
-    }
+    let fleet_nodes = nodes_flag(&args, 6, "the sweep scales the 6-node study").unwrap_or(10_000);
     let approximation = if args.iter().any(|a| a == "--approx") {
         approximation_from_args(&args)
     } else {
@@ -108,7 +104,7 @@ fn main() {
     let trace = trace_opts(&args);
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
 
     // Machines needed at scale: the fig_cluster pressure (2.6 node-units per 6
     // provisioned nodes) over fleet sizes swept around the requested one.

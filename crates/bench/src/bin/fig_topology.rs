@@ -142,7 +142,7 @@ fn main() {
     };
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
     let mut runs = Vec::new();
     let mut obs = Vec::new();
     let mut topology = TopologyConfig::Flat;

@@ -399,6 +399,18 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T
     })
 }
 
+/// Parses the fleet-size flag `--nodes` (see [`parse_flag`]), or `None` when it is
+/// absent. Exits with status 2 when the value is below `min`, the smallest fleet the
+/// figure can build; `why` names what sets that floor.
+pub fn nodes_flag(args: &[String], min: usize, why: &str) -> Option<usize> {
+    let nodes = parse_flag(args, "--nodes")?;
+    if nodes < min {
+        eprintln!("error: --nodes must be at least {min} ({why})");
+        std::process::exit(2);
+    }
+    Some(nodes)
+}
+
 /// Parses the shared `--approx K` flag of the cluster figure binaries into the fleet
 /// approximation knob: absent or `0` means exact simulation (every logical node is
 /// stepped — the byte-identical default), `K >= 1` means the clustered approximation

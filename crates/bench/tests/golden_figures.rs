@@ -286,8 +286,9 @@ fn fig_hyperscale_output_is_byte_identical_to_the_golden() {
     assert_matches_golden(env!("CARGO_BIN_EXE_fig_hyperscale"), "fig_hyperscale");
 }
 
-/// A value flag given without a value must fail loudly instead of falling back to its
-/// default: both binaries exit before simulating anything.
+/// A value flag given without a value, or a fleet size no fleet can be built at, must
+/// fail loudly instead of falling back to a default or panicking: every binary exits
+/// before simulating anything.
 #[test]
 fn value_flags_without_a_valid_value_exit_with_status_2() {
     for (bin, args) in [
@@ -303,6 +304,27 @@ fn value_flags_without_a_valid_value_exit_with_status_2() {
             env!("CARGO_BIN_EXE_fig_cluster"),
             ["--seed", "--json"].as_slice(),
         ),
+        // Fleet sizes no fleet can be built at.
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--nodes", "0"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_failure"),
+            ["--nodes", "0"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_energy"),
+            ["--nodes", "0"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_energy"),
+            ["--nodes", "1"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_hyperscale"),
+            ["--nodes", "1"].as_slice(),
+        ),
     ] {
         let output = Command::new(bin)
             .args(args)
@@ -313,6 +335,27 @@ fn value_flags_without_a_valid_value_exit_with_status_2() {
             Some(2),
             "{bin} {args:?} must exit with status 2, stderr: {}",
             String::from_utf8_lossy(&output.stderr)
+        );
+    }
+}
+
+/// A 1-node fleet is valid input that cannot carry the sweep's load: the sweep figures
+/// skip it with a note and exit normally.
+#[test]
+fn one_node_fleets_are_skipped_with_a_note() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig_cluster"),
+        env!("CARGO_BIN_EXE_fig_failure"),
+    ] {
+        let output = Command::new(bin)
+            .args(["--nodes", "1"])
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{bin} --nodes 1 failed: {stderr}");
+        assert!(
+            stderr.contains("skipping 1-machine fleet"),
+            "{bin} --nodes 1 must note the skipped fleet, stderr: {stderr}"
         );
     }
 }

@@ -46,8 +46,7 @@
 //! enforced holding, and the gap between the scale-in and scale-out load ceilings is a
 //! hysteresis band; together they damp flapping at an operating point that straddles a
 //! threshold. All decisions are deterministic functions of the snapshots, so autoscaled
-//! fleets stay byte-identical across serial and parallel execution and under common
-//! random numbers.
+//! fleets replay byte for byte and pair cleanly under common random numbers.
 //!
 //! Reintegration relies on the balancer's rejoin decay: a drained node's
 //! balancer-visible latency estimate halves every idle interval

@@ -6,8 +6,8 @@
 //! front-end dispatcher works: the interval's load is divided into small *quanta* of
 //! requests and each quantum is routed to one node. All three policies are fully
 //! deterministic — [`BalancerKind::PowerOfTwoChoices`] draws its node pairs from a
-//! dedicated RNG seeded from the cluster scenario's seed — so serial and parallel
-//! cluster runs see the identical per-node load sequence.
+//! dedicated RNG seeded from the cluster scenario's seed — so a replayed cluster run
+//! sees the identical per-node load sequence.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,16 +1,16 @@
 //! Executing cluster scenarios on the core [`Engine`].
 //!
 //! [`ClusterEngineExt`] extends [`pliant_core::engine::Engine`] with fleet execution:
-//! the engine's catalog is shared with every node and its [`ExecMode`] decides how many
-//! worker threads the fleet's node updates fan out over. As everywhere else in this
-//! codebase, parallelism changes wall-clock time, never output — a serial and a parallel
-//! engine produce byte-identical [`ClusterOutcome`]s for the same scenario.
+//! the engine's catalog is shared with every node, and one fleet steps its nodes in
+//! index order on the calling thread whatever the engine's
+//! [`ExecMode`](pliant_core::engine::ExecMode).
 //!
 //! Fleet suites ([`crate::suite::ClusterSuite`]) run through
 //! [`Engine::run_collect`] like single-node suites: there the engine's workers take
-//! whole fleets, and each fleet steps its nodes serially.
+//! whole fleets, and the cell order of the results does not depend on the worker
+//! count.
 
-use pliant_core::engine::{Engine, ExecMode};
+use pliant_core::engine::Engine;
 use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::obs::{EventLog, ObsLevel};
 use pliant_telemetry::series::{TimeSeries, TraceBundle};
@@ -97,7 +97,6 @@ impl ClusterEngineExt for Engine {
 /// ```
 pub struct ClusterRun {
     sim: ClusterSim,
-    threads: usize,
     max_intervals: usize,
     // Per-instance accumulators: one slot per *simulated* node. In exact mode that is
     // the whole fleet; under the clustered approximation each instance already carries
@@ -117,8 +116,7 @@ pub struct ClusterRun {
 }
 
 impl ClusterRun {
-    /// Builds the run (fleet plus aggregation state) for `scenario`, untraced, with
-    /// the worker count the engine's [`ExecMode`] implies.
+    /// Builds the run (fleet plus aggregation state) for `scenario`, untraced.
     ///
     /// # Panics
     ///
@@ -132,27 +130,11 @@ impl ClusterRun {
     /// run replays only post-resume events (the observability ring is not part of the
     /// checkpoint); the simulation itself is still byte-identical.
     pub fn with_obs(scenario: &ClusterScenario, engine: &Engine, level: ObsLevel) -> Self {
-        let threads = match engine.mode() {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-        };
-        Self::with_threads(scenario, engine, threads, level)
-    }
-
-    /// Like [`Self::with_obs`], with an explicit node-update worker count (`0` = one
-    /// per available core, `1` = serial).
-    pub(crate) fn with_threads(
-        scenario: &ClusterScenario,
-        engine: &Engine,
-        threads: usize,
-        level: ObsLevel,
-    ) -> Self {
         let sim = ClusterSim::with_obs(scenario, engine.catalog(), level);
         let n = sim.instance_count();
         let max_intervals = scenario.max_intervals();
         ClusterRun {
             sim,
-            threads,
             max_intervals,
             assigned_sum: vec![0.0f64; n],
             max_extra: vec![0u32; n],
@@ -192,9 +174,9 @@ impl ClusterRun {
         }
         // QoS accounting (busy/idle/violation counters and the per-node latency
         // histograms, microsecond-scaled, warm-up excluded) lives inside each
-        // [`crate::node::ClusterNode`], where it runs on the worker thread advancing
-        // the node; this loop only aggregates per-interval scalars for the traces.
-        let interval = self.sim.advance_threads(self.threads);
+        // [`crate::node::ClusterNode`] and runs as the node steps; this loop only
+        // aggregates per-interval scalars for the traces.
+        let interval = self.sim.advance();
         self.total_load_sum += interval.total_offered_load;
         let mut total_extra = 0u32;
         let mut violating_nodes = 0usize;
@@ -227,7 +209,8 @@ impl ClusterRun {
         self.active_series
             .push(interval.time_s, interval.active_nodes as f64);
         // The interval is fully consumed: recycle its observation buffers into the
-        // nodes so the fleet, like the single-node loop, allocates once per run.
+        // nodes and its results vector into the fleet, so the fleet, like the
+        // single-node loop, allocates once per run.
         self.sim.recycle_interval(interval);
         !self.is_done()
     }
@@ -509,18 +492,6 @@ mod tests {
         assert_eq!(outcome.trace.get("total_offered_load").unwrap().len(), 20);
         assert_eq!(outcome.trace.get("total_extra_cores").unwrap().len(), 20);
         assert_eq!(outcome.trace.get("violating_nodes").unwrap().len(), 20);
-    }
-
-    #[test]
-    fn serial_and_parallel_cluster_runs_agree() {
-        let scenario = small_scenario();
-        let serial = Engine::new().run_cluster(&scenario);
-        let parallel = Engine::new().parallel_threads(3).run_cluster(&scenario);
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&parallel).unwrap(),
-            "node-parallel execution must not change any fleet statistic"
-        );
     }
 
     #[test]

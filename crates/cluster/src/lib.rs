@@ -15,9 +15,10 @@
 //!   ([`SchedulerKind::FirstFit`], [`SchedulerKind::UtilizationAware`], and the
 //!   approximation-aware [`SchedulerKind::QosSlackAware`]).
 //! * [`sim`] / [`engine`] — the fleet simulator and its integration with the core
-//!   [`Engine`](pliant_core::engine::Engine): [`ClusterEngineExt::run_cluster`] fans
-//!   the independent node updates out over the engine's worker threads and produces
-//!   byte-identical output to a serial run.
+//!   [`Engine`](pliant_core::engine::Engine): [`ClusterEngineExt::run_cluster`] steps
+//!   one fleet, its nodes in index order on the calling thread, and
+//!   [`Engine::run_collect`](pliant_core::engine::Engine::run_collect) runs whole
+//!   fleets of a [`ClusterSuite`] side by side on the engine's workers.
 //! * [`population`] — the population/instance split behind hyperscale fleets: the
 //!   logical fleet is grouped into clusters of interchangeable nodes, and
 //!   [`FleetApproximation::Clustered`] simulates one representative per cluster under
@@ -44,7 +45,7 @@
 //!     .avg_node_load(0.6)
 //!     .horizon_intervals(20)
 //!     .build();
-//! let outcome = Engine::new().parallel().run_cluster(&scenario);
+//! let outcome = Engine::new().run_cluster(&scenario);
 //! assert_eq!(outcome.nodes, 3);
 //! println!("fleet p99/QoS = {:.2}", outcome.fleet_tail_latency_ratio);
 //! ```
@@ -58,7 +59,6 @@ pub mod engine;
 pub mod faults;
 pub mod node;
 pub mod outcome;
-mod pool;
 pub mod population;
 pub mod scenario;
 pub mod scheduler;

@@ -6,8 +6,8 @@
 //! assigns. Around the runtime it keeps what only a fleet needs: per-slot completion
 //! latches and replica weights, the post-warm-up latency histogram and QoS counters,
 //! energy, and the balancer-visible latency estimate. Nodes are fully independent
-//! within an interval (each derives its own RNG streams from the cluster seed), which is
-//! what lets the cluster engine advance them in parallel without changing any result.
+//! within an interval (each derives its own RNG streams from the cluster seed), so the
+//! fleet's coordinator only hands each node its load and collects what it reports.
 
 use serde::{Deserialize, Serialize};
 
@@ -108,9 +108,8 @@ pub struct ClusterNode {
     /// Intervals stepped so far, for the warm-up cutoff.
     intervals_stepped: usize,
     /// Cumulative histogram of every post-warm-up latency sample, in microseconds.
-    /// Recorded node-side (inside [`Self::step`], i.e. on the worker thread that
-    /// advances the node) so the cluster engine aggregates fleet quantiles by merging
-    /// N histograms instead of re-iterating every sample on the coordinating thread.
+    /// Recorded node-side (inside [`Self::step`]) so the cluster engine aggregates
+    /// fleet quantiles by merging N histograms instead of re-iterating every sample.
     hist: LatencyHistogram,
     /// Post-warm-up intervals that served traffic.
     busy_intervals: usize,
@@ -134,9 +133,8 @@ pub struct ClusterNode {
     /// Replica weight of every completed job, parallel to `completed_inaccuracy_pct`.
     completed_weights: Vec<usize>,
     /// Decision-event ring for this node (disabled — the allocation-free null sink —
-    /// unless the cluster engine calls [`Self::enable_obs`]). Filled on whichever
-    /// worker thread advances the node; the engine merges rings in node order, so the
-    /// stream is identical under serial and parallel execution.
+    /// unless the cluster engine calls [`Self::enable_obs`]). Filled as the node steps;
+    /// the engine merges rings in node order.
     obs: ObsBuffer,
 }
 
@@ -276,8 +274,8 @@ impl ClusterNode {
     }
 
     /// Total electrical energy the node has consumed over the whole run, in joules.
-    /// Recorded node-side (on the worker thread advancing the node, like the latency
-    /// histogram), so fleet energy is the exact sum of these.
+    /// Recorded node-side (inside [`Self::step`], like the latency histogram), so fleet
+    /// energy is the exact sum of these.
     pub fn energy_j(&self) -> f64 {
         self.energy_j
     }
@@ -493,9 +491,8 @@ impl ClusterNode {
         );
         let observation = sim.advance_reusing(self.decision_interval_s, self.recycle.take());
 
-        // QoS accounting and fleet-histogram recording happen here, on whichever worker
-        // thread is advancing the node, so the coordinating thread never touches
-        // individual latency samples. The first `warmup_intervals` are excluded: the
+        // QoS accounting and fleet-histogram recording happen here, as the node steps,
+        // so the fleet's aggregation never touches individual latency samples. The first `warmup_intervals` are excluded: the
         // fleet p99 is a quantile over all samples, and the runtimes' one-off
         // convergence transient would otherwise sit in the histogram forever.
         // Every contribution below is scaled by the instance's replica weight: a

@@ -26,7 +26,6 @@
 //! weights (see README "Hyperscale").
 
 use crate::scenario::{ClusterScenario, FleetApproximation};
-use crate::topology::Topology;
 use pliant_approx::catalog::AppId;
 
 /// One population group: logical nodes sharing every per-node input.
@@ -82,12 +81,11 @@ impl NodePopulation {
     /// [`NodeGroup::rack`]). Groups appear in order of their first member, and members
     /// within a group ascend, so the grouping is deterministic in the scenario alone.
     pub fn from_scenario(scenario: &ClusterScenario) -> Self {
-        let topology = Topology::resolve(&scenario.topology, scenario.nodes);
         let spn = scenario.slots_per_node;
         let mut groups: Vec<NodeGroup> = Vec::new();
         for index in 0..scenario.nodes {
             let slice = &scenario.jobs[index * spn..(index + 1) * spn];
-            let rack = topology.rack_of(index);
+            let rack = scenario.topology.rack_of(index);
             match groups
                 .iter_mut()
                 .find(|g| g.jobs == slice && g.rack == rack)
@@ -236,6 +234,7 @@ fn chunk_group(group: usize, members: &[usize], k: usize, plans: &mut Vec<Instan
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
     use pliant_workloads::service::ServiceId;
 
     fn scenario(nodes: usize) -> ClusterScenario {

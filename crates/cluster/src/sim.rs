@@ -1,7 +1,7 @@
 //! The fleet simulator: N nodes coupled by a load balancer and a batch scheduler.
 //!
 //! A [`ClusterSim`] advances the whole fleet one decision interval at a time.
-//! [`ClusterSim::advance_threads`] samples the per-node-average load profile, scales it
+//! [`ClusterSim::advance`] samples the per-node-average load profile, scales it
 //! to the logical fleet's total offered load, and runs one method per phase:
 //!
 //! 1. `apply_faults` — recoveries, then this interval's scheduled crashes and
@@ -24,10 +24,11 @@
 //! 8. `close_interval` — job completions are recorded, rack power is metered, and the
 //!    interval rollup is emitted.
 //!
-//! Phase 7 is embarrassingly parallel: nodes share no state within an interval, and all
-//! cross-node decisions happen in the other phases on the coordinating thread.
-//! [`ClusterSim::advance_threads`] therefore produces results byte-identical to
-//! [`ClusterSim::advance`] for any worker count.
+//! Nodes share no state within an interval: all cross-node decisions happen in the
+//! other phases, and phase 7 steps the instances in index order on the calling thread.
+//! A fleet is one simulation; parallelism comes from running whole fleets side by side
+//! ([`Engine::run_collect`](pliant_core::engine::Engine::run_collect) over a
+//! [`ClusterSuite`](crate::suite::ClusterSuite)).
 //!
 //! # Population vs instances
 //!
@@ -58,7 +59,6 @@ use crate::autoscaler::{Autoscaler, AutoscalerSnapshot, NodePowerState};
 use crate::balancer::LoadBalancer;
 use crate::faults::{self, FaultKind, FaultState, FaultStateSnapshot, FaultStats, NodeHealth};
 use crate::node::{ClusterNode, NodeCheckpoint, NodeInterval, NodeSnapshot};
-use crate::pool::NodeWorkerPool;
 use crate::population::NodePopulation;
 use crate::scenario::ClusterScenario;
 use crate::scheduler::{BatchScheduler, SchedulerStats};
@@ -95,10 +95,8 @@ pub struct ClusterSim {
     catalog: Catalog,
     /// The logical fleet the instances below stand for.
     population: NodePopulation,
-    /// Simulated instances; a slot is `None` only transiently while its node is out on
-    /// a worker thread (or permanently after that worker panicked mid-step, in which
-    /// case the panic has already been re-raised and the simulator is poisoned).
-    nodes: Vec<Option<ClusterNode>>,
+    /// Simulated instances, in instance order.
+    nodes: Vec<ClusterNode>,
     /// Logical nodes each instance stands for (all ones in exact mode).
     replica_weights: Vec<usize>,
     balancer: LoadBalancer,
@@ -110,14 +108,12 @@ pub struct ClusterSim {
     faults: Option<FaultState>,
     time_s: f64,
     intervals: usize,
-    /// Persistent worker pool for parallel node updates, created on first parallel
-    /// advance and kept for the simulator's lifetime (see [`NodeWorkerPool`]).
-    pool: Option<NodeWorkerPool>,
     /// Scratch buffer of node snapshots, refreshed by [`Self::refresh_snapshots`] and
     /// reused across the planning, placement, and balancing phases.
     snapshot_scratch: Vec<NodeSnapshot>,
-    /// Scratch buffer of pooled step results, reused across intervals.
-    result_scratch: Vec<Option<NodeInterval>>,
+    /// The per-instance results vector of the last recycled interval, refilled by
+    /// [`Self::step_nodes`] so a recycling driver allocates it once per run.
+    interval_scratch: Vec<NodeInterval>,
     /// Per-replica load the balancer assigned each instance this interval.
     assigned_scratch: Vec<f64>,
     /// This interval's serving mask: autoscaler `Active` and fault-healthy, computed
@@ -227,7 +223,7 @@ impl ClusterSim {
         };
         // In exact mode the plans are one weight-1 instance per logical node, in node
         // order.
-        let nodes: Vec<Option<ClusterNode>> = plans
+        let nodes: Vec<ClusterNode> = plans
             .iter()
             .enumerate()
             .map(|(i, plan)| {
@@ -244,12 +240,12 @@ impl ClusterSim {
                 if level != ObsLevel::Off {
                     node.enable_obs(level);
                 }
-                Some(node)
+                node
             })
             .collect();
         let mut fleet_obs = ObsBuffer::new(level, 0, 1, DEFAULT_FLEET_CAPACITY);
         if fleet_obs.enabled() {
-            let qos_target_s = nodes[0].as_ref().map_or(0.0, |n| n.snapshot().qos_target_s);
+            let qos_target_s = nodes.first().map_or(0.0, |n| n.snapshot().qos_target_s);
             fleet_obs.emit(
                 0,
                 0.0,
@@ -318,9 +314,8 @@ impl ClusterSim {
             faults,
             time_s: 0.0,
             intervals: 0,
-            pool: None,
             snapshot_scratch: Vec::new(),
-            result_scratch: Vec::new(),
+            interval_scratch: Vec::new(),
             assigned_scratch: Vec::new(),
             serving: Vec::new(),
             requeue_scratch: Vec::new(),
@@ -354,11 +349,8 @@ impl ClusterSim {
     pub fn take_event_log(&mut self) -> EventLog {
         let level = self.fleet_obs.level();
         let fleet = std::mem::replace(&mut self.fleet_obs, ObsBuffer::disabled());
-        let buffers = std::iter::once(fleet).chain(
-            self.nodes
-                .iter_mut()
-                .map(|slot| Self::expect_node_mut(slot).take_obs_buffer()),
-        );
+        let buffers =
+            std::iter::once(fleet).chain(self.nodes.iter_mut().map(ClusterNode::take_obs_buffer));
         EventLog::merge(level, buffers)
     }
 
@@ -431,41 +423,19 @@ impl ClusterSim {
 
     /// The current snapshots of every instance, in instance order.
     pub fn snapshots(&self) -> Vec<NodeSnapshot> {
-        self.nodes
-            .iter()
-            .map(|n| Self::expect_node(n).snapshot())
-            .collect()
+        self.nodes.iter().map(ClusterNode::snapshot).collect()
     }
 
     /// Immutable access to instance `index`.
     pub fn node(&self, index: usize) -> &ClusterNode {
-        Self::expect_node(&self.nodes[index])
-    }
-
-    /// Unwraps a node slot to the instance in it.
-    fn expect_node(slot: &Option<ClusterNode>) -> &ClusterNode {
-        Self::expect_filled(slot.as_ref())
-    }
-
-    /// Unwraps a node slot to the instance in it, for mutation.
-    fn expect_node_mut(slot: &mut Option<ClusterNode>) -> &mut ClusterNode {
-        Self::expect_filled(slot.as_mut())
-    }
-
-    fn expect_filled<T>(slot: Option<T>) -> T {
-        // pliant-lint: allow(panic-hygiene): the worker pool refills every slot before
-        // a step returns, and nothing reads or writes a slot while a step is in flight.
-        slot.expect("node slots are only empty while a step is in flight")
+        &self.nodes[index]
     }
 
     /// Refreshes `snapshot_scratch` with every instance's current snapshot.
     fn refresh_snapshots(&mut self) {
         self.snapshot_scratch.clear();
-        self.snapshot_scratch.extend(
-            self.nodes
-                .iter()
-                .map(|slot| Self::expect_node(slot).snapshot()),
-        );
+        self.snapshot_scratch
+            .extend(self.nodes.iter().map(ClusterNode::snapshot));
     }
 
     /// Scores a candidate rack for online placement from `snapshot_scratch`: fractional
@@ -498,32 +468,22 @@ impl ClusterSim {
         (headroom_frac + mean_slack, headroom_w, mean_slack)
     }
 
-    /// Advances the fleet one decision interval on the calling thread.
-    pub fn advance(&mut self) -> ClusterInterval {
-        self.advance_threads(1)
-    }
-
     /// Hands a fully consumed interval back to the fleet so each node recycles its
     /// observation's heap buffers into the next step (the fleet analogue of
-    /// [`pliant_sim::colocation::ColocationSim::advance_reusing`]). Drivers that read
-    /// an interval and move on — like the cluster engine's aggregation loop — call this
-    /// to run the whole fleet without per-node-interval allocations; callers that keep
+    /// [`pliant_sim::colocation::ColocationSim::advance_reusing`]), and the fleet keeps
+    /// the emptied per-instance vector for the next interval's results. Drivers that
+    /// read an interval and move on — like the cluster engine's aggregation loop — call
+    /// this to run the whole fleet without per-interval allocations; callers that keep
     /// the interval (archival, external analysis) simply never recycle it.
-    pub fn recycle_interval(&mut self, interval: ClusterInterval) {
-        for node_interval in interval.nodes {
-            if let Some(node) = self.nodes[node_interval.node].as_mut() {
-                node.recycle_observation(node_interval.observation);
-            }
+    pub fn recycle_interval(&mut self, mut interval: ClusterInterval) {
+        for node_interval in interval.nodes.drain(..) {
+            self.nodes[node_interval.node].recycle_observation(node_interval.observation);
         }
+        self.interval_scratch = interval.nodes;
     }
 
-    /// Advances the fleet one decision interval, fanning the independent node updates
-    /// out over a persistent pool of up to `threads` worker threads (`0` = one per
-    /// available core). The pool is created on the first parallel call and reused for
-    /// every subsequent interval — per-interval scoped spawns cost thread creation
-    /// hundreds of times per run. The result is byte-identical to [`Self::advance`]:
-    /// parallelism changes wall-clock time, never output.
-    pub fn advance_threads(&mut self, threads: usize) -> ClusterInterval {
+    /// Advances the fleet one decision interval on the calling thread.
+    pub fn advance(&mut self) -> ClusterInterval {
         self.apply_faults();
         // The offered load scales with the *logical* fleet: approximating with fewer
         // instances must not shrink it.
@@ -534,7 +494,7 @@ impl ClusterSim {
         self.consolidate();
         let jobs_placed = self.place_jobs();
         self.balance_load(total_offered_load);
-        let nodes = self.step_nodes(threads);
+        let nodes = self.step_nodes();
         self.close_interval(&nodes, total_offered_load, active_nodes, jobs_placed);
         ClusterInterval {
             time_s: self.time_s,
@@ -579,7 +539,7 @@ impl ClusterSim {
         }
         // Recoveries first, so a node can be struck again the interval it returns.
         for (i, health) in faults.health.iter_mut().enumerate() {
-            let node = Self::expect_node_mut(&mut self.nodes[i]);
+            let node = &mut self.nodes[i];
             match *health {
                 // The autoscaler phase re-parks a recovered node if it planned so.
                 NodeHealth::Down { until } if until <= interval => node.set_parked(false),
@@ -630,8 +590,7 @@ impl ClusterSim {
                     // work and free up when it would have finished — the requeued copy
                     // may complete elsewhere first.)
                     self.requeue_scratch.clear();
-                    Self::expect_node_mut(&mut self.nodes[instance])
-                        .abort_unfinished_jobs(&mut self.requeue_scratch);
+                    self.nodes[instance].abort_unfinished_jobs(&mut self.requeue_scratch);
                     for &(app, weight) in &self.requeue_scratch {
                         self.scheduler.requeue(app, weight);
                         faults.jobs_requeued += weight as u64;
@@ -651,7 +610,7 @@ impl ClusterSim {
                 FaultKind::Degrade { factor } => {
                     faults.health[instance] = NodeHealth::Degraded { until, factor };
                     faults.degradations += 1;
-                    Self::expect_node_mut(&mut self.nodes[instance]).set_degrade(factor);
+                    self.nodes[instance].set_degrade(factor);
                     if self.fleet_obs.enabled() {
                         self.fleet_obs.emit(
                             obs_interval,
@@ -731,8 +690,8 @@ impl ClusterSim {
                     );
                 }
             }
-            for (slot, state) in self.nodes.iter_mut().zip(scaler.states()) {
-                Self::expect_node_mut(slot).set_parked(*state == NodePowerState::Parked);
+            for (node, state) in self.nodes.iter_mut().zip(scaler.states()) {
+                node.set_parked(*state == NodePowerState::Parked);
             }
         }
         self.serving.clear();
@@ -743,14 +702,14 @@ impl ClusterSim {
             None => self.serving.resize(self.nodes.len(), true),
         }
         if let Some(faults) = &self.faults {
-            for ((slot, health), serving) in self
+            for ((node, health), serving) in self
                 .nodes
                 .iter_mut()
                 .zip(&faults.health)
                 .zip(self.serving.iter_mut())
             {
                 if !health.is_serving() {
-                    Self::expect_node_mut(slot).set_parked(true);
+                    node.set_parked(true);
                     *serving = false;
                 }
             }
@@ -831,16 +790,13 @@ impl ClusterSim {
                 let dst = (0..n).find(|&d| {
                     self.serving[d]
                         && (!racked || self.rack_admissible[self.instance_racks[d]])
-                        && Self::expect_node(&self.nodes[d]).free_slots() > 0
+                        && self.nodes[d].free_slots() > 0
                 });
                 let Some(dst) = dst else { break };
-                let Some((state, weight)) =
-                    Self::expect_node_mut(&mut self.nodes[src]).extract_job()
-                else {
+                let Some((state, weight)) = self.nodes[src].extract_job() else {
                     break;
                 };
-                let implanted =
-                    Self::expect_node_mut(&mut self.nodes[dst]).implant_job(state, weight);
+                let implanted = self.nodes[dst].implant_job(state, weight);
                 assert!(
                     implanted.is_some(),
                     "destination advertised a free slot but refused the implant"
@@ -871,7 +827,7 @@ impl ClusterSim {
                 &mut self.park_scratch,
             );
             for &i in &self.park_scratch {
-                Self::expect_node_mut(&mut self.nodes[i]).set_parked(true);
+                self.nodes[i].set_parked(true);
                 if self.fleet_obs.enabled() {
                     self.fleet_obs.emit(
                         self.intervals as u32,
@@ -917,7 +873,7 @@ impl ClusterSim {
                 .catalog
                 .profile(app)
                 .unwrap_or_else(|| panic!("{app} missing from catalog"));
-            Self::expect_node_mut(&mut self.nodes[node])
+            self.nodes[node]
                 .place_job(profile, weight)
                 // pliant-lint: allow(panic-hygiene): the scheduler chose this node
                 // from snapshots with `free_slots > 0` taken this same interval.
@@ -1057,49 +1013,19 @@ impl ClusterSim {
         }
     }
 
-    /// Node step phase: advances every instance independently at its assigned load —
-    /// on the calling thread for one worker, else on the persistent pool — and returns
-    /// the per-instance results in instance order.
-    fn step_nodes(&mut self, threads: usize) -> Vec<NodeInterval> {
-        let n = self.nodes.len();
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .clamp(1, n);
-        if workers == 1 {
-            return self
-                .nodes
+    /// Node step phase: advances every instance at its assigned load, in instance
+    /// order, and returns the per-instance results in the vector the last recycled
+    /// interval handed back.
+    fn step_nodes(&mut self) -> Vec<NodeInterval> {
+        let mut results = std::mem::take(&mut self.interval_scratch);
+        results.clear();
+        results.extend(
+            self.nodes
                 .iter_mut()
                 .zip(&self.assigned_scratch)
-                .map(|(slot, &load)| Self::expect_node_mut(slot).step(load))
-                .collect();
-        }
-        // Lazily create (or resize) the persistent pool, then ship each node to its
-        // sticky worker and stitch the results back in node order.
-        if self
-            .pool
-            .as_ref()
-            .is_none_or(|p| p.worker_count() != workers)
-        {
-            self.pool = Some(NodeWorkerPool::sized_for(workers, n));
-        }
-        // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
-        let pool = self.pool.as_ref().expect("pool was just ensured");
-        pool.step_all(
-            &mut self.nodes,
-            &self.assigned_scratch,
-            &mut self.result_scratch,
+                .map(|(node, &load)| node.step(load)),
         );
-        self.result_scratch
-            .iter_mut()
-            // pliant-lint: allow(panic-hygiene): step_all resizes `results` to one
-            // entry per node and fills each, or re-raises the worker panic.
-            .map(|r| r.take().expect("step_all fills every slot or panics"))
-            .collect()
+        results
     }
 
     /// Rack metering and interval summary: records the interval's job completions,
@@ -1172,11 +1098,7 @@ impl ClusterSim {
             faults: self.faults.as_ref().map(|f| f.snapshot()),
             rack_rng: self.rack_rng.as_ref().map(rng_state_words),
             rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
-            node_checkpoints: self
-                .nodes
-                .iter()
-                .map(|slot| Self::expect_node(slot).checkpoint())
-                .collect(),
+            node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
         }
     }
 
@@ -1276,14 +1198,13 @@ impl ClusterSim {
             checkpoint.scheduler_queue.clone(),
             checkpoint.scheduler_stats,
         );
-        for (index, (slot, node_checkpoint)) in self
+        for (index, (node, node_checkpoint)) in self
             .nodes
             .iter_mut()
             .zip(&checkpoint.node_checkpoints)
             .enumerate()
         {
-            Self::expect_node_mut(slot)
-                .restore(node_checkpoint)
+            node.restore(node_checkpoint)
                 .map_err(|e| format!("node {index}: {e}"))?;
         }
         self.time_s = checkpoint.time_s;

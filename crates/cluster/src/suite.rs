@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_core::suite::{Axis, Suite, SweepScenario};
-use pliant_telemetry::obs::ObsLevel;
 
 use crate::balancer::BalancerKind;
 use crate::engine::ClusterRun;
@@ -147,9 +146,7 @@ impl SweepScenario for ClusterScenario {
     /// Runs the whole fleet on the calling thread: a suite's parallelism is across
     /// fleets, never within one.
     fn run_cell(&self, engine: &Engine) -> ClusterOutcome {
-        ClusterRun::with_threads(self, engine, 1, ObsLevel::Off)
-            .finish()
-            .0
+        ClusterRun::new(self, engine).finish().0
     }
 }
 

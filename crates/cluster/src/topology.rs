@@ -66,6 +66,15 @@ impl TopologyConfig {
         }
     }
 
+    /// The rack logical node `node` lives in: rack 0 on a flat fleet, else
+    /// `node / nodes_per_rack`.
+    pub(crate) fn rack_of(&self, node: usize) -> usize {
+        match self {
+            TopologyConfig::Flat => 0,
+            TopologyConfig::Racks { nodes_per_rack, .. } => node / nodes_per_rack,
+        }
+    }
+
     /// Checks the node-count-independent invariants (positive grid dimensions, a
     /// positive and finite power budget). Called at the deserialization boundary;
     /// [`Self::validate`] adds the cross-check against the fleet size.
@@ -239,7 +248,7 @@ impl Topology {
                         power_budget_w: *rack_power_w,
                     })
                     .collect();
-                let rack_of = (0..nodes).map(|i| i / nodes_per_rack).collect();
+                let rack_of = (0..nodes).map(|i| config.rack_of(i)).collect();
                 Topology {
                     racks: rack_list,
                     rack_of,

@@ -8,11 +8,12 @@
 //! toward precise execution one variant at a time. If the application is running at an
 //! intermediate approximation degree when a violation occurs, it immediately reverts to
 //! the most approximate variant.
+//!
+//! [`MultiAppController`](crate::multi::MultiAppController) runs this algorithm: with
+//! one application its round-robin arbitration reduces to exactly the steps above. This
+//! module holds its configuration.
 
 use serde::{Deserialize, Serialize};
-
-use crate::actuator::Action;
-use crate::monitor::MonitorReport;
 
 /// Configuration of the Pliant controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,364 +37,5 @@ impl Default for ControllerConfig {
             slack_threshold: 0.10,
             consecutive_slack_required: 2,
         }
-    }
-}
-
-/// Controller state for a single co-scheduled approximate application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PliantController {
-    config: ControllerConfig,
-    /// Number of admissible approximate variants of the managed application.
-    variant_count: usize,
-    /// Current variant (`None` = precise, `Some(i)` with 0 closest to precise).
-    variant: Option<usize>,
-    /// Cores reclaimed from the application so far.
-    cores_reclaimed: u32,
-    /// Cores that can still be reclaimed in total (the application keeps at least one
-    /// core, matching the simulator's one-core floor).
-    reclaimable: u32,
-    /// Consecutive intervals with slack above the threshold.
-    slack_streak: u32,
-    /// Total decisions taken.
-    decisions: u64,
-}
-
-impl PliantController {
-    /// Creates a controller for an application with `variant_count` admissible variants
-    /// holding `initial_cores` cores. The controller will reclaim at most
-    /// `initial_cores - 1` cores, mirroring the simulator's refusal to take an
-    /// application's last core — this keeps the controller's core ledger in lock-step
-    /// with the actuator instead of drifting past the floor and later emitting no-op
-    /// `ReturnCore` actions during recovery.
-    pub fn new(config: ControllerConfig, variant_count: usize, initial_cores: u32) -> Self {
-        Self {
-            config,
-            variant_count,
-            variant: None,
-            cores_reclaimed: 0,
-            reclaimable: initial_cores.saturating_sub(1),
-            slack_streak: 0,
-            decisions: 0,
-        }
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
-    /// Index of the most aggressive variant, or `None` when the application has none.
-    fn most_approximate(&self) -> Option<usize> {
-        if self.variant_count == 0 {
-            None
-        } else {
-            Some(self.variant_count - 1)
-        }
-    }
-
-    /// Currently selected variant.
-    pub fn variant(&self) -> Option<usize> {
-        self.variant
-    }
-
-    /// Cores currently reclaimed from the application, as tracked by the controller.
-    pub fn cores_reclaimed(&self) -> u32 {
-        self.cores_reclaimed
-    }
-
-    /// Total decisions taken so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Takes one decision from the monitor's report, returning the actions to apply before
-    /// the next interval. `app` is the index of the managed application within the
-    /// co-location (0 for single-application experiments).
-    pub fn decide(&mut self, app: usize, report: &MonitorReport) -> Vec<Action> {
-        self.decisions += 1;
-        if report.no_signal {
-            // An idle interval (no arrivals) carries no latency evidence: hold the
-            // current state and leave the slack streak as it is.
-            return Vec::new();
-        }
-        if report.qos_violated {
-            self.slack_streak = 0;
-            // Violation path: escalate approximation first, then cores — but never past
-            // the one-core floor the simulator enforces.
-            match (self.variant, self.most_approximate()) {
-                (current, Some(most)) if current != Some(most) => {
-                    self.variant = Some(most);
-                    vec![Action::SetVariant {
-                        app,
-                        variant: Some(most),
-                    }]
-                }
-                _ if self.cores_reclaimed < self.reclaimable => {
-                    self.cores_reclaimed += 1;
-                    vec![Action::ReclaimCore { app }]
-                }
-                _ => Vec::new(),
-            }
-        } else if report.slack_fraction > self.config.slack_threshold {
-            self.slack_streak += 1;
-            if self.slack_streak < self.config.consecutive_slack_required {
-                return Vec::new();
-            }
-            self.slack_streak = 0;
-            // Recovery path: return cores first, then relax approximation one step.
-            if self.cores_reclaimed > 0 {
-                self.cores_reclaimed -= 1;
-                vec![Action::ReturnCore { app }]
-            } else {
-                match self.variant {
-                    Some(0) => {
-                        self.variant = None;
-                        vec![Action::SetVariant { app, variant: None }]
-                    }
-                    Some(i) => {
-                        self.variant = Some(i - 1);
-                        vec![Action::SetVariant {
-                            app,
-                            variant: Some(i - 1),
-                        }]
-                    }
-                    None => Vec::new(),
-                }
-            }
-        } else {
-            // QoS met without enough slack: hold the current state.
-            self.slack_streak = 0;
-            Vec::new()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn violated() -> MonitorReport {
-        MonitorReport {
-            p99_s: 0.02,
-            mean_s: 0.005,
-            smoothed_p99_s: 0.02,
-            sampled: 100,
-            qos_violated: true,
-            slack_fraction: -1.0,
-            no_signal: false,
-        }
-    }
-
-    fn met(slack: f64) -> MonitorReport {
-        MonitorReport {
-            p99_s: 0.005,
-            mean_s: 0.002,
-            smoothed_p99_s: 0.005,
-            sampled: 100,
-            qos_violated: false,
-            slack_fraction: slack,
-            no_signal: false,
-        }
-    }
-
-    /// Configuration without slack hysteresis, so the relaxation-order tests can observe
-    /// one relaxation step per high-slack interval.
-    fn immediate() -> ControllerConfig {
-        ControllerConfig {
-            consecutive_slack_required: 1,
-            ..ControllerConfig::default()
-        }
-    }
-
-    #[test]
-    fn first_violation_jumps_to_most_approximate() {
-        let mut c = PliantController::new(ControllerConfig::default(), 4, 8);
-        let actions = c.decide(0, &violated());
-        assert_eq!(
-            actions,
-            vec![Action::SetVariant {
-                app: 0,
-                variant: Some(3)
-            }]
-        );
-        assert_eq!(c.variant(), Some(3));
-    }
-
-    #[test]
-    fn persistent_violation_reclaims_cores_incrementally() {
-        let mut c = PliantController::new(ControllerConfig::default(), 4, 8);
-        let _ = c.decide(0, &violated());
-        let a2 = c.decide(0, &violated());
-        let a3 = c.decide(0, &violated());
-        assert_eq!(a2, vec![Action::ReclaimCore { app: 0 }]);
-        assert_eq!(a3, vec![Action::ReclaimCore { app: 0 }]);
-        assert_eq!(c.cores_reclaimed(), 2);
-        assert_eq!(
-            c.variant(),
-            Some(3),
-            "variant stays at most approximate while reclaiming"
-        );
-    }
-
-    #[test]
-    fn violation_at_intermediate_variant_reverts_to_most_approximate() {
-        let mut c = PliantController::new(immediate(), 4, 8);
-        let _ = c.decide(0, &violated()); // -> most approximate (3)
-        let _ = c.decide(0, &met(0.3)); //   -> relax to 2
-        assert_eq!(c.variant(), Some(2));
-        let actions = c.decide(0, &violated());
-        assert_eq!(
-            actions,
-            vec![Action::SetVariant {
-                app: 0,
-                variant: Some(3)
-            }]
-        );
-    }
-
-    #[test]
-    fn slack_returns_cores_before_relaxing_approximation() {
-        let mut c = PliantController::new(immediate(), 4, 8);
-        let _ = c.decide(0, &violated()); // most approx
-        let _ = c.decide(0, &violated()); // reclaim core
-        let first_recovery = c.decide(0, &met(0.3));
-        assert_eq!(first_recovery, vec![Action::ReturnCore { app: 0 }]);
-        assert_eq!(c.cores_reclaimed(), 0);
-        let second_recovery = c.decide(0, &met(0.3));
-        assert_eq!(
-            second_recovery,
-            vec![Action::SetVariant {
-                app: 0,
-                variant: Some(2)
-            }]
-        );
-    }
-
-    #[test]
-    fn relaxation_steps_all_the_way_back_to_precise() {
-        let mut c = PliantController::new(immediate(), 2, 8);
-        let _ = c.decide(0, &violated()); // -> variant 1 (most)
-        let _ = c.decide(0, &met(0.5)); //   -> variant 0
-        let last = c.decide(0, &met(0.5)); // -> precise
-        assert_eq!(
-            last,
-            vec![Action::SetVariant {
-                app: 0,
-                variant: None
-            }]
-        );
-        assert_eq!(c.variant(), None);
-        // Further slack with everything already precise does nothing.
-        assert!(c.decide(0, &met(0.5)).is_empty());
-    }
-
-    #[test]
-    fn default_hysteresis_requires_consecutive_slack_intervals() {
-        let mut c = PliantController::new(ControllerConfig::default(), 4, 8);
-        let _ = c.decide(0, &violated()); // -> most approximate
-        assert!(
-            c.decide(0, &met(0.3)).is_empty(),
-            "first high-slack interval only arms the streak"
-        );
-        let second = c.decide(0, &met(0.3));
-        assert_eq!(
-            second,
-            vec![Action::SetVariant {
-                app: 0,
-                variant: Some(2)
-            }]
-        );
-        // A violation or a low-slack interval resets the streak.
-        let _ = c.decide(0, &violated());
-        assert!(c.decide(0, &met(0.3)).is_empty());
-        let _ = c.decide(0, &met(0.05));
-        assert!(
-            c.decide(0, &met(0.3)).is_empty(),
-            "streak restarts after a low-slack interval"
-        );
-    }
-
-    #[test]
-    fn low_slack_holds_state() {
-        let mut c = PliantController::new(ControllerConfig::default(), 4, 8);
-        let _ = c.decide(0, &violated());
-        let hold = c.decide(0, &met(0.05));
-        assert!(
-            hold.is_empty(),
-            "5% slack is below the 10% threshold, state must hold"
-        );
-        assert_eq!(c.variant(), Some(3));
-    }
-
-    #[test]
-    fn application_without_variants_goes_straight_to_cores() {
-        let mut c = PliantController::new(ControllerConfig::default(), 0, 8);
-        let actions = c.decide(0, &violated());
-        assert_eq!(actions, vec![Action::ReclaimCore { app: 0 }]);
-    }
-
-    #[test]
-    fn reclamation_ledger_caps_at_the_one_core_floor() {
-        // Regression: the ledger used to increment unconditionally, so once the
-        // application hit its one-core floor every further violation drifted the count,
-        // and recovery then burned high-slack intervals on no-op ReturnCore actions.
-        let mut c = PliantController::new(immediate(), 1, 3); // 2 reclaimable cores
-        let _ = c.decide(0, &violated()); // -> most approximate
-        assert_eq!(
-            c.decide(0, &violated()),
-            vec![Action::ReclaimCore { app: 0 }]
-        );
-        assert_eq!(
-            c.decide(0, &violated()),
-            vec![Action::ReclaimCore { app: 0 }]
-        );
-        for _ in 0..5 {
-            assert!(
-                c.decide(0, &violated()).is_empty(),
-                "nothing left to take at the floor"
-            );
-        }
-        assert_eq!(
-            c.cores_reclaimed(),
-            2,
-            "ledger must not drift past the floor"
-        );
-        // Recovery: exactly two real ReturnCore actions, then straight to relaxing the
-        // variant — no wasted intervals.
-        assert_eq!(c.decide(0, &met(0.3)), vec![Action::ReturnCore { app: 0 }]);
-        assert_eq!(c.decide(0, &met(0.3)), vec![Action::ReturnCore { app: 0 }]);
-        assert_eq!(
-            c.decide(0, &met(0.3)),
-            vec![Action::SetVariant {
-                app: 0,
-                variant: None
-            }]
-        );
-    }
-
-    #[test]
-    fn no_signal_reports_hold_state() {
-        let idle = MonitorReport {
-            p99_s: 0.005,
-            mean_s: 0.0,
-            smoothed_p99_s: 0.005,
-            sampled: 0,
-            qos_violated: false,
-            slack_fraction: 0.0,
-            no_signal: true,
-        };
-        let mut c = PliantController::new(immediate(), 4, 8);
-        let _ = c.decide(0, &violated()); // -> most approximate
-        assert!(c.decide(0, &idle).is_empty(), "idle gaps carry no evidence");
-        assert_eq!(c.variant(), Some(3));
-        assert_eq!(c.cores_reclaimed(), 0);
-    }
-
-    #[test]
-    fn decision_counter_increments() {
-        let mut c = PliantController::new(ControllerConfig::default(), 4, 8);
-        let _ = c.decide(0, &met(0.0));
-        let _ = c.decide(0, &met(0.0));
-        assert_eq!(c.decisions(), 2);
     }
 }

@@ -29,7 +29,9 @@ use crate::runtime::NodeRuntime;
 use crate::scenario::Scenario;
 use crate::suite::{field, Suite, SweepScenario};
 
-/// How an [`Engine`] schedules the cells of a suite.
+/// How an [`Engine`] schedules the cells of a suite: how many run at once. A cell is
+/// one node scenario, or one whole fleet in `pliant_cluster`; a fleet steps its nodes
+/// on the thread that runs its cell, whatever the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run cells one after another on the calling thread.

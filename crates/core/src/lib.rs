@@ -13,7 +13,7 @@
 //!   windowed tail estimation).
 //! * [`actuator`] — applies variant switches and core reallocations to the co-location
 //!   substrate, accounting for the dynamic-recompilation mechanism's cost.
-//! * [`controller`] — the single-application runtime algorithm of Fig. 3.
+//! * [`controller`] — the runtime algorithm of Fig. 3 and its configuration.
 //! * [`multi`] — the round-robin arbiter for multi-application co-locations (§4.4).
 //! * [`policy`] — the [`policy::Policy`] abstraction plus baselines (the paper's Precise
 //!   baseline and two ablations).
@@ -74,7 +74,7 @@ pub mod scenario;
 pub mod suite;
 
 pub use actuator::{Action, Actuator};
-pub use controller::{ControllerConfig, PliantController};
+pub use controller::ControllerConfig;
 pub use engine::{CellOutcome, Engine, ExecMode};
 pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};

@@ -237,13 +237,22 @@ mod tests {
         }
     }
 
-    fn controller() -> MultiAppController {
-        // No slack hysteresis so each high-slack interval yields one visible recovery step.
-        let config = ControllerConfig {
+    /// Configuration without slack hysteresis, so each high-slack interval yields one
+    /// visible recovery step.
+    fn immediate() -> ControllerConfig {
+        ControllerConfig {
             consecutive_slack_required: 1,
             ..ControllerConfig::default()
-        };
-        MultiAppController::new(config, &[4, 8], &[4, 4], 0)
+        }
+    }
+
+    fn controller() -> MultiAppController {
+        MultiAppController::new(immediate(), &[4, 8], &[4, 4], 0)
+    }
+
+    /// A controller managing one application: the Fig. 3 algorithm.
+    fn single(config: ControllerConfig, variant_count: usize, cores: u32) -> MultiAppController {
+        MultiAppController::new(config, &[variant_count], &[cores], 0)
     }
 
     #[test]
@@ -392,6 +401,118 @@ mod tests {
                 variant: Some(2)
             }]
         );
+    }
+
+    #[test]
+    fn single_app_keeps_its_most_approximate_variant_while_reclaiming() {
+        let mut c = single(ControllerConfig::default(), 4, 8);
+        let _ = c.decide(&violated());
+        assert_eq!(c.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
+        assert_eq!(c.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
+        assert_eq!(c.cores_reclaimed(0), 2);
+        assert_eq!(c.variant(0), Some(3));
+    }
+
+    #[test]
+    fn single_app_violation_at_intermediate_variant_reverts_to_most_approximate() {
+        let mut c = single(immediate(), 4, 8);
+        let _ = c.decide(&violated()); // -> most approximate (3)
+        let _ = c.decide(&met(0.3)); //   -> relax to 2
+        assert_eq!(c.variant(0), Some(2));
+        assert_eq!(
+            c.decide(&violated()),
+            vec![Action::SetVariant {
+                app: 0,
+                variant: Some(3)
+            }]
+        );
+    }
+
+    #[test]
+    fn single_app_relaxation_steps_all_the_way_back_to_precise() {
+        let mut c = single(immediate(), 2, 8);
+        let _ = c.decide(&violated()); // -> variant 1 (most)
+        let _ = c.decide(&met(0.5)); //   -> variant 0
+        assert_eq!(
+            c.decide(&met(0.5)),
+            vec![Action::SetVariant {
+                app: 0,
+                variant: None
+            }]
+        );
+        assert_eq!(c.variant(0), None);
+        // Further slack with everything already precise does nothing.
+        assert!(c.decide(&met(0.5)).is_empty());
+    }
+
+    #[test]
+    fn default_hysteresis_requires_consecutive_slack_intervals() {
+        let mut c = single(ControllerConfig::default(), 4, 8);
+        let _ = c.decide(&violated()); // -> most approximate
+        assert!(
+            c.decide(&met(0.3)).is_empty(),
+            "first high-slack interval only arms the streak"
+        );
+        assert_eq!(
+            c.decide(&met(0.3)),
+            vec![Action::SetVariant {
+                app: 0,
+                variant: Some(2)
+            }]
+        );
+        // A violation or a low-slack interval resets the streak.
+        let _ = c.decide(&violated());
+        assert!(c.decide(&met(0.3)).is_empty());
+        let _ = c.decide(&met(0.05));
+        assert!(
+            c.decide(&met(0.3)).is_empty(),
+            "streak restarts after a low-slack interval"
+        );
+    }
+
+    #[test]
+    fn application_without_variants_goes_straight_to_cores() {
+        let mut c = single(ControllerConfig::default(), 0, 8);
+        assert_eq!(c.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
+    }
+
+    #[test]
+    fn reclamation_ledger_caps_at_the_one_core_floor_and_recovery_wastes_no_interval() {
+        let mut c = single(immediate(), 1, 3); // 2 reclaimable cores
+        let _ = c.decide(&violated()); // -> most approximate
+        for _ in 0..2 {
+            assert_eq!(c.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
+        }
+        for _ in 0..5 {
+            assert!(
+                c.decide(&violated()).is_empty(),
+                "nothing left to take at the floor"
+            );
+        }
+        assert_eq!(
+            c.cores_reclaimed(0),
+            2,
+            "ledger must not drift past the floor"
+        );
+        // Recovery: exactly two real ReturnCore actions, then straight to relaxing the
+        // variant.
+        assert_eq!(c.decide(&met(0.3)), vec![Action::ReturnCore { app: 0 }]);
+        assert_eq!(c.decide(&met(0.3)), vec![Action::ReturnCore { app: 0 }]);
+        assert_eq!(
+            c.decide(&met(0.3)),
+            vec![Action::SetVariant {
+                app: 0,
+                variant: None
+            }]
+        );
+    }
+
+    #[test]
+    fn decision_counter_counts_every_report() {
+        let mut c = single(ControllerConfig::default(), 4, 8);
+        let _ = c.decide(&met(0.0));
+        let _ = c.decide(&met(0.0));
+        assert_eq!(c.decisions(), 2);
     }
 
     #[test]

@@ -88,9 +88,9 @@ impl LintConfig {
                 "ColocationSim::implant_app",
                 "Autoscaler::park_fully_drained",
                 // The fleet coordinator's per-interval phases: every phase of
-                // ClusterSim::advance_threads except the node step, which builds the
-                // interval's per-node results. They run on exact and clustered fleets
-                // alike and reuse the simulator's scratch buffers.
+                // ClusterSim::advance. They run on exact and clustered fleets alike and
+                // reuse the simulator's scratch buffers; the node step refills the
+                // results vector the previous interval handed back.
                 "ClusterSim::apply_faults",
                 "ClusterSim::plan_serving_set",
                 "ClusterSim::admit_racks",
@@ -98,6 +98,7 @@ impl LintConfig {
                 "ClusterSim::place_jobs",
                 "ClusterSim::confine_to_sampled_rack",
                 "ClusterSim::balance_load",
+                "ClusterSim::step_nodes",
                 "ClusterSim::close_interval",
                 "ClusterSim::refresh_snapshots",
             ]),

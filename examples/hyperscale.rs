@@ -57,7 +57,7 @@ fn main() {
 
     // 2. Run the 20k-node fleet through the approximation: 12 simulated instances
     //    stand for the whole population.
-    let engine = Engine::new().parallel();
+    let engine = Engine::new();
     // pliant-lint: allow(nondeterminism): the example's whole point is showing the
     // wall-clock the approximation buys; nothing simulated depends on this reading.
     let started = std::time::Instant::now();

@@ -7,8 +7,8 @@
 use pliant::prelude::*;
 use pliant::runtime::actuator::Actuator;
 use pliant::runtime::monitor::PerformanceMonitor;
+use pliant::runtime::multi::MultiAppController;
 use pliant::runtime::MonitorConfig;
-use pliant::runtime::PliantController;
 
 fn main() {
     let catalog = Catalog::default();
@@ -18,10 +18,11 @@ fn main() {
     let mut sim = ColocationSim::new(config, &catalog);
 
     let variant_count = catalog.profile(app).unwrap().variant_count();
-    let mut controller = PliantController::new(
+    let mut controller = MultiAppController::new(
         ControllerConfig::default(),
-        variant_count,
-        sim.app(0).cores(),
+        &[variant_count],
+        &[sim.app(0).cores()],
+        0,
     );
     let mut monitor = PerformanceMonitor::new(
         MonitorConfig::for_qos(ServiceProfile::paper_default(service).qos_target_s),
@@ -34,7 +35,7 @@ fn main() {
     for _ in 0..45 {
         let obs = sim.advance(1.0);
         let report = monitor.observe_interval(&obs.latency_samples_s);
-        let actions = controller.decide(0, &report);
+        let actions = controller.decide(&report);
         let action_text = if actions.is_empty() {
             "hold".to_string()
         } else {

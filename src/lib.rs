@@ -76,7 +76,7 @@ pub mod prelude {
     pub use pliant_core::policy::PolicyKind;
     pub use pliant_core::scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
     pub use pliant_core::suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};
-    pub use pliant_core::{ControllerConfig, MonitorConfig, PerformanceMonitor, PliantController};
+    pub use pliant_core::{ControllerConfig, MonitorConfig, PerformanceMonitor};
     pub use pliant_explore::{explore_kernel, ExplorationConfig};
     pub use pliant_sim::colocation::{ColocationConfig, ColocationSim};
     pub use pliant_sim::server::{PowerModel, ServerSpec};

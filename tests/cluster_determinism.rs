@@ -1,9 +1,8 @@
 //! Integration test: the cluster engine's core guarantees.
 //!
-//! 1. `Engine::run_cluster` in serial and parallel mode must produce byte-identical
-//!    serialized [`ClusterOutcome`]s for the same seed — node-level parallelism changes
-//!    wall-clock time, never output. The same holds for fleet suites, whose cells fan
-//!    out over the engine's workers.
+//! 1. Fleet suites fan whole fleets out over the engine's workers, and every worker
+//!    count must produce byte-identical cells in the same order; a replayed scenario
+//!    archive reproduces its fleet run bit-for-bit.
 //! 2. The fleet p99 reported from the merged per-node histograms must match a recompute
 //!    over every latency sample the fleet produced.
 //! 3. Under common random numbers, the Pliant fleet absorbs load the Precise fleet
@@ -30,25 +29,6 @@ fn scenario() -> ClusterScenario {
         .horizon_intervals(30)
         .seed(2024)
         .build()
-}
-
-#[test]
-fn cluster_runs_are_byte_identical_across_execution_modes() {
-    let scenario = scenario();
-    let serial = Engine::new().run_cluster(&scenario);
-    let parallel = Engine::new().parallel().run_cluster(&scenario);
-    let two_workers = Engine::new().parallel_threads(2).run_cluster(&scenario);
-    let serial_json = serde_json::to_string(&serial).expect("serializable");
-    assert_eq!(
-        serial_json,
-        serde_json::to_string(&parallel).expect("serializable"),
-        "full parallelism must not change any fleet statistic"
-    );
-    assert_eq!(
-        serial_json,
-        serde_json::to_string(&two_workers).expect("serializable"),
-        "a partial worker pool must not change any fleet statistic either"
-    );
 }
 
 #[test]
@@ -211,35 +191,112 @@ fn balancer_policies_change_distribution_but_conserve_load() {
     }
 }
 
+/// A 2×2-rack fleet under every fault kind: stochastic crashes and stragglers, a
+/// scheduled crash and straggler, and a whole-rack power outage, so fault recovery,
+/// job requeueing, rack admission and rack-sampled placement all run inside the cells.
+fn faulted_racked_base() -> ClusterScenario {
+    let mut base = ClusterScenario::builder(ServiceId::Memcached)
+        .nodes(4)
+        .jobs([
+            AppId::Raytrace,
+            AppId::Raytrace,
+            AppId::Raytrace,
+            AppId::Raytrace,
+            AppId::Canneal,
+            AppId::Snp,
+        ])
+        .avg_node_load(0.6)
+        .horizon_intervals(40)
+        .seed(11)
+        .build();
+    base.topology = TopologyConfig::Racks {
+        racks: 2,
+        nodes_per_rack: 2,
+        rack_power_w: Some(300.0),
+    };
+    base.fault_profile = Some(FaultProfile {
+        crash_probability: 0.02,
+        outage_intervals: 3,
+        degrade_probability: 0.02,
+        degrade_factor: 0.6,
+        degrade_intervals: 3,
+        scheduled: vec![
+            ScheduledFault {
+                node: 0,
+                at_interval: 2,
+                duration_intervals: 4,
+                kind: FaultKind::Crash,
+            },
+            ScheduledFault {
+                node: 3,
+                at_interval: 5,
+                duration_intervals: 3,
+                kind: FaultKind::Degrade { factor: 0.5 },
+            },
+        ],
+        rack_outages: vec![RackOutage {
+            rack: 1,
+            at_interval: 9,
+            duration_intervals: 3,
+        }],
+        ..FaultProfile::new()
+    });
+    base
+}
+
 #[test]
 fn fleet_suites_are_byte_identical_for_any_worker_count() {
-    // Whole fleets fan out over the workers: 1, 2 and 3 workers split five cells
-    // differently, and every split must return the same cells in the same order.
-    let base = ClusterScenario::builder(ServiceId::Memcached)
+    // Whole fleets fan out over the workers: 1, 2 and 3 workers split the cells
+    // differently, and every split must return the same cells in the same order. The
+    // second suite's faulted, racked fleets exercise every coordinator phase.
+    let flat = ClusterScenario::builder(ServiceId::Memcached)
         .nodes(2)
         .jobs(jobs())
         .avg_node_load(0.7)
         .horizon_intervals(12)
         .seed(5)
         .build();
-    let suite = ClusterSuite::new(base)
-        .named("workers")
-        .seed_mode(SeedMode::Independent)
-        .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4, 5, 6]));
-    let archive = |threads: usize| -> Vec<String> {
-        Engine::new()
-            .parallel_threads(threads)
-            .run_collect(&suite)
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                assert_eq!(cell.index, i);
-                serde_json::to_string(cell).expect("serializable")
-            })
-            .collect()
-    };
-    let one = archive(1);
-    assert_eq!(one.len(), 5);
-    assert_eq!(one, archive(2), "2 workers changed the archive");
-    assert_eq!(one, archive(3), "3 workers changed the archive");
+    let suites = [
+        ClusterSuite::new(flat)
+            .named("workers")
+            .seed_mode(SeedMode::Independent)
+            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4, 5, 6])),
+        ClusterSuite::new(faulted_racked_base())
+            .named("faulted-racked")
+            .seed_mode(SeedMode::Independent)
+            .sweep(ClusterSweepAxis::Policies(vec![
+                PolicyKind::Precise,
+                PolicyKind::Pliant,
+            ]))
+            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec())),
+    ];
+    for suite in &suites {
+        assert_eq!(suite.validate(), Ok(()));
+        let archive = |threads: usize| -> Vec<String> {
+            Engine::new()
+                .parallel_threads(threads)
+                .run_collect(suite)
+                .iter()
+                .enumerate()
+                .map(|(i, cell)| {
+                    assert_eq!(cell.index, i);
+                    serde_json::to_string(cell).expect("serializable")
+                })
+                .collect()
+        };
+        let one = archive(1);
+        assert_eq!(one.len(), suite.len());
+        assert_eq!(
+            one,
+            archive(2),
+            "{}: 2 workers changed the archive",
+            suite.name()
+        );
+        assert_eq!(
+            one,
+            archive(3),
+            "{}: 3 workers changed the archive",
+            suite.name()
+        );
+    }
 }

@@ -4,7 +4,7 @@
 use pliant::runtime::actuator::Action;
 use pliant::runtime::monitor::MonitorReport;
 use pliant::runtime::multi::MultiAppController;
-use pliant::runtime::{ControllerConfig, PliantController};
+use pliant::runtime::ControllerConfig;
 use proptest::prelude::*;
 
 fn report(violated: bool, slack: f64) -> MonitorReport {
@@ -20,7 +20,7 @@ fn report(violated: bool, slack: f64) -> MonitorReport {
 }
 
 proptest! {
-    /// The single-application controller never selects a variant outside the admissible
+    /// The controller at one application never selects a variant outside the admissible
     /// range, never "returns" more cores than it reclaimed, and only ever emits one action
     /// per decision.
     #[test]
@@ -29,10 +29,11 @@ proptest! {
         initial_cores in 1u32..10,
         steps in proptest::collection::vec((any::<bool>(), 0.0f64..0.5), 1..200),
     ) {
-        let mut controller = PliantController::new(ControllerConfig::default(), variant_count, initial_cores);
+        let mut controller =
+            MultiAppController::new(ControllerConfig::default(), &[variant_count], &[initial_cores], 0);
         let mut reclaimed: i64 = 0;
         for (violated, slack) in steps {
-            let actions = controller.decide(0, &report(violated, slack));
+            let actions = controller.decide(&report(violated, slack));
             prop_assert!(actions.len() <= 1, "at most one action per decision interval");
             for action in actions {
                 match action {
@@ -49,7 +50,7 @@ proptest! {
                 reclaimed < i64::from(initial_cores.max(1)),
                 "reclaimed the application's last core"
             );
-            prop_assert_eq!(controller.cores_reclaimed() as i64, reclaimed);
+            prop_assert_eq!(controller.cores_reclaimed(0) as i64, reclaimed);
         }
     }
 
@@ -172,16 +173,17 @@ proptest! {
         initial_cores in 1u32..10,
         violation_burst in 1usize..20,
     ) {
-        let mut controller = PliantController::new(ControllerConfig::default(), variant_count, initial_cores);
+        let mut controller =
+            MultiAppController::new(ControllerConfig::default(), &[variant_count], &[initial_cores], 0);
         for _ in 0..violation_burst {
-            let _ = controller.decide(0, &report(true, 0.0));
+            let _ = controller.decide(&report(true, 0.0));
         }
         // Enough high-slack intervals to unwind every core and every variant step even with
         // the 2-interval hysteresis.
         for _ in 0..(2 * (violation_burst + variant_count + 2)) {
-            let _ = controller.decide(0, &report(false, 0.4));
+            let _ = controller.decide(&report(false, 0.4));
         }
-        prop_assert_eq!(controller.variant(), None, "must relax back to precise");
-        prop_assert_eq!(controller.cores_reclaimed(), 0, "must return every reclaimed core");
+        prop_assert_eq!(controller.variant(0), None, "must relax back to precise");
+        prop_assert_eq!(controller.cores_reclaimed(0), 0, "must return every reclaimed core");
     }
 }

@@ -13,6 +13,7 @@
 use pliant::prelude::*;
 use pliant::runtime::actuator::Actuator;
 use pliant::runtime::monitor::MonitorReport;
+use pliant::runtime::multi::MultiAppController;
 
 fn base() -> Scenario {
     Scenario::builder(ServiceId::Memcached)
@@ -205,8 +206,12 @@ fn controller_and_simulator_core_ledgers_stay_in_sync_at_the_floor() {
     let fair_service_cores = sim.service_cores();
     let app_cores = sim.app(0).cores();
     let variant_count = catalog.profile(AppId::Canneal).unwrap().variant_count();
-    let mut controller =
-        PliantController::new(ControllerConfig::default(), variant_count, app_cores);
+    let mut controller = MultiAppController::new(
+        ControllerConfig::default(),
+        &[variant_count],
+        &[app_cores],
+        0,
+    );
     let mut actuator = Actuator::new();
 
     let violated = MonitorReport {
@@ -231,15 +236,15 @@ fn controller_and_simulator_core_ledgers_stay_in_sync_at_the_floor() {
     // Drive far past core exhaustion: the controller must stop at the one-core floor
     // with its ledger exactly matching the cores the simulator actually moved.
     for _ in 0..(2 * app_cores + 6) {
-        let actions = controller.decide(0, &violated);
+        let actions = controller.decide(&violated);
         actuator.apply_all(&mut sim, &actions);
         assert_eq!(
-            controller.cores_reclaimed(),
+            controller.cores_reclaimed(0),
             sim.service_cores() - fair_service_cores,
             "controller ledger drifted from the simulator during reclamation"
         );
     }
-    assert_eq!(controller.cores_reclaimed(), app_cores - 1);
+    assert_eq!(controller.cores_reclaimed(0), app_cores - 1);
     assert_eq!(sim.app(0).cores(), 1, "the application keeps its last core");
     assert_eq!(
         actuator.stats().rejected,
@@ -250,17 +255,17 @@ fn controller_and_simulator_core_ledgers_stay_in_sync_at_the_floor() {
     // Recovery: every ReturnCore lands, the ledger unwinds to zero, and the run ends
     // back at precise execution with the fair allocation restored.
     for _ in 0..(4 * app_cores as usize + 4 * variant_count + 8) {
-        let actions = controller.decide(0, &relaxed);
+        let actions = controller.decide(&relaxed);
         actuator.apply_all(&mut sim, &actions);
         assert_eq!(
-            controller.cores_reclaimed(),
+            controller.cores_reclaimed(0),
             sim.service_cores() - fair_service_cores,
             "controller ledger drifted from the simulator during recovery"
         );
     }
-    assert_eq!(controller.cores_reclaimed(), 0);
+    assert_eq!(controller.cores_reclaimed(0), 0);
     assert_eq!(sim.service_cores(), fair_service_cores);
-    assert_eq!(controller.variant(), None, "fully relaxed back to precise");
+    assert_eq!(controller.variant(0), None, "fully relaxed back to precise");
     assert_eq!(
         actuator.stats().rejected,
         0,

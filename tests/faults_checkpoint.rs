@@ -5,8 +5,7 @@
 //! 1. **Checkpoint round-trip**: stopping a fleet run mid-flight, serializing the
 //!    checkpoint through JSON, restoring it into a freshly built run, and finishing
 //!    yields a byte-identical outcome to never having stopped — in exact and
-//!    clustered modes, under serial and parallel execution, with faults in flight
-//!    at the snapshot instant.
+//!    clustered modes, with faults in flight at the snapshot instant.
 //! 2. **The failure headline**: under the fixed `fig_failure` fault trace (one node
 //!    crash whose batch job is re-queued, then a degraded-frequency straggler),
 //!    Pliant sees no more QoS-violating intervals than Precise at every fleet size.
@@ -51,38 +50,32 @@ fn checkpoint_roundtrip_is_byte_identical_in_every_mode() {
             representatives_per_group: 2,
         },
     ] {
-        for parallel in [false, true] {
-            let engine = if parallel {
-                Engine::new().parallel()
-            } else {
-                Engine::new()
-            };
-            let mut scenario = failure_scenario(6, PolicyKind::Pliant);
-            scenario.approximation = approximation;
+        let engine = Engine::new();
+        let mut scenario = failure_scenario(6, PolicyKind::Pliant);
+        scenario.approximation = approximation;
 
-            let (uninterrupted, _) = ClusterRun::new(&scenario, &engine).finish();
+        let (uninterrupted, _) = ClusterRun::new(&scenario, &engine).finish();
 
-            let mut first_leg = ClusterRun::new(&scenario, &engine);
-            while first_leg.intervals() < 40 && first_leg.step() {}
-            // Serialize through JSON exactly like the fig_cluster CLI does, so the
-            // on-disk format is what round-trips.
-            let wire = serde_json::to_string(&first_leg.checkpoint())
-                .expect("checkpoints are serializable");
-            let checkpoint: ClusterRunCheckpoint =
-                serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
+        let mut first_leg = ClusterRun::new(&scenario, &engine);
+        while first_leg.intervals() < 40 && first_leg.step() {}
+        // Serialize through JSON exactly like the fig_cluster CLI does, so the
+        // on-disk format is what round-trips.
+        let wire =
+            serde_json::to_string(&first_leg.checkpoint()).expect("checkpoints are serializable");
+        let checkpoint: ClusterRunCheckpoint =
+            serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
 
-            let mut resumed = ClusterRun::new(&scenario, &engine);
-            resumed.restore(&checkpoint).expect("restore succeeds");
-            assert_eq!(resumed.intervals(), 40, "resume picks up at the snapshot");
-            let (resumed_outcome, _) = resumed.finish();
+        let mut resumed = ClusterRun::new(&scenario, &engine);
+        resumed.restore(&checkpoint).expect("restore succeeds");
+        assert_eq!(resumed.intervals(), 40, "resume picks up at the snapshot");
+        let (resumed_outcome, _) = resumed.finish();
 
-            assert_eq!(
-                outcome_json(&uninterrupted),
-                outcome_json(&resumed_outcome),
-                "{approximation:?} parallel={parallel}: resumed run must be \
-                 byte-identical to the uninterrupted run"
-            );
-        }
+        assert_eq!(
+            outcome_json(&uninterrupted),
+            outcome_json(&resumed_outcome),
+            "{approximation:?}: resumed run must be byte-identical to the \
+             uninterrupted run"
+        );
     }
 }
 
@@ -220,29 +213,6 @@ fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later()
     ClusterRun::new(&scenario, &engine)
         .restore(&pristine)
         .expect("a well-formed checkpoint restores");
-}
-
-#[test]
-fn faulted_runs_are_deterministic_across_execution_modes() {
-    // Fault injection and recovery live on the fleet coordinator path, so the usual
-    // guarantee must survive: parallelism changes wall-clock, never output.
-    for approximation in [
-        FleetApproximation::Exact,
-        FleetApproximation::Clustered {
-            representatives_per_group: 2,
-        },
-    ] {
-        let mut scenario = failure_scenario(6, PolicyKind::Pliant);
-        scenario.approximation = approximation;
-        let serial = Engine::new().run_cluster(&scenario);
-        let parallel = Engine::new().parallel().run_cluster(&scenario);
-        assert_eq!(
-            outcome_json(&serial),
-            outcome_json(&parallel),
-            "{approximation:?}: faulted fleets must stay deterministic under \
-             parallel execution"
-        );
-    }
 }
 
 #[test]
