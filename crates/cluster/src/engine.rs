@@ -1,24 +1,81 @@
-//! Executing cluster scenarios on the core [`Engine`].
+//! Running one fleet: N nodes coupled by a load balancer and a batch scheduler.
 //!
-//! [`ClusterEngineExt`] extends [`pliant_core::engine::Engine`] with fleet execution:
-//! the engine's catalog is shared with every node, and one fleet steps its nodes in
-//! index order on the calling thread whatever the engine's
-//! [`ExecMode`](pliant_core::engine::ExecMode).
+//! A [`ClusterRun`] owns the whole fleet, the books its outcome is assembled from, and
+//! its checkpoint. [`ClusterRun::step`] advances it one decision interval: it samples
+//! the per-node-average load profile, scales it to the logical fleet's total offered
+//! load, and runs one method per phase:
 //!
-//! Fleet suites ([`crate::suite::ClusterSuite`]) run through
-//! [`Engine::run_collect`] like single-node suites: there the engine's workers take
-//! whole fleets, and the cell order of the results does not depend on the worker
-//! count.
+//! 1. `apply_faults` — recoveries, then this interval's scheduled crashes and
+//!    stragglers, then replica-weighted availability accounting;
+//! 2. `plan_serving_set` — the autoscaler plans from the previous interval's
+//!    snapshots, parked and crashed nodes are suspended, and the interval's serving
+//!    mask (autoscaler `Active` and fault-healthy) is computed once;
+//! 3. `admit_racks` — racks whose measured draw reached their power budget close to
+//!    new work;
+//! 4. `consolidate` — draining nodes live-migrate in-flight jobs onto serving nodes
+//!    and park once empty;
+//! 5. `place_jobs` — the batch scheduler places queued jobs into free slots on serving
+//!    nodes, each placement confined to a sampled rack on racked fleets
+//!    (`confine_to_sampled_rack`);
+//! 6. `balance_load` — the [`LoadBalancer`] splits the total load over the serving
+//!    mask (using the previous interval's node snapshots);
+//! 7. `step_nodes` — every node advances independently: its simulator runs the
+//!    interval and its [`NodeRuntime`](pliant_core::runtime::NodeRuntime), the same
+//!    runtime a single-node experiment runs, monitors, decides and actuates; the node
+//!    keeps its own per-node books and its last observation;
+//! 8. `close_interval` — one pass over the nodes records job completions, meters rack
+//!    power, and folds the interval into the fleet books (the outcome's trace series)
+//!    and the traced interval rollup.
+//!
+//! Nodes share no state within an interval: all cross-node decisions happen in the
+//! other phases, and phase 7 steps the instances in index order on the calling thread.
+//! A fleet is one simulation; parallelism comes from running whole fleets side by side
+//! ([`Engine::run_collect`] over a [`ClusterSuite`](crate::suite::ClusterSuite)), where
+//! the engine's workers take whole fleets and the cell order of the results does not
+//! depend on the worker count. [`ClusterEngineExt`] runs one fleet on an [`Engine`],
+//! sharing the engine's catalog with every node.
+//!
+//! # Population vs instances
+//!
+//! The scenario describes a *population* of logical nodes
+//! (see [`NodePopulation`]); what the run steps are *instances*. Under
+//! [`FleetApproximation::Exact`](crate::scenario::FleetApproximation::Exact) the two
+//! coincide — one weight-1 instance per logical node. Under
+//! [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)
+//! each instance is a representative standing for
+//! `replicas` interchangeable logical nodes: the balancer splits the *logical* total
+//! load over representatives (weighted, per-replica), the scheduler pops replica-sized
+//! job batches, the autoscaler parks and drains whole replica blocks, and every
+//! per-node statistic a representative produces is replicated by its weight
+//! node-side. Interval cost then scales with the number of instances while the
+//! reported fleet stays at its logical size. Both modes run the same phases; an exact
+//! fleet is the case where every replica weight is 1.
 
+use pliant_approx::catalog::{AppId, Catalog};
 use pliant_core::engine::Engine;
 use pliant_telemetry::histogram::LatencyHistogram;
-use pliant_telemetry::obs::{EventLog, ObsLevel};
+use pliant_telemetry::obs::{
+    Event, EventLog, ObsBuffer, ObsLevel, PowerStateKind, ScaleTrigger, DEFAULT_FLEET_CAPACITY,
+};
+use pliant_telemetry::rng::{derive_seed, rng_from_state_words, rng_state_words, seeded_rng};
 use pliant_telemetry::series::{TimeSeries, TraceBundle};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::autoscaler::{Autoscaler, AutoscalerSnapshot, NodePowerState};
+use crate::balancer::LoadBalancer;
+use crate::faults::{self, FaultKind, FaultState, FaultStateSnapshot, FaultStats, NodeHealth};
+use crate::node::{ClusterNode, NodeCheckpoint, NodeSnapshot};
 use crate::outcome::{ClusterOutcome, NodeOutcome};
+use crate::population::NodePopulation;
 use crate::scenario::ClusterScenario;
-use crate::sim::{ClusterCheckpoint, ClusterSim, CLUSTER_CHECKPOINT_VERSION};
+use crate::scheduler::{BatchScheduler, SchedulerStats};
+use crate::topology::Topology;
+
+/// Seed-derivation stream for the rack-placement sampling RNG (racked topologies
+/// only; flat fleets never create the stream, let alone draw from it).
+const RACK_SAMPLE_STREAM: u64 = 0x7090_0001;
 
 /// Fleet execution on the core [`Engine`]; see the module docs.
 pub trait ClusterEngineExt {
@@ -61,16 +118,17 @@ impl ClusterEngineExt for Engine {
     }
 }
 
-/// A cluster execution that can be paused, checkpointed, and resumed.
+/// One fleet execution that can be paused, checkpointed, and resumed; see the module
+/// docs.
 ///
 /// [`ClusterEngineExt::run_cluster`] is a thin wrapper over this type: it advances one
-/// decision interval at a time ([`Self::step`]), aggregating the per-interval scalars
-/// the [`ClusterOutcome`] traces are built from, and [`Self::finish`] runs whatever
-/// remains of the horizon and assembles the outcome. Between steps the full state of
-/// the execution — the simulator plus every aggregation accumulator — can be captured
-/// with [`Self::checkpoint`] and restored with [`Self::restore`] into a run freshly
-/// built from the same scenario. Resuming an untraced run is byte-identical to never
-/// having stopped: the final outcome's JSON is equal byte for byte.
+/// decision interval at a time ([`Self::step`]), and [`Self::finish`] runs whatever
+/// remains of the horizon and assembles the [`ClusterOutcome`]. Between steps the full
+/// state of the execution — every node, the coordinator, and every book the outcome is
+/// built from — can be captured with [`Self::checkpoint`] and restored with
+/// [`Self::restore`] into a run freshly built from the same scenario. Resuming an
+/// untraced run is byte-identical to never having stopped: the final outcome's JSON is
+/// equal byte for byte.
 ///
 /// ```
 /// use pliant_approx::catalog::AppId;
@@ -96,14 +154,68 @@ impl ClusterEngineExt for Engine {
 /// assert_eq!(outcome.intervals, 12);
 /// ```
 pub struct ClusterRun {
-    sim: ClusterSim,
+    scenario: ClusterScenario,
+    catalog: Catalog,
+    /// The logical fleet the instances below stand for.
+    population: NodePopulation,
+    /// Simulated instances, in instance order. Each keeps its own per-node books (QoS
+    /// counters, histogram, energy, assigned load, reclaimed cores, completions).
+    nodes: Vec<ClusterNode>,
+    /// Logical nodes each instance stands for (all ones in exact mode).
+    replica_weights: Vec<usize>,
+    balancer: LoadBalancer,
+    scheduler: BatchScheduler,
+    /// Energy-aware sizing of the active node set (`None` = every node always serves).
+    autoscaler: Option<Autoscaler>,
+    /// Fault injection: the compiled schedule and per-instance health (`None` when the
+    /// scenario carries no fault profile, which leaves every instance healthy).
+    faults: Option<FaultState>,
+    time_s: f64,
+    intervals: usize,
+    /// The scenario's horizon, in decision intervals.
     max_intervals: usize,
-    // Per-instance accumulators: one slot per *simulated* node. In exact mode that is
-    // the whole fleet; under the clustered approximation each instance already carries
-    // its replica weight in everything it reports.
-    assigned_sum: Vec<f64>,
-    max_extra: Vec<u32>,
-    jobs_completed: Vec<usize>,
+    /// Scratch buffer of node snapshots, refreshed by [`Self::refresh_snapshots`] and
+    /// reused across the planning, placement, and balancing phases.
+    snapshot_scratch: Vec<NodeSnapshot>,
+    /// Per-replica load the balancer assigned each instance this interval.
+    assigned_scratch: Vec<f64>,
+    /// This interval's serving mask: autoscaler `Active` and fault-healthy, computed
+    /// once per interval by [`Self::plan_serving_set`].
+    serving: Vec<bool>,
+    /// Scratch buffer of `(app, weight)` jobs aborted off a crashed node, reused
+    /// across crash events.
+    requeue_scratch: Vec<(AppId, usize)>,
+    /// Coordinator-side event ring (source 0): fleet shape, placements, dispatch,
+    /// autoscaler transitions, and per-interval rollups. Disabled — the null sink —
+    /// unless the run was built with [`Self::with_obs`].
+    fleet_obs: ObsBuffer,
+    /// Autoscaler power states at the start of the previous plan, used to diff out
+    /// [`Event::AutoscalerTransition`]s (traced runs only).
+    power_state_scratch: Vec<NodePowerState>,
+    /// The resolved physical topology: racks as shared power budgets and failure
+    /// domains. A flat scenario resolves to one unbudgeted rack holding the whole
+    /// fleet and skips rack admission, sampling, and metering.
+    topology: Topology,
+    /// Rack of each instance, via its seed member (replica groups never span racks —
+    /// see [`NodeGroup::rack`](crate::population::NodeGroup::rack) — so the seed
+    /// member's rack is every member's rack).
+    instance_racks: Vec<usize>,
+    /// Sampling stream for rack-level online placement (`None` on a flat topology,
+    /// which never samples).
+    rack_rng: Option<SmallRng>,
+    /// Per-rack measured power draw over the previous interval, in watts (empty on a
+    /// flat topology).
+    rack_power_w: Vec<f64>,
+    /// Scratch: per-rack admission flags for the current interval (power caps).
+    rack_admissible: Vec<bool>,
+    /// Scratch: candidate racks for one placement sampling round.
+    rack_candidates: Vec<usize>,
+    /// Scratch: instances parked by the mid-interval consolidation pass.
+    park_scratch: Vec<usize>,
+    // Fleet books, folded in by `close_interval`. Extensive quantities are replica
+    // weighted: every logical node an instance stands for would have shown the same
+    // per-node observation under CRN, so they scale by `replicas` (1 on every exactly
+    // simulated node, which leaves the arithmetic bit-identical).
     total_load_sum: f64,
     max_total_extra: u32,
     active_sum: usize,
@@ -115,8 +227,26 @@ pub struct ClusterRun {
     active_series: TimeSeries,
 }
 
+/// The telemetry code of a batch job: its position in [`AppId::all`].
+fn job_code(app: AppId) -> u32 {
+    AppId::all()
+        .iter()
+        .position(|a| *a == app)
+        .map_or(u32::MAX, |p| p as u32)
+}
+
+/// Converts an autoscaler power state into its telemetry mirror.
+fn power_state_kind(state: NodePowerState) -> PowerStateKind {
+    match state {
+        NodePowerState::Active => PowerStateKind::Active,
+        NodePowerState::Draining => PowerStateKind::Draining,
+        NodePowerState::Parked => PowerStateKind::Parked,
+    }
+}
+
 impl ClusterRun {
-    /// Builds the run (fleet plus aggregation state) for `scenario`, untraced.
+    /// Builds the run for `scenario`, untraced, filling every node's slots with the
+    /// first `nodes × slots_per_node` jobs (node-major order) and queueing the rest.
     ///
     /// # Panics
     ///
@@ -126,19 +256,157 @@ impl ClusterRun {
         Self::with_obs(scenario, engine, ObsLevel::Off)
     }
 
-    /// Like [`Self::new`], with the tracing subsystem on at `level`. A resumed traced
-    /// run replays only post-resume events (the observability ring is not part of the
-    /// checkpoint); the simulation itself is still byte-identical.
+    /// Like [`Self::new`], but with the tracing subsystem switched on at `level`:
+    /// every node records its decision events and the coordinator records fleet-level
+    /// events (placements, dispatch, autoscaler transitions, interval rollups);
+    /// [`Self::finish`] returns the merged stream. Tracing observes decisions without
+    /// altering them — the simulation is byte-identical at every level. A resumed
+    /// traced run replays only post-resume events (the observability rings are not
+    /// part of the checkpoint).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario fails [`ClusterScenario::validate`] or names an
+    /// application missing from the engine's catalog.
     pub fn with_obs(scenario: &ClusterScenario, engine: &Engine, level: ObsLevel) -> Self {
-        let sim = ClusterSim::with_obs(scenario, engine.catalog(), level);
-        let n = sim.instance_count();
+        let catalog = engine.catalog();
+        if let Err(e) = scenario.validate() {
+            panic!("invalid cluster scenario `{}`: {e}", scenario.describe());
+        }
+        let initial = scenario.initial_job_count();
+        let population = NodePopulation::from_scenario(scenario);
+        let clustered = scenario.approximation.is_clustered();
+        let topology = Topology::resolve(&scenario.topology, scenario.nodes);
+        let fault_schedule = scenario
+            .fault_profile
+            .as_ref()
+            .filter(|profile| !profile.is_empty())
+            .map(|profile| {
+                faults::compile_schedule(
+                    profile,
+                    scenario.seed,
+                    &population,
+                    &topology,
+                    scenario.max_intervals(),
+                )
+            });
+        // Faulted logical nodes must be simulated exactly: carve them out of their
+        // replica groups so a crash takes down one node, not every node it stood for.
+        let plans = match &fault_schedule {
+            Some(schedule) if clustered => population.plan_instances_isolating(
+                &scenario.approximation,
+                &faults::faulted_logical_nodes(schedule, population.total_nodes()),
+            ),
+            _ => population.plan_instances(&scenario.approximation),
+        };
+        // In exact mode the plans are one weight-1 instance per logical node, in node
+        // order.
+        let nodes: Vec<ClusterNode> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let slice = &scenario.jobs[plan.seed_member * scenario.slots_per_node
+                    ..(plan.seed_member + 1) * scenario.slots_per_node];
+                let mut node = ClusterNode::representative(
+                    scenario,
+                    i,
+                    plan.seed_member,
+                    plan.replicas,
+                    slice,
+                    catalog,
+                );
+                if level != ObsLevel::Off {
+                    node.enable_obs(level);
+                }
+                node
+            })
+            .collect();
+        let mut fleet_obs = ObsBuffer::new(level, 0, 1, DEFAULT_FLEET_CAPACITY);
+        if fleet_obs.enabled() {
+            let qos_target_s = nodes.first().map_or(0.0, |n| n.snapshot().qos_target_s);
+            fleet_obs.emit(
+                0,
+                0.0,
+                Event::FleetStart {
+                    nodes: population.total_nodes() as u32,
+                    instances: plans.len() as u32,
+                    slots_per_node: scenario.slots_per_node as u32,
+                    qos_target_s,
+                },
+            );
+            if clustered {
+                for group in 0..population.groups().len() {
+                    let representatives = plans.iter().filter(|p| p.group == group).count() as u32;
+                    let replicas: usize = plans
+                        .iter()
+                        .filter(|p| p.group == group)
+                        .map(|p| p.replicas)
+                        .sum();
+                    fleet_obs.emit(
+                        0,
+                        0.0,
+                        Event::ApproximationPlan {
+                            group: group as u32,
+                            representatives,
+                            replicas: replicas as u32,
+                        },
+                    );
+                }
+            }
+        }
+        let replica_weights: Vec<usize> = plans.iter().map(|p| p.replicas).collect();
+        let instance_racks: Vec<usize> = plans
+            .iter()
+            .map(|p| topology.rack_of(p.seed_member))
+            .collect();
+        let rack_rng = (!topology.is_flat())
+            .then(|| seeded_rng(derive_seed(scenario.seed, RACK_SAMPLE_STREAM)));
+        let rack_power_w = if topology.is_flat() {
+            Vec::new()
+        } else {
+            vec![0.0; topology.rack_count()]
+        };
+        let balancer = scenario.balancer.build(
+            nodes.len(),
+            pliant_telemetry::rng::derive_seed(scenario.seed, 0xBA_1A_4C_E0),
+        );
+        let scheduler = BatchScheduler::new(
+            scenario.scheduler,
+            scenario.jobs[initial..].iter().copied(),
+            initial,
+        );
+        let autoscaler = scenario
+            .autoscaler
+            .map(|config| Autoscaler::for_instances(config, replica_weights.clone()));
+        let faults = fault_schedule
+            .map(|schedule| FaultState::new(schedule, population.total_nodes(), &plans));
         let max_intervals = scenario.max_intervals();
-        ClusterRun {
-            sim,
+        Self {
+            scenario: scenario.clone(),
+            catalog: catalog.clone(),
+            population,
+            nodes,
+            replica_weights,
+            balancer,
+            scheduler,
+            autoscaler,
+            faults,
+            time_s: 0.0,
+            intervals: 0,
             max_intervals,
-            assigned_sum: vec![0.0f64; n],
-            max_extra: vec![0u32; n],
-            jobs_completed: vec![0usize; n],
+            snapshot_scratch: Vec::new(),
+            assigned_scratch: Vec::new(),
+            serving: Vec::new(),
+            requeue_scratch: Vec::new(),
+            fleet_obs,
+            power_state_scratch: Vec::new(),
+            topology,
+            instance_racks,
+            rack_rng,
+            rack_power_w,
+            rack_admissible: Vec::new(),
+            rack_candidates: Vec::new(),
+            park_scratch: Vec::new(),
             total_load_sum: 0.0,
             max_total_extra: 0,
             active_sum: 0,
@@ -151,72 +419,768 @@ impl ClusterRun {
         }
     }
 
+    /// The resolved physical topology the fleet runs on.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Per-rack measured power draw over the previous interval, in watts. Empty on a
+    /// flat topology, which does not track rack power.
+    pub fn rack_power_w(&self) -> &[f64] {
+        &self.rack_power_w
+    }
+
+    /// Takes the merged decision-event stream of the run so far: the coordinator's
+    /// events followed by every node's, interleaved chronologically (stable per-interval
+    /// order: fleet first, then nodes in instance order). Buffers are drained, so
+    /// [`Self::finish`] calls this once, after the run. Returns an empty log on an
+    /// untraced fleet.
+    fn take_event_log(&mut self) -> EventLog {
+        let level = self.fleet_obs.level();
+        let fleet = std::mem::replace(&mut self.fleet_obs, ObsBuffer::disabled());
+        let buffers =
+            std::iter::once(fleet).chain(self.nodes.iter_mut().map(ClusterNode::take_obs_buffer));
+        EventLog::merge(level, buffers)
+    }
+
+    /// The scenario the fleet was built from.
+    pub fn scenario(&self) -> &ClusterScenario {
+        &self.scenario
+    }
+
+    /// Logical fleet size (the number of nodes the scenario describes, regardless of
+    /// how many instances the approximation simulates).
+    pub fn node_count(&self) -> usize {
+        self.population.total_nodes()
+    }
+
+    /// Simulated instances (equals [`Self::node_count`] in exact mode; the number of
+    /// cluster representatives under
+    /// [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)).
+    pub fn instance_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The logical node population the fleet was grouped from.
+    pub fn population(&self) -> &NodePopulation {
+        &self.population
+    }
+
+    /// Logical nodes each instance stands for, in instance order (all ones in exact
+    /// mode).
+    pub fn replica_weights(&self) -> &[usize] {
+        &self.replica_weights
+    }
+
+    /// Current experiment time in seconds.
+    pub fn time_s(&self) -> f64 {
+        self.time_s
+    }
+
     /// Decision intervals advanced so far.
     pub fn intervals(&self) -> usize {
-        self.sim.intervals()
+        self.intervals
+    }
+
+    /// Job-queue statistics so far.
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        self.scheduler.stats()
+    }
+
+    /// Jobs still waiting in the queue.
+    pub fn pending_jobs(&self) -> usize {
+        self.scheduler.pending()
+    }
+
+    /// Fault-injection outcome counters so far, when the scenario carries a
+    /// (non-empty) fault profile. Availability is computed over the logical fleet and
+    /// the intervals advanced so far.
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        self.faults
+            .as_ref()
+            .map(|f| f.stats(self.population.total_nodes(), self.intervals))
+    }
+
+    /// Logical nodes currently serving traffic (the whole fleet without an
+    /// autoscaler). In clustered mode a whole replica block counts at once, since the
+    /// autoscaler parks and drains instances atomically.
+    pub fn active_nodes(&self) -> usize {
+        self.autoscaler
+            .as_ref()
+            .map_or(self.population.total_nodes(), |a| a.active_replicas())
+    }
+
+    /// The current snapshots of every instance, in instance order.
+    pub fn snapshots(&self) -> Vec<NodeSnapshot> {
+        self.nodes.iter().map(ClusterNode::snapshot).collect()
+    }
+
+    /// Immutable access to instance `index`.
+    pub fn node(&self, index: usize) -> &ClusterNode {
+        &self.nodes[index]
+    }
+
+    /// Refreshes `snapshot_scratch` with every instance's current snapshot.
+    fn refresh_snapshots(&mut self) {
+        self.snapshot_scratch.clear();
+        self.snapshot_scratch
+            .extend(self.nodes.iter().map(ClusterNode::snapshot));
+    }
+
+    /// Scores a candidate rack for online placement from `snapshot_scratch`: fractional
+    /// power headroom (1.0 when unbudgeted) plus the replica-weighted mean QoS slack of
+    /// its member instances. Returns `(score, headroom_w, mean_slack)`; the headroom in
+    /// watts is reported as 0.0 for unbudgeted racks, which have no meaningful wattage.
+    fn rack_score(&self, rack: usize) -> (f64, f64, f64) {
+        let (headroom_frac, headroom_w) = match self.topology.power_budget_w(rack) {
+            Some(budget) if budget > 0.0 => {
+                let headroom = (budget - self.rack_power_w[rack]).max(0.0);
+                ((headroom / budget).min(1.0), headroom)
+            }
+            _ => (1.0, 0.0),
+        };
+        let mut slack_sum = 0.0;
+        let mut members = 0usize;
+        for snap in &self.snapshot_scratch {
+            if self.instance_racks[snap.index] != rack {
+                continue;
+            }
+            let weight = self.replica_weights[snap.index];
+            slack_sum += snap.slack_fraction() * weight as f64;
+            members += weight;
+        }
+        let mean_slack = if members > 0 {
+            slack_sum / members as f64
+        } else {
+            0.0
+        };
+        (headroom_frac + mean_slack, headroom_w, mean_slack)
     }
 
     /// Whether the horizon has been fully simulated.
     pub fn is_done(&self) -> bool {
-        self.sim.intervals() >= self.max_intervals
+        self.intervals >= self.max_intervals
     }
 
-    /// The fleet being advanced.
-    pub fn sim(&self) -> &ClusterSim {
-        &self.sim
+    /// Returns the run itself: the fleet's read accessors are on [`ClusterRun`]. Kept
+    /// only because the `perfbench` harness calls `run.sim().instance_count()`; new
+    /// code calls the accessors on the run directly.
+    pub fn sim(&self) -> &Self {
+        self
     }
 
-    /// Advances one decision interval and folds it into the aggregates; no-op once the
-    /// horizon is complete. Returns `true` while intervals remain.
+    /// Advances the fleet one decision interval on the calling thread and folds it into
+    /// the books; no-op once the horizon is complete. Returns `true` while intervals
+    /// remain.
     pub fn step(&mut self) -> bool {
         if self.is_done() {
             return false;
         }
-        // QoS accounting (busy/idle/violation counters and the per-node latency
-        // histograms, microsecond-scaled, warm-up excluded) lives inside each
-        // [`crate::node::ClusterNode`] and runs as the node steps; this loop only
-        // aggregates per-interval scalars for the traces.
-        let interval = self.sim.advance();
-        self.total_load_sum += interval.total_offered_load;
-        let mut total_extra = 0u32;
-        let mut violating_nodes = 0usize;
-        let mut fleet_power_w = 0.0f64;
-        for ni in &interval.nodes {
-            let i = ni.node;
-            let obs = &ni.observation;
-            // Replica weighting: every logical node an instance stands for would have
-            // shown the same per-node observation under CRN, so extensive fleet
-            // quantities scale by `replicas` (which is 1 on every exactly-simulated
-            // node, leaving the historical arithmetic bit-identical).
-            if obs.arrivals > 0 && obs.qos_violated() {
-                violating_nodes += ni.replicas;
-            }
-            self.assigned_sum[i] += ni.assigned_load;
-            self.max_extra[i] = self.max_extra[i].max(ni.extra_service_cores);
-            self.jobs_completed[i] += ni.jobs_completed;
-            total_extra += ni.extra_service_cores * ni.replicas as u32;
-            fleet_power_w += obs.power_w * ni.replicas as f64;
-        }
-        self.max_total_extra = self.max_total_extra.max(total_extra);
-        self.active_sum += interval.active_nodes;
-        self.min_active = self.min_active.min(interval.active_nodes);
-        self.load_series
-            .push(interval.time_s, interval.total_offered_load);
-        self.cores_series.push(interval.time_s, total_extra as f64);
-        self.violating_series
-            .push(interval.time_s, violating_nodes as f64);
-        self.power_series.push(interval.time_s, fleet_power_w);
-        self.active_series
-            .push(interval.time_s, interval.active_nodes as f64);
-        // The interval is fully consumed: recycle its observation buffers into the
-        // nodes and its results vector into the fleet, so the fleet, like the
-        // single-node loop, allocates once per run.
-        self.sim.recycle_interval(interval);
+        self.apply_faults();
+        // The offered load scales with the *logical* fleet: approximating with fewer
+        // instances must not shrink it.
+        let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
+        let total_offered_load = avg_offered_load * self.population.total_nodes() as f64;
+        let active_nodes = self.plan_serving_set(total_offered_load);
+        self.admit_racks();
+        self.consolidate();
+        let jobs_placed = self.place_jobs();
+        self.balance_load(total_offered_load);
+        let completions = self.step_nodes();
+        self.close_interval(completions, total_offered_load, active_nodes, jobs_placed);
         !self.is_done()
     }
 
-    /// Captures the run for later resumption: the simulator checkpoint plus every
-    /// aggregation accumulator. Serializable; see [`ClusterRunCheckpoint`].
+    /// Fault phase: recovers instances whose outage or degradation expired, then
+    /// applies every fault scheduled for this interval (a zero-allocation cursor walk
+    /// over the pre-compiled schedule; see [`crate::faults`]) and accounts the
+    /// interval's replica-weighted availability. Runs first, so placement, balancing,
+    /// and the autoscaler all see this interval's health.
+    fn apply_faults(&mut self) {
+        let Some(faults) = self.faults.as_mut() else {
+            return;
+        };
+        let interval = self.intervals as u64;
+        let obs_interval = self.intervals as u32;
+        // A rack outage lands as per-member crashes (compiled into the schedule), but
+        // the cause is a fleet-level event: record each power-domain failure the
+        // interval it strikes, before its member crashes are applied.
+        if self.fleet_obs.enabled() {
+            if let Some(profile) = &self.scenario.fault_profile {
+                for outage in &profile.rack_outages {
+                    if outage.at_interval == interval {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::RackOutage {
+                                rack: outage.rack as u32,
+                                nodes: self.topology.racks()[outage.rack].members.len() as u32,
+                                duration_intervals: outage.duration_intervals as u32,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        // Recoveries first, so a node can be struck again the interval it returns.
+        for (i, health) in faults.health.iter_mut().enumerate() {
+            let node = &mut self.nodes[i];
+            match *health {
+                // The autoscaler phase re-parks a recovered node if it planned so.
+                NodeHealth::Down { until } if until <= interval => node.set_parked(false),
+                NodeHealth::Degraded { until, .. } if until <= interval => node.set_degrade(1.0),
+                _ => continue,
+            }
+            *health = NodeHealth::Up;
+            if self.fleet_obs.enabled() {
+                self.fleet_obs.emit(
+                    obs_interval,
+                    self.time_s,
+                    Event::NodeRecovered { node: i as u32 },
+                );
+            }
+        }
+        // Apply the events scheduled for this interval. Events addressing a logical
+        // node with no exact instance (impossible by construction — the isolating
+        // planner carves every faulted node out) or a node that is not healthy (a
+        // crash cannot crash an already-down node) are dropped.
+        while faults.cursor < faults.schedule.len()
+            && faults.schedule[faults.cursor].interval == interval
+        {
+            let event = faults.schedule[faults.cursor];
+            faults.cursor += 1;
+            let Some(instance) = faults.instance_of[event.node] else {
+                continue;
+            };
+            if faults.health[instance] != NodeHealth::Up {
+                continue;
+            }
+            let until = interval + event.duration;
+            match event.kind {
+                FaultKind::Crash => {
+                    faults.health[instance] = NodeHealth::Down { until };
+                    faults.crashes += 1;
+                    if self.fleet_obs.enabled() {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::NodeFailed {
+                                node: instance as u32,
+                                outage_intervals: event.duration as u32,
+                            },
+                        );
+                    }
+                    // Unfinished batch jobs die with the node; hand them back to the
+                    // scheduler queue. (The node's slots keep simulating the abandoned
+                    // work and free up when it would have finished — the requeued copy
+                    // may complete elsewhere first.)
+                    self.requeue_scratch.clear();
+                    self.nodes[instance].abort_unfinished_jobs(&mut self.requeue_scratch);
+                    for &(app, weight) in &self.requeue_scratch {
+                        self.scheduler.requeue(app, weight);
+                        faults.jobs_requeued += weight as u64;
+                        if self.fleet_obs.enabled() {
+                            self.fleet_obs.emit(
+                                obs_interval,
+                                self.time_s,
+                                Event::JobRequeued {
+                                    node: instance as u32,
+                                    job_code: job_code(app),
+                                    weight: weight as u32,
+                                },
+                            );
+                        }
+                    }
+                }
+                FaultKind::Degrade { factor } => {
+                    faults.health[instance] = NodeHealth::Degraded { until, factor };
+                    faults.degradations += 1;
+                    self.nodes[instance].set_degrade(factor);
+                    if self.fleet_obs.enabled() {
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::NodeDegraded {
+                                node: instance as u32,
+                                factor,
+                                intervals: event.duration as u32,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        // Replica-weighted availability accounting for the interval about to run.
+        for (health, &weight) in faults.health.iter().zip(&self.replica_weights) {
+            match health {
+                NodeHealth::Down { .. } => faults.down_node_intervals += weight as u64,
+                NodeHealth::Degraded { .. } => faults.degraded_node_intervals += weight as u64,
+                NodeHealth::Up => {}
+            }
+        }
+    }
+
+    /// Autoscaler phase: plans the active set from the previous interval's snapshots
+    /// (park fully-drained instances, then at most one membership change) and suspends
+    /// parked instances before they are stepped. Crashed instances stay suspended
+    /// whatever the plan: a down node bills the parked draw until it recovers (a
+    /// modelling simplification — an outage is billed like a park, not as zero draw).
+    ///
+    /// Then computes the interval's serving mask into `serving`: autoscaler `Active`
+    /// and fault-healthy. Consolidation, placement, balancing, and the dispatch audit
+    /// all read it. Returns the logical nodes serving, the replica-weighted count over
+    /// the mask.
+    fn plan_serving_set(&mut self, total_offered_load: f64) -> usize {
+        if self.autoscaler.is_some() {
+            self.refresh_snapshots();
+        }
+        if let Some(scaler) = &mut self.autoscaler {
+            if self.fleet_obs.enabled() {
+                self.power_state_scratch.clear();
+                self.power_state_scratch.extend_from_slice(scaler.states());
+            }
+            scaler.plan(
+                total_offered_load,
+                &self.snapshot_scratch,
+                self.scenario.slots_per_node,
+            );
+            if self.fleet_obs.enabled() {
+                // Diff the plan's state changes into transition events. The trigger is
+                // recovered from the edge itself: reactivation = scale-out, a fresh
+                // drain = scale-in, draining → parked = the drain completing.
+                let interval = self.intervals as u32;
+                for (i, (&before, &after)) in self
+                    .power_state_scratch
+                    .iter()
+                    .zip(scaler.states())
+                    .enumerate()
+                {
+                    if before == after {
+                        continue;
+                    }
+                    let trigger = match after {
+                        NodePowerState::Active => ScaleTrigger::ScaleOut,
+                        NodePowerState::Draining => ScaleTrigger::ScaleIn,
+                        NodePowerState::Parked => ScaleTrigger::DrainComplete,
+                    };
+                    self.fleet_obs.emit(
+                        interval,
+                        self.time_s,
+                        Event::AutoscalerTransition {
+                            node: i as u32,
+                            from: power_state_kind(before),
+                            to: power_state_kind(after),
+                            trigger,
+                        },
+                    );
+                }
+            }
+            for (node, state) in self.nodes.iter_mut().zip(scaler.states()) {
+                node.set_parked(*state == NodePowerState::Parked);
+            }
+        }
+        self.serving.clear();
+        match &self.autoscaler {
+            Some(scaler) => self
+                .serving
+                .extend(scaler.states().iter().map(|s| *s == NodePowerState::Active)),
+            None => self.serving.resize(self.nodes.len(), true),
+        }
+        if let Some(faults) = &self.faults {
+            for ((node, health), serving) in self
+                .nodes
+                .iter_mut()
+                .zip(&faults.health)
+                .zip(self.serving.iter_mut())
+            {
+                if !health.is_serving() {
+                    node.set_parked(true);
+                    *serving = false;
+                }
+            }
+        }
+        self.serving
+            .iter()
+            .zip(&self.replica_weights)
+            .filter(|(serving, _)| **serving)
+            .map(|(_, &weight)| weight)
+            .sum()
+    }
+
+    /// Rack admission phase: a rack whose measured draw reached its budget over the
+    /// previous interval admits no new work this interval — neither queue placements
+    /// nor migration arrivals. Flat fleets have a single unbudgeted rack and skip the
+    /// scan entirely.
+    fn admit_racks(&mut self) {
+        if self.topology.is_flat() {
+            return;
+        }
+        self.rack_admissible.clear();
+        for rack in 0..self.topology.rack_count() {
+            let admissible = self
+                .topology
+                .power_budget_w(rack)
+                .is_none_or(|budget| self.rack_power_w[rack] < budget);
+            self.rack_admissible.push(admissible);
+            if !admissible && self.fleet_obs.enabled() {
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::RackPowerCapped {
+                        rack: rack as u32,
+                        power_w: self.rack_power_w[rack],
+                        budget_w: self.topology.power_budget_w(rack).unwrap_or(0.0),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Consolidation phase (autoscalers configured to consolidate only): instead of
+    /// waiting for a draining node's batch jobs to run to completion, migrate their
+    /// in-flight state onto serving nodes with free slots, then park every drain the
+    /// migrations completed — in the same interval, so the node bills the parked draw
+    /// from here on and the active-node trace never double-counts it. Deterministic by
+    /// construction: sources scan in instance order, each job lands on the
+    /// lowest-indexed admissible destination, and no RNG is drawn.
+    fn consolidate(&mut self) {
+        if !self
+            .autoscaler
+            .as_ref()
+            .is_some_and(|a| a.config().consolidate)
+        {
+            return;
+        }
+        let racked = !self.topology.is_flat();
+        let n = self.nodes.len();
+        let mut migrations = 0usize;
+        for src in 0..n {
+            let draining = self
+                .autoscaler
+                .as_ref()
+                .is_some_and(|a| a.states()[src] == NodePowerState::Draining);
+            // A crashed drain has nothing live to move: the fault phase already
+            // aborted (and requeued) its unfinished jobs.
+            let healthy = self
+                .faults
+                .as_ref()
+                .is_none_or(|f| f.health[src].is_serving());
+            if !draining || !healthy {
+                continue;
+            }
+            loop {
+                // Pick the destination *before* extracting: extraction latches the
+                // source slot irreversibly, so a job must never leave its node without
+                // a confirmed landing spot. The draining source is never serving.
+                let dst = (0..n).find(|&d| {
+                    self.serving[d]
+                        && (!racked || self.rack_admissible[self.instance_racks[d]])
+                        && self.nodes[d].free_slots() > 0
+                });
+                let Some(dst) = dst else { break };
+                let Some((state, weight)) = self.nodes[src].extract_job() else {
+                    break;
+                };
+                let implanted = self.nodes[dst].implant_job(state, weight);
+                assert!(
+                    implanted.is_some(),
+                    "destination advertised a free slot but refused the implant"
+                );
+                migrations += 1;
+                if self.fleet_obs.enabled() {
+                    self.fleet_obs.emit(
+                        self.intervals as u32,
+                        self.time_s,
+                        Event::JobMigrated {
+                            node: src as u32,
+                            to_node: dst as u32,
+                            weight: weight as u32,
+                        },
+                    );
+                }
+            }
+        }
+        if migrations == 0 {
+            return;
+        }
+        self.refresh_snapshots();
+        if let Some(scaler) = &mut self.autoscaler {
+            self.park_scratch.clear();
+            scaler.park_fully_drained(
+                &self.snapshot_scratch,
+                self.scenario.slots_per_node,
+                &mut self.park_scratch,
+            );
+            for &i in &self.park_scratch {
+                self.nodes[i].set_parked(true);
+                if self.fleet_obs.enabled() {
+                    self.fleet_obs.emit(
+                        self.intervals as u32,
+                        self.time_s,
+                        Event::AutoscalerTransition {
+                            node: i as u32,
+                            from: PowerStateKind::Draining,
+                            to: PowerStateKind::Parked,
+                            trigger: ScaleTrigger::DrainComplete,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Placement phase: places queued jobs into slots freed by the previous interval,
+    /// returning the logical jobs placed. Snapshots are refreshed after every
+    /// placement so one node does not soak up the whole queue just because it was
+    /// chosen first. Instances outside the serving mask advertise zero free slots: a
+    /// draining node handed fresh jobs would never park, and a crashed one cannot run
+    /// them. On a racked fleet each placement is confined to a sampled rack first.
+    fn place_jobs(&mut self) -> usize {
+        let racked = !self.topology.is_flat();
+        let mut jobs_placed = 0usize;
+        loop {
+            self.refresh_snapshots();
+            for (snap, &serving) in self.snapshot_scratch.iter_mut().zip(&self.serving) {
+                if !serving {
+                    snap.free_slots = 0;
+                }
+            }
+            if racked && !self.confine_to_sampled_rack() {
+                break;
+            }
+            let Some((node, app, weight)) = self
+                .scheduler
+                .pop_placement(&self.snapshot_scratch, &self.replica_weights)
+            else {
+                break;
+            };
+            let profile = self
+                .catalog
+                .profile(app)
+                .unwrap_or_else(|| panic!("{app} missing from catalog"));
+            self.nodes[node]
+                .place_job(profile, weight)
+                // pliant-lint: allow(panic-hygiene): the scheduler chose this node
+                // from snapshots with `free_slots > 0` taken this same interval.
+                .expect("scheduler only places onto nodes with free slots");
+            jobs_placed += weight;
+            if self.fleet_obs.enabled() {
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::JobPlaced {
+                        node: node as u32,
+                        job_code: job_code(app),
+                        weight: weight as u32,
+                    },
+                );
+            }
+        }
+        jobs_placed
+    }
+
+    /// Online rack placement for the next queued job: samples up to two admissible
+    /// candidate racks with free capacity, scores each by fractional power headroom
+    /// plus mean QoS slack, and confines the placement to the winner by zeroing the
+    /// other racks' free slots in `snapshot_scratch` (the power-aware sampling of
+    /// Microsoft's online rack placement; the job queue itself is untouched). Returns
+    /// `false` when the queue or the candidate set is empty — *before* any sampling
+    /// draw, so RNG consumption is a pure function of simulation state, never of
+    /// tracing level.
+    fn confine_to_sampled_rack(&mut self) -> bool {
+        if self.scheduler.pending() == 0 {
+            return false;
+        }
+        self.rack_candidates.clear();
+        for rack in 0..self.topology.rack_count() {
+            let has_free = self
+                .snapshot_scratch
+                .iter()
+                .any(|s| self.instance_racks[s.index] == rack && s.free_slots > 0);
+            if self.rack_admissible[rack] && has_free {
+                self.rack_candidates.push(rack);
+            }
+        }
+        let k = self.rack_candidates.len();
+        if k == 0 {
+            return false;
+        }
+        let (first, second) = if k == 1 {
+            (0, 0)
+        } else {
+            let rng = self
+                .rack_rng
+                .as_mut()
+                // pliant-lint: allow(panic-hygiene): racked fleets always construct
+                // the sampling stream; see `with_obs`.
+                .expect("racked fleets carry a rack-sampling stream");
+            let first = rng.gen_range(0..k);
+            let mut second = rng.gen_range(0..k - 1);
+            if second >= first {
+                second += 1;
+            }
+            (first, second)
+        };
+        let mut winner = self.rack_candidates[first];
+        let mut best = self.rack_score(winner);
+        if second != first {
+            let other = self.rack_candidates[second];
+            let score = self.rack_score(other);
+            match score.0.total_cmp(&best.0) {
+                std::cmp::Ordering::Greater => {
+                    winner = other;
+                    best = score;
+                }
+                std::cmp::Ordering::Equal if other < winner => {
+                    winner = other;
+                    best = score;
+                }
+                _ => {}
+            }
+        }
+        if self.fleet_obs.enabled() {
+            self.fleet_obs.emit(
+                self.intervals as u32,
+                self.time_s,
+                Event::RackPlacement {
+                    rack: winner as u32,
+                    candidates: if k == 1 { 1 } else { 2 },
+                    power_headroom_w: best.1,
+                    qos_slack: best.2,
+                },
+            );
+        }
+        for snap in self.snapshot_scratch.iter_mut() {
+            if self.instance_racks[snap.index] != winner {
+                snap.free_slots = 0;
+            }
+        }
+        true
+    }
+
+    /// Balancing phase: splits the offered load over the serving mask into
+    /// `assigned_scratch` — per-replica loads from fresh snapshots; see
+    /// [`LoadBalancer::split`] — and records the dispatch audit on traced runs.
+    fn balance_load(&mut self, total_offered_load: f64) {
+        self.refresh_snapshots();
+        self.balancer.split(
+            total_offered_load,
+            &self.snapshot_scratch,
+            &self.replica_weights,
+            &self.serving,
+            &mut self.assigned_scratch,
+        );
+        if self.fleet_obs.enabled() && total_offered_load > 0.0 {
+            // Dispatch audit: at Full level every routed assignment is recorded; at
+            // Decisions level only sheds are (a serving node squeezed out of the
+            // rotation is a balancer decision worth auditing, per-node routing isn't).
+            let interval = self.intervals as u32;
+            for (i, (&load, &serving)) in
+                self.assigned_scratch.iter().zip(&self.serving).enumerate()
+            {
+                if load > 0.0 {
+                    self.fleet_obs.emit(
+                        interval,
+                        self.time_s,
+                        Event::BalancerDispatch {
+                            node: i as u32,
+                            assigned_load: load,
+                        },
+                    );
+                } else if serving {
+                    self.fleet_obs.emit(
+                        interval,
+                        self.time_s,
+                        Event::BalancerShed { node: i as u32 },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Node step phase: advances every instance at its assigned load, in instance
+    /// order, and returns the interval's replica-weighted job completions. Each node
+    /// keeps its observation and recycles its buffers into its next step.
+    fn step_nodes(&mut self) -> usize {
+        self.nodes
+            .iter_mut()
+            .zip(&self.assigned_scratch)
+            .map(|(node, &load)| node.step(load))
+            .sum()
+    }
+
+    /// Closes the interval in one pass over the nodes: records the job completions,
+    /// meters each rack's draw over the interval just stepped (the next admission
+    /// phase compares it against the rack budget), and counts the busy and
+    /// QoS-violating logical nodes, the reclaimed cores and the fleet power. Then
+    /// advances the clock, emits the interval rollup on traced runs, and folds the
+    /// interval into the fleet books and trace series (pushed at the interval's end
+    /// time).
+    fn close_interval(
+        &mut self,
+        completions: usize,
+        total_offered_load: f64,
+        active_nodes: usize,
+        jobs_placed: usize,
+    ) {
+        let dt = self.scenario.decision_interval_s;
+        self.scheduler.record_completions(completions);
+        let racked = !self.topology.is_flat();
+        if racked {
+            self.rack_power_w.fill(0.0);
+        }
+        let mut busy = 0usize;
+        let mut violating = 0usize;
+        let mut total_extra = 0u32;
+        let mut fleet_power_w = 0.0f64;
+        for (node, &rack) in self.nodes.iter().zip(&self.instance_racks) {
+            // Every node has just stepped, so each holds this interval's observation.
+            let Some(obs) = node.observation() else {
+                continue;
+            };
+            let replicas = node.replicas();
+            if racked {
+                self.rack_power_w[rack] += obs.energy_j * replicas as f64 / dt;
+            }
+            if obs.arrivals > 0 {
+                busy += replicas;
+                if obs.qos_violated() {
+                    violating += replicas;
+                }
+            }
+            total_extra += node.extra_service_cores() * replicas as u32;
+            fleet_power_w += obs.power_w * replicas as f64;
+        }
+        self.time_s += dt;
+        if self.fleet_obs.enabled() {
+            self.fleet_obs.emit(
+                self.intervals as u32,
+                self.time_s,
+                Event::IntervalSummary {
+                    active_nodes: active_nodes as u32,
+                    total_load: total_offered_load,
+                    busy: busy as u32,
+                    violating: violating as u32,
+                    jobs_placed: jobs_placed as u32,
+                },
+            );
+        }
+        self.intervals += 1;
+        self.total_load_sum += total_offered_load;
+        self.max_total_extra = self.max_total_extra.max(total_extra);
+        self.active_sum += active_nodes;
+        self.min_active = self.min_active.min(active_nodes);
+        self.load_series.push(self.time_s, total_offered_load);
+        self.cores_series.push(self.time_s, total_extra as f64);
+        self.violating_series.push(self.time_s, violating as f64);
+        self.power_series.push(self.time_s, fleet_power_w);
+        self.active_series.push(self.time_s, active_nodes as f64);
+    }
+
+    /// Captures the full mutable state of the run between intervals: every node's
+    /// simulator/monitor/policy/actuator and per-node books, the scheduler queue, the
+    /// balancer RNG, the autoscaler and fault state if configured, and the fleet books.
+    /// Serializable; see [`ClusterRunCheckpoint`].
     pub fn checkpoint(&self) -> ClusterRunCheckpoint {
         let mut trace = TraceBundle::new();
         trace.insert(self.load_series.clone());
@@ -226,10 +1190,19 @@ impl ClusterRun {
         trace.insert(self.active_series.clone());
         ClusterRunCheckpoint {
             version: CLUSTER_CHECKPOINT_VERSION,
-            sim: self.sim.checkpoint(),
-            assigned_sum: self.assigned_sum.clone(),
-            max_extra: self.max_extra.clone(),
-            jobs_completed: self.jobs_completed.clone(),
+            scenario_seed: self.scenario.seed,
+            nodes: self.population.total_nodes(),
+            instances: self.nodes.len(),
+            time_s: self.time_s,
+            intervals: self.intervals,
+            balancer_rng: self.balancer.rng_state(),
+            scheduler_queue: self.scheduler.queue_snapshot(),
+            scheduler_stats: self.scheduler.stats(),
+            autoscaler: self.autoscaler.as_ref().map(|a| a.snapshot()),
+            faults: self.faults.as_ref().map(|f| f.snapshot()),
+            rack_rng: self.rack_rng.as_ref().map(rng_state_words),
+            rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
+            node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
             total_load_sum: self.total_load_sum,
             max_total_extra: self.max_total_extra,
             active_sum: self.active_sum,
@@ -239,12 +1212,15 @@ impl ClusterRun {
     }
 
     /// Restores a checkpoint taken by [`Self::checkpoint`] into this run, which must
-    /// have been built from the same scenario.
+    /// have been built from the same scenario (same seed, fleet shape, approximation,
+    /// and fault profile — the schedule and instance plan are recompiled from the
+    /// scenario, only mutable state travels in the checkpoint).
     ///
     /// # Errors
     ///
-    /// Rejects checkpoints from a different format version or fleet shape; the run may
-    /// be left partially restored on error and must not be advanced further.
+    /// Rejects checkpoints from a different format version, a different fleet shape,
+    /// or with component states that fail their own validation; the run may be left
+    /// partially restored on error and must not be advanced further.
     pub fn restore(&mut self, checkpoint: &ClusterRunCheckpoint) -> Result<(), String> {
         if checkpoint.version != CLUSTER_CHECKPOINT_VERSION {
             return Err(format!(
@@ -252,20 +1228,96 @@ impl ClusterRun {
                 checkpoint.version
             ));
         }
-        let n = self.sim.instance_count();
-        if checkpoint.assigned_sum.len() != n
-            || checkpoint.max_extra.len() != n
-            || checkpoint.jobs_completed.len() != n
-        {
+        if checkpoint.scenario_seed != self.scenario.seed {
             return Err(format!(
-                "checkpoint aggregates cover {} instances, run has {n}",
-                checkpoint.assigned_sum.len()
+                "checkpoint was taken at seed {}, scenario has seed {}",
+                checkpoint.scenario_seed, self.scenario.seed
             ));
         }
-        self.sim.restore(&checkpoint.sim)?;
-        self.assigned_sum.clone_from(&checkpoint.assigned_sum);
-        self.max_extra.clone_from(&checkpoint.max_extra);
-        self.jobs_completed.clone_from(&checkpoint.jobs_completed);
+        if checkpoint.nodes != self.population.total_nodes()
+            || checkpoint.instances != self.nodes.len()
+            || checkpoint.node_checkpoints.len() != self.nodes.len()
+        {
+            return Err(format!(
+                "checkpoint covers {} nodes / {} instances / {} node checkpoints, \
+                 fleet has {} nodes / {} instances",
+                checkpoint.nodes,
+                checkpoint.instances,
+                checkpoint.node_checkpoints.len(),
+                self.population.total_nodes(),
+                self.nodes.len()
+            ));
+        }
+        match (&mut self.faults, &checkpoint.faults) {
+            (Some(state), Some(snapshot)) => state
+                .restore(snapshot)
+                .map_err(|e| format!("fault state: {e}"))?,
+            (None, None) => {}
+            _ => {
+                return Err(
+                    "checkpoint fault state does not match the scenario's fault profile".into(),
+                )
+            }
+        }
+        match (&mut self.autoscaler, &checkpoint.autoscaler) {
+            (Some(scaler), Some(snapshot)) => scaler
+                .restore(snapshot)
+                .map_err(|e| format!("autoscaler: {e}"))?,
+            (None, None) => {}
+            _ => {
+                return Err(
+                    "checkpoint autoscaler state does not match the scenario's config".into(),
+                )
+            }
+        }
+        match (&mut self.rack_rng, &checkpoint.rack_rng) {
+            (Some(rng), Some(words)) => {
+                *rng = rng_from_state_words(words).map_err(|e| format!("rack sampler: {e}"))?;
+            }
+            (None, None) => {}
+            _ => {
+                return Err(
+                    "checkpoint rack-sampling state does not match the scenario's topology".into(),
+                )
+            }
+        }
+        match (self.topology.is_flat(), &checkpoint.rack_power_w) {
+            (false, Some(power)) => {
+                if power.len() != self.rack_power_w.len() {
+                    return Err(format!(
+                        "checkpoint covers {} racks, topology has {}",
+                        power.len(),
+                        self.rack_power_w.len()
+                    ));
+                }
+                self.rack_power_w.clone_from(power);
+            }
+            (true, None) => {}
+            _ => {
+                return Err(
+                    "checkpoint rack-power state does not match the scenario's topology".into(),
+                )
+            }
+        }
+        self.balancer
+            .restore_rng_state(&checkpoint.balancer_rng)
+            .map_err(|e| format!("balancer: {e}"))?;
+        self.scheduler = BatchScheduler::restore(
+            self.scenario.scheduler,
+            checkpoint.scheduler_queue.clone(),
+            checkpoint.scheduler_stats,
+        );
+        for (index, (node, node_checkpoint)) in self
+            .nodes
+            .iter_mut()
+            .zip(&checkpoint.node_checkpoints)
+            .enumerate()
+        {
+            node.restore(node_checkpoint)
+                .map_err(|e| format!("node {index}: {e}"))?;
+        }
+        self.time_s = checkpoint.time_s;
+        self.intervals = checkpoint.intervals;
         self.total_load_sum = checkpoint.total_load_sum;
         self.max_total_extra = checkpoint.max_total_extra;
         self.active_sum = checkpoint.active_sum;
@@ -290,33 +1342,19 @@ impl ClusterRun {
     /// merged decision-event stream (empty on an untraced run).
     pub fn finish(mut self) -> (ClusterOutcome, EventLog) {
         while self.step() {}
-        let ClusterRun {
-            mut sim,
-            max_intervals,
-            assigned_sum,
-            max_extra,
-            jobs_completed,
-            total_load_sum,
-            max_total_extra,
-            active_sum,
-            min_active,
-            load_series,
-            cores_series,
-            violating_series,
-            power_series,
-            active_series,
-            ..
-        } = self;
-        let scenario = sim.scenario().clone();
-        let n = sim.instance_count();
+        let log = self.take_event_log();
+        let faults = self.fault_stats();
+        let scheduler_stats = self.scheduler.stats();
+        let scenario = &self.scenario;
+        let max_intervals = self.max_intervals;
 
         // Fleet quantiles come from the exact merge of the per-node histograms.
         let mut fleet = LatencyHistogram::new();
-        for i in 0..n {
+        for node in &self.nodes {
             fleet
-                .try_merge(sim.node(i).latency_histogram())
+                .try_merge(node.latency_histogram())
                 // pliant-lint: allow(panic-hygiene): every node histogram was built by
-                // this engine with the same bucket configuration, so the merge cannot
+                // this run with the same bucket configuration, so the merge cannot
                 // fail.
                 .expect("in-process histograms share one bucket configuration");
         }
@@ -324,9 +1362,11 @@ impl ClusterRun {
             pliant_workloads::service::ServiceProfile::paper_default(scenario.service).qos_target_s
         });
 
-        let node_outcomes: Vec<NodeOutcome> = (0..n)
-            .map(|i| {
-                let node = sim.node(i);
+        let node_outcomes: Vec<NodeOutcome> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
                 let inaccuracies = node.completed_inaccuracy_pct();
                 // Replica-weighted mean: a job completed at weight `w` stood for `w`
                 // logical completions. With all-ones weights (exact mode) this reduces
@@ -341,9 +1381,9 @@ impl ClusterRun {
                     p99_s: node.latency_histogram().p99() / 1e6,
                     qos_violation_fraction: node.qos_violations() as f64
                         / node.busy_intervals().max(1) as f64,
-                    mean_assigned_load: assigned_sum[i] / max_intervals.max(1) as f64,
-                    max_extra_service_cores: max_extra[i],
-                    jobs_completed: jobs_completed[i],
+                    mean_assigned_load: node.assigned_load_sum() / max_intervals.max(1) as f64,
+                    max_extra_service_cores: node.max_extra_service_cores(),
+                    jobs_completed: node.jobs_completed(),
                     mean_completed_inaccuracy_pct: if inaccuracies.is_empty() {
                         0.0
                     } else {
@@ -359,41 +1399,40 @@ impl ClusterRun {
             })
             .collect();
 
-        let total_busy: usize = (0..n).map(|i| sim.node(i).busy_intervals()).sum();
-        let total_violations: usize = (0..n).map(|i| sim.node(i).qos_violations()).sum();
+        let total_busy: usize = self.nodes.iter().map(ClusterNode::busy_intervals).sum();
+        let total_violations: usize = self.nodes.iter().map(ClusterNode::qos_violations).sum();
         let fleet_p99_s = fleet.p99() / 1e6;
         // Fleet energy is the exact sum of the per-node accounting, mirroring how the
         // fleet p99 is the exact merge of the per-node histograms.
         let fleet_energy_j: f64 = node_outcomes.iter().map(|node| node.energy_j).sum();
         let simulated_s = max_intervals as f64 * scenario.decision_interval_s;
-        let completed = sim.scheduler_stats().completed;
+        let completed = scheduler_stats.completed;
 
         let mut trace = TraceBundle::new();
-        trace.insert(load_series);
-        trace.insert(cores_series);
-        trace.insert(violating_series);
-        trace.insert(power_series);
-        trace.insert(active_series);
+        trace.insert(self.load_series);
+        trace.insert(self.cores_series);
+        trace.insert(self.violating_series);
+        trace.insert(self.power_series);
+        trace.insert(self.active_series);
 
-        let log = sim.take_event_log();
         let outcome = ClusterOutcome {
             service: scenario.service,
             policy: scenario.policy,
             balancer: scenario.balancer,
             scheduler: scenario.scheduler,
-            nodes: sim.node_count(),
+            nodes: self.population.total_nodes(),
             approximation: scenario.approximation,
-            simulated_instances: n,
-            intervals: sim.intervals(),
+            simulated_instances: self.nodes.len(),
+            intervals: self.intervals,
             warmup_intervals: scenario.warmup_intervals,
             qos_target_s,
-            mean_total_offered_load: total_load_sum / max_intervals.max(1) as f64,
+            mean_total_offered_load: self.total_load_sum / max_intervals.max(1) as f64,
             fleet_p99_s,
             fleet_mean_latency_s: fleet.mean() / 1e6,
             fleet_samples: fleet.count(),
             fleet_tail_latency_ratio: fleet_p99_s / qos_target_s,
             fleet_qos_violation_fraction: total_violations as f64 / total_busy.max(1) as f64,
-            max_total_extra_cores: max_total_extra,
+            max_total_extra_cores: self.max_total_extra,
             fleet_energy_j,
             mean_fleet_power_w: if simulated_s > 0.0 {
                 fleet_energy_j / simulated_s
@@ -405,10 +1444,10 @@ impl ClusterRun {
             } else {
                 0.0
             },
-            mean_active_nodes: active_sum as f64 / max_intervals.max(1) as f64,
-            min_active_nodes: min_active,
-            faults: sim.fault_stats(),
-            scheduler_stats: sim.scheduler_stats(),
+            mean_active_nodes: self.active_sum as f64 / max_intervals.max(1) as f64,
+            min_active_nodes: self.min_active,
+            faults,
+            scheduler_stats,
             node_outcomes,
             obs: log.summary(),
             trace,
@@ -417,23 +1456,53 @@ impl ClusterRun {
     }
 }
 
-/// A serialized [`ClusterRun`] between intervals: the simulator checkpoint plus the
-/// engine-level aggregation accumulators (the five outcome trace series travel in a
-/// [`TraceBundle`] keyed by series name). Restoring into a run freshly built from the
-/// same scenario and finishing it produces output byte-identical to an uninterrupted
-/// run (untraced runs; see [`ClusterRun::with_obs`] for the tracing caveat).
+/// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
+/// breaking change to the snapshot layout.
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 2;
+
+/// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
+/// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario
+/// (the fault schedule, the instance plan, node profiles) is recompiled on restore —
+/// the checkpoint carries only mutable state plus shape identifiers used to reject
+/// mismatched restores. Restoring into a run freshly built from the same scenario and
+/// finishing it produces output byte-identical to an uninterrupted run (untraced runs;
+/// see [`ClusterRun::with_obs`] for the tracing caveat).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterRunCheckpoint {
     /// Snapshot format version ([`CLUSTER_CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// The fleet simulator's state.
-    pub sim: ClusterCheckpoint,
-    /// Per-instance sum of assigned load over the intervals run so far.
-    pub assigned_sum: Vec<f64>,
-    /// Per-instance maximum of reclaimed service cores.
-    pub max_extra: Vec<u32>,
-    /// Per-instance completed-job counts.
-    pub jobs_completed: Vec<usize>,
+    /// Seed of the scenario the checkpoint was taken from.
+    pub scenario_seed: u64,
+    /// Logical fleet size at capture.
+    pub nodes: usize,
+    /// Simulated instance count at capture.
+    pub instances: usize,
+    /// Experiment time at capture, in seconds.
+    pub time_s: f64,
+    /// Decision intervals advanced at capture.
+    pub intervals: usize,
+    /// Load-balancer RNG state (xoshiro256++ words).
+    pub balancer_rng: Vec<u64>,
+    /// Queued batch jobs, in submission order.
+    pub scheduler_queue: Vec<AppId>,
+    /// Scheduler counters at capture.
+    pub scheduler_stats: SchedulerStats,
+    /// Autoscaler state, when the scenario configures one.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub autoscaler: Option<AutoscalerSnapshot>,
+    /// Fault-injection state, when the scenario carries a non-empty fault profile.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub faults: Option<FaultStateSnapshot>,
+    /// Rack-placement sampling stream (xoshiro256++ words), when the scenario has a
+    /// racked topology; absent on flat fleets.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub rack_rng: Option<Vec<u64>>,
+    /// Per-rack measured power draw over the interval before capture, in watts
+    /// (racked topologies only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub rack_power_w: Option<Vec<f64>>,
+    /// Per-instance node state and books, in instance order.
+    pub node_checkpoints: Vec<NodeCheckpoint>,
     /// Sum of total offered load over the intervals run so far.
     pub total_load_sum: f64,
     /// Maximum fleet-wide reclaimed cores in any one interval.
@@ -444,6 +1513,16 @@ pub struct ClusterRunCheckpoint {
     pub min_active: usize,
     /// The five partial outcome trace series, keyed by name.
     pub trace: TraceBundle,
+}
+
+impl std::fmt::Debug for ClusterRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClusterRun")
+            .field("nodes", &self.nodes.len())
+            .field("time_s", &self.time_s)
+            .field("pending_jobs", &self.scheduler.pending())
+            .finish_non_exhaustive()
+    }
 }
 
 #[cfg(test)]

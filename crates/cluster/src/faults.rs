@@ -19,7 +19,7 @@
 //!    ([`NodePopulation::plan_instances_isolating`](crate::population::NodePopulation::plan_instances_isolating)).
 //!
 //! Consumption is a zero-allocation cursor walk inside
-//! [`ClusterSim`](crate::sim::ClusterSim): each interval the simulator first recovers
+//! [`ClusterRun`](crate::engine::ClusterRun): each interval the run first recovers
 //! nodes whose outage expired, then applies every event scheduled for the interval.
 //! Events targeting a node that is not healthy are dropped (a crash cannot crash an
 //! already-down node), so overlapping stochastic and scheduled faults compose safely.
@@ -545,7 +545,7 @@ pub struct FaultStats {
     pub availability: f64,
 }
 
-/// Live fault-injection state inside a running [`ClusterSim`](crate::sim::ClusterSim).
+/// Live fault-injection state inside a running [`ClusterRun`](crate::engine::ClusterRun).
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     /// Compiled schedule, over logical nodes, sorted by `(interval, node)`.
@@ -654,7 +654,7 @@ impl FaultState {
 }
 
 /// Serialized mutable fault state inside a
-/// [`ClusterCheckpoint`](crate::sim::ClusterCheckpoint).
+/// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultStateSnapshot {
     /// Next unconsumed entry of the (recompiled) schedule.

@@ -14,9 +14,10 @@
 //! * [`scheduler`] — admits queued batch jobs into node slots freed by completed jobs
 //!   ([`SchedulerKind::FirstFit`], [`SchedulerKind::UtilizationAware`], and the
 //!   approximation-aware [`SchedulerKind::QosSlackAware`]).
-//! * [`sim`] / [`engine`] — the fleet simulator and its integration with the core
-//!   [`Engine`](pliant_core::engine::Engine): [`ClusterEngineExt::run_cluster`] steps
-//!   one fleet, its nodes in index order on the calling thread, and
+//! * [`engine`] — one fleet run and its integration with the core
+//!   [`Engine`](pliant_core::engine::Engine): a [`ClusterRun`] owns the fleet, its
+//!   books and its checkpoint, and steps its nodes in index order on the calling
+//!   thread; [`ClusterEngineExt::run_cluster`] runs one to completion, and
 //!   [`Engine::run_collect`](pliant_core::engine::Engine::run_collect) runs whole
 //!   fleets of a [`ClusterSuite`] side by side on the engine's workers.
 //! * [`population`] — the population/instance split behind hyperscale fleets: the
@@ -62,7 +63,6 @@ pub mod outcome;
 pub mod population;
 pub mod scenario;
 pub mod scheduler;
-pub mod sim;
 pub mod suite;
 pub mod topology;
 
@@ -70,19 +70,18 @@ pub use autoscaler::{
     Autoscaler, AutoscalerAction, AutoscalerConfig, AutoscalerSnapshot, NodePowerState,
 };
 pub use balancer::{BalancerKind, LoadBalancer};
-pub use engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint};
+pub use engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint, CLUSTER_CHECKPOINT_VERSION};
 pub use faults::{
     FaultKind, FaultProfile, FaultProfileError, FaultStateSnapshot, FaultStats, GroupOutage,
     NodeHealth, RackOutage, ScheduledFault,
 };
-pub use node::{ClusterNode, NodeCheckpoint, NodeInterval, NodeSnapshot};
+pub use node::{ClusterNode, NodeCheckpoint, NodeSnapshot};
 pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
 pub use population::{InstancePlan, NodeGroup, NodePopulation};
 pub use scenario::{
     ClusterScenario, ClusterScenarioBuilder, ClusterScenarioError, FleetApproximation,
 };
 pub use scheduler::{BatchScheduler, SchedulerKind, SchedulerStats};
-pub use sim::{ClusterCheckpoint, ClusterInterval, ClusterSim, CLUSTER_CHECKPOINT_VERSION};
 pub use suite::{ClusterSuite, ClusterSweepAxis};
 pub use topology::{Rack, Topology, TopologyConfig, TopologyConfigError};
 
@@ -100,7 +99,6 @@ pub mod prelude {
         ClusterScenario, ClusterScenarioBuilder, ClusterScenarioError, FleetApproximation,
     };
     pub use crate::scheduler::SchedulerKind;
-    pub use crate::sim::{ClusterInterval, ClusterSim};
     pub use crate::suite::{ClusterSuite, ClusterSweepAxis};
     pub use crate::topology::{Topology, TopologyConfig};
 }

@@ -4,10 +4,12 @@
 //! co-location simulator driven by its monitor, policy and actuator — and advances it
 //! one decision interval at a time under whatever offered load the cluster's balancer
 //! assigns. Around the runtime it keeps what only a fleet needs: per-slot completion
-//! latches and replica weights, the post-warm-up latency histogram and QoS counters,
-//! energy, and the balancer-visible latency estimate. Nodes are fully independent
-//! within an interval (each derives its own RNG streams from the cluster seed), so the
-//! fleet's coordinator only hands each node its load and collects what it reports.
+//! latches and replica weights, the per-node books (the post-warm-up latency histogram
+//! and QoS counters, energy, assigned load, reclaimed cores, completions), the last
+//! interval's observation, and the balancer-visible latency estimate. Nodes are fully
+//! independent within an interval (each derives its own RNG streams from the cluster
+//! seed), so the fleet's coordinator only hands each node its load and then reads what
+//! the node kept.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,32 +60,6 @@ impl NodeSnapshot {
     }
 }
 
-/// What one node produced during one decision interval.
-#[derive(Debug, Clone)]
-pub struct NodeInterval {
-    /// Index of the node within the fleet.
-    pub node: usize,
-    /// Offered load the balancer *routed* to this node for the interval, as a fraction
-    /// of the node's saturation throughput. Routed, not served: the workload generator
-    /// caps at 1.2x saturation, so in overload this exceeds the load the node actually
-    /// ran — `observation.offered_load` reports the served (capped) value.
-    pub assigned_load: f64,
-    /// Cores the node's interactive service held beyond its fair share at the end of
-    /// the interval (cores reclaimed from the batch slots).
-    pub extra_service_cores: u32,
-    /// Jobs that ran to completion during the interval, weighted by the replica count
-    /// of the slot they occupied (equal to the plain completion count on an exact,
-    /// weight-1 node).
-    pub jobs_completed: usize,
-    /// The node's smoothed tail-latency estimate after the interval, in seconds.
-    pub smoothed_p99_s: f64,
-    /// Logical nodes this instance stands for (1 on an exact node; the replica weight
-    /// of its population chunk on a clustered representative).
-    pub replicas: usize,
-    /// The underlying single-node observation (latency samples, per-slot status, …).
-    pub observation: IntervalObservation,
-}
-
 /// One fleet node; see the module docs.
 ///
 /// A node is either *exact* (stands for one logical node, the default) or a clustered
@@ -121,9 +97,16 @@ pub struct ClusterNode {
     /// counters this covers the *whole* run (warm-up included) — energy is billed
     /// whenever the machine is on, regardless of measurement windows.
     energy_j: f64,
-    /// A consumed observation handed back via [`Self::recycle_observation`], whose
-    /// buffers the next step reuses.
-    recycle: Option<IntervalObservation>,
+    /// Sum of the offered load the balancer routed to the node, over every interval.
+    assigned_sum: f64,
+    /// Most cores the interactive service held beyond its fair share at the end of any
+    /// interval.
+    max_extra: u32,
+    /// Jobs completed on the node, weighted by the replica count of their slot.
+    jobs_completed: usize,
+    /// The last interval's observation (`None` before the first step and after a
+    /// restore). The next step recycles its buffers.
+    observation: Option<IntervalObservation>,
     /// Logical nodes this instance stands for (1 = exact).
     replicas: usize,
     /// Per-slot replica weight of the job currently in the slot: initial jobs stand for
@@ -189,7 +172,10 @@ impl ClusterNode {
             idle_intervals: 0,
             qos_violations: 0,
             energy_j: 0.0,
-            recycle: None,
+            assigned_sum: 0.0,
+            max_extra: 0,
+            jobs_completed: 0,
+            observation: None,
             replicas,
             slot_weight: vec![replicas; initial_jobs.len()],
             completed_weights: Vec::new(),
@@ -278,6 +264,39 @@ impl ClusterNode {
     /// energy is the exact sum of these.
     pub fn energy_j(&self) -> f64 {
         self.energy_j
+    }
+
+    /// Sum of the offered load the balancer routed to the node over every interval
+    /// stepped, as a fraction of the node's saturation throughput. Routed, not served:
+    /// the workload generator caps at 1.2x saturation, so in overload this exceeds the
+    /// load the node actually ran.
+    pub fn assigned_load_sum(&self) -> f64 {
+        self.assigned_sum
+    }
+
+    /// Cores the interactive service holds beyond its fair share right now (cores
+    /// reclaimed from the batch slots).
+    pub fn extra_service_cores(&self) -> u32 {
+        self.runtime.extra_service_cores()
+    }
+
+    /// Most cores the interactive service held beyond its fair share at the end of
+    /// any interval.
+    pub fn max_extra_service_cores(&self) -> u32 {
+        self.max_extra
+    }
+
+    /// Jobs that ran to completion on the node, each weighted by the replica count of
+    /// the slot it occupied (the plain completion count on an exact, weight-1 node).
+    pub fn jobs_completed(&self) -> usize {
+        self.jobs_completed
+    }
+
+    /// The single-node observation of the last interval the node stepped (latency
+    /// samples, power, per-slot status, …); `None` before the first step and right
+    /// after a restore.
+    pub fn observation(&self) -> Option<&IntervalObservation> {
+        self.observation.as_ref()
     }
 
     /// Suspends the node (autoscaler park) or powers it back on; forwarded to
@@ -369,7 +388,7 @@ impl ClusterNode {
 
     /// Captures the node's complete mutable state. Restoring the checkpoint into a
     /// freshly built node for the same scenario slot resumes the run bit-identically
-    /// (see [`ClusterSim::checkpoint`](crate::sim::ClusterSim::checkpoint)).
+    /// (see [`ClusterRun::checkpoint`](crate::engine::ClusterRun::checkpoint)).
     pub fn checkpoint(&self) -> NodeCheckpoint {
         NodeCheckpoint {
             sim: self.runtime.sim().snapshot(),
@@ -388,14 +407,17 @@ impl ClusterNode {
             idle_intervals: self.idle_intervals,
             qos_violations: self.qos_violations,
             energy_j: self.energy_j,
+            assigned_sum: self.assigned_sum,
+            max_extra: self.max_extra,
+            jobs_completed: self.jobs_completed,
         }
     }
 
     /// Restores a checkpoint captured by [`Self::checkpoint`] into this node, which
     /// must have been built for the same scenario slot (same seed, jobs, and slot
     /// count — violations, including per-slot and per-completion vectors of the wrong
-    /// length, are rejected). The observation-recycling buffer is dropped (a
-    /// capacity-only optimization with no observable effect).
+    /// length, are rejected). The last observation is dropped: it is not part of the
+    /// checkpoint, and the next step starts from fresh buffers.
     pub fn restore(&mut self, checkpoint: &NodeCheckpoint) -> Result<(), String> {
         let (slots, completed) = (self.slot_done.len(), checkpoint.completed_weights.len());
         if checkpoint.slot_done.len() != slots
@@ -433,17 +455,11 @@ impl ClusterNode {
         self.idle_intervals = checkpoint.idle_intervals;
         self.qos_violations = checkpoint.qos_violations;
         self.energy_j = checkpoint.energy_j;
-        self.recycle = None;
+        self.assigned_sum = checkpoint.assigned_sum;
+        self.max_extra = checkpoint.max_extra;
+        self.jobs_completed = checkpoint.jobs_completed;
+        self.observation = None;
         Ok(())
-    }
-
-    /// Hands a consumed interval observation back to the node so its heap buffers are
-    /// recycled into the next [`Self::step`] (see
-    /// [`ColocationSim::advance_reusing`](pliant_sim::colocation::ColocationSim::advance_reusing)).
-    /// Purely an allocation optimization: the observation's contents are discarded,
-    /// only its capacity is reused.
-    pub fn recycle_observation(&mut self, observation: IntervalObservation) {
-        self.recycle = Some(observation);
     }
 
     /// Places a fresh job into the node's lowest free slot; the job inherits the slot's
@@ -478,10 +494,13 @@ impl ClusterNode {
     }
 
     /// Advances the node one decision interval at the balancer-assigned offered load:
-    /// the simulator runs the interval, the fleet's books are updated, and the node's
-    /// [`NodeRuntime`] acts on the interval's latency samples — the same runtime, and
-    /// the same control step, as a single-node experiment.
-    pub fn step(&mut self, assigned_load: f64) -> NodeInterval {
+    /// the simulator runs the interval (recycling the buffers of the last observation),
+    /// the node's books are updated, and the node's [`NodeRuntime`] acts on the
+    /// interval's latency samples — the same runtime, and the same control step, as a
+    /// single-node experiment. The node keeps the interval's observation
+    /// ([`Self::observation`]) and returns the interval's job completions, weighted by
+    /// the replica count of their slots.
+    pub fn step(&mut self, assigned_load: f64) -> usize {
         // A saturated-fleet spill can nudge an assignment slightly past the profile
         // bound; clamp into the range the simulator accepts (it caps the generator at
         // 1.2x saturation anyway).
@@ -489,7 +508,7 @@ impl ClusterNode {
         sim.set_load_fraction(
             assigned_load.clamp(0.0, pliant_workloads::profile::MAX_LOAD_FRACTION),
         );
-        let observation = sim.advance_reusing(self.decision_interval_s, self.recycle.take());
+        let observation = sim.advance_reusing(self.decision_interval_s, self.observation.take());
 
         // QoS accounting and fleet-histogram recording happen here, as the node steps,
         // so the fleet's aggregation never touches individual latency samples. The first `warmup_intervals` are excluded: the
@@ -570,21 +589,16 @@ impl ClusterNode {
             self.smoothed_p99_s = report.smoothed_p99_s;
         }
         self.utilization = observation.utilization;
-
-        NodeInterval {
-            node: self.index,
-            assigned_load,
-            extra_service_cores: self.runtime.extra_service_cores(),
-            jobs_completed,
-            smoothed_p99_s: self.smoothed_p99_s,
-            replicas: self.replicas,
-            observation,
-        }
+        self.assigned_sum += assigned_load;
+        self.max_extra = self.max_extra.max(self.runtime.extra_service_cores());
+        self.jobs_completed += jobs_completed;
+        self.observation = Some(observation);
+        jobs_completed
     }
 }
 
 /// One node's complete mutable state inside a
-/// [`ClusterCheckpoint`](crate::sim::ClusterCheckpoint): the co-location snapshot
+/// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint): the co-location snapshot
 /// (simulators, RNG streams, degradation), the runtime (policy state, monitor,
 /// actuator counters), and every accumulator the outcome is assembled from. The
 /// node's configuration (seed, jobs, QoS target) is *not* captured — it is rebuilt
@@ -624,6 +638,12 @@ pub struct NodeCheckpoint {
     pub qos_violations: usize,
     /// Total energy consumed, in joules.
     pub energy_j: f64,
+    /// Sum of the offered load routed to the node.
+    pub assigned_sum: f64,
+    /// Maximum of reclaimed service cores at any interval end.
+    pub max_extra: u32,
+    /// Replica-weighted completed-job count.
+    pub jobs_completed: usize,
 }
 
 impl std::fmt::Debug for ClusterNode {

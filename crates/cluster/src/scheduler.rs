@@ -3,7 +3,7 @@
 //! Every node exposes a fixed number of batch slots (its co-location width). A slot is
 //! *free* once its current job has finished; each decision interval the scheduler admits
 //! queued jobs into free slots, choosing the node by policy. The placement itself is
-//! performed by the cluster simulator through
+//! performed by the fleet run ([`ClusterRun`](crate::engine::ClusterRun)) through
 //! [`ColocationSim::replace_app`](pliant_sim::colocation::ColocationSim::replace_app), so
 //! the new job inherits the slot's core state and the per-node Pliant controller keeps
 //! its ledger.

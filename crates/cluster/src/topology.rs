@@ -17,7 +17,7 @@
 //!
 //! Rack identity feeds three consumers: the scheduler's sampling-based online
 //! placement (score candidate racks by power headroom and QoS slack before picking a
-//! node — see [`crate::sim`]), the fault injector's rack-level correlated outages
+//! node — see [`crate::engine`]), the fault injector's rack-level correlated outages
 //! (power-domain failures — see [`crate::faults::RackOutage`]), and the clustered
 //! approximation's population grouping (replicas never span power domains — see
 //! [`crate::population`]).

@@ -19,9 +19,9 @@ pub struct LintConfig {
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
     /// `crates/cluster/` prefix deliberately covers the fault-injection and
-    /// checkpoint/restore modules (`faults.rs`, the checkpoint halves of `sim.rs`,
-    /// `node.rs`, and `engine.rs`) as well as the rack-topology layer
-    /// (`topology.rs` and the placement sampling in `sim.rs`): resume-byte-identity
+    /// checkpoint/restore modules (`faults.rs`, `node.rs`, and `engine.rs`) as well as
+    /// the rack-topology layer (`topology.rs` and the placement sampling in
+    /// `engine.rs`): resume-byte-identity
     /// and seeded rack sampling are determinism guarantees, so those files face the
     /// same wall-clock and hash-order denials as the simulation core (pinned in the
     /// lint integration tests).
@@ -81,26 +81,26 @@ impl LintConfig {
                 // batch state between nodes on the consolidation pass, and the drain
                 // check walks every instance each interval — all inside the
                 // per-interval loop, all required to reuse caller-provided buffers.
-                "ClusterSim::rack_score",
+                "ClusterRun::rack_score",
                 "ClusterNode::extract_job",
                 "ClusterNode::implant_job",
                 "ColocationSim::extract_app",
                 "ColocationSim::implant_app",
                 "Autoscaler::park_fully_drained",
                 // The fleet coordinator's per-interval phases: every phase of
-                // ClusterSim::advance. They run on exact and clustered fleets alike and
-                // reuse the simulator's scratch buffers; the node step refills the
-                // results vector the previous interval handed back.
-                "ClusterSim::apply_faults",
-                "ClusterSim::plan_serving_set",
-                "ClusterSim::admit_racks",
-                "ClusterSim::consolidate",
-                "ClusterSim::place_jobs",
-                "ClusterSim::confine_to_sampled_rack",
-                "ClusterSim::balance_load",
-                "ClusterSim::step_nodes",
-                "ClusterSim::close_interval",
-                "ClusterSim::refresh_snapshots",
+                // ClusterRun::step. They run on exact and clustered fleets alike and
+                // reuse the run's scratch buffers; each node recycles its own last
+                // observation, and the closing pass folds the fleet books in place.
+                "ClusterRun::apply_faults",
+                "ClusterRun::plan_serving_set",
+                "ClusterRun::admit_racks",
+                "ClusterRun::consolidate",
+                "ClusterRun::place_jobs",
+                "ClusterRun::confine_to_sampled_rack",
+                "ClusterRun::balance_load",
+                "ClusterRun::step_nodes",
+                "ClusterRun::close_interval",
+                "ClusterRun::refresh_snapshots",
             ]),
             wallclock_allowed: s(&["perfbench/"]),
             hash_container_scoped: s(&[

@@ -108,7 +108,6 @@ fn fault_and_checkpoint_modules_stay_in_the_determinism_scopes() {
     let cfg = LintConfig::repo_default();
     for path in [
         "crates/cluster/src/faults.rs",
-        "crates/cluster/src/sim.rs",
         "crates/cluster/src/node.rs",
         "crates/cluster/src/engine.rs",
     ] {
@@ -173,7 +172,7 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
         render(&findings)
     );
     for hot in [
-        "ClusterSim::rack_score",
+        "ClusterRun::rack_score",
         "ClusterNode::extract_job",
         "ClusterNode::implant_job",
         "ColocationSim::extract_app",
@@ -188,7 +187,7 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
         // consolidation pass runs them every interval on racked fleets.
         let (ty, name) = hot.split_once("::").unwrap();
         let src = format!("impl {ty} {{ fn {name}(&mut self) {{ let v = Vec::new(); }} }}");
-        let findings = lint_source("crates/cluster/src/sim.rs", &src, &cfg);
+        let findings = lint_source("crates/cluster/src/engine.rs", &src, &cfg);
         assert!(
             findings.iter().any(|f| f.rule == "hot-path-alloc"),
             "a Vec::new inside {hot} must be flagged, got:\n{}",
@@ -198,22 +197,22 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
 }
 
 /// Regression (one fleet code path): exact and clustered fleets share the
-/// coordinator's phase methods, so every phase, the node step included (it refills the
-/// results vector the previous interval handed back), must stay on the hot-path-alloc
-/// denylist.
+/// coordinator's phase methods, so every phase of `ClusterRun::step`, the node step and
+/// the closing pass that folds the fleet books included, must stay on the
+/// hot-path-alloc denylist.
 #[test]
 fn fleet_coordinator_phases_stay_on_the_hot_path_denylist() {
     let cfg = LintConfig::repo_default();
     for hot in [
-        "ClusterSim::apply_faults",
-        "ClusterSim::plan_serving_set",
-        "ClusterSim::admit_racks",
-        "ClusterSim::consolidate",
-        "ClusterSim::place_jobs",
-        "ClusterSim::confine_to_sampled_rack",
-        "ClusterSim::balance_load",
-        "ClusterSim::step_nodes",
-        "ClusterSim::close_interval",
+        "ClusterRun::apply_faults",
+        "ClusterRun::plan_serving_set",
+        "ClusterRun::admit_racks",
+        "ClusterRun::consolidate",
+        "ClusterRun::place_jobs",
+        "ClusterRun::confine_to_sampled_rack",
+        "ClusterRun::balance_load",
+        "ClusterRun::step_nodes",
+        "ClusterRun::close_interval",
         "Autoscaler::plan",
     ] {
         assert!(
@@ -270,7 +269,7 @@ fn perfbench_may_read_the_wall_clock() {
         render(&findings)
     );
     assert!(!pliant_lint::config::path_in(
-        "crates/cluster/src/sim.rs",
+        "crates/cluster/src/engine.rs",
         &cfg.wallclock_allowed
     ));
 }

@@ -544,8 +544,11 @@ impl ColocationSim {
     /// # Errors
     ///
     /// Rejects a snapshot whose generator seed disagrees with this simulator's (the
-    /// snapshot was taken from a different configuration), a slot-count mismatch, or
-    /// malformed RNG wire states.
+    /// snapshot was taken from a different configuration), a slot-count mismatch, a
+    /// degrade factor outside the `(0, 1]` range [`Self::set_degrade`] accepts, a core
+    /// split whose service and slot cores do not add up to the cores this simulator
+    /// was built with (reclaiming and returning only move cores, never create them),
+    /// or malformed RNG wire states.
     pub fn restore(&mut self, snapshot: &ColocationSimSnapshot) -> Result<(), String> {
         if snapshot.generator_seed != self.generator.seed() {
             return Err(format!(
@@ -559,6 +562,26 @@ impl ColocationSim {
                 "snapshot carries {} batch slots, simulator has {}",
                 snapshot.apps.len(),
                 self.apps.len()
+            ));
+        }
+        if !(snapshot.degrade > 0.0 && snapshot.degrade <= 1.0) {
+            return Err(format!(
+                "snapshot degrade factor {} lies outside (0, 1]",
+                snapshot.degrade
+            ));
+        }
+        let cores = |service: u32, apps: &[BatchAppState]| {
+            u64::from(service) + apps.iter().map(|a| u64::from(a.cores())).sum::<u64>()
+        };
+        let (snapshot_cores, built_cores) = (
+            cores(snapshot.service_cores, &snapshot.apps),
+            cores(self.service_cores, &self.apps),
+        );
+        if snapshot_cores != built_cores {
+            return Err(format!(
+                "snapshot allocates {snapshot_cores} cores ({} to the service), \
+                 simulator was built with {built_cores}",
+                snapshot.service_cores
             ));
         }
         self.config.load = snapshot.load.clone();
@@ -1352,7 +1375,24 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_targets() {
         let cfg = ColocationConfig::paper_default(ServiceId::Memcached, &[AppId::KMeans], 29);
-        let snapshot = ColocationSim::new(cfg, &catalog()).snapshot();
+        let snapshot = ColocationSim::new(cfg.clone(), &catalog()).snapshot();
+        let mut target = ColocationSim::new(cfg, &catalog());
+        let mut degraded = snapshot.clone();
+        degraded.degrade = 0.0;
+        assert!(
+            target.restore(&degraded).is_err(),
+            "degrade outside (0, 1] rejected"
+        );
+        let mut recored = snapshot.clone();
+        recored.service_cores += 1;
+        assert!(
+            target.restore(&recored).is_err(),
+            "a core split that changes the total rejected"
+        );
+        assert!(
+            target.restore(&snapshot).is_ok(),
+            "the snapshot itself restores"
+        );
         let other_seed =
             ColocationConfig::paper_default(ServiceId::Memcached, &[AppId::KMeans], 30);
         let mut target = ColocationSim::new(other_seed, &catalog());

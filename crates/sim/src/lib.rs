@@ -9,8 +9,6 @@
 //!   service's request processing and derates its capacity.
 //! * [`queueing`] — the analytic open-loop tail-latency model (utilization-based latency
 //!   inflation with lognormal service-time noise) used by the fast co-location simulator.
-//! * [`events`] — a request-level discrete-event G/G/k queue simulator used to validate
-//!   the analytic model's shape and available for finer-grained studies.
 //! * [`batch`] — execution-progress and output-quality accounting for approximate
 //!   applications (variant switches, core changes, instrumentation overhead).
 //! * [`colocation`] — the co-location engine tying everything together; the Pliant runtime
@@ -34,7 +32,6 @@
 
 pub mod batch;
 pub mod colocation;
-pub mod events;
 pub mod interference;
 pub mod queueing;
 pub mod server;

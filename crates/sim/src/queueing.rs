@@ -5,8 +5,7 @@
 //! approaches the service's (contention-derated) capacity. The model here combines a
 //! lognormal service-time body with a utilization-dependent congestion factor
 //! `1 / sqrt(1 - rho)` (capped near saturation), which reproduces that shape without
-//! simulating every request. The request-level discrete-event simulator in
-//! [`crate::events`] is used in tests to confirm the shape agrees.
+//! simulating every request.
 
 use rand::rngs::SmallRng;
 

@@ -4,12 +4,12 @@
 //! Every decision layer of the simulator (per-node Pliant controllers, the load
 //! balancer, the batch scheduler, the energy-aware autoscaler, and the hyperscale
 //! planner) emits typed, sim-time-stamped [`Event`]s into per-source [`ObsBuffer`]s.
-//! Buffers are filled *worker-side* — each node's buffer lives inside the node and is
-//! written by whichever worker thread advances it, exactly like the per-node latency
-//! histograms and energy counters — and merged into one [`EventLog`] in deterministic
-//! source order at the end of the run. Parallelism therefore changes wall-clock time,
-//! never the log: a serial and a parallel run of the same scenario produce
-//! byte-identical event streams.
+//! Buffers are filled *source-side* — each node's buffer lives inside the node and is
+//! written as the node steps, exactly like the per-node latency histograms and energy
+//! counters — and merged into one [`EventLog`] in deterministic source order at the end
+//! of the run. The log depends only on the scenario and the level: a replay, or the
+//! same run as one cell of a suite on any number of engine workers, produces a
+//! byte-identical event stream.
 //!
 //! # Levels and cost
 //!
@@ -547,7 +547,7 @@ pub struct EventRecord {
 
 /// Fixed-slot counters over event kinds: raw emitted counts and replica-weighted
 /// logical counts. Incrementing never allocates (the registry is two fixed arrays),
-/// which is what lets it sit on the worker-side hot path.
+/// which is what lets it sit on the per-interval hot path.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     counts: [u64; EVENT_KINDS],
@@ -649,9 +649,10 @@ impl ObsSummary {
     }
 }
 
-/// A bounded, per-source event ring: the worker-side half of the subsystem. One
+/// A bounded, per-source event ring: the recording half of the subsystem. One
 /// buffer belongs to exactly one source (the fleet coordinator or one node
-/// instance), so filling it requires no synchronization.
+/// instance) and only that source writes it, so filling it needs no
+/// synchronization.
 #[derive(Debug, Clone)]
 pub struct ObsBuffer {
     level: ObsLevel,
@@ -807,7 +808,8 @@ impl EventLog {
     /// the same deterministic node order the cluster engine uses to merge latency
     /// histograms and energy. Within a source, records keep their emission order;
     /// across sources they are interleaved by interval with a stable sort, so the
-    /// merged stream is identical for serial and parallel runs.
+    /// merged stream depends only on what each source recorded, not on when its buffer
+    /// was filled.
     pub fn merge(level: ObsLevel, buffers: impl IntoIterator<Item = ObsBuffer>) -> Self {
         let mut records = Vec::new();
         let mut registry = MetricsRegistry::new();

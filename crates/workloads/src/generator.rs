@@ -81,8 +81,8 @@ impl OpenLoopGenerator {
     }
 
     /// Samples explicit arrival timestamps (seconds, relative to the window start) for a
-    /// window of `window_s` seconds. Used by the discrete-event simulator; the count
-    /// follows the same Poisson process as [`Self::arrivals_in`].
+    /// window of `window_s` seconds; the count follows the same Poisson process as
+    /// [`Self::arrivals_in`].
     ///
     /// Convenience wrapper over [`Self::arrival_times_into`] that allocates a fresh
     /// vector per call.

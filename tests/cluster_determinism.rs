@@ -38,19 +38,22 @@ fn fleet_p99_matches_a_recompute_over_all_samples() {
     let scenario = scenario();
     let outcome = Engine::new().run_cluster(&scenario);
 
-    // Re-drive the same fleet through the lower-level ClusterSim and pool every latency
-    // sample every node produced; the merged-histogram fleet p99 must equal the p99 of
-    // one histogram over the pooled samples (histogram merging is exact).
-    let mut sim = ClusterSim::new(&scenario, Engine::new().catalog());
+    // Re-drive the same fleet one interval at a time and pool every latency sample
+    // every node produced; the merged-histogram fleet p99 must equal the p99 of one
+    // histogram over the pooled samples (histogram merging is exact).
+    let engine = Engine::new();
+    let mut run = ClusterRun::new(&scenario, &engine);
     let mut pooled = LatencyHistogram::new();
     let mut samples = 0u64;
-    for interval_index in 0..scenario.max_intervals() {
-        let interval = sim.advance();
-        if interval_index < scenario.warmup_intervals {
+    while !run.is_done() {
+        let measured = run.intervals() >= scenario.warmup_intervals;
+        run.step();
+        if !measured {
             continue; // warm-up intervals are excluded from the QoS statistics
         }
-        for node_interval in &interval.nodes {
-            for &latency_s in &node_interval.observation.latency_samples_s {
+        for node in 0..run.instance_count() {
+            let observation = run.node(node).observation().expect("every node stepped");
+            for &latency_s in &observation.latency_samples_s {
                 pooled.record(latency_s * 1e6);
                 samples += 1;
             }

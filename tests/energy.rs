@@ -69,16 +69,21 @@ fn fleet_energy_is_the_exact_sum_of_per_node_recomputes() {
     let scenario = autoscaled_fleet(11);
     let outcome = Engine::new().parallel().run_cluster(&scenario);
 
-    // Re-drive the same fleet through the lower-level ClusterSim and integrate every
-    // node's per-interval energy by hand; the engine's fleet total must equal the sum
-    // of the per-node integrals exactly (energy summation is per-node, then summed
-    // once — no reassociation).
-    let mut sim = ClusterSim::new(&scenario, Engine::new().catalog());
-    let mut per_node = vec![0.0f64; scenario.nodes];
-    for _ in 0..scenario.max_intervals() {
-        let interval = sim.advance();
-        for node_interval in &interval.nodes {
-            per_node[node_interval.node] += node_interval.observation.energy_j;
+    // Re-drive the same fleet one interval at a time and integrate every node's
+    // per-interval energy by hand from the observation it keeps; the engine's fleet
+    // total must equal the sum of the per-node integrals exactly (energy summation is
+    // per-node, then summed once — no reassociation).
+    let engine = Engine::new();
+    let mut run = ClusterRun::new(&scenario, &engine);
+    let mut per_node = vec![0.0f64; run.instance_count()];
+    while !run.is_done() {
+        run.step();
+        for (node, energy_j) in per_node.iter_mut().enumerate() {
+            *energy_j += run
+                .node(node)
+                .observation()
+                .expect("every node stepped")
+                .energy_j;
         }
     }
     for (node_outcome, recomputed) in outcome.node_outcomes.iter().zip(&per_node) {

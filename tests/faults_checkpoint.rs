@@ -161,7 +161,7 @@ fn restore_reports_a_mismatched_instance_count_by_value() {
     let wire = serde_json::to_string(&donor.checkpoint()).expect("checkpoints are serializable");
     let mut checkpoint: ClusterRunCheckpoint =
         serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
-    checkpoint.sim.instances = 9;
+    checkpoint.instances = 9;
 
     let err = ClusterRun::new(&scenario, &engine)
         .restore(&checkpoint)
@@ -173,7 +173,7 @@ fn restore_reports_a_mismatched_instance_count_by_value() {
 }
 
 #[test]
-fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later() {
+fn restore_rejects_node_state_no_run_can_produce() {
     let engine = Engine::new();
     let scenario = failure_scenario(6, PolicyKind::Pliant);
     let mut donor = ClusterRun::new(&scenario, &engine);
@@ -182,12 +182,12 @@ fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later()
     let pristine: ClusterRunCheckpoint =
         serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
 
-    let node0 = &pristine.sim.node_checkpoints[0];
+    let node0 = &pristine.node_checkpoints[0];
     let (slots, completed) = (node0.slot_done.len(), node0.completed_weights.len());
 
     // A short slot-weight vector used to restore and then panic on the next step.
     let mut short_weights = pristine.clone();
-    short_weights.sim.node_checkpoints[0].slot_weight.pop();
+    short_weights.node_checkpoints[0].slot_weight.pop();
     let err = ClusterRun::new(&scenario, &engine)
         .restore(&short_weights)
         .expect_err("a node checkpoint with too few slot weights must not restore");
@@ -199,7 +199,7 @@ fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later()
 
     // Completed-job weights must pair up with completed-job inaccuracies.
     let mut unpaired = pristine.clone();
-    unpaired.sim.node_checkpoints[0].completed_weights.push(1);
+    unpaired.node_checkpoints[0].completed_weights.push(1);
     let err = ClusterRun::new(&scenario, &engine)
         .restore(&unpaired)
         .expect_err("unpaired completed-job weights must not restore");
@@ -208,6 +208,36 @@ fn restore_rejects_node_vectors_of_the_wrong_length_instead_of_panicking_later()
         err.contains("node 0") && err.contains(&want),
         "the rejection must name the node and its {want}, got: {err}"
     );
+
+    // A degrade factor outside (0, 1] is one `set_degrade` would refuse; restored, it
+    // silently rewrites the node's tail latency for the rest of the run.
+    for degrade in [0.0, -1.0, 5.0] {
+        let mut degraded = pristine.clone();
+        degraded.node_checkpoints[0].sim.degrade = degrade;
+        let err = ClusterRun::new(&scenario, &engine)
+            .restore(&degraded)
+            .expect_err("an impossible degrade factor must not restore");
+        assert!(
+            err.contains("node 0") && err.contains("outside (0, 1]"),
+            "the rejection must name the node and the degrade range, got: {err}"
+        );
+    }
+
+    // Core reclamation only moves cores between the service and the slots, so the
+    // node's total allocation never changes.
+    let total = node0.sim.service_cores + node0.sim.apps.iter().map(|a| a.cores()).sum::<u32>();
+    for service_cores in [0, 99] {
+        let mut recored = pristine.clone();
+        recored.node_checkpoints[0].sim.service_cores = service_cores;
+        let err = ClusterRun::new(&scenario, &engine)
+            .restore(&recored)
+            .expect_err("a core split that changes the node's total must not restore");
+        let want = format!("built with {total}");
+        assert!(
+            err.contains("node 0") && err.contains(&want),
+            "the rejection must name the node and its {want} cores, got: {err}"
+        );
+    }
 
     // The untouched checkpoint still restores.
     ClusterRun::new(&scenario, &engine)

@@ -9,9 +9,11 @@
 //! 3. **Conservation**: under the clustered approximation, replica-weighted event
 //!    counters land within the established hyperscale bounds of the exact run's
 //!    logical-node totals.
+//! 4. **One closing pass**: each interval's rollup event and the outcome's trace
+//!    series come from the same pass over the nodes, so they agree point for point.
 
 use pliant::prelude::*;
-use pliant::telemetry::obs::{EventKind, ObsLevel, ObsSummary};
+use pliant::telemetry::obs::{Event, EventKind, EventLog, ObsLevel, ObsSummary};
 use serde_json::Value;
 
 /// Serializes an outcome and drops its attached `obs` summary, leaving only the
@@ -29,6 +31,45 @@ fn fleet_scenario(approximation: FleetApproximation) -> ClusterScenario {
     let mut scenario = pliant_bench::cluster_energy_scenario_at_scale(12, PolicyKind::Pliant, 7);
     scenario.approximation = approximation;
     scenario
+}
+
+/// Checks every interval's [`Event::IntervalSummary`] against the outcome's trace: its
+/// `violating` count must equal the `violating_nodes` point and its `active_nodes` the
+/// `active_nodes` point, at the same interval end time.
+fn assert_rollups_match_the_trace(outcome: &ClusterOutcome, log: &EventLog, context: &str) {
+    let series = |name: &str| outcome.trace.get(name).expect("outcome series").points();
+    let (violating_nodes, active_nodes) = (series("violating_nodes"), series("active_nodes"));
+    let mut rollups = 0;
+    for record in &log.records {
+        let Event::IntervalSummary {
+            active_nodes: active,
+            violating,
+            ..
+        } = record.event
+        else {
+            continue;
+        };
+        let i = record.interval as usize;
+        assert_eq!(
+            violating_nodes[i].time_s, record.time_s,
+            "{context}: interval {i}"
+        );
+        assert_eq!(
+            violating_nodes[i].value,
+            f64::from(violating),
+            "{context}: interval {i} rollup and violating_nodes series disagree"
+        );
+        assert_eq!(
+            active_nodes[i].value,
+            f64::from(active),
+            "{context}: interval {i} rollup and active_nodes series disagree"
+        );
+        rollups += 1;
+    }
+    assert_eq!(
+        rollups, outcome.intervals,
+        "{context}: one rollup per interval"
+    );
 }
 
 #[test]
@@ -57,6 +98,7 @@ fn event_streams_are_byte_identical_across_execution_modes() {
                 serde_json::to_string(&outcome).expect("serializable"),
                 serde_json::to_string(&replay_outcome).expect("serializable")
             );
+            assert_rollups_match_the_trace(&outcome, &log, &format!("{approximation:?}/{level:?}"));
         }
     }
 }
