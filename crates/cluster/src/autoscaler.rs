@@ -271,22 +271,32 @@ impl std::error::Error for AutoscalerConfigError {}
 /// per-node load stays below `BURN_MARGIN × L`.
 const BURN_MARGIN: f64 = 0.95;
 
-/// Serializable snapshot of an [`Autoscaler`]'s mutable state, for checkpointing (the
-/// configuration and instance weights are rebuilt from the scenario).
+/// An [`Autoscaler`]'s mutable state, kept as one value so a checkpoint is a clone of
+/// it (the configuration and instance weights are rebuilt from the scenario).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AutoscalerSnapshot {
+pub struct AutoscalerState {
     /// Per-instance power states.
     pub states: Vec<NodePowerState>,
-    /// Remaining enforced-hold intervals.
+    /// Remaining enforced-hold intervals after the last membership change.
     pub cooldown: u32,
     /// Consecutive intervals of fleet QoS pressure.
     pub out_streak: u32,
-    /// Peak per-node load over the current pressure streak.
+    /// Highest per-active-node load observed over the current pressure streak; what a
+    /// pressure-driven scale-out burns as the learned ceiling. Smoothed tail latency
+    /// is an EWMA, so pressure can outlast the load spike that caused it — burning
+    /// the load of the interval the streak *completes* on (possibly already back to a
+    /// healthy level) would permanently block drains at loads the fleet serves fine.
     pub streak_peak_load: f64,
     /// Consecutive intervals of scale-in eligibility.
     pub in_streak: u32,
-    /// Learned capacity ceiling; `None` encodes "not yet learned" (infinity), which
-    /// JSON cannot carry as a number.
+    /// Learned capacity ceiling: the smallest streak-peak per-active-node load at
+    /// which a *pressure-driven* scale-out has fired. The fleet demonstrated it cannot
+    /// serve this load per node within QoS, so scale-in never projects back into it
+    /// (and the feed-forward path treats it as the effective overload ceiling). `None`
+    /// until learned — an unbounded ceiling, which JSON cannot carry as a number; only
+    /// QoS evidence lowers it. This is what converts a policy's true per-node capacity
+    /// — higher under approximation than under precise execution — into a machine
+    /// count, without rediscovering the limit through repeated failed drains.
     pub burned_per_node_load: Option<f64>,
 }
 
@@ -294,33 +304,12 @@ pub struct AutoscalerSnapshot {
 #[derive(Debug, Clone)]
 pub struct Autoscaler {
     config: AutoscalerConfig,
-    states: Vec<NodePowerState>,
-    /// Remaining enforced-hold intervals after the last membership change.
-    cooldown: u32,
-    /// Consecutive intervals of fleet QoS pressure.
-    out_streak: u32,
-    /// Highest per-active-node load observed over the current pressure streak; what a
-    /// pressure-driven scale-out burns as the learned ceiling. Smoothed tail latency
-    /// is an EWMA, so pressure can outlast the load spike that caused it — burning
-    /// the load of the interval the streak *completes* on (possibly already back to a
-    /// healthy level) would permanently block drains at loads the fleet serves fine.
-    streak_peak_load: f64,
-    /// Consecutive intervals of scale-in eligibility.
-    in_streak: u32,
-    /// Learned capacity ceiling: the smallest streak-peak per-active-node load at
-    /// which a *pressure-driven* scale-out has fired. The fleet demonstrated it cannot
-    /// serve this load per node within QoS, so scale-in never projects back into it
-    /// (and the feed-forward path treats it as the effective overload ceiling). Starts
-    /// at infinity; only QoS evidence lowers it. This is what converts a policy's true
-    /// per-node capacity — higher under approximation than under precise execution —
-    /// into a machine count, without rediscovering the limit through repeated failed
-    /// drains.
-    burned_per_node_load: f64,
     /// Logical nodes each instance stands for. All-ones on an exact fleet; a clustered
     /// fleet's replica weights make every membership decision instance-atomic (a whole
     /// replica block drains or reactivates together) while the load and violation
     /// arithmetic stays in logical-node units.
     weights: Vec<usize>,
+    state: AutoscalerState,
 }
 
 impl Autoscaler {
@@ -349,12 +338,14 @@ impl Autoscaler {
         );
         Self {
             config,
-            states: vec![NodePowerState::Active; weights.len()],
-            cooldown: 0,
-            out_streak: 0,
-            streak_peak_load: 0.0,
-            in_streak: 0,
-            burned_per_node_load: f64::INFINITY,
+            state: AutoscalerState {
+                states: vec![NodePowerState::Active; weights.len()],
+                cooldown: 0,
+                out_streak: 0,
+                streak_peak_load: 0.0,
+                in_streak: 0,
+                burned_per_node_load: None,
+            },
             weights,
         }
     }
@@ -366,13 +357,14 @@ impl Autoscaler {
 
     /// Per-node power states, in node order.
     pub fn states(&self) -> &[NodePowerState] {
-        &self.states
+        &self.state.states
     }
 
     /// *Logical* nodes currently serving traffic: the replica-weighted active count
     /// (the plain active count on an exact, all-ones fleet).
     pub fn active_replicas(&self) -> usize {
-        self.states
+        self.state
+            .states
             .iter()
             .zip(&self.weights)
             .filter(|(s, _)| **s == NodePowerState::Active)
@@ -391,45 +383,29 @@ impl Autoscaler {
     /// so a spike whose EWMA pressure outlasts the load itself burns the load that
     /// caused the violations, not the healthy level the fleet had already fallen to.
     pub fn burned_per_node_load(&self) -> f64 {
-        self.burned_per_node_load
+        self.state.burned_per_node_load.unwrap_or(f64::INFINITY)
     }
 
-    /// Captures the autoscaler's mutable state for checkpointing.
-    pub fn snapshot(&self) -> AutoscalerSnapshot {
-        AutoscalerSnapshot {
-            states: self.states.clone(),
-            cooldown: self.cooldown,
-            out_streak: self.out_streak,
-            streak_peak_load: self.streak_peak_load,
-            in_streak: self.in_streak,
-            burned_per_node_load: if self.burned_per_node_load.is_finite() {
-                Some(self.burned_per_node_load)
-            } else {
-                None
-            },
-        }
+    /// The autoscaler's mutable state, for checkpointing.
+    pub fn state(&self) -> &AutoscalerState {
+        &self.state
     }
 
-    /// Restores state captured by [`Self::snapshot`] onto an autoscaler built with the
+    /// Restores state captured by [`Self::state`] onto an autoscaler built with the
     /// same configuration and instance weights.
     ///
     /// # Errors
     ///
-    /// Rejects a snapshot whose instance count disagrees with this autoscaler's.
-    pub fn restore(&mut self, snapshot: &AutoscalerSnapshot) -> Result<(), String> {
-        if snapshot.states.len() != self.states.len() {
+    /// Rejects a state whose instance count disagrees with this autoscaler's.
+    pub fn restore(&mut self, state: &AutoscalerState) -> Result<(), String> {
+        if state.states.len() != self.state.states.len() {
             return Err(format!(
                 "snapshot carries {} instances, autoscaler has {}",
-                snapshot.states.len(),
-                self.states.len()
+                state.states.len(),
+                self.state.states.len()
             ));
         }
-        self.states = snapshot.states.clone();
-        self.cooldown = snapshot.cooldown;
-        self.out_streak = snapshot.out_streak;
-        self.streak_peak_load = snapshot.streak_peak_load;
-        self.in_streak = snapshot.in_streak;
-        self.burned_per_node_load = snapshot.burned_per_node_load.unwrap_or(f64::INFINITY);
+        self.state.clone_from(state);
         Ok(())
     }
 
@@ -459,15 +435,15 @@ impl Autoscaler {
     ) -> AutoscalerAction {
         assert_eq!(
             snapshots.len(),
-            self.states.len(),
+            self.state.states.len(),
             "autoscaler built for {} instances, got {} snapshots",
-            self.states.len(),
+            self.state.states.len(),
             snapshots.len()
         );
 
         // Park fully-drained instances (suspending costs nothing to decide; no
         // cooldown).
-        for (state, snap) in self.states.iter_mut().zip(snapshots) {
+        for (state, snap) in self.state.states.iter_mut().zip(snapshots) {
             if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
                 *state = NodePowerState::Parked;
             }
@@ -476,6 +452,7 @@ impl Autoscaler {
         let active_replicas = self.active_replicas();
         let per_node_load = total_load / active_replicas.max(1) as f64;
         let violating: usize = self
+            .state
             .states
             .iter()
             .zip(snapshots)
@@ -488,20 +465,30 @@ impl Autoscaler {
         let pressure = violating > 0
             && violating as f64
                 >= self.config.scale_out_violation_fraction * active_replicas as f64;
-        let can_grow = self.states.iter().any(|s| *s != NodePowerState::Active);
-        let headroom = self.states.iter().zip(snapshots).all(|(state, snap)| {
-            *state != NodePowerState::Active
-                || snap.smoothed_p99_s <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
-        });
+        let can_grow = self
+            .state
+            .states
+            .iter()
+            .any(|s| *s != NodePowerState::Active);
+        let headroom = self
+            .state
+            .states
+            .iter()
+            .zip(snapshots)
+            .all(|(state, snap)| {
+                *state != NodePowerState::Active
+                    || snap.smoothed_p99_s
+                        <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
+            });
         let drain_ceiling = self
             .config
             .scale_in_max_load
-            .min(BURN_MARGIN * self.burned_per_node_load);
+            .min(BURN_MARGIN * self.burned_per_node_load());
         // A drain candidate must leave at least `min_active` logical nodes serving and
         // keep the survivors' per-node load at or below the ceiling *after losing the
         // candidate's whole replica block*.
         let drain_eligible = |scaler: &Self, i: usize| {
-            scaler.states[i] == NodePowerState::Active && {
+            scaler.state.states[i] == NodePowerState::Active && {
                 let remaining = active_replicas - scaler.weights[i];
                 remaining >= scaler.config.min_active
                     && total_load / remaining as f64 <= drain_ceiling
@@ -510,58 +497,64 @@ impl Autoscaler {
         // Scale-in needs demonstrated headroom on every serving node, not merely the
         // absence of violations: a fleet hovering just under its target would fail the
         // drain it is about to attempt.
-        let can_shrink =
-            violating == 0 && headroom && (0..self.states.len()).any(|i| drain_eligible(self, i));
+        let can_shrink = violating == 0
+            && headroom
+            && (0..self.state.states.len()).any(|i| drain_eligible(self, i));
 
         // Streaks accumulate even through a cooldown, so an operating point that keeps
         // its trigger asserted acts immediately once the hold expires. The pressure
         // streak also tracks its peak per-node load (see `streak_peak_load`).
-        self.out_streak = if pressure && can_grow {
-            self.streak_peak_load = if self.out_streak == 0 {
+        self.state.out_streak = if pressure && can_grow {
+            self.state.streak_peak_load = if self.state.out_streak == 0 {
                 per_node_load
             } else {
-                self.streak_peak_load.max(per_node_load)
+                self.state.streak_peak_load.max(per_node_load)
             };
-            self.out_streak + 1
+            self.state.out_streak + 1
         } else {
             0
         };
-        self.in_streak = if can_shrink { self.in_streak + 1 } else { 0 };
+        self.state.in_streak = if can_shrink {
+            self.state.in_streak + 1
+        } else {
+            0
+        };
 
         // Feed-forward overload: the coming interval's load is *known*, so a fleet
         // asked to serve more per node than the (configured or learned) ceiling grows
         // immediately — no sustain, no cooldown. This cannot flap against scale-in:
         // drains only fire while the projection stays in the hysteresis band below.
-        let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load);
+        let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load());
         if can_grow && per_node_load > overload_ceiling {
             let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
+            self.state.states[target] = NodePowerState::Active;
+            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.out_streak = 0;
+            self.state.in_streak = 0;
             return AutoscalerAction::ScaleOut(target);
         }
 
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
+        if self.state.cooldown > 0 {
+            self.state.cooldown -= 1;
             return AutoscalerAction::Hold;
         }
 
-        if self.out_streak >= self.config.scale_out_sustain_intervals {
+        if self.state.out_streak >= self.config.scale_out_sustain_intervals {
             // The fleet demonstrated it cannot serve the streak's peak per-node load
             // within QoS: remember the ceiling so scale-in never projects back into
             // it. The ceiling is deliberately monotone (no decay) — conservative, and
             // what keeps autoscaled runs deterministic functions of their history.
-            self.burned_per_node_load = self.burned_per_node_load.min(self.streak_peak_load);
+            self.state.burned_per_node_load =
+                Some(self.burned_per_node_load().min(self.state.streak_peak_load));
             let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
+            self.state.states[target] = NodePowerState::Active;
+            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.out_streak = 0;
+            self.state.in_streak = 0;
             return AutoscalerAction::ScaleOut(target);
         }
 
-        if self.in_streak >= self.config.scale_in_sustain_intervals {
+        if self.state.in_streak >= self.config.scale_in_sustain_intervals {
             // Drain the least-utilized *eligible* instance, ties broken toward the
             // highest index (instance 0 stays active the longest).
             let target = snapshots
@@ -576,10 +569,10 @@ impl Autoscaler {
                 // a drain-eligible instance exists (see `can_shrink` above).
                 .expect("an eligible instance exists")
                 .index;
-            self.states[target] = NodePowerState::Draining;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
+            self.state.states[target] = NodePowerState::Draining;
+            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.out_streak = 0;
+            self.state.in_streak = 0;
             return AutoscalerAction::ScaleIn(target);
         }
 
@@ -606,12 +599,12 @@ impl Autoscaler {
     ) {
         assert_eq!(
             snapshots.len(),
-            self.states.len(),
+            self.state.states.len(),
             "autoscaler built for {} instances, got {} snapshots",
-            self.states.len(),
+            self.state.states.len(),
             snapshots.len()
         );
-        for (i, (state, snap)) in self.states.iter_mut().zip(snapshots).enumerate() {
+        for (i, (state, snap)) in self.state.states.iter_mut().zip(snapshots).enumerate() {
             if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
                 *state = NodePowerState::Parked;
                 parked.push(i);
@@ -622,11 +615,13 @@ impl Autoscaler {
     /// The node a scale-out reactivates: a draining node first (still warm, its jobs
     /// are still on it), else the lowest-index parked node.
     fn reactivation_target(&self) -> usize {
-        self.states
+        self.state
+            .states
             .iter()
             .position(|s| *s == NodePowerState::Draining)
             .or_else(|| {
-                self.states
+                self.state
+                    .states
                     .iter()
                     .position(|s| *s == NodePowerState::Parked)
             })

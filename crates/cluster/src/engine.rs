@@ -63,9 +63,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::autoscaler::{Autoscaler, AutoscalerSnapshot, NodePowerState};
+use crate::autoscaler::{Autoscaler, AutoscalerState, NodePowerState};
 use crate::balancer::LoadBalancer;
-use crate::faults::{self, FaultKind, FaultState, FaultStateSnapshot, FaultStats, NodeHealth};
+use crate::faults::{self, FaultKind, FaultProgress, FaultState, FaultStats, NodeHealth};
 use crate::node::{ClusterNode, NodeCheckpoint, NodeSnapshot};
 use crate::outcome::{ClusterOutcome, NodeOutcome};
 use crate::population::NodePopulation;
@@ -212,19 +212,64 @@ pub struct ClusterRun {
     rack_candidates: Vec<usize>,
     /// Scratch: instances parked by the mid-interval consolidation pass.
     park_scratch: Vec<usize>,
-    // Fleet books, folded in by `close_interval`. Extensive quantities are replica
-    // weighted: every logical node an instance stands for would have shown the same
-    // per-node observation under CRN, so they scale by `replicas` (1 on every exactly
-    // simulated node, which leaves the arithmetic bit-identical).
-    total_load_sum: f64,
-    max_total_extra: u32,
-    active_sum: usize,
-    min_active: usize,
-    load_series: TimeSeries,
-    cores_series: TimeSeries,
-    violating_series: TimeSeries,
-    power_series: TimeSeries,
-    active_series: TimeSeries,
+    books: FleetBooks,
+}
+
+/// A fleet run's books: the aggregates and trace series its outcome is assembled from,
+/// folded in once per interval by `close_interval`. A run keeps them as this one value,
+/// so its checkpoint is a clone of it.
+///
+/// Extensive quantities are replica weighted: every logical node an instance stands
+/// for would have shown the same per-node observation under CRN, so they scale by
+/// `replicas` (1 on every exactly simulated node, which leaves the arithmetic
+/// bit-identical).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct FleetBooks {
+    /// Sum of total offered load over the intervals run so far.
+    pub total_load_sum: f64,
+    /// Maximum fleet-wide reclaimed cores in any one interval.
+    pub max_total_extra: u32,
+    /// Sum of per-interval active-node counts.
+    pub active_sum: usize,
+    /// Minimum per-interval active-node count.
+    pub min_active: usize,
+    /// Fleet offered load per interval (`total_offered_load`).
+    pub load_series: TimeSeries,
+    /// Fleet reclaimed cores per interval (`total_extra_cores`).
+    pub cores_series: TimeSeries,
+    /// QoS-violating logical nodes per interval (`violating_nodes`).
+    pub violating_series: TimeSeries,
+    /// Fleet power draw per interval (`fleet_power_w`).
+    pub power_series: TimeSeries,
+    /// Serving logical nodes per interval (`active_nodes`).
+    pub active_series: TimeSeries,
+}
+
+impl FleetBooks {
+    fn new(nodes: usize, max_intervals: usize) -> Self {
+        Self {
+            total_load_sum: 0.0,
+            max_total_extra: 0,
+            active_sum: 0,
+            min_active: nodes,
+            load_series: TimeSeries::with_capacity("total_offered_load", max_intervals),
+            cores_series: TimeSeries::with_capacity("total_extra_cores", max_intervals),
+            violating_series: TimeSeries::with_capacity("violating_nodes", max_intervals),
+            power_series: TimeSeries::with_capacity("fleet_power_w", max_intervals),
+            active_series: TimeSeries::with_capacity("active_nodes", max_intervals),
+        }
+    }
+
+    /// The five trace series, in outcome order.
+    fn series(&self) -> [&TimeSeries; 5] {
+        [
+            &self.load_series,
+            &self.cores_series,
+            &self.violating_series,
+            &self.power_series,
+            &self.active_series,
+        ]
+    }
 }
 
 /// The telemetry code of a batch job: its position in [`AppId::all`].
@@ -407,15 +452,7 @@ impl ClusterRun {
             rack_admissible: Vec::new(),
             rack_candidates: Vec::new(),
             park_scratch: Vec::new(),
-            total_load_sum: 0.0,
-            max_total_extra: 0,
-            active_sum: 0,
-            min_active: scenario.nodes,
-            load_series: TimeSeries::with_capacity("total_offered_load", max_intervals),
-            cores_series: TimeSeries::with_capacity("total_extra_cores", max_intervals),
-            violating_series: TimeSeries::with_capacity("violating_nodes", max_intervals),
-            power_series: TimeSeries::with_capacity("fleet_power_w", max_intervals),
-            active_series: TimeSeries::with_capacity("active_nodes", max_intervals),
+            books: FleetBooks::new(scenario.nodes, max_intervals),
         }
     }
 
@@ -597,7 +634,12 @@ impl ClusterRun {
     /// interval's replica-weighted availability. Runs first, so placement, balancing,
     /// and the autoscaler all see this interval's health.
     fn apply_faults(&mut self) {
-        let Some(faults) = self.faults.as_mut() else {
+        let Some(FaultState {
+            schedule,
+            instance_of,
+            progress: faults,
+        }) = self.faults.as_mut()
+        else {
             return;
         };
         let interval = self.intervals as u64;
@@ -644,12 +686,10 @@ impl ClusterRun {
         // node with no exact instance (impossible by construction — the isolating
         // planner carves every faulted node out) or a node that is not healthy (a
         // crash cannot crash an already-down node) are dropped.
-        while faults.cursor < faults.schedule.len()
-            && faults.schedule[faults.cursor].interval == interval
-        {
-            let event = faults.schedule[faults.cursor];
+        while faults.cursor < schedule.len() && schedule[faults.cursor].interval == interval {
+            let event = schedule[faults.cursor];
             faults.cursor += 1;
-            let Some(instance) = faults.instance_of[event.node] else {
+            let Some(instance) = instance_of[event.node] else {
                 continue;
             };
             if faults.health[instance] != NodeHealth::Up {
@@ -790,7 +830,7 @@ impl ClusterRun {
             for ((node, health), serving) in self
                 .nodes
                 .iter_mut()
-                .zip(&faults.health)
+                .zip(&faults.progress.health)
                 .zip(self.serving.iter_mut())
             {
                 if !health.is_serving() {
@@ -864,7 +904,7 @@ impl ClusterRun {
             let healthy = self
                 .faults
                 .as_ref()
-                .is_none_or(|f| f.health[src].is_serving());
+                .is_none_or(|f| f.progress.health[src].is_serving());
             if !draining || !healthy {
                 continue;
             }
@@ -1166,15 +1206,16 @@ impl ClusterRun {
             );
         }
         self.intervals += 1;
-        self.total_load_sum += total_offered_load;
-        self.max_total_extra = self.max_total_extra.max(total_extra);
-        self.active_sum += active_nodes;
-        self.min_active = self.min_active.min(active_nodes);
-        self.load_series.push(self.time_s, total_offered_load);
-        self.cores_series.push(self.time_s, total_extra as f64);
-        self.violating_series.push(self.time_s, violating as f64);
-        self.power_series.push(self.time_s, fleet_power_w);
-        self.active_series.push(self.time_s, active_nodes as f64);
+        let books = &mut self.books;
+        books.total_load_sum += total_offered_load;
+        books.max_total_extra = books.max_total_extra.max(total_extra);
+        books.active_sum += active_nodes;
+        books.min_active = books.min_active.min(active_nodes);
+        books.load_series.push(self.time_s, total_offered_load);
+        books.cores_series.push(self.time_s, total_extra as f64);
+        books.violating_series.push(self.time_s, violating as f64);
+        books.power_series.push(self.time_s, fleet_power_w);
+        books.active_series.push(self.time_s, active_nodes as f64);
     }
 
     /// Captures the full mutable state of the run between intervals: every node's
@@ -1182,12 +1223,6 @@ impl ClusterRun {
     /// balancer RNG, the autoscaler and fault state if configured, and the fleet books.
     /// Serializable; see [`ClusterRunCheckpoint`].
     pub fn checkpoint(&self) -> ClusterRunCheckpoint {
-        let mut trace = TraceBundle::new();
-        trace.insert(self.load_series.clone());
-        trace.insert(self.cores_series.clone());
-        trace.insert(self.violating_series.clone());
-        trace.insert(self.power_series.clone());
-        trace.insert(self.active_series.clone());
         ClusterRunCheckpoint {
             version: CLUSTER_CHECKPOINT_VERSION,
             scenario_seed: self.scenario.seed,
@@ -1198,16 +1233,12 @@ impl ClusterRun {
             balancer_rng: self.balancer.rng_state(),
             scheduler_queue: self.scheduler.queue_snapshot(),
             scheduler_stats: self.scheduler.stats(),
-            autoscaler: self.autoscaler.as_ref().map(|a| a.snapshot()),
-            faults: self.faults.as_ref().map(|f| f.snapshot()),
+            autoscaler: self.autoscaler.as_ref().map(|a| a.state().clone()),
+            faults: self.faults.as_ref().map(|f| f.progress.clone()),
             rack_rng: self.rack_rng.as_ref().map(rng_state_words),
             rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
             node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
-            total_load_sum: self.total_load_sum,
-            max_total_extra: self.max_total_extra,
-            active_sum: self.active_sum,
-            min_active: self.min_active,
-            trace,
+            books: self.books.clone(),
         }
     }
 
@@ -1307,34 +1338,29 @@ impl ClusterRun {
             checkpoint.scheduler_queue.clone(),
             checkpoint.scheduler_stats,
         );
-        for (index, (node, node_checkpoint)) in self
-            .nodes
-            .iter_mut()
-            .zip(&checkpoint.node_checkpoints)
-            .enumerate()
+        for (node, node_checkpoint) in self.nodes.iter_mut().zip(&checkpoint.node_checkpoints) {
+            node.restore(node_checkpoint)?;
+        }
+        for (series, fresh) in checkpoint
+            .books
+            .series()
+            .into_iter()
+            .zip(self.books.series())
         {
-            node.restore(node_checkpoint)
-                .map_err(|e| format!("node {index}: {e}"))?;
+            if series.name() != fresh.name() || series.len() != checkpoint.intervals {
+                return Err(format!(
+                    "checkpoint series `{}` holds {} points after {} intervals; \
+                     expected `{}` with one point per interval",
+                    series.name(),
+                    series.len(),
+                    checkpoint.intervals,
+                    fresh.name()
+                ));
+            }
         }
         self.time_s = checkpoint.time_s;
         self.intervals = checkpoint.intervals;
-        self.total_load_sum = checkpoint.total_load_sum;
-        self.max_total_extra = checkpoint.max_total_extra;
-        self.active_sum = checkpoint.active_sum;
-        self.min_active = checkpoint.min_active;
-        for (slot, name) in [
-            (&mut self.load_series, "total_offered_load"),
-            (&mut self.cores_series, "total_extra_cores"),
-            (&mut self.violating_series, "violating_nodes"),
-            (&mut self.power_series, "fleet_power_w"),
-            (&mut self.active_series, "active_nodes"),
-        ] {
-            *slot = checkpoint
-                .trace
-                .get(name)
-                .ok_or_else(|| format!("checkpoint trace is missing the `{name}` series"))?
-                .clone();
-        }
+        self.books.clone_from(&checkpoint.books);
         Ok(())
     }
 
@@ -1352,7 +1378,7 @@ impl ClusterRun {
         let mut fleet = LatencyHistogram::new();
         for node in &self.nodes {
             fleet
-                .try_merge(node.latency_histogram())
+                .try_merge(&node.books().hist)
                 // pliant-lint: allow(panic-hygiene): every node histogram was built by
                 // this run with the same bucket configuration, so the merge cannot
                 // fail.
@@ -1367,23 +1393,24 @@ impl ClusterRun {
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                let inaccuracies = node.completed_inaccuracy_pct();
+                let books = node.books();
+                let inaccuracies = &books.completed_inaccuracy_pct;
                 // Replica-weighted mean: a job completed at weight `w` stood for `w`
                 // logical completions. With all-ones weights (exact mode) this reduces
                 // bit-for-bit to the plain arithmetic mean the engine always computed.
-                let weights = node.completed_weights();
+                let weights = &books.completed_weights;
                 let weight_total: usize = weights.iter().sum();
                 NodeOutcome {
                     node: i,
                     replicas: node.replicas(),
-                    busy_intervals: node.busy_intervals(),
-                    idle_intervals: node.idle_intervals(),
-                    p99_s: node.latency_histogram().p99() / 1e6,
-                    qos_violation_fraction: node.qos_violations() as f64
-                        / node.busy_intervals().max(1) as f64,
-                    mean_assigned_load: node.assigned_load_sum() / max_intervals.max(1) as f64,
-                    max_extra_service_cores: node.max_extra_service_cores(),
-                    jobs_completed: node.jobs_completed(),
+                    busy_intervals: books.busy_intervals,
+                    idle_intervals: books.idle_intervals,
+                    p99_s: books.hist.p99() / 1e6,
+                    qos_violation_fraction: books.qos_violations as f64
+                        / books.busy_intervals.max(1) as f64,
+                    mean_assigned_load: books.assigned_sum / max_intervals.max(1) as f64,
+                    max_extra_service_cores: books.max_extra,
+                    jobs_completed: books.jobs_completed,
                     mean_completed_inaccuracy_pct: if inaccuracies.is_empty() {
                         0.0
                     } else {
@@ -1394,13 +1421,21 @@ impl ClusterRun {
                             .sum::<f64>()
                             / weight_total as f64
                     },
-                    energy_j: node.energy_j(),
+                    energy_j: books.energy_j,
                 }
             })
             .collect();
 
-        let total_busy: usize = self.nodes.iter().map(ClusterNode::busy_intervals).sum();
-        let total_violations: usize = self.nodes.iter().map(ClusterNode::qos_violations).sum();
+        let total_busy: usize = self
+            .nodes
+            .iter()
+            .map(|node| node.books().busy_intervals)
+            .sum();
+        let total_violations: usize = self
+            .nodes
+            .iter()
+            .map(|node| node.books().qos_violations)
+            .sum();
         let fleet_p99_s = fleet.p99() / 1e6;
         // Fleet energy is the exact sum of the per-node accounting, mirroring how the
         // fleet p99 is the exact merge of the per-node histograms.
@@ -1409,11 +1444,9 @@ impl ClusterRun {
         let completed = scheduler_stats.completed;
 
         let mut trace = TraceBundle::new();
-        trace.insert(self.load_series);
-        trace.insert(self.cores_series);
-        trace.insert(self.violating_series);
-        trace.insert(self.power_series);
-        trace.insert(self.active_series);
+        for series in self.books.series() {
+            trace.insert(series.clone());
+        }
 
         let outcome = ClusterOutcome {
             service: scenario.service,
@@ -1426,13 +1459,13 @@ impl ClusterRun {
             intervals: self.intervals,
             warmup_intervals: scenario.warmup_intervals,
             qos_target_s,
-            mean_total_offered_load: self.total_load_sum / max_intervals.max(1) as f64,
+            mean_total_offered_load: self.books.total_load_sum / max_intervals.max(1) as f64,
             fleet_p99_s,
             fleet_mean_latency_s: fleet.mean() / 1e6,
             fleet_samples: fleet.count(),
             fleet_tail_latency_ratio: fleet_p99_s / qos_target_s,
             fleet_qos_violation_fraction: total_violations as f64 / total_busy.max(1) as f64,
-            max_total_extra_cores: self.max_total_extra,
+            max_total_extra_cores: self.books.max_total_extra,
             fleet_energy_j,
             mean_fleet_power_w: if simulated_s > 0.0 {
                 fleet_energy_j / simulated_s
@@ -1444,8 +1477,8 @@ impl ClusterRun {
             } else {
                 0.0
             },
-            mean_active_nodes: self.active_sum as f64 / max_intervals.max(1) as f64,
-            min_active_nodes: self.min_active,
+            mean_active_nodes: self.books.active_sum as f64 / max_intervals.max(1) as f64,
+            min_active_nodes: self.books.min_active,
             faults,
             scheduler_stats,
             node_outcomes,
@@ -1458,7 +1491,7 @@ impl ClusterRun {
 
 /// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
 /// breaking change to the snapshot layout.
-pub const CLUSTER_CHECKPOINT_VERSION: u32 = 2;
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 3;
 
 /// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
 /// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario
@@ -1489,10 +1522,10 @@ pub struct ClusterRunCheckpoint {
     pub scheduler_stats: SchedulerStats,
     /// Autoscaler state, when the scenario configures one.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub autoscaler: Option<AutoscalerSnapshot>,
+    pub autoscaler: Option<AutoscalerState>,
     /// Fault-injection state, when the scenario carries a non-empty fault profile.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub faults: Option<FaultStateSnapshot>,
+    pub faults: Option<FaultProgress>,
     /// Rack-placement sampling stream (xoshiro256++ words), when the scenario has a
     /// racked topology; absent on flat fleets.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -1503,16 +1536,8 @@ pub struct ClusterRunCheckpoint {
     pub rack_power_w: Option<Vec<f64>>,
     /// Per-instance node state and books, in instance order.
     pub node_checkpoints: Vec<NodeCheckpoint>,
-    /// Sum of total offered load over the intervals run so far.
-    pub total_load_sum: f64,
-    /// Maximum fleet-wide reclaimed cores in any one interval.
-    pub max_total_extra: u32,
-    /// Sum of per-interval active-node counts.
-    pub active_sum: usize,
-    /// Minimum per-interval active-node count.
-    pub min_active: usize,
-    /// The five partial outcome trace series, keyed by name.
-    pub trace: TraceBundle,
+    /// The fleet books: run aggregates and the five partial outcome trace series.
+    pub books: FleetBooks,
 }
 
 impl std::fmt::Debug for ClusterRun {

@@ -550,21 +550,30 @@ pub struct FaultStats {
 pub(crate) struct FaultState {
     /// Compiled schedule, over logical nodes, sorted by `(interval, node)`.
     pub schedule: Vec<FaultEvent>,
-    /// Next unconsumed schedule entry.
-    pub cursor: usize,
     /// Logical node → simulated instance carrying it exactly (weight-1), if any.
     pub instance_of: Vec<Option<usize>>,
+    /// What changes as the run advances, and what a checkpoint carries.
+    pub progress: FaultProgress,
+}
+
+/// The mutable part of a run's fault state, kept as one value so a checkpoint is a
+/// clone of it (the schedule and the logical→instance map are pure functions of the
+/// scenario and are recompiled on restore).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultProgress {
+    /// Next unconsumed entry of the schedule.
+    pub cursor: usize,
     /// Per-instance health.
     pub health: Vec<NodeHealth>,
-    /// Crash events applied.
+    /// Crash events applied so far.
     pub crashes: u64,
-    /// Degradation events applied.
+    /// Degradation events applied so far.
     pub degradations: u64,
-    /// Jobs re-queued off crashed nodes (replica-weighted).
+    /// Jobs re-queued off crashed nodes so far (replica-weighted).
     pub jobs_requeued: u64,
-    /// Replica-weighted node-intervals spent down.
+    /// Replica-weighted node-intervals spent down so far.
     pub down_node_intervals: u64,
-    /// Replica-weighted node-intervals spent degraded.
+    /// Replica-weighted node-intervals spent degraded so far.
     pub degraded_node_intervals: u64,
 }
 
@@ -582,95 +591,57 @@ impl FaultState {
         }
         FaultState {
             schedule,
-            cursor: 0,
             instance_of,
-            health: vec![NodeHealth::Up; plans.len()],
-            crashes: 0,
-            degradations: 0,
-            jobs_requeued: 0,
-            down_node_intervals: 0,
-            degraded_node_intervals: 0,
+            progress: FaultProgress {
+                cursor: 0,
+                health: vec![NodeHealth::Up; plans.len()],
+                crashes: 0,
+                degradations: 0,
+                jobs_requeued: 0,
+                down_node_intervals: 0,
+                degraded_node_intervals: 0,
+            },
         }
     }
 
     /// The outcome counters, with availability computed over `nodes * intervals`
     /// logical node-intervals.
     pub fn stats(&self, logical_nodes: usize, intervals: usize) -> FaultStats {
+        let p = &self.progress;
         let denom = (logical_nodes * intervals) as f64;
         FaultStats {
-            crashes: self.crashes,
-            degradations: self.degradations,
-            jobs_requeued: self.jobs_requeued,
-            down_node_intervals: self.down_node_intervals,
-            degraded_node_intervals: self.degraded_node_intervals,
+            crashes: p.crashes,
+            degradations: p.degradations,
+            jobs_requeued: p.jobs_requeued,
+            down_node_intervals: p.down_node_intervals,
+            degraded_node_intervals: p.degraded_node_intervals,
             availability: if denom > 0.0 {
-                1.0 - self.down_node_intervals as f64 / denom
+                1.0 - p.down_node_intervals as f64 / denom
             } else {
                 1.0
             },
         }
     }
 
-    /// Captures the mutable part of the state for a checkpoint (the schedule and the
-    /// logical→instance map are pure functions of the scenario and are recompiled on
-    /// restore).
-    pub fn snapshot(&self) -> FaultStateSnapshot {
-        FaultStateSnapshot {
-            cursor: self.cursor,
-            health: self.health.clone(),
-            crashes: self.crashes,
-            degradations: self.degradations,
-            jobs_requeued: self.jobs_requeued,
-            down_node_intervals: self.down_node_intervals,
-            degraded_node_intervals: self.degraded_node_intervals,
-        }
-    }
-
     /// Restores the mutable part of the state from a checkpoint.
-    pub fn restore(&mut self, snapshot: &FaultStateSnapshot) -> Result<(), String> {
-        if snapshot.health.len() != self.health.len() {
+    pub fn restore(&mut self, progress: &FaultProgress) -> Result<(), String> {
+        if progress.health.len() != self.progress.health.len() {
             return Err(format!(
                 "fault snapshot covers {} instances, fleet has {}",
-                snapshot.health.len(),
-                self.health.len()
+                progress.health.len(),
+                self.progress.health.len()
             ));
         }
-        if snapshot.cursor > self.schedule.len() {
+        if progress.cursor > self.schedule.len() {
             return Err(format!(
                 "fault snapshot cursor {} exceeds schedule length {}",
-                snapshot.cursor,
+                progress.cursor,
                 self.schedule.len()
             ));
         }
-        self.cursor = snapshot.cursor;
-        self.health.clone_from(&snapshot.health);
-        self.crashes = snapshot.crashes;
-        self.degradations = snapshot.degradations;
-        self.jobs_requeued = snapshot.jobs_requeued;
-        self.down_node_intervals = snapshot.down_node_intervals;
-        self.degraded_node_intervals = snapshot.degraded_node_intervals;
+        self.progress.clone_from(progress);
         Ok(())
     }
-}
-
-/// Serialized mutable fault state inside a
-/// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultStateSnapshot {
-    /// Next unconsumed entry of the (recompiled) schedule.
-    pub cursor: usize,
-    /// Per-instance health at the checkpoint.
-    pub health: Vec<NodeHealth>,
-    /// Crash events applied so far.
-    pub crashes: u64,
-    /// Degradation events applied so far.
-    pub degradations: u64,
-    /// Jobs re-queued off crashed nodes so far (replica-weighted).
-    pub jobs_requeued: u64,
-    /// Replica-weighted node-intervals spent down so far.
-    pub down_node_intervals: u64,
-    /// Replica-weighted node-intervals spent degraded so far.
-    pub degraded_node_intervals: u64,
 }
 
 #[cfg(test)]
@@ -864,24 +835,23 @@ mod tests {
         let plans = pop.plan_instances(&crate::scenario::FleetApproximation::Exact);
         let mut state = FaultState::new(schedule, 4, &plans);
         assert_eq!(state.instance_of, vec![Some(0), Some(1), Some(2), Some(3)]);
-        state.cursor = 1;
-        state.health[2] = NodeHealth::Down { until: 7 };
-        state.crashes = 1;
-        state.down_node_intervals = 2;
-        let snap = state.snapshot();
-        let json = serde_json::to_string(&snap).expect("serializable");
-        let back: FaultStateSnapshot = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, snap);
+        state.progress.cursor = 1;
+        state.progress.health[2] = NodeHealth::Down { until: 7 };
+        state.progress.crashes = 1;
+        state.progress.down_node_intervals = 2;
+        let json = serde_json::to_string(&state.progress).expect("serializable");
+        let back: FaultProgress = serde_json::from_str(&json).expect("deserializable");
+        assert_eq!(back, state.progress);
         let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
         let mut fresh = FaultState::new(schedule, 4, &plans);
         fresh.restore(&back).expect("restorable");
-        assert_eq!(fresh.cursor, 1);
-        assert_eq!(fresh.health[2], NodeHealth::Down { until: 7 });
+        assert_eq!(fresh.progress.cursor, 1);
+        assert_eq!(fresh.progress.health[2], NodeHealth::Down { until: 7 });
         assert_eq!(fresh.stats(4, 20).crashes, 1);
         let stats = fresh.stats(4, 20);
         assert!((stats.availability - (1.0 - 2.0 / 80.0)).abs() < 1e-12);
         // A snapshot from a different fleet shape is rejected.
-        let bad = FaultStateSnapshot {
+        let bad = FaultProgress {
             health: vec![NodeHealth::Up; 2],
             ..back.clone()
         };

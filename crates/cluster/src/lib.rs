@@ -67,15 +67,17 @@ pub mod suite;
 pub mod topology;
 
 pub use autoscaler::{
-    Autoscaler, AutoscalerAction, AutoscalerConfig, AutoscalerSnapshot, NodePowerState,
+    Autoscaler, AutoscalerAction, AutoscalerConfig, AutoscalerState, NodePowerState,
 };
 pub use balancer::{BalancerKind, LoadBalancer};
-pub use engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint, CLUSTER_CHECKPOINT_VERSION};
-pub use faults::{
-    FaultKind, FaultProfile, FaultProfileError, FaultStateSnapshot, FaultStats, GroupOutage,
-    NodeHealth, RackOutage, ScheduledFault,
+pub use engine::{
+    ClusterEngineExt, ClusterRun, ClusterRunCheckpoint, FleetBooks, CLUSTER_CHECKPOINT_VERSION,
 };
-pub use node::{ClusterNode, NodeCheckpoint, NodeSnapshot};
+pub use faults::{
+    FaultKind, FaultProfile, FaultProfileError, FaultProgress, FaultStats, GroupOutage, NodeHealth,
+    RackOutage, ScheduledFault,
+};
+pub use node::{ClusterNode, NodeBooks, NodeCheckpoint, NodeSnapshot};
 pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
 pub use population::{InstancePlan, NodeGroup, NodePopulation};
 pub use scenario::{

@@ -3,13 +3,16 @@
 //! A [`ClusterNode`] holds the same [`NodeRuntime`] a single-node experiment runs — a
 //! co-location simulator driven by its monitor, policy and actuator — and advances it
 //! one decision interval at a time under whatever offered load the cluster's balancer
-//! assigns. Around the runtime it keeps what only a fleet needs: per-slot completion
-//! latches and replica weights, the per-node books (the post-warm-up latency histogram
-//! and QoS counters, energy, assigned load, reclaimed cores, completions), the last
-//! interval's observation, and the balancer-visible latency estimate. Nodes are fully
-//! independent within an interval (each derives its own RNG streams from the cluster
-//! seed), so the fleet's coordinator only hands each node its load and then reads what
-//! the node kept.
+//! assigns. Around the runtime it keeps what only a fleet needs: its [`NodeBooks`]
+//! (per-slot completion latches and replica weights, the balancer-visible latency
+//! estimate, the post-warm-up latency histogram and QoS counters, energy, assigned
+//! load, reclaimed cores, completions) and the last interval's observation. Nodes are
+//! fully independent within an interval (each derives its own RNG streams from the
+//! cluster seed), so the fleet's coordinator only hands each node its load and then
+//! reads what the node kept.
+//!
+//! A node's checkpoint ([`NodeCheckpoint`]) is its runtime's state plus a clone of its
+//! books; restore checks their shape against the node and assigns them back.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +20,7 @@ use pliant_approx::catalog::{AppId, AppProfile, Catalog};
 use pliant_core::actuator::ActuatorStats;
 use pliant_core::controller::ControllerConfig;
 use pliant_core::monitor::MonitorSnapshot;
+use pliant_core::policy::Policy;
 use pliant_core::runtime::NodeRuntime;
 use pliant_sim::colocation::{ColocationConfig, ColocationSimSnapshot, IntervalObservation};
 use pliant_telemetry::histogram::LatencyHistogram;
@@ -71,54 +75,20 @@ impl NodeSnapshot {
 pub struct ClusterNode {
     index: usize,
     runtime: NodeRuntime,
-    /// Per-slot completion latch, used to report each job's completion exactly once.
-    slot_done: Vec<bool>,
-    /// Inaccuracy of every job completed on this node so far, in percent.
-    completed_inaccuracy_pct: Vec<f64>,
-    smoothed_p99_s: f64,
-    utilization: f64,
     decision_interval_s: f64,
     /// Intervals excluded from the node's QoS statistics (the fleet's convergence
     /// transient).
     warmup_intervals: usize,
-    /// Intervals stepped so far, for the warm-up cutoff.
-    intervals_stepped: usize,
-    /// Cumulative histogram of every post-warm-up latency sample, in microseconds.
-    /// Recorded node-side (inside [`Self::step`]) so the cluster engine aggregates
-    /// fleet quantiles by merging N histograms instead of re-iterating every sample.
-    hist: LatencyHistogram,
-    /// Post-warm-up intervals that served traffic.
-    busy_intervals: usize,
-    /// Post-warm-up intervals with zero arrivals.
-    idle_intervals: usize,
-    /// Post-warm-up traffic-serving intervals that violated the QoS target.
-    qos_violations: usize,
-    /// Total electrical energy the node has consumed, in joules. Unlike the QoS
-    /// counters this covers the *whole* run (warm-up included) — energy is billed
-    /// whenever the machine is on, regardless of measurement windows.
-    energy_j: f64,
-    /// Sum of the offered load the balancer routed to the node, over every interval.
-    assigned_sum: f64,
-    /// Most cores the interactive service held beyond its fair share at the end of any
-    /// interval.
-    max_extra: u32,
-    /// Jobs completed on the node, weighted by the replica count of their slot.
-    jobs_completed: usize,
     /// The last interval's observation (`None` before the first step and after a
     /// restore). The next step recycles its buffers.
     observation: Option<IntervalObservation>,
     /// Logical nodes this instance stands for (1 = exact).
     replicas: usize,
-    /// Per-slot replica weight of the job currently in the slot: initial jobs stand for
-    /// `replicas` copies (every member of the chunk starts the same job); jobs placed
-    /// later carry the batch weight the scheduler popped for them.
-    slot_weight: Vec<usize>,
-    /// Replica weight of every completed job, parallel to `completed_inaccuracy_pct`.
-    completed_weights: Vec<usize>,
     /// Decision-event ring for this node (disabled — the allocation-free null sink —
     /// unless the cluster engine calls [`Self::enable_obs`]). Filled as the node steps;
     /// the engine merges rings in node order.
     obs: ObsBuffer,
+    books: NodeBooks,
 }
 
 impl ClusterNode {
@@ -160,26 +130,28 @@ impl ClusterNode {
         Self {
             index,
             runtime: NodeRuntime::new(config, catalog, scenario.policy, controller_config),
-            slot_done: vec![false; initial_jobs.len()],
-            completed_inaccuracy_pct: Vec::new(),
-            smoothed_p99_s: 0.0,
-            utilization: 0.0,
             decision_interval_s: scenario.decision_interval_s,
             warmup_intervals: scenario.warmup_intervals,
-            intervals_stepped: 0,
-            hist: LatencyHistogram::new(),
-            busy_intervals: 0,
-            idle_intervals: 0,
-            qos_violations: 0,
-            energy_j: 0.0,
-            assigned_sum: 0.0,
-            max_extra: 0,
-            jobs_completed: 0,
             observation: None,
             replicas,
-            slot_weight: vec![replicas; initial_jobs.len()],
-            completed_weights: Vec::new(),
             obs: ObsBuffer::disabled(),
+            books: NodeBooks {
+                slot_done: vec![false; initial_jobs.len()],
+                slot_weight: vec![replicas; initial_jobs.len()],
+                completed_inaccuracy_pct: Vec::new(),
+                completed_weights: Vec::new(),
+                smoothed_p99_s: 0.0,
+                utilization: 0.0,
+                intervals_stepped: 0,
+                hist: LatencyHistogram::new(),
+                busy_intervals: 0,
+                idle_intervals: 0,
+                qos_violations: 0,
+                energy_j: 0.0,
+                assigned_sum: 0.0,
+                max_extra: 0,
+                jobs_completed: 0,
+            },
         }
     }
 
@@ -206,18 +178,18 @@ impl ClusterNode {
         self.replicas
     }
 
-    /// Replica weight of every completed job, parallel to
-    /// [`Self::completed_inaccuracy_pct`].
-    pub fn completed_weights(&self) -> &[usize] {
-        &self.completed_weights
+    /// The node's books: completion latches, slot weights and every accumulator its
+    /// outcome is assembled from.
+    pub fn books(&self) -> &NodeBooks {
+        &self.books
     }
 
     /// The node's state as the balancer and scheduler see it.
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
             index: self.index,
-            smoothed_p99_s: self.smoothed_p99_s,
-            utilization: self.utilization,
+            smoothed_p99_s: self.books.smoothed_p99_s,
+            utilization: self.books.utilization,
             free_slots: self.free_slots(),
             qos_target_s: self.runtime.sim().config().service.qos_target_s,
         }
@@ -231,65 +203,10 @@ impl ClusterNode {
             .count()
     }
 
-    /// Inaccuracy of every job completed on this node so far, in percent.
-    pub fn completed_inaccuracy_pct(&self) -> &[f64] {
-        &self.completed_inaccuracy_pct
-    }
-
-    /// Cumulative histogram of every post-warm-up latency sample the node served, in
-    /// microseconds. Per-node histograms share one bucket layout, so the fleet's p99 is
-    /// their exact merge (see
-    /// [`LatencyHistogram::try_merge`]).
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.hist
-    }
-
-    /// Post-warm-up intervals that served traffic.
-    pub fn busy_intervals(&self) -> usize {
-        self.busy_intervals
-    }
-
-    /// Post-warm-up intervals with zero arrivals.
-    pub fn idle_intervals(&self) -> usize {
-        self.idle_intervals
-    }
-
-    /// Post-warm-up traffic-serving intervals that violated the QoS target.
-    pub fn qos_violations(&self) -> usize {
-        self.qos_violations
-    }
-
-    /// Total electrical energy the node has consumed over the whole run, in joules.
-    /// Recorded node-side (inside [`Self::step`], like the latency histogram), so fleet
-    /// energy is the exact sum of these.
-    pub fn energy_j(&self) -> f64 {
-        self.energy_j
-    }
-
-    /// Sum of the offered load the balancer routed to the node over every interval
-    /// stepped, as a fraction of the node's saturation throughput. Routed, not served:
-    /// the workload generator caps at 1.2x saturation, so in overload this exceeds the
-    /// load the node actually ran.
-    pub fn assigned_load_sum(&self) -> f64 {
-        self.assigned_sum
-    }
-
     /// Cores the interactive service holds beyond its fair share right now (cores
     /// reclaimed from the batch slots).
     pub fn extra_service_cores(&self) -> u32 {
         self.runtime.extra_service_cores()
-    }
-
-    /// Most cores the interactive service held beyond its fair share at the end of
-    /// any interval.
-    pub fn max_extra_service_cores(&self) -> u32 {
-        self.max_extra
-    }
-
-    /// Jobs that ran to completion on the node, each weighted by the replica count of
-    /// the slot it occupied (the plain completion count on an exact, weight-1 node).
-    pub fn jobs_completed(&self) -> usize {
-        self.jobs_completed
     }
 
     /// The single-node observation of the last interval the node stepped (latency
@@ -324,9 +241,9 @@ impl ClusterNode {
     pub fn abort_unfinished_jobs(&mut self, lost: &mut Vec<(AppId, usize)>) {
         let sim = self.runtime.sim();
         for slot in 0..sim.app_count() {
-            if !self.slot_done[slot] && !sim.app(slot).is_finished() {
-                self.slot_done[slot] = true;
-                lost.push((sim.app(slot).profile().id, self.slot_weight[slot]));
+            if !self.books.slot_done[slot] && !sim.app(slot).is_finished() {
+                self.books.slot_done[slot] = true;
+                lost.push((sim.app(slot).profile().id, self.books.slot_weight[slot]));
             }
         }
     }
@@ -344,15 +261,15 @@ impl ClusterNode {
     /// skipped — their jobs were re-queued at the crash and must not also migrate.
     pub fn extract_job(&mut self) -> Option<(pliant_sim::batch::BatchAppState, usize)> {
         let sim = self.runtime.sim_mut();
-        let slot =
-            (0..sim.app_count()).find(|&s| !self.slot_done[s] && !sim.app(s).is_finished())?;
+        let slot = (0..sim.app_count())
+            .find(|&s| !self.books.slot_done[s] && !sim.app(s).is_finished())?;
         let state = sim
             .extract_app(slot)
             // pliant-lint: allow(panic-hygiene): the slot was selected as
             // `!is_finished()` above, and `extract_app` only refuses finished slots.
             .expect("an unfinished slot must extract");
-        self.slot_done[slot] = true;
-        Some((state, self.slot_weight[slot]))
+        self.books.slot_done[slot] = true;
+        Some((state, self.books.slot_weight[slot]))
     }
 
     /// Implants a live-migrated job into the node's lowest free batch slot, continuing
@@ -374,15 +291,16 @@ impl ClusterNode {
     ) -> Option<usize> {
         assert!(weight > 0, "a migrated job must stand for at least one job");
         let sim = self.runtime.sim_mut();
-        let slot = (0..sim.app_count()).find(|&s| self.slot_done[s] && sim.app(s).is_finished())?;
+        let slot =
+            (0..sim.app_count()).find(|&s| self.books.slot_done[s] && sim.app(s).is_finished())?;
         let variant_count = state.profile().variant_count();
         assert!(
             sim.implant_app(slot, state),
             "a finished slot must accept a migrated job"
         );
         self.runtime.on_app_replaced(slot, variant_count);
-        self.slot_done[slot] = false;
-        self.slot_weight[slot] = weight;
+        self.books.slot_done[slot] = false;
+        self.books.slot_weight[slot] = weight;
         Some(slot)
     }
 
@@ -392,47 +310,38 @@ impl ClusterNode {
     pub fn checkpoint(&self) -> NodeCheckpoint {
         NodeCheckpoint {
             sim: self.runtime.sim().snapshot(),
-            policy: self.runtime.policy_state(),
+            policy: self.runtime.policy().clone(),
             monitor: self.runtime.monitor_snapshot(),
             actuator_stats: self.runtime.actuator_stats(),
-            slot_done: self.slot_done.clone(),
-            slot_weight: self.slot_weight.clone(),
-            completed_inaccuracy_pct: self.completed_inaccuracy_pct.clone(),
-            completed_weights: self.completed_weights.clone(),
-            smoothed_p99_s: self.smoothed_p99_s,
-            utilization: self.utilization,
-            intervals_stepped: self.intervals_stepped,
-            hist: self.hist.clone(),
-            busy_intervals: self.busy_intervals,
-            idle_intervals: self.idle_intervals,
-            qos_violations: self.qos_violations,
-            energy_j: self.energy_j,
-            assigned_sum: self.assigned_sum,
-            max_extra: self.max_extra,
-            jobs_completed: self.jobs_completed,
+            books: self.books.clone(),
         }
     }
 
     /// Restores a checkpoint captured by [`Self::checkpoint`] into this node, which
-    /// must have been built for the same scenario slot (same seed, jobs, and slot
-    /// count — violations, including per-slot and per-completion vectors of the wrong
-    /// length, are rejected). The last observation is dropped: it is not part of the
+    /// must have been built for the same scenario slot (same seed, jobs, slot count and
+    /// policy). Books no run can produce are rejected: per-slot and per-completion
+    /// vectors of the wrong length, and a histogram whose bucket layout differs from
+    /// this build's. The last observation is dropped: it is not part of the
     /// checkpoint, and the next step starts from fresh buffers.
     pub fn restore(&mut self, checkpoint: &NodeCheckpoint) -> Result<(), String> {
-        let (slots, completed) = (self.slot_done.len(), checkpoint.completed_weights.len());
-        if checkpoint.slot_done.len() != slots
-            || checkpoint.slot_weight.len() != slots
-            || checkpoint.completed_inaccuracy_pct.len() != completed
+        let books = &checkpoint.books;
+        let (slots, completed) = (self.books.slot_done.len(), books.completed_weights.len());
+        if books.slot_done.len() != slots
+            || books.slot_weight.len() != slots
+            || books.completed_inaccuracy_pct.len() != completed
         {
             return Err(format!(
                 "node {} checkpoint does not fit the node: {} slot latches and {} slot weights \
                  for {slots} slots, {completed} completed-job weights for {} completed jobs",
                 self.index,
-                checkpoint.slot_done.len(),
-                checkpoint.slot_weight.len(),
-                checkpoint.completed_inaccuracy_pct.len()
+                books.slot_done.len(),
+                books.slot_weight.len(),
+                books.completed_inaccuracy_pct.len()
             ));
         }
+        LatencyHistogram::new()
+            .try_merge(&books.hist)
+            .map_err(|e| format!("node {} latency histogram: {e}", self.index))?;
         self.runtime
             .restore(
                 &checkpoint.sim,
@@ -441,23 +350,7 @@ impl ClusterNode {
                 checkpoint.actuator_stats,
             )
             .map_err(|e| format!("node {} {e}", self.index))?;
-        self.slot_done.clone_from(&checkpoint.slot_done);
-        self.slot_weight.clone_from(&checkpoint.slot_weight);
-        self.completed_inaccuracy_pct
-            .clone_from(&checkpoint.completed_inaccuracy_pct);
-        self.completed_weights
-            .clone_from(&checkpoint.completed_weights);
-        self.smoothed_p99_s = checkpoint.smoothed_p99_s;
-        self.utilization = checkpoint.utilization;
-        self.intervals_stepped = checkpoint.intervals_stepped;
-        self.hist = checkpoint.hist.clone();
-        self.busy_intervals = checkpoint.busy_intervals;
-        self.idle_intervals = checkpoint.idle_intervals;
-        self.qos_violations = checkpoint.qos_violations;
-        self.energy_j = checkpoint.energy_j;
-        self.assigned_sum = checkpoint.assigned_sum;
-        self.max_extra = checkpoint.max_extra;
-        self.jobs_completed = checkpoint.jobs_completed;
+        self.books.clone_from(books);
         self.observation = None;
         Ok(())
     }
@@ -479,11 +372,11 @@ impl ClusterNode {
             "a finished slot must accept a replacement job"
         );
         self.runtime.on_app_replaced(slot, profile.variant_count());
-        self.slot_done[slot] = false;
-        self.slot_weight[slot] = weight;
+        self.books.slot_done[slot] = false;
+        self.books.slot_weight[slot] = weight;
         self.obs.emit(
-            self.intervals_stepped as u32,
-            self.intervals_stepped as f64 * self.decision_interval_s,
+            self.books.intervals_stepped as u32,
+            self.books.intervals_stepped as f64 * self.decision_interval_s,
             Event::JobReplaced {
                 node: self.index as u32,
                 slot: slot as u32,
@@ -519,17 +412,17 @@ impl ClusterNode {
         // node-intervals. On an exact node `replicas == 1` and the arithmetic is
         // bit-identical to unweighted accounting (`x * 1.0 == x` in IEEE-754;
         // `record_n(v, 1)` matches `record(v)` exactly).
-        let measured = self.intervals_stepped >= self.warmup_intervals;
-        let interval = self.intervals_stepped as u32;
-        self.intervals_stepped += 1;
-        self.energy_j += observation.energy_j * self.replicas as f64;
+        let measured = self.books.intervals_stepped >= self.warmup_intervals;
+        let interval = self.books.intervals_stepped as u32;
+        self.books.intervals_stepped += 1;
+        self.books.energy_j += observation.energy_j * self.replicas as f64;
         if measured {
             if observation.arrivals == 0 {
-                self.idle_intervals += self.replicas;
+                self.books.idle_intervals += self.replicas;
             } else {
-                self.busy_intervals += self.replicas;
+                self.books.busy_intervals += self.replicas;
                 if observation.qos_violated() {
-                    self.qos_violations += self.replicas;
+                    self.books.qos_violations += self.replicas;
                     self.obs.emit(
                         interval,
                         observation.time_s,
@@ -542,7 +435,7 @@ impl ClusterNode {
                 }
                 let weight = self.replicas as u64;
                 for &sample_s in &observation.latency_samples_s {
-                    self.hist.record_n(sample_s * 1e6, weight);
+                    self.books.hist.record_n(sample_s * 1e6, weight);
                 }
             }
         }
@@ -552,19 +445,21 @@ impl ClusterNode {
         let mut jobs_completed = 0usize;
         let sim = self.runtime.sim();
         for slot in 0..sim.app_count() {
-            if !self.slot_done[slot] && sim.app(slot).is_finished() {
-                self.slot_done[slot] = true;
-                jobs_completed += self.slot_weight[slot];
+            if !self.books.slot_done[slot] && sim.app(slot).is_finished() {
+                self.books.slot_done[slot] = true;
+                jobs_completed += self.books.slot_weight[slot];
                 let inaccuracy_pct = sim.app(slot).inaccuracy_pct();
-                self.completed_inaccuracy_pct.push(inaccuracy_pct);
-                self.completed_weights.push(self.slot_weight[slot]);
+                self.books.completed_inaccuracy_pct.push(inaccuracy_pct);
+                self.books
+                    .completed_weights
+                    .push(self.books.slot_weight[slot]);
                 self.obs.emit(
                     interval,
                     observation.time_s,
                     Event::JobCompleted {
                         node: self.index as u32,
                         slot: slot as u32,
-                        weight: self.slot_weight[slot] as u32,
+                        weight: self.books.slot_weight[slot] as u32,
                         inaccuracy_pct,
                     },
                 );
@@ -584,14 +479,14 @@ impl ClusterNode {
             // age out: an idle node has an empty queue, and freezing its last (possibly
             // terrible) latency reading would starve it forever once the dispatcher
             // sheds its traffic.
-            self.smoothed_p99_s *= IDLE_ESTIMATE_DECAY;
+            self.books.smoothed_p99_s *= IDLE_ESTIMATE_DECAY;
         } else {
-            self.smoothed_p99_s = report.smoothed_p99_s;
+            self.books.smoothed_p99_s = report.smoothed_p99_s;
         }
-        self.utilization = observation.utilization;
-        self.assigned_sum += assigned_load;
-        self.max_extra = self.max_extra.max(self.runtime.extra_service_cores());
-        self.jobs_completed += jobs_completed;
+        self.books.utilization = observation.utilization;
+        self.books.assigned_sum += assigned_load;
+        self.books.max_extra = self.books.max_extra.max(self.runtime.extra_service_cores());
+        self.books.jobs_completed += jobs_completed;
         self.observation = Some(observation);
         jobs_completed
     }
@@ -599,50 +494,74 @@ impl ClusterNode {
 
 /// One node's complete mutable state inside a
 /// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint): the co-location snapshot
-/// (simulators, RNG streams, degradation), the runtime (policy state, monitor,
-/// actuator counters), and every accumulator the outcome is assembled from. The
-/// node's configuration (seed, jobs, QoS target) is *not* captured — it is rebuilt
-/// from the scenario on restore and checked for consistency.
+/// (simulators, RNG streams, degradation), the runtime (policy, monitor, actuator
+/// counters), and the node's books. The node's configuration (seed, jobs, QoS target) is
+/// *not* captured — it is rebuilt from the scenario on restore and checked for
+/// consistency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeCheckpoint {
     /// Full co-location simulator state.
     pub sim: ColocationSimSnapshot,
-    /// Opaque policy-specific controller state
-    /// (see [`Policy::snapshot_state`](pliant_core::policy::Policy::snapshot_state)).
-    pub policy: serde::Value,
+    /// The node's policy and its whole controller state.
+    pub policy: Policy,
     /// Performance-monitor state (EWMA, sampling RNG, hysteresis).
     pub monitor: MonitorSnapshot,
     /// Actuator counters.
     pub actuator_stats: ActuatorStats,
-    /// Per-slot completion latch.
+    /// Every accumulator the node's outcome is assembled from.
+    pub books: NodeBooks,
+}
+
+/// A fleet node's books: its completion latches and slot weights, and every
+/// accumulator its outcome is assembled from. A node keeps them as this one value, so
+/// its checkpoint is a clone of it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct NodeBooks {
+    /// Per-slot completion latch, used to report each job's completion exactly once.
     pub slot_done: Vec<bool>,
-    /// Per-slot replica weight of the job currently in the slot.
+    /// Per-slot replica weight of the job currently in the slot: initial jobs stand for
+    /// the node's `replicas` copies (every member of the chunk starts the same job);
+    /// jobs placed later carry the batch weight the scheduler popped for them.
     pub slot_weight: Vec<usize>,
-    /// Inaccuracy of every job completed so far, in percent.
+    /// Inaccuracy of every job completed on this node so far, in percent.
     pub completed_inaccuracy_pct: Vec<f64>,
-    /// Replica weight of every completed job.
+    /// Replica weight of every completed job, parallel to `completed_inaccuracy_pct`.
     pub completed_weights: Vec<usize>,
-    /// Balancer-visible smoothed tail-latency estimate, in seconds.
+    /// Balancer-visible smoothed tail-latency estimate, in seconds: the monitor's EWMA
+    /// after a traffic-serving interval, decayed through idle ones; `0.0` until the
+    /// first traffic-serving interval.
     pub smoothed_p99_s: f64,
-    /// Interactive-service utilization over the last interval.
+    /// Utilization of the interactive service over the last interval.
     pub utilization: f64,
-    /// Intervals stepped so far.
+    /// Intervals stepped so far, for the warm-up cutoff.
     pub intervals_stepped: usize,
-    /// Cumulative post-warm-up latency histogram, in microseconds.
+    /// Cumulative histogram of every post-warm-up latency sample, in microseconds.
+    /// Recorded node-side (inside [`ClusterNode::step`]) so the cluster engine
+    /// aggregates fleet quantiles by merging N histograms instead of re-iterating every
+    /// sample; per-node histograms share one bucket layout, so the fleet's p99 is their
+    /// exact merge (see [`LatencyHistogram::try_merge`]).
     pub hist: LatencyHistogram,
     /// Post-warm-up intervals that served traffic.
     pub busy_intervals: usize,
     /// Post-warm-up intervals with zero arrivals.
     pub idle_intervals: usize,
-    /// Post-warm-up traffic-serving intervals that violated QoS.
+    /// Post-warm-up traffic-serving intervals that violated the QoS target.
     pub qos_violations: usize,
-    /// Total energy consumed, in joules.
+    /// Total electrical energy the node has consumed, in joules. Unlike the QoS
+    /// counters this covers the *whole* run (warm-up included) — energy is billed
+    /// whenever the machine is on, regardless of measurement windows. Recorded
+    /// node-side like the histogram, so fleet energy is the exact sum of these.
     pub energy_j: f64,
-    /// Sum of the offered load routed to the node.
+    /// Sum of the offered load the balancer routed to the node over every interval
+    /// stepped, as a fraction of the node's saturation throughput. Routed, not served:
+    /// the workload generator caps at 1.2x saturation, so in overload this exceeds the
+    /// load the node actually ran.
     pub assigned_sum: f64,
-    /// Maximum of reclaimed service cores at any interval end.
+    /// Most cores the interactive service held beyond its fair share at the end of any
+    /// interval.
     pub max_extra: u32,
-    /// Replica-weighted completed-job count.
+    /// Jobs that ran to completion on the node, each weighted by the replica count of
+    /// the slot it occupied (the plain completion count on an exact, weight-1 node).
     pub jobs_completed: usize,
 }
 
@@ -651,7 +570,7 @@ impl std::fmt::Debug for ClusterNode {
         f.debug_struct("ClusterNode")
             .field("index", &self.index)
             .field("free_slots", &self.free_slots())
-            .field("smoothed_p99_s", &self.smoothed_p99_s)
+            .field("smoothed_p99_s", &self.books.smoothed_p99_s)
             .finish_non_exhaustive()
     }
 }

@@ -15,8 +15,8 @@
 //!   substrate, accounting for the dynamic-recompilation mechanism's cost.
 //! * [`controller`] — the runtime algorithm of Fig. 3 and its configuration.
 //! * [`multi`] — the round-robin arbiter for multi-application co-locations (§4.4).
-//! * [`policy`] — the [`policy::Policy`] abstraction plus baselines (the paper's Precise
-//!   baseline and two ablations).
+//! * [`policy`] — the [`policy::Policy`] enum: Pliant, the paper's Precise baseline
+//!   and two ablations, each variant holding that policy's whole mutable state.
 //! * [`runtime`] — one node's runtime: a co-location simulator plus the monitor →
 //!   policy → actuator loop controlling it, shared by the single-node engine and every
 //!   fleet node.
@@ -79,7 +79,7 @@ pub use engine::{CellOutcome, Engine, ExecMode};
 pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};
 pub use multi::MultiAppController;
-pub use policy::{Policy, PolicyKind, PrecisePolicy};
+pub use policy::{Policy, PolicyKind};
 pub use runtime::NodeRuntime;
 pub use scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
 pub use suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};

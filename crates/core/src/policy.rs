@@ -7,6 +7,9 @@
 //! approximate variant for the whole run (maximum contention relief, maximum quality
 //! loss), and a reclaim-only policy that moves cores but never approximates (to isolate
 //! the contribution of approximation itself).
+//!
+//! The four policies are one closed [`Policy`] enum whose variants hold each policy's
+//! whole mutable state, so a checkpoint is the serialized enum itself.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,44 +22,99 @@ use crate::multi::MultiAppController;
 ///
 /// Policies are intentionally anonymous: the single source of a policy's display name is
 /// [`PolicyKind::name`], so result rows can never disagree with the selector that built
-/// the policy.
-pub trait Policy {
+/// the policy. Build one with [`PolicyKind::build`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum Policy {
+    /// The Pliant runtime: the round-robin multi-application controller (which reduces
+    /// to the Fig. 3 single-application algorithm when only one application is managed).
+    Pliant(MultiAppController),
+    /// The paper's baseline: never adapts anything.
+    Precise,
+    /// Ablation: pin every application to its most approximate variant at the start and
+    /// never change anything afterwards.
+    StaticMostApproximate {
+        /// One-shot pins not yet delivered.
+        pending: Vec<Action>,
+    },
+    /// Ablation: react to QoS violations by reclaiming cores only (no approximation), and
+    /// return them as soon as slack is high. This is Pliant's controller over
+    /// applications that expose no variants and with no slack hysteresis, so it moves
+    /// cores in the same round-robin order.
+    ReclaimOnly(MultiAppController),
+}
+
+impl Policy {
     /// Decides the actions for the next interval from this interval's monitor report.
     ///
-    /// Implementations must honour [`MonitorReport::no_signal`]: an idle interval (no
-    /// arrivals) is evidence of neither violation nor slack, so reactive state (variant
-    /// escalation/relaxation, core movement) must hold. Only pending time-insensitive
-    /// actions — like a static policy's one-shot initial pin — may still be emitted.
-    fn decide(&mut self, report: &MonitorReport) -> Vec<Action>;
+    /// Every policy honours [`MonitorReport::no_signal`]: an idle interval (no arrivals)
+    /// is evidence of neither violation nor slack, so reactive state (variant
+    /// escalation/relaxation, core movement) holds. Only pending time-insensitive
+    /// actions — the static policy's one-shot initial pin — may still be emitted.
+    pub fn decide(&mut self, report: &MonitorReport) -> Vec<Action> {
+        match self {
+            Policy::Pliant(controller) | Policy::ReclaimOnly(controller) => {
+                controller.decide(report)
+            }
+            Policy::Precise => Vec::new(),
+            Policy::StaticMostApproximate { pending } => std::mem::take(pending),
+        }
+    }
 
     /// Notifies the policy that slot `app` now runs a different application with
     /// `variant_count` admissible variants (batch-job scheduling placed a fresh job into
     /// a finished slot).
     ///
-    /// The new job starts precise, so any per-slot variant state must reset, while the
-    /// slot's core ledger must persist — cores the service reclaimed from the slot are
-    /// still reclaimed and must be returned to the new occupant during recovery. The
-    /// default is a no-op, which is correct for stateless policies.
-    fn on_app_replaced(&mut self, app: usize, variant_count: usize) {
-        let _ = (app, variant_count);
+    /// The new job starts precise, so any per-slot variant state resets, while the
+    /// slot's core ledger persists — cores the service reclaimed from the slot are still
+    /// reclaimed and must be returned to the new occupant during recovery.
+    pub fn on_app_replaced(&mut self, app: usize, variant_count: usize) {
+        match self {
+            Policy::Pliant(controller) => controller.reset_app(app, variant_count),
+            // Reclaim-only never approximates, whatever the new job supports.
+            Policy::ReclaimOnly(controller) => controller.reset_app(app, 0),
+            Policy::StaticMostApproximate { pending } => {
+                // The replacement job starts precise; queue the same one-shot pin for it.
+                pending.retain(
+                    |a| !matches!(a, Action::SetVariant { app: pending_app, .. } if *pending_app == app),
+                );
+                if variant_count > 0 {
+                    pending.push(Action::SetVariant {
+                        app,
+                        variant: Some(variant_count - 1),
+                    });
+                }
+            }
+            Policy::Precise => {}
+        }
     }
 
-    /// Captures the policy's mutable state for checkpointing. Stateless policies return
-    /// [`serde::Value::Null`] (the default); stateful policies serialize whatever
-    /// [`Self::restore_state`] needs to continue the decision stream exactly.
-    fn snapshot_state(&self) -> serde::Value {
-        serde::Value::Null
+    /// The selector that builds this policy.
+    pub fn kind(&self) -> PolicyKind {
+        match self {
+            Policy::Pliant(_) => PolicyKind::Pliant,
+            Policy::Precise => PolicyKind::Precise,
+            Policy::StaticMostApproximate { .. } => PolicyKind::StaticMostApproximate,
+            Policy::ReclaimOnly(_) => PolicyKind::ReclaimOnly,
+        }
     }
 
-    /// Restores state captured by [`Self::snapshot_state`] onto a freshly built policy of
-    /// the same kind and shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the value does not decode as this policy's state.
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let _ = state;
-        Ok(())
+    /// Whether the policy's per-application state fits a co-location of `apps`
+    /// applications: per-application vectors have `apps` entries and every pending
+    /// action names an application below `apps`.
+    pub(crate) fn fits_app_count(&self, apps: usize) -> bool {
+        match self {
+            Policy::Pliant(controller) | Policy::ReclaimOnly(controller) => {
+                controller.app_count() == apps
+            }
+            Policy::Precise => true,
+            Policy::StaticMostApproximate { pending } => {
+                pending.iter().all(|action| match *action {
+                    Action::SetVariant { app, .. }
+                    | Action::ReclaimCore { app }
+                    | Action::ReturnCore { app } => app < apps,
+                })
+            }
+        }
     }
 }
 
@@ -90,30 +148,44 @@ impl PolicyKind {
             PolicyKind::ReclaimOnly,
         ]
     }
+
     /// Instantiates the policy for a co-location with the given per-application variant
-    /// counts and initial core allocations. The returned policy is `Send` so callers
-    /// (e.g. the cluster engine) can drive per-node policies from worker threads.
+    /// counts and initial core allocations.
     pub fn build(
         &self,
         config: ControllerConfig,
         variant_counts: &[usize],
         initial_cores: &[u32],
         start_pointer: usize,
-    ) -> Box<dyn Policy + Send> {
+    ) -> Policy {
         match self {
-            PolicyKind::Pliant => Box::new(PliantPolicy::new(
+            PolicyKind::Pliant => Policy::Pliant(MultiAppController::new(
                 config,
                 variant_counts,
                 initial_cores,
                 start_pointer,
             )),
-            PolicyKind::Precise => Box::new(PrecisePolicy),
-            PolicyKind::StaticMostApproximate => {
-                Box::new(StaticMostApproximatePolicy::new(variant_counts))
-            }
-            PolicyKind::ReclaimOnly => {
-                Box::new(ReclaimOnlyPolicy::new(config, initial_cores, start_pointer))
-            }
+            PolicyKind::Precise => Policy::Precise,
+            PolicyKind::StaticMostApproximate => Policy::StaticMostApproximate {
+                pending: variant_counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &vc)| vc > 0)
+                    .map(|(app, &vc)| Action::SetVariant {
+                        app,
+                        variant: Some(vc - 1),
+                    })
+                    .collect(),
+            },
+            PolicyKind::ReclaimOnly => Policy::ReclaimOnly(MultiAppController::new(
+                ControllerConfig {
+                    consecutive_slack_required: 1,
+                    ..config
+                },
+                &vec![0; initial_cores.len()],
+                initial_cores,
+                start_pointer,
+            )),
         }
     }
 
@@ -131,193 +203,6 @@ impl PolicyKind {
 impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The Pliant policy: the round-robin multi-application controller (which reduces to the
-/// Fig. 3 single-application algorithm when only one application is managed).
-#[derive(Debug, Clone)]
-pub struct PliantPolicy {
-    inner: MultiAppController,
-}
-
-impl PliantPolicy {
-    /// Creates the policy.
-    pub fn new(
-        config: ControllerConfig,
-        variant_counts: &[usize],
-        initial_cores: &[u32],
-        start_pointer: usize,
-    ) -> Self {
-        Self {
-            inner: MultiAppController::new(config, variant_counts, initial_cores, start_pointer),
-        }
-    }
-
-    /// Total cores currently reclaimed across all applications.
-    pub fn total_cores_reclaimed(&self) -> u32 {
-        self.inner.total_cores_reclaimed()
-    }
-}
-
-impl Policy for PliantPolicy {
-    fn decide(&mut self, report: &MonitorReport) -> Vec<Action> {
-        self.inner.decide(report)
-    }
-
-    fn on_app_replaced(&mut self, app: usize, variant_count: usize) {
-        self.inner.reset_app(app, variant_count);
-    }
-
-    fn snapshot_state(&self) -> serde::Value {
-        self.inner.to_value()
-    }
-
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        self.inner = MultiAppController::from_value(state)?;
-        Ok(())
-    }
-}
-
-/// The paper's baseline: never adapts anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrecisePolicy;
-
-impl Policy for PrecisePolicy {
-    fn decide(&mut self, _report: &MonitorReport) -> Vec<Action> {
-        Vec::new()
-    }
-}
-
-/// Ablation: pin every application to its most approximate variant at the start and never
-/// change anything afterwards.
-#[derive(Debug, Clone)]
-pub struct StaticMostApproximatePolicy {
-    pending: Vec<Action>,
-}
-
-impl StaticMostApproximatePolicy {
-    /// Creates the policy for applications with the given variant counts.
-    pub fn new(variant_counts: &[usize]) -> Self {
-        let pending = variant_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &vc)| vc > 0)
-            .map(|(app, &vc)| Action::SetVariant {
-                app,
-                variant: Some(vc - 1),
-            })
-            .collect();
-        Self { pending }
-    }
-}
-
-impl Policy for StaticMostApproximatePolicy {
-    fn decide(&mut self, _report: &MonitorReport) -> Vec<Action> {
-        std::mem::take(&mut self.pending)
-    }
-
-    fn on_app_replaced(&mut self, app: usize, variant_count: usize) {
-        // The replacement job starts precise; queue the same one-shot pin for it.
-        self.pending.retain(
-            |a| !matches!(a, Action::SetVariant { app: pending_app, .. } if *pending_app == app),
-        );
-        if variant_count > 0 {
-            self.pending.push(Action::SetVariant {
-                app,
-                variant: Some(variant_count - 1),
-            });
-        }
-    }
-
-    fn snapshot_state(&self) -> serde::Value {
-        self.pending.to_value()
-    }
-
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        self.pending = <Vec<Action> as Deserialize>::from_value(state)?;
-        Ok(())
-    }
-}
-
-/// Ablation: react to QoS violations by reclaiming cores only (no approximation), and
-/// return them when slack is high.
-#[derive(Debug, Clone)]
-pub struct ReclaimOnlyPolicy {
-    config: ControllerConfig,
-    reclaimed: Vec<u32>,
-    reclaimable: Vec<u32>,
-    pointer: usize,
-}
-
-/// Checkpoint wire form of [`ReclaimOnlyPolicy`]'s mutable state (the configuration is
-/// rebuilt from the scenario).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ReclaimOnlyState {
-    reclaimed: Vec<u32>,
-    reclaimable: Vec<u32>,
-    pointer: usize,
-}
-
-impl ReclaimOnlyPolicy {
-    /// Creates the policy for applications with the given initial core allocations.
-    pub fn new(config: ControllerConfig, initial_cores: &[u32], start_pointer: usize) -> Self {
-        Self {
-            config,
-            reclaimed: vec![0; initial_cores.len()],
-            reclaimable: initial_cores.iter().map(|&c| c.saturating_sub(1)).collect(),
-            pointer: start_pointer % initial_cores.len().max(1),
-        }
-    }
-}
-
-impl Policy for ReclaimOnlyPolicy {
-    fn decide(&mut self, report: &MonitorReport) -> Vec<Action> {
-        let n = self.reclaimed.len();
-        if report.no_signal {
-            // No arrivals, no evidence — hold.
-            return Vec::new();
-        }
-        if report.qos_violated {
-            for offset in 0..n {
-                let idx = (self.pointer + offset) % n;
-                if self.reclaimed[idx] < self.reclaimable[idx] {
-                    self.reclaimed[idx] += 1;
-                    self.pointer = (idx + 1) % n;
-                    return vec![Action::ReclaimCore { app: idx }];
-                }
-            }
-            Vec::new()
-        } else if report.slack_fraction > self.config.slack_threshold {
-            for offset in 0..n {
-                let idx = (self.pointer + offset) % n;
-                if self.reclaimed[idx] > 0 {
-                    self.reclaimed[idx] -= 1;
-                    self.pointer = (idx + 1) % n;
-                    return vec![Action::ReturnCore { app: idx }];
-                }
-            }
-            Vec::new()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn snapshot_state(&self) -> serde::Value {
-        ReclaimOnlyState {
-            reclaimed: self.reclaimed.clone(),
-            reclaimable: self.reclaimable.clone(),
-            pointer: self.pointer,
-        }
-        .to_value()
-    }
-
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let state = ReclaimOnlyState::from_value(state)?;
-        self.reclaimed = state.reclaimed;
-        self.reclaimable = state.reclaimable;
-        self.pointer = state.pointer;
-        Ok(())
     }
 }
 
@@ -349,16 +234,28 @@ mod tests {
         }
     }
 
+    fn build(kind: PolicyKind, variant_counts: &[usize]) -> Policy {
+        let cores = vec![8; variant_counts.len()];
+        kind.build(ControllerConfig::default(), variant_counts, &cores, 0)
+    }
+
+    fn total_cores_reclaimed(policy: &Policy) -> u32 {
+        match policy {
+            Policy::Pliant(controller) => controller.total_cores_reclaimed(),
+            _ => panic!("not a Pliant policy"),
+        }
+    }
+
     #[test]
     fn precise_policy_never_acts() {
-        let mut p = PrecisePolicy;
+        let mut p = Policy::Precise;
         assert!(p.decide(&violated()).is_empty());
         assert!(p.decide(&met(0.5)).is_empty());
     }
 
     #[test]
     fn static_policy_emits_switches_once() {
-        let mut p = StaticMostApproximatePolicy::new(&[4, 0, 2]);
+        let mut p = build(PolicyKind::StaticMostApproximate, &[4, 0, 2]);
         let first = p.decide(&met(0.0));
         assert_eq!(
             first,
@@ -389,7 +286,7 @@ mod tests {
             slack_fraction: 0.0,
             no_signal: true,
         };
-        let mut p = StaticMostApproximatePolicy::new(&[4]);
+        let mut p = build(PolicyKind::StaticMostApproximate, &[4]);
         assert_eq!(
             p.decide(&idle),
             vec![Action::SetVariant {
@@ -401,7 +298,7 @@ mod tests {
 
     #[test]
     fn reclaim_only_moves_cores_back_and_forth() {
-        let mut p = ReclaimOnlyPolicy::new(ControllerConfig::default(), &[3], 0);
+        let mut p = PolicyKind::ReclaimOnly.build(ControllerConfig::default(), &[4], &[3], 0);
         assert_eq!(p.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
         assert_eq!(p.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
         assert!(
@@ -409,6 +306,9 @@ mod tests {
             "only two cores are reclaimable from three"
         );
         assert_eq!(p.decide(&met(0.3)), vec![Action::ReturnCore { app: 0 }]);
+        // A replacement job with variants is not approximated either.
+        p.on_app_replaced(0, 5);
+        assert_eq!(p.decide(&violated()), vec![Action::ReclaimCore { app: 0 }]);
     }
 
     #[test]
@@ -419,7 +319,7 @@ mod tests {
             (PolicyKind::StaticMostApproximate, "static-most-approx"),
             (PolicyKind::ReclaimOnly, "reclaim-only"),
         ] {
-            let _policy = kind.build(ControllerConfig::default(), &[4], &[8], 0);
+            assert_eq!(build(kind, &[4]).kind(), kind);
             assert_eq!(kind.name(), expected);
             assert_eq!(kind.to_string(), expected);
         }
@@ -430,7 +330,7 @@ mod tests {
 
     #[test]
     fn static_policy_repins_a_replaced_app() {
-        let mut p = StaticMostApproximatePolicy::new(&[3]);
+        let mut p = build(PolicyKind::StaticMostApproximate, &[3]);
         let _ = p.decide(&met(0.0)); // initial pin delivered
         p.on_app_replaced(0, 5);
         assert_eq!(
@@ -449,13 +349,13 @@ mod tests {
 
     #[test]
     fn pliant_policy_resets_a_replaced_apps_variant_but_not_its_ledger() {
-        let mut p = PliantPolicy::new(ControllerConfig::default(), &[2], &[8], 0);
+        let mut p = build(PolicyKind::Pliant, &[2]);
         let _ = p.decide(&violated()); // escalate
         let _ = p.decide(&violated()); // reclaim a core
-        assert_eq!(p.total_cores_reclaimed(), 1);
+        assert_eq!(total_cores_reclaimed(&p), 1);
         p.on_app_replaced(0, 4);
         assert_eq!(
-            p.total_cores_reclaimed(),
+            total_cores_reclaimed(&p),
             1,
             "the core ledger survives job replacement"
         );
@@ -471,9 +371,9 @@ mod tests {
 
     #[test]
     fn pliant_policy_reports_reclaimed_cores() {
-        let mut p = PliantPolicy::new(ControllerConfig::default(), &[2], &[8], 0);
+        let mut p = build(PolicyKind::Pliant, &[2]);
         let _ = p.decide(&violated());
         let _ = p.decide(&violated());
-        assert_eq!(p.total_cores_reclaimed(), 1);
+        assert_eq!(total_cores_reclaimed(&p), 1);
     }
 }

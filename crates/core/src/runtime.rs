@@ -9,6 +9,10 @@
 //! 8). Callers advance the simulator themselves — the engine and the fleet account for
 //! an interval differently — and then call [`NodeRuntime::control`] once per decision
 //! interval.
+//!
+//! A checkpoint of the runtime is the simulator's and monitor's snapshots plus the
+//! [`Policy`] value itself and the actuator's counters; [`NodeRuntime::restore`]
+//! rejects a policy of another kind or one sized for a different co-location.
 
 use pliant_approx::catalog::Catalog;
 use pliant_sim::colocation::{ColocationConfig, ColocationSim, ColocationSimSnapshot};
@@ -23,7 +27,7 @@ use crate::policy::{Policy, PolicyKind};
 /// A co-location simulator and the runtime controlling it; see the module docs.
 pub struct NodeRuntime {
     sim: ColocationSim,
-    policy: Box<dyn Policy + Send>,
+    policy: Policy,
     monitor: PerformanceMonitor,
     actuator: Actuator,
     /// Cores the interactive service holds before any reclamation.
@@ -143,9 +147,9 @@ impl NodeRuntime {
         report
     }
 
-    /// The policy's checkpointable state (see [`Policy::snapshot_state`]).
-    pub fn policy_state(&self) -> serde::Value {
-        self.policy.snapshot_state()
+    /// The policy, whose value is its whole checkpointable state.
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// The monitor's checkpointable state.
@@ -163,23 +167,36 @@ impl NodeRuntime {
     ///
     /// # Errors
     ///
-    /// Names the component whose state was rejected.
+    /// Names the component whose state was rejected. A policy is rejected when its kind
+    /// differs from this runtime's or its per-application state does not fit the
+    /// simulator's application count.
     pub fn restore(
         &mut self,
         sim: &ColocationSimSnapshot,
-        policy: &serde::Value,
+        policy: &Policy,
         monitor: &MonitorSnapshot,
         actuator_stats: ActuatorStats,
     ) -> Result<(), String> {
         self.sim
             .restore(sim)
             .map_err(|e| format!("simulator: {e}"))?;
-        self.policy
-            .restore_state(policy)
-            .map_err(|e| format!("policy state: {e}"))?;
+        if policy.kind() != self.policy.kind() {
+            return Err(format!(
+                "policy state: a {} policy in a {} runtime",
+                policy.kind(),
+                self.policy.kind()
+            ));
+        }
+        let apps = self.sim.app_count();
+        if !policy.fits_app_count(apps) {
+            return Err(format!(
+                "policy state: does not fit a node with {apps} batch slot(s)"
+            ));
+        }
         self.monitor
             .restore(monitor)
             .map_err(|e| format!("monitor: {e}"))?;
+        self.policy = policy.clone();
         self.actuator.restore_stats(actuator_stats);
         Ok(())
     }

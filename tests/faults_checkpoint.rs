@@ -16,6 +16,7 @@
 
 use pliant::prelude::*;
 use pliant::telemetry::obs::{EventKind, ObsLevel};
+use pliant::telemetry::series::TimeSeries;
 
 /// Same relative-error bounds the fault-free hyperscale tests enforce
 /// (see `tests/hyperscale.rs`).
@@ -44,38 +45,41 @@ fn checkpoint_roundtrip_is_byte_identical_in_every_mode() {
     // job is sitting re-queued, and the straggler window is still ahead — the
     // checkpoint must carry fault health, scheduler queue, and RNG streams for the
     // resumed run to land on the same bytes.
-    for approximation in [
-        FleetApproximation::Exact,
-        FleetApproximation::Clustered {
-            representatives_per_group: 2,
-        },
-    ] {
-        let engine = Engine::new();
-        let mut scenario = failure_scenario(6, PolicyKind::Pliant);
-        scenario.approximation = approximation;
+    // Every policy kind runs, so each policy's own state travels through the JSON.
+    for policy in PolicyKind::all() {
+        for approximation in [
+            FleetApproximation::Exact,
+            FleetApproximation::Clustered {
+                representatives_per_group: 2,
+            },
+        ] {
+            let engine = Engine::new();
+            let mut scenario = failure_scenario(6, policy);
+            scenario.approximation = approximation;
 
-        let (uninterrupted, _) = ClusterRun::new(&scenario, &engine).finish();
+            let (uninterrupted, _) = ClusterRun::new(&scenario, &engine).finish();
 
-        let mut first_leg = ClusterRun::new(&scenario, &engine);
-        while first_leg.intervals() < 40 && first_leg.step() {}
-        // Serialize through JSON exactly like the fig_cluster CLI does, so the
-        // on-disk format is what round-trips.
-        let wire =
-            serde_json::to_string(&first_leg.checkpoint()).expect("checkpoints are serializable");
-        let checkpoint: ClusterRunCheckpoint =
-            serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
+            let mut first_leg = ClusterRun::new(&scenario, &engine);
+            while first_leg.intervals() < 40 && first_leg.step() {}
+            // Serialize through JSON exactly like the fig_cluster CLI does, so the
+            // on-disk format is what round-trips.
+            let wire = serde_json::to_string(&first_leg.checkpoint())
+                .expect("checkpoints are serializable");
+            let checkpoint: ClusterRunCheckpoint =
+                serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
 
-        let mut resumed = ClusterRun::new(&scenario, &engine);
-        resumed.restore(&checkpoint).expect("restore succeeds");
-        assert_eq!(resumed.intervals(), 40, "resume picks up at the snapshot");
-        let (resumed_outcome, _) = resumed.finish();
+            let mut resumed = ClusterRun::new(&scenario, &engine);
+            resumed.restore(&checkpoint).expect("restore succeeds");
+            assert_eq!(resumed.intervals(), 40, "resume picks up at the snapshot");
+            let (resumed_outcome, _) = resumed.finish();
 
-        assert_eq!(
-            outcome_json(&uninterrupted),
-            outcome_json(&resumed_outcome),
-            "{approximation:?}: resumed run must be byte-identical to the \
-             uninterrupted run"
-        );
+            assert_eq!(
+                outcome_json(&uninterrupted),
+                outcome_json(&resumed_outcome),
+                "{policy} {approximation:?}: resumed run must be byte-identical to the \
+                 uninterrupted run"
+            );
+        }
     }
 }
 
@@ -183,11 +187,14 @@ fn restore_rejects_node_state_no_run_can_produce() {
         serde_json::from_str(&wire).expect("checkpoints round-trip through JSON");
 
     let node0 = &pristine.node_checkpoints[0];
-    let (slots, completed) = (node0.slot_done.len(), node0.completed_weights.len());
+    let (slots, completed) = (
+        node0.books.slot_done.len(),
+        node0.books.completed_weights.len(),
+    );
 
     // A short slot-weight vector used to restore and then panic on the next step.
     let mut short_weights = pristine.clone();
-    short_weights.node_checkpoints[0].slot_weight.pop();
+    short_weights.node_checkpoints[0].books.slot_weight.pop();
     let err = ClusterRun::new(&scenario, &engine)
         .restore(&short_weights)
         .expect_err("a node checkpoint with too few slot weights must not restore");
@@ -199,7 +206,7 @@ fn restore_rejects_node_state_no_run_can_produce() {
 
     // Completed-job weights must pair up with completed-job inaccuracies.
     let mut unpaired = pristine.clone();
-    unpaired.node_checkpoints[0].completed_weights.push(1);
+    unpaired.node_checkpoints[0].books.completed_weights.push(1);
     let err = ClusterRun::new(&scenario, &engine)
         .restore(&unpaired)
         .expect_err("unpaired completed-job weights must not restore");
@@ -239,10 +246,160 @@ fn restore_rejects_node_state_no_run_can_produce() {
         );
     }
 
+    // A policy state restores only into a runtime of the same policy kind.
+    let err = ClusterRun::new(&failure_scenario(6, PolicyKind::Precise), &engine)
+        .restore(&pristine)
+        .expect_err("a Pliant checkpoint must not restore into a Precise fleet");
+    assert!(
+        err.contains("node 0") && err.contains("a pliant policy in a precise runtime"),
+        "the rejection must name the node and both policies, got: {err}"
+    );
+
+    // A controller sized for two slots would actuate a slot this node does not have.
+    let mut two_slot = pristine.clone();
+    two_slot.node_checkpoints[0].policy =
+        PolicyKind::Pliant.build(ControllerConfig::default(), &[4, 4], &[8, 8], 1);
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&two_slot)
+        .expect_err("a two-slot controller must not restore into a one-slot node");
+    let want = format!("a node with {slots} batch slot(s)");
+    assert!(
+        err.contains("node 0") && err.contains(&want),
+        "the rejection must name the node and its {want}, got: {err}"
+    );
+
+    // A histogram that cannot merge into the fleet histogram would panic in `finish`.
+    let mut short_hist = serde_json::to_value(&pristine).expect("checkpoints are serializable");
+    assert!(
+        pop_first_array_at(&mut short_hist, "/node_checkpoints[]/books/hist/buckets"),
+        "the checkpoint carries node histograms"
+    );
+    let short_hist: ClusterRunCheckpoint =
+        serde_json::from_value(&short_hist).expect("a short bucket vector still parses");
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&short_hist)
+        .expect_err("a histogram with a missing bucket must not restore");
+    assert!(
+        err.contains("node 0") && err.contains("histogram"),
+        "the rejection must name the node and its histogram, got: {err}"
+    );
+
+    // Every fleet series holds one point per interval run.
+    let mut short_series = pristine.clone();
+    short_series.books.power_series = TimeSeries::new("fleet_power_w");
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&short_series)
+        .expect_err("a fleet series shorter than the run must not restore");
+    assert!(
+        err.contains("`fleet_power_w` holds 0 points after 10 intervals"),
+        "the rejection must name the series and its length, got: {err}"
+    );
+
     // The untouched checkpoint still restores.
     ClusterRun::new(&scenario, &engine)
         .restore(&pristine)
         .expect("a well-formed checkpoint restores");
+}
+
+/// Appends the path of every non-empty array in `value` to `paths`, once per path.
+/// Object keys are joined with `/`; entering an array element appends `[]`, so all
+/// elements of one array share a path.
+fn array_paths(value: &serde_json::Value, path: &str, paths: &mut Vec<String>) {
+    match value {
+        serde_json::Value::Array(items) => {
+            if !items.is_empty() && !paths.iter().any(|p| p == path) {
+                paths.push(path.to_string());
+            }
+            for item in items {
+                array_paths(item, &format!("{path}[]"), paths);
+            }
+        }
+        serde_json::Value::Object(entries) => {
+            for (key, item) in entries {
+                array_paths(item, &format!("{path}/{key}"), paths);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Removes the last element of the first non-empty array found at `path` (in the
+/// [`array_paths`] notation), walking the document in order. Returns whether an element
+/// was removed.
+fn pop_first_array_at(value: &mut serde_json::Value, path: &str) -> bool {
+    fn walk(value: &mut serde_json::Value, at: &str, path: &str) -> bool {
+        match value {
+            serde_json::Value::Array(items) => {
+                if at == path && items.pop().is_some() {
+                    return true;
+                }
+                items
+                    .iter_mut()
+                    .any(|item| walk(item, &format!("{at}[]"), path))
+            }
+            serde_json::Value::Object(entries) => entries
+                .iter_mut()
+                .any(|(key, item)| walk(item, &format!("{at}/{key}"), path)),
+            _ => false,
+        }
+    }
+    walk(value, "", path)
+}
+
+#[test]
+fn a_truncated_checkpoint_never_panics() {
+    // The topology operating point carries every optional component: fault progress,
+    // autoscaler state, the rack sampler and per-rack power. Each distinct array in
+    // its checkpoint loses one element in turn; every such document must fail to
+    // parse, be rejected by `restore`, or resume into a run that finishes cleanly.
+    let engine = Engine::new();
+    let scenario = pliant_bench::cluster_topology_scenario(PolicyKind::Pliant, true, 7);
+    let mut donor = ClusterRun::new(&scenario, &engine);
+    while donor.intervals() < 50 && donor.step() {}
+    let pristine = serde_json::to_value(&donor.checkpoint()).expect("checkpoints serialize");
+    let mut paths = Vec::new();
+    array_paths(&pristine, "", &mut paths);
+    assert!(
+        paths.iter().any(|p| p.ends_with("/hist/buckets"))
+            && paths.iter().any(|p| p.starts_with("/faults"))
+            && paths.iter().any(|p| p.starts_with("/autoscaler"))
+            && paths.iter().any(|p| p.starts_with("/rack_power_w")),
+        "the sweep must reach every optional component, got {paths:?}"
+    );
+
+    let mut panicked = Vec::new();
+    for path in &paths {
+        let mut doc = pristine.clone();
+        assert!(
+            pop_first_array_at(&mut doc, path),
+            "{path} is a non-empty array"
+        );
+        let Ok(checkpoint) = serde_json::from_value::<ClusterRunCheckpoint>(&doc) else {
+            continue;
+        };
+        let mut run = ClusterRun::new(&scenario, &engine);
+        if run.restore(&checkpoint).is_err() {
+            continue;
+        }
+        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish()));
+        match finished {
+            Ok((outcome, _)) => {
+                for series in outcome.trace.series() {
+                    assert_eq!(
+                        series.len(),
+                        outcome.intervals,
+                        "{path}: the resumed outcome's `{}` series must cover every interval",
+                        series.name()
+                    );
+                }
+            }
+            Err(_) => panicked.push(path.clone()),
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "resumed runs panicked after restoring truncated checkpoints at {panicked:?}"
+    );
 }
 
 #[test]
