@@ -434,9 +434,12 @@ impl ClusterNode {
                     );
                 }
                 let weight = self.replicas as u64;
-                for &sample_s in &observation.latency_samples_s {
-                    self.books.hist.record_n(sample_s * 1e6, weight);
-                }
+                let hist = &mut self.books.hist;
+                observation.latency_samples_s.for_each_chunk(|chunk| {
+                    for &sample_s in chunk {
+                        hist.record_n(sample_s * 1e6, weight);
+                    }
+                });
             }
         }
 
@@ -572,5 +575,43 @@ impl std::fmt::Debug for ClusterNode {
             .field("free_slots", &self.free_slots())
             .field("smoothed_p99_s", &self.books.smoothed_p99_s)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pliant_approx::catalog::AppId;
+    use pliant_workloads::service::ServiceId;
+
+    #[test]
+    fn histogram_records_every_mapped_sample_at_the_replica_weight() {
+        // The node records its samples through the chunked map; a recompute over each
+        // observation's samples read one at a time must give the same histogram bits.
+        let scenario = ClusterScenario::builder(ServiceId::Memcached)
+            .nodes(1)
+            .jobs([AppId::Canneal, AppId::KMeans])
+            .avg_node_load(0.7)
+            .horizon_intervals(12)
+            .seed(5)
+            .build();
+        let jobs = [AppId::Canneal, AppId::KMeans];
+        let mut node = ClusterNode::representative(&scenario, 0, 0, 3, &jobs, &Catalog::default());
+        let mut expected = LatencyHistogram::new();
+        let mut recorded = 0usize;
+        for interval in 0..12 {
+            node.step(0.7);
+            if interval < scenario.warmup_intervals {
+                continue;
+            }
+            let observation = node.observation().expect("stepped");
+            for sample_s in observation.latency_samples_s.iter() {
+                expected.record_n(sample_s * 1e6, 3);
+                recorded += 1;
+            }
+        }
+        assert!(recorded > 0, "the run must record samples past warm-up");
+        let json = |h: &LatencyHistogram| serde_json::to_string(h).expect("serializable");
+        assert_eq!(json(&node.books().hist), json(&expected));
     }
 }

@@ -10,10 +10,12 @@
 //! monitor and reset between intervals (never reallocated), the subsample is chosen by
 //! geometric skip-sampling (one logarithm per *selected* request instead of one uniform
 //! draw per request), and recording a sample is O(1) bit manipulation. The skip gaps are
-//! drawn in chunks of 32 so their logarithms run as independent iterations; at the end
-//! of an interval the RNG is rewound to the last chunk's start and advanced by exactly
-//! the gaps consumed, so the selection, the stream position and every
-//! [`MonitorSnapshot`] match drawing one gap per selection. Because the
+//! drawn in chunks of 32 so their logarithms run as one vectorized loop over the
+//! branch-free [`fast_ln_unit`]; each chunk's selected indices are then read with one
+//! [`LatencySource::gather`], so a [`LatencySamples`] source maps only the samples the
+//! monitor reads. At the end of an interval the RNG is rewound to the last chunk's start
+//! and advanced by exactly the gaps consumed, so the selection, the stream position and
+//! every [`MonitorSnapshot`] match drawing one gap per selection. Because the
 //! histogram is the same [`LatencyHistogram`] (same bucket layout, same microsecond
 //! scale) the cluster layer merges for fleet-level quantiles, per-interval monitor
 //! histograms are exact-merge-compatible with fleet aggregation. The price of the
@@ -24,9 +26,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use pliant_telemetry::fastmath::fast_ln;
+use pliant_telemetry::fastmath::fast_ln_unit;
 use pliant_telemetry::histogram::LatencyHistogram;
-use pliant_telemetry::rng::seeded_rng;
+use pliant_telemetry::rng::{seeded_rng, LatencySamples};
 use pliant_telemetry::window::EwmaTracker;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
@@ -34,6 +36,58 @@ use rand::{Rng, RngCore};
 /// Geometric gaps drawn per batch by the skip-sampler in
 /// [`PerformanceMonitor::observe_interval`].
 const GAP_CHUNK: usize = 32;
+
+/// An interval's latency samples, in seconds, as the monitor reads them.
+///
+/// The monitor reads a subsample by index, so a source that computes its values on read
+/// ([`LatencySamples`]) computes only those. The skip-sampler collects each chunk's
+/// selected indices and reads them with one [`Self::gather`], which lets a computing
+/// source map them in one vectorized loop.
+pub trait LatencySource {
+    /// Number of samples.
+    fn len(&self) -> usize;
+
+    /// Whether there are no samples.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Sample `i`.
+    fn get(&self, i: usize) -> f64;
+
+    /// Writes sample `indices[k]` to `out[k]` for every `k < indices.len()`.
+    fn gather(&self, indices: &[usize], out: &mut [f64]);
+}
+
+impl LatencySource for [f64] {
+    fn len(&self) -> usize {
+        <[f64]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> f64 {
+        self[i]
+    }
+
+    fn gather(&self, indices: &[usize], out: &mut [f64]) {
+        for (o, &i) in out[..indices.len()].iter_mut().zip(indices) {
+            *o = self[i];
+        }
+    }
+}
+
+impl LatencySource for LatencySamples {
+    fn len(&self) -> usize {
+        LatencySamples::len(self)
+    }
+
+    fn get(&self, i: usize) -> f64 {
+        LatencySamples::get(self, i)
+    }
+
+    fn gather(&self, indices: &[usize], out: &mut [f64]) {
+        LatencySamples::gather(self, indices, out);
+    }
+}
 
 /// Configuration of the performance monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -182,7 +236,10 @@ impl PerformanceMonitor {
 
     /// Ingests one decision interval's end-to-end latency samples and produces the report
     /// the runtime acts on.
-    pub fn observe_interval(&mut self, latencies_s: &[f64]) -> MonitorReport {
+    pub fn observe_interval<S: LatencySource + ?Sized>(
+        &mut self,
+        latencies_s: &S,
+    ) -> MonitorReport {
         self.intervals_observed += 1;
         // An interval without a single request (idle gap / load trough) used to fall
         // through the empty-histogram path as `p99 = 0, slack = 1.0` — maximal headroom
@@ -205,17 +262,14 @@ impl PerformanceMonitor {
                 no_signal: true,
             };
         }
+        let len = latencies_s.len();
         let rate = self.sample_rate();
         self.hist.reset();
         let mut sum = 0.0;
         let mut sampled = 0u64;
         if rate >= 1.0 {
-            for &l in latencies_s {
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6); // microseconds for histogram resolution
-                sum += l;
-                sampled += 1;
-            }
+            sum = self.record_all(latencies_s);
+            sampled = len as u64;
         } else if rate > 0.0 {
             // Geometric skip-sampling: instead of one Bernoulli draw per request, jump
             // straight to the next selected request. The gap before each selection is
@@ -232,38 +286,48 @@ impl PerformanceMonitor {
             };
             // Gaps are drawn GAP_CHUNK at a time: the uniforms first (the serial RNG
             // steps), then the logarithms and divisions in a separate loop whose
-            // iterations are independent, then a walk that consumes them. The walk stops
-            // at the first gap that jumps past the interval, usually mid-chunk; the RNG
-            // is then rewound to the chunk's start and advanced by exactly the gaps
-            // consumed, so the stream position matches drawing one gap per selection.
+            // iterations are independent, then a walk that selects indices from them,
+            // one gather of the selected samples, and their recording in order. The
+            // walk stops at the first gap that jumps past the interval, usually
+            // mid-chunk; the RNG is then rewound to the chunk's start and advanced by
+            // exactly the gaps consumed, so the stream position matches drawing one gap
+            // per selection.
             let mut uniforms = [0.0f64; GAP_CHUNK];
-            let mut gaps = [0usize; GAP_CHUNK];
+            let mut gaps = [0.0f64; GAP_CHUNK];
+            let mut picked = [0usize; GAP_CHUNK];
+            let mut values = [0.0f64; GAP_CHUNK];
             let mut next = 0usize;
             loop {
                 let chunk_start = self.rng.clone();
                 for u in uniforms.iter_mut() {
                     *u = 1.0 - self.rng.gen_range(0.0f64..1.0);
                 }
-                // 1 - unit uniform lies in (0, 1], so the logarithm is finite and <= 0;
-                // the ratio of two non-positive finite numbers is non-negative, and the
-                // cast saturates on the (bounded) maximum.
+                // 1 - unit uniform lies in [2^-53, 1], the domain of `fast_ln_unit`, so
+                // the logarithm is finite and <= 0; the ratio of two non-positive finite
+                // numbers is non-negative. Gaps stay `f64` here so the loop vectorizes;
+                // the walk casts them, saturating on the (bounded) maximum.
                 for (gap, &u) in gaps.iter_mut().zip(&uniforms) {
-                    *gap = (fast_ln(u) / ln_one_minus_rate) as usize;
+                    *gap = fast_ln_unit(u) / ln_one_minus_rate;
                 }
+                let mut taken = 0usize;
                 let mut past_end = None;
                 for (k, &gap) in gaps.iter().enumerate() {
-                    let index = next + gap;
-                    if index >= latencies_s.len() {
+                    let index = next + gap as usize;
+                    if index >= len {
                         past_end = Some(k);
                         break;
                     }
-                    let l = latencies_s[index];
+                    picked[taken] = index;
+                    taken += 1;
+                    next = index + 1;
+                }
+                latencies_s.gather(&picked[..taken], &mut values);
+                for &l in &values[..taken] {
                     let l = if l.is_finite() { l } else { 0.0 };
                     self.hist.record(l * 1e6);
                     sum += l;
-                    sampled += 1;
-                    next = index + 1;
                 }
+                sampled += taken as u64;
                 if let Some(last) = past_end {
                     self.rng = chunk_start;
                     for _ in 0..=last {
@@ -277,14 +341,8 @@ impl PerformanceMonitor {
         // set, which the real monitor would also do by forcing a minimum sample count.
         let (p99_s, mean_s, sampled) = if sampled < 20 {
             self.hist.reset();
-            let mut full_sum = 0.0;
-            for &l in latencies_s {
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6);
-                full_sum += l;
-            }
-            let mean = full_sum / latencies_s.len() as f64;
-            (self.hist.p99() / 1e6, mean, latencies_s.len() as u64)
+            let mean = self.record_all(latencies_s) / len as f64;
+            (self.hist.p99() / 1e6, mean, len as u64)
         } else {
             (self.hist.p99() / 1e6, sum / sampled as f64, sampled)
         };
@@ -303,11 +361,25 @@ impl PerformanceMonitor {
             no_signal: false,
         }
     }
+
+    /// Records every sample into the interval histogram, with non-finite samples
+    /// clamped to zero, and returns their sum in order.
+    fn record_all<S: LatencySource + ?Sized>(&mut self, latencies_s: &S) -> f64 {
+        let mut sum = 0.0;
+        for i in 0..latencies_s.len() {
+            let l = latencies_s.get(i);
+            let l = if l.is_finite() { l } else { 0.0 };
+            self.hist.record(l * 1e6);
+            sum += l;
+        }
+        sum
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pliant_telemetry::fastmath::fast_ln;
     use pliant_telemetry::rng::sample_lognormal;
 
     fn synthetic_interval(median_s: f64, sigma: f64, n: usize, seed: u64) -> Vec<f64> {
@@ -322,7 +394,7 @@ mod tests {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 1);
         // Healthy interval: median 2 ms.
         let healthy = synthetic_interval(0.002, 0.3, 5_000, 2);
-        let report = monitor.observe_interval(&healthy);
+        let report = monitor.observe_interval(healthy.as_slice());
         assert!(
             !report.qos_violated,
             "p99 {} should be below 10 ms",
@@ -331,7 +403,7 @@ mod tests {
         assert!(report.slack_fraction > 0.0);
         // Violating interval: median 8 ms → p99 well above 10 ms.
         let violating = synthetic_interval(0.008, 0.4, 5_000, 3);
-        let report = monitor.observe_interval(&violating);
+        let report = monitor.observe_interval(violating.as_slice());
         assert!(report.qos_violated);
         assert!(report.slack_fraction < 0.0);
     }
@@ -343,7 +415,7 @@ mod tests {
         let mut sorted = samples.clone();
         sorted.sort_unstable_by(f64::total_cmp);
         let true_p99 = sorted[(0.99 * sorted.len() as f64) as usize];
-        let report = monitor.observe_interval(&samples);
+        let report = monitor.observe_interval(samples.as_slice());
         assert!(
             (report.p99_s - true_p99).abs() / true_p99 < 0.20,
             "estimate {} vs true {true_p99}",
@@ -356,14 +428,14 @@ mod tests {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 6);
         assert_eq!(monitor.sample_rate(), 0.05);
         let near_qos = synthetic_interval(0.0065, 0.3, 5_000, 7);
-        let _ = monitor.observe_interval(&near_qos);
+        let _ = monitor.observe_interval(near_qos.as_slice());
         assert_eq!(
             monitor.sample_rate(),
             0.25,
             "sampling should escalate near the QoS target"
         );
         let healthy = synthetic_interval(0.001, 0.3, 5_000, 8);
-        let _ = monitor.observe_interval(&healthy);
+        let _ = monitor.observe_interval(healthy.as_slice());
         assert_eq!(
             monitor.sample_rate(),
             0.05,
@@ -375,7 +447,7 @@ mod tests {
     fn small_intervals_fall_back_to_full_sampling() {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 9);
         let tiny = synthetic_interval(0.002, 0.3, 30, 10);
-        let report = monitor.observe_interval(&tiny);
+        let report = monitor.observe_interval(tiny.as_slice());
         assert_eq!(report.sampled, 30);
         assert!(report.p99_s > 0.0);
     }
@@ -383,7 +455,7 @@ mod tests {
     #[test]
     fn empty_interval_without_history_reports_no_signal() {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 9);
-        let report = monitor.observe_interval(&[]);
+        let report = monitor.observe_interval(&[] as &[f64]);
         assert!(report.no_signal);
         assert_eq!(report.p99_s, 0.0);
         assert_eq!(report.sampled, 0);
@@ -398,14 +470,14 @@ mod tests {
     fn empty_interval_holds_the_previous_smoothed_estimate() {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 9);
         let busy = synthetic_interval(0.004, 0.3, 5_000, 14);
-        let before = monitor.observe_interval(&busy);
-        let idle = monitor.observe_interval(&[]);
+        let before = monitor.observe_interval(busy.as_slice());
+        let idle = monitor.observe_interval(&[] as &[f64]);
         assert!(idle.no_signal);
         assert_eq!(idle.p99_s, before.smoothed_p99_s);
         assert_eq!(idle.smoothed_p99_s, before.smoothed_p99_s);
         assert_eq!(idle.slack_fraction, 0.0, "no fresh slack evidence");
         // The EWMA and adaptive-sampling state are untouched by idle gaps.
-        let after = monitor.observe_interval(&busy);
+        let after = monitor.observe_interval(busy.as_slice());
         assert_eq!(monitor.intervals_observed(), 3);
         assert!(after.smoothed_p99_s > 0.0);
     }
@@ -421,13 +493,13 @@ mod tests {
         samples[7] = f64::NAN;
         samples[19] = f64::INFINITY;
         samples[23] = f64::NEG_INFINITY;
-        let report = monitor.observe_interval(&samples);
+        let report = monitor.observe_interval(samples.as_slice());
         assert!(report.p99_s.is_finite());
         assert!(report.mean_s.is_finite());
         assert!(report.smoothed_p99_s.is_finite());
         assert!(report.slack_fraction.is_finite());
         // The tiny-interval full-ingest fallback must hold the same contract.
-        let report = monitor.observe_interval(&[f64::NAN, 0.002, f64::INFINITY, 0.003]);
+        let report = monitor.observe_interval(&[f64::NAN, 0.002, f64::INFINITY, 0.003][..]);
         assert!(report.p99_s.is_finite());
         assert!(report.mean_s.is_finite());
     }
@@ -467,10 +539,24 @@ mod tests {
         (sampled, sum / sampled as f64, hist.p99() / 1e6)
     }
 
+    /// Every field of a report as bits, so `-0.0` and `0.0` differ.
+    fn report_bits(r: &MonitorReport) -> [u64; 7] {
+        [
+            r.p99_s.to_bits(),
+            r.mean_s.to_bits(),
+            r.smoothed_p99_s.to_bits(),
+            r.sampled,
+            u64::from(r.qos_violated),
+            r.slack_fraction.to_bits(),
+            u64::from(r.no_signal),
+        ]
+    }
+
     #[test]
     fn chunked_gaps_are_bit_identical_to_one_gap_at_a_time() {
+        // Lengths 1 and 31–33 take the `sampled < 20` full-ingest fallback at low rates.
         let lengths = [1usize, 31, 32, 33, 1_000, 5_000];
-        for &rate in &[0.05, 0.25, 1e-12, 0.999] {
+        for &rate in &[0.05, 0.25, 1.0, 1e-12, 0.999] {
             let config = MonitorConfig {
                 base_sample_rate: rate,
                 elevated_sample_rate: rate,
@@ -479,19 +565,33 @@ mod tests {
             let ln_one_minus_rate = (1.0 - rate).ln();
             for seed in 0..4u64 {
                 let mut monitor = PerformanceMonitor::new(config, seed);
+                // The same monitor reading the mapped samples from a plain slice.
+                let mut over_slice = PerformanceMonitor::new(config, seed);
                 let mut reference = seeded_rng(seed);
                 let mut resumed: Option<PerformanceMonitor> = None;
                 for round in 0..3u64 {
                     for (li, &len) in lengths.iter().enumerate() {
-                        let samples = synthetic_interval(0.003, 0.4, len, 100 * round + li as u64);
+                        let mut samples = LatencySamples::new();
+                        let mut sample_rng = seeded_rng(100 * round + li as u64);
+                        samples.fill(&mut sample_rng, 0.003, 0.4, len);
+                        let mapped: Vec<f64> = samples.iter().collect();
                         let report = monitor.observe_interval(&samples);
-                        let (sampled, mean, p99) =
-                            one_gap_at_a_time(&mut reference, ln_one_minus_rate, &samples);
                         let at = format!("rate {rate} seed {seed} round {round} len {len}");
-                        assert_eq!(report.sampled, sampled, "{at}");
-                        assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
-                        assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
-                        assert_eq!(monitor.snapshot().rng, reference.state().to_vec(), "{at}");
+                        // Mapping on read selects and records exactly what the mapped
+                        // vector would.
+                        let slice_report = over_slice.observe_interval(mapped.as_slice());
+                        assert_eq!(report_bits(&report), report_bits(&slice_report), "{at}");
+                        assert_eq!(over_slice.snapshot().rng, monitor.snapshot().rng, "{at}");
+                        if rate < 1.0 {
+                            let (sampled, mean, p99) =
+                                one_gap_at_a_time(&mut reference, ln_one_minus_rate, &mapped);
+                            assert_eq!(report.sampled, sampled, "{at}");
+                            assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
+                            assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
+                            assert_eq!(monitor.snapshot().rng, reference.state().to_vec(), "{at}");
+                        } else {
+                            assert_eq!(report.sampled, len as u64, "{at}");
+                        }
                         // A monitor restored mid-run continues identically.
                         if let Some(twin) = resumed.as_mut() {
                             assert_eq!(twin.observe_interval(&samples), report, "{at}");
@@ -512,8 +612,8 @@ mod tests {
         let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 11);
         let low = synthetic_interval(0.002, 0.2, 5_000, 12);
         let high = synthetic_interval(0.006, 0.2, 5_000, 13);
-        let r1 = monitor.observe_interval(&low);
-        let r2 = monitor.observe_interval(&high);
+        let r1 = monitor.observe_interval(low.as_slice());
+        let r2 = monitor.observe_interval(high.as_slice());
         assert!(r2.smoothed_p99_s < r2.p99_s, "EWMA should lag the jump");
         assert!(r2.smoothed_p99_s > r1.p99_s);
         assert_eq!(monitor.intervals_observed(), 2);

@@ -21,7 +21,9 @@ use pliant_telemetry::rng::derive_seed;
 
 use crate::actuator::{Action, Actuator, ActuatorStats};
 use crate::controller::ControllerConfig;
-use crate::monitor::{MonitorConfig, MonitorReport, MonitorSnapshot, PerformanceMonitor};
+use crate::monitor::{
+    LatencySource, MonitorConfig, MonitorReport, MonitorSnapshot, PerformanceMonitor,
+};
 use crate::policy::{Policy, PolicyKind};
 
 /// A co-location simulator and the runtime controlling it; see the module docs.
@@ -107,9 +109,9 @@ impl NodeRuntime {
     /// No-signal reports are passed to the policy rather than filtered out: policies
     /// with pending time-insensitive actions (the static ablation's initial pin) must
     /// get their turn even when a run starts in an idle trough.
-    pub fn control(
+    pub fn control<S: LatencySource + ?Sized>(
         &mut self,
-        samples: &[f64],
+        samples: &S,
         obs: &mut ObsBuffer,
         node: u32,
         interval: u32,

@@ -54,11 +54,18 @@ impl LintConfig {
                 "fast_exp",
                 "fast_exp_in_range",
                 "fast_ln",
+                "fast_ln_unit",
                 "poly_exp",
                 "sample_normal_ziggurat",
                 "zig_normal",
                 "zig_reject",
-                "fill_lognormals",
+                // Latency samples: drawn as normals every busy interval, mapped on read
+                // by the monitor and the fleet histogram.
+                "LatencySamples::fill",
+                "LatencySamples::get",
+                "LatencySamples::gather",
+                "LatencySamples::for_each_chunk",
+                "LatencySamples::map_in_place",
                 // The replica-weighted dispatch path (PR 7): runs once per interval
                 // on every fleet, including clustered ones whose logical size can
                 // reach 1M nodes, and the per-sample replication inside

@@ -9,7 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::{AppId, AppProfile, Catalog, ResourcePressure};
-use pliant_telemetry::rng::{derive_seed, rng_from_state_words, rng_state_words, seeded_rng};
+use pliant_telemetry::rng::{
+    derive_seed, rng_from_state_words, rng_state_words, seeded_rng, LatencySamples,
+};
 use pliant_workloads::generator::OpenLoopGenerator;
 use pliant_workloads::profile::{LoadPhase, LoadProfile, LoadProfileError};
 use pliant_workloads::service::{ServiceId, ServiceProfile};
@@ -124,7 +126,7 @@ impl ColocationConfig {
 }
 
 /// Observation of one elapsed decision interval, returned by [`ColocationSim::advance`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IntervalObservation {
     /// Experiment time at the end of the interval, in seconds.
     pub time_s: f64,
@@ -149,8 +151,9 @@ pub struct IntervalObservation {
     pub p99_latency_s: f64,
     /// The service's QoS target, in seconds.
     pub qos_target_s: f64,
-    /// Raw latency samples for the performance monitor (client-side sampling).
-    pub latency_samples_s: Vec<f64>,
+    /// Raw latency samples for the performance monitor (client-side sampling), in
+    /// seconds. Each is mapped from its stored normal only when read.
+    pub latency_samples_s: LatencySamples,
     /// Utilization of the interactive service during the interval.
     pub utilization: f64,
     /// Per-application status snapshots.
@@ -626,7 +629,7 @@ impl ColocationSim {
             Some(obs) => (obs.latency_samples_s, obs.apps),
             // pliant-lint: allow(hot-path-alloc): cold-start fallback only — callers
             // on the steady-state path always recycle the previous observation.
-            None => (Vec::new(), Vec::new()),
+            None => (LatencySamples::new(), Vec::new()),
         };
         samples.clear();
         app_statuses.clear();
@@ -682,7 +685,7 @@ impl ColocationSim {
         // the runtime holds) instead of fabricating `samples_per_interval` synthetic
         // low-latency samples that would read as maximal headroom at a load trough.
         if arrivals > 0 {
-            self.config.latency.sample_latencies_into(
+            self.config.latency.fill_samples(
                 &self.config.service,
                 p99,
                 self.config.samples_per_interval,
@@ -890,7 +893,7 @@ mod tests {
         let mut sim = ColocationSim::new(cfg, &catalog());
         let obs = sim.advance(1.0);
         assert_eq!(obs.latency_samples_s.len(), 1_000);
-        assert!(obs.latency_samples_s.iter().all(|s| *s > 0.0));
+        assert!(obs.latency_samples_s.iter().all(|s| s > 0.0));
         assert_eq!(obs.apps.len(), 1);
         assert!(
             (obs.slack_fraction() - (obs.qos_target_s - obs.p99_latency_s) / obs.qos_target_s)
@@ -1029,7 +1032,7 @@ mod tests {
             busy_capacity,
             "the busy interval must reuse the recycled allocation"
         );
-        assert!(busy_again.latency_samples_s.iter().all(|s| *s > 0.0));
+        assert!(busy_again.latency_samples_s.iter().all(|s| s > 0.0));
     }
 
     #[test]

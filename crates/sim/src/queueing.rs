@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 
-use pliant_telemetry::rng::{fill_lognormals, sample_lognormal, seeded_rng};
+use pliant_telemetry::rng::{sample_lognormal, LatencySamples};
 use pliant_workloads::service::ServiceProfile;
 
 use serde::{Deserialize, Serialize};
@@ -98,65 +98,34 @@ impl LatencyModel {
         det * noise * spike
     }
 
-    /// Generates `n` per-request latency samples whose empirical p99 is approximately
-    /// `p99_target` and whose body follows the service's lognormal shape. These are the
-    /// samples Pliant's client-side performance monitor ingests.
+    /// Replaces `out` with `n` per-request latency samples whose empirical p99 is
+    /// approximately `p99_target` and whose body follows the service's lognormal shape.
+    /// These are the samples Pliant's client-side performance monitor ingests.
     ///
-    /// Convenience wrapper over [`Self::sample_latencies_into`] that allocates a fresh
-    /// vector; the per-interval hot path reuses a buffer instead.
-    pub fn sample_latencies(
+    /// This is the hot-path entry point: [`LatencySamples`] draws the normals into the
+    /// caller's reused buffer and maps only the samples something reads, which is what
+    /// lets [`ColocationSim::advance_reusing`] run without per-interval allocations or
+    /// `libm` calls in the sample loop.
+    ///
+    /// [`ColocationSim::advance_reusing`]: crate::colocation::ColocationSim::advance_reusing
+    pub fn fill_samples(
         &self,
         service: &ServiceProfile,
         p99_target: f64,
         n: usize,
         rng: &mut SmallRng,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.sample_latencies_into(service, p99_target, n, rng, &mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with `n` per-request latency samples (see
-    /// [`Self::sample_latencies`]).
-    ///
-    /// This is the hot-path entry point: samples are generated by the batch ziggurat
-    /// sampler ([`pliant_telemetry::rng::fill_lognormals`]) into the caller's reused
-    /// buffer, which is what lets [`ColocationSim::advance`] run without per-interval
-    /// allocations or `libm` calls in the sample loop.
-    ///
-    /// [`ColocationSim::advance`]: crate::colocation::ColocationSim::advance
-    pub fn sample_latencies_into(
-        &self,
-        service: &ServiceProfile,
-        p99_target: f64,
-        n: usize,
-        rng: &mut SmallRng,
-        out: &mut Vec<f64>,
+        out: &mut LatencySamples,
     ) {
         let sigma = service.service_time_sigma.max(0.05);
         let median = p99_target / (sigma * Z99).exp();
-        fill_lognormals(rng, median, sigma, n, out);
-    }
-
-    /// Convenience helper: p99 and monitor samples for one interval, deterministic in the
-    /// provided seed.
-    pub fn interval(
-        &self,
-        service: &ServiceProfile,
-        inputs: &LatencyInputs,
-        samples: usize,
-        seed: u64,
-    ) -> (f64, Vec<f64>) {
-        let mut rng = seeded_rng(seed);
-        let p99 = self.p99_with_noise(service, inputs, &mut rng);
-        let s = self.sample_latencies(service, p99, samples, &mut rng);
-        (p99, s)
+        out.fill(rng, median, sigma, n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pliant_telemetry::rng::seeded_rng;
     use pliant_telemetry::stats::exact_quantile;
     use pliant_workloads::service::ServiceId;
 
@@ -173,6 +142,19 @@ mod tests {
             capacity_slowdown: cap,
             direct_slowdown: direct,
         }
+    }
+
+    /// `n` samples from [`LatencyModel::fill_samples`], mapped.
+    fn sample(
+        model: &LatencyModel,
+        service: &ServiceProfile,
+        p99_target: f64,
+        n: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<f64> {
+        let mut out = LatencySamples::new();
+        model.fill_samples(service, p99_target, n, rng, &mut out);
+        out.iter().collect()
     }
 
     #[test]
@@ -246,7 +228,7 @@ mod tests {
         let svc = ServiceProfile::paper_default(ServiceId::Memcached);
         let mut rng = seeded_rng(3);
         let target = 0.000_25;
-        let samples = model.sample_latencies(&svc, target, 20_000, &mut rng);
+        let samples = sample(&model, &svc, target, 20_000, &mut rng);
         let p99 = exact_quantile(&samples, 0.99).unwrap();
         assert!(
             (p99 - target).abs() / target < 0.10,
@@ -264,7 +246,7 @@ mod tests {
         for id in ServiceId::all() {
             let svc = ServiceProfile::paper_default(id);
             for target in [1e-6, 1e-3, 0.5, 50.0] {
-                let samples = model.sample_latencies(&svc, target, 5_000, &mut rng);
+                let samples = sample(&model, &svc, target, 5_000, &mut rng);
                 assert!(
                     samples.iter().all(|s| s.is_finite() && *s > 0.0),
                     "{id} at target {target}: every sample must be finite and positive"
@@ -274,15 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn sample_latencies_into_reuses_the_buffer() {
+    fn fill_samples_reuses_the_buffer() {
         let model = LatencyModel::default();
         let svc = ServiceProfile::paper_default(ServiceId::Memcached);
         let mut rng = seeded_rng(5);
-        let mut buf = Vec::new();
-        model.sample_latencies_into(&svc, 0.000_25, 1_000, &mut rng, &mut buf);
+        let mut buf = LatencySamples::new();
+        model.fill_samples(&svc, 0.000_25, 1_000, &mut rng, &mut buf);
         assert_eq!(buf.len(), 1_000);
         let cap = buf.capacity();
-        model.sample_latencies_into(&svc, 0.000_25, 500, &mut rng, &mut buf);
+        model.fill_samples(&svc, 0.000_25, 500, &mut rng, &mut buf);
         assert_eq!(buf.len(), 500, "refill must replace, not append");
         assert_eq!(buf.capacity(), cap, "refill must not reallocate");
     }
@@ -292,10 +274,15 @@ mod tests {
         let model = LatencyModel::default();
         let svc = ServiceProfile::paper_default(ServiceId::Nginx);
         let i = inputs(&svc, 0.8, 8, 1.2, 1.05);
-        let a = model.interval(&svc, &i, 100, 99);
-        let b = model.interval(&svc, &i, 100, 99);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
+        let interval = |seed: u64| {
+            let mut rng = seeded_rng(seed);
+            let p99 = model.p99_with_noise(&svc, &i, &mut rng);
+            let samples = sample(&model, &svc, p99, 100, &mut rng);
+            let bits: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
+            (p99.to_bits(), bits)
+        };
+        assert_eq!(interval(99), interval(99));
+        assert_ne!(interval(99), interval(100));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! `libm` transcendental calls inside that loop dominate the whole simulation. These
 //! replacements use the standard range-reduction + short-polynomial constructions
 //! (Cody–Waite for `exp`, atanh-series for `ln`), written as plain multiply/add chains
-//! so the compiler can pipeline independent iterations. [`fast_exp_in_range`] is
-//! [`fast_exp`] without its range branches, bit-identical on `[-700, 700]`, so a loop
-//! over it vectorizes; the batch lognormal sampler uses it because its ziggurat normals
-//! satisfy `|z| <= 13.71`, which keeps `sigma * z` in range for every `sigma <= 51`.
+//! so the compiler can pipeline independent iterations. Two restricted forms drop the
+//! edge branches their callers' inputs cannot reach, so loops over them vectorize, and
+//! return the general functions' bits on their domains:
+//!
+//! - [`fast_exp_in_range`] is [`fast_exp`] on `[-700, 700]`. The latency-sample map
+//!   ([`crate::rng::LatencySamples`]) uses it because its ziggurat normals satisfy
+//!   `|z| <= 13.71`, which keeps `sigma * z` in range for every `sigma <= 51`.
+//! - [`fast_ln_unit`] is [`fast_ln`] on `[2^-53, 1]`, where every `1 - unit` uniform
+//!   lies. The monitor's skip-sampler uses it for its gap logarithms.
 //!
 //! Accuracy is bounded well below `1e-11` relative error across the full double range
 //! (tested against `std` in this module), which is far tighter than the statistical
@@ -71,8 +76,8 @@ pub fn fast_exp(x: f64) -> f64 {
 /// `n` is read from the mantissa bits of the rounding-shift sum `x·log2(e) + 1.5·2^52`
 /// (whose ulp is 1, so its low bits hold `n` in two's complement) instead of through a
 /// float-to-integer conversion. The body is straight-line `f64` and `u64` arithmetic
-/// that LLVM vectorizes on baseline SSE2, which is what the batch lognormal sampler
-/// ([`crate::rng::fill_lognormals`]) relies on. Within the range, `|n| <= 1010`, so the
+/// that LLVM vectorizes on baseline SSE2, which is what the latency-sample map
+/// ([`crate::rng::LatencySamples`]) relies on. Within the range, `|n| <= 1010`, so the
 /// single-step scale `2^n` is a normal double and no branch of [`fast_exp`] can differ.
 /// Outside it the result is unspecified (but never a panic).
 #[inline]
@@ -151,6 +156,41 @@ pub fn fast_ln(x: f64) -> f64 {
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
     // Odd series through t^15; remainder 2·t^17/17 < 2e-14.
+    let mut p = 1.0 / 15.0;
+    p = p * t2 + 1.0 / 13.0;
+    p = p * t2 + 1.0 / 11.0;
+    p = p * t2 + 1.0 / 9.0;
+    p = p * t2 + 1.0 / 7.0;
+    p = p * t2 + 1.0 / 5.0;
+    p = p * t2 + 1.0 / 3.0;
+    p = p * t2 + 1.0;
+    let ln_m = 2.0 * t * p;
+    (ef * LN2_HI + ln_m) + ef * LN2_LO
+}
+
+/// [`fast_ln`] restricted to `x` in `[2^-53, 1]`: the same operation sequence with the
+/// same result bits, minus the NaN, zero, infinity and subnormal branches (none of which
+/// can fire there) and the subnormal offset (`- 0.0`, a no-op on every input here).
+///
+/// The exponent reaches `f64` through the rounding-shift bits,
+/// `from_bits(bits(1.5·2^52) + k) - 1.5·2^52`, which is exact for `|k| < 2^51` and
+/// equals `k as f64`; unlike an `i64 as f64` cast it vectorizes on baseline SSE2. The
+/// body is straight-line `f64` and `u64` arithmetic, so the skip-sampling monitor's
+/// 32-gap logarithm loop vectorizes. Outside the range the result is unspecified (but
+/// never a panic).
+#[inline]
+pub fn fast_ln_unit(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+    let high = m > std::f64::consts::SQRT_2;
+    let m = if high { m * 0.5 } else { m };
+    // Unbiased exponent plus the centring carry, in two's complement.
+    let k = (bits >> 52)
+        .wrapping_sub(1023)
+        .wrapping_add(u64::from(high));
+    let ef = f64::from_bits(ROUND_SHIFT.to_bits().wrapping_add(k)) - ROUND_SHIFT;
+    let t = (m - 1.0) / (m + 1.0);
+    let t2 = t * t;
     let mut p = 1.0 / 15.0;
     p = p * t2 + 1.0 / 13.0;
     p = p * t2 + 1.0 / 11.0;
@@ -323,6 +363,36 @@ mod tests {
             1.5e-310,
         ] {
             assert_eq!(fast_ln(x).to_bits(), branchy_ln(x).to_bits(), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn ln_unit_is_bit_identical_to_fast_ln() {
+        let check = |u: f64| {
+            assert_eq!(fast_ln_unit(u).to_bits(), fast_ln(u).to_bits(), "u = {u:e}");
+        };
+        // Every uniform the skip-sampler can feed it is k·2^-53 for k in [1, 2^53]:
+        // the bottom 2·10^5 of them and the top 2·10^5 below 1, plus 1 itself.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for k in 1..=200_000u64 {
+            check(k as f64 * ulp);
+            check(1.0 - k as f64 * ulp);
+        }
+        check(1.0);
+        // A dense geometric sweep of every binade down to the 2^-53 endpoint.
+        let mut u = 1.0f64;
+        while u >= ulp {
+            check(u);
+            u *= 0.999_87;
+        }
+        check(ulp);
+        // The centring select's switch point, on both sides of sqrt(2), at the bottom,
+        // middle and top binades of the domain.
+        let root2 = std::f64::consts::SQRT_2.to_bits();
+        for scale in [ulp, 0.25, 0.5] {
+            for d in -2_000i64..=2_000 {
+                check(f64::from_bits((root2 as i64 + d) as u64) * scale);
+            }
         }
     }
 

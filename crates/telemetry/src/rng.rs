@@ -3,11 +3,16 @@
 //! Every stochastic component in the reproduction (request arrivals, service-time noise,
 //! kernel input generation) draws from a seeded [`rand::rngs::SmallRng`] created through
 //! this module, so experiment results are reproducible run-to-run.
+//!
+//! Per-interval latency samples are the hot path: [`LatencySamples`] draws them as
+//! 256-layer ziggurat normals ([`sample_normal_ziggurat`]) and maps a normal to a
+//! lognormal latency only when a reader asks for it, in chunks that vectorize.
 
 use std::sync::OnceLock;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde::{Serialize, Value};
 
 use crate::fastmath::{fast_exp, fast_exp_in_range, fast_ln};
 
@@ -255,50 +260,144 @@ fn zig_reject<R: Rng + ?Sized>(
 /// bound on `|z|`).
 const IN_RANGE_MAX_SIGMA: f64 = 51.0;
 
-/// Clears `out` and fills it with `n` lognormal samples parameterized like
-/// [`sample_lognormal`] (median and shape `sigma`).
+/// Samples [`LatencySamples::for_each_chunk`] maps per stack buffer.
+const MAP_CHUNK: usize = 64;
+
+/// One interval's lognormal latency samples, parameterized like [`sample_lognormal`]
+/// (median and shape `sigma`), stored as their ziggurat normals and mapped on read.
 ///
-/// This is the batch sampler the co-location hot path uses for per-interval latency
-/// sample generation: ziggurat normals plus the polynomial exponential, several times
-/// faster per sample than [`sample_lognormal`]'s Box–Muller + `libm` pipeline.
-/// Identical distribution, different stream.
+/// This is the batch sampler behind the co-location hot path. [`Self::fill`] draws every
+/// normal, in the same RNG order as drawing the samples one at a time, but a sample
+/// becomes a latency, `median * fast_exp_in_range(sigma * z)`, only when something
+/// reads it: the monitor reads about a fifth of them. Each read path maps through one
+/// branch-free loop that LLVM vectorizes: [`Self::for_each_chunk`] maps up to 64
+/// samples into a stack buffer, and [`Self::gather`] maps a selection. Because
+/// `|z| <= 13.71`, `sigma * z` stays inside `[-700, 700]` whenever `sigma <= 51`, where
+/// [`fast_exp_in_range`] returns [`fast_exp`]'s bits; larger shapes fall back to
+/// [`fast_exp`] itself. Every value read, and the RNG position after [`Self::fill`],
+/// are bit-identical to drawing `sample_normal_ziggurat` then `fast_exp` one sample at
+/// a time. Ziggurat normals plus the polynomial exponential are several times faster
+/// per sample than [`sample_lognormal`]'s Box–Muller + `libm` pipeline: identical
+/// distribution, different stream.
 ///
-/// It runs in two passes over `out`. The first draws the `n` ziggurat normals; only the
-/// fast-accept test is inline, so the loop is one RNG step, a table lookup and a
-/// well-predicted compare per sample. The second maps each `z` to
-/// `median * fast_exp_in_range(sigma * z)`, a branch-free loop LLVM vectorizes.
-/// Because `|z| <= 13.71`, `sigma * z` stays inside `[-700, 700]` whenever
-/// `sigma <= 51`, where [`fast_exp_in_range`] returns [`fast_exp`]'s bits; larger
-/// shapes fall back to [`fast_exp`] itself. The output, and the RNG position after the
-/// call, are bit-identical to drawing `sample_normal_ziggurat` then `fast_exp` one
-/// sample at a time.
-///
-/// # Panics
-///
-/// Panics if `median` is not strictly positive or `sigma` is negative.
-pub fn fill_lognormals<R: Rng + ?Sized>(
-    rng: &mut R,
+/// It serializes as the mapped latencies, the wire form of a plain `Vec<f64>`.
+#[derive(Debug, Clone, Default)]
+pub struct LatencySamples {
+    normals: Vec<f64>,
     median: f64,
     sigma: f64,
-    n: usize,
-    out: &mut Vec<f64>,
-) {
-    assert!(median > 0.0, "lognormal median must be positive");
-    assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
-    let t = zig_tables();
-    out.clear();
-    out.extend((0..n).map(|_| {
-        let bits: u64 = rng.gen();
-        zig_normal(rng, t, bits)
-    }));
-    if sigma <= IN_RANGE_MAX_SIGMA {
-        for v in out.iter_mut() {
-            *v = median * fast_exp_in_range(sigma * *v);
+}
+
+impl LatencySamples {
+    /// An empty sample set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replaces the samples with `n` fresh ones of the given median and shape, reusing
+    /// the buffer.
+    ///
+    /// Only the ziggurat's fast-accept test is inline, so the loop is one RNG step, a
+    /// table lookup and a well-predicted compare per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `median` is not strictly positive or `sigma` is negative.
+    pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, median: f64, sigma: f64, n: usize) {
+        assert!(median > 0.0, "lognormal median must be positive");
+        assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
+        let t = zig_tables();
+        self.normals.clear();
+        self.normals.extend((0..n).map(|_| {
+            let bits: u64 = rng.gen();
+            zig_normal(rng, t, bits)
+        }));
+        self.median = median;
+        self.sigma = sigma;
+    }
+
+    /// Removes every sample, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.normals.clear();
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.normals.len()
+    }
+
+    /// Whether there are no samples.
+    pub fn is_empty(&self) -> bool {
+        self.normals.is_empty()
+    }
+
+    /// Samples the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.normals.capacity()
+    }
+
+    /// Sample `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        let mut v = [self.normals[i]];
+        self.map_in_place(&mut v);
+        v[0]
+    }
+
+    /// Every sample, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Writes sample `indices[k]` to `out[k]` for every `k < indices.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds or `out` is shorter than `indices`.
+    #[inline]
+    pub fn gather(&self, indices: &[usize], out: &mut [f64]) {
+        let out = &mut out[..indices.len()];
+        for (o, &i) in out.iter_mut().zip(indices) {
+            *o = self.normals[i];
         }
-    } else {
-        for v in out.iter_mut() {
-            *v = median * fast_exp(sigma * *v);
+        self.map_in_place(out);
+    }
+
+    /// Calls `f` with every sample, in order, mapped up to 64 at a time into a stack
+    /// buffer.
+    pub fn for_each_chunk(&self, mut f: impl FnMut(&[f64])) {
+        let mut buf = [0.0f64; MAP_CHUNK];
+        for normals in self.normals.chunks(MAP_CHUNK) {
+            let out = &mut buf[..normals.len()];
+            out.copy_from_slice(normals);
+            self.map_in_place(out);
+            f(out);
         }
+    }
+
+    /// Maps normals to latencies in place: the one mapping loop every read path shares.
+    #[inline]
+    fn map_in_place(&self, values: &mut [f64]) {
+        let (median, sigma) = (self.median, self.sigma);
+        if sigma <= IN_RANGE_MAX_SIGMA {
+            for v in values.iter_mut() {
+                *v = median * fast_exp_in_range(sigma * *v);
+            }
+        } else {
+            for v in values.iter_mut() {
+                *v = median * fast_exp(sigma * *v);
+            }
+        }
+    }
+}
+
+impl Serialize for LatencySamples {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Value::Float).collect())
     }
 }
 
@@ -428,11 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn fill_lognormals_matches_the_scalar_sampler_distribution() {
+    fn latency_samples_match_the_scalar_sampler_distribution() {
         let mut rng = seeded_rng(77);
-        let mut batch = Vec::new();
-        fill_lognormals(&mut rng, 10.0, 0.5, 50_001, &mut batch);
-        assert_eq!(batch.len(), 50_001);
+        let mut samples = LatencySamples::new();
+        samples.fill(&mut rng, 10.0, 0.5, 50_001);
+        assert_eq!(samples.len(), 50_001);
+        let mut batch: Vec<f64> = samples.iter().collect();
         assert!(batch.iter().all(|x| x.is_finite() && *x > 0.0));
         batch.sort_unstable_by(f64::total_cmp);
         let median = batch[batch.len() / 2];
@@ -440,12 +540,23 @@ mod tests {
         // p99 of lognormal(median 10, sigma 0.5): 10 * exp(0.5 * 2.3263) = 32.0.
         let p99 = batch[(0.99 * batch.len() as f64) as usize];
         assert!((p99 - 32.0).abs() / 32.0 < 0.07, "p99 {p99}");
-        // Refilling reuses the buffer and replaces its contents.
-        let cap_before = batch.capacity();
-        fill_lognormals(&mut rng, 1.0, 0.0, 10, &mut batch);
-        assert_eq!(batch.len(), 10);
-        assert!(batch.iter().all(|x| (*x - 1.0).abs() < 1e-12));
-        assert_eq!(batch.capacity(), cap_before, "the buffer must be reused");
+    }
+
+    #[test]
+    fn latency_samples_reuse_the_buffer() {
+        let mut rng = seeded_rng(78);
+        let mut samples = LatencySamples::new();
+        samples.fill(&mut rng, 10.0, 0.5, 1_000);
+        let cap_before = samples.capacity();
+        // Refilling replaces the contents and the shape without reallocating.
+        samples.fill(&mut rng, 1.0, 0.0, 10);
+        assert_eq!(samples.len(), 10);
+        assert!(samples.iter().all(|x| (x - 1.0).abs() < 1e-12));
+        assert_eq!(samples.capacity(), cap_before, "the buffer must be reused");
+        samples.clear();
+        assert!(samples.is_empty());
+        assert_eq!(samples.iter().count(), 0);
+        assert_eq!(samples.capacity(), cap_before, "clearing keeps the buffer");
     }
 
     /// Counts the 64-bit words drawn, to tell which ziggurat path a sample took.
@@ -461,44 +572,84 @@ mod tests {
         }
     }
 
+    /// The per-sample loop [`LatencySamples`] replaced, as the bit reference: one
+    /// ziggurat normal, then one `fast_exp`, per sample.
+    fn per_sample_lognormals<R: Rng + ?Sized>(
+        rng: &mut R,
+        median: f64,
+        sigma: f64,
+        n: usize,
+    ) -> Vec<f64> {
+        (0..n)
+            .map(|_| median * fast_exp(sigma * sample_normal_ziggurat(rng)))
+            .collect()
+    }
+
     #[test]
-    fn fill_lognormals_is_bit_identical_to_the_per_sample_loop() {
+    fn latency_samples_are_bit_identical_to_the_per_sample_loop() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (mut tails, mut wedges) = (0usize, 0usize);
-        let mut batch = Vec::new();
+        let mut samples = LatencySamples::new();
         for seed in 0..1_200u64 {
-            let n = 64 + (seed % 7) as usize;
-            for &sigma in &[0.0, 0.05, 0.6, 1.3, 60.0] {
-                // The per-sample loop `fill_lognormals` replaced: one ziggurat normal,
-                // then one `fast_exp`, per sample.
+            let n = [0, 1, 63, 64, 65, 1_000, 64 + (seed % 7) as usize][(seed % 7) as usize];
+            for &sigma in &[0.0, 0.05, 0.6, 1.3, 51.0, 60.0] {
+                let at = format!("seed {seed} n {n} sigma {sigma}");
                 let mut reference = CountingRng {
                     inner: seeded_rng(seed),
                     words: 0,
                 };
-                let mut expected = Vec::with_capacity(n);
+                let expected = per_sample_lognormals(&mut reference, 2.5, sigma, n);
+                // Classify the paths the reference took: only the tail returns
+                // |z| >= R, and any other sample that drew more than one word ran at
+                // least one wedge test.
+                let mut probe = CountingRng {
+                    inner: seeded_rng(seed),
+                    words: 0,
+                };
                 for _ in 0..n {
-                    let before = reference.words;
-                    let z = sample_normal_ziggurat(&mut reference);
-                    expected.push(2.5 * fast_exp(sigma * z));
-                    // Only the tail returns |z| >= R; any other sample that drew more
-                    // than one word ran at least one wedge test.
+                    let before = probe.words;
+                    let z = sample_normal_ziggurat(&mut probe);
                     if z.abs() >= ZIG_R {
                         tails += 1;
-                    } else if reference.words - before > 1 {
+                    } else if probe.words - before > 1 {
                         wedges += 1;
                     }
                 }
+
                 let mut rng = seeded_rng(seed);
-                fill_lognormals(&mut rng, 2.5, sigma, n, &mut batch);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&batch), bits(&expected), "seed {seed} sigma {sigma}");
-                assert_eq!(
-                    rng.state(),
-                    reference.inner.state(),
-                    "seed {seed} sigma {sigma}"
-                );
+                samples.fill(&mut rng, 2.5, sigma, n);
+                assert_eq!(rng.state(), reference.inner.state(), "{at}");
+                assert_eq!(samples.len(), n, "{at}");
+
+                let by_get: Vec<f64> = (0..n).map(|i| samples.get(i)).collect();
+                assert_eq!(bits(&by_get), bits(&expected), "get: {at}");
+                let by_iter: Vec<f64> = samples.iter().collect();
+                assert_eq!(bits(&by_iter), bits(&expected), "iter: {at}");
+                let mut by_chunk = Vec::with_capacity(n);
+                samples.for_each_chunk(|chunk| {
+                    assert!(!chunk.is_empty() && chunk.len() <= MAP_CHUNK);
+                    by_chunk.extend_from_slice(chunk);
+                });
+                assert_eq!(bits(&by_chunk), bits(&expected), "chunks: {at}");
+                // A selection in the monitor's shape: increasing, with gaps.
+                let picked: Vec<usize> =
+                    (0..n).filter(|i| (i * 7 + seed as usize) % 5 < 2).collect();
+                let mut gathered = vec![0.0; picked.len()];
+                samples.gather(&picked, &mut gathered);
+                let want: Vec<f64> = picked.iter().map(|&i| expected[i]).collect();
+                assert_eq!(bits(&gathered), bits(&want), "gather: {at}");
             }
         }
         assert!(tails > 0 && wedges > 0, "tails {tails} wedges {wedges}");
+    }
+
+    #[test]
+    fn latency_samples_serialize_as_the_mapped_vector() {
+        let mut samples = LatencySamples::new();
+        assert_eq!(samples.to_value(), Vec::<f64>::new().to_value());
+        samples.fill(&mut seeded_rng(4), 0.003, 0.4, 130);
+        let mapped: Vec<f64> = samples.iter().collect();
+        assert_eq!(samples.to_value(), mapped.to_value());
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn fleet_p99_matches_a_recompute_over_all_samples() {
         }
         for node in 0..run.instance_count() {
             let observation = run.node(node).observation().expect("every node stepped");
-            for &latency_s in &observation.latency_samples_s {
+            for latency_s in observation.latency_samples_s.iter() {
                 pooled.record(latency_s * 1e6);
                 samples += 1;
             }

@@ -77,7 +77,8 @@ fn histogram_p99_stays_within_one_bucket_width_of_the_exact_p99() {
                 if !report.no_signal {
                     // Compare in the histogram's microsecond domain: the estimate and
                     // the exact rank statistic must land within one bucket width.
-                    let exact_us = exact_rank_p99(&obs.latency_samples_s) * 1e6;
+                    let exact_us =
+                        exact_rank_p99(&obs.latency_samples_s.iter().collect::<Vec<_>>()) * 1e6;
                     let (lo, hi) = LatencyHistogram::bucket_bounds(exact_us);
                     let width = hi - lo;
                     let estimate_us = report.p99_s * 1e6;
