@@ -88,7 +88,12 @@ pub enum AutoscalerAction {
 /// Configuration of the fleet autoscaler; attach to a
 /// [`ClusterScenario`](crate::scenario::ClusterScenario) via
 /// [`ClusterScenarioBuilder::autoscaler`](crate::scenario::ClusterScenarioBuilder::autoscaler).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+///
+/// Deserialization runs [`AutoscalerConfig::validate`], so a hand-edited config whose
+/// scale-in and scale-out thresholds would flap the fleet membership is rejected when
+/// it is read instead of misbehaving mid-run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "AutoscalerConfig::validate")]
 pub struct AutoscalerConfig {
     /// Lower bound on the active set; the autoscaler never drains below this.
     pub min_active: usize,
@@ -122,7 +127,7 @@ pub struct AutoscalerConfig {
     /// nodes with free slots each interval, so the drain (and the park that follows)
     /// completes as soon as destinations exist instead of when the slowest job
     /// finishes. Off by default; absent in pre-topology archives.
-    #[serde(skip_serializing_if = "is_false")]
+    #[serde(default, skip_serializing_if = "is_false")]
     pub consolidate: bool,
 }
 
@@ -145,44 +150,6 @@ impl Default for AutoscalerConfig {
             cooldown_intervals: 5,
             consolidate: false,
         }
-    }
-}
-
-// Hand-written (not derived) so the invariants — in particular the hysteresis band
-// between the scale-in and scale-out ceilings — are enforced at the archive boundary: a
-// hand-edited config that would flap the fleet membership is rejected here instead of
-// deserializing and misbehaving mid-run. The mirror struct keeps the derived plumbing.
-impl serde::Deserialize for AutoscalerConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct AutoscalerConfigWire {
-            min_active: usize,
-            scale_out_load: f64,
-            scale_out_violation_fraction: f64,
-            scale_out_sustain_intervals: u32,
-            scale_in_max_load: f64,
-            scale_in_max_p99_fraction: f64,
-            scale_in_sustain_intervals: u32,
-            cooldown_intervals: u32,
-            #[serde(default)]
-            consolidate: bool,
-        }
-        let w = AutoscalerConfigWire::from_value(value)?;
-        let config = AutoscalerConfig {
-            min_active: w.min_active,
-            scale_out_load: w.scale_out_load,
-            scale_out_violation_fraction: w.scale_out_violation_fraction,
-            scale_out_sustain_intervals: w.scale_out_sustain_intervals,
-            scale_in_max_load: w.scale_in_max_load,
-            scale_in_max_p99_fraction: w.scale_in_max_p99_fraction,
-            scale_in_sustain_intervals: w.scale_in_sustain_intervals,
-            cooldown_intervals: w.cooldown_intervals,
-            consolidate: w.consolidate,
-        };
-        config
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid autoscaler config: {e}")))?;
-        Ok(config)
     }
 }
 
@@ -965,6 +932,24 @@ mod tests {
         let json = serde_json::to_string(&cfg).expect("serializable");
         let back: AutoscalerConfig = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn parsing_rejects_an_inverted_scale_band() {
+        let inverted = AutoscalerConfig {
+            scale_in_max_load: 0.8,
+            scale_out_load: 0.7,
+            ..config()
+        };
+        let json = serde_json::to_string(&inverted).expect("serializable");
+        let err = serde_json::from_str::<AutoscalerConfig>(&json).unwrap_err();
+        assert!(
+            err.to_string().contains("invalid autoscaler config")
+                && err
+                    .to_string()
+                    .contains(&AutoscalerConfigError::NoHysteresis.to_string()),
+            "{err}"
+        );
     }
 
     #[test]

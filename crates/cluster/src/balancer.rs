@@ -91,30 +91,16 @@ impl std::fmt::Display for BalancerKind {
 pub struct LoadBalancer {
     kind: BalancerKind,
     nodes: usize,
-    /// Sampling stream for power-of-two choices.
-    rng: SmallRng,
+    /// Sampling stream for power-of-two choices: the balancer's only mutable state (the
+    /// kind and fleet size are rebuilt from the scenario), which fleet checkpoints carry
+    /// as is.
+    pub rng: SmallRng,
 }
 
 impl LoadBalancer {
     /// The policy this balancer implements.
     pub fn kind(&self) -> BalancerKind {
         self.kind
-    }
-
-    /// The sampling RNG's state, for checkpointing (the kind and fleet size are rebuilt
-    /// from the scenario; only the power-of-two-choices stream is mutable state).
-    pub fn rng_state(&self) -> Vec<u64> {
-        pliant_telemetry::rng::rng_state_words(&self.rng)
-    }
-
-    /// Restores the sampling RNG to a state captured by [`Self::rng_state`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed wire states (wrong width or all-zero).
-    pub fn restore_rng_state(&mut self, words: &[u64]) -> Result<(), String> {
-        self.rng = pliant_telemetry::rng::rng_from_state_words(words)?;
-        Ok(())
     }
 
     /// Splits `total_load` (node-saturation units) across the fleet's instances,

@@ -57,7 +57,7 @@ use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::obs::{
     Event, EventLog, ObsBuffer, ObsLevel, PowerStateKind, ScaleTrigger, DEFAULT_FLEET_CAPACITY,
 };
-use pliant_telemetry::rng::{derive_seed, rng_from_state_words, rng_state_words, seeded_rng};
+use pliant_telemetry::rng::{derive_seed, seeded_rng};
 use pliant_telemetry::series::{TimeSeries, TraceBundle};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -1230,12 +1230,12 @@ impl ClusterRun {
             instances: self.nodes.len(),
             time_s: self.time_s,
             intervals: self.intervals,
-            balancer_rng: self.balancer.rng_state(),
+            balancer_rng: self.balancer.rng.clone(),
             scheduler_queue: self.scheduler.queue_snapshot(),
             scheduler_stats: self.scheduler.stats(),
             autoscaler: self.autoscaler.as_ref().map(|a| a.state().clone()),
             faults: self.faults.as_ref().map(|f| f.progress.clone()),
-            rack_rng: self.rack_rng.as_ref().map(rng_state_words),
+            rack_rng: self.rack_rng.clone(),
             rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
             node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
             books: self.books.clone(),
@@ -1302,9 +1302,7 @@ impl ClusterRun {
             }
         }
         match (&mut self.rack_rng, &checkpoint.rack_rng) {
-            (Some(rng), Some(words)) => {
-                *rng = rng_from_state_words(words).map_err(|e| format!("rack sampler: {e}"))?;
-            }
+            (Some(rng), Some(saved)) => rng.clone_from(saved),
             (None, None) => {}
             _ => {
                 return Err(
@@ -1330,9 +1328,7 @@ impl ClusterRun {
                 )
             }
         }
-        self.balancer
-            .restore_rng_state(&checkpoint.balancer_rng)
-            .map_err(|e| format!("balancer: {e}"))?;
+        self.balancer.rng.clone_from(&checkpoint.balancer_rng);
         self.scheduler = BatchScheduler::restore(
             self.scenario.scheduler,
             checkpoint.scheduler_queue.clone(),
@@ -1491,7 +1487,7 @@ impl ClusterRun {
 
 /// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
 /// breaking change to the snapshot layout.
-pub const CLUSTER_CHECKPOINT_VERSION: u32 = 3;
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 4;
 
 /// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
 /// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario
@@ -1514,8 +1510,8 @@ pub struct ClusterRunCheckpoint {
     pub time_s: f64,
     /// Decision intervals advanced at capture.
     pub intervals: usize,
-    /// Load-balancer RNG state (xoshiro256++ words).
-    pub balancer_rng: Vec<u64>,
+    /// Load-balancer RNG (serialized as its xoshiro256++ state words).
+    pub balancer_rng: SmallRng,
     /// Queued batch jobs, in submission order.
     pub scheduler_queue: Vec<AppId>,
     /// Scheduler counters at capture.
@@ -1526,10 +1522,10 @@ pub struct ClusterRunCheckpoint {
     /// Fault-injection state, when the scenario carries a non-empty fault profile.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultProgress>,
-    /// Rack-placement sampling stream (xoshiro256++ words), when the scenario has a
-    /// racked topology; absent on flat fleets.
+    /// Rack-placement sampling stream, when the scenario has a racked topology; absent
+    /// on flat fleets.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub rack_rng: Option<Vec<u64>>,
+    pub rack_rng: Option<SmallRng>,
     /// Per-rack measured power draw over the interval before capture, in watts
     /// (racked topologies only).
     #[serde(default, skip_serializing_if = "Option::is_none")]

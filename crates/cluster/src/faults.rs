@@ -102,7 +102,13 @@ pub struct RackOutage {
 /// into one schedule. The default profile is empty (no faults), and an empty profile is
 /// guaranteed not to perturb the run in any way — the simulator takes the exact same
 /// code paths as a scenario with no profile at all.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Deserialization runs [`FaultProfile::validate_shape`], so no profile enters through
+/// an archive without passing it; the fleet-dependent range checks run later, in
+/// `ClusterScenario::validate`, where the population is known. Missing fields take
+/// their defaults.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "FaultProfile::validate_shape")]
 pub struct FaultProfile {
     /// Per-node, per-interval crash probability (0 disables stochastic crashes).
     #[serde(default)]
@@ -245,39 +251,6 @@ impl FaultProfile {
             }
         }
         Ok(())
-    }
-}
-
-// Hand-written so the shape invariants hold on every decode path: a fault profile
-// cannot enter through an archive without passing [`FaultProfile::validate_shape`]
-// (the fleet-dependent range checks run later, in `ClusterScenario::validate`, where
-// the population is known). Missing fields take their defaults, mirroring the
-// `#[serde(default)]` annotations used for serialization.
-impl Deserialize for FaultProfile {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize + Default>(
-            value: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match value.get(name) {
-                Some(v) => T::from_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        let profile = FaultProfile {
-            crash_probability: field(value, "crash_probability")?,
-            outage_intervals: field(value, "outage_intervals")?,
-            degrade_probability: field(value, "degrade_probability")?,
-            degrade_factor: field(value, "degrade_factor")?,
-            degrade_intervals: field(value, "degrade_intervals")?,
-            scheduled: field(value, "scheduled")?,
-            group_outages: field(value, "group_outages")?,
-            rack_outages: field(value, "rack_outages")?,
-        };
-        profile
-            .validate_shape()
-            .map_err(|e| serde::Error::custom(format!("invalid fault profile: {e}")))?;
-        Ok(profile)
     }
 }
 
@@ -900,5 +873,17 @@ mod tests {
         .expect("serializable");
         let back: FaultProfile = serde_json::from_str(&legacy).expect("deserializable");
         assert!(back.rack_outages.is_empty());
+    }
+
+    #[test]
+    fn parsing_rejects_a_crash_probability_above_one() {
+        let err = serde_json::from_str::<FaultProfile>(
+            r#"{"crash_probability": 1.5, "outage_intervals": 4}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid fault profile: crash_probability must be in [0, 1]"
+        );
     }
 }

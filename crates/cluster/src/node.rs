@@ -19,10 +19,10 @@ use serde::{Deserialize, Serialize};
 use pliant_approx::catalog::{AppId, AppProfile, Catalog};
 use pliant_core::actuator::ActuatorStats;
 use pliant_core::controller::ControllerConfig;
-use pliant_core::monitor::MonitorSnapshot;
+use pliant_core::monitor::MonitorState;
 use pliant_core::policy::Policy;
 use pliant_core::runtime::NodeRuntime;
-use pliant_sim::colocation::{ColocationConfig, ColocationSimSnapshot, IntervalObservation};
+use pliant_sim::colocation::{ColocationConfig, ColocationState, IntervalObservation};
 use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::obs::{Event, ObsBuffer, ObsLevel, DEFAULT_NODE_CAPACITY};
 use pliant_telemetry::rng::derive_seed;
@@ -309,9 +309,9 @@ impl ClusterNode {
     /// (see [`ClusterRun::checkpoint`](crate::engine::ClusterRun::checkpoint)).
     pub fn checkpoint(&self) -> NodeCheckpoint {
         NodeCheckpoint {
-            sim: self.runtime.sim().snapshot(),
+            sim: self.runtime.sim().state().clone(),
             policy: self.runtime.policy().clone(),
-            monitor: self.runtime.monitor_snapshot(),
+            monitor: self.runtime.monitor_state().clone(),
             actuator_stats: self.runtime.actuator_stats(),
             books: self.books.clone(),
         }
@@ -496,7 +496,7 @@ impl ClusterNode {
 }
 
 /// One node's complete mutable state inside a
-/// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint): the co-location snapshot
+/// [`ClusterRunCheckpoint`](crate::engine::ClusterRunCheckpoint): the co-location state
 /// (simulators, RNG streams, degradation), the runtime (policy, monitor, actuator
 /// counters), and the node's books. The node's configuration (seed, jobs, QoS target) is
 /// *not* captured — it is rebuilt from the scenario on restore and checked for
@@ -504,11 +504,11 @@ impl ClusterNode {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeCheckpoint {
     /// Full co-location simulator state.
-    pub sim: ColocationSimSnapshot,
+    pub sim: ColocationState,
     /// The node's policy and its whole controller state.
     pub policy: Policy,
     /// Performance-monitor state (EWMA, sampling RNG, hysteresis).
-    pub monitor: MonitorSnapshot,
+    pub monitor: MonitorState,
     /// Actuator counters.
     pub actuator_stats: ActuatorStats,
     /// Every accumulator the node's outcome is assembled from.

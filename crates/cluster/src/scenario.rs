@@ -72,8 +72,11 @@ impl FleetApproximation {
 /// A complete, serializable description of one fleet experiment.
 ///
 /// Construct with [`ClusterScenario::builder`]. All fields are public so sinks and
-/// analysis code can read them back from archived runs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// analysis code can read them back from archived runs. Deserialization runs
+/// [`ClusterScenario::validate`], so a hand-edited or corrupted archive is rejected with
+/// a descriptive error instead of becoming an impossible fleet that fails mid-run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "ClusterScenario::validate")]
 pub struct ClusterScenario {
     /// Optional display label (cluster suites set this to the cell's sweep coordinates).
     pub label: Option<String>,
@@ -268,72 +271,6 @@ impl ClusterScenario {
                 self.balancer
             ),
         }
-    }
-}
-
-// Hand-written (not derived) so the fleet invariants are enforced at the archive
-// boundary: a hand-edited or corrupted archive is rejected here with a descriptive
-// error instead of deserializing into an impossible fleet that fails mid-run. The
-// mirror struct keeps the derived field plumbing (including the `#[serde(default)]`
-// that lets pre-energy archives without an `autoscaler` field deserialize).
-impl serde::Deserialize for ClusterScenario {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct ClusterScenarioWire {
-            label: Option<String>,
-            nodes: usize,
-            service: ServiceId,
-            policy: PolicyKind,
-            balancer: BalancerKind,
-            scheduler: SchedulerKind,
-            jobs: Vec<AppId>,
-            slots_per_node: usize,
-            avg_node_load: f64,
-            load_profile: Option<LoadProfile>,
-            decision_interval_s: f64,
-            slack_threshold: f64,
-            consecutive_slack_required: u32,
-            horizon: Horizon,
-            warmup_intervals: usize,
-            qos_target_s: Option<f64>,
-            #[serde(default)]
-            autoscaler: Option<AutoscalerConfig>,
-            #[serde(default)]
-            approximation: FleetApproximation,
-            #[serde(default)]
-            fault_profile: Option<FaultProfile>,
-            #[serde(default)]
-            topology: TopologyConfig,
-            seed: u64,
-        }
-        let w = ClusterScenarioWire::from_value(value)?;
-        let scenario = ClusterScenario {
-            label: w.label,
-            nodes: w.nodes,
-            service: w.service,
-            policy: w.policy,
-            balancer: w.balancer,
-            scheduler: w.scheduler,
-            jobs: w.jobs,
-            slots_per_node: w.slots_per_node,
-            avg_node_load: w.avg_node_load,
-            load_profile: w.load_profile,
-            decision_interval_s: w.decision_interval_s,
-            slack_threshold: w.slack_threshold,
-            consecutive_slack_required: w.consecutive_slack_required,
-            horizon: w.horizon,
-            warmup_intervals: w.warmup_intervals,
-            qos_target_s: w.qos_target_s,
-            autoscaler: w.autoscaler,
-            approximation: w.approximation,
-            fault_profile: w.fault_profile,
-            topology: w.topology,
-            seed: w.seed,
-        };
-        scenario
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid cluster scenario: {e}")))?;
-        Ok(scenario)
     }
 }
 

@@ -31,7 +31,12 @@ use serde::{Deserialize, Serialize};
 /// describes a regular grid: `racks × nodes_per_rack` must equal the scenario's node
 /// count, with node `i` living in rack `i / nodes_per_rack` — deterministic and
 /// index-stable, so rack membership never depends on run-time state.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+///
+/// Deserialization runs [`TopologyConfig::validate_shape`], so an archive carrying an
+/// impossible rack grid (zero racks, a non-finite budget) is rejected when it is read;
+/// the fleet-size check runs in `ClusterScenario::validate`.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(validate = "TopologyConfig::validate_shape")]
 pub enum TopologyConfig {
     /// No rack structure: one implicit power/failure domain holding every node, with
     /// no power budget. Pinned byte-identical to the pre-topology simulator.
@@ -120,41 +125,6 @@ impl TopologyConfig {
             }
         }
         Ok(())
-    }
-}
-
-// Hand-written (not derived) so a hand-edited or corrupted archive carrying an
-// impossible rack grid (zero racks, a non-finite budget) is rejected with a
-// descriptive error at the boundary instead of deserializing into a topology that
-// fails mid-run. The mirror enum keeps the derived field plumbing.
-impl serde::Deserialize for TopologyConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        enum TopologyConfigWire {
-            Flat,
-            Racks {
-                racks: usize,
-                nodes_per_rack: usize,
-                #[serde(default)]
-                rack_power_w: Option<f64>,
-            },
-        }
-        let config = match TopologyConfigWire::from_value(value)? {
-            TopologyConfigWire::Flat => TopologyConfig::Flat,
-            TopologyConfigWire::Racks {
-                racks,
-                nodes_per_rack,
-                rack_power_w,
-            } => TopologyConfig::Racks {
-                racks,
-                nodes_per_rack,
-                rack_power_w,
-            },
-        };
-        config
-            .validate_shape()
-            .map_err(|e| serde::Error::custom(format!("invalid topology: {e}")))?;
-        Ok(config)
     }
 }
 

@@ -7,6 +7,9 @@
 //!
 //! The streams are deterministic and stable across runs and platforms, which is all the
 //! reproduction needs; they do not match the upstream `rand` crate bit-for-bit.
+//!
+//! [`rngs::SmallRng`] serializes as its four state words, so an owner checkpoints a
+//! generator as a plain field and a restored one continues the stream exactly.
 
 #![forbid(unsafe_code)]
 
@@ -162,23 +165,30 @@ pub mod rngs {
     }
 
     impl SmallRng {
-        /// Returns the generator's internal 256-bit state, for checkpointing. An RNG
-        /// rebuilt from this state via [`SmallRng::from_state`] continues the stream
-        /// exactly where this one left off.
+        /// Returns the generator's internal 256-bit state: the words it serializes as.
         pub fn state(&self) -> [u64; 4] {
             self.s
         }
+    }
 
-        /// Rebuilds a generator from a state captured by [`SmallRng::state`].
-        ///
-        /// The all-zero state is a fixed point of xoshiro256++ and can never be
-        /// produced by [`SeedableRng::seed_from_u64`]; it is rejected.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            assert!(
-                s.iter().any(|&w| w != 0),
-                "SmallRng::from_state: the all-zero state is invalid"
-            );
-            SmallRng { s }
+    impl serde::Serialize for SmallRng {
+        fn to_value(&self) -> serde::Value {
+            self.s.to_value()
+        }
+    }
+
+    /// Reads the four state words back. Any other width is rejected, and so is the
+    /// all-zero state: it is a fixed point of xoshiro256++ that seeding never produces.
+    impl serde::Deserialize for SmallRng {
+        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+            let words = Vec::<u64>::from_value(value)?;
+            let s: [u64; 4] = words.as_slice().try_into().map_err(|_| {
+                serde::Error::custom(format!("rng state must be 4 words, got {}", words.len()))
+            })?;
+            if s == [0; 4] {
+                return Err(serde::Error::custom("rng state must not be all-zero"));
+            }
+            Ok(SmallRng { s })
         }
     }
 
@@ -241,6 +251,7 @@ mod tests {
     use super::rngs::SmallRng;
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
+    use serde::{Deserialize, Serialize, Value};
 
     #[test]
     fn same_seed_same_stream() {
@@ -274,15 +285,33 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_resumes_the_stream() {
+    fn serialized_state_is_the_four_words_and_resumes_the_stream() {
         let mut a = SmallRng::seed_from_u64(42);
         for _ in 0..17 {
             a.gen::<u64>();
         }
-        let mut b = SmallRng::from_state(a.state());
+        let wire = a.to_value();
+        let words: Vec<Value> = a.state().iter().map(|&w| Value::UInt(w)).collect();
+        assert_eq!(wire, Value::Array(words));
+        let mut b = SmallRng::from_value(&wire).unwrap();
         for _ in 0..100 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn deserialize_rejects_the_wrong_width_and_the_all_zero_state() {
+        let words = |n: usize, w: u64| Value::Array(vec![Value::UInt(w); n]);
+        for n in [3, 5] {
+            let err = SmallRng::from_value(&words(n, 7)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("rng state must be 4 words, got {n}")
+            );
+        }
+        let err = SmallRng::from_value(&words(4, 0)).unwrap_err();
+        assert_eq!(err.to_string(), "rng state must not be all-zero");
+        assert!(SmallRng::from_value(&words(4, 7)).is_ok());
     }
 
     #[test]

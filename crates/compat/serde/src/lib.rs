@@ -10,11 +10,19 @@
 //! a deliberate simplification: the pliant workspace only needs deterministic JSON
 //! round-tripping of plain data types.
 //!
-//! Supported field attributes: `#[serde(skip)]`, `#[serde(default)]`,
-//! `#[serde(default = "path")]`, `#[serde(rename = "name")]`. Enums serialize externally
-//! tagged: unit variants as strings, data variants as single-entry objects.
+//! The derives cover structs with named fields and enums, generic or not (a generic
+//! item's declared bounds are copied into the impl). Supported field attributes:
+//! `#[serde(skip)]`, `#[serde(default)]`, `#[serde(default = "path")]`,
+//! `#[serde(rename = "name")]`, `#[serde(skip_serializing_if = "path")]`. The container
+//! attribute `#[serde(validate = "path")]` makes `Deserialize` call `path(&value)` after
+//! reading the fields and turn an `Err(e)` into the error `invalid <noun>: <e>`, the
+//! noun being the type name in lower-case words. Enums serialize externally tagged: unit
+//! variants as strings, data variants as single-entry objects.
 
 #![forbid(unsafe_code)]
+
+// Lets this crate's own tests use the derives, whose output names `::serde`.
+extern crate self as serde;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -509,6 +517,95 @@ mod tests {
     fn absent_fields_only_default_for_option() {
         assert_eq!(<Option<u32> as Deserialize>::absent(), Some(None));
         assert_eq!(<u32 as Deserialize>::absent(), None);
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(validate = "Percent::validate")]
+    struct Percent {
+        value: f64,
+    }
+
+    impl Percent {
+        fn validate(&self) -> Result<(), String> {
+            if (0.0..=100.0).contains(&self.value) {
+                Ok(())
+            } else {
+                Err(format!("{} lies outside [0, 100]", self.value))
+            }
+        }
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(validate = "Bound::check")]
+    enum Bound {
+        Open,
+        At { limit: i64 },
+    }
+
+    impl Bound {
+        fn check(&self) -> Result<(), &'static str> {
+            match self {
+                Bound::At { limit } if *limit < 0 => Err("limits are non-negative"),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn validate_hook_accepts_valid_values_and_names_the_type_on_rejection() {
+        let ok = Percent { value: 42.0 };
+        assert_eq!(Percent::from_value(&ok.to_value()).unwrap(), ok);
+        let err = Percent::from_value(&Percent { value: 140.0 }.to_value()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid percent: 140 lies outside [0, 100]"
+        );
+
+        assert_eq!(
+            Bound::from_value(&Bound::Open.to_value()).unwrap(),
+            Bound::Open
+        );
+        let at = Bound::At { limit: 3 };
+        assert_eq!(Bound::from_value(&at.to_value()).unwrap(), at);
+        let err = Bound::from_value(&Bound::At { limit: -1 }.to_value()).unwrap_err();
+        assert_eq!(err.to_string(), "invalid bound: limits are non-negative");
+        // Shape errors come from the field reads, before the hook runs.
+        assert!(Percent::from_value(&Value::Null).is_err());
+    }
+
+    trait Unit: Serialize + Deserialize {
+        type Scale: Serialize + Deserialize;
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Metres {
+        Metre,
+    }
+
+    impl Unit for Metres {
+        type Scale = u32;
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Reading<U: Unit = Metres, const N: usize = 2> {
+        unit: U,
+        scales: Vec<U::Scale>,
+        label: Option<String>,
+    }
+
+    #[test]
+    fn generic_derive_copies_bounds_and_drops_defaults() {
+        let reading: Reading = Reading {
+            unit: Metres::Metre,
+            scales: vec![1, 1000],
+            label: None,
+        };
+        let value = reading.to_value();
+        assert_eq!(
+            value.get("scales"),
+            Some(&Value::Array(vec![Value::UInt(1), Value::UInt(1000)]))
+        );
+        assert_eq!(Reading::<Metres, 2>::from_value(&value).unwrap(), reading);
     }
 
     #[test]

@@ -5,26 +5,36 @@
 //! environment): the item is parsed with a small hand-rolled token cursor and the impl is
 //! generated as a string, which `proc_macro`'s `FromStr` turns back into tokens.
 //!
-//! Supported shapes: non-generic structs with named fields and non-generic enums with
-//! unit, tuple, or struct variants. Supported attributes: `#[serde(skip)]`,
-//! `#[serde(default)]`, `#[serde(default = "path")]`, `#[serde(rename = "name")]`,
+//! Supported shapes: structs with named fields and enums with unit, tuple, or struct
+//! variants, generic or not. A generic item's `<…>` parameters are copied into the impl
+//! with their bounds and without their defaults, and no bounds are added: the declared
+//! bounds must already imply that every field serializes.
+//!
+//! Field and variant attributes: `#[serde(skip)]`, `#[serde(default)]`,
+//! `#[serde(default = "path")]`, `#[serde(rename = "name")]`,
 //! `#[serde(skip_serializing_if = "path")]`.
+//!
+//! Container attribute: `#[serde(validate = "path")]`. After the derived field reads,
+//! `Deserialize` calls `path(&value)`, which returns `Result<(), E>` with `E: Display`;
+//! an `Err(e)` becomes the error `invalid <noun>: <e>`, where the noun is the type name
+//! split into lower-case words (`LoadProfile` reads `load profile`).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug, Clone, Default)]
-struct FieldAttrs {
+struct Attrs {
     skip: bool,
     default: bool,
     default_path: Option<String>,
     rename: Option<String>,
     skip_serializing_if: Option<String>,
+    validate: Option<String>,
 }
 
 #[derive(Debug, Clone)]
 struct Field {
     ident: String,
-    attrs: FieldAttrs,
+    attrs: Attrs,
 }
 
 impl Field {
@@ -65,6 +75,13 @@ enum ItemKind {
 #[derive(Debug)]
 struct Item {
     name: String,
+    /// The impl's parameter list, bounds kept and defaults dropped (`<S: Bound>`), or
+    /// empty for a non-generic item.
+    impl_generics: String,
+    /// The type's argument list (`<S>`), or empty.
+    type_generics: String,
+    /// The `#[serde(validate = "path")]` hook.
+    validate: Option<String>,
     kind: ItemKind,
 }
 
@@ -93,24 +110,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-
-    // Skip outer attributes and visibility.
-    loop {
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                i += 2; // '#' + bracket group
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1; // pub(crate) etc.
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
+    let attrs = parse_attrs(&tokens, &mut i);
+    skip_visibility(&tokens, &mut i);
 
     let kind_kw = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -122,12 +123,7 @@ fn parse_item(input: TokenStream) -> Item {
         other => panic!("serde derive: expected item name, found {other:?}"),
     };
     i += 1;
-
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        if p.as_char() == '<' {
-            panic!("serde derive shim: generic types are not supported (type `{name}`)");
-        }
-    }
+    let (impl_generics, type_generics) = parse_generics(&tokens, &mut i);
 
     // Skip a possible where-clause (none in this workspace) and find the body group.
     let body = loop {
@@ -148,13 +144,87 @@ fn parse_item(input: TokenStream) -> Item {
         "enum" => ItemKind::Enum(parse_variants(body)),
         other => panic!("serde derive: cannot derive for `{other}` items"),
     };
-    Item { name, kind }
+    Item {
+        name,
+        impl_generics,
+        type_generics,
+        validate: attrs.validate,
+        kind,
+    }
+}
+
+/// Advances past `pub` / `pub(crate)` and the like.
+fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
+    if matches!(tokens.get(*i), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
+        *i += 1;
+        if matches!(tokens.get(*i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
+        {
+            *i += 1;
+        }
+    }
+}
+
+/// Parses the `<…>` after an item name into the impl's parameter list (each parameter
+/// with its bounds, without its default) and the type's argument list (the names).
+/// Both are empty when the item is not generic.
+fn parse_generics(tokens: &[TokenTree], i: &mut usize) -> (String, String) {
+    if !matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        return (String::new(), String::new());
+    }
+    *i += 1;
+    // Each parameter's tokens up to its default, split at top-level commas.
+    let mut params: Vec<Vec<TokenTree>> = vec![Vec::new()];
+    let mut in_default = false;
+    let mut depth = 0usize;
+    loop {
+        let tok = tokens
+            .get(*i)
+            .cloned()
+            .expect("serde derive: unterminated generic parameter list");
+        *i += 1;
+        if let TokenTree::Punct(p) = &tok {
+            match p.as_char() {
+                '<' => depth += 1,
+                '>' if depth == 0 => break,
+                '>' => depth -= 1,
+                ',' if depth == 0 => {
+                    params.push(Vec::new());
+                    in_default = false;
+                    continue;
+                }
+                '=' if depth == 0 => in_default = true,
+                _ => {}
+            }
+        }
+        if !in_default {
+            params.last_mut().expect("one parameter is open").push(tok);
+        }
+    }
+    params.retain(|p| !p.is_empty());
+    let text = |toks: &[TokenTree]| toks.iter().cloned().collect::<TokenStream>().to_string();
+    let bounded: Vec<String> = params.iter().map(|p| text(p)).collect();
+    let names: Vec<String> = params
+        .iter()
+        .map(|p| {
+            let colon = p
+                .iter()
+                .position(|t| matches!(t, TokenTree::Punct(c) if c.as_char() == ':'))
+                .unwrap_or(p.len());
+            let skip_const =
+                usize::from(matches!(&p[0], TokenTree::Ident(id) if id.to_string() == "const"));
+            text(&p[skip_const..colon])
+        })
+        .collect();
+    (
+        format!("<{}>", bounded.join(", ")),
+        format!("<{}>", names.join(", ")),
+    )
 }
 
 /// Parses `#[serde(...)]`-style attributes at the cursor, returning collected attrs and
 /// advancing past every attribute (serde or not).
-fn parse_attrs(tokens: &[TokenTree], i: &mut usize) -> FieldAttrs {
-    let mut attrs = FieldAttrs::default();
+fn parse_attrs(tokens: &[TokenTree], i: &mut usize) -> Attrs {
+    let mut attrs = Attrs::default();
     while let Some(TokenTree::Punct(p)) = tokens.get(*i) {
         if p.as_char() != '#' {
             break;
@@ -212,6 +282,7 @@ fn parse_attrs(tokens: &[TokenTree], i: &mut usize) -> FieldAttrs {
                 ("skip_serializing_if", Some(path)) => {
                     attrs.skip_serializing_if = Some(path);
                 }
+                ("validate", Some(path)) => attrs.validate = Some(path),
                 (other, _) => {
                     panic!("serde derive shim: unsupported serde attribute `{other}`")
                 }
@@ -231,17 +302,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let mut i = 0;
     while i < tokens.len() {
         let attrs = parse_attrs(&tokens, &mut i);
-        // Visibility.
-        if let Some(TokenTree::Ident(id)) = tokens.get(i) {
-            if id.to_string() == "pub" {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-        }
+        skip_visibility(&tokens, &mut i);
         let ident = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
@@ -437,8 +498,9 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{\n{arms}}}")
         }
     };
+    let (impl_generics, type_generics) = (&item.impl_generics, &item.type_generics);
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
+        "impl{impl_generics} ::serde::Serialize for {name}{type_generics} {{\n\
          fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
          }}\n"
     )
@@ -476,7 +538,8 @@ fn gen_field_read(ty_name: &str, f: &Field, source: &str) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.kind {
+    // Binds the decoded value to `__out`; a malformed input returns early.
+    let decode = match &item.kind {
         ItemKind::Struct(fields) => {
             let mut reads = String::new();
             for f in fields {
@@ -486,7 +549,7 @@ fn gen_deserialize(item: &Item) -> String {
                 "if __value.as_object().is_none() {{\n\
                  return Err(::serde::Error::unexpected(\"{name} (object)\", __value));\n\
                  }}\n\
-                 Ok({name} {{\n{reads}}})"
+                 let __out = {name} {{\n{reads}}};\n"
             )
         }
         ItemKind::Enum(variants) => {
@@ -496,11 +559,11 @@ fn gen_deserialize(item: &Item) -> String {
                 let vi = &v.ident;
                 let wire = v.wire_name();
                 match &v.fields {
-                    VariantFields::Unit => str_arms.push_str(&format!(
-                        "\"{wire}\" => return Ok({name}::{vi}),\n"
-                    )),
+                    VariantFields::Unit => {
+                        str_arms.push_str(&format!("\"{wire}\" => {name}::{vi},\n"))
+                    }
                     VariantFields::Tuple(1) => tagged_arms.push_str(&format!(
-                        "\"{wire}\" => return Ok({name}::{vi}(::serde::Deserialize::from_value(__inner)?)),\n"
+                        "\"{wire}\" => {name}::{vi}(::serde::Deserialize::from_value(__inner)?),\n"
                     )),
                     VariantFields::Tuple(n) => {
                         let reads: Vec<String> = (0..*n)
@@ -512,7 +575,7 @@ fn gen_deserialize(item: &Item) -> String {
                              if __items.len() != {n} {{\n\
                              return Err(::serde::Error::custom(\"wrong tuple arity for {name}::{vi}\"));\n\
                              }}\n\
-                             return Ok({name}::{vi}({}));\n\
+                             {name}::{vi}({})\n\
                              }}\n",
                             reads.join(", ")
                         ));
@@ -522,26 +585,49 @@ fn gen_deserialize(item: &Item) -> String {
                         for f in fields {
                             reads.push_str(&gen_field_read(name, f, "__inner"));
                         }
-                        tagged_arms.push_str(&format!(
-                            "\"{wire}\" => return Ok({name}::{vi} {{\n{reads}}}),\n"
-                        ));
+                        tagged_arms
+                            .push_str(&format!("\"{wire}\" => {name}::{vi} {{\n{reads}}},\n"));
                     }
                 }
             }
             format!(
-                "if let Some(__s) = __value.as_str() {{\n\
+                "let __out = if let Some(__s) = __value.as_str() {{\n\
                  match __s {{\n{str_arms}_ => return Err(::serde::Error::custom(format!(\"unknown {name} variant `{{__s}}`\"))),\n}}\n\
-                 }}\n\
-                 if let Some((__tag, __inner)) = __value.as_single_entry() {{\n\
+                 }} else if let Some((__tag, __inner)) = __value.as_single_entry() {{\n\
                  match __tag {{\n{tagged_arms}_ => return Err(::serde::Error::custom(format!(\"unknown {name} variant `{{__tag}}`\"))),\n}}\n\
-                 }}\n\
-                 Err(::serde::Error::unexpected(\"{name} (string or single-entry object)\", __value))"
+                 }} else {{\n\
+                 return Err(::serde::Error::unexpected(\"{name} (string or single-entry object)\", __value));\n\
+                 }};\n"
             )
         }
     };
+    let validate = match &item.validate {
+        Some(path) => format!(
+            "if let Err(__e) = {path}(&__out) {{\n\
+             return Err(::serde::Error::custom(format!(\"invalid {}: {{__e}}\")));\n\
+             }}\n",
+            type_noun(name)
+        ),
+        None => String::new(),
+    };
+    let (impl_generics, type_generics) = (&item.impl_generics, &item.type_generics);
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
+        "impl{impl_generics} ::serde::Deserialize for {name}{type_generics} {{\n\
+         fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         {decode}{validate}Ok(__out)\n}}\n\
          }}\n"
     )
+}
+
+/// The type name split into lower-case words (`LoadProfile` → `load profile`): the noun
+/// a `validate` rejection names.
+fn type_noun(name: &str) -> String {
+    let mut noun = String::new();
+    for (k, c) in name.chars().enumerate() {
+        if c.is_uppercase() && k > 0 {
+            noun.push(' ');
+        }
+        noun.extend(c.to_lowercase());
+    }
+    noun
 }

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::Catalog;
 use pliant_sim::colocation::ColocationConfig;
@@ -27,7 +27,7 @@ use crate::controller::ControllerConfig;
 use crate::experiment::{AppOutcome, ColocationOutcome, PhaseQosStats};
 use crate::runtime::NodeRuntime;
 use crate::scenario::Scenario;
-use crate::suite::{field, Suite, SweepScenario};
+use crate::suite::{Suite, SweepScenario};
 
 /// How an [`Engine`] schedules the cells of a suite: how many run at once. A cell is
 /// one node scenario, or one whole fleet in `pliant_cluster`; a fleet steps its nodes
@@ -47,7 +47,7 @@ pub enum ExecMode {
 /// One executed suite cell: the scenario that was run and what came out. Serialized, a
 /// cell reads `{"index": …, "scenario": {…}, "outcome": {…}}`, so a suite run archived
 /// one cell per JSON line can be re-aggregated without re-simulating.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellOutcome<S: SweepScenario = Scenario> {
     /// Cell index within the suite grid.
     pub index: usize,
@@ -55,26 +55,6 @@ pub struct CellOutcome<S: SweepScenario = Scenario> {
     pub scenario: S,
     /// What the run produced.
     pub outcome: S::Outcome,
-}
-
-impl<S: SweepScenario> Serialize for CellOutcome<S> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("index".to_string(), self.index.to_value()),
-            ("scenario".to_string(), self.scenario.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-        ])
-    }
-}
-
-impl<S: SweepScenario> Deserialize for CellOutcome<S> {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(CellOutcome {
-            index: usize::from_value(field(value, "CellOutcome", "index")?)?,
-            scenario: S::from_value(field(value, "CellOutcome", "scenario")?)?,
-            outcome: S::Outcome::from_value(field(value, "CellOutcome", "outcome")?)?,
-        })
-    }
 }
 
 /// Executes scenarios and suites; see the module docs.

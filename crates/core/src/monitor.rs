@@ -15,7 +15,7 @@
 //! [`LatencySource::gather`], so a [`LatencySamples`] source maps only the samples the
 //! monitor reads. At the end of an interval the RNG is rewound to the last chunk's start
 //! and advanced by exactly the gaps consumed, so the selection, the stream position and
-//! every [`MonitorSnapshot`] match drawing one gap per selection. Because the
+//! the checkpointed [`MonitorState`] match drawing one gap per selection. Because the
 //! histogram is the same [`LatencyHistogram`] (same bucket layout, same microsecond
 //! scale) the cluster layer merges for fleet-level quantiles, per-interval monitor
 //! histograms are exact-merge-compatible with fleet aggregation. The price of the
@@ -141,15 +141,15 @@ pub struct MonitorReport {
     pub no_signal: bool,
 }
 
-/// Serializable snapshot of a monitor's mutable state, for checkpointing.
+/// A monitor's mutable state: the value checkpoints carry.
 ///
 /// The interval histogram is deliberately absent: it describes exactly one interval and
 /// is reset at the start of every [`PerformanceMonitor::observe_interval`], so a restored
 /// monitor reproduces the uninterrupted run bit-for-bit from its next interval onward.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MonitorSnapshot {
-    /// Sampling-RNG state (wire form; see [`pliant_telemetry::rng::rng_state_words`]).
-    pub rng: Vec<u64>,
+pub struct MonitorState {
+    /// Sampling RNG.
+    pub rng: SmallRng,
     /// The EWMA over interval tail estimates.
     pub ewma: EwmaTracker,
     /// Whether adaptive sampling is currently escalated.
@@ -162,10 +162,7 @@ pub struct MonitorSnapshot {
 #[derive(Debug, Clone)]
 pub struct PerformanceMonitor {
     config: MonitorConfig,
-    rng: SmallRng,
-    ewma: EwmaTracker,
-    currently_elevated: bool,
-    intervals_observed: u64,
+    state: MonitorState,
     /// Interval histogram, reset (not reallocated) every interval.
     hist: LatencyHistogram,
     /// `ln(1 - base_sample_rate)`, precomputed for geometric skip-sampling.
@@ -179,10 +176,12 @@ impl PerformanceMonitor {
     pub fn new(config: MonitorConfig, seed: u64) -> Self {
         Self {
             config,
-            rng: seeded_rng(seed),
-            ewma: EwmaTracker::new(config.ewma_alpha),
-            currently_elevated: false,
-            intervals_observed: 0,
+            state: MonitorState {
+                rng: seeded_rng(seed),
+                ewma: EwmaTracker::new(config.ewma_alpha),
+                currently_elevated: false,
+                intervals_observed: 0,
+            },
             hist: LatencyHistogram::new(),
             base_skip_ln: (1.0 - config.base_sample_rate).ln(),
             elevated_skip_ln: (1.0 - config.elevated_sample_rate).ln(),
@@ -196,7 +195,7 @@ impl PerformanceMonitor {
 
     /// Current sampling rate (adaptive: escalates near or above the QoS target).
     pub fn sample_rate(&self) -> f64 {
-        if self.currently_elevated {
+        if self.state.currently_elevated {
             self.config.elevated_sample_rate
         } else {
             self.config.base_sample_rate
@@ -205,31 +204,30 @@ impl PerformanceMonitor {
 
     /// Number of intervals observed so far.
     pub fn intervals_observed(&self) -> u64 {
-        self.intervals_observed
+        self.state.intervals_observed
     }
 
-    /// Captures the monitor's mutable state for checkpointing (the configuration is
-    /// rebuilt from the scenario, the interval histogram from the next interval).
-    pub fn snapshot(&self) -> MonitorSnapshot {
-        MonitorSnapshot {
-            rng: pliant_telemetry::rng::rng_state_words(&self.rng),
-            ewma: self.ewma.clone(),
-            currently_elevated: self.currently_elevated,
-            intervals_observed: self.intervals_observed,
-        }
+    /// The monitor's mutable state (the configuration is rebuilt from the scenario, the
+    /// interval histogram from the next interval).
+    pub fn state(&self) -> &MonitorState {
+        &self.state
     }
 
-    /// Restores state captured by [`Self::snapshot`] onto a monitor built with the same
-    /// configuration and seed, continuing every stream where the snapshot left off.
+    /// Restores state taken from [`Self::state`] onto a monitor built with the same
+    /// configuration and seed, continuing every stream where it left off.
     ///
     /// # Errors
     ///
-    /// Rejects malformed RNG wire states (wrong width or all-zero).
-    pub fn restore(&mut self, snapshot: &MonitorSnapshot) -> Result<(), String> {
-        self.rng = pliant_telemetry::rng::rng_from_state_words(&snapshot.rng)?;
-        self.ewma = snapshot.ewma.clone();
-        self.currently_elevated = snapshot.currently_elevated;
-        self.intervals_observed = snapshot.intervals_observed;
+    /// Rejects an EWMA whose smoothing factor differs from the configured `ewma_alpha`.
+    pub fn restore(&mut self, state: &MonitorState) -> Result<(), String> {
+        if state.ewma.alpha() != self.config.ewma_alpha {
+            return Err(format!(
+                "EWMA alpha {} differs from the configured {}",
+                state.ewma.alpha(),
+                self.config.ewma_alpha
+            ));
+        }
+        self.state.clone_from(state);
         self.hist.reset();
         Ok(())
     }
@@ -240,7 +238,7 @@ impl PerformanceMonitor {
         &mut self,
         latencies_s: &S,
     ) -> MonitorReport {
-        self.intervals_observed += 1;
+        self.state.intervals_observed += 1;
         // An interval without a single request (idle gap / load trough) used to fall
         // through the empty-histogram path as `p99 = 0, slack = 1.0` — maximal headroom
         // out of thin air, driving the controller to relax exactly when it should hold.
@@ -251,7 +249,7 @@ impl PerformanceMonitor {
             // nothing, so it must read empty (a stale busy-interval histogram would be
             // double-counted by per-interval fleet merging).
             self.hist.reset();
-            let held = self.ewma.value().unwrap_or(0.0);
+            let held = self.state.ewma.value().unwrap_or(0.0);
             return MonitorReport {
                 p99_s: held,
                 mean_s: 0.0,
@@ -279,7 +277,7 @@ impl PerformanceMonitor {
             // Statistically identical selection; non-finite samples are clamped to zero
             // exactly as `LatencyHistogram::record` does, so the ingest boundary is
             // NaN-free by construction.
-            let ln_one_minus_rate = if self.currently_elevated {
+            let ln_one_minus_rate = if self.state.currently_elevated {
                 self.elevated_skip_ln
             } else {
                 self.base_skip_ln
@@ -298,9 +296,9 @@ impl PerformanceMonitor {
             let mut values = [0.0f64; GAP_CHUNK];
             let mut next = 0usize;
             loop {
-                let chunk_start = self.rng.clone();
+                let chunk_start = self.state.rng.clone();
                 for u in uniforms.iter_mut() {
-                    *u = 1.0 - self.rng.gen_range(0.0f64..1.0);
+                    *u = 1.0 - self.state.rng.gen_range(0.0f64..1.0);
                 }
                 // 1 - unit uniform lies in [2^-53, 1], the domain of `fast_ln_unit`, so
                 // the logarithm is finite and <= 0; the ratio of two non-positive finite
@@ -329,9 +327,9 @@ impl PerformanceMonitor {
                 }
                 sampled += taken as u64;
                 if let Some(last) = past_end {
-                    self.rng = chunk_start;
+                    self.state.rng = chunk_start;
                     for _ in 0..=last {
-                        self.rng.next_u64();
+                        self.state.rng.next_u64();
                     }
                     break;
                 }
@@ -347,9 +345,10 @@ impl PerformanceMonitor {
             (self.hist.p99() / 1e6, sum / sampled as f64, sampled)
         };
 
-        self.ewma.observe(p99_s);
-        let smoothed = self.ewma.value().unwrap_or(p99_s);
-        self.currently_elevated = p99_s >= self.config.qos_target_s * self.config.escalation_ratio;
+        self.state.ewma.observe(p99_s);
+        let smoothed = self.state.ewma.value().unwrap_or(p99_s);
+        self.state.currently_elevated =
+            p99_s >= self.config.qos_target_s * self.config.escalation_ratio;
 
         MonitorReport {
             p99_s,
@@ -581,24 +580,24 @@ mod tests {
                         // vector would.
                         let slice_report = over_slice.observe_interval(mapped.as_slice());
                         assert_eq!(report_bits(&report), report_bits(&slice_report), "{at}");
-                        assert_eq!(over_slice.snapshot().rng, monitor.snapshot().rng, "{at}");
+                        assert_eq!(over_slice.state().rng, monitor.state().rng, "{at}");
                         if rate < 1.0 {
                             let (sampled, mean, p99) =
                                 one_gap_at_a_time(&mut reference, ln_one_minus_rate, &mapped);
                             assert_eq!(report.sampled, sampled, "{at}");
                             assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
                             assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
-                            assert_eq!(monitor.snapshot().rng, reference.state().to_vec(), "{at}");
+                            assert_eq!(monitor.state().rng, reference, "{at}");
                         } else {
                             assert_eq!(report.sampled, len as u64, "{at}");
                         }
                         // A monitor restored mid-run continues identically.
                         if let Some(twin) = resumed.as_mut() {
                             assert_eq!(twin.observe_interval(&samples), report, "{at}");
-                            assert_eq!(twin.snapshot().rng, monitor.snapshot().rng, "{at}");
+                            assert_eq!(twin.state().rng, monitor.state().rng, "{at}");
                         } else if round == 1 && li == 2 {
                             let mut twin = PerformanceMonitor::new(config, seed);
-                            twin.restore(&monitor.snapshot()).expect("valid snapshot");
+                            twin.restore(monitor.state()).expect("valid state");
                             resumed = Some(twin);
                         }
                     }

@@ -10,19 +10,19 @@
 //! an interval differently — and then call [`NodeRuntime::control`] once per decision
 //! interval.
 //!
-//! A checkpoint of the runtime is the simulator's and monitor's snapshots plus the
+//! A checkpoint of the runtime is the simulator's and monitor's state values plus the
 //! [`Policy`] value itself and the actuator's counters; [`NodeRuntime::restore`]
 //! rejects a policy of another kind or one sized for a different co-location.
 
 use pliant_approx::catalog::Catalog;
-use pliant_sim::colocation::{ColocationConfig, ColocationSim, ColocationSimSnapshot};
+use pliant_sim::colocation::{ColocationConfig, ColocationSim, ColocationState};
 use pliant_telemetry::obs::{Event, ObsAction, ObsBuffer};
 use pliant_telemetry::rng::derive_seed;
 
 use crate::actuator::{Action, Actuator, ActuatorStats};
 use crate::controller::ControllerConfig;
 use crate::monitor::{
-    LatencySource, MonitorConfig, MonitorReport, MonitorSnapshot, PerformanceMonitor,
+    LatencySource, MonitorConfig, MonitorReport, MonitorState, PerformanceMonitor,
 };
 use crate::policy::{Policy, PolicyKind};
 
@@ -155,8 +155,8 @@ impl NodeRuntime {
     }
 
     /// The monitor's checkpointable state.
-    pub fn monitor_snapshot(&self) -> MonitorSnapshot {
-        self.monitor.snapshot()
+    pub fn monitor_state(&self) -> &MonitorState {
+        self.monitor.state()
     }
 
     /// The actuator's counters.
@@ -174,9 +174,9 @@ impl NodeRuntime {
     /// simulator's application count.
     pub fn restore(
         &mut self,
-        sim: &ColocationSimSnapshot,
+        sim: &ColocationState,
         policy: &Policy,
-        monitor: &MonitorSnapshot,
+        monitor: &MonitorState,
         actuator_stats: ActuatorStats,
     ) -> Result<(), String> {
         self.sim

@@ -47,8 +47,11 @@ impl Horizon {
 /// A complete, serializable description of one co-location experiment.
 ///
 /// Construct with [`Scenario::builder`]. All fields are public so sinks and analysis code
-/// can read them back from archived suites.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// can read them back from archived suites. Deserialization runs [`Scenario::validate`],
+/// so a hand-edited or corrupted archive is rejected with a descriptive error instead of
+/// becoming an impossible experiment that fails later, mid-run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "Scenario::validate")]
 pub struct Scenario {
     /// Optional display label (suites set this to the cell's sweep coordinates).
     pub label: Option<String>,
@@ -167,55 +170,6 @@ impl Scenario {
                 format!("{}+{}/{}", self.service.name(), apps.join("+"), self.policy)
             }
         }
-    }
-}
-
-// Hand-written (not derived) so the invariants are enforced at the archive boundary:
-// a hand-edited or corrupted suite is rejected here with a descriptive error instead of
-// deserializing into an impossible experiment that fails later, mid-run. The mirror
-// struct keeps the derived field plumbing; only the validate() call is added on top.
-impl serde::Deserialize for Scenario {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct ScenarioWire {
-            label: Option<String>,
-            service: ServiceId,
-            apps: Vec<AppId>,
-            policy: PolicyKind,
-            load_fraction: f64,
-            load_profile: Option<LoadProfile>,
-            decision_interval_s: f64,
-            slack_threshold: f64,
-            consecutive_slack_required: u32,
-            horizon: Horizon,
-            stop_when_apps_finish: bool,
-            instrumented: Option<bool>,
-            qos_target_s: Option<f64>,
-            samples_per_interval: Option<usize>,
-            seed: u64,
-        }
-        let w = ScenarioWire::from_value(value)?;
-        let scenario = Scenario {
-            label: w.label,
-            service: w.service,
-            apps: w.apps,
-            policy: w.policy,
-            load_fraction: w.load_fraction,
-            load_profile: w.load_profile,
-            decision_interval_s: w.decision_interval_s,
-            slack_threshold: w.slack_threshold,
-            consecutive_slack_required: w.consecutive_slack_required,
-            horizon: w.horizon,
-            stop_when_apps_finish: w.stop_when_apps_finish,
-            instrumented: w.instrumented,
-            qos_target_s: w.qos_target_s,
-            samples_per_interval: w.samples_per_interval,
-            seed: w.seed,
-        };
-        scenario
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid scenario: {e}")))?;
-        Ok(scenario)
     }
 }
 

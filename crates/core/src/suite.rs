@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::AppId;
 use pliant_telemetry::rng::derive_seed;
@@ -263,51 +263,17 @@ pub enum SeedMode {
 /// assert_eq!(cells[0].policy, PolicyKind::Precise);
 /// assert_eq!(cells[0].load_fraction, 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Deserialization runs [`Suite::validate`], so an archive with an empty axis, a
+/// duplicated knob or a cell that cannot run is rejected when it is read, not when the
+/// engine reaches it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "Suite::validate")]
 pub struct Suite<S: SweepScenario = Scenario> {
     name: String,
     base: S,
     seed_mode: SeedMode,
     axes: Vec<S::Axis>,
-}
-
-/// The field `key` of the object `value`, for the hand-written generic serde impls.
-pub(crate) fn field<'a>(value: &'a Value, ty: &str, key: &str) -> Result<&'a Value, serde::Error> {
-    if value.as_object().is_none() {
-        return Err(serde::Error::unexpected(ty, value));
-    }
-    value
-        .get(key)
-        .ok_or_else(|| serde::Error::missing_field(ty, key))
-}
-
-impl<S: SweepScenario> Serialize for Suite<S> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("base".to_string(), self.base.to_value()),
-            ("seed_mode".to_string(), self.seed_mode.to_value()),
-            ("axes".to_string(), self.axes.to_value()),
-        ])
-    }
-}
-
-// Hand-written (the derive does not cover generics) so that every archive is validated
-// at the boundary: an empty axis, a duplicated knob or a cell that cannot run is
-// rejected with a descriptive error, not when the engine reaches it.
-impl<S: SweepScenario> Deserialize for Suite<S> {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let suite = Suite {
-            name: String::from_value(field(value, "Suite", "name")?)?,
-            base: S::from_value(field(value, "Suite", "base")?)?,
-            seed_mode: SeedMode::from_value(field(value, "Suite", "seed_mode")?)?,
-            axes: Vec::from_value(field(value, "Suite", "axes")?)?,
-        };
-        suite
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid suite: {e}")))?;
-        Ok(suite)
-    }
 }
 
 impl<S: SweepScenario> Suite<S> {

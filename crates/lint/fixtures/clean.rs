@@ -28,7 +28,8 @@ fn tally(keys: &[u64]) -> usize {
     counts.len()
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Deserialize)]
+#[serde(validate = "ArchiveModel::validate")]
 struct ArchiveModel {
     weight: f64,
 }

@@ -37,6 +37,8 @@ pub struct DeriveInfo {
     pub line: u32,
     /// The derived trait names.
     pub traits: Vec<String>,
+    /// Whether the item carries a `#[serde(validate = "…")]` hook.
+    pub validated: bool,
     /// Whether the item sits inside test code.
     pub in_test: bool,
 }
@@ -166,12 +168,14 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
                         .filter(|t| t.kind == TokenKind::Ident)
                         .map(|t| t.text.clone())
                         .unwrap_or_default();
+                    let validated = std::mem::take(&mut pending.validated);
                     if let Some((traits, line)) = pending.derives.take() {
                         if !name.is_empty() {
                             analysis.derives.push(DeriveInfo {
                                 type_name: name.clone(),
                                 line,
                                 traits,
+                                validated,
                                 in_test: in_test_now(&scopes, &pending),
                             });
                         }
@@ -209,6 +213,7 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
                 };
                 pending.test = false;
                 pending.derives = None;
+                pending.validated = false;
                 scopes.push(scope);
             }
             TokenKind::Punct if tok.is_punct('}') => {
@@ -220,6 +225,7 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
                 pending.item = None;
                 pending.test = false;
                 pending.derives = None;
+                pending.validated = false;
             }
             _ => {}
         }
@@ -251,6 +257,8 @@ struct Pending {
     test: bool,
     /// `#[derive(...)]` traits and attribute line, not yet attached to a type.
     derives: Option<(Vec<String>, u32)>,
+    /// `#[serde(validate = "…")]` seen and not yet attached to a type.
+    validated: bool,
 }
 
 impl Pending {
@@ -268,6 +276,7 @@ impl Pending {
                 let traits = rest.iter().map(|s| s.to_string()).collect();
                 self.derives = Some((traits, line));
             }
+            ["serde", args @ ..] if args.contains(&"validate") => self.validated = true,
             _ => {}
         }
     }
@@ -439,12 +448,17 @@ mod tests {
             }
             #[derive(Serialize)]
             struct Plain;
+            #[derive(Deserialize)]
+            #[serde(validate = \"Checked::validate\")]
+            struct Checked { #[serde(default)] y: u32 }
         ";
         let a = analyze("x.rs", src);
-        assert_eq!(a.derives.len(), 2);
+        assert_eq!(a.derives.len(), 3);
         assert_eq!(a.derives[0].type_name, "Config");
         assert!(a.derives[0].traits.iter().any(|t| t == "Deserialize"));
         assert_eq!(a.derives[0].line, 2);
+        assert!(!a.derives[0].validated);
+        assert!(a.derives[2].validated);
         assert!(a.validate_types.contains("Config"));
         assert!(!a.validate_types.contains("Plain"));
     }

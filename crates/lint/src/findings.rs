@@ -42,8 +42,8 @@ pub const ALL_RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: rules::VALIDATE_BYPASS,
-        summary: "#[derive(Deserialize)] on a type that defines fn validate; hand-write \
-                  Deserialize so archives validate at the boundary",
+        summary: "#[derive(Deserialize)] on a type that defines fn validate, without a \
+                  #[serde(validate = \"...\")] hook that checks archives at the boundary",
     },
     RuleInfo {
         id: rules::PANIC_HYGIENE,

@@ -171,15 +171,16 @@ fn nondeterminism(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding
     }
 }
 
-/// `#[derive(Deserialize)]` on a type that defines `fn validate`: a deserialized archive
-/// bypasses the invariants (the PR 5 InterferenceModel/PowerModel bug). The fix is a
-/// hand-written `Deserialize` whose `from_value` calls `validate()`.
+/// `#[derive(Deserialize)]` on a type that defines `fn validate`, without a
+/// `#[serde(validate = "…")]` hook: a deserialized archive bypasses the invariants (the
+/// PR 5 InterferenceModel/PowerModel bug). The fix is the hook, which makes the derived
+/// `from_value` call the check.
 fn validate_bypass(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>) {
     if path_in(&a.rel_path, &cfg.validate_bypass_exempt) || path_is_test_code(&a.rel_path) {
         return;
     }
     for d in &a.derives {
-        if d.in_test || !d.traits.iter().any(|t| t == "Deserialize") {
+        if d.in_test || d.validated || !d.traits.iter().any(|t| t == "Deserialize") {
             continue;
         }
         if a.validate_types.contains(&d.type_name) {
@@ -189,9 +190,9 @@ fn validate_bypass(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Findin
                 a,
                 d.line,
                 format!(
-                    "`{}` defines `fn validate` but derives Deserialize, so a deserialized \
-                     archive bypasses its invariants; hand-write `impl serde::Deserialize` \
-                     calling validate() (see InterferenceModel)",
+                    "`{0}` defines `fn validate` but derives Deserialize without a hook, so a \
+                     deserialized archive bypasses its invariants; add \
+                     `#[serde(validate = \"{0}::validate\")]` (see InterferenceModel)",
                     d.type_name
                 ),
             );

@@ -65,6 +65,31 @@ fn violations_fixture_findings_are_exact() {
     assert!(findings[0].message.contains("total_cmp"));
 }
 
+/// A derived `Deserialize` on a type with `fn validate` passes only with the
+/// `#[serde(validate = "…")]` hook: the violations fixture derives without it, the clean
+/// fixture derives with it.
+#[test]
+fn validate_bypass_is_satisfied_by_the_validate_hook() {
+    let bypass = |name: &str| {
+        let (rel, src) = fixture(name);
+        lint_source(&rel, &src, &LintConfig::all_paths())
+            .into_iter()
+            .filter(|f| f.rule == "validate-bypass")
+            .collect::<Vec<_>>()
+    };
+    let without = bypass("violations.rs");
+    assert_eq!(without.len(), 1, "{}", render(&without));
+    assert!(
+        without[0]
+            .message
+            .contains(r#"#[serde(validate = "ArchiveModel::validate")]"#),
+        "the message must point to the hook, got: {}",
+        without[0].message
+    );
+    let with = bypass("clean.rs");
+    assert!(with.is_empty(), "{}", render(&with));
+}
+
 #[test]
 fn suppressed_fixture_produces_zero_findings() {
     let (rel, src) = fixture("suppressed.rs");

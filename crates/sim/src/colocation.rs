@@ -9,11 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::{AppId, AppProfile, Catalog, ResourcePressure};
-use pliant_telemetry::rng::{
-    derive_seed, rng_from_state_words, rng_state_words, seeded_rng, LatencySamples,
-};
+use pliant_telemetry::rng::{derive_seed, seeded_rng, LatencySamples};
 use pliant_workloads::generator::OpenLoopGenerator;
-use pliant_workloads::profile::{LoadPhase, LoadProfile, LoadProfileError};
+use pliant_workloads::profile::{LoadPhase, LoadProfile};
 use pliant_workloads::service::{ServiceId, ServiceProfile};
 use rand::rngs::SmallRng;
 
@@ -47,9 +45,10 @@ pub struct ColocationConfig {
     pub seed: u64,
 }
 
-// Hand-written to keep pre-profile archives readable: configurations serialized before
-// `load: LoadProfile` existed carry a scalar `load_fraction` field instead, which maps
-// onto a constant profile.
+// Hand-written, not derived: configurations serialized before `load: LoadProfile`
+// existed carry a scalar `load_fraction` field instead, which maps onto a constant
+// profile. A field read that falls back to another field is a form the derive's
+// attributes cannot express.
 impl serde::Deserialize for ColocationConfig {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         fn field<T: serde::Deserialize>(
@@ -198,63 +197,47 @@ pub struct AppIntervalStatus {
 /// The co-location simulation engine.
 #[derive(Debug, Clone)]
 pub struct ColocationSim {
+    /// The configuration the simulator was built with; a run never changes it.
     config: ColocationConfig,
-    apps: Vec<BatchAppState>,
-    service_cores: u32,
-    generator: OpenLoopGenerator,
-    rng: SmallRng,
-    /// Dedicated stream for per-interval latency-sample generation, so the volume of
-    /// monitor samples (the dominant draw count by three orders of magnitude) never
-    /// perturbs the model-noise stream that decides each interval's true p99.
-    sample_rng: SmallRng,
-    time_s: f64,
-    interval_counter: u64,
-    /// Whether the node is parked (drained and suspended by a fleet autoscaler): a
-    /// parked node bills [`PowerModel::parked_w`](crate::server::PowerModel::parked_w)
-    /// instead of allocation-based power. Runtime state, not serialized.
-    parked: bool,
-    /// Effective-frequency factor of a degraded (straggler) node: `1.0` is healthy,
-    /// `0.6` means the machine delivers 60% of its nominal service capacity. Applied to
-    /// the interactive service's latency inputs only (see [`Self::set_degrade`]).
-    degrade: f64,
+    /// Everything a run mutates, kept as the one value a checkpoint carries.
+    state: ColocationState,
     /// Scratch buffer for per-app interference pressures, reused across intervals.
     pressure_scratch: Vec<ResourcePressure>,
 }
 
-/// Serializable snapshot of a [`ColocationSim`]'s full mutable state, for checkpointing.
+/// A [`ColocationSim`]'s full mutable state: the value checkpoints carry.
 ///
-/// The immutable parts of the configuration (server, service, models, seed) are *not*
-/// archived: a restore target is built from the same configuration and the snapshot
-/// overwrites only what a run mutates — load profile, per-slot applications, core
-/// allocation, RNG streams, clocks, and park/degrade flags. The `generator_seed` field
-/// guards against restoring onto a simulator built from a different configuration.
+/// The immutable configuration (server, service, models, seed) is *not* part of it: a
+/// restore target is built from the same configuration, and [`ColocationSim::restore`]
+/// checks that the state fits it (same arrival seed, slot count and core total).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ColocationSimSnapshot {
-    /// The load profile active at the snapshot (mid-run swaps overwrite the config's).
+pub struct ColocationState {
+    /// The load profile in force (mid-run swaps replace the configured one).
     pub load: LoadProfile,
-    /// Per-slot application identities (batch scheduling replaces finished slots).
-    pub config_apps: Vec<AppId>,
-    /// Full per-slot batch-application state.
+    /// Full per-slot batch-application state (batch scheduling replaces finished
+    /// slots).
     pub apps: Vec<BatchAppState>,
     /// Cores currently allocated to the interactive service.
     pub service_cores: u32,
-    /// The arrival generator's current target rate.
-    pub generator_qps: f64,
-    /// The arrival generator's seed (identity check only; must match the target).
-    pub generator_seed: u64,
-    /// Arrival-RNG state (wire form; see [`pliant_telemetry::rng::rng_state_words`]).
-    pub generator_rng: Vec<u64>,
-    /// Model-noise RNG state.
-    pub rng: Vec<u64>,
-    /// Latency-sample RNG state.
-    pub sample_rng: Vec<u64>,
+    /// The arrival generator: rate, seed and live RNG.
+    pub generator: OpenLoopGenerator,
+    /// Model-noise RNG.
+    pub rng: SmallRng,
+    /// Dedicated stream for per-interval latency-sample generation, so the volume of
+    /// monitor samples (the dominant draw count by three orders of magnitude) never
+    /// perturbs the model-noise stream that decides each interval's true p99.
+    pub sample_rng: SmallRng,
     /// Experiment clock, in seconds.
     pub time_s: f64,
     /// Intervals elapsed.
     pub interval_counter: u64,
-    /// Whether the node is parked.
+    /// Whether the node is parked (drained and suspended by a fleet autoscaler): a
+    /// parked node bills [`PowerModel::parked_w`](crate::server::PowerModel::parked_w)
+    /// instead of allocation-based power.
     pub parked: bool,
-    /// Straggler degrade factor (`1.0` = healthy).
+    /// Effective-frequency factor of a degraded (straggler) node: `1.0` is healthy,
+    /// `0.6` means the machine delivers 60% of its nominal service capacity. Applied to
+    /// the interactive service's latency inputs only (see [`ColocationSim::set_degrade`]).
     pub degrade: f64,
 }
 
@@ -302,47 +285,54 @@ impl ColocationSim {
             })
             .collect();
         let qps = config.service.qps_at_load(config.load.load_at(0.0));
-        let generator = OpenLoopGenerator::new(qps, derive_seed(config.seed, 1));
-        let rng = seeded_rng(derive_seed(config.seed, 2));
-        let sample_rng = seeded_rng(derive_seed(config.seed, 3));
-        Self {
-            config,
+        let state = ColocationState {
+            load: config.load.clone(),
             apps,
             service_cores,
-            generator,
-            rng,
-            sample_rng,
+            generator: OpenLoopGenerator::new(qps, derive_seed(config.seed, 1)),
+            rng: seeded_rng(derive_seed(config.seed, 2)),
+            sample_rng: seeded_rng(derive_seed(config.seed, 3)),
             time_s: 0.0,
             interval_counter: 0,
             parked: false,
             degrade: 1.0,
+        };
+        Self {
+            config,
+            state,
             pressure_scratch: Vec::new(),
         }
     }
 
-    /// The configuration the simulator was built with.
+    /// The configuration the simulator was built with. A run never changes it: the
+    /// load profile in force and the jobs in the slots are part of [`Self::state`].
     pub fn config(&self) -> &ColocationConfig {
         &self.config
     }
 
+    /// The simulator's full mutable state (see [`ColocationState`]).
+    pub fn state(&self) -> &ColocationState {
+        &self.state
+    }
+
     /// Current experiment time in seconds.
     pub fn time_s(&self) -> f64 {
-        self.time_s
+        self.state.time_s
     }
 
     /// Cores currently allocated to the interactive service.
     pub fn service_cores(&self) -> u32 {
-        self.service_cores
+        self.state.service_cores
     }
 
     /// Number of co-located batch applications.
     pub fn app_count(&self) -> usize {
-        self.apps.len()
+        self.state.apps.len()
     }
 
     /// Immutable access to a batch application's state.
     pub fn app(&self, index: usize) -> &BatchAppState {
-        &self.apps[index]
+        &self.state.apps[index]
     }
 
     /// Pins the offered load to a constant fraction mid-experiment (load sweeps),
@@ -355,22 +345,19 @@ impl ColocationSim {
     /// experiment time, not time since the swap; [`Self::advance`] samples it (and sets
     /// the generator's rate) at the start of the next interval.
     ///
-    /// Unlike the config-boundary builders this deliberately accepts profiles that fail
-    /// [`LoadProfile::validate`]'s never-positive check: an external dispatcher (e.g. a
-    /// cluster load balancer) may legitimately assign a node zero load for a while, which
-    /// simply yields idle intervals. Every *other* validation failure (non-finite or
-    /// out-of-range loads, malformed traces) is still rejected.
+    /// Unlike the config-boundary builders this checks only
+    /// [`LoadProfile::validate_shape`], so a profile that never offers load is accepted:
+    /// an external dispatcher (e.g. a cluster load balancer) may legitimately assign a
+    /// node zero load for a while, which simply yields idle intervals.
     ///
     /// # Panics
     ///
-    /// Panics if the profile fails validation for any reason other than
-    /// [`LoadProfileError::NeverPositive`].
+    /// Panics if the profile fails [`LoadProfile::validate_shape`].
     pub fn set_load_profile(&mut self, profile: LoadProfile) {
-        match profile.validate() {
-            Ok(()) | Err(LoadProfileError::NeverPositive) => {}
-            Err(e) => panic!("invalid load profile `{}`: {e}", profile.describe()),
+        if let Err(e) = profile.validate_shape() {
+            panic!("invalid load profile `{}`: {e}", profile.describe());
         }
-        self.config.load = profile;
+        self.state.load = profile;
     }
 
     /// Marks the node as parked (suspended) or powered back on.
@@ -382,7 +369,7 @@ impl ColocationSim {
     /// is responsible for assigning zero load while parked (the cluster autoscaler
     /// guarantees this), and un-parking restores normal billing from the next interval.
     pub fn set_parked(&mut self, parked: bool) {
-        self.parked = parked;
+        self.state.parked = parked;
     }
 
     /// Marks the node as a degraded straggler delivering `factor` of its nominal service
@@ -403,12 +390,12 @@ impl ColocationSim {
             factor.is_finite() && factor > 0.0 && factor <= 1.0,
             "degrade factor must be in (0, 1], got {factor}"
         );
-        self.degrade = factor;
+        self.state.degrade = factor;
     }
 
     /// Current straggler degrade factor (`1.0` = healthy; see [`Self::set_degrade`]).
     pub fn degrade(&self) -> f64 {
-        self.degrade
+        self.state.degrade
     }
 
     /// Replaces the **finished** application in slot `index` with a fresh job.
@@ -423,17 +410,16 @@ impl ColocationSim {
     ///
     /// Returns `false` (and changes nothing) if the slot's current job has not finished.
     pub fn replace_app(&mut self, index: usize, profile: AppProfile) -> bool {
-        if !self.apps[index].is_finished() {
+        let slot = &mut self.state.apps[index];
+        if !slot.is_finished() {
             return false;
         }
-        let slot_share = self.apps[index].initial_cores();
-        let current = self.apps[index].cores();
+        let (slot_share, current) = (slot.initial_cores(), slot.cores());
         let mut fresh = BatchAppState::new(profile, slot_share, self.config.instrumented);
         for _ in current..slot_share {
             fresh.reclaim_core();
         }
-        self.config.apps[index] = fresh.profile().id;
-        self.apps[index] = fresh;
+        *slot = fresh;
         true
     }
 
@@ -452,17 +438,18 @@ impl ColocationSim {
     /// Returns `None` (and changes nothing) if the slot's job has already finished —
     /// there is nothing to migrate.
     pub fn extract_app(&mut self, index: usize) -> Option<BatchAppState> {
-        if self.apps[index].is_finished() {
+        let slot = &mut self.state.apps[index];
+        if slot.is_finished() {
             return None;
         }
         let placeholder = BatchAppState::finished_placeholder(
-            self.apps[index].profile().clone(),
-            self.apps[index].initial_cores(),
-            self.apps[index].cores(),
+            slot.profile().clone(),
+            slot.initial_cores(),
+            slot.cores(),
             self.config.instrumented,
-            self.time_s,
+            self.state.time_s,
         );
-        Some(std::mem::replace(&mut self.apps[index], placeholder))
+        Some(std::mem::replace(slot, placeholder))
     }
 
     /// Implants a live-migrated batch application into the **finished** slot `index`.
@@ -474,31 +461,30 @@ impl ColocationSim {
     /// unchanged. Returns `false` (and changes nothing) if the slot's current job has
     /// not finished.
     pub fn implant_app(&mut self, index: usize, mut state: BatchAppState) -> bool {
-        if !self.apps[index].is_finished() {
+        let slot = &mut self.state.apps[index];
+        if !slot.is_finished() {
             return false;
         }
-        let slot_share = self.apps[index].initial_cores();
-        let current = self.apps[index].cores();
+        let (slot_share, current) = (slot.initial_cores(), slot.cores());
         state.rebase_to_share(slot_share);
         for _ in current..slot_share {
             state.reclaim_core();
         }
-        self.config.apps[index] = state.profile().id;
-        self.apps[index] = state;
+        *slot = state;
         true
     }
 
     /// Switches application `index` to the given variant (`None` = precise). Returns
     /// whether the variant changed.
     pub fn set_variant(&mut self, index: usize, variant: Option<usize>) -> bool {
-        self.apps[index].set_variant(variant)
+        self.state.apps[index].set_variant(variant)
     }
 
     /// Reclaims one core from application `index` and gives it to the interactive service.
     /// Returns `false` (and moves nothing) if the application is already at one core.
     pub fn reclaim_core(&mut self, index: usize) -> bool {
-        if self.apps[index].reclaim_core() {
-            self.service_cores += 1;
+        if self.state.apps[index].reclaim_core() {
+            self.state.service_cores += 1;
             true
         } else {
             false
@@ -509,96 +495,63 @@ impl ColocationSim {
     /// `false` if the application already holds its full initial allocation or the service
     /// is at its own fair share.
     pub fn return_core(&mut self, index: usize) -> bool {
-        let (fair_service, _) = self.config.server.fair_allocation(self.apps.len() as u32);
-        if self.service_cores <= fair_service {
+        let (fair_service, _) = self.config.server.fair_allocation(self.app_count() as u32);
+        if self.state.service_cores <= fair_service {
             return false;
         }
-        if self.apps[index].return_core() {
-            self.service_cores -= 1;
+        if self.state.apps[index].return_core() {
+            self.state.service_cores -= 1;
             true
         } else {
             false
         }
     }
 
-    /// Captures the simulator's full mutable state (see [`ColocationSimSnapshot`]).
-    pub fn snapshot(&self) -> ColocationSimSnapshot {
-        ColocationSimSnapshot {
-            load: self.config.load.clone(),
-            config_apps: self.config.apps.clone(),
-            apps: self.apps.clone(),
-            service_cores: self.service_cores,
-            generator_qps: self.generator.qps(),
-            generator_seed: self.generator.seed(),
-            generator_rng: self.generator.rng_state(),
-            rng: rng_state_words(&self.rng),
-            sample_rng: rng_state_words(&self.sample_rng),
-            time_s: self.time_s,
-            interval_counter: self.interval_counter,
-            parked: self.parked,
-            degrade: self.degrade,
-        }
-    }
-
-    /// Restores state captured by [`Self::snapshot`] onto a simulator built from the
-    /// same configuration, after which every subsequent interval is bit-identical to the
+    /// Restores state taken from [`Self::state`] onto a simulator built from the same
+    /// configuration, after which every subsequent interval is bit-identical to the
     /// uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Rejects a snapshot whose generator seed disagrees with this simulator's (the
-    /// snapshot was taken from a different configuration), a slot-count mismatch, a
-    /// degrade factor outside the `(0, 1]` range [`Self::set_degrade`] accepts, a core
-    /// split whose service and slot cores do not add up to the cores this simulator
-    /// was built with (reclaiming and returning only move cores, never create them),
-    /// or malformed RNG wire states.
-    pub fn restore(&mut self, snapshot: &ColocationSimSnapshot) -> Result<(), String> {
-        if snapshot.generator_seed != self.generator.seed() {
+    /// Rejects a state whose generator seed disagrees with this simulator's (the state
+    /// was taken from a different configuration), a slot-count mismatch, a degrade
+    /// factor outside the `(0, 1]` range [`Self::set_degrade`] accepts, or a core split
+    /// whose service and slot cores do not add up to the cores this simulator was built
+    /// with (reclaiming and returning only move cores, never create them).
+    pub fn restore(&mut self, state: &ColocationState) -> Result<(), String> {
+        let built = &self.state;
+        if state.generator.seed() != built.generator.seed() {
             return Err(format!(
                 "snapshot generator seed {} does not match simulator seed {}",
-                snapshot.generator_seed,
-                self.generator.seed()
+                state.generator.seed(),
+                built.generator.seed()
             ));
         }
-        if snapshot.apps.len() != self.apps.len() || snapshot.config_apps.len() != self.apps.len() {
+        if state.apps.len() != built.apps.len() {
             return Err(format!(
                 "snapshot carries {} batch slots, simulator has {}",
-                snapshot.apps.len(),
-                self.apps.len()
+                state.apps.len(),
+                built.apps.len()
             ));
         }
-        if !(snapshot.degrade > 0.0 && snapshot.degrade <= 1.0) {
+        if !(state.degrade > 0.0 && state.degrade <= 1.0) {
             return Err(format!(
                 "snapshot degrade factor {} lies outside (0, 1]",
-                snapshot.degrade
+                state.degrade
             ));
         }
-        let cores = |service: u32, apps: &[BatchAppState]| {
-            u64::from(service) + apps.iter().map(|a| u64::from(a.cores())).sum::<u64>()
+        let cores = |s: &ColocationState| {
+            u64::from(s.service_cores) + s.apps.iter().map(|a| u64::from(a.cores())).sum::<u64>()
         };
-        let (snapshot_cores, built_cores) = (
-            cores(snapshot.service_cores, &snapshot.apps),
-            cores(self.service_cores, &self.apps),
-        );
+        let (snapshot_cores, built_cores) = (cores(state), cores(built));
         if snapshot_cores != built_cores {
             return Err(format!(
                 "snapshot allocates {snapshot_cores} cores ({} to the service), \
                  simulator was built with {built_cores}",
-                snapshot.service_cores
+                state.service_cores
             ));
         }
-        self.config.load = snapshot.load.clone();
-        self.config.apps = snapshot.config_apps.clone();
-        self.apps = snapshot.apps.clone();
-        self.service_cores = snapshot.service_cores;
-        self.generator.set_qps(snapshot.generator_qps);
-        self.generator.restore_rng_state(&snapshot.generator_rng)?;
-        self.rng = rng_from_state_words(&snapshot.rng)?;
-        self.sample_rng = rng_from_state_words(&snapshot.sample_rng)?;
-        self.time_s = snapshot.time_s;
-        self.interval_counter = snapshot.interval_counter;
-        self.parked = snapshot.parked;
-        self.degrade = snapshot.degrade;
+        self.state.clone_from(state);
         Ok(())
     }
 
@@ -638,62 +591,61 @@ impl ColocationSim {
         // reproduce the exact pre-profile arrival sequences. The recorded load is
         // clamped to what the generator actually runs at, so statistics never claim an
         // operating point above the saturation model's ceiling.
-        let interval_start_s = self.time_s;
-        let offered_load = self
-            .config
+        let (config, state) = (&self.config, &mut self.state);
+        let interval_start_s = state.time_s;
+        let offered_load = state
             .load
             .load_at(interval_start_s)
             .clamp(0.0, ServiceProfile::MAX_OFFERED_LOAD);
-        let load_phase = self.config.load.phase_at(interval_start_s);
-        self.generator
-            .set_qps(self.config.service.qps_at_load(offered_load));
-        self.interval_counter += 1;
-        self.time_s += dt;
+        let load_phase = state.load.phase_at(interval_start_s);
+        state
+            .generator
+            .set_qps(config.service.qps_at_load(offered_load));
+        state.interval_counter += 1;
+        state.time_s += dt;
 
         // Contention for this interval, from the live co-runners' current pressure.
         self.pressure_scratch.clear();
         self.pressure_scratch
-            .extend(self.apps.iter().map(|a| a.current_pressure()));
-        let contention = self.config.interference.contention(
-            &self.config.server,
-            &self.config.service,
-            &self.pressure_scratch,
-        );
+            .extend(state.apps.iter().map(|a| a.current_pressure()));
+        let contention =
+            config
+                .interference
+                .contention(&config.server, &config.service, &self.pressure_scratch);
 
         // Interactive service latency for the interval.
-        let arrivals = self.generator.arrivals_in(dt);
+        let arrivals = state.generator.arrivals_in(dt);
         let qps = arrivals as f64 / dt;
         let mut inputs = LatencyInputs {
             qps,
-            cores: self.service_cores,
+            cores: state.service_cores,
             capacity_slowdown: contention.service_capacity_slowdown,
             direct_slowdown: contention.service_direct_slowdown,
         };
         // A degraded straggler delivers `degrade` of its nominal capacity: both slowdown
         // channels scale by the lost frequency. Healthy nodes skip the branch entirely so
         // fault-free runs stay bit-identical to pre-fault builds.
-        if self.degrade < 1.0 {
-            inputs.capacity_slowdown /= self.degrade;
-            inputs.direct_slowdown /= self.degrade;
+        if state.degrade < 1.0 {
+            inputs.capacity_slowdown /= state.degrade;
+            inputs.direct_slowdown /= state.degrade;
         }
-        let p99 = self
-            .config
+        let p99 = config
             .latency
-            .p99_with_noise(&self.config.service, &inputs, &mut self.rng);
+            .p99_with_noise(&config.service, &inputs, &mut state.rng);
         // An interval with zero arrivals serves no requests, so the client-side monitor
         // receives no samples: deliver an empty set (the monitor reports no-signal and
         // the runtime holds) instead of fabricating `samples_per_interval` synthetic
         // low-latency samples that would read as maximal headroom at a load trough.
         if arrivals > 0 {
-            self.config.latency.fill_samples(
-                &self.config.service,
+            config.latency.fill_samples(
+                &config.service,
                 p99,
-                self.config.samples_per_interval,
-                &mut self.sample_rng,
+                config.samples_per_interval,
+                &mut state.sample_rng,
                 &mut samples,
             );
         }
-        let utilization = LatencyModel::utilization(&self.config.service, &inputs);
+        let utilization = LatencyModel::utilization(&config.service, &inputs);
 
         // Electrical power for the interval, from the start-of-interval allocation and
         // activity (the same convention the contention model uses): every allocated
@@ -701,28 +653,28 @@ impl ColocationSim {
         // its utilization, and each batch slot's cores draw dynamic power weighted by
         // its variant's CPU intensity (zero once the job finishes). Pure arithmetic —
         // no allocation on the hot path. A parked node bills the suspend draw instead.
-        let power_w = if self.parked {
-            self.config.server.power.parked_w
+        let power_w = if state.parked {
+            config.server.power.parked_w
         } else {
-            let mut allocated = self.service_cores;
-            let mut busy = self.service_cores as f64 * utilization.clamp(0.0, 1.0);
-            for (app, pressure) in self.apps.iter().zip(&self.pressure_scratch) {
+            let mut allocated = state.service_cores;
+            let mut busy = state.service_cores as f64 * utilization.clamp(0.0, 1.0);
+            for (app, pressure) in state.apps.iter().zip(&self.pressure_scratch) {
                 allocated += app.cores();
                 busy += app.cores() as f64 * pressure.cpu_intensity.clamp(0.0, 1.0);
             }
-            self.config
+            config
                 .server
                 .power
-                .power_w(allocated, busy, self.config.server.base_freq_ghz)
+                .power_w(allocated, busy, config.server.base_freq_ghz)
         };
         let energy_j = power_w * dt;
 
         // Batch applications make progress under their own interference slowdown.
-        for app in &mut self.apps {
-            app.advance(dt, contention.batch_slowdown, self.time_s);
+        for app in &mut state.apps {
+            app.advance(dt, contention.batch_slowdown, state.time_s);
         }
 
-        app_statuses.extend(self.apps.iter().map(|a| AppIntervalStatus {
+        app_statuses.extend(state.apps.iter().map(|a| AppIntervalStatus {
             app: a.profile().id,
             variant: a.variant(),
             cores: a.cores(),
@@ -732,17 +684,17 @@ impl ColocationSim {
             inaccuracy_pct: a.inaccuracy_pct(),
             relative_execution_time: a.relative_execution_time(),
         }));
-        let all_apps_finished = self.apps.iter().all(|a| a.is_finished());
+        let all_apps_finished = state.apps.iter().all(|a| a.is_finished());
 
         IntervalObservation {
-            time_s: self.time_s,
+            time_s: state.time_s,
             offered_load,
             load_phase,
             arrivals,
             power_w,
             energy_j,
             p99_latency_s: p99,
-            qos_target_s: self.config.service.qos_target_s,
+            qos_target_s: config.service.qos_target_s,
             latency_samples_s: samples,
             utilization,
             apps: app_statuses,
@@ -1148,7 +1100,6 @@ mod tests {
         // The new job inherits the slot exactly: same current cores, same full share,
         // precise execution, zero progress; the service keeps its reclaimed cores.
         assert_eq!(sim.app(0).profile().id, AppId::Snp);
-        assert_eq!(sim.config().apps[0], AppId::Snp);
         assert_eq!(sim.app(0).cores(), slot_share - 2);
         assert_eq!(sim.app(0).initial_cores(), slot_share);
         assert_eq!(sim.app(0).cores_reclaimed(), 2);
@@ -1207,7 +1158,6 @@ mod tests {
         assert!(dst.implant_app(0, state));
         // The implanted job continues where it stopped, rebased onto the new slot.
         assert_eq!(dst.app(0).profile().id, AppId::Canneal);
-        assert_eq!(dst.config().apps[0], AppId::Canneal);
         assert_eq!(dst.app(0).progress(), progress);
         assert_eq!(dst.app(0).variant(), Some(1));
         assert_eq!(dst.app(0).initial_cores(), dst_share);
@@ -1347,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_bit_identically() {
+    fn state_restore_resumes_bit_identically() {
         let cfg = ColocationConfig::paper_default(ServiceId::Memcached, &[AppId::KMeans], 29)
             .with_load_profile(LoadProfile::Diurnal {
                 base: 0.6,
@@ -1362,12 +1312,10 @@ mod tests {
             let _ = interrupted.advance(1.0);
         }
         // Checkpoint through the JSON wire form, restore into a *fresh* simulator.
-        let snapshot = interrupted.snapshot();
-        let json = serde_json::to_string(&snapshot).expect("serializable");
-        let restored_snapshot: ColocationSimSnapshot =
-            serde_json::from_str(&json).expect("deserializable");
+        let json = serde_json::to_string(interrupted.state()).expect("serializable");
+        let restored: ColocationState = serde_json::from_str(&json).expect("deserializable");
         let mut resumed = ColocationSim::new(cfg, &catalog());
-        resumed.restore(&restored_snapshot).expect("restores");
+        resumed.restore(&restored).expect("restores");
         for _ in 0..10 {
             let a = serde_json::to_string(&reference.advance(1.0)).expect("serializable");
             let b = serde_json::to_string(&resumed.advance(1.0)).expect("serializable");
@@ -1378,7 +1326,7 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_targets() {
         let cfg = ColocationConfig::paper_default(ServiceId::Memcached, &[AppId::KMeans], 29);
-        let snapshot = ColocationSim::new(cfg.clone(), &catalog()).snapshot();
+        let snapshot = ColocationSim::new(cfg.clone(), &catalog()).state().clone();
         let mut target = ColocationSim::new(cfg, &catalog());
         let mut degraded = snapshot.clone();
         degraded.degrade = 0.0;

@@ -19,7 +19,8 @@ use pliant_workloads::service::ServiceProfile;
 use crate::server::ServerSpec;
 
 /// Tunable constants of the interference model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "InterferenceModel::validate")]
 pub struct InterferenceModel {
     /// Coefficient of the LLC-occupancy penalty.
     pub llc_coeff: f64,
@@ -49,35 +50,6 @@ impl Default for InterferenceModel {
             direct_exponent: 0.3,
             batch_sensitivity: 0.15,
         }
-    }
-}
-
-// Hand-written so the constants validate at the deserialization boundary: the bandwidth
-// hinge divides by `1 - membw_threshold` (a threshold at or above 1.0 is a guaranteed
-// divide-by-zero or sign flip), and negative coefficients yield sub-1.0 "slowdowns"
-// that would let contention *speed services up*.
-impl serde::Deserialize for InterferenceModel {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field(value: &serde::Value, name: &str) -> Result<f64, serde::Error> {
-            f64::from_value(
-                value
-                    .get(name)
-                    .ok_or_else(|| serde::Error::missing_field("InterferenceModel", name))?,
-            )
-        }
-        let model = Self {
-            llc_coeff: field(value, "llc_coeff")?,
-            llc_exponent: field(value, "llc_exponent")?,
-            cpu_coeff: field(value, "cpu_coeff")?,
-            membw_threshold: field(value, "membw_threshold")?,
-            membw_coeff: field(value, "membw_coeff")?,
-            direct_exponent: field(value, "direct_exponent")?,
-            batch_sensitivity: field(value, "batch_sensitivity")?,
-        };
-        model
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid interference model: {e}")))?;
-        Ok(model)
     }
 }
 

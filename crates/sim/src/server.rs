@@ -23,7 +23,8 @@ use serde::{Deserialize, Serialize};
 /// Table 1 (145 W TDP per 22-core socket): the experiment socket plus its share of the
 /// platform (DRAM, fans, PSU losses) idles near 100 W and peaks near 170 W with the
 /// 16 usable cores busy.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "PowerModel::validate")]
 pub struct PowerModel {
     /// Platform idle draw in watts (uncore, DRAM, fans, PSU losses) — billed whenever
     /// the node is powered on, regardless of allocation.
@@ -45,33 +46,6 @@ pub struct PowerModel {
 impl Default for PowerModel {
     fn default() -> Self {
         Self::paper_platform()
-    }
-}
-
-// Hand-written so the model validates at the deserialization boundary: a corrupted or
-// hand-edited archive (negative watts, zero reference frequency) is rejected with a
-// clear message instead of producing NaN/negative energies deep inside a run.
-impl serde::Deserialize for PowerModel {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field(value: &serde::Value, name: &str) -> Result<f64, serde::Error> {
-            f64::from_value(
-                value
-                    .get(name)
-                    .ok_or_else(|| serde::Error::missing_field("PowerModel", name))?,
-            )
-        }
-        let model = Self {
-            idle_w: field(value, "idle_w")?,
-            core_idle_w: field(value, "core_idle_w")?,
-            core_active_w: field(value, "core_active_w")?,
-            reference_freq_ghz: field(value, "reference_freq_ghz")?,
-            freq_exponent: field(value, "freq_exponent")?,
-            parked_w: field(value, "parked_w")?,
-        };
-        model
-            .validate()
-            .map_err(|e| serde::Error::custom(format!("invalid power model: {e}")))?;
-        Ok(model)
     }
 }
 

@@ -47,25 +47,6 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Captures an RNG's internal state as the wire form checkpoints archive (the offline
-/// serde shim cannot round-trip fixed arrays, so snapshots carry a `Vec<u64>`).
-pub fn rng_state_words(rng: &SmallRng) -> Vec<u64> {
-    rng.state().to_vec()
-}
-
-/// Rebuilds an RNG from a state captured by [`rng_state_words`], continuing the stream
-/// exactly where the snapshot left off. Rejects wire states of the wrong width and the
-/// all-zero state (a fixed point of xoshiro256++ that a live RNG can never reach).
-pub fn rng_from_state_words(words: &[u64]) -> Result<SmallRng, String> {
-    let state: [u64; 4] = words
-        .try_into()
-        .map_err(|_| format!("rng state must be 4 words, got {}", words.len()))?;
-    if state.iter().all(|&w| w == 0) {
-        return Err("rng state must not be all-zero".to_string());
-    }
-    Ok(SmallRng::from_state(state))
-}
-
 /// Samples an exponentially-distributed value with the given rate (events per unit time).
 ///
 /// Used for Poisson-process inter-arrival times in the open-loop workload generators.

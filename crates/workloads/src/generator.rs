@@ -6,7 +6,7 @@
 //! [`OpenLoopGenerator`] produces Poisson arrival counts and exact arrival timestamps for
 //! the simulators.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use pliant_telemetry::fastmath::fast_ln;
 use pliant_telemetry::rng::{sample_poisson, seeded_rng};
@@ -14,36 +14,15 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// An open-loop (Poisson) request generator with a fixed target rate.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The generator is its own checkpoint: it serializes its rate, seed and live arrival
+/// RNG, so a deserialized generator continues the stream exactly where it was saved.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(validate = "OpenLoopGenerator::validate")]
 pub struct OpenLoopGenerator {
     qps: f64,
     seed: u64,
-    #[serde(skip)]
     rng: SmallRng,
-}
-
-// Hand-written so a deserialized generator reconstructs its RNG from the archived `seed`
-// instead of falling back to a fixed default stream: a scenario replayed from a JSON
-// archive must produce the same arrival sequence as the original run.
-impl serde::Deserialize for OpenLoopGenerator {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let qps = <f64 as serde::Deserialize>::from_value(
-            value
-                .get("qps")
-                .ok_or_else(|| serde::Error::missing_field("OpenLoopGenerator", "qps"))?,
-        )?;
-        let seed = <u64 as serde::Deserialize>::from_value(
-            value
-                .get("seed")
-                .ok_or_else(|| serde::Error::missing_field("OpenLoopGenerator", "seed"))?,
-        )?;
-        if !(qps.is_finite() && qps >= 0.0) {
-            return Err(serde::Error::custom(
-                "OpenLoopGenerator qps must be non-negative and finite",
-            ));
-        }
-        Ok(Self::new(qps, seed))
-    }
 }
 
 impl OpenLoopGenerator {
@@ -58,6 +37,16 @@ impl OpenLoopGenerator {
             qps,
             seed,
             rng: seeded_rng(seed),
+        }
+    }
+
+    /// Checks that the rate is finite and non-negative, as [`Self::new`] and
+    /// [`Self::set_qps`] require.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.qps.is_finite() && self.qps >= 0.0 {
+            Ok(())
+        } else {
+            Err("qps must be non-negative and finite")
         }
     }
 
@@ -128,23 +117,6 @@ impl OpenLoopGenerator {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-
-    /// The arrival RNG's internal state, for checkpointing (see
-    /// [`pliant_telemetry::rng::rng_state_words`]).
-    pub fn rng_state(&self) -> Vec<u64> {
-        pliant_telemetry::rng::rng_state_words(&self.rng)
-    }
-
-    /// Restores the arrival RNG to a state captured by [`Self::rng_state`], so the
-    /// generator continues the stream exactly where the snapshot left off.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed wire states (wrong width or all-zero).
-    pub fn restore_rng_state(&mut self, words: &[u64]) -> Result<(), String> {
-        self.rng = pliant_telemetry::rng::rng_from_state_words(words)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn deserialized_generator_replays_the_seeded_stream() {
+    fn deserialized_generator_continues_the_stream() {
         // Regression: `#[serde(skip, default = ...)]` left a deserialized generator on
         // `seeded_rng(0)` regardless of its stored seed, so an archived scenario replayed
-        // a different arrival stream. The seed here is deliberately non-zero.
-        let gen = OpenLoopGenerator::new(8_000.0, 1234);
+        // a different arrival stream. The seed here is deliberately non-zero, and the
+        // generator is saved mid-stream.
+        let mut gen = OpenLoopGenerator::new(8_000.0, 1234);
+        let mut fresh = OpenLoopGenerator::new(8_000.0, 1234);
+        assert_eq!(gen.arrivals_in(0.05), fresh.arrivals_in(0.05));
         let json = serde_json::to_string(&gen).expect("serializable");
         let mut restored: OpenLoopGenerator = serde_json::from_str(&json).expect("deserializable");
-        let mut fresh = OpenLoopGenerator::new(8_000.0, 1234);
         let restored_counts: Vec<u64> = (0..20).map(|_| restored.arrivals_in(0.05)).collect();
         let fresh_counts: Vec<u64> = (0..20).map(|_| fresh.arrivals_in(0.05)).collect();
         assert_eq!(restored_counts, fresh_counts);
@@ -227,8 +201,12 @@ mod tests {
 
     #[test]
     fn deserializing_invalid_qps_fails_instead_of_panicking() {
-        let bad = r#"{"qps": -5.0, "seed": 3}"#;
-        assert!(serde_json::from_str::<OpenLoopGenerator>(bad).is_err());
+        let bad = r#"{"qps": -5.0, "seed": 3, "rng": [1, 2, 3, 4]}"#;
+        let err = serde_json::from_str::<OpenLoopGenerator>(bad).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid open loop generator: qps must be non-negative and finite"
+        );
         let missing = r#"{"qps": 100.0}"#;
         assert!(serde_json::from_str::<OpenLoopGenerator>(missing).is_err());
     }

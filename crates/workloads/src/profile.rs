@@ -91,7 +91,16 @@ impl std::fmt::Display for LoadPhase {
 ///
 /// All variants are deterministic functions of time: the only randomness in a run with a
 /// time-varying profile is the arrival-sampling RNG, which is seeded exactly as before.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Deserialization runs [`Self::validate_shape`], so a corrupted archive is rejected
+/// with a descriptive error instead of driving the simulator with NaN. It accepts a
+/// profile that never offers load: a checkpointed simulator legitimately holds one
+/// mid-run (a balancer assigns a down or parked node no traffic — see
+/// `ColocationSim::set_load_profile`), so the "offers load at some point" rule stays at
+/// the configuration boundaries (`Scenario::validate`, `ClusterScenario::validate`,
+/// `ColocationSim::new`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "LoadProfile::validate_shape")]
 pub enum LoadProfile {
     /// The classic fixed operating point (what every experiment used before profiles).
     Constant {
@@ -142,84 +151,6 @@ pub enum LoadProfile {
         /// Breakpoints as `(time_s, load_fraction)` pairs, strictly increasing in time.
         points: Vec<(f64, f64)>,
     },
-}
-
-// Hand-written (not derived) so profile invariants — finite loads in range, sane
-// durations, strictly-increasing trace breakpoints — are enforced at the archive
-// boundary: a corrupted profile is rejected here with a descriptive error instead of
-// driving the simulator with NaN. The mirror enum keeps the derived variant plumbing
-// and the same externally-tagged wire names. The never-positive check is deliberately
-// NOT applied here: a checkpointed simulator legitimately holds a zero-load profile
-// mid-run (a balancer assigns a down or parked node no traffic — see
-// `ColocationSim::set_load_profile`), so the wire layer is structural and the
-// "offers load at some point" rule stays at the configuration boundaries
-// (`Scenario::validate`, `ClusterScenario::validate`, `ColocationSim::new`).
-impl serde::Deserialize for LoadProfile {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        enum LoadProfileWire {
-            Constant {
-                load: f64,
-            },
-            Step {
-                base: f64,
-                to: f64,
-                at_s: f64,
-            },
-            Diurnal {
-                base: f64,
-                amplitude: f64,
-                period_s: f64,
-                phase_s: f64,
-            },
-            FlashCrowd {
-                base: f64,
-                peak: f64,
-                start_s: f64,
-                ramp_s: f64,
-                hold_s: f64,
-                decay_s: f64,
-            },
-            Trace {
-                points: Vec<(f64, f64)>,
-            },
-        }
-        let profile = match LoadProfileWire::from_value(value)? {
-            LoadProfileWire::Constant { load } => LoadProfile::Constant { load },
-            LoadProfileWire::Step { base, to, at_s } => LoadProfile::Step { base, to, at_s },
-            LoadProfileWire::Diurnal {
-                base,
-                amplitude,
-                period_s,
-                phase_s,
-            } => LoadProfile::Diurnal {
-                base,
-                amplitude,
-                period_s,
-                phase_s,
-            },
-            LoadProfileWire::FlashCrowd {
-                base,
-                peak,
-                start_s,
-                ramp_s,
-                hold_s,
-                decay_s,
-            } => LoadProfile::FlashCrowd {
-                base,
-                peak,
-                start_s,
-                ramp_s,
-                hold_s,
-                decay_s,
-            },
-            LoadProfileWire::Trace { points } => LoadProfile::Trace { points },
-        };
-        match profile.validate() {
-            Ok(()) | Err(LoadProfileError::NeverPositive) => Ok(profile),
-            Err(e) => Err(serde::Error::custom(format!("invalid load profile: {e}"))),
-        }
-    }
 }
 
 /// Why a [`LoadProfile`] failed validation.
@@ -440,10 +371,19 @@ impl LoadProfile {
         }
     }
 
-    /// Checks that every constant is finite, every load fraction is within
-    /// `[0, MAX_LOAD_FRACTION]`, durations are sane, traces are non-empty and sorted, and
-    /// the profile offers load at some point.
+    /// Checks [`Self::validate_shape`] and that the profile offers load at some point.
     pub fn validate(&self) -> Result<(), LoadProfileError> {
+        self.validate_shape()?;
+        if self.max_load() <= 0.0 {
+            return Err(LoadProfileError::NeverPositive);
+        }
+        Ok(())
+    }
+
+    /// Checks that every constant is finite, every load fraction is within
+    /// `[0, MAX_LOAD_FRACTION]`, durations are sane, and traces are non-empty and sorted.
+    /// A profile that never offers load passes.
+    pub fn validate_shape(&self) -> Result<(), LoadProfileError> {
         let check_load = |l: f64| -> Result<(), LoadProfileError> {
             if !l.is_finite() {
                 Err(LoadProfileError::NonFinite)
@@ -518,9 +458,6 @@ impl LoadProfile {
                     return Err(LoadProfileError::UnsortedTrace);
                 }
             }
-        }
-        if self.max_load() <= 0.0 {
-            return Err(LoadProfileError::NeverPositive);
         }
         Ok(())
     }
@@ -798,6 +735,22 @@ mod tests {
                 assert_eq!(back.phase_at(t), p.phase_at(t));
             }
         }
+    }
+
+    #[test]
+    fn parsing_rejects_an_unsorted_trace_but_keeps_a_zero_load_constant() {
+        let unsorted = r#"{"Trace":{"points":[[10.0,0.5],[5.0,0.6]]}}"#;
+        let err = serde_json::from_str::<LoadProfile>(unsorted).unwrap_err();
+        assert!(
+            err.to_string().contains("invalid load profile")
+                && err.to_string().contains("strictly increasing"),
+            "{err}"
+        );
+        // A parked node's checkpointed profile offers no load; it must still parse.
+        let idle: LoadProfile =
+            serde_json::from_str(r#"{"Constant":{"load":0.0}}"#).expect("zero load parses");
+        assert_eq!(idle, LoadProfile::constant(0.0));
+        assert_eq!(idle.validate(), Err(LoadProfileError::NeverPositive));
     }
 
     #[test]

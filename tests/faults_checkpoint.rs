@@ -402,6 +402,81 @@ fn a_truncated_checkpoint_never_panics() {
     );
 }
 
+/// Replaces the value at `path` (the [`array_paths`] notation, entering the first
+/// element of every array on the way) with `new`. Returns whether the path exists.
+fn set_first_at(value: &mut serde_json::Value, path: &str, new: &serde_json::Value) -> bool {
+    let Some(rest) = path.strip_prefix('/') else {
+        *value = new.clone();
+        return true;
+    };
+    let (key, rest) = rest.find('/').map_or((rest, ""), |at| rest.split_at(at));
+    let (key, into_array) = match key.strip_suffix("[]") {
+        Some(key) => (key, true),
+        None => (key, false),
+    };
+    let serde_json::Value::Object(entries) = value else {
+        return false;
+    };
+    let Some((_, item)) = entries.iter_mut().find(|(k, _)| k == key) else {
+        return false;
+    };
+    let item = match (item, into_array) {
+        (serde_json::Value::Array(items), true) => match items.first_mut() {
+            Some(first) => first,
+            None => return false,
+        },
+        (item, false) => item,
+        _ => return false,
+    };
+    set_first_at(item, rest, new)
+}
+
+#[test]
+fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
+    // Values no run can produce, each planted into an otherwise intact checkpoint of the
+    // topology operating point. Every document must fail to parse or be rejected by
+    // `restore`; none may panic on the way.
+    let engine = Engine::new();
+    let scenario = pliant_bench::cluster_topology_scenario(PolicyKind::Pliant, true, 7);
+    let mut donor = ClusterRun::new(&scenario, &engine);
+    while donor.intervals() < 50 && donor.step() {}
+    let pristine = serde_json::to_value(&donor.checkpoint()).expect("checkpoints serialize");
+    use serde_json::Value::{Array, Float, UInt};
+    let words = |w: &[u64]| Array(w.iter().map(|&x| UInt(x)).collect());
+    let mutations = [
+        // `set_qps` would panic on a negative rate inside `restore`.
+        ("/node_checkpoints[]/sim/generator/qps", Float(-1.0)),
+        // `EwmaTracker::new` refuses both; restored, they silently rewrite the smoothing.
+        ("/node_checkpoints[]/monitor/ewma/alpha", Float(0.0)),
+        ("/node_checkpoints[]/monitor/ewma/alpha", Float(7.0)),
+        // RNG states of the wrong width, or the all-zero fixed point.
+        ("/node_checkpoints[]/sim/rng", words(&[1, 2, 3])),
+        ("/node_checkpoints[]/monitor/rng", words(&[1, 2, 3, 4, 5])),
+        ("/balancer_rng", words(&[0, 0, 0, 0])),
+        ("/rack_rng", words(&[0, 0, 0, 0])),
+    ];
+    for (path, value) in mutations {
+        let mut doc = pristine.clone();
+        assert!(set_first_at(&mut doc, path, &value), "{path} exists");
+        let outcome = std::panic::catch_unwind(|| {
+            let checkpoint =
+                serde_json::from_value::<ClusterRunCheckpoint>(&doc).map_err(|e| e.to_string())?;
+            ClusterRun::new(&scenario, &engine).restore(&checkpoint)
+        });
+        match outcome {
+            Ok(Err(_)) => {}
+            Ok(Ok(())) => panic!("{path} = {value:?} restored"),
+            Err(_) => panic!("{path} = {value:?} panicked"),
+        }
+    }
+    // The untouched document still restores.
+    let checkpoint: ClusterRunCheckpoint =
+        serde_json::from_value(&pristine).expect("the pristine checkpoint parses");
+    ClusterRun::new(&scenario, &engine)
+        .restore(&checkpoint)
+        .expect("the pristine checkpoint restores");
+}
+
 #[test]
 fn pliant_never_violates_more_intervals_than_precise_under_the_failure_trace() {
     // The fig_failure headline, pinned: at every swept fleet size both policies see
