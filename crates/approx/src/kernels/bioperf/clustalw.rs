@@ -75,7 +75,7 @@ impl ClustalWKernel {
         let mut cost = Cost::default();
 
         // Pairwise distance matrix.
-        let total_pairs = n * (n - 1) / 2;
+        let total_pairs = n * n.saturating_sub(1) / 2;
         let mut pair_index = 0usize;
         let mut dist = vec![0.0f64; n * n];
         for a in 0..n {

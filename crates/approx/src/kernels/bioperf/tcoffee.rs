@@ -44,7 +44,7 @@ impl TCoffeeKernel {
 
         // Primary library: pairwise alignment scores.
         let mut library = vec![0.0f64; n * n];
-        let total_pairs = n * (n - 1) / 2;
+        let total_pairs = n * n.saturating_sub(1) / 2;
         let mut pair_index = 0usize;
         for a in 0..n {
             for b in (a + 1)..n {

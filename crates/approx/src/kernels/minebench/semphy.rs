@@ -46,7 +46,7 @@ impl SemphyKernel {
 
         // Pairwise Jukes-Cantor-style distances.
         let mut dist = vec![0.0f64; n * n];
-        let total_pairs = n * (n - 1) / 2;
+        let total_pairs = n * n.saturating_sub(1) / 2;
         let mut pair_index = 0usize;
         for a in 0..n {
             for b in (a + 1)..n {

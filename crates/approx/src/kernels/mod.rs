@@ -75,6 +75,32 @@ mod tests {
     }
 
     #[test]
+    fn empty_and_single_item_inputs_run_every_configuration() {
+        for n in [0usize, 1] {
+            let kernels: [Box<dyn ApproxKernel>; 6] = [
+                Box::new(parsec::fluidanimate::FluidanimateKernel::new(3, n, 3)),
+                Box::new(splash2::water_nsquared::WaterNsquaredKernel::new(3, n, 3)),
+                Box::new(splash2::water_spatial::WaterSpatialKernel::new(3, n, 3)),
+                Box::new(bioperf::clustalw::ClustalWKernel::new(3, n, 40)),
+                Box::new(bioperf::tcoffee::TCoffeeKernel::new(3, n, 40)),
+                Box::new(minebench::semphy::SemphyKernel::new(3, n, 40)),
+            ];
+            for kernel in &kernels {
+                let precise = kernel.run_precise();
+                for config in kernel.candidate_configs() {
+                    let inaccuracy = kernel.run(&config).output.inaccuracy_vs(&precise.output);
+                    assert!(
+                        (0.0..=100.0).contains(&inaccuracy),
+                        "{} n={n} {}: {inaccuracy}",
+                        kernel.name(),
+                        config.label
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn kernels_are_deterministic_in_seed() {
         for app in [AppId::KMeans, AppId::Canneal, AppId::Hmmer] {
             let a = kernel_for(app, 5).run(&ApproxConfig::precise());

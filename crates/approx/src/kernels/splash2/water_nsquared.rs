@@ -7,12 +7,17 @@
 
 use crate::data::PointCloud;
 use crate::kernel::{ApproxConfig, ApproxKernel, Cost, KernelOutput, KernelRun, Suite};
-use crate::techniques::{Perforation, Precision, SyncElision};
+use crate::techniques::{
+    KindF32, KindF64, KindFixed16, OpCount, Perforation, Precision, PrecisionKind, SyncElision,
+};
 
 /// Perforable site: pairwise force evaluation.
 pub const SITE_PAIR_FORCES: u32 = 0;
 /// Perforable site: simulation time steps.
 pub const SITE_TIME_STEPS: u32 = 1;
+
+/// Coordinates per molecule.
+const DIMS: usize = 3;
 
 /// O(n²) molecular-dynamics kernel.
 #[derive(Debug, Clone)]
@@ -21,11 +26,22 @@ pub struct WaterNsquaredKernel {
     steps: usize,
 }
 
+/// Per-molecule coordinates as a structure of arrays: `[d][i]` is coordinate `d` of
+/// molecule `i`.
+type Coords = [Vec<f64>; DIMS];
+
+/// The pair math of one row of the pair triangle, for `j` in `i + 1..n`: the pair's
+/// energy and its force on `i` (`fmag * diff`), which `j` receives negated.
+struct PairRow {
+    energy: Vec<f64>,
+    force: Vec<[f64; DIMS]>,
+}
+
 impl WaterNsquaredKernel {
     /// Creates a kernel instance with explicit sizes.
     pub fn new(seed: u64, n_molecules: usize, steps: usize) -> Self {
         Self {
-            molecules: PointCloud::gaussian_mixture(seed, n_molecules, 3, 5),
+            molecules: PointCloud::gaussian_mixture(seed, n_molecules, DIMS, 5),
             steps,
         }
     }
@@ -36,70 +52,124 @@ impl WaterNsquaredKernel {
     }
 
     fn simulate(&self, config: &ApproxConfig) -> (f64, Cost) {
-        let n = self.molecules.len();
-        let dims = self.molecules.dims;
-        let pair_perf = config.perforation(SITE_PAIR_FORCES);
-        let step_perf = config.perforation(SITE_TIME_STEPS);
-        let precision = config.precision;
-        let sync = config.sync;
-        let mut cost = Cost::default();
+        match config.precision {
+            Precision::F64 => self.simulate_at::<KindF64>(config),
+            Precision::F32 => self.simulate_at::<KindF32>(config),
+            Precision::Fixed16 => self.simulate_at::<KindFixed16>(config),
+        }
+    }
 
-        let mut pos = self.molecules.data.clone();
-        let mut vel = vec![0.0f64; n * dims];
+    fn simulate_at<P: PrecisionKind>(&self, config: &ApproxConfig) -> (f64, Cost) {
+        let n = self.molecules.len();
+        let step_perf = config.perforation(SITE_TIME_STEPS);
+        let mut ops = OpCount::<P>::default();
+        let mut bytes = 0u64;
+
+        let data = &self.molecules.data;
+        let mut pos: Coords = std::array::from_fn(|d| (0..n).map(|i| data[i * DIMS + d]).collect());
+        let mut vel: Coords = std::array::from_fn(|_| vec![0.0; n]);
+        let mut forces = vec![[0.0; DIMS]; n];
+        let mut row = PairRow {
+            energy: vec![0.0; n],
+            force: vec![[0.0; DIMS]; n],
+        };
+        // Pairs are numbered row by row over i < j. Perforation keeps pair p when
+        // keep[p]; with elided synchronization, its coordinate-d force update is applied
+        // when refresh[p + 1 + d] (lost updates from racy accumulation otherwise).
+        let total_pairs = n * n.saturating_sub(1) / 2;
+        let mut keep = Vec::new();
+        config
+            .perforation(SITE_PAIR_FORCES)
+            .fill_mask(total_pairs, &mut keep);
+        let mut refresh = Vec::new();
+        config.sync.fill_mask(total_pairs + DIMS, &mut refresh);
         let mut potential_energy = 0.0f64;
 
         for step in 0..self.steps {
             if !step_perf.keeps(step, self.steps) {
                 continue;
             }
-            let mut forces = vec![0.0f64; n * dims];
-            let mut step_energy = 0.0f64;
-            let mut pair_index = 0usize;
-            let total_pairs = n * (n - 1) / 2;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let keep = pair_perf.keeps(pair_index, total_pairs);
-                    pair_index += 1;
-                    if !keep {
-                        continue;
-                    }
-                    let mut d2 = 0.0;
-                    for d in 0..dims {
-                        let diff = pos[i * dims + d] - pos[j * dims + d];
-                        d2 += diff * diff;
-                    }
-                    let d2 = d2.max(0.25);
-                    // Lennard-Jones-style 6-12 interaction.
-                    let inv6 = 1.0 / (d2 * d2 * d2);
-                    let inv12 = inv6 * inv6;
-                    step_energy += precision.quantize(4.0 * (inv12 - inv6));
-                    let fmag = precision.quantize(24.0 * (2.0 * inv12 - inv6) / d2);
-                    for d in 0..dims {
-                        let diff = pos[i * dims + d] - pos[j * dims + d];
-                        // With elided synchronization, a fraction of force contributions is
-                        // dropped (lost updates from racy accumulation).
-                        if sync.refreshes(pair_index + d) {
-                            forces[i * dims + d] += fmag * diff;
-                            forces[j * dims + d] -= fmag * diff;
-                        }
-                    }
-                    cost.ops += (10 + 4 * dims) as f64 * precision.op_cost();
-                    cost.bytes_touched += (4 * dims) as f64 * 8.0;
-                }
-            }
+            forces.fill([0.0; DIMS]);
+            let step_energy = Self::pair_forces(
+                &pos,
+                &keep,
+                &refresh,
+                &mut forces,
+                &mut row,
+                &mut ops,
+                &mut bytes,
+            );
             // Integrate.
-            for i in 0..n {
-                for d in 0..dims {
-                    vel[i * dims + d] =
-                        precision.quantize(vel[i * dims + d] + forces[i * dims + d] * 1e-4);
-                    pos[i * dims + d] =
-                        precision.quantize(pos[i * dims + d] + vel[i * dims + d] * 0.01);
-                    cost.ops += 4.0 * precision.op_cost();
+            for d in 0..DIMS {
+                for i in 0..n {
+                    vel[d][i] = P::quantize(vel[d][i] + forces[i][d] * 1e-4);
+                    pos[d][i] = P::quantize(pos[d][i] + vel[d][i] * 0.01);
+                    ops.add_scaled(4);
                 }
             }
             potential_energy = step_energy;
         }
-        (potential_energy, cost)
+        (potential_energy, Cost::new(ops.total(), bytes as f64))
+    }
+
+    /// One step's Lennard-Jones 6-12 interactions of every kept pair, added into
+    /// `forces`; returns the step's potential energy.
+    ///
+    /// Each row i runs in two passes. The first computes the pair math of every j > i,
+    /// kept or not, into `row`; no value there depends on the order of pairs, so it
+    /// vectorizes. The second walks the kept pairs in order and accumulates energy and
+    /// forces exactly as one pass would.
+    fn pair_forces<P: PrecisionKind>(
+        pos: &Coords,
+        keep: &[bool],
+        refresh: &[bool],
+        forces: &mut [[f64; DIMS]],
+        row: &mut PairRow,
+        ops: &mut OpCount<P>,
+        bytes: &mut u64,
+    ) -> f64 {
+        let [x, y, z] = pos;
+        let n = x.len();
+        let mut step_energy = 0.0f64;
+        let mut first_pair = 0usize;
+        for i in 0..n {
+            let len = n - i - 1;
+            let energy = &mut row.energy[..len];
+            let force = &mut row.force[..len];
+            let others = x[i + 1..].iter().zip(&y[i + 1..]).zip(&z[i + 1..]);
+            for ((e, g), ((xj, yj), zj)) in energy.iter_mut().zip(force.iter_mut()).zip(others) {
+                let (dx, dy, dz) = (x[i] - xj, y[i] - yj, z[i] - zj);
+                let d2 = (dx * dx + dy * dy + dz * dz).max(0.25);
+                let inv6 = 1.0 / (d2 * d2 * d2);
+                let inv12 = inv6 * inv6;
+                *e = P::quantize(4.0 * (inv12 - inv6));
+                let fmag = P::quantize(24.0 * (2.0 * inv12 - inv6) / d2);
+                *g = [fmag * dx, fmag * dy, fmag * dz];
+            }
+            let (done, later) = forces.split_at_mut(i + 1);
+            let mut fi = done[i];
+            let pairs = keep[first_pair..first_pair + len]
+                .iter()
+                .zip(refresh[first_pair + 1..].windows(DIMS));
+            let math = energy.iter().zip(force.iter()).zip(later);
+            for ((&kept, sync), ((&e, g), fj)) in pairs.zip(math) {
+                if !kept {
+                    continue;
+                }
+                step_energy += e;
+                for d in 0..DIMS {
+                    if sync[d] {
+                        fi[d] += g[d];
+                        fj[d] -= g[d];
+                    }
+                }
+                ops.add_scaled(10 + 4 * DIMS as u64);
+                *bytes += 4 * DIMS as u64 * 8;
+            }
+            done[i] = fi;
+            first_pair += len;
+        }
+        step_energy
     }
 }
 

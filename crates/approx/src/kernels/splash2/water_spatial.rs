@@ -10,12 +10,34 @@
 
 use crate::data::PointCloud;
 use crate::kernel::{ApproxConfig, ApproxKernel, Cost, KernelOutput, KernelRun, Suite};
-use crate::techniques::{Perforation, Precision, SyncElision};
+use crate::techniques::{
+    KindF32, KindF64, KindFixed16, OpCount, Perforation, Precision, PrecisionKind, SyncElision,
+};
 
 /// Perforable site: per-cell neighbour interactions.
 pub const SITE_CELL_INTERACTIONS: u32 = 0;
 /// Perforable site: simulation time steps.
 pub const SITE_TIME_STEPS: u32 = 1;
+
+/// Coordinates per molecule.
+const DIMS: usize = 3;
+
+/// A cell of the spatial grid.
+type Cell = (i64, i64, i64);
+
+/// The (dx, dy) offsets of a cell's neighbour rows, in key order. Each row holds the
+/// cells (cx + dx, cy + dy, cz - 1..=cz + 1), one contiguous run of the sorted cells.
+const NEIGHBOUR_ROWS: [(i64, i64); 9] = [
+    (-1, -1),
+    (-1, 0),
+    (-1, 1),
+    (0, -1),
+    (0, 0),
+    (0, 1),
+    (1, -1),
+    (1, 0),
+    (1, 1),
+];
 
 /// Cell-list molecular-dynamics kernel.
 #[derive(Debug, Clone)]
@@ -25,11 +47,40 @@ pub struct WaterSpatialKernel {
     cell_size: f64,
 }
 
+/// A step's cell list and the buffers its pair loop reuses across steps.
+struct CellList {
+    /// `(cell, molecule)` of every molecule, sorted: cells in key order, each cell's
+    /// members in index order.
+    entries: Vec<(Cell, usize)>,
+    /// Each distinct cell of `entries` with the index of its first entry, then a
+    /// sentinel whose first entry is `entries.len()`.
+    cells: Vec<(Cell, usize)>,
+    /// Position and molecule of each entry.
+    slots: Vec<([f64; DIMS], usize)>,
+    /// Forces on each entry.
+    forces: Vec<[f64; DIMS]>,
+    /// Perforation decisions of the current cell's neighbour loop.
+    keep: Vec<bool>,
+    /// Entries that interact with the current member, in neighbour order.
+    interacting: Vec<usize>,
+}
+
+/// Squared distance, summed over coordinates in order.
+#[inline]
+fn dist2(a: [f64; DIMS], b: [f64; DIMS]) -> f64 {
+    let mut d2 = 0.0;
+    for d in 0..DIMS {
+        let diff = a[d] - b[d];
+        d2 += diff * diff;
+    }
+    d2
+}
+
 impl WaterSpatialKernel {
     /// Creates a kernel instance with explicit sizes.
     pub fn new(seed: u64, n_molecules: usize, steps: usize) -> Self {
         Self {
-            molecules: PointCloud::gaussian_mixture(seed, n_molecules, 3, 5),
+            molecules: PointCloud::gaussian_mixture(seed, n_molecules, DIMS, 5),
             steps,
             cell_size: 2.5,
         }
@@ -40,7 +91,7 @@ impl WaterSpatialKernel {
         Self::new(seed, 400, 12)
     }
 
-    fn cell_of(&self, p: &[f64]) -> (i64, i64, i64) {
+    fn cell_of(&self, p: &[f64]) -> Cell {
         (
             (p[0] / self.cell_size).floor() as i64,
             (p[1] / self.cell_size).floor() as i64,
@@ -49,19 +100,33 @@ impl WaterSpatialKernel {
     }
 
     fn simulate(&self, config: &ApproxConfig) -> (f64, Cost) {
-        use std::collections::BTreeMap;
+        match config.precision {
+            Precision::F64 => self.simulate_at::<KindF64>(config),
+            Precision::F32 => self.simulate_at::<KindF32>(config),
+            Precision::Fixed16 => self.simulate_at::<KindFixed16>(config),
+        }
+    }
+
+    fn simulate_at<P: PrecisionKind>(&self, config: &ApproxConfig) -> (f64, Cost) {
         let n = self.molecules.len();
-        let dims = self.molecules.dims;
         let inter_perf = config.perforation(SITE_CELL_INTERACTIONS);
         let step_perf = config.perforation(SITE_TIME_STEPS);
-        let precision = config.precision;
         let sync = config.sync;
-        let mut cost = Cost::default();
+        let mut ops = OpCount::<P>::default();
+        let mut bytes = 0u64;
 
         let mut pos = self.molecules.data.clone();
-        let mut vel = vec![0.0f64; n * dims];
+        let mut vel = vec![0.0f64; n * DIMS];
         let mut energy = 0.0f64;
-        let mut forces = vec![0.0f64; n * dims];
+        let mut forces = vec![0.0f64; n * DIMS];
+        let mut cells = CellList {
+            entries: (0..n).map(|i| ((0, 0, 0), i)).collect(),
+            cells: Vec::with_capacity(n + 1),
+            slots: vec![([0.0; DIMS], 0); n],
+            forces: vec![[0.0; DIMS]; n],
+            keep: Vec::with_capacity(n),
+            interacting: vec![0; n],
+        };
 
         for step in 0..self.steps {
             if !step_perf.keeps(step, self.steps) {
@@ -69,91 +134,136 @@ impl WaterSpatialKernel {
             }
             // Build cell lists (this work is not perforable — it is the fixed overhead that
             // makes water_spatial's execution time insensitive to approximation).
-            // BTreeMap keeps cell iteration order deterministic, so perforation decisions
-            // and floating-point accumulation order are reproducible run-to-run.
-            let mut cells: BTreeMap<(i64, i64, i64), Vec<usize>> = BTreeMap::new();
-            for i in 0..n {
-                let c = self.cell_of(&pos[i * dims..i * dims + dims]);
-                cells.entry(c).or_default().push(i);
-                cost.ops += 6.0;
-                cost.bytes_touched += 24.0;
+            // Sorting the (cell, molecule) pairs, which are distinct, yields the cells in
+            // key order and each cell's members in index order: the order every
+            // perforation decision and floating-point accumulation follows. The entries
+            // keep the last step's order, which is nearly sorted already.
+            for (cell, i) in &mut cells.entries {
+                *cell = self.cell_of(&pos[*i * DIMS..*i * DIMS + DIMS]);
+                ops.add(6);
+                bytes += 24;
             }
+            cells.entries.sort_unstable();
             // With elided cell-boundary synchronization, forces are only recomputed on
             // refresh steps; other steps integrate with the stale force field (the racy
             // shared-state analogue), which also skips the interaction work.
-            if !sync.refreshes(step) {
-                for i in 0..n {
-                    for d in 0..dims {
-                        vel[i * dims + d] =
-                            precision.quantize(vel[i * dims + d] + forces[i * dims + d] * 1e-4);
-                        pos[i * dims + d] =
-                            precision.quantize(pos[i * dims + d] + vel[i * dims + d] * 0.01);
-                        cost.ops += 4.0 * precision.op_cost();
-                    }
-                }
-                continue;
+            if sync.refreshes(step) {
+                energy = self.cell_forces(
+                    &pos,
+                    inter_perf,
+                    &mut cells,
+                    &mut forces,
+                    &mut ops,
+                    &mut bytes,
+                );
             }
-            forces = vec![0.0f64; n * dims];
-            let mut step_energy = 0.0f64;
-            for (&(cx, cy, cz), members) in &cells {
-                // Gather neighbours from the 27 adjacent cells.
-                let mut neighbours: Vec<usize> = Vec::new();
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        for dz in -1..=1 {
-                            if let Some(v) = cells.get(&(cx + dx, cy + dy, cz + dz)) {
-                                neighbours.extend_from_slice(v);
-                            }
-                        }
-                    }
-                }
-                cost.ops += 27.0;
-                for &i in members {
-                    let mut k = 0usize;
-                    for &j in &neighbours {
-                        if j <= i {
-                            continue;
-                        }
-                        let keep = inter_perf.keeps(k, neighbours.len());
-                        k += 1;
-                        if !keep {
-                            continue;
-                        }
-                        let mut d2 = 0.0;
-                        for d in 0..dims {
-                            let diff = pos[i * dims + d] - pos[j * dims + d];
-                            d2 += diff * diff;
-                        }
-                        let d2 = d2.max(0.25);
-                        if d2 > self.cell_size * self.cell_size {
-                            continue;
-                        }
-                        let inv6 = 1.0 / (d2 * d2 * d2);
-                        let inv12 = inv6 * inv6;
-                        step_energy += precision.quantize(4.0 * (inv12 - inv6));
-                        let fmag = precision.quantize(24.0 * (2.0 * inv12 - inv6) / d2);
-                        for d in 0..dims {
-                            let diff = pos[i * dims + d] - pos[j * dims + d];
-                            forces[i * dims + d] += fmag * diff;
-                            forces[j * dims + d] -= fmag * diff;
-                        }
-                        cost.ops += (10 + 4 * dims) as f64 * precision.op_cost();
-                        cost.bytes_touched += (4 * dims) as f64 * 8.0;
-                    }
-                }
+            for ((v, p), f) in vel.iter_mut().zip(&mut pos).zip(&forces) {
+                *v = P::quantize(*v + f * 1e-4);
+                *p = P::quantize(*p + *v * 0.01);
+                ops.add_scaled(4);
             }
-            for i in 0..n {
-                for d in 0..dims {
-                    vel[i * dims + d] =
-                        precision.quantize(vel[i * dims + d] + forces[i * dims + d] * 1e-4);
-                    pos[i * dims + d] =
-                        precision.quantize(pos[i * dims + d] + vel[i * dims + d] * 0.01);
-                    cost.ops += 4.0 * precision.op_cost();
-                }
-            }
-            energy = step_energy;
         }
-        (energy, cost)
+        (energy, Cost::new(ops.total(), bytes as f64))
+    }
+
+    /// One step's interactions between molecules of neighbouring cells, written to
+    /// `forces`; returns the step's potential energy.
+    ///
+    /// Cells are visited in key order. A cell's neighbours are the 9 rows of
+    /// [`NEIGHBOUR_ROWS`], each a contiguous run of the sorted entries. The bounds of a
+    /// row are found by two cursors over the distinct cells that only move forward as
+    /// the visited cell does, and the 9 runs list the neighbour molecules in key order.
+    fn cell_forces<P: PrecisionKind>(
+        &self,
+        pos: &[f64],
+        inter_perf: Perforation,
+        cells: &mut CellList,
+        forces: &mut [f64],
+        ops: &mut OpCount<P>,
+        bytes: &mut u64,
+    ) -> f64 {
+        let CellList {
+            entries,
+            cells,
+            slots,
+            forces: sorted_forces,
+            keep,
+            interacting,
+        } = cells;
+        cells.clear();
+        for (a, &(cell, i)) in entries.iter().enumerate() {
+            if cells.last().is_none_or(|&(last, _)| last != cell) {
+                cells.push((cell, a));
+            }
+            slots[a] = (std::array::from_fn(|d| pos[i * DIMS + d]), i);
+        }
+        let n_cells = cells.len();
+        cells.push(((i64::MAX, i64::MAX, i64::MAX), entries.len()));
+        sorted_forces.fill([0.0; DIMS]);
+        let cut2 = self.cell_size * self.cell_size;
+        let mut step_energy = 0.0f64;
+        // Per row, the cells [row_start, row_end) of the current cell's row.
+        let mut row_start = [0usize; 9];
+        let mut row_end = [0usize; 9];
+        let mut runs: [std::ops::Range<usize>; 9] = std::array::from_fn(|_| 0..0);
+        for c in 0..n_cells {
+            let ((cx, cy, cz), first) = cells[c];
+            let last = cells[c + 1].1;
+            ops.add(27);
+            let mut neighbours = 0;
+            for (r, &(dx, dy)) in NEIGHBOUR_ROWS.iter().enumerate() {
+                let lo = (cx + dx, cy + dy, cz - 1);
+                let hi = (cx + dx, cy + dy, cz + 1);
+                while row_start[r] < n_cells && cells[row_start[r]].0 < lo {
+                    row_start[r] += 1;
+                }
+                row_end[r] = row_end[r].max(row_start[r]);
+                while row_end[r] < n_cells && cells[row_end[r]].0 <= hi {
+                    row_end[r] += 1;
+                }
+                runs[r] = cells[row_start[r]].1..cells[row_end[r]].1;
+                neighbours += runs[r].len();
+            }
+            inter_perf.fill_mask(neighbours, keep);
+            for a in first..last {
+                let (pa, i) = slots[a];
+                // The interacting neighbours, branch-free and in key order: a later
+                // molecule (by index), kept by perforation, within the cutoff. The k-th
+                // later neighbour is perforated by keep[k].
+                let mut k = 0usize;
+                let mut found = 0usize;
+                for run in runs.iter().cloned() {
+                    for (b, &(pb, j)) in run.clone().zip(&slots[run]) {
+                        let later = j > i;
+                        let kept = keep[k];
+                        k += usize::from(later);
+                        let d2 = dist2(pa, pb).max(0.25);
+                        interacting[found] = b;
+                        found += usize::from(later & kept & (d2 <= cut2));
+                    }
+                }
+                // The force math of each interacting pair, in the same order.
+                for &b in &interacting[..found] {
+                    let pb = slots[b].0;
+                    let d2 = dist2(pa, pb).max(0.25);
+                    let inv6 = 1.0 / (d2 * d2 * d2);
+                    let inv12 = inv6 * inv6;
+                    step_energy += P::quantize(4.0 * (inv12 - inv6));
+                    let fmag = P::quantize(24.0 * (2.0 * inv12 - inv6) / d2);
+                    for d in 0..DIMS {
+                        let diff = pa[d] - pb[d];
+                        sorted_forces[a][d] += fmag * diff;
+                        sorted_forces[b][d] -= fmag * diff;
+                    }
+                    ops.add_scaled(10 + 4 * DIMS as u64);
+                    *bytes += 4 * DIMS as u64 * 8;
+                }
+            }
+        }
+        for (&(_, i), f) in slots.iter().zip(sorted_forces.iter()) {
+            forces[i * DIMS..i * DIMS + DIMS].copy_from_slice(f);
+        }
+        step_energy
     }
 }
 

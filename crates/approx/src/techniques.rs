@@ -76,6 +76,18 @@ impl Perforation {
         }
     }
 
+    /// Sets `mask` to `keeps(i, n)` for every `i` in `0..n`, so a loop can decide its
+    /// perforation once instead of matching this enum (and dividing) per iteration.
+    pub(crate) fn fill_mask(&self, n: usize, mask: &mut Vec<bool>) {
+        let period = match *self {
+            Perforation::None => 1,
+            Perforation::KeepEveryNth(p) => p.max(1) as usize,
+            Perforation::SkipEveryNth(p) => p.max(2) as usize,
+            Perforation::TruncateBy(_) | Perforation::KeepFraction(_) => n,
+        };
+        fill_periodic(mask, n, period, |i| self.keeps(i, n));
+    }
+
     /// Indices of the iterations of `0..n` that survive perforation.
     pub fn filter_indices(&self, n: usize) -> Vec<usize> {
         (0..n).filter(|&i| self.keeps(i, n)).collect()
@@ -106,13 +118,9 @@ impl Precision {
     /// Quantizes a value to this precision.
     pub fn quantize(&self, x: f64) -> f64 {
         match self {
-            Precision::F64 => x,
-            Precision::F32 => x as f32 as f64,
-            Precision::Fixed16 => {
-                let scaled = (x * 256.0).round();
-                let clamped = scaled.clamp(-32_768.0, 32_767.0);
-                clamped / 256.0
-            }
+            Precision::F64 => KindF64::quantize(x),
+            Precision::F32 => KindF32::quantize(x),
+            Precision::Fixed16 => KindFixed16::quantize(x),
         }
     }
 
@@ -122,15 +130,155 @@ impl Precision {
     /// codes) execution time; the kernels use this factor when accounting work.
     pub fn op_cost(&self) -> f64 {
         match self {
-            Precision::F64 => 1.0,
-            Precision::F32 => 0.62,
-            Precision::Fixed16 => 0.45,
+            Precision::F64 => KindF64::OP_COST,
+            Precision::F32 => KindF32::OP_COST,
+            Precision::Fixed16 => KindFixed16::OP_COST,
         }
     }
 
     /// Whether this is the precise (F64) setting.
     pub fn is_precise(&self) -> bool {
         matches!(self, Precision::F64)
+    }
+}
+
+/// A [`Precision`] as a type, so a kernel's inner loops are compiled once per precision
+/// instead of matching the enum on every operation.
+pub(crate) trait PrecisionKind {
+    /// Relative cost of an arithmetic operation (see [`Precision::op_cost`]).
+    const OP_COST: f64;
+
+    /// Quantizes a value (see [`Precision::quantize`]).
+    fn quantize(x: f64) -> f64;
+}
+
+/// [`Precision::F64`] as a type.
+pub(crate) struct KindF64;
+
+/// [`Precision::F32`] as a type.
+pub(crate) struct KindF32;
+
+/// [`Precision::Fixed16`] as a type.
+pub(crate) struct KindFixed16;
+
+impl PrecisionKind for KindF64 {
+    const OP_COST: f64 = 1.0;
+
+    #[inline]
+    fn quantize(x: f64) -> f64 {
+        x
+    }
+}
+
+impl PrecisionKind for KindF32 {
+    const OP_COST: f64 = 0.62;
+
+    #[inline]
+    fn quantize(x: f64) -> f64 {
+        x as f32 as f64
+    }
+}
+
+impl PrecisionKind for KindFixed16 {
+    const OP_COST: f64 = 0.45;
+
+    #[inline]
+    fn quantize(x: f64) -> f64 {
+        let scaled = (x * 256.0).round();
+        let clamped = scaled.clamp(-32_768.0, 32_767.0);
+        clamped / 256.0
+    }
+}
+
+/// A kernel's `Cost::ops` total at precision `P`, bit-identical to adding each increment
+/// to an `f64` in program order.
+///
+/// Why a count can stand in for the in-order sum:
+///
+/// * At `F64` every increment is an integer (an integer number of operations times an op
+///   cost of 1.0). An `f64` sum of integers is exact while every partial sum stays below
+///   2⁵³, so the in-order sum equals the integer total, and this counter keeps a `u64`
+///   and converts it once. The same argument lets kernels sum `bytes_touched`, whose
+///   increments are integers at every precision, in a `u64`.
+/// * At `F32` and `Fixed16` the op costs 0.62 and 0.45 are not dyadic: each scaled
+///   increment rounds, and the total depends on the order of the adds. The counter adds
+///   each increment to an `f64` in the order the kernel reports it.
+/// * [`OpCount::add_scaled_if`] adds `+0.0` for a false condition. A running sum that
+///   starts at `+0.0` and only grows by non-negative terms is never `-0.0`, and `x + 0.0`
+///   is `x` for every such `x`, so the conditional add is branch-free without changing a
+///   bit. Kernels use the same fact for their own non-negative accumulators.
+pub(crate) struct OpCount<P> {
+    count: u64,
+    sum: f64,
+    kind: std::marker::PhantomData<P>,
+}
+
+impl<P: PrecisionKind> Default for OpCount<P> {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0.0,
+            kind: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<P: PrecisionKind> OpCount<P> {
+    /// Whether every increment is an integer, so the total can be counted.
+    const INTEGER: bool = P::OP_COST == 1.0;
+
+    /// Adds `n` operations that cost the same at every precision (`ops += n as f64`).
+    #[inline]
+    pub(crate) fn add(&mut self, n: u64) {
+        if Self::INTEGER {
+            self.count += n;
+        } else {
+            self.sum += n as f64;
+        }
+    }
+
+    /// Adds `n` operations at this precision (`ops += n as f64 * op_cost`).
+    #[inline]
+    pub(crate) fn add_scaled(&mut self, n: u64) {
+        if Self::INTEGER {
+            self.count += n;
+        } else {
+            self.sum += n as f64 * P::OP_COST;
+        }
+    }
+
+    /// [`OpCount::add_scaled`] when `cond` holds, without a branch.
+    #[inline]
+    pub(crate) fn add_scaled_if(&mut self, n: u64, cond: bool) {
+        if Self::INTEGER {
+            self.count += n * u64::from(cond);
+        } else {
+            self.sum += if cond { n as f64 * P::OP_COST } else { 0.0 };
+        }
+    }
+
+    /// The total, as the in-order `f64` sum would have it.
+    pub(crate) fn total(&self) -> f64 {
+        if Self::INTEGER {
+            self.count as f64
+        } else {
+            self.sum
+        }
+    }
+}
+
+/// Sets `mask` to `f(i)` for `i` in `0..n`, where `f` repeats with `period`: only the
+/// first period is evaluated, and the mask then doubles by copying its own prefix (a
+/// whole number of periods).
+fn fill_periodic(mask: &mut Vec<bool>, n: usize, period: usize, f: impl Fn(usize) -> bool) {
+    mask.clear();
+    mask.extend((0..period.clamp(1, n.max(1)).min(n)).map(f));
+    if let [only] = mask[..] {
+        mask.resize(n, only);
+    }
+    while mask.len() < n {
+        let copied = mask.len().min(n - mask.len());
+        mask.extend_from_within(..copied);
     }
 }
 
@@ -168,6 +316,12 @@ impl SyncElision {
     /// Whether iteration `i` refreshes shared state.
     pub fn refreshes(&self, i: usize) -> bool {
         i.is_multiple_of(self.staleness.max(1) as usize)
+    }
+
+    /// Sets `mask` to `refreshes(i)` for every `i` in `0..n`.
+    pub(crate) fn fill_mask(&self, n: usize, mask: &mut Vec<bool>) {
+        let period = self.staleness.max(1) as usize;
+        fill_periodic(mask, n, period, |i| self.refreshes(i));
     }
 
     /// Fraction of synchronization work performed versus precise execution.
@@ -249,6 +403,55 @@ mod tests {
     fn fixed16_saturates() {
         assert!((Precision::Fixed16.quantize(1e9) - 32_767.0 / 256.0).abs() < 1e-9);
         assert!((Precision::Fixed16.quantize(-1e9) + 32_768.0 / 256.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn masks_match_their_per_index_predicates() {
+        let mut mask = Vec::new();
+        for n in [0usize, 1, 2, 7, 30] {
+            for perf in [
+                Perforation::None,
+                Perforation::TruncateBy(3),
+                Perforation::KeepEveryNth(4),
+                Perforation::SkipEveryNth(1),
+                Perforation::SkipEveryNth(3),
+                Perforation::KeepFraction(0.4),
+            ] {
+                perf.fill_mask(n, &mut mask);
+                let want: Vec<bool> = (0..n).map(|i| perf.keeps(i, n)).collect();
+                assert_eq!(mask, want, "{perf:?} n={n}");
+            }
+            for staleness in [1u32, 2, 5, u32::MAX] {
+                let sync = SyncElision::with_staleness(staleness);
+                sync.fill_mask(n, &mut mask);
+                let want: Vec<bool> = (0..n).map(|i| sync.refreshes(i)).collect();
+                assert_eq!(mask, want, "staleness {staleness} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn op_counts_match_the_in_order_f64_sum() {
+        fn check<P: PrecisionKind>(precision: Precision) {
+            let mut count = OpCount::<P>::default();
+            let mut sum = 0.0f64;
+            for i in 0..10_000u64 {
+                let n = i % 23;
+                count.add(n);
+                sum += n as f64;
+                count.add_scaled(n + 1);
+                sum += (n + 1) as f64 * precision.op_cost();
+                let cond = i % 3 == 0;
+                count.add_scaled_if(4, cond);
+                if cond {
+                    sum += 4.0 * precision.op_cost();
+                }
+            }
+            assert_eq!(count.total().to_bits(), sum.to_bits(), "{precision:?}");
+        }
+        check::<KindF64>(Precision::F64);
+        check::<KindF32>(Precision::F32);
+        check::<KindFixed16>(Precision::Fixed16);
     }
 
     #[test]

@@ -95,7 +95,13 @@ fn all_configs(kernel: &dyn ApproxKernel, pairs: u32, steps: u32) -> Vec<ApproxC
 /// exploration size (`small`) on two, each with every configuration.
 fn digests() -> Vec<(String, u64)> {
     let mut instances: Vec<(String, Box<dyn ApproxKernel>, u32, u32)> = Vec::new();
-    let sized = [(1u64, false), (7, false), (23, false), (5, true), (11, true)];
+    let sized = [
+        (1u64, false),
+        (7, false),
+        (23, false),
+        (5, true),
+        (11, true),
+    ];
     for (seed, small) in sized {
         let (spatial, nsquared, fluid) = if small {
             (

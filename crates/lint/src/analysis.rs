@@ -113,6 +113,8 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
     // --- Structural pass -----------------------------------------------------------
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending = Pending::default();
+    // Open `(` and `[`: a `;` inside them (`[f64; 3]` in a signature) ends no item.
+    let mut nesting = 0usize;
     let mut i = 0usize;
     while i < tokens.len() {
         let tok = &tokens[i];
@@ -219,7 +221,11 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
             TokenKind::Punct if tok.is_punct('}') => {
                 scopes.pop();
             }
-            TokenKind::Punct if tok.is_punct(';') => {
+            TokenKind::Punct if tok.is_punct('(') || tok.is_punct('[') => nesting += 1,
+            TokenKind::Punct if tok.is_punct(')') || tok.is_punct(']') => {
+                nesting = nesting.saturating_sub(1);
+            }
+            TokenKind::Punct if tok.is_punct(';') && nesting == 0 => {
                 // `mod name;`, `use ...;`, trait method declarations: the pending item
                 // and attributes never materialize into a scope.
                 pending.item = None;
@@ -383,6 +389,16 @@ mod tests {
         assert_eq!(a.functions[1].qualified, "free_standing");
         // The `compute` token sits inside ClusterNode::step.
         let idx = a.tokens.iter().position(|t| t.is_ident("compute")).unwrap();
+        assert_eq!(a.context[idx].function, Some(0));
+    }
+
+    #[test]
+    fn array_types_in_a_signature_keep_the_function() {
+        let src = "impl Kernel { fn step(buf: &mut [[f64; 3]], n: [u8; 2]) { work(); } }";
+        let a = analyze("x.rs", src);
+        assert_eq!(a.functions.len(), 1);
+        assert_eq!(a.functions[0].qualified, "Kernel::step");
+        let idx = a.tokens.iter().position(|t| t.is_ident("work")).unwrap();
         assert_eq!(a.context[idx].function, Some(0));
     }
 

@@ -108,6 +108,11 @@ impl LintConfig {
                 "ClusterRun::step_nodes",
                 "ClusterRun::close_interval",
                 "ClusterRun::refresh_snapshots",
+                // The per-step pair loops of the design-space exploration's heaviest
+                // kernels: each reuses the buffers its run allocated once.
+                "WaterSpatialKernel::cell_forces",
+                "WaterNsquaredKernel::pair_forces",
+                "FluidanimateKernel::density_pass",
             ]),
             wallclock_allowed: s(&["perfbench/"]),
             hash_container_scoped: s(&[
