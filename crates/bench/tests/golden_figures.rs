@@ -19,9 +19,12 @@
 //! autoscaler, no faults), `fig_energy` (autoscaler), `fig_failure` (fault-aware
 //! serving masks and requeues) and `fig_topology` (racked placement, rack outages and
 //! consolidation). `fig_hyperscale` pins the clustered approximation at 10k logical
-//! nodes, including its simulated instance counts. With more representatives than
-//! group members (`--approx 1000`), `fig_topology` and the fault-injected `fig_failure`
-//! must reproduce their exact goldens.
+//! nodes, including its simulated instance counts, and again at 1M logical nodes
+//! (`fig_hyperscale_1m.json`). `fig_failure --approx 2` (`fig_failure_approx2.json`)
+//! pins the faulted clustered path: the isolating planner carves the crashed and the
+//! degraded node out of their groups as weight-1 instances. With more
+//! representatives than group members (`--approx 1000`), `fig_topology` and the
+//! fault-injected `fig_failure` must reproduce their exact goldens.
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
@@ -34,6 +37,10 @@
 //!     cargo run --release -p pliant-bench --bin "$fig" -- --json \
 //!         > "crates/bench/tests/golden/$fig.json"
 //! done
+//! cargo run --release -p pliant-bench --bin fig_hyperscale -- --json --nodes 1000000 \
+//!     > crates/bench/tests/golden/fig_hyperscale_1m.json
+//! cargo run --release -p pliant-bench --bin fig_failure -- --json --approx 2 \
+//!     > crates/bench/tests/golden/fig_failure_approx2.json
 //! ```
 //!
 //! The traced test writes the stream it produced to `target/tmp/` before comparing,
@@ -79,7 +86,13 @@ fn run_json(bin: &str, extra_args: &[&str]) -> String {
 /// Runs a figure binary with its default flags and compares its `--json` output with
 /// the committed golden of the same name.
 fn assert_matches_golden(bin: &str, name: &str) {
-    let fresh = run_json(bin, &[]);
+    assert_matches_golden_with(bin, &[], name);
+}
+
+/// Runs a figure binary with `args` and compares its `--json` output with the
+/// committed golden `name`.
+fn assert_matches_golden_with(bin: &str, args: &[&str], name: &str) {
+    let fresh = run_json(bin, args);
     assert_eq!(
         fresh,
         golden(&format!("{name}.json")),
@@ -284,6 +297,28 @@ fn fig_hyperscale_output_is_byte_identical_to_the_golden() {
     // The default 10k-node figure runs the clustered approximation with 4
     // representatives per group; the golden pins every point's simulated instance count.
     assert_matches_golden(env!("CARGO_BIN_EXE_fig_hyperscale"), "fig_hyperscale");
+}
+
+#[test]
+fn fig_hyperscale_at_one_million_nodes_is_byte_identical_to_the_golden() {
+    // The fleet size the clustered approximation exists for: every point's grouping,
+    // instance plan and replica-weighted outcome at 1M logical nodes.
+    assert_matches_golden_with(
+        env!("CARGO_BIN_EXE_fig_hyperscale"),
+        &["--nodes", "1000000"],
+        "fig_hyperscale_1m",
+    );
+}
+
+#[test]
+fn faulted_clustered_fig_failure_is_byte_identical_to_the_golden() {
+    // Two representatives per group, with the faulted nodes carved out as weight-1
+    // instances: the isolating planner and fault resolution, byte for byte.
+    assert_matches_golden_with(
+        env!("CARGO_BIN_EXE_fig_failure"),
+        &["--approx", "2"],
+        "fig_failure_approx2",
+    );
 }
 
 /// A value flag given without a value, or a fleet size no fleet can be built at, must
