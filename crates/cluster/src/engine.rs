@@ -156,8 +156,6 @@ impl ClusterEngineExt for Engine {
 pub struct ClusterRun {
     scenario: ClusterScenario,
     catalog: Catalog,
-    /// The logical fleet the instances below stand for.
-    population: NodePopulation,
     /// Simulated instances, in instance order. Each keeps its own per-node books (QoS
     /// counters, histogram, energy, assigned load, reclaimed cores, completions).
     nodes: Vec<ClusterNode>,
@@ -340,7 +338,7 @@ impl ClusterRun {
         let plans = match &fault_schedule {
             Some(schedule) if clustered => population.plan_instances_isolating(
                 &scenario.approximation,
-                &faults::faulted_logical_nodes(schedule, population.total_nodes()),
+                &faults::faulted_logical_nodes(schedule),
             ),
             _ => population.plan_instances(&scenario.approximation),
         };
@@ -423,13 +421,11 @@ impl ClusterRun {
         let autoscaler = scenario
             .autoscaler
             .map(|config| Autoscaler::for_instances(config, replica_weights.clone()));
-        let faults = fault_schedule
-            .map(|schedule| FaultState::new(schedule, population.total_nodes(), &plans));
+        let faults = fault_schedule.map(|schedule| FaultState::new(schedule, &plans));
         let max_intervals = scenario.max_intervals();
         Self {
             scenario: scenario.clone(),
             catalog: catalog.clone(),
-            population,
             nodes,
             replica_weights,
             balancer,
@@ -488,7 +484,7 @@ impl ClusterRun {
     /// Logical fleet size (the number of nodes the scenario describes, regardless of
     /// how many instances the approximation simulates).
     pub fn node_count(&self) -> usize {
-        self.population.total_nodes()
+        self.scenario.nodes
     }
 
     /// Simulated instances (equals [`Self::node_count`] in exact mode; the number of
@@ -496,11 +492,6 @@ impl ClusterRun {
     /// [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)).
     pub fn instance_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The logical node population the fleet was grouped from.
-    pub fn population(&self) -> &NodePopulation {
-        &self.population
     }
 
     /// Logical nodes each instance stands for, in instance order (all ones in exact
@@ -535,7 +526,7 @@ impl ClusterRun {
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.faults
             .as_ref()
-            .map(|f| f.stats(self.population.total_nodes(), self.intervals))
+            .map(|f| f.stats(self.scenario.nodes, self.intervals))
     }
 
     /// Logical nodes currently serving traffic (the whole fleet without an
@@ -544,7 +535,7 @@ impl ClusterRun {
     pub fn active_nodes(&self) -> usize {
         self.autoscaler
             .as_ref()
-            .map_or(self.population.total_nodes(), |a| a.active_replicas())
+            .map_or(self.scenario.nodes, |a| a.active_replicas())
     }
 
     /// The current snapshots of every instance, in instance order.
@@ -617,7 +608,7 @@ impl ClusterRun {
         // The offered load scales with the *logical* fleet: approximating with fewer
         // instances must not shrink it.
         let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
-        let total_offered_load = avg_offered_load * self.population.total_nodes() as f64;
+        let total_offered_load = avg_offered_load * self.scenario.nodes as f64;
         let active_nodes = self.plan_serving_set(total_offered_load);
         self.admit_racks();
         self.consolidate();
@@ -636,7 +627,6 @@ impl ClusterRun {
     fn apply_faults(&mut self) {
         let Some(FaultState {
             schedule,
-            instance_of,
             progress: faults,
         }) = self.faults.as_mut()
         else {
@@ -686,10 +676,10 @@ impl ClusterRun {
         // node with no exact instance (impossible by construction — the isolating
         // planner carves every faulted node out) or a node that is not healthy (a
         // crash cannot crash an already-down node) are dropped.
-        while faults.cursor < schedule.len() && schedule[faults.cursor].interval == interval {
-            let event = schedule[faults.cursor];
+        while faults.cursor < schedule.len() && schedule[faults.cursor].0.interval == interval {
+            let (event, instance) = schedule[faults.cursor];
             faults.cursor += 1;
-            let Some(instance) = instance_of[event.node] else {
+            let Some(instance) = instance else {
                 continue;
             };
             if faults.health[instance] != NodeHealth::Up {
@@ -1226,7 +1216,7 @@ impl ClusterRun {
         ClusterRunCheckpoint {
             version: CLUSTER_CHECKPOINT_VERSION,
             scenario_seed: self.scenario.seed,
-            nodes: self.population.total_nodes(),
+            nodes: self.scenario.nodes,
             instances: self.nodes.len(),
             time_s: self.time_s,
             intervals: self.intervals,
@@ -1265,7 +1255,7 @@ impl ClusterRun {
                 checkpoint.scenario_seed, self.scenario.seed
             ));
         }
-        if checkpoint.nodes != self.population.total_nodes()
+        if checkpoint.nodes != self.scenario.nodes
             || checkpoint.instances != self.nodes.len()
             || checkpoint.node_checkpoints.len() != self.nodes.len()
         {
@@ -1275,7 +1265,7 @@ impl ClusterRun {
                 checkpoint.nodes,
                 checkpoint.instances,
                 checkpoint.node_checkpoints.len(),
-                self.population.total_nodes(),
+                self.scenario.nodes,
                 self.nodes.len()
             ));
         }
@@ -1449,7 +1439,7 @@ impl ClusterRun {
             policy: scenario.policy,
             balancer: scenario.balancer,
             scheduler: scenario.scheduler,
-            nodes: self.population.total_nodes(),
+            nodes: self.scenario.nodes,
             approximation: scenario.approximation,
             simulated_instances: self.nodes.len(),
             intervals: self.intervals,

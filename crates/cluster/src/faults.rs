@@ -18,7 +18,9 @@
 //!    logical nodes out of their replica groups and simulate them exactly
 //!    ([`NodePopulation::plan_instances_isolating`](crate::population::NodePopulation::plan_instances_isolating)).
 //!
-//! Consumption is a zero-allocation cursor walk inside
+//! When the run is built, each compiled event is resolved once to the simulated
+//! instance that carries its logical node, so the run keeps no table over logical
+//! nodes. Consumption is a zero-allocation cursor walk inside
 //! [`ClusterRun`](crate::engine::ClusterRun): each interval the run first recovers
 //! nodes whose outage expired, then applies every event scheduled for the interval.
 //! Events targeting a node that is not healthy are dropped (a crash cannot crash an
@@ -388,13 +390,13 @@ pub(crate) struct FaultEvent {
 /// node-interval regardless of hits — so the schedule is a pure function of profile,
 /// seed, fleet size, and horizon), merged with the scheduled faults and the expanded
 /// group and rack outages, sorted by `(interval, node)`. Rack outages expand over the
-/// topology's member lists exactly as group outages expand over the population's, so
-/// every downstream consumer — stats, availability, the isolating instance planner —
-/// sees plain per-node crashes and composes for free.
+/// topology's rack blocks exactly as group outages expand over the population's
+/// members, so every downstream consumer — stats, availability, the isolating instance
+/// planner — sees plain per-node crashes and composes for free.
 pub(crate) fn compile_schedule(
     profile: &FaultProfile,
     seed: u64,
-    population: &NodePopulation,
+    population: &NodePopulation<'_>,
     topology: &Topology,
     max_intervals: usize,
 ) -> Vec<FaultEvent> {
@@ -434,7 +436,7 @@ pub(crate) fn compile_schedule(
         });
     }
     for outage in &profile.group_outages {
-        for &member in &population.groups()[outage.group].members {
+        for member in population.members(outage.group) {
             schedule.push(FaultEvent {
                 interval: outage.at_interval,
                 node: member,
@@ -444,7 +446,7 @@ pub(crate) fn compile_schedule(
         }
     }
     for outage in &profile.rack_outages {
-        for &member in &topology.racks()[outage.rack].members {
+        for member in topology.racks()[outage.rack].members.clone() {
             schedule.push(FaultEvent {
                 interval: outage.at_interval,
                 node: member,
@@ -457,13 +459,13 @@ pub(crate) fn compile_schedule(
     schedule
 }
 
-/// Marks which logical nodes the schedule ever touches (the nodes the clustered
-/// approximation must simulate exactly rather than fold into a replica group).
-pub(crate) fn faulted_logical_nodes(schedule: &[FaultEvent], nodes: usize) -> Vec<bool> {
-    let mut faulted = vec![false; nodes];
-    for event in schedule {
-        faulted[event.node] = true;
-    }
+/// The logical nodes the schedule ever touches, ascending and without repeats (the
+/// nodes the clustered approximation must simulate exactly rather than fold into a
+/// replica group).
+pub(crate) fn faulted_logical_nodes(schedule: &[FaultEvent]) -> Vec<usize> {
+    let mut faulted: Vec<usize> = schedule.iter().map(|event| event.node).collect();
+    faulted.sort_unstable();
+    faulted.dedup();
     faulted
 }
 
@@ -521,17 +523,16 @@ pub struct FaultStats {
 /// Live fault-injection state inside a running [`ClusterRun`](crate::engine::ClusterRun).
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
-    /// Compiled schedule, over logical nodes, sorted by `(interval, node)`.
-    pub schedule: Vec<FaultEvent>,
-    /// Logical node → simulated instance carrying it exactly (weight-1), if any.
-    pub instance_of: Vec<Option<usize>>,
+    /// Compiled schedule, sorted by `(interval, node)`, each event paired with the
+    /// simulated instance that carries its logical node exactly (weight 1), if any.
+    pub schedule: Vec<(FaultEvent, Option<usize>)>,
     /// What changes as the run advances, and what a checkpoint carries.
     pub progress: FaultProgress,
 }
 
 /// The mutable part of a run's fault state, kept as one value so a checkpoint is a
-/// clone of it (the schedule and the logical→instance map are pure functions of the
-/// scenario and are recompiled on restore).
+/// clone of it (the schedule and the instances it resolves to are pure functions of
+/// the scenario and are recompiled on restore).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultProgress {
     /// Next unconsumed entry of the schedule.
@@ -551,20 +552,31 @@ pub struct FaultProgress {
 }
 
 impl FaultState {
-    /// Builds the initial state for a fleet materialized as `plans`: every weight-1
-    /// instance is addressable by its logical node (in exact mode that is every node;
-    /// under the clustered approximation the isolating planner guarantees every faulted
-    /// node got a weight-1 instance).
-    pub fn new(schedule: Vec<FaultEvent>, logical_nodes: usize, plans: &[InstancePlan]) -> Self {
-        let mut instance_of = vec![None; logical_nodes];
-        for (index, plan) in plans.iter().enumerate() {
-            if plan.replicas == 1 {
-                instance_of[plan.seed_member] = Some(index);
-            }
-        }
+    /// Builds the initial state for a fleet materialized as `plans`, resolving each
+    /// event to the weight-1 instance seeded by its logical node (in exact mode every
+    /// node has one; under the clustered approximation the isolating planner
+    /// guarantees every faulted node got one). The schedule keeps its length and order,
+    /// so checkpoint cursors index it as before.
+    pub fn new(schedule: Vec<FaultEvent>, plans: &[InstancePlan]) -> Self {
+        let mut exact: Vec<(usize, usize)> = plans
+            .iter()
+            .enumerate()
+            .filter(|(_, plan)| plan.replicas == 1)
+            .map(|(index, plan)| (plan.seed_member, index))
+            .collect();
+        exact.sort_unstable();
+        let schedule = schedule
+            .into_iter()
+            .map(|event| {
+                let instance = exact
+                    .binary_search_by_key(&event.node, |&(node, _)| node)
+                    .ok()
+                    .map(|at| exact[at].1);
+                (event, instance)
+            })
+            .collect();
         FaultState {
             schedule,
-            instance_of,
             progress: FaultProgress {
                 cursor: 0,
                 health: vec![NodeHealth::Up; plans.len()],
@@ -628,21 +640,27 @@ mod tests {
         Topology::resolve(&crate::topology::TopologyConfig::Flat, nodes)
     }
 
-    fn population(nodes: usize) -> NodePopulation {
+    fn scenario(nodes: usize) -> ClusterScenario {
         let mix = [AppId::Canneal, AppId::Snp, AppId::Raytrace];
-        let scenario = ClusterScenario::builder(ServiceId::Memcached)
+        ClusterScenario::builder(ServiceId::Memcached)
             .nodes(nodes)
             .jobs((0..nodes).map(|i| mix[i % 3]))
             .horizon_intervals(40)
-            .build();
-        NodePopulation::from_scenario(&scenario)
+            .build()
     }
 
     #[test]
     fn empty_profile_compiles_to_an_empty_schedule() {
         let profile = FaultProfile::new();
         assert!(profile.is_empty());
-        let schedule = compile_schedule(&profile, 42, &population(6), &flat(6), 40);
+        let s = scenario(6);
+        let schedule = compile_schedule(
+            &profile,
+            42,
+            &NodePopulation::from_scenario(&s),
+            &flat(6),
+            40,
+        );
         assert!(schedule.is_empty());
     }
 
@@ -656,7 +674,8 @@ mod tests {
             degrade_intervals: 4,
             ..FaultProfile::new()
         };
-        let pop = population(6);
+        let s = scenario(6);
+        let pop = NodePopulation::from_scenario(&s);
         let a = compile_schedule(&profile, 42, &pop, &flat(6), 200);
         let b = compile_schedule(&profile, 42, &pop, &flat(6), 200);
         assert_eq!(a, b, "same seed must reproduce the same schedule");
@@ -682,7 +701,8 @@ mod tests {
             }],
             ..FaultProfile::new()
         };
-        let pop = population(7); // group 0 = members [0, 3, 6]
+        let s = scenario(7);
+        let pop = NodePopulation::from_scenario(&s); // group 0 = members [0, 3, 6]
         let schedule = compile_schedule(&profile, 42, &pop, &flat(7), 40);
         assert_eq!(schedule.len(), 3);
         let nodes: Vec<usize> = schedule.iter().map(|e| e.node).collect();
@@ -690,8 +710,7 @@ mod tests {
         assert!(schedule
             .iter()
             .all(|e| e.interval == 7 && e.duration == 3 && e.kind == FaultKind::Crash));
-        let faulted = faulted_logical_nodes(&schedule, 7);
-        assert_eq!(faulted, vec![true, false, false, true, false, false, true]);
+        assert_eq!(faulted_logical_nodes(&schedule), vec![0, 3, 6]);
     }
 
     #[test]
@@ -769,7 +788,8 @@ mod tests {
             }],
             ..FaultProfile::new()
         };
-        let pop = population(6);
+        let s = scenario(6);
+        let pop = NodePopulation::from_scenario(&s);
         let topo = Topology::resolve(
             &crate::topology::TopologyConfig::Racks {
                 racks: 2,
@@ -803,11 +823,29 @@ mod tests {
             }],
             ..FaultProfile::new()
         };
-        let pop = population(4);
+        let s = scenario(4);
+        let pop = NodePopulation::from_scenario(&s);
         let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
         let plans = pop.plan_instances(&crate::scenario::FleetApproximation::Exact);
-        let mut state = FaultState::new(schedule, 4, &plans);
-        assert_eq!(state.instance_of, vec![Some(0), Some(1), Some(2), Some(3)]);
+        let mut state = FaultState::new(schedule.clone(), &plans);
+        // Exact mode: logical node 2 is instance 2.
+        assert_eq!(state.schedule, vec![(schedule[0], Some(2))]);
+        // One representative per group: node 3 shares group 0 with node 0, so it is
+        // folded into that group's replica block, no instance carries it exactly, and
+        // its event resolves to none...
+        let mut on_three = profile.clone();
+        on_three.scheduled[0].node = 3;
+        let schedule3 = compile_schedule(&on_three, 42, &pop, &flat(4), 20);
+        let single = crate::scenario::FleetApproximation::Clustered {
+            representatives_per_group: 1,
+        };
+        let folded = FaultState::new(schedule3.clone(), &pop.plan_instances(&single));
+        assert_eq!(folded.schedule, vec![(schedule3[0], None)]);
+        // ...until the isolating planner carves it out: group 0 plans [0] then [3].
+        let carved = pop.plan_instances_isolating(&single, &faulted_logical_nodes(&schedule3));
+        assert_eq!(carved[1].seed_member, 3);
+        let isolated = FaultState::new(schedule3.clone(), &carved);
+        assert_eq!(isolated.schedule, vec![(schedule3[0], Some(1))]);
         state.progress.cursor = 1;
         state.progress.health[2] = NodeHealth::Down { until: 7 };
         state.progress.crashes = 1;
@@ -815,8 +853,7 @@ mod tests {
         let json = serde_json::to_string(&state.progress).expect("serializable");
         let back: FaultProgress = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, state.progress);
-        let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
-        let mut fresh = FaultState::new(schedule, 4, &plans);
+        let mut fresh = FaultState::new(schedule, &plans);
         fresh.restore(&back).expect("restorable");
         assert_eq!(fresh.progress.cursor, 1);
         assert_eq!(fresh.progress.health[2], NodeHealth::Down { until: 7 });

@@ -24,6 +24,19 @@
 //! cluster interchangeable components, simulate one representative per cluster under
 //! common random numbers, and aggregate the representative's contribution with replica
 //! weights (see README "Hyperscale").
+//!
+//! # Cost
+//!
+//! Nothing here is stored per logical node, so a clustered fleet costs memory in its
+//! groups and instances, not in its logical size. Grouping is one pass over the
+//! scenario's job list that keeps, per group, the job slice, the rack, the first member
+//! and the member count. Racks are contiguous blocks of the node index space, so the
+//! groups of one rack are contiguous in group order and a node is compared only with
+//! the groups of its own rack. Planning is a second pass that classifies each node
+//! again and emits a plan wherever a node starts a chunk, against per-group chunk
+//! cursors set up before the pass; it stops at the last chunk start. A group's member
+//! list is recovered on demand by [`NodePopulation::members`], which scans the group's
+//! rack from its first member.
 
 use crate::scenario::{ClusterScenario, FleetApproximation};
 use pliant_approx::catalog::AppId;
@@ -39,20 +52,10 @@ pub struct NodeGroup {
     /// never spans racks. On a flat topology every node is in the implicit rack 0 and
     /// the grouping is identical to the pre-topology one.
     pub rack: usize,
-    /// Logical-node indices of the members, in ascending order.
-    pub members: Vec<usize>,
-}
-
-impl NodeGroup {
-    /// Number of logical nodes in the group.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the group has no members (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
+    /// The lowest logical-node index among the members; groups are ordered by it.
+    pub first: usize,
+    /// Number of logical nodes in the group (at least 1).
+    pub len: usize,
 }
 
 /// One simulated instance the engine materializes: which group it represents, which
@@ -68,40 +71,25 @@ pub struct InstancePlan {
 }
 
 /// The fleet's logical nodes partitioned into groups of interchangeable members.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodePopulation {
+///
+/// Borrows its scenario: the job list is the only per-node record, and the population
+/// reads it again to plan instances and to list a group's members.
+#[derive(Debug, Clone)]
+pub struct NodePopulation<'s> {
+    scenario: &'s ClusterScenario,
     groups: Vec<NodeGroup>,
-    total_nodes: usize,
 }
 
-impl NodePopulation {
+impl<'s> NodePopulation<'s> {
     /// Partitions the scenario's logical nodes into groups keyed by their initial
     /// batch-job slice *and* their topology rack (two nodes are interchangeable only
     /// when they start the same jobs in the same power domain; see
-    /// [`NodeGroup::rack`]). Groups appear in order of their first member, and members
-    /// within a group ascend, so the grouping is deterministic in the scenario alone.
-    pub fn from_scenario(scenario: &ClusterScenario) -> Self {
-        let spn = scenario.slots_per_node;
-        let mut groups: Vec<NodeGroup> = Vec::new();
-        for index in 0..scenario.nodes {
-            let slice = &scenario.jobs[index * spn..(index + 1) * spn];
-            let rack = scenario.topology.rack_of(index);
-            match groups
-                .iter_mut()
-                .find(|g| g.jobs == slice && g.rack == rack)
-            {
-                Some(group) => group.members.push(index),
-                None => groups.push(NodeGroup {
-                    jobs: slice.to_vec(),
-                    rack,
-                    members: vec![index],
-                }),
-            }
-        }
-        NodePopulation {
-            groups,
-            total_nodes: scenario.nodes,
-        }
+    /// [`NodeGroup::rack`]). Groups appear in order of their first member, so the
+    /// grouping is deterministic in the scenario alone.
+    pub fn from_scenario(scenario: &'s ClusterScenario) -> Self {
+        let mut groups = Vec::new();
+        classify(scenario, &mut groups, |_, _| true);
+        NodePopulation { scenario, groups }
     }
 
     /// The population groups, in order of first member.
@@ -111,7 +99,38 @@ impl NodePopulation {
 
     /// Total logical nodes across all groups (the scenario's `nodes`).
     pub fn total_nodes(&self) -> usize {
-        self.total_nodes
+        self.scenario.nodes
+    }
+
+    /// The members of group `group`, in ascending logical-node order: the nodes of the
+    /// group's rack, from its first member on, that start the group's jobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is not an index into [`Self::groups`].
+    pub fn members(&self, group: usize) -> impl Iterator<Item = usize> + '_ {
+        let group = &self.groups[group];
+        let scenario = self.scenario;
+        let rack = scenario.topology.rack_members(group.rack, scenario.nodes);
+        (group.first..rack.end)
+            .filter(move |&node| job_slice(scenario, node) == group.jobs.as_slice())
+            .take(group.len)
+    }
+
+    /// The index into [`Self::groups`] of logical node `node`'s group (`None` for a
+    /// node outside the fleet).
+    pub fn group_of(&self, node: usize) -> Option<usize> {
+        if node >= self.scenario.nodes {
+            return None;
+        }
+        let rack = self.scenario.topology.rack_of(node);
+        let jobs = job_slice(self.scenario, node);
+        // Groups are ordered by first member, so by rack too.
+        let rack_groups = self.groups.partition_point(|g| g.rack < rack);
+        self.groups[rack_groups..]
+            .iter()
+            .position(|g| g.jobs == jobs)
+            .map(|offset| rack_groups + offset)
     }
 
     /// Materializes the population into an ordered instance plan under `approximation`.
@@ -125,34 +144,7 @@ impl NodePopulation {
     ///
     /// Replica weights always sum to [`Self::total_nodes`].
     pub fn plan_instances(&self, approximation: &FleetApproximation) -> Vec<InstancePlan> {
-        match approximation {
-            FleetApproximation::Exact => {
-                let mut plans = Vec::with_capacity(self.total_nodes);
-                for (gi, group) in self.groups.iter().enumerate() {
-                    for &member in &group.members {
-                        plans.push(InstancePlan {
-                            group: gi,
-                            seed_member: member,
-                            replicas: 1,
-                        });
-                    }
-                }
-                // Exact mode must walk nodes in logical order (construction order is
-                // part of the byte-identity contract), not group-major order.
-                plans.sort_by_key(|p| p.seed_member);
-                plans
-            }
-            FleetApproximation::Clustered {
-                representatives_per_group,
-            } => {
-                let k = (*representatives_per_group).max(1);
-                let mut plans = Vec::new();
-                for (gi, group) in self.groups.iter().enumerate() {
-                    chunk_group(gi, &group.members, k, &mut plans);
-                }
-                plans
-            }
-        }
+        self.plan_instances_isolating(approximation, &[])
     }
 
     /// Like [`Self::plan_instances`], but carves the `isolated` logical nodes out of
@@ -170,72 +162,189 @@ impl NodePopulation {
     ///
     /// # Panics
     ///
-    /// Panics if `isolated` is not exactly [`Self::total_nodes`] long.
+    /// Panics if `isolated` is not strictly ascending or names a node outside the
+    /// fleet.
     pub fn plan_instances_isolating(
         &self,
         approximation: &FleetApproximation,
-        isolated: &[bool],
+        isolated: &[usize],
     ) -> Vec<InstancePlan> {
-        assert_eq!(
-            isolated.len(),
-            self.total_nodes,
-            "isolation mask must cover every logical node"
+        assert!(
+            isolated.windows(2).all(|w| w[0] < w[1])
+                && isolated
+                    .last()
+                    .is_none_or(|&node| node < self.total_nodes()),
+            "isolated nodes must be strictly ascending logical nodes of the fleet"
         );
-        match approximation {
-            FleetApproximation::Exact => self.plan_instances(approximation),
+        let mut walk = Vec::with_capacity(self.groups.len());
+        let representatives = match approximation {
+            FleetApproximation::Exact => {
+                let mut plans = Vec::with_capacity(self.total_nodes());
+                classify(self.scenario, &mut walk, |node, group| {
+                    plans.push(InstancePlan {
+                        group,
+                        seed_member: node,
+                        replicas: 1,
+                    });
+                    true
+                });
+                return plans;
+            }
             FleetApproximation::Clustered {
                 representatives_per_group,
-            } => {
-                let k = (*representatives_per_group).max(1);
-                let mut plans = Vec::new();
-                let mut pooled: Vec<usize> = Vec::new();
-                for (gi, group) in self.groups.iter().enumerate() {
-                    let first = plans.len();
-                    pooled.clear();
-                    pooled.extend(group.members.iter().copied().filter(|&m| !isolated[m]));
-                    chunk_group(gi, &pooled, k, &mut plans);
-                    for &member in group.members.iter().filter(|&&m| isolated[m]) {
-                        plans.push(InstancePlan {
-                            group: gi,
-                            seed_member: member,
-                            replicas: 1,
-                        });
-                    }
-                    plans[first..].sort_by_key(|p| p.seed_member);
+            } => (*representatives_per_group).max(1),
+        };
+        // Each group's plans are its chunks plus its isolated members, laid out
+        // group-major; the walk fills them in seed-member order.
+        let mut pooled: Vec<usize> = self.groups.iter().map(|g| g.len).collect();
+        for group in isolated.iter().filter_map(|&node| self.group_of(node)) {
+            pooled[group] -= 1;
+        }
+        let mut planned = 0;
+        let mut cursors = Vec::with_capacity(self.groups.len());
+        for (group, &pooled) in self.groups.iter().zip(&pooled) {
+            let chunks = representatives.min(pooled);
+            cursors.push(ChunkCursor::new(planned, pooled, chunks));
+            planned += chunks + (group.len - pooled);
+        }
+        let mut plans = vec![
+            InstancePlan {
+                group: 0,
+                seed_member: 0,
+                replicas: 0,
+            };
+            planned
+        ];
+        let mut unplanned = planned;
+        let mut isolated = isolated.iter().copied();
+        let mut next_isolated = isolated.next();
+        classify(self.scenario, &mut walk, |node, group| {
+            let cursor = &mut cursors[group];
+            let replicas = if next_isolated == Some(node) {
+                next_isolated = isolated.next();
+                1
+            } else {
+                match cursor.advance() {
+                    Some(chunk) => chunk,
+                    None => return true,
                 }
-                plans
+            };
+            plans[cursor.next_plan] = InstancePlan {
+                group,
+                seed_member: node,
+                replicas,
+            };
+            cursor.next_plan += 1;
+            unplanned -= 1;
+            unplanned > 0
+        });
+        debug_assert_eq!(unplanned, 0, "every planned slot is filled");
+        plans
+    }
+}
+
+/// Walks the scenario's logical nodes in ascending order, rack by rack, counts each
+/// node into its group and calls `visit(node, group)` with the group's index in
+/// `groups`. A node's group is the group of its rack that starts the node's jobs,
+/// appended at the first such node; the groups of one rack are contiguous in `groups`,
+/// so a node is compared only with its own rack's groups. Stops early once `visit`
+/// returns `false`.
+///
+/// Classifying into an empty `groups` always yields the same groups in the same order,
+/// which is what lets the planners classify again instead of keeping a group index per
+/// node.
+fn classify(
+    scenario: &ClusterScenario,
+    groups: &mut Vec<NodeGroup>,
+    mut visit: impl FnMut(usize, usize) -> bool,
+) {
+    let spn = scenario.slots_per_node;
+    for rack in 0..scenario.topology.rack_count() {
+        let rack_groups = groups.len();
+        let nodes = scenario.topology.rack_members(rack, scenario.nodes);
+        let jobs = &scenario.jobs[nodes.start * spn..nodes.end * spn];
+        for (node, jobs) in nodes.zip(jobs.chunks_exact(spn)) {
+            let group = match groups[rack_groups..].iter().position(|g| g.jobs == jobs) {
+                Some(offset) => rack_groups + offset,
+                None => {
+                    groups.push(NodeGroup {
+                        jobs: jobs.to_vec(),
+                        rack,
+                        first: node,
+                        len: 0,
+                    });
+                    groups.len() - 1
+                }
+            };
+            groups[group].len += 1;
+            if !visit(node, group) {
+                return;
             }
         }
     }
 }
 
-/// Splits one group's (remaining) members into at most `k` near-even contiguous chunks
-/// and appends one representative plan per chunk. No-op for an empty member list.
-fn chunk_group(group: usize, members: &[usize], k: usize, plans: &mut Vec<InstancePlan>) {
-    let len = members.len();
-    if len == 0 {
-        return;
+/// The initial batch-job slice of logical node `node`.
+fn job_slice(scenario: &ClusterScenario, node: usize) -> &[AppId] {
+    let spn = scenario.slots_per_node;
+    &scenario.jobs[node * spn..(node + 1) * spn]
+}
+
+/// One group's progress through its pooled (not isolated) members while instances are
+/// planned. Chunk sizes are fixed when the cursor is made, so the walk only counts.
+struct ChunkCursor {
+    /// Plan-list slot of the group's next instance.
+    next_plan: usize,
+    /// Pooled members left in the current chunk after the one that started it.
+    left_in_chunk: usize,
+    /// Chunks not yet started.
+    chunks_left: usize,
+    /// Size of the smallest chunk.
+    base: usize,
+    /// Chunks still to start that hold one member more than `base` (the first ones).
+    larger_left: usize,
+}
+
+impl ChunkCursor {
+    /// A cursor splitting `pooled` members into `chunks` near-even chunks (the first
+    /// `pooled % chunks` one member larger), whose plans start at slot `first_plan`.
+    fn new(first_plan: usize, pooled: usize, chunks: usize) -> Self {
+        let base = pooled.checked_div(chunks).unwrap_or(0);
+        let larger_left = pooled.checked_rem(chunks).unwrap_or(0);
+        ChunkCursor {
+            next_plan: first_plan,
+            left_in_chunk: 0,
+            chunks_left: chunks,
+            base,
+            larger_left,
+        }
     }
-    let chunks = k.min(len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut start = 0usize;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        plans.push(InstancePlan {
-            group,
-            seed_member: members[start],
-            replicas: size,
-        });
-        start += size;
+
+    /// Steps past one pooled member, returning the size of the chunk it starts, if it
+    /// starts one.
+    fn advance(&mut self) -> Option<usize> {
+        if self.left_in_chunk > 0 {
+            self.left_in_chunk -= 1;
+            return None;
+        }
+        if self.chunks_left == 0 {
+            return None;
+        }
+        self.chunks_left -= 1;
+        let size = self.base + usize::from(self.larger_left > 0);
+        self.larger_left = self.larger_left.saturating_sub(1);
+        self.left_in_chunk = size - 1;
+        Some(size)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use crate::topology::{Topology, TopologyConfig};
     use pliant_workloads::service::ServiceId;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn scenario(nodes: usize) -> ClusterScenario {
         // Three-app cyclic mix: nodes i, i+3, i+6, … share a group.
@@ -247,16 +356,149 @@ mod tests {
             .build()
     }
 
+    fn members(pop: &NodePopulation<'_>, group: usize) -> Vec<usize> {
+        pop.members(group).collect()
+    }
+
+    /// The member-list grouping and planners the one-pass ones replaced, kept as the
+    /// reference they must reproduce: every node is pushed into its group's member
+    /// list, found by a linear search over all groups.
+    mod reference {
+        use super::*;
+
+        pub struct Group {
+            pub jobs: Vec<AppId>,
+            pub rack: usize,
+            pub members: Vec<usize>,
+        }
+
+        pub fn groups(scenario: &ClusterScenario) -> Vec<Group> {
+            let spn = scenario.slots_per_node;
+            let topology = Topology::resolve(&scenario.topology, scenario.nodes);
+            let mut groups: Vec<Group> = Vec::new();
+            for index in 0..scenario.nodes {
+                let slice = &scenario.jobs[index * spn..(index + 1) * spn];
+                let rack = topology.rack_of(index);
+                match groups
+                    .iter_mut()
+                    .find(|g| g.jobs == slice && g.rack == rack)
+                {
+                    Some(group) => group.members.push(index),
+                    None => groups.push(Group {
+                        jobs: slice.to_vec(),
+                        rack,
+                        members: vec![index],
+                    }),
+                }
+            }
+            groups
+        }
+
+        pub fn plan_instances(
+            groups: &[Group],
+            approximation: &FleetApproximation,
+        ) -> Vec<InstancePlan> {
+            match approximation {
+                FleetApproximation::Exact => {
+                    let mut plans = Vec::new();
+                    for (gi, group) in groups.iter().enumerate() {
+                        for &member in &group.members {
+                            plans.push(InstancePlan {
+                                group: gi,
+                                seed_member: member,
+                                replicas: 1,
+                            });
+                        }
+                    }
+                    plans.sort_by_key(|p| p.seed_member);
+                    plans
+                }
+                FleetApproximation::Clustered {
+                    representatives_per_group,
+                } => {
+                    let k = (*representatives_per_group).max(1);
+                    let mut plans = Vec::new();
+                    for (gi, group) in groups.iter().enumerate() {
+                        chunk_group(gi, &group.members, k, &mut plans);
+                    }
+                    plans
+                }
+            }
+        }
+
+        pub fn plan_instances_isolating(
+            groups: &[Group],
+            approximation: &FleetApproximation,
+            isolated: &[bool],
+        ) -> Vec<InstancePlan> {
+            match approximation {
+                FleetApproximation::Exact => plan_instances(groups, approximation),
+                FleetApproximation::Clustered {
+                    representatives_per_group,
+                } => {
+                    let k = (*representatives_per_group).max(1);
+                    let mut plans = Vec::new();
+                    let mut pooled: Vec<usize> = Vec::new();
+                    for (gi, group) in groups.iter().enumerate() {
+                        let first = plans.len();
+                        pooled.clear();
+                        pooled.extend(group.members.iter().copied().filter(|&m| !isolated[m]));
+                        chunk_group(gi, &pooled, k, &mut plans);
+                        for &member in group.members.iter().filter(|&&m| isolated[m]) {
+                            plans.push(InstancePlan {
+                                group: gi,
+                                seed_member: member,
+                                replicas: 1,
+                            });
+                        }
+                        plans[first..].sort_by_key(|p| p.seed_member);
+                    }
+                    plans
+                }
+            }
+        }
+
+        fn chunk_group(group: usize, members: &[usize], k: usize, plans: &mut Vec<InstancePlan>) {
+            let len = members.len();
+            if len == 0 {
+                return;
+            }
+            let chunks = k.min(len);
+            let base = len / chunks;
+            let extra = len % chunks;
+            let mut start = 0usize;
+            for c in 0..chunks {
+                let size = base + usize::from(c < extra);
+                plans.push(InstancePlan {
+                    group,
+                    seed_member: members[start],
+                    replicas: size,
+                });
+                start += size;
+            }
+        }
+    }
+
     #[test]
     fn grouping_keys_on_the_initial_job_slice() {
-        let pop = NodePopulation::from_scenario(&scenario(7));
+        let s = scenario(7);
+        let pop = NodePopulation::from_scenario(&s);
         assert_eq!(pop.total_nodes(), 7);
         assert_eq!(pop.groups().len(), 3);
-        assert_eq!(pop.groups()[0].members, vec![0, 3, 6]);
-        assert_eq!(pop.groups()[1].members, vec![1, 4]);
-        assert_eq!(pop.groups()[2].members, vec![2, 5]);
+        assert_eq!(members(&pop, 0), vec![0, 3, 6]);
+        assert_eq!(members(&pop, 1), vec![1, 4]);
+        assert_eq!(members(&pop, 2), vec![2, 5]);
+        assert_eq!(
+            pop.groups()
+                .iter()
+                .map(|g| (g.first, g.len))
+                .collect::<Vec<_>>(),
+            vec![(0, 3), (1, 2), (2, 2)]
+        );
         assert_eq!(pop.groups()[0].jobs, vec![AppId::Canneal]);
         assert!(pop.groups().iter().all(|g| g.rack == 0), "flat = one rack");
+        assert_eq!(pop.group_of(4), Some(1));
+        assert_eq!(pop.group_of(7), None, "outside the fleet");
     }
 
     #[test]
@@ -268,7 +510,7 @@ mod tests {
         let racked = ClusterScenario::builder(ServiceId::Memcached)
             .nodes(6)
             .jobs((0..6).map(|i| mix[i % 3]))
-            .topology(crate::topology::TopologyConfig::Racks {
+            .topology(TopologyConfig::Racks {
                 racks: 2,
                 nodes_per_rack: 3,
                 rack_power_w: None,
@@ -277,12 +519,9 @@ mod tests {
             .build();
         let pop = NodePopulation::from_scenario(&racked);
         assert_eq!(pop.groups().len(), 6, "3 job keys x 2 racks");
-        for group in pop.groups() {
-            let topology = Topology::resolve(&racked.topology, racked.nodes);
-            assert!(group
-                .members
-                .iter()
-                .all(|&m| topology.rack_of(m) == group.rack));
+        let topology = Topology::resolve(&racked.topology, racked.nodes);
+        for (gi, group) in pop.groups().iter().enumerate() {
+            assert!(pop.members(gi).all(|m| topology.rack_of(m) == group.rack));
         }
         // Replica weights still conserve the fleet, and every clustered instance
         // inherits its group's single rack.
@@ -294,7 +533,8 @@ mod tests {
 
     #[test]
     fn exact_plans_one_weight_one_instance_per_node_in_logical_order() {
-        let pop = NodePopulation::from_scenario(&scenario(7));
+        let s = scenario(7);
+        let pop = NodePopulation::from_scenario(&s);
         let plans = pop.plan_instances(&FleetApproximation::Exact);
         assert_eq!(plans.len(), 7);
         for (i, p) in plans.iter().enumerate() {
@@ -305,7 +545,8 @@ mod tests {
 
     #[test]
     fn clustered_plans_chunked_representatives_with_conserved_weight() {
-        let pop = NodePopulation::from_scenario(&scenario(12));
+        let s = scenario(12);
+        let pop = NodePopulation::from_scenario(&s);
         // 12 nodes / 3 groups of 4; two representatives per group → chunks of 2.
         let plans = pop.plan_instances(&FleetApproximation::Clustered {
             representatives_per_group: 2,
@@ -316,7 +557,8 @@ mod tests {
         assert_eq!(plans[0].replicas, 2);
         assert_eq!(plans[1].seed_member, 6);
         // Uneven split: 3 members over 2 representatives → sizes 2 and 1.
-        let pop = NodePopulation::from_scenario(&scenario(7));
+        let s = scenario(7);
+        let pop = NodePopulation::from_scenario(&s);
         let plans = pop.plan_instances(&FleetApproximation::Clustered {
             representatives_per_group: 2,
         });
@@ -328,18 +570,17 @@ mod tests {
 
     #[test]
     fn isolating_plans_split_faulted_members_out_of_their_groups() {
-        let pop = NodePopulation::from_scenario(&scenario(12));
+        let s = scenario(12);
+        let pop = NodePopulation::from_scenario(&s);
         // Isolate nodes 3 (group 0) and 4 (group 1).
-        let mut isolated = vec![false; 12];
-        isolated[3] = true;
-        isolated[4] = true;
+        let isolated = [3, 4];
         let approx = FleetApproximation::Clustered {
             representatives_per_group: 2,
         };
         let plans = pop.plan_instances_isolating(&approx, &isolated);
         // Weight is conserved and the isolated nodes are weight-1 seeds.
         assert_eq!(plans.iter().map(|p| p.replicas).sum::<usize>(), 12);
-        for &node in &[3usize, 4] {
+        for &node in &isolated {
             assert!(
                 plans
                     .iter()
@@ -364,12 +605,11 @@ mod tests {
             pop.plan_instances(&wide)
         );
         // With nothing isolated the plan is exactly the plain clustered plan.
-        let none = vec![false; 12];
         assert_eq!(
-            pop.plan_instances_isolating(&approx, &none),
+            pop.plan_instances_isolating(&approx, &[]),
             pop.plan_instances(&approx)
         );
-        // Exact mode ignores the mask entirely.
+        // Exact mode ignores the isolated nodes entirely.
         assert_eq!(
             pop.plan_instances_isolating(&FleetApproximation::Exact, &isolated),
             pop.plan_instances(&FleetApproximation::Exact)
@@ -377,8 +617,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn isolating_rejects_nodes_outside_the_fleet() {
+        let s = scenario(4);
+        let pop = NodePopulation::from_scenario(&s);
+        let _ = pop.plan_instances_isolating(&FleetApproximation::Exact, &[1, 4]);
+    }
+
+    #[test]
     fn enough_representatives_degenerate_to_exact() {
-        let pop = NodePopulation::from_scenario(&scenario(7));
+        let s = scenario(7);
+        let pop = NodePopulation::from_scenario(&s);
         let clustered = pop.plan_instances(&FleetApproximation::Clustered {
             representatives_per_group: 100,
         });
@@ -386,5 +635,82 @@ mod tests {
         // Clustered plans are group-major; compare as sets of (seed, weight).
         exact.sort_by_key(|p| (p.group, p.seed_member));
         assert_eq!(clustered, exact);
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_grouping_and_planning_match_the_member_list_reference(
+            seed in any::<u64>(),
+            nodes in 1usize..160,
+            slots_per_node in 1usize..4,
+            shape in 0usize..4,
+        ) {
+            let mut rng = pliant_telemetry::rng::seeded_rng(seed);
+            let apps = AppId::all();
+            // Periodic mixes (the figures' cyclic batches) and arbitrary job lists
+            // over a small or a large alphabet.
+            let alphabet = [2, 3, apps.len()][rng.gen_range(0..3usize)];
+            let jobs: Vec<AppId> = if shape % 2 == 0 {
+                let period = rng.gen_range(1..8usize);
+                let pattern: Vec<AppId> =
+                    (0..period).map(|_| apps[rng.gen_range(0..alphabet)]).collect();
+                (0..nodes * slots_per_node).map(|i| pattern[i % period]).collect()
+            } else {
+                (0..nodes * slots_per_node)
+                    .map(|_| apps[rng.gen_range(0..alphabet)])
+                    .collect()
+            };
+            let divisors: Vec<usize> = (1..=nodes).filter(|d| nodes % d == 0).collect();
+            let topology = if shape < 2 {
+                TopologyConfig::Flat
+            } else {
+                let racks = divisors[rng.gen_range(0..divisors.len())];
+                TopologyConfig::Racks {
+                    racks,
+                    nodes_per_rack: nodes / racks,
+                    rack_power_w: None,
+                }
+            };
+            let scenario = ClusterScenario::builder(ServiceId::Memcached)
+                .nodes(nodes)
+                .slots_per_node(slots_per_node)
+                .jobs(jobs)
+                .topology(topology)
+                .horizon_intervals(20)
+                .build();
+            let pop = NodePopulation::from_scenario(&scenario);
+            let reference = reference::groups(&scenario);
+            prop_assert_eq!(pop.groups().len(), reference.len());
+            for (gi, (group, expected)) in pop.groups().iter().zip(&reference).enumerate() {
+                prop_assert_eq!(&group.jobs, &expected.jobs);
+                prop_assert_eq!(group.rack, expected.rack);
+                prop_assert_eq!(group.len, expected.members.len());
+                prop_assert_eq!(group.first, expected.members[0]);
+                prop_assert_eq!(members(&pop, gi), expected.members.clone());
+                for &member in &expected.members {
+                    prop_assert_eq!(pop.group_of(member), Some(gi));
+                }
+            }
+            let density = [0.0, 0.1, 0.5, 1.0][rng.gen_range(0..4usize)];
+            let mask: Vec<bool> = (0..nodes).map(|_| rng.gen_bool(density)).collect();
+            let isolated: Vec<usize> = (0..nodes).filter(|&n| mask[n]).collect();
+            let approximations = [
+                FleetApproximation::Exact,
+                FleetApproximation::Clustered { representatives_per_group: 1 },
+                FleetApproximation::Clustered { representatives_per_group: 2 },
+                FleetApproximation::Clustered { representatives_per_group: 3 },
+                FleetApproximation::Clustered { representatives_per_group: 100 },
+            ];
+            for approximation in &approximations {
+                prop_assert_eq!(
+                    pop.plan_instances(approximation),
+                    reference::plan_instances(&reference, approximation)
+                );
+                prop_assert_eq!(
+                    pop.plan_instances_isolating(approximation, &isolated),
+                    reference::plan_instances_isolating(&reference, approximation, &mask)
+                );
+            }
+        }
     }
 }

@@ -248,10 +248,16 @@ impl ClusterScenario {
             .map_err(ClusterScenarioError::InvalidTopology)?;
         if let Some(profile) = &self.fault_profile {
             // Group-outage targets are indices into the node population, which (after
-            // the job-count check above) is well-defined and cheap to derive here.
-            let groups = crate::population::NodePopulation::from_scenario(self)
-                .groups()
-                .len();
+            // the job-count and topology checks above) is well-defined here. Counting
+            // the groups is a pass over the job list, so it is made only when an
+            // outage names a group.
+            let groups = if profile.group_outages.is_empty() {
+                0
+            } else {
+                crate::population::NodePopulation::from_scenario(self)
+                    .groups()
+                    .len()
+            };
             profile
                 .validate(self.nodes, groups, self.topology.rack_count())
                 .map_err(ClusterScenarioError::InvalidFaultProfile)?;

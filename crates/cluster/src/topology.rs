@@ -12,8 +12,11 @@
 //!   (the default — one implicit rack holding every node, no budget, byte-identical to
 //!   the pre-topology simulator) or [`TopologyConfig::Racks`] (a regular `racks ×
 //!   nodes_per_rack` grid with an optional shared per-rack power budget).
-//! * [`Topology`] is the resolved, run-time form: rack membership lists plus a
-//!   node → rack inverse map, built once per run by [`Topology::resolve`].
+//! * [`Topology`] is the resolved, run-time form: one [`Rack`] per power domain, built
+//!   once per run by [`Topology::resolve`]. Racks are rack-major blocks of the node
+//!   index space, so a rack's members are a [`Range`] and the rack of a node is one
+//!   division ([`TopologyConfig::rack_of`], which both forms share). Resolving costs
+//!   O(racks) whatever the fleet size.
 //!
 //! Rack identity feeds three consumers: the scheduler's sampling-based online
 //! placement (score candidate racks by power headroom and QoS slack before picking a
@@ -21,6 +24,8 @@
 //! (power-domain failures — see [`crate::faults::RackOutage`]), and the clustered
 //! approximation's population grouping (replicas never span power domains — see
 //! [`crate::population`]).
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +82,17 @@ impl TopologyConfig {
         match self {
             TopologyConfig::Flat => 0,
             TopologyConfig::Racks { nodes_per_rack, .. } => node / nodes_per_rack,
+        }
+    }
+
+    /// The logical nodes of rack `rack` in a fleet of `nodes`: the whole fleet on a flat
+    /// topology, else the rack's `nodes_per_rack`-long block.
+    pub(crate) fn rack_members(&self, rack: usize, nodes: usize) -> Range<usize> {
+        match self {
+            TopologyConfig::Flat => 0..nodes,
+            TopologyConfig::Racks { nodes_per_rack, .. } => {
+                rack * nodes_per_rack..(rack + 1) * nodes_per_rack
+            }
         }
     }
 
@@ -172,11 +188,12 @@ impl std::fmt::Display for TopologyConfigError {
 
 impl std::error::Error for TopologyConfigError {}
 
-/// One rack of the resolved topology: a membership list plus the shared budget.
+/// One rack of the resolved topology: its block of logical nodes plus the shared
+/// budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rack {
-    /// Logical node indices living in this rack, in ascending order.
-    pub members: Vec<usize>,
+    /// Logical node indices living in this rack: a contiguous block, in ascending order.
+    pub members: Range<usize>,
     /// Shared power budget in watts (`None` = unbudgeted).
     pub power_budget_w: Option<f64>,
 }
@@ -185,9 +202,8 @@ pub struct Rack {
 /// [`TopologyConfig`] and never mutated afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
+    config: TopologyConfig,
     racks: Vec<Rack>,
-    rack_of: Vec<usize>,
-    flat: bool,
 }
 
 impl Topology {
@@ -197,41 +213,32 @@ impl Topology {
     /// `i` to rack `i / nodes_per_rack`. Callers must have validated the config (the
     /// scenario boundary does), so a mismatched grid here is a logic error.
     pub fn resolve(config: &TopologyConfig, nodes: usize) -> Self {
-        match config {
-            TopologyConfig::Flat => Topology {
-                racks: vec![Rack {
-                    members: (0..nodes).collect(),
-                    power_budget_w: None,
-                }],
-                rack_of: vec![0; nodes],
-                flat: true,
-            },
+        let power_budget_w = match config {
+            TopologyConfig::Flat => None,
             TopologyConfig::Racks {
                 racks,
                 nodes_per_rack,
                 rack_power_w,
             } => {
                 debug_assert_eq!(racks * nodes_per_rack, nodes, "validated upstream");
-                let rack_list = (0..*racks)
-                    .map(|r| Rack {
-                        members: (r * nodes_per_rack..(r + 1) * nodes_per_rack).collect(),
-                        power_budget_w: *rack_power_w,
-                    })
-                    .collect();
-                let rack_of = (0..nodes).map(|i| config.rack_of(i)).collect();
-                Topology {
-                    racks: rack_list,
-                    rack_of,
-                    flat: false,
-                }
+                *rack_power_w
             }
+        };
+        Topology {
+            config: config.clone(),
+            racks: (0..config.rack_count())
+                .map(|rack| Rack {
+                    members: config.rack_members(rack, nodes),
+                    power_budget_w,
+                })
+                .collect(),
         }
     }
 
     /// Whether this topology came from the flat default (one implicit rack). Flat
     /// fleets take the pre-topology code paths verbatim.
     pub fn is_flat(&self) -> bool {
-        self.flat
+        self.config.is_flat()
     }
 
     /// Number of racks.
@@ -246,7 +253,7 @@ impl Topology {
 
     /// The rack a logical node lives in.
     pub fn rack_of(&self, node: usize) -> usize {
-        self.rack_of[node]
+        self.config.rack_of(node)
     }
 
     /// The shared power budget of a rack in watts (`None` = unbudgeted).
@@ -264,7 +271,7 @@ mod tests {
         let t = Topology::resolve(&TopologyConfig::Flat, 5);
         assert!(t.is_flat());
         assert_eq!(t.rack_count(), 1);
-        assert_eq!(t.racks()[0].members, vec![0, 1, 2, 3, 4]);
+        assert_eq!(t.racks()[0].members, 0..5);
         assert_eq!(t.power_budget_w(0), None);
         assert!((0..5).all(|i| t.rack_of(i) == 0));
     }
@@ -279,8 +286,13 @@ mod tests {
         let t = Topology::resolve(&config, 6);
         assert!(!t.is_flat());
         assert_eq!(t.rack_count(), 3);
-        assert_eq!(t.racks()[1].members, vec![2, 3]);
+        assert_eq!(t.racks()[1].members, 2..4);
         assert_eq!(t.rack_of(4), 2);
+        assert!(t
+            .racks()
+            .iter()
+            .enumerate()
+            .all(|(r, rack)| rack.members.clone().all(|i| t.rack_of(i) == r)));
         assert_eq!(t.power_budget_w(2), Some(400.0));
     }
 

@@ -48,11 +48,7 @@ fn main() {
         population.groups().len()
     );
     for (i, group) in population.groups().iter().enumerate() {
-        println!(
-            "  group {i}: {} nodes running {:?}",
-            group.len(),
-            group.jobs
-        );
+        println!("  group {i}: {} nodes running {:?}", group.len, group.jobs);
     }
 
     // 2. Run the 20k-node fleet through the approximation: 12 simulated instances

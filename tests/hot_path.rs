@@ -9,6 +9,10 @@
 //! 2. **Buffer reuse never leaks.** `ColocationSim::advance_reusing` recycles the
 //!    previous interval's sample buffer; an idle interval must still deliver an empty
 //!    sample set and drive the monitor to a `no_signal` report, never a stale one.
+//!
+//! The counting allocator at the bottom also pins two memory contracts: the disabled
+//! and saturated observability paths allocate nothing, and building a clustered fleet
+//! holds no table over its logical nodes.
 
 use pliant::prelude::*;
 use pliant::telemetry::histogram::LatencyHistogram;
@@ -148,27 +152,51 @@ use std::cell::Cell;
 
 use pliant::telemetry::obs::{Event, EventKind, MetricsRegistry, ObsBuffer, ObsLevel};
 
-/// The system allocator with a thread-local allocation counter, so concurrently
-/// running tests on other threads cannot perturb a measurement.
+/// The system allocator with thread-local counters of allocations and of live and
+/// peak bytes, so concurrently running tests on other threads cannot perturb a
+/// measurement.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread. Signed: a thread may free
+    /// memory another thread allocated.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE_BYTES` since the last reset.
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live bytes by `delta` and raises the peak with them.
+fn track_bytes(delta: isize) {
+    let live = LIVE_BYTES.with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    });
+    PEAK_BYTES.with(|peak| peak.set(peak.get().max(live)));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track_bytes(layout.size() as isize);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            track_bytes(new_size as isize - layout.size() as isize);
+        }
+        moved
     }
 }
 
@@ -182,6 +210,16 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Runs `f` and returns its result with the most bytes it held live at once on this
+/// thread, counting what it still holds when it returns.
+fn peak_live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let out = f();
+    let peak = PEAK_BYTES.with(Cell::get) - start;
+    (out, peak.max(0) as usize)
 }
 
 #[test]
@@ -229,5 +267,46 @@ fn obs_emit_is_allocation_free_when_off_and_when_saturated() {
         }),
         0,
         "counter recording must never allocate"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 4. A clustered fleet is built in memory proportional to its groups and instances,
+//    not to its logical size: no member lists, no node -> rack table, no population
+//    kept alive by the run.
+// ---------------------------------------------------------------------------
+
+/// Peak bytes `ClusterRun::new` may hold per logical node. The run keeps a clone of
+/// the scenario, whose job list is one byte per node here, and everything else it
+/// builds is per group or per instance. One `u32` per node would not fit under this
+/// bound next to the job list, let alone a `usize` member list.
+const MAX_BUILD_BYTES_PER_LOGICAL_NODE: f64 = 4.0;
+
+#[test]
+fn building_a_million_node_clustered_fleet_holds_no_per_node_tables() {
+    let nodes = 1_000_000;
+    let mut scenario = pliant_bench::cluster_machines_needed_scenario(
+        nodes,
+        0.65 * nodes as f64,
+        PolicyKind::Pliant,
+        7,
+    )
+    .expect("a fleet at 0.65 load per node can carry its load");
+    scenario.approximation = FleetApproximation::Clustered {
+        representatives_per_group: 4,
+    };
+    let engine = Engine::new();
+    let (run, peak) = peak_live_bytes_during(|| ClusterRun::new(&scenario, &engine));
+    assert_eq!(run.node_count(), nodes);
+    assert_eq!(
+        run.instance_count(),
+        12,
+        "three job groups x 4 representatives"
+    );
+    let per_node = peak as f64 / nodes as f64;
+    assert!(
+        per_node < MAX_BUILD_BYTES_PER_LOGICAL_NODE,
+        "building the fleet peaked at {peak} live bytes ({per_node:.2} per logical \
+         node, bound {MAX_BUILD_BYTES_PER_LOGICAL_NODE})"
     );
 }
