@@ -378,19 +378,15 @@ impl ClusterRun {
                 },
             );
             if clustered {
-                for group in 0..population.groups().len() {
-                    let representatives = plans.iter().filter(|p| p.group == group).count() as u32;
-                    let replicas: usize = plans
-                        .iter()
-                        .filter(|p| p.group == group)
-                        .map(|p| p.replicas)
-                        .sum();
+                // Clustered plans are group-major, and every group has at least one.
+                for group in plans.chunk_by(|a, b| a.group == b.group) {
+                    let replicas: usize = group.iter().map(|p| p.replicas).sum();
                     fleet_obs.emit(
                         0,
                         0.0,
                         Event::ApproximationPlan {
-                            group: group as u32,
-                            representatives,
+                            group: group[0].group as u32,
+                            representatives: group.len() as u32,
                             replicas: replicas as u32,
                         },
                     );

@@ -119,7 +119,7 @@ impl<'s> NodePopulation<'s> {
 
     /// The index into [`Self::groups`] of logical node `node`'s group (`None` for a
     /// node outside the fleet).
-    pub fn group_of(&self, node: usize) -> Option<usize> {
+    fn group_of(&self, node: usize) -> Option<usize> {
         if node >= self.scenario.nodes {
             return None;
         }
@@ -194,52 +194,39 @@ impl<'s> NodePopulation<'s> {
                 representatives_per_group,
             } => (*representatives_per_group).max(1),
         };
-        // Each group's plans are its chunks plus its isolated members, laid out
-        // group-major; the walk fills them in seed-member order.
+        // Each group's plans are its chunks plus its isolated members, which the walk
+        // meets in seed-member order.
         let mut pooled: Vec<usize> = self.groups.iter().map(|g| g.len).collect();
         for group in isolated.iter().filter_map(|&node| self.group_of(node)) {
             pooled[group] -= 1;
         }
-        let mut planned = 0;
-        let mut cursors = Vec::with_capacity(self.groups.len());
-        for (group, &pooled) in self.groups.iter().zip(&pooled) {
-            let chunks = representatives.min(pooled);
-            cursors.push(ChunkCursor::new(planned, pooled, chunks));
-            planned += chunks + (group.len - pooled);
-        }
-        let mut plans = vec![
-            InstancePlan {
-                group: 0,
-                seed_member: 0,
-                replicas: 0,
-            };
-            planned
-        ];
-        let mut unplanned = planned;
+        let mut cursors: Vec<ChunkCursor> = pooled
+            .iter()
+            .map(|&pooled| ChunkCursor::new(pooled, representatives.min(pooled)))
+            .collect();
+        let mut unplanned = isolated.len() + cursors.iter().map(|c| c.chunks_left).sum::<usize>();
+        let mut plans: Vec<Vec<InstancePlan>> = vec![Vec::new(); self.groups.len()];
         let mut isolated = isolated.iter().copied();
         let mut next_isolated = isolated.next();
         classify(self.scenario, &mut walk, |node, group| {
-            let cursor = &mut cursors[group];
             let replicas = if next_isolated == Some(node) {
                 next_isolated = isolated.next();
                 1
             } else {
-                match cursor.advance() {
+                match cursors[group].advance() {
                     Some(chunk) => chunk,
                     None => return true,
                 }
             };
-            plans[cursor.next_plan] = InstancePlan {
+            plans[group].push(InstancePlan {
                 group,
                 seed_member: node,
                 replicas,
-            };
-            cursor.next_plan += 1;
+            });
             unplanned -= 1;
             unplanned > 0
         });
-        debug_assert_eq!(unplanned, 0, "every planned slot is filled");
-        plans
+        plans.concat()
     }
 }
 
@@ -293,8 +280,6 @@ fn job_slice(scenario: &ClusterScenario, node: usize) -> &[AppId] {
 /// One group's progress through its pooled (not isolated) members while instances are
 /// planned. Chunk sizes are fixed when the cursor is made, so the walk only counts.
 struct ChunkCursor {
-    /// Plan-list slot of the group's next instance.
-    next_plan: usize,
     /// Pooled members left in the current chunk after the one that started it.
     left_in_chunk: usize,
     /// Chunks not yet started.
@@ -307,12 +292,11 @@ struct ChunkCursor {
 
 impl ChunkCursor {
     /// A cursor splitting `pooled` members into `chunks` near-even chunks (the first
-    /// `pooled % chunks` one member larger), whose plans start at slot `first_plan`.
-    fn new(first_plan: usize, pooled: usize, chunks: usize) -> Self {
+    /// `pooled % chunks` one member larger).
+    fn new(pooled: usize, chunks: usize) -> Self {
         let base = pooled.checked_div(chunks).unwrap_or(0);
         let larger_left = pooled.checked_rem(chunks).unwrap_or(0);
         ChunkCursor {
-            next_plan: first_plan,
             left_in_chunk: 0,
             chunks_left: chunks,
             base,

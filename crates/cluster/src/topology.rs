@@ -15,8 +15,8 @@
 //! * [`Topology`] is the resolved, run-time form: one [`Rack`] per power domain, built
 //!   once per run by [`Topology::resolve`]. Racks are rack-major blocks of the node
 //!   index space, so a rack's members are a [`Range`] and the rack of a node is one
-//!   division ([`TopologyConfig::rack_of`], which both forms share). Resolving costs
-//!   O(racks) whatever the fleet size.
+//!   division, computed by the config for both forms. Resolving costs O(racks)
+//!   whatever the fleet size.
 //!
 //! Rack identity feeds three consumers: the scheduler's sampling-based online
 //! placement (score candidate racks by power headroom and QoS slack before picking a
