@@ -305,13 +305,11 @@ impl ChunkCursor {
     }
 
     /// Steps past one pooled member, returning the size of the chunk it starts, if it
-    /// starts one.
+    /// starts one. The chunk sizes add up to the pooled count, so every call past the
+    /// first member of a chunk lands inside one.
     fn advance(&mut self) -> Option<usize> {
         if self.left_in_chunk > 0 {
             self.left_in_chunk -= 1;
-            return None;
-        }
-        if self.chunks_left == 0 {
             return None;
         }
         self.chunks_left -= 1;
