@@ -603,7 +603,7 @@ impl ClusterRun {
         self.apply_faults();
         // The offered load scales with the *logical* fleet: approximating with fewer
         // instances must not shrink it.
-        let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
+        let avg_offered_load = self.scenario.load_at(self.time_s);
         let total_offered_load = avg_offered_load * self.scenario.nodes as f64;
         let active_nodes = self.plan_serving_set(total_offered_load);
         self.admit_racks();

@@ -320,9 +320,9 @@ impl ClusterNode {
     /// Restores a checkpoint captured by [`Self::checkpoint`] into this node, which
     /// must have been built for the same scenario slot (same seed, jobs, slot count and
     /// policy). Books no run can produce are rejected: per-slot and per-completion
-    /// vectors of the wrong length, and a histogram whose bucket layout differs from
-    /// this build's. The last observation is dropped: it is not part of the
-    /// checkpoint, and the next step starts from fresh buffers.
+    /// vectors of the wrong length (a histogram no run can produce already fails to
+    /// deserialize). The last observation is dropped: it is not part of the checkpoint,
+    /// and the next step starts from fresh buffers.
     pub fn restore(&mut self, checkpoint: &NodeCheckpoint) -> Result<(), String> {
         let books = &checkpoint.books;
         let (slots, completed) = (self.books.slot_done.len(), books.completed_weights.len());
@@ -339,9 +339,6 @@ impl ClusterNode {
                 books.completed_inaccuracy_pct.len()
             ));
         }
-        LatencyHistogram::new()
-            .try_merge(&books.hist)
-            .map_err(|e| format!("node {} latency histogram: {e}", self.index))?;
         self.runtime
             .restore(
                 &checkpoint.sim,
@@ -401,7 +398,8 @@ impl ClusterNode {
         sim.set_load_fraction(
             assigned_load.clamp(0.0, pliant_workloads::profile::MAX_LOAD_FRACTION),
         );
-        let observation = sim.advance_reusing(self.decision_interval_s, self.observation.take());
+        let mut observation =
+            sim.advance_reusing(self.decision_interval_s, self.observation.take());
 
         // QoS accounting and fleet-histogram recording happen here, as the node steps,
         // so the fleet's aggregation never touches individual latency samples. The first `warmup_intervals` are excluded: the
@@ -410,8 +408,11 @@ impl ClusterNode {
         // Every contribution below is scaled by the instance's replica weight: a
         // clustered representative's interval stands for `replicas` identical logical
         // node-intervals. On an exact node `replicas == 1` and the arithmetic is
-        // bit-identical to unweighted accounting (`x * 1.0 == x` in IEEE-754;
-        // `record_n(v, 1)` matches `record(v)` exactly).
+        // bit-identical to unweighted accounting (`x * 1.0 == x` in IEEE-754, and a
+        // weight-1 recording matches `record(v)` exactly). The histogram reads every
+        // sample, so they are mapped once, in place, and recorded in one batched pass;
+        // the monitor below then reads the same mapped values instead of mapping its
+        // subsample again.
         let measured = self.books.intervals_stepped >= self.warmup_intervals;
         let interval = self.books.intervals_stepped as u32;
         self.books.intervals_stepped += 1;
@@ -433,13 +434,11 @@ impl ClusterNode {
                         },
                     );
                 }
-                let weight = self.replicas as u64;
-                let hist = &mut self.books.hist;
-                observation.latency_samples_s.for_each_chunk(|chunk| {
-                    for &sample_s in chunk {
-                        hist.record_n(sample_s * 1e6, weight);
-                    }
-                });
+                self.books.hist.record_scaled_n(
+                    observation.latency_samples_s.materialize(),
+                    1e6,
+                    self.replicas as u64,
+                );
             }
         }
 
@@ -586,8 +585,11 @@ mod tests {
 
     #[test]
     fn histogram_records_every_mapped_sample_at_the_replica_weight() {
-        // The node records its samples through the chunked map; a recompute over each
-        // observation's samples read one at a time must give the same histogram bits.
+        // The node maps its samples once in place and records them in one batched
+        // pass. A twin of the node's simulator, cloned before each step, produces the
+        // same interval with its samples mapped on read: recording those one at a time
+        // must give the same histogram bits, and the node's materialized samples must
+        // read the same as the twin's.
         let scenario = ClusterScenario::builder(ServiceId::Memcached)
             .nodes(1)
             .jobs([AppId::Canneal, AppId::KMeans])
@@ -599,13 +601,24 @@ mod tests {
         let mut node = ClusterNode::representative(&scenario, 0, 0, 3, &jobs, &Catalog::default());
         let mut expected = LatencyHistogram::new();
         let mut recorded = 0usize;
+        let bits = |s: &pliant_telemetry::rng::LatencySamples| {
+            s.iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
         for interval in 0..12 {
+            let mut twin = node.runtime.sim().clone();
+            twin.set_load_fraction(0.7);
+            let lazy = twin.advance_reusing(scenario.decision_interval_s, None);
             node.step(0.7);
+            let observation = node.observation().expect("stepped");
+            assert_eq!(
+                bits(&observation.latency_samples_s),
+                bits(&lazy.latency_samples_s),
+                "interval {interval}"
+            );
             if interval < scenario.warmup_intervals {
                 continue;
             }
-            let observation = node.observation().expect("stepped");
-            for sample_s in observation.latency_samples_s.iter() {
+            for sample_s in lazy.latency_samples_s.iter() {
                 expected.record_n(sample_s * 1e6, 3);
                 recorded += 1;
             }

@@ -157,12 +157,14 @@ impl ClusterScenario {
         self.policy != PolicyKind::Precise
     }
 
-    /// The per-node-average load profile the fleet runs: the explicit `load_profile` if
-    /// one is set, otherwise constant at `avg_node_load`.
-    pub fn effective_load_profile(&self) -> LoadProfile {
-        self.load_profile
-            .clone()
-            .unwrap_or_else(|| LoadProfile::constant(self.avg_node_load))
+    /// The per-node-average offered load at simulated time `t_s`: the explicit
+    /// `load_profile`'s if one is set, otherwise the constant `avg_node_load`. Reads
+    /// the profile in place, so a trace profile's breakpoints are not copied.
+    pub fn load_at(&self, t_s: f64) -> f64 {
+        match &self.load_profile {
+            Some(profile) => profile.load_at(t_s),
+            None => LoadProfile::constant(self.avg_node_load).load_at(t_s),
+        }
     }
 
     /// The number of decision intervals this scenario simulates.
@@ -636,7 +638,8 @@ mod tests {
         assert_eq!(s.avg_node_load, 0.75);
         assert_eq!(s.seed, 42);
         assert!(s.effective_instrumented());
-        assert_eq!(s.effective_load_profile(), LoadProfile::constant(0.75));
+        assert_eq!(s.load_at(0.0), 0.75);
+        assert_eq!(s.load_at(1e6), 0.75);
     }
 
     #[test]
@@ -715,6 +718,10 @@ mod tests {
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, s);
         assert!(!back.effective_instrumented());
+        let profile = back.load_profile.as_ref().expect("a diurnal profile");
+        for t_s in [0.0, 15.0, 45.0] {
+            assert_eq!(back.load_at(t_s), profile.load_at(t_s));
+        }
         assert_eq!(back.autoscaler, Some(AutoscalerConfig::default()));
         // Pre-energy archives carry no autoscaler field and deserialize as None.
         let value: serde::Value = serde_json::from_str(&json).expect("valid JSON");

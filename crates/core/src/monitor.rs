@@ -13,9 +13,11 @@
 //! drawn in chunks of 32 so their logarithms run as one vectorized loop over the
 //! branch-free [`fast_ln_unit`]; each chunk's selected indices are then read with one
 //! [`LatencySource::gather`], so a [`LatencySamples`] source maps only the samples the
-//! monitor reads. At the end of an interval the RNG is rewound to the last chunk's start
-//! and advanced by exactly the gaps consumed, so the selection, the stream position and
-//! the checkpointed [`MonitorState`] match drawing one gap per selection. Because the
+//! monitor reads (or, once a fleet node has materialized it for its histogram, returns
+//! the stored latencies), and recorded with one [`LatencyHistogram::record_scaled_n`].
+//! At the end of an interval the RNG is rewound to the last chunk's start and advanced
+//! by exactly the gaps consumed, so the selection, the stream position and the
+//! checkpointed [`MonitorState`] match drawing one gap per selection. Because the
 //! histogram is the same [`LatencyHistogram`] (same bucket layout, same microsecond
 //! scale) the cluster layer merges for fleet-level quantiles, per-interval monitor
 //! histograms are exact-merge-compatible with fleet aggregation. The price of the
@@ -320,11 +322,7 @@ impl PerformanceMonitor {
                     next = index + 1;
                 }
                 latencies_s.gather(&picked[..taken], &mut values);
-                for &l in &values[..taken] {
-                    let l = if l.is_finite() { l } else { 0.0 };
-                    self.hist.record(l * 1e6);
-                    sum += l;
-                }
+                sum = self.record_chunk(&mut values[..taken], sum);
                 sampled += taken as u64;
                 if let Some(last) = past_end {
                     self.state.rng = chunk_start;
@@ -362,15 +360,35 @@ impl PerformanceMonitor {
     }
 
     /// Records every sample into the interval histogram, with non-finite samples
-    /// clamped to zero, and returns their sum in order.
+    /// clamped to zero, and returns their sum in order. The samples are read
+    /// `GAP_CHUNK` at a time with one [`LatencySource::gather`] each.
     fn record_all<S: LatencySource + ?Sized>(&mut self, latencies_s: &S) -> f64 {
+        let len = latencies_s.len();
+        let mut indices = [0usize; GAP_CHUNK];
+        let mut values = [0.0f64; GAP_CHUNK];
         let mut sum = 0.0;
-        for i in 0..latencies_s.len() {
-            let l = latencies_s.get(i);
-            let l = if l.is_finite() { l } else { 0.0 };
-            self.hist.record(l * 1e6);
-            sum += l;
+        for start in (0..len).step_by(GAP_CHUNK) {
+            let indices = &mut indices[..GAP_CHUNK.min(len - start)];
+            for (k, index) in indices.iter_mut().enumerate() {
+                *index = start + k;
+            }
+            latencies_s.gather(indices, &mut values);
+            sum = self.record_chunk(&mut values[..indices.len()], sum);
         }
+        sum
+    }
+
+    /// Clamps the non-finite samples of one chunk to zero, records the chunk into the
+    /// interval histogram in microseconds, and returns `sum` plus each sample, added in
+    /// order.
+    fn record_chunk(&mut self, values: &mut [f64], mut sum: f64) -> f64 {
+        for l in values.iter_mut() {
+            if !l.is_finite() {
+                *l = 0.0;
+            }
+            sum += *l;
+        }
+        self.hist.record_scaled_n(values, 1e6, 1);
         sum
     }
 }
@@ -564,8 +582,10 @@ mod tests {
             let ln_one_minus_rate = (1.0 - rate).ln();
             for seed in 0..4u64 {
                 let mut monitor = PerformanceMonitor::new(config, seed);
-                // The same monitor reading the mapped samples from a plain slice.
+                // The same monitor reading the mapped samples from a plain slice, and
+                // reading them after they were materialized in place.
                 let mut over_slice = PerformanceMonitor::new(config, seed);
+                let mut over_materialized = PerformanceMonitor::new(config, seed);
                 let mut reference = seeded_rng(seed);
                 let mut resumed: Option<PerformanceMonitor> = None;
                 for round in 0..3u64 {
@@ -581,6 +601,18 @@ mod tests {
                         let slice_report = over_slice.observe_interval(mapped.as_slice());
                         assert_eq!(report_bits(&report), report_bits(&slice_report), "{at}");
                         assert_eq!(over_slice.state().rng, monitor.state().rng, "{at}");
+                        let mut materialized = samples.clone();
+                        materialized.materialize();
+                        let materialized_report = over_materialized.observe_interval(&materialized);
+                        assert_eq!(
+                            report_bits(&report),
+                            report_bits(&materialized_report),
+                            "{at}"
+                        );
+                        let state = |m: &PerformanceMonitor| {
+                            serde_json::to_string(m.state()).expect("serializable")
+                        };
+                        assert_eq!(state(&over_materialized), state(&monitor), "{at}");
                         if rate < 1.0 {
                             let (sampled, mean, p99) =
                                 one_gap_at_a_time(&mut reference, ln_one_minus_rate, &mapped);

@@ -60,12 +60,12 @@ impl LintConfig {
                 "zig_normal",
                 "zig_reject",
                 // Latency samples: drawn as normals every busy interval, mapped on read
-                // by the monitor and the fleet histogram.
+                // by the monitor or once in place for the fleet histogram.
                 "LatencySamples::fill",
                 "LatencySamples::get",
                 "LatencySamples::gather",
-                "LatencySamples::for_each_chunk",
                 "LatencySamples::map_in_place",
+                "LatencySamples::materialize",
                 // The replica-weighted dispatch path (PR 7): runs once per interval
                 // on every fleet, including clustered ones whose logical size can
                 // reach 1M nodes, and the per-sample replication inside
@@ -73,6 +73,7 @@ impl LintConfig {
                 "LoadBalancer::split",
                 "Autoscaler::plan",
                 "LatencyHistogram::record_n",
+                "LatencyHistogram::record_scaled_n",
                 // The observability emit path (PR 8): called at every decision point
                 // of every per-interval loop above; the Null sink (Off) and the
                 // preallocated ring must both stay allocation-free (the contract is
@@ -98,6 +99,7 @@ impl LintConfig {
                 // ClusterRun::step. They run on exact and clustered fleets alike and
                 // reuse the run's scratch buffers; each node recycles its own last
                 // observation, and the closing pass folds the fleet books in place.
+                "ClusterRun::step",
                 "ClusterRun::apply_faults",
                 "ClusterRun::plan_serving_set",
                 "ClusterRun::admit_racks",

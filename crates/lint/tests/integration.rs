@@ -258,7 +258,6 @@ fn sample_generation_passes_stay_on_the_hot_path_denylist() {
         "LatencySamples::fill",
         "LatencySamples::get",
         "LatencySamples::gather",
-        "LatencySamples::for_each_chunk",
         "LatencySamples::map_in_place",
         "fast_exp_in_range",
         "fast_ln_unit",
@@ -279,6 +278,35 @@ fn sample_generation_passes_stay_on_the_hot_path_denylist() {
         assert!(
             findings.iter().any(|f| f.rule == "hot-path-alloc"),
             "a vec! inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
+/// Regression (batched fleet histogram): a measured fleet interval maps its samples
+/// once in place and records them with one batched call, and the fleet step reads its
+/// load profile in place, so each of these must stay on the hot-path-alloc denylist.
+#[test]
+fn batched_histogram_recording_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for (hot, path) in [
+        (
+            "LatencyHistogram::record_scaled_n",
+            "crates/telemetry/src/histogram.rs",
+        ),
+        ("LatencySamples::materialize", "crates/telemetry/src/rng.rs"),
+        ("ClusterRun::step", "crates/cluster/src/engine.rs"),
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let (ty, name) = hot.split_once("::").unwrap();
+        let src = format!("impl {ty} {{ fn {name}(&mut self) {{ let v = Vec::new(); }} }}");
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a Vec::new inside {hot} must be flagged, got:\n{}",
             render(&findings)
         );
     }

@@ -55,7 +55,13 @@ impl std::error::Error for HistogramMergeError {}
 /// assert_eq!(h.count(), 4);
 /// assert!(h.percentile(0.5) >= 2.0);
 /// ```
+///
+/// Deserialization validates the value, so an archived histogram satisfies the same
+/// invariants as one built in-process: a count equal to its buckets' sum, extremes
+/// present exactly when it is non-empty, and every recorded bucket inside the range its
+/// extremes span.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(validate = "LatencyHistogram::validate")]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -93,6 +99,7 @@ impl LatencyHistogram {
     /// bits instead of calling `log2`: for `v` in `[2^e, 2^(e+1))` the exponent field is
     /// exactly `e + 1023` and the top `log2(SUB_BUCKETS)` mantissa bits are exactly
     /// `floor((v - 2^e) / 2^e * SUB_BUCKETS)`.
+    #[inline(always)]
     fn bucket_index(value: f64) -> usize {
         let v = value.max(0.0); // NaN also lands here: NaN.max(0.0) == 0.0
         if v < 1.0 {
@@ -137,11 +144,7 @@ impl LatencyHistogram {
     /// covered range, so its upper edge is `f64::INFINITY` (no width bound exists
     /// there).
     pub fn bucket_bounds(value: f64) -> (f64, f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
+        let v = Self::clamp(value);
         let index = Self::bucket_index(v);
         let sub = index % SUB_BUCKETS;
         if v < 1.0 {
@@ -158,25 +161,23 @@ impl LatencyHistogram {
         (lower, base + base * (sub + 1) as f64 / SUB_BUCKETS as f64)
     }
 
-    /// Records a single value.
-    ///
-    /// Negative values are clamped to zero.
-    pub fn record(&mut self, value: f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
+    /// The value a sample is recorded as: itself when positive and finite, zero for a
+    /// negative, zero or non-finite sample (so `-0.0` records as `+0.0`). Comparisons
+    /// rather than `f64::max` keep the result the same wherever it is inlined.
+    #[inline(always)]
+    fn clamp(value: f64) -> f64 {
+        if value > 0.0 && value < f64::INFINITY {
+            value
         } else {
             0.0
-        };
-        let idx = Self::bucket_index(v);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-        if self.min.is_none_or(|m| v < m) {
-            self.min = Some(v);
         }
-        if self.max.is_none_or(|m| v > m) {
-            self.max = Some(v);
-        }
+    }
+
+    /// Records a single value.
+    ///
+    /// Negative and non-finite values are clamped to zero.
+    pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
     }
 
     /// Records the same value `n` times in one bucket update.
@@ -187,31 +188,47 @@ impl LatencyHistogram {
     /// `record_n(v, 1)` is bit-identical to `record(v)` (same clamp, same bucket, and
     /// `v * 1.0 == v` exactly in IEEE-754). `n == 0` is a no-op.
     pub fn record_n(&mut self, value: f64, n: u64) {
-        if n == 0 {
+        self.record_scaled_n(&[value], 1.0, n);
+    }
+
+    /// Records `value * scale`, `n` times, for every value in `values`, in order.
+    ///
+    /// The bits equal calling [`Self::record_n`]`(v * scale, n)` for each value in turn:
+    /// each product is clamped and bucketed the same way, the sum is accumulated in the
+    /// same order, and the extremes are tracked with the same strict comparisons, but
+    /// in locals for the whole slice instead of in the stored `Option`s per value. This
+    /// is the fleet node's per-sample path (`scale` converts seconds to microseconds).
+    /// `n == 0` is a no-op.
+    pub fn record_scaled_n(&mut self, values: &[f64], scale: f64, n: u64) {
+        if n == 0 || values.is_empty() {
             return;
         }
-        let v = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
-        let idx = Self::bucket_index(v);
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum += v * n as f64;
-        if self.min.is_none_or(|m| v < m) {
-            self.min = Some(v);
+        let weight = n as f64;
+        let mut sum = self.sum;
+        // ±infinity stand for "nothing recorded": every clamped value is finite, so the
+        // first one always replaces them, as it replaces `None`.
+        let mut min = self.min.unwrap_or(f64::INFINITY);
+        let mut max = self.max.unwrap_or(f64::NEG_INFINITY);
+        for &value in values {
+            let v = Self::clamp(value * scale);
+            self.buckets[Self::bucket_index(v)] += n;
+            sum += v * weight;
+            if v < min {
+                min = v;
+            }
+            if v > max {
+                max = v;
+            }
         }
-        if self.max.is_none_or(|m| v > m) {
-            self.max = Some(v);
-        }
+        self.count += n * values.len() as u64;
+        self.sum = sum;
+        self.min = Some(min);
+        self.max = Some(max);
     }
 
     /// Records every value in `values`.
     pub fn record_many(&mut self, values: &[f64]) {
-        for &v in values {
-            self.record(v);
-        }
+        self.record_scaled_n(values, 1.0, 1);
     }
 
     /// Merges another histogram into this one.
@@ -233,12 +250,12 @@ impl LatencyHistogram {
     /// Merges another histogram into this one, failing if the bucket configurations
     /// differ.
     ///
-    /// Histograms built in-process always share the compile-time bucket layout, but a
-    /// histogram deserialized from an archive (possibly written by a build with different
-    /// constants, or hand-edited) may not. Summing misaligned buckets would silently
-    /// produce wrong quantiles — exactly the failure mode fleet-level aggregation cannot
-    /// afford — so mismatched configurations are reported as an error and `self` is left
-    /// untouched.
+    /// Histograms built in-process always share the compile-time bucket layout, and
+    /// deserialization rejects an archived histogram (written by a build with different
+    /// constants, or hand-edited) of any other, so this check guards an invariant the
+    /// type already keeps. Summing misaligned buckets would silently produce wrong
+    /// quantiles — exactly the failure mode fleet-level aggregation cannot afford — so
+    /// mismatched configurations are reported as an error and `self` is left untouched.
     ///
     /// The check compares total bucket counts, which distinguishes builds whose
     /// `SUB_BUCKETS × EXP_BUCKETS` products differ. Two geometries with equal products
@@ -314,10 +331,11 @@ impl LatencyHistogram {
         }
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        let occupied = self.occupied();
+        for (i, &c) in self.buckets[occupied.clone()].iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Self::bucket_value(i).clamp(self.min(), self.max());
+                return Self::bucket_value(occupied.start + i).clamp(self.min(), self.max());
             }
         }
         self.max()
@@ -334,15 +352,97 @@ impl LatencyHistogram {
         self.percentile(0.50)
     }
 
-    /// Clears all recorded values.
+    /// Clears all recorded values, zeroing only the buckets that values between the
+    /// recorded minimum and maximum can fall into.
     pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            *b = 0;
-        }
+        let occupied = self.occupied();
+        self.buckets[occupied].fill(0);
         self.count = 0;
         self.sum = 0.0;
         self.min = None;
         self.max = None;
+    }
+
+    /// The bucket indices a value in `min..=max` can fall into: empty for an empty
+    /// histogram. Above 2 the index grows with the value, so the range runs from the
+    /// bucket of `min` to that of `max` (the last bucket also holds everything past the
+    /// covered range). Below 2 it does not: `[0, 1)` and `[1, 2)` share indices
+    /// `0..SUB_BUCKETS`, so a range reaching below 2 starts at 0 and covers them all.
+    fn occupied(&self) -> std::ops::Range<usize> {
+        let (Some(min), Some(max)) = (self.min, self.max) else {
+            return 0..0;
+        };
+        let start = if min < 2.0 {
+            0
+        } else {
+            Self::bucket_index(min)
+        };
+        let end = if max < 2.0 {
+            SUB_BUCKETS - 1
+        } else {
+            Self::bucket_index(max)
+        };
+        start..end + 1
+    }
+
+    /// Checks the invariants every recording keeps, so a deserialized histogram is one
+    /// a run could have produced: this build's bucket count, a count equal to the
+    /// buckets' sum, extremes present exactly when the count is non-zero, finite
+    /// non-negative `min <= max` and sum, and no recorded bucket outside
+    /// [`Self::occupied`] (which [`Self::reset`] and [`Self::percentile`] rely on).
+    fn validate(&self) -> Result<(), String> {
+        if self.buckets.len() != SUB_BUCKETS * EXP_BUCKETS {
+            return Err(format!(
+                "{} buckets where this build has {}",
+                self.buckets.len(),
+                SUB_BUCKETS * EXP_BUCKETS
+            ));
+        }
+        let recorded = self
+            .buckets
+            .iter()
+            .try_fold(0u64, |total, &b| total.checked_add(b))
+            .ok_or("the bucket counts overflow")?;
+        if recorded != self.count {
+            return Err(format!(
+                "count {} but the buckets hold {recorded}",
+                self.count
+            ));
+        }
+        let valid = |x: f64| x.is_finite() && x >= 0.0;
+        if !valid(self.sum) {
+            return Err(format!("sum {} is negative or not finite", self.sum));
+        }
+        match (self.min, self.max) {
+            (None, None) if self.count == 0 => return Ok(()),
+            (Some(min), Some(max)) if self.count > 0 => {
+                if !valid(min) || !valid(max) {
+                    return Err(format!(
+                        "extremes {min} and {max} must be finite and non-negative"
+                    ));
+                }
+                if min > max {
+                    return Err(format!("min {min} exceeds max {max}"));
+                }
+            }
+            (min, max) => {
+                return Err(format!(
+                    "extremes {min:?} and {max:?} do not fit count {}",
+                    self.count
+                ))
+            }
+        }
+        let occupied = self.occupied();
+        if let Some(i) =
+            (0..self.buckets.len()).find(|i| self.buckets[*i] != 0 && !occupied.contains(i))
+        {
+            return Err(format!(
+                "bucket {i} holds values outside the recorded range {}..={}",
+                self.min(),
+                self.max()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -450,34 +550,21 @@ mod tests {
         assert!((a.mean() - all.mean()).abs() < 1e-9);
     }
 
-    /// Builds a histogram whose serialized bucket array was truncated — the shape a
-    /// foreign or hand-edited archive would have.
+    /// Builds a histogram with a foreign bucket layout, the shape a build with other
+    /// bucket constants would produce. Deserialization rejects it (see
+    /// `deserialization_rejects_histograms_no_recording_produces`), so it is built
+    /// directly.
     fn tampered_histogram() -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        h.record_many(&[1.0, 2.0, 3.0]);
-        let json = serde::Serialize::to_value(&h);
-        let entries = match json {
-            serde::Value::Object(entries) => entries
-                .into_iter()
-                .map(|(k, v)| {
-                    if k == "buckets" {
-                        let buckets = match v {
-                            serde::Value::Array(mut items) => {
-                                items.truncate(64);
-                                items
-                            }
-                            _ => panic!("buckets serialize as an array"),
-                        };
-                        (k, serde::Value::Array(buckets))
-                    } else {
-                        (k, v)
-                    }
-                })
-                .collect::<Vec<_>>(),
-            _ => panic!("histograms serialize as objects"),
-        };
-        serde::Deserialize::from_value(&serde::Value::Object(entries))
-            .expect("structurally valid JSON")
+        let mut buckets = vec![0; 64];
+        buckets[0] = 1;
+        buckets[1] = 2;
+        LatencyHistogram {
+            buckets,
+            count: 3,
+            sum: 6.0,
+            min: Some(1.0),
+            max: Some(3.0),
+        }
     }
 
     #[test]
@@ -649,6 +736,213 @@ mod tests {
         assert!(
             worst < 2.0 / SUB_BUCKETS as f64 + 0.02,
             "worst relative error {worst}"
+        );
+    }
+
+    /// `record_n` as it was written before the batched recorder: the value clamped,
+    /// bucketed and summed one at a time, the extremes kept in the `Option`s.
+    fn record_n_reference(h: &mut LatencyHistogram, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let v = if value > 0.0 && value.is_finite() {
+            value
+        } else {
+            0.0
+        };
+        h.buckets[LatencyHistogram::bucket_index(v)] += n;
+        h.count += n;
+        h.sum += v * n as f64;
+        if h.min.is_none_or(|m| v < m) {
+            h.min = Some(v);
+        }
+        if h.max.is_none_or(|m| v > m) {
+            h.max = Some(v);
+        }
+    }
+
+    /// A test value of one of the classes the batched recorder must agree on: non-finite
+    /// and signed zeros, negatives, the shared `[0, 1)` and `[1, 2)` index ranges,
+    /// powers of two, the clamp bucket past 2^40, and latencies in seconds.
+    fn test_value(class: u8, u: f64) -> f64 {
+        const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        match class {
+            0 => SPECIAL[(u * SPECIAL.len() as f64) as usize],
+            1 => -u * 1e3,
+            2 => u,
+            3 => 1.0 + u,
+            4 => 2f64.powi(40) * (1.0 + u * 1e3),
+            5 => 2f64.powi((u * 45.0) as i32),
+            _ => 1e-5 * (u * 12.0).exp(),
+        }
+    }
+
+    /// The histogram's serialized bits.
+    fn json(h: &LatencyHistogram) -> String {
+        serde_json::to_string(h).expect("histograms serialize")
+    }
+
+    /// The percentile as a scan over every bucket, the form the occupied-range scan
+    /// replaced.
+    fn full_scan_percentile(h: &LatencyHistogram, q: f64) -> f64 {
+        if h.count == 0 {
+            return 0.0;
+        }
+        let target = (q * h.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in h.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return LatencyHistogram::bucket_value(i).clamp(h.min(), h.max());
+            }
+        }
+        h.max()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn record_scaled_n_is_bit_identical_to_a_record_n_loop(
+            before in proptest::collection::vec((0u8..7, 0.0f64..1.0), 0..6),
+            values in proptest::collection::vec((0u8..7, 0.0f64..1.0), 0..120),
+            scale_pick in 0usize..3,
+            n_pick in 0usize..3,
+        ) {
+            let scale = [1.0, 1e6, 1e-3][scale_pick];
+            let n = [0u64, 1, 3][n_pick];
+            let values: Vec<f64> = values.iter().map(|&(c, u)| test_value(c, u)).collect();
+            // Without zeros, and unscaled in [0.5, 2), the minimum lies in [0, 1) above
+            // values in [1, 2) that share its bucket indices.
+            let positive: Vec<f64> =
+                values.iter().copied().filter(|&v| v > 0.0 && v.is_finite()).collect();
+            let shared: Vec<f64> =
+                values.iter().copied().filter(|v| (0.5..2.0).contains(v)).collect();
+            for (values, scale) in [(values, scale), (positive, scale), (shared, 1.0)] {
+                // Empty when `before` is empty, otherwise already holding values.
+                let mut start = LatencyHistogram::new();
+                for &(c, u) in &before {
+                    start.record_n(test_value(c, u), 2);
+                }
+                let mut batched = start.clone();
+                batched.record_scaled_n(&values, scale, n);
+                let mut looped = start.clone();
+                let mut reference = start.clone();
+                for &v in &values {
+                    looped.record_n(v * scale, n);
+                    record_n_reference(&mut reference, v * scale, n);
+                }
+                proptest::prop_assert_eq!(json(&batched), json(&looped));
+                proptest::prop_assert_eq!(json(&batched), json(&reference));
+                // The occupied-range percentile equals a scan over every bucket.
+                for q in [0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                    proptest::prop_assert_eq!(
+                        batched.percentile(q).to_bits(),
+                        full_scan_percentile(&batched, q).to_bits()
+                    );
+                }
+                // The occupied-range reset leaves every bucket zero.
+                batched.reset();
+                proptest::prop_assert!(batched.buckets.iter().all(|&b| b == 0));
+                proptest::prop_assert_eq!(json(&batched), json(&LatencyHistogram::new()));
+            }
+        }
+    }
+
+    #[test]
+    fn occupied_range_covers_the_shared_low_buckets_and_the_clamp_bucket() {
+        let last = SUB_BUCKETS * EXP_BUCKETS - 1;
+        let range = |values: &[f64]| {
+            let mut h = LatencyHistogram::new();
+            h.record_many(values);
+            let occupied = h.occupied();
+            for &v in values {
+                let i = LatencyHistogram::bucket_index(LatencyHistogram::clamp(v));
+                assert!(
+                    occupied.contains(&i),
+                    "bucket {i} of {v} outside {occupied:?}"
+                );
+            }
+            occupied
+        };
+        assert_eq!(LatencyHistogram::new().occupied(), 0..0);
+        // 0.9 files at index 28 and 1.5 at index 16: the range must hold both.
+        assert_eq!(range(&[0.9, 1.5]), 0..SUB_BUCKETS);
+        assert_eq!(range(&[0.2]), 0..SUB_BUCKETS);
+        // 3.0 is the middle of [2, 4): index SUB_BUCKETS + SUB_BUCKETS / 2.
+        assert_eq!(range(&[1.99, 3.0]), 0..SUB_BUCKETS + SUB_BUCKETS / 2 + 1);
+        assert_eq!(range(&[2.0, 5.0]).start, SUB_BUCKETS);
+        assert_eq!(range(&[1e13, 1e300]), last..last + 1);
+        assert_eq!(range(&[0.5, 1e13]), 0..last + 1);
+    }
+
+    /// A serialized histogram with one field replaced.
+    fn with_field(h: &LatencyHistogram, field: &str, value: serde::Value) -> serde::Value {
+        match serde::Serialize::to_value(h) {
+            serde::Value::Object(entries) => serde::Value::Object(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| {
+                        if k == field {
+                            (k, value.clone())
+                        } else {
+                            (k, v)
+                        }
+                    })
+                    .collect(),
+            ),
+            _ => panic!("histograms serialize as objects"),
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_histograms_no_recording_produces() {
+        use serde::Value::{Array, Float, Null, UInt};
+        let mut h = LatencyHistogram::new();
+        h.record_many(&[300.0, 450.0, 900.0]);
+        let parse = |v: &serde::Value| <LatencyHistogram as serde::Deserialize>::from_value(v);
+        let restored = parse(&serde::Serialize::to_value(&h)).expect("a recorded histogram parses");
+        assert_eq!(json(&restored), json(&h));
+        let empty = parse(&serde::Serialize::to_value(&LatencyHistogram::new()));
+        assert!(empty.expect("an empty histogram parses").is_empty());
+
+        let mut buckets = vec![UInt(0); SUB_BUCKETS * EXP_BUCKETS];
+        let mut stray = h.clone();
+        stray.record(2.0);
+        let stray_bucket = LatencyHistogram::bucket_index(2.0);
+        buckets[stray_bucket] = UInt(1);
+        let rejected = [
+            // The wrong bucket layout.
+            ("buckets", Array(vec![UInt(0); 64]), "64 buckets"),
+            // Count off by one either way.
+            ("count", UInt(4), "count 4 but the buckets hold 3"),
+            ("count", UInt(2), "count 2 but the buckets hold 3"),
+            // Extremes out of order, missing, or not finite and non-negative.
+            ("min", Float(1000.0), "min 1000 exceeds max 900"),
+            ("max", Null, "do not fit count 3"),
+            ("min", Float(-1.0), "finite and non-negative"),
+            ("max", Float(f64::INFINITY), "finite and non-negative"),
+            ("sum", Float(-5.0), "sum -5"),
+            ("sum", Float(f64::NAN), "not finite"),
+        ];
+        for (field, value, reason) in rejected {
+            let err = parse(&with_field(&h, field, value.clone()))
+                .expect_err(&format!("{field} = {value:?} must not parse"));
+            let err = err.to_string();
+            assert!(
+                err.starts_with("invalid latency histogram") && err.contains(reason),
+                "{field} = {value:?}: got `{err}`"
+            );
+        }
+        // Extremes on an empty histogram.
+        let empty = LatencyHistogram::new();
+        let err = parse(&with_field(&empty, "min", Float(1.0))).expect_err("min without count");
+        assert!(err.to_string().contains("do not fit count 0"), "{err}");
+        // A recorded bucket below the recorded minimum: the range would miss it.
+        let err = parse(&with_field(&stray, "min", Float(300.0)))
+            .expect_err("a bucket outside min..max must not parse");
+        assert!(
+            err.to_string()
+                .contains(&format!("bucket {stray_bucket} holds values outside")),
+            "{err}"
         );
     }
 }

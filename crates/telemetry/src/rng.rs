@@ -241,9 +241,6 @@ fn zig_reject<R: Rng + ?Sized>(
 /// bound on `|z|`).
 const IN_RANGE_MAX_SIGMA: f64 = 51.0;
 
-/// Samples [`LatencySamples::for_each_chunk`] maps per stack buffer.
-const MAP_CHUNK: usize = 64;
-
 /// One interval's lognormal latency samples, parameterized like [`sample_lognormal`]
 /// (median and shape `sigma`), stored as their ziggurat normals and mapped on read.
 ///
@@ -251,8 +248,8 @@ const MAP_CHUNK: usize = 64;
 /// normal, in the same RNG order as drawing the samples one at a time, but a sample
 /// becomes a latency, `median * fast_exp_in_range(sigma * z)`, only when something
 /// reads it: the monitor reads about a fifth of them. Each read path maps through one
-/// branch-free loop that LLVM vectorizes: [`Self::for_each_chunk`] maps up to 64
-/// samples into a stack buffer, and [`Self::gather`] maps a selection. Because
+/// branch-free loop that LLVM vectorizes: [`Self::gather`] maps a selection, and
+/// [`Self::materialize`] maps every sample in place. Because
 /// `|z| <= 13.71`, `sigma * z` stays inside `[-700, 700]` whenever `sigma <= 51`, where
 /// [`fast_exp_in_range`] returns [`fast_exp`]'s bits; larger shapes fall back to
 /// [`fast_exp`] itself. Every value read, and the RNG position after [`Self::fill`],
@@ -261,12 +258,19 @@ const MAP_CHUNK: usize = 64;
 /// per sample than [`sample_lognormal`]'s Box–Muller + `libm` pipeline: identical
 /// distribution, different stream.
 ///
+/// A reader that needs every sample, such as a fleet node's histogram, calls
+/// [`Self::materialize`] once; every read after it returns the stored latencies, with
+/// the same bits, and the next [`Self::fill`] or [`Self::clear`] returns to mapping on
+/// read.
+///
 /// It serializes as the mapped latencies, the wire form of a plain `Vec<f64>`.
 #[derive(Debug, Clone, Default)]
 pub struct LatencySamples {
-    normals: Vec<f64>,
+    /// The ziggurat normals, or the latencies they map to once `mapped` is set.
+    values: Vec<f64>,
     median: f64,
     sigma: f64,
+    mapped: bool,
 }
 
 impl LatencySamples {
@@ -288,33 +292,45 @@ impl LatencySamples {
         assert!(median > 0.0, "lognormal median must be positive");
         assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
         let t = zig_tables();
-        self.normals.clear();
-        self.normals.extend((0..n).map(|_| {
+        self.values.clear();
+        self.values.extend((0..n).map(|_| {
             let bits: u64 = rng.gen();
             zig_normal(rng, t, bits)
         }));
         self.median = median;
         self.sigma = sigma;
+        self.mapped = false;
     }
 
     /// Removes every sample, keeping the buffer.
     pub fn clear(&mut self) {
-        self.normals.clear();
+        self.values.clear();
+        self.mapped = false;
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.normals.len()
+        self.values.len()
     }
 
     /// Whether there are no samples.
     pub fn is_empty(&self) -> bool {
-        self.normals.is_empty()
+        self.values.is_empty()
     }
 
     /// Samples the buffer holds without reallocating.
     pub fn capacity(&self) -> usize {
-        self.normals.capacity()
+        self.values.capacity()
+    }
+
+    /// Maps every sample in place, once, and returns them all: the same bits every
+    /// read returns. Later reads return the stored latencies without mapping again.
+    pub fn materialize(&mut self) -> &[f64] {
+        if !self.mapped {
+            Self::map_in_place(self.median, self.sigma, &mut self.values);
+            self.mapped = true;
+        }
+        &self.values
     }
 
     /// Sample `i`.
@@ -324,8 +340,10 @@ impl LatencySamples {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        let mut v = [self.normals[i]];
-        self.map_in_place(&mut v);
+        let mut v = [self.values[i]];
+        if !self.mapped {
+            Self::map_in_place(self.median, self.sigma, &mut v);
+        }
         v[0]
     }
 
@@ -343,27 +361,17 @@ impl LatencySamples {
     pub fn gather(&self, indices: &[usize], out: &mut [f64]) {
         let out = &mut out[..indices.len()];
         for (o, &i) in out.iter_mut().zip(indices) {
-            *o = self.normals[i];
+            *o = self.values[i];
         }
-        self.map_in_place(out);
-    }
-
-    /// Calls `f` with every sample, in order, mapped up to 64 at a time into a stack
-    /// buffer.
-    pub fn for_each_chunk(&self, mut f: impl FnMut(&[f64])) {
-        let mut buf = [0.0f64; MAP_CHUNK];
-        for normals in self.normals.chunks(MAP_CHUNK) {
-            let out = &mut buf[..normals.len()];
-            out.copy_from_slice(normals);
-            self.map_in_place(out);
-            f(out);
+        if !self.mapped {
+            Self::map_in_place(self.median, self.sigma, out);
         }
     }
 
-    /// Maps normals to latencies in place: the one mapping loop every read path shares.
+    /// Maps normals of the given shape to latencies in place: the one mapping loop
+    /// every read path shares.
     #[inline]
-    fn map_in_place(&self, values: &mut [f64]) {
-        let (median, sigma) = (self.median, self.sigma);
+    fn map_in_place(median: f64, sigma: f64, values: &mut [f64]) {
         if sigma <= IN_RANGE_MAX_SIGMA {
             for v in values.iter_mut() {
                 *v = median * fast_exp_in_range(sigma * *v);
@@ -606,12 +614,6 @@ mod tests {
                 assert_eq!(bits(&by_get), bits(&expected), "get: {at}");
                 let by_iter: Vec<f64> = samples.iter().collect();
                 assert_eq!(bits(&by_iter), bits(&expected), "iter: {at}");
-                let mut by_chunk = Vec::with_capacity(n);
-                samples.for_each_chunk(|chunk| {
-                    assert!(!chunk.is_empty() && chunk.len() <= MAP_CHUNK);
-                    by_chunk.extend_from_slice(chunk);
-                });
-                assert_eq!(bits(&by_chunk), bits(&expected), "chunks: {at}");
                 // A selection in the monitor's shape: increasing, with gaps.
                 let picked: Vec<usize> =
                     (0..n).filter(|i| (i * 7 + seed as usize) % 5 < 2).collect();
@@ -619,6 +621,24 @@ mod tests {
                 samples.gather(&picked, &mut gathered);
                 let want: Vec<f64> = picked.iter().map(|&i| expected[i]).collect();
                 assert_eq!(bits(&gathered), bits(&want), "gather: {at}");
+
+                // Mapped once in place, every read path returns the same bits.
+                let lazy_json = serde_json::to_string(&samples).expect("serializable");
+                assert_eq!(
+                    bits(samples.materialize()),
+                    bits(&expected),
+                    "materialize: {at}"
+                );
+                assert_eq!(bits(samples.materialize()), bits(&expected), "again: {at}");
+                let by_get: Vec<f64> = (0..n).map(|i| samples.get(i)).collect();
+                assert_eq!(bits(&by_get), bits(&expected), "mapped get: {at}");
+                let by_iter: Vec<f64> = samples.iter().collect();
+                assert_eq!(bits(&by_iter), bits(&expected), "mapped iter: {at}");
+                gathered.fill(0.0);
+                samples.gather(&picked, &mut gathered);
+                assert_eq!(bits(&gathered), bits(&want), "mapped gather: {at}");
+                let mapped_json = serde_json::to_string(&samples).expect("serializable");
+                assert_eq!(mapped_json, lazy_json, "mapped serialization: {at}");
             }
         }
         assert!(tails > 0 && wedges > 0, "tails {tails} wedges {wedges}");
@@ -631,6 +651,44 @@ mod tests {
         samples.fill(&mut seeded_rng(4), 0.003, 0.4, 130);
         let mapped: Vec<f64> = samples.iter().collect();
         assert_eq!(samples.to_value(), mapped.to_value());
+    }
+
+    #[test]
+    fn fill_and_clear_return_materialized_samples_to_mapping_on_read() {
+        let bits = |s: &LatencySamples| s.iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut lazy = LatencySamples::new();
+        let mut mapped = LatencySamples::new();
+        for (round, &(median, sigma, n)) in [(0.003, 0.4, 200), (2.0, 60.0, 70), (0.5, 0.0, 1)]
+            .iter()
+            .enumerate()
+        {
+            lazy.fill(&mut seeded_rng(round as u64), median, sigma, n);
+            // The previous round left `mapped` materialized: a fill of other normals and
+            // another shape must map them on read again.
+            mapped.fill(&mut seeded_rng(round as u64), median, sigma, n);
+            assert_eq!(
+                bits(&mapped),
+                bits(&lazy),
+                "round {round} before materialize"
+            );
+            mapped.materialize();
+            assert_eq!(
+                bits(&mapped),
+                bits(&lazy),
+                "round {round} after materialize"
+            );
+        }
+        mapped.clear();
+        assert!(mapped.is_empty());
+        assert!(mapped.materialize().is_empty());
+        mapped.clear();
+        lazy.fill(&mut seeded_rng(9), 1.5, 0.7, 33);
+        mapped.fill(&mut seeded_rng(9), 1.5, 0.7, 33);
+        assert_eq!(
+            bits(&mapped),
+            bits(&lazy),
+            "a cleared materialized buffer maps on read"
+        );
     }
 
     #[test]

@@ -268,20 +268,19 @@ fn restore_rejects_node_state_no_run_can_produce() {
         "the rejection must name the node and its {want}, got: {err}"
     );
 
-    // A histogram that cannot merge into the fleet histogram would panic in `finish`.
+    // A histogram that cannot merge into the fleet histogram would panic in `finish`;
+    // it is rejected as the checkpoint parses.
     let mut short_hist = serde_json::to_value(&pristine).expect("checkpoints are serializable");
     assert!(
         pop_first_array_at(&mut short_hist, "/node_checkpoints[]/books/hist/buckets"),
         "the checkpoint carries node histograms"
     );
-    let short_hist: ClusterRunCheckpoint =
-        serde_json::from_value(&short_hist).expect("a short bucket vector still parses");
-    let err = ClusterRun::new(&scenario, &engine)
-        .restore(&short_hist)
-        .expect_err("a histogram with a missing bucket must not restore");
+    let err = serde_json::from_value::<ClusterRunCheckpoint>(&short_hist)
+        .expect_err("a histogram with a missing bucket must not parse")
+        .to_string();
     assert!(
-        err.contains("node 0") && err.contains("histogram"),
-        "the rejection must name the node and its histogram, got: {err}"
+        err.contains("invalid latency histogram") && err.contains("buckets"),
+        "the rejection must name the histogram and its buckets, got: {err}"
     );
 
     // Every fleet series holds one point per interval run.
@@ -443,6 +442,13 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
     let pristine = serde_json::to_value(&donor.checkpoint()).expect("checkpoints serialize");
     use serde_json::Value::{Array, Float, UInt};
     let words = |w: &[u64]| Array(w.iter().map(|&x| UInt(x)).collect());
+    // The first node's post-warm-up histogram, which `finish` merges into the fleet's.
+    let hist = &donor.node(0).books().hist;
+    let (hist_count, hist_max) = (hist.count(), hist.max());
+    assert!(
+        hist_count > 0,
+        "the first node records samples by interval 50"
+    );
     let mutations = [
         // `set_qps` would panic on a negative rate inside `restore`.
         ("/node_checkpoints[]/sim/generator/qps", Float(-1.0)),
@@ -454,6 +460,11 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
         ("/node_checkpoints[]/monitor/rng", words(&[1, 2, 3, 4, 5])),
         ("/balancer_rng", words(&[0, 0, 0, 0])),
         ("/rack_rng", words(&[0, 0, 0, 0])),
+        // `percentile` would panic in `f64::clamp` on a minimum above the maximum.
+        ("/node_checkpoints[]/books/hist/min", Float(hist_max * 3.0)),
+        // A count the buckets do not hold would silently skew the fleet p99 and mean.
+        ("/node_checkpoints[]/books/hist/count", UInt(hist_count + 1)),
+        ("/node_checkpoints[]/books/hist/count", UInt(hist_count - 1)),
     ];
     for (path, value) in mutations {
         let mut doc = pristine.clone();
@@ -467,6 +478,13 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
             Ok(Err(_)) => {}
             Ok(Ok(())) => panic!("{path} = {value:?} restored"),
             Err(_) => panic!("{path} = {value:?} panicked"),
+        }
+        // A histogram is checked where the checkpoint enters the program.
+        if path.contains("/hist/") {
+            assert!(
+                serde_json::from_value::<ClusterRunCheckpoint>(&doc).is_err(),
+                "{path} = {value:?} parsed"
+            );
         }
     }
     // The untouched document still restores.
