@@ -62,20 +62,6 @@ impl Perforation {
         }
     }
 
-    /// Expected fraction of iterations kept (in `[0, 1]`).
-    pub fn expected_kept_fraction(&self) -> f64 {
-        match *self {
-            Perforation::None => 1.0,
-            Perforation::TruncateBy(p) => 1.0 / p.max(1) as f64,
-            Perforation::KeepEveryNth(p) => 1.0 / p.max(1) as f64,
-            Perforation::SkipEveryNth(p) => {
-                let p = p.max(2) as f64;
-                (p - 1.0) / p
-            }
-            Perforation::KeepFraction(f) => f.clamp(0.0, 1.0),
-        }
-    }
-
     /// Sets `mask` to `keeps(i, n)` for every `i` in `0..n`, so a loop can decide its
     /// perforation once instead of matching this enum (and dividing) per iteration.
     pub(crate) fn fill_mask(&self, n: usize, mask: &mut Vec<bool>) {
@@ -86,11 +72,6 @@ impl Perforation {
             Perforation::TruncateBy(_) | Perforation::KeepFraction(_) => n,
         };
         fill_periodic(mask, n, period, |i| self.keeps(i, n));
-    }
-
-    /// Indices of the iterations of `0..n` that survive perforation.
-    pub fn filter_indices(&self, n: usize) -> Vec<usize> {
-        (0..n).filter(|&i| self.keeps(i, n)).collect()
     }
 
     /// Whether this is precise execution.
@@ -324,11 +305,6 @@ impl SyncElision {
         fill_periodic(mask, n, period, |i| self.refreshes(i));
     }
 
-    /// Fraction of synchronization work performed versus precise execution.
-    pub fn sync_work_fraction(&self) -> f64 {
-        1.0 / self.staleness.max(1) as f64
-    }
-
     /// Whether this is precise synchronization.
     pub fn is_precise(&self) -> bool {
         self.staleness <= 1
@@ -340,18 +316,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Indices of the iterations of `0..n` that survive `perf`.
+    fn filter_indices(perf: Perforation, n: usize) -> Vec<usize> {
+        (0..n).filter(|&i| perf.keeps(i, n)).collect()
+    }
+
+    /// Expected fraction of iterations `perf` keeps (in `[0, 1]`).
+    fn expected_kept_fraction(perf: Perforation) -> f64 {
+        match perf {
+            Perforation::None => 1.0,
+            Perforation::TruncateBy(p) | Perforation::KeepEveryNth(p) => 1.0 / p.max(1) as f64,
+            Perforation::SkipEveryNth(p) => {
+                let p = p.max(2) as f64;
+                (p - 1.0) / p
+            }
+            Perforation::KeepFraction(f) => f.clamp(0.0, 1.0),
+        }
+    }
+
     #[test]
     fn none_keeps_everything() {
         let p = Perforation::None;
-        assert_eq!(p.filter_indices(10).len(), 10);
-        assert_eq!(p.expected_kept_fraction(), 1.0);
+        assert_eq!(filter_indices(p, 10).len(), 10);
+        assert_eq!(expected_kept_fraction(p), 1.0);
         assert!(p.is_precise());
     }
 
     #[test]
     fn truncate_keeps_prefix() {
         let p = Perforation::TruncateBy(4);
-        let kept = p.filter_indices(100);
+        let kept = filter_indices(p, 100);
         assert_eq!(kept.len(), 25);
         assert_eq!(kept[0], 0);
         assert_eq!(*kept.last().unwrap(), 24);
@@ -360,31 +354,31 @@ mod tests {
     #[test]
     fn keep_every_nth_spacing() {
         let p = Perforation::KeepEveryNth(3);
-        let kept = p.filter_indices(9);
+        let kept = filter_indices(p, 9);
         assert_eq!(kept, vec![0, 3, 6]);
-        assert!((p.expected_kept_fraction() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((expected_kept_fraction(p) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn skip_every_nth_spacing() {
         let p = Perforation::SkipEveryNth(3);
-        let kept = p.filter_indices(9);
+        let kept = filter_indices(p, 9);
         assert_eq!(kept, vec![0, 1, 3, 4, 6, 7]);
-        assert!((p.expected_kept_fraction() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((expected_kept_fraction(p) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn keep_fraction_bounds() {
-        assert_eq!(Perforation::KeepFraction(0.0).filter_indices(50).len(), 0);
-        assert_eq!(Perforation::KeepFraction(1.0).filter_indices(50).len(), 50);
-        let kept = Perforation::KeepFraction(0.5).filter_indices(10_000).len();
+        assert_eq!(filter_indices(Perforation::KeepFraction(0.0), 50).len(), 0);
+        assert_eq!(filter_indices(Perforation::KeepFraction(1.0), 50).len(), 50);
+        let kept = filter_indices(Perforation::KeepFraction(0.5), 10_000).len();
         assert!((kept as f64 - 5_000.0).abs() < 500.0, "kept {kept}");
     }
 
     #[test]
     fn keep_fraction_is_deterministic() {
-        let a = Perforation::KeepFraction(0.3).filter_indices(1000);
-        let b = Perforation::KeepFraction(0.3).filter_indices(1000);
+        let a = filter_indices(Perforation::KeepFraction(0.3), 1000);
+        let b = filter_indices(Perforation::KeepFraction(0.3), 1000);
         assert_eq!(a, b);
     }
 
@@ -460,7 +454,8 @@ mod tests {
         assert!(e.refreshes(0));
         assert!(!e.refreshes(1));
         assert!(e.refreshes(4));
-        assert!((e.sync_work_fraction() - 0.25).abs() < 1e-12);
+        // One refresh in four: a quarter of the precise synchronization work.
+        assert_eq!((0..64).filter(|&i| e.refreshes(i)).count(), 16);
         assert!(SyncElision::precise().is_precise());
         assert!(!e.is_precise());
     }
@@ -479,8 +474,8 @@ mod tests {
             p in 2u32..10,
         ) {
             for perf in [Perforation::TruncateBy(p), Perforation::KeepEveryNth(p), Perforation::SkipEveryNth(p)] {
-                let kept = perf.filter_indices(n).len() as f64 / n as f64;
-                prop_assert!((kept - perf.expected_kept_fraction()).abs() < 0.05);
+                let kept = filter_indices(perf, n).len() as f64 / n as f64;
+                prop_assert!((kept - expected_kept_fraction(perf)).abs() < 0.05);
             }
         }
 

@@ -154,6 +154,8 @@ impl ClusterEngineExt for Engine {
 /// assert_eq!(outcome.intervals, 12);
 /// ```
 pub struct ClusterRun {
+    /// The scenario's settings with an empty job list: the nodes start their initial
+    /// slices at build time and the scheduler holds the queued tail.
     scenario: ClusterScenario,
     catalog: Catalog,
     /// Simulated instances, in instance order. Each keeps its own per-node books (QoS
@@ -420,7 +422,14 @@ impl ClusterRun {
         let faults = fault_schedule.map(|schedule| FaultState::new(schedule, &plans));
         let max_intervals = scenario.max_intervals();
         Self {
-            scenario: scenario.clone(),
+            scenario: ClusterScenario {
+                label: scenario.label.clone(),
+                jobs: Vec::new(),
+                load_profile: scenario.load_profile.clone(),
+                fault_profile: scenario.fault_profile.clone(),
+                topology: scenario.topology.clone(),
+                ..*scenario
+            },
             catalog: catalog.clone(),
             nodes,
             replica_weights,
@@ -470,11 +479,6 @@ impl ClusterRun {
         let buffers =
             std::iter::once(fleet).chain(self.nodes.iter_mut().map(ClusterNode::take_obs_buffer));
         EventLog::merge(level, buffers)
-    }
-
-    /// The scenario the fleet was built from.
-    pub fn scenario(&self) -> &ClusterScenario {
-        &self.scenario
     }
 
     /// Logical fleet size (the number of nodes the scenario describes, regardless of
@@ -1359,12 +1363,7 @@ impl ClusterRun {
         // Fleet quantiles come from the exact merge of the per-node histograms.
         let mut fleet = LatencyHistogram::new();
         for node in &self.nodes {
-            fleet
-                .try_merge(&node.books().hist)
-                // pliant-lint: allow(panic-hygiene): every node histogram was built by
-                // this run with the same bucket configuration, so the merge cannot
-                // fail.
-                .expect("in-process histograms share one bucket configuration");
+            fleet.merge(&node.books().hist);
         }
         let qos_target_s = scenario.qos_target_s.unwrap_or_else(|| {
             pliant_workloads::service::ServiceProfile::paper_default(scenario.service).qos_target_s

@@ -28,7 +28,7 @@
 //!   byte-identical to the pre-population simulator.
 //!
 //! Fleet metrics come from merging every node's latency histogram
-//! ([`LatencyHistogram::try_merge`](pliant_telemetry::histogram::LatencyHistogram::try_merge)),
+//! ([`LatencyHistogram::merge`](pliant_telemetry::histogram::LatencyHistogram::merge)),
 //! so the fleet p99 is the exact quantile over every request in the fleet — the number
 //! the machines-needed-at-QoS-target search ([`outcome::machines_needed`]) minimizes.
 //!

@@ -541,7 +541,7 @@ pub struct NodeBooks {
     /// Recorded node-side (inside [`ClusterNode::step`]) so the cluster engine
     /// aggregates fleet quantiles by merging N histograms instead of re-iterating every
     /// sample; per-node histograms share one bucket layout, so the fleet's p99 is their
-    /// exact merge (see [`LatencyHistogram::try_merge`]).
+    /// exact merge (see [`LatencyHistogram::merge`]).
     pub hist: LatencyHistogram,
     /// Post-warm-up intervals that served traffic.
     pub busy_intervals: usize,

@@ -31,12 +31,14 @@
 //! groups and instances, not in its logical size. Grouping is one pass over the
 //! scenario's job list that keeps, per group, the job slice, the rack, the first member
 //! and the member count. Racks are contiguous blocks of the node index space, so the
-//! groups of one rack are contiguous in group order and a node is compared only with
-//! the groups of its own rack. Planning is a second pass that classifies each node
-//! again and emits a plan wherever a node starts a chunk, against per-group chunk
-//! cursors set up before the pass; it stops at the last chunk start. A group's member
-//! list is recovered on demand by [`NodePopulation::members`], which scans the group's
-//! rack from its first member.
+//! groups of one rack are contiguous in group order, and a 24-entry table of the rack's
+//! groups indexed by first job finds a node's group with one read. Only groups that
+//! share a first job (possible when `slots_per_node > 1`) are chained behind one entry
+//! and told apart by the rest of their slice. Planning is a second pass that rebuilds
+//! the table of each rack from its groups, looks each node up, and counts it down in its
+//! group's current chunk, emitting a plan wherever a chunk starts; it stops at the last
+//! chunk start. A group's member list is recovered on demand by
+//! [`NodePopulation::members`], which scans the group's rack from its first member.
 
 use crate::scenario::{ClusterScenario, FleetApproximation};
 use pliant_approx::catalog::AppId;
@@ -87,8 +89,24 @@ impl<'s> NodePopulation<'s> {
     /// [`NodeGroup::rack`]). Groups appear in order of their first member, so the
     /// grouping is deterministic in the scenario alone.
     pub fn from_scenario(scenario: &'s ClusterScenario) -> Self {
-        let mut groups = Vec::new();
-        classify(scenario, &mut groups, |_, _| true);
+        let mut groups: Vec<NodeGroup> = Vec::new();
+        let mut index = FirstJobIndex::new();
+        for rack in 0..scenario.topology.rack_count() {
+            index.start_rack();
+            for (node, jobs) in rack_slices(scenario, rack) {
+                let group = index.find(&groups, jobs).unwrap_or_else(|| {
+                    index.insert(groups.len(), jobs[0]);
+                    groups.push(NodeGroup {
+                        jobs: jobs.to_vec(),
+                        rack,
+                        first: node,
+                        len: 0,
+                    });
+                    groups.len() - 1
+                });
+                groups[group].len += 1;
+            }
+        }
         NodePopulation { scenario, groups }
     }
 
@@ -131,6 +149,30 @@ impl<'s> NodePopulation<'s> {
             .iter()
             .position(|g| g.jobs == jobs)
             .map(|offset| rack_groups + offset)
+    }
+
+    /// Calls `visit(node, group)` for each logical node in ascending order with the
+    /// index of its group, until `visit` returns `false`.
+    fn walk(&self, mut visit: impl FnMut(usize, usize) -> bool) {
+        let mut index = FirstJobIndex::new();
+        // Groups are ordered by first member, so by rack too.
+        let mut groups = self.groups.iter().enumerate().peekable();
+        for rack in 0..self.scenario.topology.rack_count() {
+            index.start_rack();
+            while let Some((group, g)) = groups.next_if(|(_, g)| g.rack == rack) {
+                index.insert(group, g.jobs[0]);
+            }
+            for (node, jobs) in rack_slices(self.scenario, rack) {
+                let group = index
+                    .find(&self.groups, jobs)
+                    // pliant-lint: allow(panic-hygiene): grouping put every node in a
+                    // group of its rack.
+                    .expect("every node has a group in its rack");
+                if !visit(node, group) {
+                    return;
+                }
+            }
+        }
     }
 
     /// Materializes the population into an ordered instance plan under `approximation`.
@@ -176,11 +218,10 @@ impl<'s> NodePopulation<'s> {
                     .is_none_or(|&node| node < self.total_nodes()),
             "isolated nodes must be strictly ascending logical nodes of the fleet"
         );
-        let mut walk = Vec::with_capacity(self.groups.len());
         let representatives = match approximation {
             FleetApproximation::Exact => {
                 let mut plans = Vec::with_capacity(self.total_nodes());
-                classify(self.scenario, &mut walk, |node, group| {
+                self.walk(|node, group| {
                     plans.push(InstancePlan {
                         group,
                         seed_member: node,
@@ -208,15 +249,17 @@ impl<'s> NodePopulation<'s> {
         let mut plans: Vec<Vec<InstancePlan>> = vec![Vec::new(); self.groups.len()];
         let mut isolated = isolated.iter().copied();
         let mut next_isolated = isolated.next();
-        classify(self.scenario, &mut walk, |node, group| {
+        // Most nodes only count down their chunk; a plan is made where one starts.
+        self.walk(|node, group| {
+            let cursor = &mut cursors[group];
             let replicas = if next_isolated == Some(node) {
                 next_isolated = isolated.next();
                 1
+            } else if cursor.left_in_chunk > 0 {
+                cursor.left_in_chunk -= 1;
+                return true;
             } else {
-                match cursors[group].advance() {
-                    Some(chunk) => chunk,
-                    None => return true,
-                }
+                cursor.start_chunk()
             };
             plans[group].push(InstancePlan {
                 group,
@@ -230,44 +273,58 @@ impl<'s> NodePopulation<'s> {
     }
 }
 
-/// Walks the scenario's logical nodes in ascending order, rack by rack, counts each
-/// node into its group and calls `visit(node, group)` with the group's index in
-/// `groups`. A node's group is the group of its rack that starts the node's jobs,
-/// appended at the first such node; the groups of one rack are contiguous in `groups`,
-/// so a node is compared only with its own rack's groups. Stops early once `visit`
-/// returns `false`.
-///
-/// Classifying into an empty `groups` always yields the same groups in the same order,
-/// which is what lets the planners classify again instead of keeping a group index per
-/// node.
-fn classify(
-    scenario: &ClusterScenario,
-    groups: &mut Vec<NodeGroup>,
-    mut visit: impl FnMut(usize, usize) -> bool,
-) {
+/// The logical nodes of rack `rack` in ascending order, each with its initial batch-job
+/// slice.
+fn rack_slices(scenario: &ClusterScenario, rack: usize) -> impl Iterator<Item = (usize, &[AppId])> {
     let spn = scenario.slots_per_node;
-    for rack in 0..scenario.topology.rack_count() {
-        let rack_groups = groups.len();
-        let nodes = scenario.topology.rack_members(rack, scenario.nodes);
-        let jobs = &scenario.jobs[nodes.start * spn..nodes.end * spn];
-        for (node, jobs) in nodes.zip(jobs.chunks_exact(spn)) {
-            let group = match groups[rack_groups..].iter().position(|g| g.jobs == jobs) {
-                Some(offset) => rack_groups + offset,
-                None => {
-                    groups.push(NodeGroup {
-                        jobs: jobs.to_vec(),
-                        rack,
-                        first: node,
-                        len: 0,
-                    });
-                    groups.len() - 1
-                }
-            };
-            groups[group].len += 1;
-            if !visit(node, group) {
-                return;
-            }
+    let nodes = scenario.topology.rack_members(rack, scenario.nodes);
+    let jobs = &scenario.jobs[nodes.start * spn..nodes.end * spn];
+    nodes.zip(jobs.chunks_exact(spn))
+}
+
+/// The groups of one rack indexed by the first job of their slice, so that a node's
+/// group is one table read away. Groups that share a first job, possible only when
+/// `slots_per_node > 1`, are chained behind the table entry and told apart by the rest
+/// of their slice.
+struct FirstJobIndex {
+    /// Per application, the newest group of the rack whose slice starts with it.
+    heads: [usize; 24],
+    /// Per group, the next older group of its rack with the same first job.
+    chained: Vec<usize>,
+}
+
+/// The end of a first-job chain.
+const NO_GROUP: usize = usize::MAX;
+
+impl FirstJobIndex {
+    fn new() -> Self {
+        FirstJobIndex {
+            heads: AppId::all().map(|_| NO_GROUP),
+            chained: Vec::new(),
         }
+    }
+
+    /// Empties the table for the next rack; groups are never shared across racks.
+    fn start_rack(&mut self) {
+        self.heads.fill(NO_GROUP);
+    }
+
+    /// The index into `groups` of the indexed group whose slice is `jobs`.
+    fn find(&self, groups: &[NodeGroup], jobs: &[AppId]) -> Option<usize> {
+        let mut group = self.heads[jobs[0] as usize];
+        while jobs.len() > 1 && group != NO_GROUP && groups[group].jobs[1..] != jobs[1..] {
+            group = self.chained[group];
+        }
+        (group != NO_GROUP).then_some(group)
+    }
+
+    /// Indexes group `group` of the current rack, whose slice starts with `first`.
+    /// Groups are indexed in ascending order, each once.
+    fn insert(&mut self, group: usize, first: AppId) {
+        debug_assert_eq!(group, self.chained.len(), "groups are indexed in order");
+        let head = &mut self.heads[first as usize];
+        self.chained.push(*head);
+        *head = group;
     }
 }
 
@@ -304,19 +361,15 @@ impl ChunkCursor {
         }
     }
 
-    /// Steps past one pooled member, returning the size of the chunk it starts, if it
-    /// starts one. The chunk sizes add up to the pooled count, so every call past the
-    /// first member of a chunk lands inside one.
-    fn advance(&mut self) -> Option<usize> {
-        if self.left_in_chunk > 0 {
-            self.left_in_chunk -= 1;
-            return None;
-        }
+    /// Starts the next chunk at a pooled member and returns its size. The chunk sizes
+    /// add up to the pooled count, so the walk starts a chunk exactly when the current
+    /// one has no members left.
+    fn start_chunk(&mut self) -> usize {
         self.chunks_left -= 1;
         let size = self.base + usize::from(self.larger_left > 0);
         self.larger_left = self.larger_left.saturating_sub(1);
         self.left_in_chunk = size - 1;
-        Some(size)
+        size
     }
 }
 
@@ -617,6 +670,66 @@ mod tests {
         // Clustered plans are group-major; compare as sets of (seed, weight).
         exact.sort_by_key(|p| (p.group, p.seed_member));
         assert_eq!(clustered, exact);
+    }
+
+    #[test]
+    fn groups_sharing_a_first_job_stay_apart_and_match_the_reference() {
+        // Two-slot slices `[A, B]`, `[A, C]` and `[B, A]`: the first two share their
+        // first job, so classifying them walks a first-job chain; the third starts with
+        // the job the others hold second.
+        let (a, b, c) = (AppId::Canneal, AppId::Snp, AppId::Raytrace);
+        let slices = [[a, b], [a, c], [b, a]];
+        for topology in [
+            TopologyConfig::Flat,
+            TopologyConfig::Racks {
+                racks: 2,
+                nodes_per_rack: 7,
+                rack_power_w: None,
+            },
+        ] {
+            let scenario = ClusterScenario::builder(ServiceId::Memcached)
+                .nodes(14)
+                .slots_per_node(2)
+                .jobs((0..14).flat_map(|node| slices[node % 3]))
+                .topology(topology)
+                .horizon_intervals(20)
+                .build();
+            let pop = NodePopulation::from_scenario(&scenario);
+            let reference = reference::groups(&scenario);
+            let racks = scenario.topology.rack_count();
+            assert_eq!(pop.groups().len(), 3 * racks);
+            assert_eq!(pop.groups().len(), reference.len());
+            for (gi, (group, expected)) in pop.groups().iter().zip(&reference).enumerate() {
+                assert_eq!(group.jobs, expected.jobs);
+                assert_eq!(group.rack, expected.rack);
+                assert_eq!(group.first, expected.members[0]);
+                assert_eq!(group.len, expected.members.len());
+                assert_eq!(members(&pop, gi), expected.members);
+                for &member in &expected.members {
+                    assert_eq!(pop.group_of(member), Some(gi));
+                }
+            }
+            let mask: Vec<bool> = (0..14).map(|node| node % 4 == 1).collect();
+            let isolated: Vec<usize> = (0..14).filter(|&node| mask[node]).collect();
+            for approximation in [
+                FleetApproximation::Exact,
+                FleetApproximation::Clustered {
+                    representatives_per_group: 1,
+                },
+                FleetApproximation::Clustered {
+                    representatives_per_group: 2,
+                },
+            ] {
+                assert_eq!(
+                    pop.plan_instances(&approximation),
+                    reference::plan_instances(&reference, &approximation)
+                );
+                assert_eq!(
+                    pop.plan_instances_isolating(&approximation, &isolated),
+                    reference::plan_instances_isolating(&reference, &approximation, &mask)
+                );
+            }
+        }
     }
 
     proptest! {

@@ -16,30 +16,6 @@ const SUB_BUCKETS: usize = 32;
 /// latency expressed in microseconds that the simulators produce.
 const EXP_BUCKETS: usize = 40;
 
-/// Why two histograms could not be merged: their bucket configurations differ, so their
-/// bucket arrays do not describe the same value ranges and summing them would produce
-/// silently wrong quantiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramMergeError {
-    /// Bucket count of the histogram being merged into.
-    pub own_buckets: usize,
-    /// Bucket count of the histogram being merged from.
-    pub other_buckets: usize,
-}
-
-impl std::fmt::Display for HistogramMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "bucket configurations differ ({} vs {} buckets); \
-             merging them would misalign value ranges",
-            self.own_buckets, self.other_buckets
-        )
-    }
-}
-
-impl std::error::Error for HistogramMergeError {}
-
 /// A log-bucketed histogram of non-negative `f64` values (latencies, in any unit).
 ///
 /// Values are bucketed into `EXP_BUCKETS` powers of two, each split into `SUB_BUCKETS`
@@ -235,39 +211,11 @@ impl LatencyHistogram {
     ///
     /// Merging is exact: the merged histogram reports the same counts, mean, and
     /// percentiles as one histogram that recorded every value directly, which is what
-    /// makes per-node histograms safe to aggregate into fleet-level quantiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bucket configurations (see
-    /// [`Self::try_merge`]); use `try_merge` to handle that case without panicking.
+    /// makes per-node histograms safe to aggregate into fleet-level quantiles. Every
+    /// histogram shares one bucket layout: [`Self::new`] fixes it and deserialization
+    /// rejects any other, so the buckets always line up.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        if let Err(e) = self.try_merge(other) {
-            panic!("cannot merge latency histograms: {e}");
-        }
-    }
-
-    /// Merges another histogram into this one, failing if the bucket configurations
-    /// differ.
-    ///
-    /// Histograms built in-process always share the compile-time bucket layout, and
-    /// deserialization rejects an archived histogram (written by a build with different
-    /// constants, or hand-edited) of any other, so this check guards an invariant the
-    /// type already keeps. Summing misaligned buckets would silently produce wrong
-    /// quantiles — exactly the failure mode fleet-level aggregation cannot afford — so
-    /// mismatched configurations are reported as an error and `self` is left untouched.
-    ///
-    /// The check compares total bucket counts, which distinguishes builds whose
-    /// `SUB_BUCKETS × EXP_BUCKETS` products differ. Two geometries with equal products
-    /// (e.g. the factors swapped) would still pass; serialized histograms do not carry
-    /// their geometry, so that residual case is documented rather than detected.
-    pub fn try_merge(&mut self, other: &LatencyHistogram) -> Result<(), HistogramMergeError> {
-        if self.buckets.len() != other.buckets.len() {
-            return Err(HistogramMergeError {
-                own_buckets: self.buckets.len(),
-                other_buckets: other.buckets.len(),
-            });
-        }
+        debug_assert_eq!(self.buckets.len(), other.buckets.len());
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -281,7 +229,6 @@ impl LatencyHistogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        Ok(())
     }
 
     /// Number of recorded values.
@@ -550,52 +497,8 @@ mod tests {
         assert!((a.mean() - all.mean()).abs() < 1e-9);
     }
 
-    /// Builds a histogram with a foreign bucket layout, the shape a build with other
-    /// bucket constants would produce. Deserialization rejects it (see
-    /// `deserialization_rejects_histograms_no_recording_produces`), so it is built
-    /// directly.
-    fn tampered_histogram() -> LatencyHistogram {
-        let mut buckets = vec![0; 64];
-        buckets[0] = 1;
-        buckets[1] = 2;
-        LatencyHistogram {
-            buckets,
-            count: 3,
-            sum: 6.0,
-            min: Some(1.0),
-            max: Some(3.0),
-        }
-    }
-
     #[test]
-    fn try_merge_rejects_mismatched_bucket_configurations() {
-        let foreign = tampered_histogram();
-        let mut h = LatencyHistogram::new();
-        h.record_many(&[5.0, 6.0]);
-        let before_count = h.count();
-        let before_p99 = h.percentile(0.99);
-        let err = h.try_merge(&foreign).unwrap_err();
-        assert_eq!(err.other_buckets, 64);
-        assert!(err.own_buckets > err.other_buckets);
-        assert!(err.to_string().contains("bucket configurations differ"));
-        // The failed merge must leave the receiver untouched.
-        assert_eq!(h.count(), before_count);
-        assert_eq!(h.percentile(0.99), before_p99);
-    }
-
-    #[test]
-    fn merge_panics_on_mismatched_bucket_configurations() {
-        let foreign = tampered_histogram();
-        let mut h = LatencyHistogram::new();
-        h.record(1.0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            h.merge(&foreign);
-        }));
-        assert!(result.is_err(), "misaligned merges must fail loudly");
-    }
-
-    #[test]
-    fn try_merge_of_matching_configurations_is_exact() {
+    fn merge_of_split_recordings_is_exact() {
         let mut a = LatencyHistogram::new();
         let mut b = LatencyHistogram::new();
         let mut all = LatencyHistogram::new();
@@ -608,7 +511,7 @@ mod tests {
             }
             all.record(v);
         }
-        a.try_merge(&b).expect("same-config merge succeeds");
+        a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert_eq!(a.percentile(0.99), all.percentile(0.99));
         assert_eq!(a.mean(), all.mean());

@@ -41,15 +41,6 @@ impl OnlineStats {
         }
     }
 
-    /// Creates an accumulator pre-filled from a slice.
-    pub fn from_slice(values: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &v in values {
-            s.push(v);
-        }
-        s
-    }
-
     /// Adds a sample.
     pub fn push(&mut self, value: f64) {
         self.count += 1;
@@ -213,6 +204,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// An accumulator that pushed every value of `values`, in order.
+    fn from_slice(values: &[f64]) -> OnlineStats {
+        let mut s = OnlineStats::new();
+        for &v in values {
+            s.push(v);
+        }
+        s
+    }
+
     #[test]
     fn empty_stats_are_zero() {
         let s = OnlineStats::new();
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn known_mean_and_variance() {
-        let s = OnlineStats::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Population variance is 4.0; unbiased sample variance is 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
@@ -237,10 +237,10 @@ mod tests {
     fn merge_matches_sequential() {
         let data: Vec<f64> = (0..500).map(|i| ((i * 37) % 113) as f64 / 7.0).collect();
         let (left, right) = data.split_at(200);
-        let mut a = OnlineStats::from_slice(left);
-        let b = OnlineStats::from_slice(right);
+        let mut a = from_slice(left);
+        let b = from_slice(right);
         a.merge(&b);
-        let all = OnlineStats::from_slice(&data);
+        let all = from_slice(&data);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
         assert!((a.variance() - all.variance()).abs() < 1e-9);
@@ -248,13 +248,13 @@ mod tests {
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::from_slice(&[1.0, 2.0, 3.0]);
+        let mut a = from_slice(&[1.0, 2.0, 3.0]);
         let before = a.summary();
         a.merge(&OnlineStats::new());
         assert_eq!(a.summary(), before);
 
         let mut empty = OnlineStats::new();
-        empty.merge(&OnlineStats::from_slice(&[1.0, 2.0, 3.0]));
+        empty.merge(&from_slice(&[1.0, 2.0, 3.0]));
         assert_eq!(empty.count(), 3);
     }
 
@@ -283,14 +283,14 @@ mod tests {
 
     #[test]
     fn summary_display_is_nonempty() {
-        let s = OnlineStats::from_slice(&[1.0, 2.0]).summary();
+        let s = from_slice(&[1.0, 2.0]).summary();
         assert!(!format!("{s}").is_empty());
     }
 
     proptest! {
         #[test]
         fn prop_mean_within_min_max(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let s = OnlineStats::from_slice(&values);
+            let s = from_slice(&values);
             prop_assert!(s.mean() >= s.min() - 1e-9);
             prop_assert!(s.mean() <= s.max() + 1e-9);
             prop_assert!(s.variance() >= 0.0);
@@ -301,10 +301,10 @@ mod tests {
             a in proptest::collection::vec(-1e3f64..1e3, 1..100),
             b in proptest::collection::vec(-1e3f64..1e3, 1..100),
         ) {
-            let mut ab = OnlineStats::from_slice(&a);
-            ab.merge(&OnlineStats::from_slice(&b));
-            let mut ba = OnlineStats::from_slice(&b);
-            ba.merge(&OnlineStats::from_slice(&a));
+            let mut ab = from_slice(&a);
+            ab.merge(&from_slice(&b));
+            let mut ba = from_slice(&b);
+            ba.merge(&from_slice(&a));
             prop_assert!((ab.mean() - ba.mean()).abs() < 1e-6);
             prop_assert!((ab.variance() - ba.variance()).abs() < 1e-4);
             prop_assert_eq!(ab.count(), ba.count());

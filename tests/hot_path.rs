@@ -276,11 +276,11 @@ fn obs_emit_is_allocation_free_when_off_and_when_saturated() {
 //    kept alive by the run.
 // ---------------------------------------------------------------------------
 
-/// Peak bytes `ClusterRun::new` may hold per logical node. The run keeps a clone of
-/// the scenario, whose job list is one byte per node here, and everything else it
-/// builds is per group or per instance. One `u32` per node would not fit under this
-/// bound next to the job list, let alone a `usize` member list.
-const MAX_BUILD_BYTES_PER_LOGICAL_NODE: f64 = 4.0;
+/// Peak bytes `ClusterRun::new` may hold per logical node. Everything the run builds
+/// is per group or per instance, and it keeps the scenario's settings without the job
+/// list, so its peak is a fraction of a byte per node. A copy of the one-byte-per-node
+/// job list would not fit under this bound, let alone a `u32` or `usize` per node.
+const MAX_BUILD_BYTES_PER_LOGICAL_NODE: f64 = 1.0;
 
 #[test]
 fn building_a_million_node_clustered_fleet_holds_no_per_node_tables() {
