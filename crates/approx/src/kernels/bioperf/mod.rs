@@ -68,6 +68,55 @@ pub(crate) mod align {
 #[cfg(test)]
 mod tests {
     use super::align::*;
+    use proptest::prelude::*;
+
+    /// The straightforward `f64` banded Smith–Waterman: every row zeroed in full, every
+    /// cell read from the two row buffers.
+    fn reference_smith_waterman_banded(a: &[u8], b: &[u8], band: Option<usize>) -> (f64, u64) {
+        let n = a.len();
+        let m = b.len();
+        if n == 0 || m == 0 {
+            return (0.0, 0);
+        }
+        let mut prev = vec![0.0f64; m + 1];
+        let mut curr = vec![0.0f64; m + 1];
+        let mut best = 0.0f64;
+        let mut cells = 0u64;
+        for i in 1..=n {
+            let (lo, hi) = match band {
+                Some(w) => {
+                    let centre = i * m / n;
+                    (centre.saturating_sub(w).max(1), (centre + w).min(m))
+                }
+                None => (1, m),
+            };
+            for cell in curr.iter_mut() {
+                *cell = 0.0;
+            }
+            for j in lo..=hi {
+                let s = if a[i - 1] == b[j - 1] {
+                    MATCH
+                } else {
+                    MISMATCH
+                };
+                let val = (prev[j - 1] + s)
+                    .max(prev[j] + GAP)
+                    .max(curr[j - 1] + GAP)
+                    .max(0.0);
+                curr[j] = val;
+                if val > best {
+                    best = val;
+                }
+                cells += 1;
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        (best, cells)
+    }
+
+    fn dna(codes: &[u8]) -> Vec<u8> {
+        codes.iter().map(|&c| b"ACGT"[usize::from(c)]).collect()
+    }
 
     #[test]
     fn identical_sequences_score_length_times_match() {
@@ -91,5 +140,29 @@ mod tests {
     #[test]
     fn empty_sequence_scores_zero() {
         assert_eq!(smith_waterman_banded(b"", b"ACGT", None).0, 0.0);
+    }
+
+    proptest! {
+        /// Best-score bits and cell counts match the reference for random sequences of
+        /// length 0 to 200, full and banded (band 0 to 24; 25 stands for `None`). A
+        /// two-letter alphabet as often as a four-letter one, so long matching runs and
+        /// high scores occur too.
+        #[test]
+        fn prop_banded_alignment_matches_the_f64_reference(
+            a in proptest::collection::vec(0u8..4, 0..201),
+            b in proptest::collection::vec(0u8..4, 0..201),
+            band in 0usize..26,
+            narrow in any::<bool>(),
+        ) {
+            let squash = |s: &[u8]| -> Vec<u8> {
+                if narrow { s.iter().map(|c| c % 2).collect() } else { s.to_vec() }
+            };
+            let (a, b) = (dna(&squash(&a)), dna(&squash(&b)));
+            let band = (band <= 24).then_some(band);
+            let (score, cells) = smith_waterman_banded(&a, &b, band);
+            let (want, want_cells) = reference_smith_waterman_banded(&a, &b, band);
+            prop_assert_eq!(score.to_bits(), want.to_bits());
+            prop_assert_eq!(cells, want_cells);
+        }
     }
 }
