@@ -5,6 +5,9 @@
 //! distance matrix. Knobs: perforate the pairwise-distance loop (site 0, falling back to a
 //! cheap k-mer distance for skipped pairs), narrow the alignment band (site 1), sample
 //! sequence columns, reduce precision.
+//!
+//! The pairwise scores come from the shared banded Smith–Waterman (`align`), whose
+//! integer DP is exact: the cost counts and distances are those of an `f64` DP.
 
 use super::align::smith_waterman_banded;
 use crate::data::{related_sequences, DNA_ALPHABET};

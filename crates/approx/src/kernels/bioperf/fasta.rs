@@ -4,6 +4,9 @@
 //! alignment seeded by k-tuple diagonals. Knobs: perforate the database loop (site 0),
 //! narrow the alignment band (site 1 via truncation factors), sample the database, reduce
 //! precision (modelled as coarser band selection plus quantized scores).
+//!
+//! The alignments run the shared banded Smith–Waterman (`align`), whose integer DP is
+//! exact: the scores and cell counts are those of an `f64` DP.
 
 use super::align::smith_waterman_banded;
 use crate::data::{random_sequence, related_sequences, DNA_ALPHABET};

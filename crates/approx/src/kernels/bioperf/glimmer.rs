@@ -4,8 +4,12 @@
 //! regions. Knobs: lower the Markov-model order (precision analogue, site 0 as
 //! TruncateBy), perforate the candidate-ORF loop (site 1), sample the training region,
 //! reduce floating-point precision.
-
-use std::collections::BTreeMap;
+//!
+//! A model key is a context of `order` bases plus the next base. With two bits per base
+//! a key is an index below 4^(order+1) (4096 at the full order 5), so the counts and the
+//! log-probabilities live in dense tables, and a window is scored by rolling the index
+//! one base at a time over a code array built once per instance. A key never seen in
+//! training reads ln(0.2).
 
 use crate::data::{random_sequence, DNA_ALPHABET};
 use crate::kernel::{ApproxConfig, ApproxKernel, Cost, KernelOutput, KernelRun, Suite};
@@ -19,7 +23,8 @@ pub const SITE_CANDIDATES: u32 = 1;
 /// Gene-finding kernel with interpolated Markov models.
 #[derive(Debug, Clone)]
 pub struct GlimmerKernel {
-    genome: Vec<u8>,
+    /// The genome as two-bit base codes: each base's index in `DNA_ALPHABET`.
+    codes: Vec<u8>,
     coding_regions: Vec<(usize, usize)>,
     candidates: Vec<(usize, usize)>,
     max_order: usize,
@@ -49,8 +54,17 @@ impl GlimmerKernel {
                 candidates.push((start, end));
             }
         }
+        // The genome is A/C/G/T by construction; an unknown byte must not share a code
+        // with a real base.
+        let codes = genome
+            .iter()
+            .map(|base| {
+                let code = DNA_ALPHABET.iter().position(|c| c == base);
+                code.expect("glimmer genomes hold only A, C, G and T") as u8
+            })
+            .collect();
         Self {
-            genome,
+            codes,
             coding_regions,
             candidates,
             max_order: 5,
@@ -62,54 +76,63 @@ impl GlimmerKernel {
         Self::new(seed, 6_000, 8)
     }
 
-    fn train_model(
-        &self,
-        order: usize,
-        train_fraction: f64,
-        cost: &mut Cost,
-    ) -> BTreeMap<Vec<u8>, f64> {
-        // Count (context, next-base) frequencies over the coding regions. `BTreeMap`,
-        // not `HashMap`: the smoothing loop below iterates `counts`, and kernel outputs
-        // must be bit-identical across runs and platforms.
-        let mut counts: BTreeMap<Vec<u8>, f64> = BTreeMap::new();
-        let mut context_totals: BTreeMap<Vec<u8>, f64> = BTreeMap::new();
+    /// The model key of every base in `start + order..end`: the index of
+    /// `genome[i - order..=i]`, two bits per base with the oldest highest.
+    fn keys(&self, start: usize, end: usize, order: usize) -> impl Iterator<Item = usize> + '_ {
+        let mask = (1usize << (2 * (order + 1))) - 1;
+        self.codes[start..end]
+            .iter()
+            .scan(0usize, move |key, &code| {
+                *key = (*key << 2 | usize::from(code)) & mask;
+                Some(*key)
+            })
+            .skip(order)
+    }
+
+    /// Log-probability of every key, indexed as [`Self::keys`] yields them.
+    fn train_model(&self, order: usize, train_fraction: f64, cost: &mut Cost) -> Vec<f64> {
+        // Count (context, next-base) frequencies over the coding regions; a key's
+        // context is its index shifted right by one base.
+        let mut counts = vec![0u32; 1 << (2 * (order + 1))];
+        let mut context_totals = vec![0u32; 1 << (2 * order)];
         for &(start, end) in &self.coding_regions {
             let span = ((end - start) as f64 * train_fraction) as usize;
-            let end = start + span;
-            for i in (start + order)..end {
-                let context = self.genome[i - order..i].to_vec();
-                *counts
-                    .entry([&context[..], &[self.genome[i]]].concat())
-                    .or_insert(0.0) += 1.0;
-                *context_totals.entry(context).or_insert(0.0) += 1.0;
+            for key in self.keys(start, start + span, order) {
+                counts[key] += 1;
+                context_totals[key >> 2] += 1;
                 cost.ops += 4.0;
                 cost.bytes_touched += order as f64 + 1.0;
             }
         }
         // Convert to log-probabilities with add-one smoothing.
-        let mut model = BTreeMap::new();
-        for (key, c) in counts {
-            let context = key[..key.len() - 1].to_vec();
-            let total = context_totals.get(&context).copied().unwrap_or(1.0);
-            model.insert(key, ((c + 1.0) / (total + 4.0)).ln());
-        }
-        model
+        let absent = (0.2f64).ln();
+        counts
+            .iter()
+            .enumerate()
+            .map(|(key, &c)| {
+                if c == 0 {
+                    return absent;
+                }
+                let total = f64::from(context_totals[key >> 2]);
+                ((f64::from(c) + 1.0) / (total + 4.0)).ln()
+            })
+            .collect()
     }
 
     fn score_window(
         &self,
         window: (usize, usize),
         order: usize,
-        model: &BTreeMap<Vec<u8>, f64>,
+        model: &[f64],
         precision: Precision,
         cost: &mut Cost,
     ) -> f64 {
         let (start, end) = window;
+        // Log-likelihood ratio against the uniform background.
+        let background = (0.25f64).ln();
         let mut score = 0.0;
-        for i in (start + order)..end {
-            let key = self.genome[i - order..=i].to_vec();
-            let p = model.get(&key).copied().unwrap_or((0.2f64).ln());
-            score += p - (0.25f64).ln(); // log-likelihood ratio vs uniform background
+        for key in self.keys(start, end, order) {
+            score += model[key] - background;
             cost.ops += 3.0 * precision.op_cost();
             cost.bytes_touched += order as f64 + 1.0;
         }

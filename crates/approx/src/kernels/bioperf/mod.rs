@@ -9,14 +9,20 @@ pub mod grappa;
 pub mod hmmer;
 pub mod tcoffee;
 
-/// Shared scoring constants for the sequence-alignment kernels.
+/// Shared scoring constants and the banded Smith–Waterman used by the alignment kernels.
+///
+/// Every score is a small integer: a cell is the maximum of a neighbour plus `MATCH`,
+/// `MISMATCH` or `GAP` and the floor 0, so it never exceeds `MATCH` times the shorter
+/// length. The DP therefore runs on `i32` rows and is exact; the best score converts to
+/// `f64` once and has the bits an `f64` DP over the same constants would give (the test
+/// module keeps that `f64` DP as the reference).
 pub(crate) mod align {
     /// Score for a character match.
-    pub const MATCH: f64 = 2.0;
+    pub const MATCH: i32 = 2;
     /// Penalty for a mismatch.
-    pub const MISMATCH: f64 = -1.0;
+    pub const MISMATCH: i32 = -1;
     /// Penalty for a gap.
-    pub const GAP: f64 = -2.0;
+    pub const GAP: i32 = -2;
 
     /// Banded Smith–Waterman local-alignment score between two sequences.
     ///
@@ -28,11 +34,14 @@ pub(crate) mod align {
         if n == 0 || m == 0 {
             return (0.0, 0);
         }
-        let mut prev = vec![0.0f64; m + 1];
-        let mut curr = vec![0.0f64; m + 1];
-        let mut best = 0.0f64;
+        let mut prev = vec![0i32; m + 1];
+        let mut curr = vec![0i32; m + 1];
+        // The columns each row buffer holds, `(prev, curr)`: zeroing the columns `curr`
+        // kept from two rows back leaves it all zero outside the band about to be written.
+        let mut held = (1..1, 1..1);
+        let mut best = 0i32;
         let mut cells = 0u64;
-        for i in 1..=n {
+        for (i, &ai) in (1..=n).zip(a) {
             let (lo, hi) = match band {
                 Some(w) => {
                     let centre = i * m / n;
@@ -40,28 +49,25 @@ pub(crate) mod align {
                 }
                 None => (1, m),
             };
-            for cell in curr.iter_mut() {
-                *cell = 0.0;
-            }
-            for j in lo..=hi {
-                let s = if a[i - 1] == b[j - 1] {
-                    MATCH
-                } else {
-                    MISMATCH
-                };
-                let val = (prev[j - 1] + s)
-                    .max(prev[j] + GAP)
-                    .max(curr[j - 1] + GAP)
-                    .max(0.0);
-                curr[j] = val;
-                if val > best {
-                    best = val;
-                }
-                cells += 1;
+            curr[held.1].fill(0);
+            held = (lo..hi + 1, held.0);
+            cells += (hi + 1).saturating_sub(lo) as u64;
+            let mut left = 0;
+            let mut diag = prev[lo - 1];
+            let row = curr[lo..=hi].iter_mut().zip(&prev[lo..=hi]);
+            for ((cell, &up), &bj) in row.zip(&b[lo - 1..hi]) {
+                let s = if ai == bj { MATCH } else { MISMATCH };
+                // The left neighbour last: it is the only term that waits on the
+                // previous cell.
+                let val = (diag + s).max(up + GAP).max(0).max(left + GAP);
+                *cell = val;
+                best = best.max(val);
+                diag = up;
+                left = val;
             }
             std::mem::swap(&mut prev, &mut curr);
         }
-        (best, cells)
+        (f64::from(best), cells)
     }
 }
 
@@ -70,8 +76,9 @@ mod tests {
     use super::align::*;
     use proptest::prelude::*;
 
-    /// The straightforward `f64` banded Smith–Waterman: every row zeroed in full, every
-    /// cell read from the two row buffers.
+    /// The straightforward `f64` banded Smith–Waterman with its own copy of the scores
+    /// (match 2, mismatch -1, gap -2): every row zeroed in full, every cell read from the
+    /// two row buffers.
     fn reference_smith_waterman_banded(a: &[u8], b: &[u8], band: Option<usize>) -> (f64, u64) {
         let n = a.len();
         let m = b.len();
@@ -94,14 +101,10 @@ mod tests {
                 *cell = 0.0;
             }
             for j in lo..=hi {
-                let s = if a[i - 1] == b[j - 1] {
-                    MATCH
-                } else {
-                    MISMATCH
-                };
+                let s = if a[i - 1] == b[j - 1] { 2.0 } else { -1.0 };
                 let val = (prev[j - 1] + s)
-                    .max(prev[j] + GAP)
-                    .max(curr[j - 1] + GAP)
+                    .max(prev[j] - 2.0)
+                    .max(curr[j - 1] - 2.0)
                     .max(0.0);
                 curr[j] = val;
                 if val > best {
@@ -122,7 +125,7 @@ mod tests {
     fn identical_sequences_score_length_times_match() {
         let s = b"ACGTACGTACGT";
         let (score, cells) = smith_waterman_banded(s, s, None);
-        assert!((score - s.len() as f64 * MATCH).abs() < 1e-9);
+        assert_eq!(score, (s.len() as i32 * MATCH).into());
         assert_eq!(cells, (s.len() * s.len()) as u64);
     }
 

@@ -4,6 +4,9 @@
 //! using third-sequence consistency (triplet extension), which is the dominant cost.
 //! Knobs: perforate the triplet-extension loop (site 0), perforate the library construction
 //! loop (site 1), sample sequence columns, reduce precision.
+//!
+//! The library's pairwise scores come from the shared banded Smith–Waterman (`align`),
+//! whose integer DP is exact: the scores and cell counts are those of an `f64` DP.
 
 use super::align::smith_waterman_banded;
 use crate::data::{related_sequences, DNA_ALPHABET};

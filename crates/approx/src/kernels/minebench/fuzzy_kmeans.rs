@@ -3,6 +3,12 @@
 //! Each point holds a membership weight for every cluster; iterations update memberships
 //! and weighted centroids. Approximation knobs: perforate refinement iterations (site 0),
 //! perforate the membership-update loop (site 1), sample input, reduce precision.
+//!
+//! The fuzzifier is fixed at `FUZZIFIER` = 2, so a point's membership in cluster `c`
+//! is `1 / sum_o d_c / d_o` over squared distances: the ratio's exponent
+//! `1 / (FUZZIFIER - 1)` is 1, and `pow(x, 1)` is `x` bit for bit, so the ratio is used
+//! as it is. The centroid weights keep `pow(w, 2)`, which `w * w` does not match bit for
+//! bit for every `w`.
 
 use crate::data::PointCloud;
 use crate::kernel::{ApproxConfig, ApproxKernel, Cost, KernelOutput, KernelRun, Suite};
@@ -12,6 +18,8 @@ use crate::techniques::{Perforation, Precision};
 pub const SITE_ITERATIONS: u32 = 0;
 /// Perforable site: per-point membership update.
 pub const SITE_MEMBERSHIP: u32 = 1;
+/// The fuzzifier `m` of fuzzy c-means; the membership update relies on it being 2.
+const FUZZIFIER: f64 = 2.0;
 
 /// Fuzzy c-means clustering kernel.
 #[derive(Debug, Clone)]
@@ -19,7 +27,6 @@ pub struct FuzzyKMeansKernel {
     points: PointCloud,
     k: usize,
     iterations: usize,
-    fuzziness: f64,
 }
 
 impl FuzzyKMeansKernel {
@@ -29,7 +36,6 @@ impl FuzzyKMeansKernel {
             points: PointCloud::gaussian_mixture(seed, n_points, dims, k),
             k,
             iterations,
-            fuzziness: 2.0,
         }
     }
 
@@ -46,12 +52,17 @@ impl FuzzyKMeansKernel {
         let sample = Perforation::KeepFraction(config.input_fraction());
         let precision = config.precision;
         let mut cost = Cost::default();
-        let m_exp = 2.0 / (self.fuzziness - 1.0);
+        // An opaque copy of the fuzzifier keeps the weights below a call to `pow`: with a
+        // constant exponent of 2 the compiler emits `w * w`, which differs from `pow` in
+        // the last bit for some `w`.
+        let fuzzifier = std::hint::black_box(FUZZIFIER);
 
         let mut centroids: Vec<Vec<f64>> = (0..self.k)
             .map(|c| self.points.point(c * n / self.k).to_vec())
             .collect();
         let mut memberships = vec![1.0 / self.k as f64; n * self.k];
+        let mut dists = vec![0.0f64; self.k];
+        let mut num = vec![0.0f64; dims];
 
         for it in 0..self.iterations {
             if !iter_perf.keeps(it, self.iterations) {
@@ -62,16 +73,15 @@ impl FuzzyKMeansKernel {
                 if !sample.keeps(i, n) || !member_perf.keeps(i, n) {
                     continue;
                 }
-                let dists: Vec<f64> = centroids
-                    .iter()
-                    .map(|c| precision.quantize(self.points.dist2(i, c).max(1e-9)))
-                    .collect();
+                for (d, c) in dists.iter_mut().zip(&centroids) {
+                    *d = precision.quantize(self.points.dist2(i, c).max(1e-9));
+                }
                 cost.ops += (self.k * 3 * dims) as f64 * precision.op_cost();
                 cost.bytes_touched += (self.k * dims) as f64 * 8.0;
                 for c in 0..self.k {
                     let mut denom = 0.0;
-                    for other in 0..self.k {
-                        denom += (dists[c] / dists[other]).powf(m_exp / 2.0);
+                    for other in &dists {
+                        denom += dists[c] / other;
                     }
                     memberships[i * self.k + c] = precision.quantize(1.0 / denom.max(1e-12));
                     cost.ops += self.k as f64 * 4.0 * precision.op_cost();
@@ -79,10 +89,10 @@ impl FuzzyKMeansKernel {
             }
             // Centroid update.
             for c in 0..self.k {
-                let mut num = vec![0.0f64; dims];
+                num.fill(0.0);
                 let mut den = 0.0;
                 for i in 0..n {
-                    let w = memberships[i * self.k + c].powf(self.fuzziness);
+                    let w = memberships[i * self.k + c].powf(fuzzifier);
                     den += w;
                     for d in 0..dims {
                         num[d] += w * self.points.point(i)[d];

@@ -39,6 +39,14 @@ pub fn interval_sensitivity_apps() -> [AppId; 6] {
     ]
 }
 
+/// The first `len` jobs of `mix` repeated end to end (job `i` is `mix[i % mix.len()]`),
+/// filled by whole copies of the mix rather than one job at a time.
+fn repeat_mix(mix: &[AppId], len: usize) -> Vec<AppId> {
+    let mut jobs = mix.repeat(len.div_ceil(mix.len()));
+    jobs.truncate(len);
+    jobs
+}
+
 /// The fleet scenario of the machines-needed study (`fig_cluster`), shared with the
 /// integration test that pins its headline result: `nodes` memcached machines serving
 /// `total_load` node-saturation units, each co-locating one long-running batch job
@@ -63,7 +71,7 @@ pub fn cluster_machines_needed_scenario(
     Some(
         pliant_cluster::ClusterScenario::builder(ServiceId::Memcached)
             .nodes(nodes)
-            .jobs((0..nodes).map(|i| mix[i % mix.len()]))
+            .jobs(repeat_mix(&mix, nodes))
             .avg_node_load(avg_node_load)
             .policy(policy)
             .balancer(pliant_cluster::BalancerKind::RoundRobin)
@@ -160,7 +168,7 @@ pub fn cluster_energy_scenario_at_scale(
     // sooner.
     pliant_cluster::ClusterScenario::builder(ServiceId::Memcached)
         .nodes(nodes)
-        .jobs((0..2 * nodes).map(|i| mix[i % mix.len()]))
+        .jobs(repeat_mix(&mix, 2 * nodes))
         .policy(policy)
         .balancer(pliant_cluster::BalancerKind::RoundRobin)
         .scheduler(pliant_cluster::SchedulerKind::QosSlackAware)

@@ -67,13 +67,15 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// The span of a range of any type up to 64 bits is below 2^64, so the draw is a `u64`
+// remainder (one division instruction, where a `u128` one is a library call).
 macro_rules! int_sample_range {
     ($($t:ty),+) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "gen_range called with an empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let draw = (rng.next_u64() as u128) % span;
+                let span = (self.end as i128 - self.start as i128) as u64;
+                let draw = rng.next_u64() % span;
                 (self.start as i128 + draw as i128) as $t
             }
         }
@@ -272,6 +274,52 @@ mod tests {
             assert!((3..17).contains(&x));
             let f: f64 = rng.gen_range(-2.0..4.0);
             assert!((-2.0..4.0).contains(&f));
+        }
+    }
+
+    /// The draw `gen_range` made when it took the remainder in `u128`.
+    fn wide_draw<T: TryFrom<i128>>(word: u64, start: i128, end: i128) -> T
+    where
+        T::Error: std::fmt::Debug,
+    {
+        let span = (end - start) as u128;
+        T::try_from(start + ((word as u128) % span) as i128).unwrap()
+    }
+
+    /// Replays one word through `gen_range`: a generator whose next word is `word`.
+    struct Word(u64);
+
+    impl super::RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_gen_range_matches_the_u128_remainder() {
+        let mut words = SmallRng::seed_from_u64(19);
+        let mut cases: Vec<u64> = (0..2_000).map(|_| words.gen::<u64>()).collect();
+        cases.extend([0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1]);
+        for w in cases {
+            let mut r = Word(w);
+            assert_eq!(
+                r.gen_range(i64::MIN..i64::MAX),
+                wide_draw::<i64>(w, i64::MIN.into(), i64::MAX.into())
+            );
+            assert_eq!(
+                r.gen_range(0..u64::MAX),
+                wide_draw::<u64>(w, 0, u64::MAX.into())
+            );
+            assert_eq!(r.gen_range(7u64..8), 7);
+            assert_eq!(r.gen_range(-3i32..-2), -3);
+            assert_eq!(r.gen_range(-40i32..17), wide_draw::<i32>(w, -40, 17));
+            assert_eq!(r.gen_range(i8::MIN..i8::MAX), wide_draw::<i8>(w, -128, 127));
+            assert_eq!(
+                r.gen_range(i32::MIN..i32::MAX),
+                wide_draw::<i32>(w, i32::MIN.into(), i32::MAX.into())
+            );
+            assert_eq!(r.gen_range(3usize..1_000), wide_draw::<usize>(w, 3, 1_000));
+            assert_eq!(r.gen_range(0u8..255), wide_draw::<u8>(w, 0, 255));
         }
     }
 

@@ -115,6 +115,10 @@ impl LintConfig {
                 "WaterSpatialKernel::cell_forces",
                 "WaterNsquaredKernel::pair_forces",
                 "FluidanimateKernel::density_pass",
+                // Glimmer scores every base of a candidate window by a dense-table
+                // lookup at a rolled key: no per-base key vector.
+                "GlimmerKernel::score_window",
+                "GlimmerKernel::keys",
             ]),
             wallclock_allowed: s(&["perfbench/"]),
             hash_container_scoped: s(&[

@@ -312,6 +312,29 @@ fn batched_histogram_recording_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// Regression (dense Glimmer tables): a candidate window is scored through a rolled
+/// table index, where it once built a key vector per base, so the window scorer and its
+/// key iterator must stay on the hot-path-alloc denylist.
+#[test]
+fn glimmer_window_scoring_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    let path = "crates/approx/src/kernels/bioperf/glimmer.rs";
+    for hot in ["GlimmerKernel::score_window", "GlimmerKernel::keys"] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let (ty, name) = hot.split_once("::").unwrap();
+        let src = format!("impl {ty} {{ fn {name}(&self) {{ let v = Vec::new(); }} }}");
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a Vec::new inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// The repo benchmark measures host time by design, so `perfbench/` may read the wall
 /// clock; the simulation crates it drives may not.
 #[test]
