@@ -8,10 +8,10 @@
 //! A model key is a context of `order` bases plus the next base. With two bits per base
 //! a key is an index below 4^(order+1) (4096 at the full order 5), so the counts and the
 //! log-probabilities live in dense tables, and a window is scored by rolling the index
-//! one base at a time over a code array built once per instance. A key never seen in
+//! one base at a time over the genome, which is kept as codes. A key never seen in
 //! training reads ln(0.2).
 
-use crate::data::{random_sequence, DNA_ALPHABET};
+use crate::data::random_sequence;
 use crate::kernel::{ApproxConfig, ApproxKernel, Cost, KernelOutput, KernelRun, Suite};
 use crate::techniques::{Perforation, Precision};
 
@@ -20,10 +20,15 @@ pub const SITE_MODEL_ORDER: u32 = 0;
 /// Perforable site: candidate-ORF scoring loop.
 pub const SITE_CANDIDATES: u32 = 1;
 
+/// The two-bit codes of A, C, G and T, in `DNA_ALPHABET` order.
+const BASE_CODES: [u8; 4] = [0, 1, 2, 3];
+/// The code of G.
+const G: u8 = 2;
+
 /// Gene-finding kernel with interpolated Markov models.
 #[derive(Debug, Clone)]
 pub struct GlimmerKernel {
-    /// The genome as two-bit base codes: each base's index in `DNA_ALPHABET`.
+    /// The genome as two-bit base codes: A, C, G, T as 0 to 3.
     codes: Vec<u8>,
     coding_regions: Vec<(usize, usize)>,
     candidates: Vec<(usize, usize)>,
@@ -33,7 +38,9 @@ pub struct GlimmerKernel {
 impl GlimmerKernel {
     /// Creates a kernel instance with explicit sizes.
     pub fn new(seed: u64, genome_len: usize, n_genes: usize) -> Self {
-        let mut genome = random_sequence(seed, genome_len, &DNA_ALPHABET);
+        // The same draws as a `DNA_ALPHABET` sequence, kept as codes: no value outside the
+        // four codes can reach a key and merge it with another.
+        let mut codes = random_sequence(seed, genome_len, &BASE_CODES);
         // Insert synthetic "coding" regions with strong codon bias (every third base G).
         let mut coding_regions = Vec::new();
         let gene_len = genome_len / (2 * n_genes);
@@ -41,7 +48,7 @@ impl GlimmerKernel {
             let start = g * 2 * gene_len;
             let end = (start + gene_len).min(genome_len);
             for i in (start..end).step_by(3) {
-                genome[i] = b'G';
+                codes[i] = G;
             }
             coding_regions.push((start, end));
         }
@@ -54,15 +61,6 @@ impl GlimmerKernel {
                 candidates.push((start, end));
             }
         }
-        // The genome is A/C/G/T by construction; an unknown byte must not share a code
-        // with a real base.
-        let codes = genome
-            .iter()
-            .map(|base| {
-                let code = DNA_ALPHABET.iter().position(|c| c == base);
-                code.expect("glimmer genomes hold only A, C, G and T") as u8
-            })
-            .collect();
         Self {
             codes,
             coding_regions,
