@@ -477,9 +477,14 @@ impl ClusterScenarioBuilder {
         self
     }
 
-    /// Appends several batch jobs to the submission queue.
+    /// Appends several batch jobs to the submission queue. A `Vec` handed to an empty
+    /// queue becomes the queue, without a copy or a second buffer.
     pub fn jobs(mut self, jobs: impl IntoIterator<Item = AppId>) -> Self {
-        self.scenario.jobs.extend(jobs);
+        if self.scenario.jobs.is_empty() {
+            self.scenario.jobs = jobs.into_iter().collect();
+        } else {
+            self.scenario.jobs.extend(jobs);
+        }
         self
     }
 
@@ -640,6 +645,27 @@ mod tests {
         assert!(s.effective_instrumented());
         assert_eq!(s.load_at(0.0), 0.75);
         assert_eq!(s.load_at(1e6), 0.75);
+    }
+
+    #[test]
+    fn job_lists_append_in_call_order() {
+        let s = ClusterScenario::builder(ServiceId::Memcached)
+            .nodes(2)
+            .jobs(vec![AppId::Canneal, AppId::Snp])
+            .job(AppId::Glimmer)
+            .jobs(vec![AppId::Fasta])
+            .jobs([AppId::Snp])
+            .build();
+        assert_eq!(
+            s.jobs,
+            [
+                AppId::Canneal,
+                AppId::Snp,
+                AppId::Glimmer,
+                AppId::Fasta,
+                AppId::Snp
+            ]
+        );
     }
 
     #[test]
