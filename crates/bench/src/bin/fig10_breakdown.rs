@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{parse_flag, print_table};
+use pliant_bench::{print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::experiment::{classify_effort, EffortClass};
 use pliant_core::scenario::Scenario;
@@ -50,9 +50,8 @@ fn mixes(combos: usize) -> Vec<Vec<AppId>> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let combos: usize = parse_flag(&args, "--combos").unwrap_or(12);
+    let cli = Cli::figure(&["--combos N"]);
+    let combos: usize = cli.value("--combos").unwrap_or(12);
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)
@@ -96,39 +95,33 @@ fn main() {
         });
     }
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable")
+    cli.emit(&rows, |rows| {
+        println!("Figure 10: what it took to restore QoS (fraction of colocations)\n");
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.service.clone(),
+                    format!("{:.0}%", r.approximation_only * 100.0),
+                    format!("{:.0}%", r.one_core * 100.0),
+                    format!("{:.0}%", r.two_cores * 100.0),
+                    format!("{:.0}%", r.three_cores * 100.0),
+                    format!("{:.0}%", r.four_plus_cores * 100.0),
+                    r.experiments.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "service",
+                "approx only",
+                "1 core",
+                "2 cores",
+                "3 cores",
+                "4+ cores",
+                "experiments",
+            ],
+            &table,
         );
-        return;
-    }
-
-    println!("Figure 10: what it took to restore QoS (fraction of colocations)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.service.clone(),
-                format!("{:.0}%", r.approximation_only * 100.0),
-                format!("{:.0}%", r.one_core * 100.0),
-                format!("{:.0}%", r.two_cores * 100.0),
-                format!("{:.0}%", r.three_cores * 100.0),
-                format!("{:.0}%", r.four_plus_cores * 100.0),
-                r.experiments.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "service",
-            "approx only",
-            "1 core",
-            "2 cores",
-            "3 cores",
-            "4+ cores",
-            "experiments",
-        ],
-        &table,
-    );
+    });
 }

@@ -13,7 +13,7 @@
 
 use pliant_approx::catalog::{AppId, Catalog};
 use pliant_approx::kernels::kernel_for;
-use pliant_bench::print_table;
+use pliant_bench::{print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_core::scenario::Scenario;
@@ -45,9 +45,8 @@ struct ColocationRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let skip_colocation = args.iter().any(|a| a == "--skip-colocation");
+    let cli = Cli::figure(&["--skip-colocation"]);
+    let skip_colocation = cli.switch("--skip-colocation");
     let catalog = Catalog::default();
     let dse_config = ExplorationConfig::default();
 
@@ -114,53 +113,47 @@ fn main() {
         });
     }
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&results).expect("serializable results")
-        );
-        return;
-    }
-
-    println!("Figure 1 (odd rows): execution time vs. inaccuracy per application\n");
-    for r in &results {
-        println!(
-            "== {} ({} selected variants) ==",
-            r.app, r.selected_variants
-        );
-        let rows: Vec<Vec<String>> = r
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.label.clone(),
-                    format!("{:.2}", p.inaccuracy_pct),
-                    format!("{:.3}", p.relative_time),
-                    p.kind.clone(),
-                ]
-            })
-            .collect();
-        print_table(&["variant", "inaccuracy(%)", "rel. time", "kind"], &rows);
-        println!();
-    }
-
-    if !skip_colocation {
-        println!("Figure 1 (even rows): tail latency vs. QoS per selected variant\n");
-        for r in &results {
-            println!("== {} ==", r.app);
+    cli.emit(&results, |results| {
+        println!("Figure 1 (odd rows): execution time vs. inaccuracy per application\n");
+        for r in results {
+            println!(
+                "== {} ({} selected variants) ==",
+                r.app, r.selected_variants
+            );
             let rows: Vec<Vec<String>> = r
-                .colocation
+                .points
                 .iter()
-                .map(|c| {
+                .map(|p| {
                     vec![
-                        c.service.clone(),
-                        c.variant.clone(),
-                        format!("{:.2}", c.tail_latency_vs_qos),
+                        p.label.clone(),
+                        format!("{:.2}", p.inaccuracy_pct),
+                        format!("{:.3}", p.relative_time),
+                        p.kind.clone(),
                     ]
                 })
                 .collect();
-            print_table(&["service", "variant", "tail latency / QoS"], &rows);
+            print_table(&["variant", "inaccuracy(%)", "rel. time", "kind"], &rows);
             println!();
         }
-    }
+
+        if !skip_colocation {
+            println!("Figure 1 (even rows): tail latency vs. QoS per selected variant\n");
+            for r in results {
+                println!("== {} ==", r.app);
+                let rows: Vec<Vec<String>> = r
+                    .colocation
+                    .iter()
+                    .map(|c| {
+                        vec![
+                            c.service.clone(),
+                            c.variant.clone(),
+                            format!("{:.2}", c.tail_latency_vs_qos),
+                        ]
+                    })
+                    .collect();
+                print_table(&["service", "variant", "tail latency / QoS"], &rows);
+                println!();
+            }
+        }
+    });
 }

@@ -6,7 +6,7 @@
 //!
 //! Usage: `fig4_dynamic_behavior [--json]`
 
-use pliant_bench::{dynamic_behavior_apps, format_latency, print_table};
+use pliant_bench::{dynamic_behavior_apps, format_latency, print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::Suite;
@@ -30,8 +30,7 @@ struct TraceResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
+    let cli = Cli::figure(&[]);
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)
@@ -80,43 +79,37 @@ fn main() {
         })
         .collect();
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&results).expect("serializable")
-        );
-        return;
-    }
-
-    println!("Figure 4: Pliant dynamic behaviour (tail latency, reclaimed cores, variant)\n");
-    for r in &results {
-        let service: ServiceId = ServiceId::all()
-            .into_iter()
-            .find(|s| s.name() == r.service)
-            .expect("known service");
-        println!(
-            "== {} + {} (QoS {}) ==",
-            r.service,
-            r.app,
-            format_latency(service, r.rows[0].qos_target_s)
-        );
-        let rows: Vec<Vec<String>> = r
-            .rows
-            .iter()
-            .map(|row| {
-                vec![
-                    format!("{:.0}", row.time_s),
-                    format_latency(service, row.p99_latency_s),
-                    format!("{:.0}", row.reclaimed_cores),
-                    if row.variant == 0.0 {
-                        "precise".to_string()
-                    } else {
-                        format!("v{:.0}", row.variant)
-                    },
-                ]
-            })
-            .collect();
-        print_table(&["t(s)", "p99", "cores reclaimed", "variant"], &rows);
-        println!();
-    }
+    cli.emit(&results, |results| {
+        println!("Figure 4: Pliant dynamic behaviour (tail latency, reclaimed cores, variant)\n");
+        for r in results {
+            let service: ServiceId = ServiceId::all()
+                .into_iter()
+                .find(|s| s.name() == r.service)
+                .expect("known service");
+            println!(
+                "== {} + {} (QoS {}) ==",
+                r.service,
+                r.app,
+                format_latency(service, r.rows[0].qos_target_s)
+            );
+            let rows: Vec<Vec<String>> = r
+                .rows
+                .iter()
+                .map(|row| {
+                    vec![
+                        format!("{:.0}", row.time_s),
+                        format_latency(service, row.p99_latency_s),
+                        format!("{:.0}", row.reclaimed_cores),
+                        if row.variant == 0.0 {
+                            "precise".to_string()
+                        } else {
+                            format!("v{:.0}", row.variant)
+                        },
+                    ]
+                })
+                .collect();
+            print_table(&["t(s)", "p99", "cores reclaimed", "variant"], &rows);
+            println!();
+        }
+    });
 }

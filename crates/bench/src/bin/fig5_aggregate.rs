@@ -8,7 +8,7 @@
 //! Usage: `fig5_aggregate [--json] [--summary]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{print_table, ComparisonRow};
+use pliant_bench::{print_table, Cli, ComparisonRow};
 use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_core::scenario::Scenario;
@@ -16,9 +16,8 @@ use pliant_core::suite::Suite;
 use pliant_workloads::service::ServiceId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let summary_only = args.iter().any(|a| a == "--summary");
+    let cli = Cli::figure(&["--summary"]);
+    let summary_only = cli.switch("--summary");
 
     let apps = AppId::all();
     let suite = Suite::new(
@@ -46,109 +45,103 @@ fn main() {
         })
         .collect();
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&all_rows).expect("serializable rows")
-        );
-        return;
-    }
-
-    if !summary_only {
-        println!("Figure 5: Precise vs Pliant (tail latency ratio = p99 / QoS)\n");
-        for service in ServiceId::all() {
-            println!("== {} ==", service.name());
-            let rows: Vec<Vec<String>> = all_rows
-                .iter()
-                .filter(|r| r.service == service.name())
-                .map(|r| {
-                    vec![
-                        r.app.clone(),
-                        format!("{:.2}", r.precise_tail_ratio),
-                        format!("{:.2}", r.pliant_tail_ratio),
-                        format!("{:.2}", r.pliant_relative_exec_time),
-                        format!("{:.1}", r.pliant_inaccuracy_pct),
-                        format!("{:.1}%", r.instrumentation_overhead * 100.0),
-                        r.max_cores_reclaimed.to_string(),
-                    ]
-                })
-                .collect();
-            print_table(
-                &[
-                    "app",
-                    "precise p99/QoS",
-                    "pliant p99/QoS",
-                    "rel. exec time",
-                    "inaccuracy(%)",
-                    "instr. overhead",
-                    "max cores",
-                ],
-                &rows,
-            );
-            println!();
+    cli.emit(&all_rows, |all_rows| {
+        if !summary_only {
+            println!("Figure 5: Precise vs Pliant (tail latency ratio = p99 / QoS)\n");
+            for service in ServiceId::all() {
+                println!("== {} ==", service.name());
+                let rows: Vec<Vec<String>> = all_rows
+                    .iter()
+                    .filter(|r| r.service == service.name())
+                    .map(|r| {
+                        vec![
+                            r.app.clone(),
+                            format!("{:.2}", r.precise_tail_ratio),
+                            format!("{:.2}", r.pliant_tail_ratio),
+                            format!("{:.2}", r.pliant_relative_exec_time),
+                            format!("{:.1}", r.pliant_inaccuracy_pct),
+                            format!("{:.1}%", r.instrumentation_overhead * 100.0),
+                            r.max_cores_reclaimed.to_string(),
+                        ]
+                    })
+                    .collect();
+                print_table(
+                    &[
+                        "app",
+                        "precise p99/QoS",
+                        "pliant p99/QoS",
+                        "rel. exec time",
+                        "inaccuracy(%)",
+                        "instr. overhead",
+                        "max cores",
+                    ],
+                    &rows,
+                );
+                println!();
+            }
         }
-    }
 
-    // §6.2 headline numbers.
-    let pliant_met = all_rows
-        .iter()
-        .filter(|r| r.pliant_tail_ratio <= 1.05)
-        .count();
-    let precise_violating = all_rows
-        .iter()
-        .filter(|r| r.precise_tail_ratio > 1.0)
-        .count();
-    let mean_inacc: f64 = all_rows
-        .iter()
-        .map(|r| r.pliant_inaccuracy_pct)
-        .sum::<f64>()
-        / all_rows.len() as f64;
-    let max_inacc = all_rows
-        .iter()
-        .map(|r| r.pliant_inaccuracy_pct)
-        .fold(0.0f64, f64::max);
-    let mean_overhead: f64 = all_rows
-        .iter()
-        .map(|r| r.instrumentation_overhead)
-        .sum::<f64>()
-        / all_rows.len() as f64;
-    let max_overhead = all_rows
-        .iter()
-        .map(|r| r.instrumentation_overhead)
-        .fold(0.0f64, f64::max);
-    let precise_range = (
-        all_rows
+        // §6.2 headline numbers.
+        let pliant_met = all_rows
             .iter()
-            .map(|r| r.precise_tail_ratio)
-            .fold(f64::INFINITY, f64::min),
-        all_rows
+            .filter(|r| r.pliant_tail_ratio <= 1.05)
+            .count();
+        let precise_violating = all_rows
             .iter()
-            .map(|r| r.precise_tail_ratio)
-            .fold(0.0f64, f64::max),
-    );
+            .filter(|r| r.precise_tail_ratio > 1.0)
+            .count();
+        let mean_inacc: f64 = all_rows
+            .iter()
+            .map(|r| r.pliant_inaccuracy_pct)
+            .sum::<f64>()
+            / all_rows.len() as f64;
+        let max_inacc = all_rows
+            .iter()
+            .map(|r| r.pliant_inaccuracy_pct)
+            .fold(0.0f64, f64::max);
+        let mean_overhead: f64 = all_rows
+            .iter()
+            .map(|r| r.instrumentation_overhead)
+            .sum::<f64>()
+            / all_rows.len() as f64;
+        let max_overhead = all_rows
+            .iter()
+            .map(|r| r.instrumentation_overhead)
+            .fold(0.0f64, f64::max);
+        let precise_range = (
+            all_rows
+                .iter()
+                .map(|r| r.precise_tail_ratio)
+                .fold(f64::INFINITY, f64::min),
+            all_rows
+                .iter()
+                .map(|r| r.precise_tail_ratio)
+                .fold(0.0f64, f64::max),
+        );
 
-    println!("Section 6.2 headline summary");
-    println!(
-        "  colocations where Pliant keeps p99 within ~QoS : {}/{}",
-        pliant_met,
-        all_rows.len()
-    );
-    println!(
-        "  colocations where Precise violates QoS          : {}/{}",
-        precise_violating,
-        all_rows.len()
-    );
-    println!(
-        "  Precise tail-latency ratio range                : {:.2}x - {:.2}x",
-        precise_range.0, precise_range.1
-    );
-    println!(
-        "  mean / max output-quality loss under Pliant     : {:.1}% / {:.1}%",
-        mean_inacc, max_inacc
-    );
-    println!(
-        "  mean / max dynamic-instrumentation overhead      : {:.1}% / {:.1}%",
-        mean_overhead * 100.0,
-        max_overhead * 100.0
-    );
+        println!("Section 6.2 headline summary");
+        println!(
+            "  colocations where Pliant keeps p99 within ~QoS : {}/{}",
+            pliant_met,
+            all_rows.len()
+        );
+        println!(
+            "  colocations where Precise violates QoS          : {}/{}",
+            precise_violating,
+            all_rows.len()
+        );
+        println!(
+            "  Precise tail-latency ratio range                : {:.2}x - {:.2}x",
+            precise_range.0, precise_range.1
+        );
+        println!(
+            "  mean / max output-quality loss under Pliant     : {:.1}% / {:.1}%",
+            mean_inacc, max_inacc
+        );
+        println!(
+            "  mean / max dynamic-instrumentation overhead      : {:.1}% / {:.1}%",
+            mean_overhead * 100.0,
+            max_overhead * 100.0
+        );
+    });
 }

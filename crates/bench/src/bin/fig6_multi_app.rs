@@ -4,7 +4,7 @@
 //! Usage: `fig6_multi_app [--json]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{format_latency, print_table};
+use pliant_bench::{format_latency, print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::Suite;
@@ -31,8 +31,7 @@ struct MultiTrace {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
+    let cli = Cli::figure(&[]);
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)
@@ -86,60 +85,54 @@ fn main() {
         })
         .collect();
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&results).expect("serializable")
-        );
-        return;
-    }
-
-    println!("Figure 6: multi-application colocation (canneal + Bayesian)\n");
-    for r in &results {
-        let service = ServiceId::all()
-            .into_iter()
-            .find(|s| s.name() == r.service)
-            .expect("known service");
-        println!(
-            "== {} (QoS {}) — final inaccuracy: canneal {:.1}%, bayesian {:.1}% ==",
-            r.service,
-            format_latency(service, r.qos_target_s),
-            r.canneal_inaccuracy_pct,
-            r.bayesian_inaccuracy_pct
-        );
-        let rows: Vec<Vec<String>> = r
-            .rows
-            .iter()
-            .map(|row| {
-                vec![
-                    format!("{:.0}", row.time_s),
-                    format_latency(service, row.p99_latency_s),
-                    if row.canneal_variant == 0.0 {
-                        "precise".into()
-                    } else {
-                        format!("v{:.0}", row.canneal_variant)
-                    },
-                    format!("{:.0}", row.canneal_reclaimed),
-                    if row.bayesian_variant == 0.0 {
-                        "precise".into()
-                    } else {
-                        format!("v{:.0}", row.bayesian_variant)
-                    },
-                    format!("{:.0}", row.bayesian_reclaimed),
-                ]
-            })
-            .collect();
-        print_table(
-            &[
-                "t(s)",
-                "p99",
-                "canneal variant",
-                "canneal cores",
-                "bayesian variant",
-                "bayesian cores",
-            ],
-            &rows,
-        );
-        println!();
-    }
+    cli.emit(&results, |results| {
+        println!("Figure 6: multi-application colocation (canneal + Bayesian)\n");
+        for r in results {
+            let service = ServiceId::all()
+                .into_iter()
+                .find(|s| s.name() == r.service)
+                .expect("known service");
+            println!(
+                "== {} (QoS {}) — final inaccuracy: canneal {:.1}%, bayesian {:.1}% ==",
+                r.service,
+                format_latency(service, r.qos_target_s),
+                r.canneal_inaccuracy_pct,
+                r.bayesian_inaccuracy_pct
+            );
+            let rows: Vec<Vec<String>> = r
+                .rows
+                .iter()
+                .map(|row| {
+                    vec![
+                        format!("{:.0}", row.time_s),
+                        format_latency(service, row.p99_latency_s),
+                        if row.canneal_variant == 0.0 {
+                            "precise".into()
+                        } else {
+                            format!("v{:.0}", row.canneal_variant)
+                        },
+                        format!("{:.0}", row.canneal_reclaimed),
+                        if row.bayesian_variant == 0.0 {
+                            "precise".into()
+                        } else {
+                            format!("v{:.0}", row.bayesian_variant)
+                        },
+                        format!("{:.0}", row.bayesian_reclaimed),
+                    ]
+                })
+                .collect();
+            print_table(
+                &[
+                    "t(s)",
+                    "p99",
+                    "canneal variant",
+                    "canneal cores",
+                    "bayesian variant",
+                    "bayesian cores",
+                ],
+                &rows,
+            );
+            println!();
+        }
+    });
 }

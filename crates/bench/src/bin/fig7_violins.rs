@@ -11,7 +11,7 @@
 //! Usage: `fig7_violins [--json] [--combos N] [--full]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{parse_flag, print_table};
+use pliant_bench::{print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::{SeedMode, Suite};
@@ -60,10 +60,11 @@ fn combinations(apps: &[AppId], k: usize, limit: Option<usize>) -> Vec<Vec<AppId
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let full = args.iter().any(|a| a == "--full");
-    let combos: usize = parse_flag(&args, "--combos").unwrap_or(20);
+    let cli = Cli::figure(&["--full", "--combos N"]);
+    let full = cli.switch("--full");
+    let combos = cli
+        .at_least("--combos", 1, "a sample needs a combination")
+        .unwrap_or(20);
     let limit = if full { None } else { Some(combos) };
 
     let apps = AppId::all();
@@ -115,41 +116,35 @@ fn main() {
         }
     }
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable")
+    cli.emit(&rows, |rows| {
+        println!("Figure 7: violin summaries across 1-, 2-, and 3-application colocations\n");
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.service.clone(),
+                    r.apps_per_node.to_string(),
+                    r.metric.clone(),
+                    format!("{:.3}", r.summary.min),
+                    format!("{:.3}", r.summary.q1),
+                    format!("{:.3}", r.summary.median),
+                    format!("{:.3}", r.summary.q3),
+                    format!("{:.3}", r.summary.max),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "service",
+                "apps/node",
+                "metric",
+                "min",
+                "q1",
+                "median",
+                "q3",
+                "max",
+            ],
+            &table,
         );
-        return;
-    }
-
-    println!("Figure 7: violin summaries across 1-, 2-, and 3-application colocations\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.service.clone(),
-                r.apps_per_node.to_string(),
-                r.metric.clone(),
-                format!("{:.3}", r.summary.min),
-                format!("{:.3}", r.summary.q1),
-                format!("{:.3}", r.summary.median),
-                format!("{:.3}", r.summary.q3),
-                format!("{:.3}", r.summary.max),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "service",
-            "apps/node",
-            "metric",
-            "min",
-            "q1",
-            "median",
-            "q3",
-            "max",
-        ],
-        &table,
-    );
+    });
 }

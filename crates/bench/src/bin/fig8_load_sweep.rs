@@ -6,7 +6,7 @@
 //! Usage: `fig8_load_sweep [--json] [--apps N]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{parse_flag, print_table};
+use pliant_bench::{print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::Suite;
@@ -27,16 +27,13 @@ struct LoadRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let app_limit: usize = parse_flag(&args, "--apps").unwrap_or(24);
+    let cli = Cli::figure(&["--apps N"]);
+    let app_limit = cli
+        .at_least("--apps", 1, "the sweep needs an application")
+        .unwrap_or(24);
 
     let loads = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
     let apps: Vec<AppId> = AppId::all().into_iter().take(app_limit).collect();
-    if apps.is_empty() {
-        eprintln!("error: --apps must be at least 1");
-        std::process::exit(2);
-    }
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)
@@ -71,41 +68,35 @@ fn main() {
         })
         .collect();
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable")
+    cli.emit(&rows, |rows| {
+        println!("Figure 8: Pliant across input load levels\n");
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.service.clone(),
+                    r.app.clone(),
+                    format!("{:.0}%", r.load_fraction * 100.0),
+                    format!("{:.0}", r.qps),
+                    format!("{:.2}", r.tail_latency_vs_qos),
+                    format!("{:.2}", r.relative_execution_time),
+                    format!("{:.1}", r.inaccuracy_pct),
+                    r.max_cores_reclaimed.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "service",
+                "app",
+                "load",
+                "QPS",
+                "p99/QoS",
+                "rel. exec",
+                "inacc(%)",
+                "max cores",
+            ],
+            &table,
         );
-        return;
-    }
-
-    println!("Figure 8: Pliant across input load levels\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.service.clone(),
-                r.app.clone(),
-                format!("{:.0}%", r.load_fraction * 100.0),
-                format!("{:.0}", r.qps),
-                format!("{:.2}", r.tail_latency_vs_qos),
-                format!("{:.2}", r.relative_execution_time),
-                format!("{:.1}", r.inaccuracy_pct),
-                r.max_cores_reclaimed.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "service",
-            "app",
-            "load",
-            "QPS",
-            "p99/QoS",
-            "rel. exec",
-            "inacc(%)",
-            "max cores",
-        ],
-        &table,
-    );
+    });
 }

@@ -6,7 +6,7 @@
 //!
 //! Usage: `fig9_decision_interval [--json]`
 
-use pliant_bench::{interval_sensitivity_apps, print_table};
+use pliant_bench::{interval_sensitivity_apps, print_table, Cli};
 use pliant_core::engine::Engine;
 use pliant_core::scenario::Scenario;
 use pliant_core::suite::Suite;
@@ -24,8 +24,7 @@ struct IntervalRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
+    let cli = Cli::figure(&[]);
     let intervals = [0.2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
 
     let suite = Suite::new(
@@ -55,37 +54,31 @@ fn main() {
         })
         .collect();
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).expect("serializable")
+    cli.emit(&rows, |rows| {
+        println!("Figure 9: decision-interval sensitivity (memcached, equal 60s wall clock)\n");
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.app.clone(),
+                    format!("{:.1}s", r.decision_interval_s),
+                    format!("{:.2}", r.tail_latency_vs_qos),
+                    format!("{:.0}%", r.qos_violation_fraction * 100.0),
+                    format!("{:.2}", r.relative_execution_time),
+                    format!("{:.1}", r.inaccuracy_pct),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "app",
+                "interval",
+                "p99/QoS",
+                "violations",
+                "rel. exec",
+                "inacc(%)",
+            ],
+            &table,
         );
-        return;
-    }
-
-    println!("Figure 9: decision-interval sensitivity (memcached, equal 60s wall clock)\n");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.app.clone(),
-                format!("{:.1}s", r.decision_interval_s),
-                format!("{:.2}", r.tail_latency_vs_qos),
-                format!("{:.0}%", r.qos_violation_fraction * 100.0),
-                format!("{:.2}", r.relative_execution_time),
-                format!("{:.1}", r.inaccuracy_pct),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "app",
-            "interval",
-            "p99/QoS",
-            "violations",
-            "rel. exec",
-            "inacc(%)",
-        ],
-        &table,
-    );
+    });
 }

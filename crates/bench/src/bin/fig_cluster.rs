@@ -19,24 +19,24 @@
 //! exact simulation of every node); `--topology` lays each fleet out in racked power
 //! domains (sizes the rack shape cannot tile stay flat — see
 //! [`pliant_bench::TopologySpec`]), `--rack-power-w` adds a per-rack admission budget;
-//! `--trace PATH` exports each run's decision-event
-//! stream to `PATH` tagged `{nodes}n-{policy}` (`.json` = Chrome trace-event JSON
-//! loadable in Perfetto, otherwise JSON Lines readable by `pliant-trace`).
+//! `--trace-level` records each run's decision events into the `obs` block and
+//! `--trace PATH` also writes them to `PATH` tagged `{nodes}n-{policy}` (see
+//! [`pliant_bench::fleet`]).
 //!
 //! `--checkpoint-at K --checkpoint-dir DIR` snapshots every sweep cell at decision
 //! interval `K` to `DIR/{nodes}n-{policy}.json` (the run then continues to completion
 //! as usual); `--resume-dir DIR` restores each cell from such a snapshot before
-//! running the remainder. Resuming an untraced run is byte-identical to never having
-//! stopped — the `--json` output of checkpoint-then-resume equals the uninterrupted
-//! run's byte for byte, which CI enforces.
+//! running the remainder. Resuming is byte-identical to never having stopped — the
+//! `--json` output of checkpoint-then-resume equals the uninterrupted run's byte for
+//! byte, which CI enforces. The checkpoint flags exit with status 2 on a traced run:
+//! a snapshot does not carry the event log.
 
+use pliant_bench::cli::reject;
 use pliant_bench::{
-    approximation_from_args, cluster_machines_needed_scenario, export_trace, flag_value,
-    format_latency, nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts,
+    cluster_machines_needed_scenario, format_latency, print_table, Cli, FleetRunner,
     TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
-use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_workloads::service::ServiceId;
 use serde::Serialize;
@@ -71,31 +71,32 @@ struct ClusterFigure {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
-    let approximation = approximation_from_args(&args);
-    let topology_spec = topology_spec_from_args(&args);
-    let node_counts: Vec<usize> = match nodes_flag(&args, 1, "a fleet needs a machine") {
+    let cli = Cli::figure(&[
+        "--seed N",
+        "--total-load X",
+        "--nodes N",
+        "--approx K",
+        "--topology RxN",
+        "--rack-power-w W",
+        "--trace PATH",
+        "--trace-level off|decisions|full",
+        "--checkpoint-at K",
+        "--checkpoint-dir DIR",
+        "--resume-dir DIR",
+    ]);
+    let seed: u64 = cli.value("--seed").unwrap_or(7);
+    let total_load: f64 = cli.value("--total-load").unwrap_or(2.6);
+    if total_load.is_nan() || total_load <= 0.0 {
+        reject("--total-load must be positive");
+    }
+    let node_counts: Vec<usize> = match cli.at_least("--nodes", 1, "a fleet needs a machine") {
         Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
-
-    let trace = trace_opts(&args);
-
-    let checkpoint_at: Option<usize> = parse_flag(&args, "--checkpoint-at");
-    let checkpoint_dir = flag_value(&args, "--checkpoint-dir").cloned();
-    if checkpoint_at.is_some() != checkpoint_dir.is_some() {
-        eprintln!("error: --checkpoint-at and --checkpoint-dir must be given together");
-        std::process::exit(2);
-    }
-    let resume_dir = flag_value(&args, "--resume-dir").cloned();
+    let mut runner = FleetRunner::new(&cli);
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new();
     let mut curve = Vec::new();
-    let mut obs = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];
     for &nodes in &node_counts {
         for (pi, policy) in [PolicyKind::Precise, PolicyKind::Pliant]
@@ -113,51 +114,7 @@ fn main() {
                 );
                 continue;
             };
-            s.approximation = approximation;
-            if let Some(spec) = &topology_spec {
-                s.topology = spec.config_for(s.nodes);
-            }
-            if let Err(e) = s.validate() {
-                eprintln!("error: topology override does not fit the {nodes}-machine fleet: {e}");
-                std::process::exit(2);
-            }
-            let cell = format!("{nodes}n-{policy}");
-            let mut run = ClusterRun::with_obs(&s, &engine, trace.level);
-            if let Some(dir) = &resume_dir {
-                let path = format!("{dir}/{cell}.json");
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("error: cannot read checkpoint {path}: {e}");
-                    std::process::exit(1);
-                });
-                let checkpoint: ClusterRunCheckpoint =
-                    serde_json::from_str(&text).unwrap_or_else(|e| {
-                        eprintln!("error: cannot parse checkpoint {path}: {e}");
-                        std::process::exit(1);
-                    });
-                run.restore(&checkpoint).unwrap_or_else(|e| {
-                    eprintln!("error: cannot restore checkpoint {path}: {e}");
-                    std::process::exit(1);
-                });
-            }
-            if let (Some(at), Some(dir)) = (checkpoint_at, &checkpoint_dir) {
-                while run.intervals() < at && run.step() {}
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("error: cannot create checkpoint dir {dir}: {e}");
-                    std::process::exit(1);
-                });
-                let path = format!("{dir}/{cell}.json");
-                let text =
-                    serde_json::to_string(&run.checkpoint()).expect("checkpoints are serializable");
-                std::fs::write(&path, text).unwrap_or_else(|e| {
-                    eprintln!("error: cannot write checkpoint {path}: {e}");
-                    std::process::exit(1);
-                });
-                eprintln!("checkpoint: {path} at interval {}", run.intervals());
-            }
-            let (outcome, log) = run.finish();
-            if trace.enabled() {
-                obs.push(export_trace(&trace, &format!("{nodes}n-{policy}"), &log));
-            }
+            let (outcome, _) = runner.run(&mut s, &format!("{nodes}n-{policy}"));
             curve.push(CurvePoint {
                 nodes,
                 avg_node_load: s.avg_node_load,
@@ -183,83 +140,69 @@ fn main() {
         curve,
         machines_needed_precise: machines_precise,
         machines_needed_pliant: machines_pliant,
-        obs,
+        obs: runner.obs(),
     };
 
-    if json {
+    runner.emit(&cli, &figure, |figure| {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&figure).expect("serializable")
+            "Machines needed at the QoS target: {} serving {:.1} node-units of load\n\
+             (each node co-locates one batch job; CRN seed {})\n",
+            service.name(),
+            total_load,
+            seed
         );
-        return;
-    }
+        let rows: Vec<Vec<String>> = figure
+            .curve
+            .iter()
+            .map(|p| {
+                vec![
+                    p.nodes.to_string(),
+                    format!("{:.0}%", p.avg_node_load * 100.0),
+                    p.policy.clone(),
+                    format_latency(service, p.fleet_p99_s),
+                    format!("{:.2}", p.fleet_tail_latency_ratio),
+                    format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
+                    p.max_total_extra_cores.to_string(),
+                    format!("{:.1}", p.mean_completed_inaccuracy_pct),
+                    if p.qos_met { "yes" } else { "no" }.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "machines",
+                "load/node",
+                "policy",
+                "fleet p99",
+                "p99/QoS",
+                "violations",
+                "max cores reclaimed",
+                "inacc(%)",
+                "QoS met",
+            ],
+            &rows,
+        );
 
-    println!(
-        "Machines needed at the QoS target: {} serving {:.1} node-units of load\n\
-         (each node co-locates one batch job; CRN seed {})\n",
-        service.name(),
-        total_load,
-        seed
-    );
-    let rows: Vec<Vec<String>> = figure
-        .curve
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                format!("{:.0}%", p.avg_node_load * 100.0),
-                p.policy.clone(),
-                format_latency(service, p.fleet_p99_s),
-                format!("{:.2}", p.fleet_tail_latency_ratio),
-                format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
-                p.max_total_extra_cores.to_string(),
-                format!("{:.1}", p.mean_completed_inaccuracy_pct),
-                if p.qos_met { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "machines",
-            "load/node",
-            "policy",
-            "fleet p99",
-            "p99/QoS",
-            "violations",
-            "max cores reclaimed",
-            "inacc(%)",
-            "QoS met",
-        ],
-        &rows,
-    );
-
-    println!();
-    let describe = |m: Option<usize>| match m {
-        Some(n) => n.to_string(),
-        None => format!(">{}", node_counts[node_counts.len() - 1]),
-    };
-    println!(
-        "machines needed: precise = {}, pliant = {}",
-        describe(machines_precise),
-        describe(machines_pliant)
-    );
-    if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
-        if q < p {
-            println!(
-                "pliant serves the same load with {} fewer machine(s) ({:.0}% of the precise fleet)",
-                p - q,
-                100.0 * q as f64 / p as f64
-            );
-        } else {
-            println!("no machines saved at this operating point");
+        println!();
+        let describe = |m: Option<usize>| match m {
+            Some(n) => n.to_string(),
+            None => format!(">{}", node_counts[node_counts.len() - 1]),
+        };
+        println!(
+            "machines needed: precise = {}, pliant = {}",
+            describe(machines_precise),
+            describe(machines_pliant)
+        );
+        if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
+            if q < p {
+                println!(
+                    "pliant serves the same load with {} fewer machine(s) ({:.0}% of the precise fleet)",
+                    p - q,
+                    100.0 * q as f64 / p as f64
+                );
+            } else {
+                println!("no machines saved at this operating point");
+            }
         }
-    }
-    for t in &figure.obs {
-        if let Some(file) = &t.trace_file {
-            println!(
-                "trace ({}): {} events -> {file}",
-                t.run, t.summary.events_recorded
-            );
-        }
-    }
+    });
 }

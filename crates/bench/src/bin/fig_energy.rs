@@ -19,16 +19,15 @@
 //! clustered approximation with `K` representatives per node group (`0` or absent =
 //! exact simulation of every node); `--topology` lays the fleet out in racked power
 //! domains, `--rack-power-w` adds a per-rack admission budget (both default to the
-//! flat, rack-free fleet); `--trace PATH` exports each policy run's
-//! decision-event stream to `PATH` tagged by policy (`.json` = Chrome trace-event
-//! JSON loadable in Perfetto, otherwise JSON Lines readable by `pliant-trace`).
+//! flat, rack-free fleet); `--trace-level` records each policy run's decision events
+//! into the `obs` block and `--trace PATH` also writes them to `PATH` tagged by policy
+//! (see [`pliant_bench::fleet`]).
 
 use pliant_bench::{
-    approximation_from_args, cluster_energy_scenario_at_scale, export_trace, format_latency,
-    nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts, TraceRunSummary,
+    cluster_energy_scenario_at_scale, format_latency, print_table, Cli, FleetRunner,
+    TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
-use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_workloads::service::ServiceId;
 use serde::Serialize;
@@ -81,40 +80,34 @@ struct EnergyFigure {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let fleet_nodes = nodes_flag(&args, 2, "the autoscaler keeps 2 machines active").unwrap_or(6);
-    let approximation = approximation_from_args(&args);
-    let topology_spec = topology_spec_from_args(&args);
-    let trace = trace_opts(&args);
+    let cli = Cli::figure(&[
+        "--seed N",
+        "--nodes N",
+        "--approx K",
+        "--topology RxN",
+        "--rack-power-w W",
+        "--trace PATH",
+        "--trace-level off|decisions|full",
+    ]);
+    let seed: u64 = cli.value("--seed").unwrap_or(7);
+    let fleet_nodes = cli
+        .at_least("--nodes", 2, "the autoscaler keeps 2 machines active")
+        .unwrap_or(6);
+    let mut runner = FleetRunner::new(&cli);
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new();
     let mut policies = Vec::new();
     let mut energies = [0.0f64; 2];
     let mut nodes = 0usize;
-    let mut obs = Vec::new();
     for (pi, policy) in [PolicyKind::Precise, PolicyKind::Pliant]
         .into_iter()
         .enumerate()
     {
         let mut scenario = cluster_energy_scenario_at_scale(fleet_nodes, policy, seed);
-        scenario.approximation = approximation;
-        if let Some(spec) = &topology_spec {
-            scenario.topology = spec.config_for(scenario.nodes);
-        }
-        if let Err(e) = scenario.validate() {
-            eprintln!("error: topology override does not fit the fleet: {e}");
-            std::process::exit(2);
-        }
+        let (outcome, _) = runner.run(&mut scenario, &policy.to_string());
         nodes = scenario.nodes;
-        let (outcome, log) = engine.run_cluster_traced(&scenario, trace.level);
         energies[pi] = outcome.fleet_energy_j;
         policies.push(PolicyEnergy::from_outcome(policy, &outcome));
-        if trace.enabled() {
-            obs.push(export_trace(&trace, &policy.to_string(), &log));
-        }
     }
     let ratio = energies[1] / energies[0];
 
@@ -124,71 +117,57 @@ fn main() {
         seed,
         policies,
         pliant_to_precise_energy_ratio: ratio,
-        obs,
+        obs: runner.obs(),
     };
 
-    if json {
+    runner.emit(&cli, &figure, |figure| {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&figure).expect("serializable")
+            "Fleet energy over one diurnal cycle: {} on a {}-machine fleet\n\
+             (each machine co-locates one batch job; energy-aware autoscaler; CRN seed {})\n",
+            service.name(),
+            nodes,
+            seed
         );
-        return;
-    }
-
-    println!(
-        "Fleet energy over one diurnal cycle: {} on a {}-machine fleet\n\
-         (each machine co-locates one batch job; energy-aware autoscaler; CRN seed {})\n",
-        service.name(),
-        nodes,
-        seed
-    );
-    let rows: Vec<Vec<String>> = figure
-        .policies
-        .iter()
-        .map(|p| {
-            vec![
-                p.policy.clone(),
-                format!("{:.1} kJ", p.fleet_energy_j / 1e3),
-                format!("{:.0} W", p.mean_fleet_power_w),
-                format!("{:.1}", p.mean_active_nodes),
-                p.min_active_nodes.to_string(),
-                format_latency(service, p.fleet_p99_s),
-                format!("{:.2}", p.fleet_tail_latency_ratio),
-                format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
-                if p.qos_met { "yes" } else { "no" }.to_string(),
-                format!("{:.1} kJ", p.energy_per_completed_job_j / 1e3),
-                format!("{:.1}", p.mean_completed_inaccuracy_pct),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "policy",
-            "fleet energy",
-            "mean power",
-            "mean active",
-            "min active",
-            "fleet p99",
-            "p99/QoS",
-            "violations",
-            "QoS met",
-            "energy/job",
-            "inacc(%)",
-        ],
-        &rows,
-    );
-    println!();
-    println!(
-        "pliant / precise fleet energy = {:.2} ({:.0}% of the precise fleet's joules at equal QoS)",
-        ratio,
-        ratio * 100.0
-    );
-    for t in &figure.obs {
-        if let Some(file) = &t.trace_file {
-            println!(
-                "trace ({}): {} events -> {file}",
-                t.run, t.summary.events_recorded
-            );
-        }
-    }
+        let rows: Vec<Vec<String>> = figure
+            .policies
+            .iter()
+            .map(|p| {
+                vec![
+                    p.policy.clone(),
+                    format!("{:.1} kJ", p.fleet_energy_j / 1e3),
+                    format!("{:.0} W", p.mean_fleet_power_w),
+                    format!("{:.1}", p.mean_active_nodes),
+                    p.min_active_nodes.to_string(),
+                    format_latency(service, p.fleet_p99_s),
+                    format!("{:.2}", p.fleet_tail_latency_ratio),
+                    format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
+                    if p.qos_met { "yes" } else { "no" }.to_string(),
+                    format!("{:.1} kJ", p.energy_per_completed_job_j / 1e3),
+                    format!("{:.1}", p.mean_completed_inaccuracy_pct),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "policy",
+                "fleet energy",
+                "mean power",
+                "mean active",
+                "min active",
+                "fleet p99",
+                "p99/QoS",
+                "violations",
+                "QoS met",
+                "energy/job",
+                "inacc(%)",
+            ],
+            &rows,
+        );
+        println!();
+        println!(
+            "pliant / precise fleet energy = {:.2} ({:.0}% of the precise fleet's joules at equal QoS)",
+            ratio,
+            ratio * 100.0
+        );
+    });
 }

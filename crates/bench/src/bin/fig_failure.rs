@@ -23,17 +23,16 @@
 //! Runs always record decision events (tracing never perturbs the simulation), so the
 //! `--json` output's `obs` block carries the fault-event rollup — `NodeFailed`,
 //! `NodeRecovered`, `NodeDegraded`, `JobRequeued` — even without `--trace`; `--trace
-//! PATH` additionally exports each run's event stream tagged `{nodes}n-{policy}`.
+//! PATH` additionally exports each run's event stream tagged `{nodes}n-{policy}` (see
+//! [`pliant_bench::fleet`]).
 
+use pliant_bench::cli::reject;
 use pliant_bench::{
-    approximation_from_args, cluster_failure_scenario, cluster_failure_trace, export_trace,
-    format_latency, nodes_flag, parse_flag, print_table, topology_spec_from_args, trace_opts,
+    cluster_failure_scenario, cluster_failure_trace, format_latency, print_table, Cli, FleetRunner,
     TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
-use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
-use pliant_telemetry::obs::ObsLevel;
 use pliant_workloads::service::ServiceId;
 use serde::Serialize;
 
@@ -72,29 +71,31 @@ struct FailureFigure {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let total_load: f64 = parse_flag(&args, "--total-load").unwrap_or(2.6);
-    let node_counts: Vec<usize> = match nodes_flag(&args, 1, "a fleet needs a machine") {
+    let cli = Cli::figure(&[
+        "--seed N",
+        "--total-load X",
+        "--nodes N",
+        "--approx K",
+        "--topology RxN",
+        "--rack-power-w W",
+        "--trace PATH",
+        "--trace-level off|decisions|full",
+    ]);
+    let seed: u64 = cli.value("--seed").unwrap_or(7);
+    let total_load: f64 = cli.value("--total-load").unwrap_or(2.6);
+    if total_load.is_nan() || total_load <= 0.0 {
+        reject("--total-load must be positive");
+    }
+    let node_counts: Vec<usize> = match cli.at_least("--nodes", 1, "a fleet needs a machine") {
         Some(n) => vec![n],
         None => NODE_COUNTS.to_vec(),
     };
-    let approximation = approximation_from_args(&args);
-    let topology_spec = topology_spec_from_args(&args);
-    let trace = trace_opts(&args);
     // The figure's JSON contract includes the fault-event rollup, so runs record
     // decision events even without `--trace` (tracing observes, never perturbs).
-    let level = if trace.level == ObsLevel::Off {
-        ObsLevel::Decisions
-    } else {
-        trace.level
-    };
+    let mut runner = FleetRunner::new(&cli).reporting_decisions();
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new();
     let mut curve = Vec::new();
-    let mut obs = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];
     for &nodes in &node_counts {
         for (pi, policy) in [PolicyKind::Precise, PolicyKind::Pliant]
@@ -109,24 +110,7 @@ fn main() {
                 );
                 continue;
             };
-            scenario.approximation = approximation;
-            if let Some(spec) = &topology_spec {
-                scenario.topology = spec.config_for(scenario.nodes);
-            }
-            if let Err(e) = scenario.validate() {
-                eprintln!("error: topology override does not fit the {nodes}-machine fleet: {e}");
-                std::process::exit(2);
-            }
-            let (outcome, log) = engine.run_cluster_traced(&scenario, level);
-            obs.push(if trace.enabled() {
-                export_trace(&trace, &format!("{nodes}n-{policy}"), &log)
-            } else {
-                TraceRunSummary {
-                    run: format!("{nodes}n-{policy}"),
-                    trace_file: None,
-                    summary: log.summary(),
-                }
-            });
+            let (outcome, _) = runner.run(&mut scenario, &format!("{nodes}n-{policy}"));
             let faults = outcome
                 .faults
                 .unwrap_or_else(|| panic!("failure scenarios always carry fault stats"));
@@ -162,84 +146,70 @@ fn main() {
         curve,
         machines_needed_precise: machines_precise,
         machines_needed_pliant: machines_pliant,
-        obs,
+        obs: runner.obs(),
     };
 
-    if json {
+    runner.emit(&cli, &figure, |figure| {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&figure).expect("serializable")
+            "Machines needed under failure: {} serving {:.1} node-units through one node \
+             crash and one straggler\n(each node co-locates one batch job; CRN seed {})\n",
+            service.name(),
+            total_load,
+            seed
         );
-        return;
-    }
+        let rows: Vec<Vec<String>> = figure
+            .curve
+            .iter()
+            .map(|p| {
+                vec![
+                    p.nodes.to_string(),
+                    p.policy.clone(),
+                    format_latency(service, p.fleet_p99_s),
+                    format!("{:.2}", p.fleet_tail_latency_ratio),
+                    format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
+                    p.violating_intervals.to_string(),
+                    format!("{:.3}", p.availability),
+                    p.jobs_requeued.to_string(),
+                    p.jobs_completed.to_string(),
+                    if p.qos_met { "yes" } else { "no" }.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "machines",
+                "policy",
+                "fleet p99",
+                "p99/QoS",
+                "violations",
+                "viol. intervals",
+                "availability",
+                "requeued",
+                "completed",
+                "QoS met",
+            ],
+            &rows,
+        );
 
-    println!(
-        "Machines needed under failure: {} serving {:.1} node-units through one node \
-         crash and one straggler\n(each node co-locates one batch job; CRN seed {})\n",
-        service.name(),
-        total_load,
-        seed
-    );
-    let rows: Vec<Vec<String>> = figure
-        .curve
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.policy.clone(),
-                format_latency(service, p.fleet_p99_s),
-                format!("{:.2}", p.fleet_tail_latency_ratio),
-                format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
-                p.violating_intervals.to_string(),
-                format!("{:.3}", p.availability),
-                p.jobs_requeued.to_string(),
-                p.jobs_completed.to_string(),
-                if p.qos_met { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "machines",
-            "policy",
-            "fleet p99",
-            "p99/QoS",
-            "violations",
-            "viol. intervals",
-            "availability",
-            "requeued",
-            "completed",
-            "QoS met",
-        ],
-        &rows,
-    );
-
-    println!();
-    let describe = |m: Option<usize>| match m {
-        Some(n) => n.to_string(),
-        None => format!(">{}", node_counts[node_counts.len() - 1]),
-    };
-    println!(
-        "machines needed under failure: precise = {}, pliant = {}",
-        describe(machines_precise),
-        describe(machines_pliant)
-    );
-    if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
-        if q < p {
-            println!(
-                "pliant's reclaimed headroom absorbs the node loss with {} fewer machine(s)",
-                p - q
-            );
-        } else {
-            println!("no machines saved under this failure trace");
+        println!();
+        let describe = |m: Option<usize>| match m {
+            Some(n) => n.to_string(),
+            None => format!(">{}", node_counts[node_counts.len() - 1]),
+        };
+        println!(
+            "machines needed under failure: precise = {}, pliant = {}",
+            describe(machines_precise),
+            describe(machines_pliant)
+        );
+        if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
+            if q < p {
+                println!(
+                    "pliant's reclaimed headroom absorbs the node loss with {} fewer machine(s)",
+                    p - q
+                );
+            } else {
+                println!("no machines saved under this failure trace");
+            }
         }
-    }
-    for t in &figure.obs {
-        if let Some(file) = &t.trace_file {
-            println!(
-                "trace ({}): {} events -> {file}",
-                t.run, t.summary.events_recorded
-            );
-        }
-    }
+    });
 }

@@ -23,20 +23,23 @@
 //!
 //! Defaults: 10k nodes, 4 representatives per group, seed 7. `--approx 0` forces
 //! exact simulation (every logical node stepped) — only interactive on small fleets.
-//! `--trace PATH` exports the two day/night energy runs' decision-event streams to
-//! `PATH` tagged `energy-{policy}` (`.json` = Chrome trace-event JSON loadable in
-//! Perfetto, otherwise JSON Lines readable by `pliant-trace`); the machines sweep is
-//! left untraced.
+//! `--trace-level` records the two day/night energy runs' decision events into the
+//! `obs` block and `--trace PATH` also writes them to `PATH` tagged `energy-{policy}`
+//! (see [`pliant_bench::fleet`]); the machines sweep is left untraced.
 
 use pliant_bench::{
-    approximation_from_args, cluster_energy_scenario_at_scale, cluster_machines_needed_scenario,
-    export_trace, format_latency, nodes_flag, parse_flag, print_table, trace_opts, TraceRunSummary,
+    cluster_energy_scenario_at_scale, cluster_machines_needed_scenario, format_latency,
+    print_table, Cli, FleetRunner, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
-use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_workloads::service::ServiceId;
 use serde::Serialize;
+
+/// The approximation without `--approx`: 4 representatives per node group.
+const DEFAULT_APPROXIMATION: FleetApproximation = FleetApproximation::Clustered {
+    representatives_per_group: 4,
+};
 
 /// The fig_cluster sweep expressed as sixths of the requested fleet (3/6 .. 7/6), so
 /// the 6-node study's operating points reappear unchanged at any scale.
@@ -83,31 +86,24 @@ struct HyperscaleFigure {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let fleet_nodes = nodes_flag(&args, 6, "the sweep scales the 6-node study").unwrap_or(10_000);
-    let approximation = if args.iter().any(|a| a == "--approx") {
-        approximation_from_args(&args)
-    } else {
-        FleetApproximation::Clustered {
-            representatives_per_group: 4,
-        }
-    };
-    let approx_representatives = match approximation {
-        FleetApproximation::Exact => 0,
-        FleetApproximation::Clustered {
-            representatives_per_group,
-        } => representatives_per_group,
-    };
-
-    let trace = trace_opts(&args);
+    let cli = Cli::figure(&[
+        "--seed N",
+        "--nodes N",
+        "--approx K",
+        "--trace PATH",
+        "--trace-level off|decisions|full",
+    ]);
+    let seed: u64 = cli.value("--seed").unwrap_or(7);
+    let fleet_nodes = cli
+        .at_least("--nodes", 6, "the sweep scales the 6-node study")
+        .unwrap_or(10_000);
+    let mut runner = FleetRunner::new(&cli);
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new();
 
     // Machines needed at scale: the fig_cluster pressure (2.6 node-units per 6
-    // provisioned nodes) over fleet sizes swept around the requested one.
+    // provisioned nodes) over fleet sizes swept around the requested one. The sweep
+    // is never traced.
     let total_load = 2.6 / 6.0 * fleet_nodes as f64;
     let mut machines_curve = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];
@@ -122,8 +118,8 @@ fn main() {
                 eprintln!("note: skipping {nodes}-machine fleet — load exceeds saturation");
                 continue;
             };
-            s.approximation = approximation;
-            let outcome = engine.run_cluster(&s);
+            s.approximation = DEFAULT_APPROXIMATION;
+            let outcome = runner.run_untraced(&mut s);
             machines_curve.push(SweepPoint {
                 nodes,
                 simulated_instances: outcome.simulated_instances,
@@ -142,17 +138,15 @@ fn main() {
     // Energy at scale: the day/night cycle on the requested fleet.
     let mut energy = Vec::new();
     let mut energies = [0.0f64; 2];
-    let mut energy_logs = Vec::new();
+    let mut approximation = DEFAULT_APPROXIMATION;
     for (pi, policy) in [PolicyKind::Precise, PolicyKind::Pliant]
         .into_iter()
         .enumerate()
     {
         let mut scenario = cluster_energy_scenario_at_scale(fleet_nodes, policy, seed);
-        scenario.approximation = approximation;
-        let (outcome, log) = engine.run_cluster_traced(&scenario, trace.level);
-        if trace.enabled() {
-            energy_logs.push((format!("energy-{policy}"), log));
-        }
+        scenario.approximation = DEFAULT_APPROXIMATION;
+        let (outcome, _) = runner.run(&mut scenario, &format!("energy-{policy}"));
+        approximation = scenario.approximation;
         energies[pi] = outcome.fleet_energy_j;
         energy.push(EnergyPoint {
             policy: policy.to_string(),
@@ -167,10 +161,12 @@ fn main() {
         });
     }
     let ratio = energies[1] / energies[0];
-    let obs: Vec<TraceRunSummary> = energy_logs
-        .iter()
-        .map(|(run, log)| export_trace(&trace, run, log))
-        .collect();
+    let approx_representatives = match approximation {
+        FleetApproximation::Exact => 0,
+        FleetApproximation::Clustered {
+            representatives_per_group,
+        } => representatives_per_group,
+    };
 
     let figure = HyperscaleFigure {
         service: service.name().to_string(),
@@ -182,119 +178,105 @@ fn main() {
         machines_needed_pliant: machines_pliant,
         energy,
         pliant_to_precise_energy_ratio: ratio,
-        obs,
+        obs: runner.obs(),
     };
 
-    if json {
+    runner.emit(&cli, &figure, |figure| {
+        let mode = if approx_representatives == 0 {
+            "exact simulation".to_string()
+        } else {
+            format!("clustered approximation, {approx_representatives} representatives per group")
+        };
         println!(
-            "{}",
-            serde_json::to_string_pretty(&figure).expect("serializable")
+            "Hyperscale fleet headlines: {} around {} machines ({mode}; CRN seed {})\n",
+            service.name(),
+            fleet_nodes,
+            seed
         );
-        return;
-    }
 
-    let mode = if approx_representatives == 0 {
-        "exact simulation".to_string()
-    } else {
-        format!("clustered approximation, {approx_representatives} representatives per group")
-    };
-    println!(
-        "Hyperscale fleet headlines: {} around {} machines ({mode}; CRN seed {})\n",
-        service.name(),
-        fleet_nodes,
-        seed
-    );
-
-    let rows: Vec<Vec<String>> = figure
-        .machines_curve
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.simulated_instances.to_string(),
-                p.policy.clone(),
-                format_latency(service, p.fleet_p99_s),
-                format!("{:.2}", p.fleet_tail_latency_ratio),
-                format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
-                if p.qos_met { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "machines",
-            "simulated",
-            "policy",
-            "fleet p99",
-            "p99/QoS",
-            "violations",
-            "QoS met",
-        ],
-        &rows,
-    );
-    let describe = |m: Option<usize>| match m {
-        Some(n) => n.to_string(),
-        None => format!(
-            ">{}",
-            SWEEP_SIXTHS[SWEEP_SIXTHS.len() - 1] * fleet_nodes / 6
-        ),
-    };
-    println!(
-        "\nmachines needed: precise = {}, pliant = {}",
-        describe(machines_precise),
-        describe(machines_pliant)
-    );
-    if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
-        if q < p {
-            println!(
-                "pliant serves the same load with {} fewer machines ({:.0}% of the precise fleet)",
-                p - q,
-                100.0 * q as f64 / p as f64
-            );
+        let rows: Vec<Vec<String>> = figure
+            .machines_curve
+            .iter()
+            .map(|p| {
+                vec![
+                    p.nodes.to_string(),
+                    p.simulated_instances.to_string(),
+                    p.policy.clone(),
+                    format_latency(service, p.fleet_p99_s),
+                    format!("{:.2}", p.fleet_tail_latency_ratio),
+                    format!("{:.1}%", p.fleet_qos_violation_fraction * 100.0),
+                    if p.qos_met { "yes" } else { "no" }.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "machines",
+                "simulated",
+                "policy",
+                "fleet p99",
+                "p99/QoS",
+                "violations",
+                "QoS met",
+            ],
+            &rows,
+        );
+        let describe = |m: Option<usize>| match m {
+            Some(n) => n.to_string(),
+            None => format!(
+                ">{}",
+                SWEEP_SIXTHS[SWEEP_SIXTHS.len() - 1] * fleet_nodes / 6
+            ),
+        };
+        println!(
+            "\nmachines needed: precise = {}, pliant = {}",
+            describe(machines_precise),
+            describe(machines_pliant)
+        );
+        if let (Some(p), Some(q)) = (machines_precise, machines_pliant) {
+            if q < p {
+                println!(
+                    "pliant serves the same load with {} fewer machines ({:.0}% of the precise fleet)",
+                    p - q,
+                    100.0 * q as f64 / p as f64
+                );
+            }
         }
-    }
 
-    println!("\nDay/night energy on the {}-machine fleet:\n", fleet_nodes);
-    let rows: Vec<Vec<String>> = figure
-        .energy
-        .iter()
-        .map(|p| {
-            vec![
-                p.policy.clone(),
-                p.simulated_instances.to_string(),
-                format!("{:.1} MJ", p.fleet_energy_j / 1e6),
-                format!("{:.1} kW", p.mean_fleet_power_w / 1e3),
-                format!("{:.1}", p.mean_active_nodes),
-                p.min_active_nodes.to_string(),
-                format!("{:.2}", p.fleet_tail_latency_ratio),
-                if p.qos_met { "yes" } else { "no" }.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "policy",
-            "simulated",
-            "fleet energy",
-            "mean power",
-            "mean active",
-            "min active",
-            "p99/QoS",
-            "QoS met",
-        ],
-        &rows,
-    );
-    println!(
-        "\npliant / precise fleet energy = {:.2} ({:.0}% of the precise fleet's joules)",
-        ratio,
-        ratio * 100.0
-    );
-    for t in &figure.obs {
-        if let Some(file) = &t.trace_file {
-            println!(
-                "trace ({}): {} events -> {file}",
-                t.run, t.summary.events_recorded
-            );
-        }
-    }
+        println!("\nDay/night energy on the {}-machine fleet:\n", fleet_nodes);
+        let rows: Vec<Vec<String>> = figure
+            .energy
+            .iter()
+            .map(|p| {
+                vec![
+                    p.policy.clone(),
+                    p.simulated_instances.to_string(),
+                    format!("{:.1} MJ", p.fleet_energy_j / 1e6),
+                    format!("{:.1} kW", p.mean_fleet_power_w / 1e3),
+                    format!("{:.1}", p.mean_active_nodes),
+                    p.min_active_nodes.to_string(),
+                    format!("{:.2}", p.fleet_tail_latency_ratio),
+                    if p.qos_met { "yes" } else { "no" }.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "policy",
+                "simulated",
+                "fleet energy",
+                "mean power",
+                "mean active",
+                "min active",
+                "p99/QoS",
+                "QoS met",
+            ],
+            &rows,
+        );
+        println!(
+            "\npliant / precise fleet energy = {:.2} ({:.0}% of the precise fleet's joules)",
+            ratio,
+            ratio * 100.0
+        );
+    });
 }

@@ -11,7 +11,8 @@
 //! Usage: `fig_load_transient [--json] [--service nginx|memcached|mongodb]`
 
 use pliant_approx::catalog::AppId;
-use pliant_bench::{flag_value, format_latency, print_table};
+use pliant_bench::cli::{reject, Cli};
+use pliant_bench::{format_latency, print_table};
 use pliant_core::engine::Engine;
 use pliant_core::experiment::PhaseQosStats;
 use pliant_core::policy::PolicyKind;
@@ -55,17 +56,14 @@ struct TransientResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let service = flag_value(&args, "--service")
+    let cli = Cli::figure(&["--service nginx|memcached|mongodb"]);
+    let service = cli
+        .text("--service")
         .map(|name| {
             ServiceId::all()
                 .into_iter()
                 .find(|s| s.name() == name)
-                .unwrap_or_else(|| {
-                    eprintln!("error: unknown service `{name}`");
-                    std::process::exit(2);
-                })
+                .unwrap_or_else(|| reject(format!("unknown service `{name}`")))
         })
         .unwrap_or(ServiceId::Memcached);
     let app = AppId::Bayesian;
@@ -121,72 +119,66 @@ fn main() {
         })
         .collect();
 
-    if json {
+    cli.emit(&results, |results| {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&results).expect("serializable")
+            "Load transient: {} + {} through a flash crowd ({})\n",
+            service.name(),
+            app.name(),
+            flash_crowd().describe()
         );
-        return;
-    }
 
-    println!(
-        "Load transient: {} + {} through a flash crowd ({})\n",
-        service.name(),
-        app.name(),
-        flash_crowd().describe()
-    );
+        let pliant = results
+            .iter()
+            .find(|r| r.policy == "pliant")
+            .expect("pliant cell");
+        println!("Pliant timeline (every 3rd interval):");
+        let rows: Vec<Vec<String>> = pliant
+            .timeline
+            .iter()
+            .step_by(3)
+            .map(|row| {
+                vec![
+                    format!("{:.0}", row.time_s),
+                    format!("{:.0}%", row.offered_load * 100.0),
+                    format_latency(service, row.p99_latency_s),
+                    if row.variant == 0.0 {
+                        "precise".to_string()
+                    } else {
+                        format!("v{:.0}", row.variant)
+                    },
+                    format!("{:.0}", row.cores_reclaimed),
+                ]
+            })
+            .collect();
+        print_table(
+            &["t(s)", "load", "p99", "variant", "cores reclaimed"],
+            &rows,
+        );
 
-    let pliant = results
-        .iter()
-        .find(|r| r.policy == "pliant")
-        .expect("pliant cell");
-    println!("Pliant timeline (every 3rd interval):");
-    let rows: Vec<Vec<String>> = pliant
-        .timeline
-        .iter()
-        .step_by(3)
-        .map(|row| {
-            vec![
-                format!("{:.0}", row.time_s),
-                format!("{:.0}%", row.offered_load * 100.0),
-                format_latency(service, row.p99_latency_s),
-                if row.variant == 0.0 {
-                    "precise".to_string()
-                } else {
-                    format!("v{:.0}", row.variant)
-                },
-                format!("{:.0}", row.cores_reclaimed),
-            ]
-        })
-        .collect();
-    print_table(
-        &["t(s)", "load", "p99", "variant", "cores reclaimed"],
-        &rows,
-    );
-
-    println!("\nPer-phase QoS (violation rate during ramp vs. steady state):");
-    let mut phase_rows: Vec<Vec<String>> = Vec::new();
-    for r in &results {
-        for p in &r.phase_qos {
-            phase_rows.push(vec![
-                r.policy.clone(),
-                p.phase.name().to_string(),
-                p.intervals.to_string(),
-                format!("{:.0}%", p.mean_offered_load * 100.0),
-                format!("{:.0}%", p.qos_violation_fraction * 100.0),
-                format_latency(service, p.mean_p99_s),
-            ]);
+        println!("\nPer-phase QoS (violation rate during ramp vs. steady state):");
+        let mut phase_rows: Vec<Vec<String>> = Vec::new();
+        for r in results {
+            for p in &r.phase_qos {
+                phase_rows.push(vec![
+                    r.policy.clone(),
+                    p.phase.name().to_string(),
+                    p.intervals.to_string(),
+                    format!("{:.0}%", p.mean_offered_load * 100.0),
+                    format!("{:.0}%", p.qos_violation_fraction * 100.0),
+                    format_latency(service, p.mean_p99_s),
+                ]);
+            }
         }
-    }
-    print_table(
-        &[
-            "policy",
-            "phase",
-            "intervals",
-            "mean load",
-            "violations",
-            "mean p99",
-        ],
-        &phase_rows,
-    );
+        print_table(
+            &[
+                "policy",
+                "phase",
+                "intervals",
+                "mean load",
+                "violations",
+                "mean p99",
+            ],
+            &phase_rows,
+        );
+    });
 }

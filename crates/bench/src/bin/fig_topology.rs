@@ -18,17 +18,15 @@
 //!
 //! `--topology` / `--rack-power-w` override the default 4x2 unbudgeted grid;
 //! `--approx K` simulates the fleet through the clustered approximation with `K`
-//! representatives per node group (`0` or absent = exact); `--trace PATH` exports
-//! each run's decision-event stream tagged by run name.
+//! representatives per node group (`0` or absent = exact). Runs always record their
+//! decision events, which the park, migration and outage columns are counted from;
+//! `--trace-level` puts each run's summary in the `obs` block and `--trace PATH` also
+//! writes its stream tagged by run name (see [`pliant_bench::fleet`]).
 
-use pliant_bench::{
-    approximation_from_args, cluster_topology_scenario, export_trace, parse_flag, print_table,
-    topology_spec_from_args, trace_opts, TraceRunSummary,
-};
+use pliant_bench::{cluster_topology_scenario, print_table, Cli, FleetRunner, TraceRunSummary};
 use pliant_cluster::prelude::*;
-use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
-use pliant_telemetry::obs::{Event, EventLog, ObsLevel, PowerStateKind};
+use pliant_telemetry::obs::{Event, EventLog, PowerStateKind};
 use pliant_workloads::service::ServiceId;
 use serde::Serialize;
 
@@ -126,25 +124,22 @@ struct TopologyFigure {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = pliant_bench::json_requested(&args);
-    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
-    let approximation = approximation_from_args(&args);
-    let spec = topology_spec_from_args(&args);
-    let trace = trace_opts(&args);
+    let cli = Cli::figure(&[
+        "--seed N",
+        "--approx K",
+        "--topology RxN",
+        "--rack-power-w W",
+        "--trace PATH",
+        "--trace-level off|decisions|full",
+    ]);
+    let seed: u64 = cli.value("--seed").unwrap_or(7);
     // The park/migration/outage rollups come from the decision-event stream, so the
     // figure always records at least at `decisions` (tracing observes decisions
     // without altering them — the simulation is byte-identical at every level).
-    let level = if trace.enabled() {
-        trace.level
-    } else {
-        ObsLevel::Decisions
-    };
+    let mut runner = FleetRunner::new(&cli).reading_decisions();
 
     let service = ServiceId::Memcached;
-    let engine = Engine::new();
     let mut runs = Vec::new();
-    let mut obs = Vec::new();
     let mut topology = TopologyConfig::Flat;
     let mut nodes = 0usize;
     let mut pliant_parks = [None, None];
@@ -153,22 +148,14 @@ fn main() {
     for policy in [PolicyKind::Precise, PolicyKind::Pliant] {
         for consolidate in [false, true] {
             let mut scenario = cluster_topology_scenario(policy, consolidate, seed);
-            scenario.approximation = approximation;
-            if let Some(spec) = &spec {
-                scenario.topology = spec.config_for(scenario.nodes);
-            }
-            if let Err(e) = scenario.validate() {
-                eprintln!("error: topology override does not fit the fleet: {e}");
-                std::process::exit(2);
-            }
-            nodes = scenario.nodes;
-            topology = scenario.topology.clone();
             let run = if consolidate {
                 format!("{policy}-consolidate")
             } else {
                 policy.to_string()
             };
-            let (outcome, log) = engine.run_cluster_traced(&scenario, level);
+            let (outcome, log) = runner.run(&mut scenario, &run);
+            nodes = scenario.nodes;
+            topology = scenario.topology.clone();
             let stats = log_stats(&log);
             if policy == PolicyKind::Pliant {
                 let slot = consolidate as usize;
@@ -177,7 +164,7 @@ fn main() {
                 pliant_qos[slot] = outcome.qos_met();
             }
             runs.push(TopologyRun {
-                run: run.clone(),
+                run,
                 policy: policy.to_string(),
                 consolidate,
                 fleet_energy_j: outcome.fleet_energy_j,
@@ -192,9 +179,6 @@ fn main() {
                 rack_outage_events: stats.rack_outage_events,
                 rack_power_capped_events: stats.rack_power_capped_events,
             });
-            if trace.enabled() {
-                obs.push(export_trace(&trace, &run, &log));
-            }
         }
     }
 
@@ -218,80 +202,66 @@ fn main() {
             pliant_energy_saved_j: pliant_energy[0] - pliant_energy[1],
             qos_verdicts_equal: pliant_qos[0] == pliant_qos[1],
         },
-        obs,
+        obs: runner.obs(),
     };
 
-    if json {
+    runner.emit(&cli, &figure, |figure| {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&figure).expect("serializable")
+            "Topology study: {} on a {}-machine fleet in racked power domains\n\
+             (rack 0 suffers a whole-rack outage mid-day; energy-aware autoscaler;\n\
+             consolidation = live-migrate batch jobs off draining nodes; CRN seed {})\n",
+            service.name(),
+            nodes,
+            seed
         );
-        return;
-    }
-
-    println!(
-        "Topology study: {} on a {}-machine fleet in racked power domains\n\
-         (rack 0 suffers a whole-rack outage mid-day; energy-aware autoscaler;\n\
-         consolidation = live-migrate batch jobs off draining nodes; CRN seed {})\n",
-        service.name(),
-        nodes,
-        seed
-    );
-    let rows: Vec<Vec<String>> = figure
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.run.clone(),
-                format!("{:.1} kJ", r.fleet_energy_j / 1e3),
-                format!("{:.1}", r.mean_active_nodes),
-                r.min_active_nodes.to_string(),
-                format!("{:.2}", r.fleet_tail_latency_ratio),
-                if r.qos_met { "yes" } else { "no" }.to_string(),
-                r.first_park_interval
-                    .map_or("never".to_string(), |i| i.to_string()),
-                r.migrations.to_string(),
-                r.rack_outage_events.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "run",
-            "fleet energy",
-            "mean active",
-            "min active",
-            "p99/QoS",
-            "QoS met",
-            "first park",
-            "migrations",
-            "rack outages",
-        ],
-        &rows,
-    );
-    println!();
-    match (
-        figure.consolidation.pliant_first_park_without,
-        figure.consolidation.pliant_first_park_with,
-    ) {
-        (Some(without), Some(with)) => println!(
-            "pliant first park: interval {with} with consolidation vs {without} without \
-             ({} intervals earlier, {:.1} kJ saved, equal QoS verdicts: {})",
-            figure.consolidation.parks_earlier_by_intervals,
-            figure.consolidation.pliant_energy_saved_j / 1e3,
-            figure.consolidation.qos_verdicts_equal,
-        ),
-        (None, Some(with)) => println!(
-            "pliant first park: interval {with} with consolidation; completion-waiting never parked"
-        ),
-        _ => println!("pliant fleet never parked a node on this operating point"),
-    }
-    for t in &figure.obs {
-        if let Some(file) = &t.trace_file {
-            println!(
-                "trace ({}): {} events -> {file}",
-                t.run, t.summary.events_recorded
-            );
+        let rows: Vec<Vec<String>> = figure
+            .runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.run.clone(),
+                    format!("{:.1} kJ", r.fleet_energy_j / 1e3),
+                    format!("{:.1}", r.mean_active_nodes),
+                    r.min_active_nodes.to_string(),
+                    format!("{:.2}", r.fleet_tail_latency_ratio),
+                    if r.qos_met { "yes" } else { "no" }.to_string(),
+                    r.first_park_interval
+                        .map_or("never".to_string(), |i| i.to_string()),
+                    r.migrations.to_string(),
+                    r.rack_outage_events.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "run",
+                "fleet energy",
+                "mean active",
+                "min active",
+                "p99/QoS",
+                "QoS met",
+                "first park",
+                "migrations",
+                "rack outages",
+            ],
+            &rows,
+        );
+        println!();
+        match (
+            figure.consolidation.pliant_first_park_without,
+            figure.consolidation.pliant_first_park_with,
+        ) {
+            (Some(without), Some(with)) => println!(
+                "pliant first park: interval {with} with consolidation vs {without} without \
+                 ({} intervals earlier, {:.1} kJ saved, equal QoS verdicts: {})",
+                figure.consolidation.parks_earlier_by_intervals,
+                figure.consolidation.pliant_energy_saved_j / 1e3,
+                figure.consolidation.qos_verdicts_equal,
+            ),
+            (None, Some(with)) => println!(
+                "pliant first park: interval {with} with consolidation; completion-waiting never parked"
+            ),
+            _ => println!("pliant fleet never parked a node on this operating point"),
         }
-    }
+    });
 }

@@ -16,12 +16,16 @@
 //!   alone: per file, the fleet size and QoS verdict from `FleetStart` +
 //!   `IntervalSummary` records; across files, the smallest passing fleet.
 //!
+//! Each subcommand accepts only the flags listed with it; any other flag, a repeated
+//! one, a missing or unparsable value or a wrong number of files exits with status 2.
+//!
 //! Input must be JSON Lines (one `EventRecord` per line). Chrome trace-event `.json`
 //! exports are for Perfetto; re-export with a non-`.json` extension to inspect here.
 
 use std::io::{BufRead, BufReader};
 
-use pliant_bench::{flag_value, parse_flag, print_table};
+use pliant_bench::cli::{reject, Cli};
+use pliant_bench::print_table;
 use pliant_telemetry::obs::{Event, EventKind, EventRecord, EVENT_KINDS};
 
 fn usage() -> ! {
@@ -39,33 +43,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Positional (non-flag) arguments: everything not starting with `--` and not
-/// consumed as a flag value.
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            // Every flag of this tool takes a value.
-            skip = args.get(i + 1).is_some();
-            continue;
-        }
-        out.push(a);
-    }
-    out
-}
-
 fn load(path: &str) -> Vec<EventRecord> {
     if path.ends_with(".json") {
-        eprintln!(
-            "error: {path} looks like a Chrome trace-event export (for Perfetto); \
+        reject(format!(
+            "{path} looks like a Chrome trace-event export (for Perfetto); \
              pliant-trace reads the JSONL format — re-export with a non-.json extension"
-        );
-        std::process::exit(2);
+        ));
     }
     let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("error: cannot open {path}: {e}");
@@ -155,20 +138,19 @@ fn cmd_summary(records: &[EventRecord], path: &str) {
     print_table(&["event", "records", "weighted"], &rows);
 }
 
-fn cmd_filter(records: &[EventRecord], args: &[String]) {
-    let kind = flag_value(args, "--kind").map(|v| {
+fn cmd_filter(path: &str, cli: &Cli) {
+    let kind = cli.text("--kind").map(|v| {
         EventKind::parse(v).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown event kind {v} (expected one of: {})",
+            reject(format!(
+                "unknown event kind {v} (expected one of: {})",
                 EventKind::ALL.map(|k| k.name()).join(", ")
-            );
-            std::process::exit(2);
+            ))
         })
     });
-    let node: Option<u32> = parse_flag(args, "--node");
-    let from: u32 = parse_flag(args, "--from-interval").unwrap_or(0);
-    let to: u32 = parse_flag(args, "--to-interval").unwrap_or(u32::MAX);
-    for r in records {
+    let node: Option<u32> = cli.value("--node");
+    let from: u32 = cli.value("--from-interval").unwrap_or(0);
+    let to: u32 = cli.value("--to-interval").unwrap_or(u32::MAX);
+    for r in &load(path) {
         if r.interval < from || r.interval > to {
             continue;
         }
@@ -217,17 +199,16 @@ fn cmd_diff(a_path: &str, b_path: &str) {
     println!("\nstreams agree on every weighted logical event count");
 }
 
-fn cmd_explain(records: &[EventRecord], args: &[String]) {
-    let ordinal: usize = parse_flag(args, "--violation").unwrap_or_else(|| {
-        eprintln!("error: explain requires --violation N (1-based)");
-        std::process::exit(2);
-    });
-    let node: Option<u32> = parse_flag(args, "--node");
-    let window: u32 = parse_flag(args, "--window").unwrap_or(3);
+fn cmd_explain(path: &str, cli: &Cli) {
+    let ordinal: usize = cli
+        .value("--violation")
+        .unwrap_or_else(|| reject("explain requires --violation N (1-based)"));
+    let node: Option<u32> = cli.value("--node");
+    let window: u32 = cli.value("--window").unwrap_or(3);
     if ordinal == 0 {
-        eprintln!("error: --violation is 1-based");
-        std::process::exit(2);
+        reject("--violation is 1-based");
     }
+    let records = load(path);
     let target = records
         .iter()
         .filter(|r| r.event.kind() == EventKind::QosViolation)
@@ -248,7 +229,7 @@ fn cmd_explain(records: &[EventRecord], args: &[String]) {
         target.time_s
     );
     println!("causal window: intervals {lo}..{hi}, the node's events plus fleet events\n");
-    for r in records {
+    for r in &records {
         if r.interval < lo || r.interval > hi {
             continue;
         }
@@ -315,7 +296,7 @@ fn verdict(path: &str) -> RunVerdict {
     }
 }
 
-fn cmd_narrative(paths: &[&String]) {
+fn cmd_narrative(paths: &[String]) {
     let verdicts: Vec<RunVerdict> = paths.iter().map(|p| verdict(p)).collect();
     let rows: Vec<Vec<String>> = verdicts
         .iter()
@@ -351,33 +332,29 @@ fn cmd_narrative(paths: &[&String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let rest = &args[1..];
-    let files = positional(rest);
-    match cmd.as_str() {
-        "summary" => {
-            let [path] = files[..] else { usage() };
-            cmd_summary(&load(path), path);
-        }
-        "filter" => {
-            let [path] = files[..] else { usage() };
-            cmd_filter(&load(path), rest);
-        }
-        "diff" => {
-            let [a, b] = files[..] else { usage() };
-            cmd_diff(a, b);
-        }
-        "explain" => {
-            let [path] = files[..] else { usage() };
-            cmd_explain(&load(path), rest);
-        }
-        "narrative" => {
-            if files.is_empty() {
-                usage();
-            }
-            cmd_narrative(&files);
-        }
+    let Some((cmd, cli)) = Cli::subcommand(&[
+        ("summary", &[]),
+        (
+            "filter",
+            &[
+                "--kind K",
+                "--node N",
+                "--from-interval A",
+                "--to-interval B",
+            ],
+        ),
+        ("diff", &[]),
+        ("explain", &["--violation N", "--node M", "--window W"]),
+        ("narrative", &[]),
+    ]) else {
+        usage()
+    };
+    match (cmd, cli.positionals()) {
+        ("summary", [path]) => cmd_summary(&load(path), path),
+        ("filter", [path]) => cmd_filter(path, &cli),
+        ("diff", [a, b]) => cmd_diff(a, b),
+        ("explain", [path]) => cmd_explain(path, &cli),
+        ("narrative", paths) if !paths.is_empty() => cmd_narrative(paths),
         _ => usage(),
     }
 }

@@ -1,29 +1,24 @@
 //! Regenerates Table 1: the platform specification the simulator models.
 
-use pliant_bench::print_table;
+use pliant_bench::{print_table, Cli};
 use pliant_sim::server::ServerSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::figure(&[]);
     let spec = ServerSpec::paper_platform();
-    if pliant_bench::json_requested(&args) {
+    cli.emit(&spec, |spec| {
+        println!("Table 1: Platform Specification (modelled)\n");
+        let rows: Vec<Vec<String>> = spec
+            .table1_rows()
+            .into_iter()
+            .map(|(k, v)| vec![k, v])
+            .collect();
+        print_table(&["Field", "Value"], &rows);
         println!(
-            "{}",
-            serde_json::to_string_pretty(&spec).expect("serializable spec")
+            "\nUsable cores for colocation: {} (of {} per socket; {} reserved for soft IRQ)",
+            spec.usable_cores(),
+            spec.cores_per_socket,
+            spec.irq_cores
         );
-        return;
-    }
-    println!("Table 1: Platform Specification (modelled)\n");
-    let rows: Vec<Vec<String>> = spec
-        .table1_rows()
-        .into_iter()
-        .map(|(k, v)| vec![k, v])
-        .collect();
-    print_table(&["Field", "Value"], &rows);
-    println!(
-        "\nUsable cores for colocation: {} (of {} per socket; {} reserved for soft IRQ)",
-        spec.usable_cores(),
-        spec.cores_per_socket,
-        spec.irq_cores
-    );
+    });
 }

@@ -9,13 +9,18 @@
 //! lives in the repo benchmark (`perfbench/`). `pliant-trace` inspects the event
 //! streams the fleet figures export with `--trace`.
 //!
-//! Flags are hand-parsed through [`flag_value`] and [`parse_flag`]: a value flag
-//! without a value, or with an unparsable one, exits with status 2.
+//! Every binary parses its command line through [`Cli`], which accepts exactly the
+//! flags the binary declares (see [`cli`]), and the fleet figures run their cells
+//! through one [`FleetRunner`] (see [`fleet`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::io::Write;
+pub mod cli;
+pub mod fleet;
+
+pub use cli::Cli;
+pub use fleet::{FleetRunner, TopologySpec, TraceRunSummary};
 
 use pliant_approx::catalog::AppId;
 use pliant_core::experiment::ColocationOutcome;
@@ -240,234 +245,6 @@ pub fn cluster_topology_scenario(
     scenario
 }
 
-/// The rack shape parsed from the shared `--topology <racks>x<nodes-per-rack>` /
-/// `--rack-power-w <watts>` flags of the cluster figure binaries; see
-/// [`topology_spec_from_args`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologySpec {
-    /// Racks in the grid as written on the command line.
-    pub racks: usize,
-    /// Nodes per rack.
-    pub nodes_per_rack: usize,
-    /// Shared per-rack power budget in watts, when `--rack-power-w` was given.
-    pub rack_power_w: Option<f64>,
-}
-
-impl TopologySpec {
-    /// Resolves the spec against a concrete fleet size. The written grid is used
-    /// verbatim when it multiplies out to `nodes`; when it does not but the fleet
-    /// divides evenly into racks of `nodes_per_rack`, the rack *shape* is kept and
-    /// the rack count scales with the fleet (so one `--topology` flag follows a
-    /// machines-needed sweep across fleet sizes). A fleet that cannot be cut into
-    /// whole racks falls back to the flat topology.
-    pub fn config_for(&self, nodes: usize) -> pliant_cluster::TopologyConfig {
-        if self.racks * self.nodes_per_rack == nodes {
-            pliant_cluster::TopologyConfig::Racks {
-                racks: self.racks,
-                nodes_per_rack: self.nodes_per_rack,
-                rack_power_w: self.rack_power_w,
-            }
-        } else if self.nodes_per_rack > 0 && nodes.is_multiple_of(self.nodes_per_rack) {
-            pliant_cluster::TopologyConfig::Racks {
-                racks: nodes / self.nodes_per_rack,
-                nodes_per_rack: self.nodes_per_rack,
-                rack_power_w: self.rack_power_w,
-            }
-        } else {
-            pliant_cluster::TopologyConfig::Flat
-        }
-    }
-}
-
-/// Parses the shared `--topology <racks>x<nodes-per-rack>` (plus `--rack-power-w
-/// <watts>`) flags of the cluster figure binaries. Absent means the flat
-/// (historical) topology — `None`. Exits with status 2 on a malformed grid, a
-/// non-positive dimension or wattage, or `--rack-power-w` without `--topology`.
-pub fn topology_spec_from_args(args: &[String]) -> Option<TopologySpec> {
-    let Some(spec) = flag_value(args, "--topology") else {
-        if flag_value(args, "--rack-power-w").is_some() {
-            eprintln!("error: --rack-power-w requires --topology");
-            std::process::exit(2);
-        }
-        return None;
-    };
-    let parsed = spec
-        .split_once('x')
-        .and_then(|(r, n)| Some((r.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-    let Some((racks, nodes_per_rack)) = parsed else {
-        eprintln!("error: --topology expects <racks>x<nodes-per-rack>, e.g. 4x2");
-        std::process::exit(2);
-    };
-    if racks == 0 || nodes_per_rack == 0 {
-        eprintln!("error: --topology dimensions must be positive");
-        std::process::exit(2);
-    }
-    let rack_power_w: Option<f64> = parse_flag(args, "--rack-power-w");
-    if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
-        eprintln!("error: --rack-power-w must be positive");
-        std::process::exit(2);
-    }
-    Some(TopologySpec {
-        racks,
-        nodes_per_rack,
-        rack_power_w,
-    })
-}
-
-/// Returns true when `--json` was passed to a harness binary.
-pub fn json_requested(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
-}
-
-/// Trace-export options parsed from the shared `--trace <path>` / `--trace-level
-/// <off|decisions|full>` flags of the fleet figure binaries. Without `--trace` the run
-/// is untraced (`ObsLevel::Off`, no file); with `--trace` the level defaults to
-/// `decisions`. The path's extension picks the sink format (`.json` = Chrome
-/// trace-event JSON loadable in Perfetto, anything else = JSON Lines).
-#[derive(Debug, Clone)]
-pub struct TraceOpts {
-    /// Base output path (`None` = tracing off).
-    pub path: Option<String>,
-    /// Recording level for the run.
-    pub level: pliant_telemetry::obs::ObsLevel,
-}
-
-impl TraceOpts {
-    /// Whether the run should record events.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some() && self.level != pliant_telemetry::obs::ObsLevel::Off
-    }
-}
-
-/// Parses the shared `--trace` / `--trace-level` flags. Exits with status 2 on an
-/// unknown level name.
-pub fn trace_opts(args: &[String]) -> TraceOpts {
-    let path = flag_value(args, "--trace").cloned();
-    let level = match flag_value(args, "--trace-level") {
-        Some(v) => pliant_telemetry::obs::ObsLevel::parse(v).unwrap_or_else(|| {
-            eprintln!("error: --trace-level expects off, decisions, or full");
-            std::process::exit(2);
-        }),
-        None if path.is_some() => pliant_telemetry::obs::ObsLevel::Decisions,
-        None => pliant_telemetry::obs::ObsLevel::Off,
-    };
-    TraceOpts { path, level }
-}
-
-/// Writes one run's event log to the trace `base` path, tagged so a multi-run figure
-/// emits one file per run: `traces/fig.json` + tag `pliant` → `traces/fig-pliant.json`
-/// (the tag is inserted before the extension; an empty tag writes `base` itself).
-/// Returns the path written. The sink format follows the final path's extension
-/// (see [`TraceOpts`]).
-pub fn write_trace_log(
-    base: &str,
-    tag: &str,
-    log: &pliant_telemetry::obs::EventLog,
-) -> std::io::Result<String> {
-    let path = if tag.is_empty() {
-        base.to_string()
-    } else {
-        match base.rfind('.') {
-            // A dot inside the last path segment separates the extension.
-            Some(dot) if !base[dot..].contains('/') => {
-                format!("{}-{}{}", &base[..dot], tag, &base[dot..])
-            }
-            _ => format!("{base}-{tag}"),
-        }
-    };
-    let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    pliant_telemetry::obs::SinkFormat::for_path(&path).write(log, &mut file)?;
-    file.flush()?;
-    Ok(path)
-}
-
-/// Returns the value following `name` in a harness binary's argument list, or `None`
-/// when the flag is absent. Exits with status 2 when the flag is given without a value
-/// (it is the last argument, or the next argument is another `--flag`), so a value
-/// flag is never silently ignored.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Some(value),
-        _ => {
-            eprintln!("error: {name} expects a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses the value of the flag `name` (see [`flag_value`]), or `None` when the flag
-/// is absent. Exits with status 2 on a missing or unparsable value.
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag_value(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value `{v}` for {name}");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Parses the fleet-size flag `--nodes` (see [`parse_flag`]), or `None` when it is
-/// absent. Exits with status 2 when the value is below `min`, the smallest fleet the
-/// figure can build; `why` names what sets that floor.
-pub fn nodes_flag(args: &[String], min: usize, why: &str) -> Option<usize> {
-    let nodes = parse_flag(args, "--nodes")?;
-    if nodes < min {
-        eprintln!("error: --nodes must be at least {min} ({why})");
-        std::process::exit(2);
-    }
-    Some(nodes)
-}
-
-/// Parses the shared `--approx K` flag of the cluster figure binaries into the fleet
-/// approximation knob: absent or `0` means exact simulation (every logical node is
-/// stepped — the byte-identical default), `K >= 1` means the clustered approximation
-/// with `K` representatives simulated per node group. Exits with status 2 on a
-/// missing or non-integer value.
-pub fn approximation_from_args(args: &[String]) -> pliant_cluster::FleetApproximation {
-    let k: usize = parse_flag(args, "--approx").unwrap_or(0);
-    if k == 0 {
-        pliant_cluster::FleetApproximation::Exact
-    } else {
-        pliant_cluster::FleetApproximation::Clustered {
-            representatives_per_group: k,
-        }
-    }
-}
-
-/// One traced run's export record, attached to figure `--json` outputs as the `obs`
-/// summary block (empty list when the figure ran untraced).
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct TraceRunSummary {
-    /// Which run of the figure the trace covers (e.g. `pliant`, `5n-precise`).
-    pub run: String,
-    /// File the event stream was written to (`None` when no `--trace` path was given).
-    pub trace_file: Option<String>,
-    /// The run's event rollup.
-    pub summary: pliant_telemetry::obs::ObsSummary,
-}
-
-/// Exports one traced run: writes the event log to the `--trace` path (tagged with
-/// `run`) when one was given and returns the JSON-attachable record. Exits with
-/// status 1 when the trace file cannot be written.
-pub fn export_trace(
-    opts: &TraceOpts,
-    run: &str,
-    log: &pliant_telemetry::obs::EventLog,
-) -> TraceRunSummary {
-    let trace_file = opts.path.as_ref().map(|base| {
-        write_trace_log(base, run, log).unwrap_or_else(|e| {
-            eprintln!("error: cannot write trace file: {e}");
-            std::process::exit(1);
-        })
-    });
-    TraceRunSummary {
-        run: run.to_string(),
-        trace_file,
-        summary: log.summary(),
-    }
-}
-
 /// Formats a tail latency in the service's display unit with its unit suffix.
 pub fn format_latency(service: ServiceId, latency_s: f64) -> String {
     format!(
@@ -600,11 +377,5 @@ mod tests {
     fn latency_formatting_uses_display_units() {
         assert_eq!(format_latency(ServiceId::Memcached, 0.000_2), "200.0us");
         assert_eq!(format_latency(ServiceId::Nginx, 0.01), "10.0ms");
-    }
-
-    #[test]
-    fn json_flag_detection() {
-        assert!(json_requested(&["--json".to_string()]));
-        assert!(!json_requested(&["--full".to_string()]));
     }
 }

@@ -321,12 +321,36 @@ fn faulted_clustered_fig_failure_is_byte_identical_to_the_golden() {
     );
 }
 
-/// A value flag given without a value, or a fleet size no fleet can be built at, must
-/// fail loudly instead of falling back to a default or panicking: every binary exits
-/// before simulating anything.
+/// Every binary accepts exactly the flags it declares. An undeclared or repeated flag,
+/// a value flag given without a valid value, a fleet size no fleet can be built at and a
+/// checkpoint flag on a traced run must fail loudly instead of being ignored, falling
+/// back to a default or panicking: every binary exits with status 2 before simulating
+/// anything, and leaves no trace or checkpoint file behind.
 #[test]
 fn value_flags_without_a_valid_value_exit_with_status_2() {
-    for (bin, args) in [
+    let bogus = [
+        env!("CARGO_BIN_EXE_table1_platform"),
+        env!("CARGO_BIN_EXE_fig1_design_space"),
+        env!("CARGO_BIN_EXE_fig4_dynamic_behavior"),
+        env!("CARGO_BIN_EXE_fig5_aggregate"),
+        env!("CARGO_BIN_EXE_fig6_multi_app"),
+        env!("CARGO_BIN_EXE_fig7_violins"),
+        env!("CARGO_BIN_EXE_fig8_load_sweep"),
+        env!("CARGO_BIN_EXE_fig9_decision_interval"),
+        env!("CARGO_BIN_EXE_fig10_breakdown"),
+        env!("CARGO_BIN_EXE_fig_load_transient"),
+        env!("CARGO_BIN_EXE_fig_cluster"),
+        env!("CARGO_BIN_EXE_fig_energy"),
+        env!("CARGO_BIN_EXE_fig_failure"),
+        env!("CARGO_BIN_EXE_fig_topology"),
+        env!("CARGO_BIN_EXE_fig_hyperscale"),
+    ]
+    .map(|bin| (bin, ["--bogus"].as_slice()));
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_pliant-trace"),
+            ["summary", "f.jsonl", "--bogus"].as_slice(),
+        ),
         (
             env!("CARGO_BIN_EXE_fig_hyperscale"),
             ["--approx"].as_slice(),
@@ -360,9 +384,62 @@ fn value_flags_without_a_valid_value_exit_with_status_2() {
             env!("CARGO_BIN_EXE_fig_hyperscale"),
             ["--nodes", "1"].as_slice(),
         ),
-    ] {
+        // Values no figure can be built at.
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--total-load", "0"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_failure"),
+            ["--total-load", "nan"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig7_violins"),
+            ["--combos", "0"].as_slice(),
+        ),
+        // Flags a binary does not read, and a flag given twice.
+        (
+            env!("CARGO_BIN_EXE_fig5_aggregate"),
+            ["--trace", "x.jsonl"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_energy"),
+            ["--checkpoint-at", "10", "--checkpoint-dir", "d"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--approx", "2", "--approx", "0"].as_slice(),
+        ),
+        // A traced run cannot checkpoint: the snapshot does not carry the event log.
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            [
+                "--trace",
+                "t.jsonl",
+                "--checkpoint-at",
+                "40",
+                "--checkpoint-dir",
+                "d",
+            ]
+            .as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--trace-level", "bogus"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_pliant-trace"),
+            ["summary", "f.jsonl", "--kind", "QosViolation"].as_slice(),
+        ),
+    ];
+    for (i, (bin, args)) in bogus.into_iter().chain(cases).enumerate() {
+        let dir = format!("{}/rejected-flags-{i}", env!("CARGO_TARGET_TMPDIR"));
+        // A leftover from an earlier run would hide a file this one writes.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
         let output = Command::new(bin)
             .args(args)
+            .current_dir(&dir)
             .output()
             .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
         assert_eq!(
@@ -370,6 +447,15 @@ fn value_flags_without_a_valid_value_exit_with_status_2() {
             Some(2),
             "{bin} {args:?} must exit with status 2, stderr: {}",
             String::from_utf8_lossy(&output.stderr)
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+            .map(|entry| entry.map(|e| e.file_name()))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"));
+        assert!(
+            left.is_empty(),
+            "{bin} {args:?} must not write files before rejecting its flags: {left:?}"
         );
     }
 }
