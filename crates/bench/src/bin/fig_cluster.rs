@@ -18,7 +18,7 @@
 //! clustered approximation with `K` representatives per node group (`0` or absent =
 //! exact simulation of every node); `--topology` lays each fleet out in racked power
 //! domains (sizes the rack shape cannot tile stay flat — see
-//! [`pliant_bench::TopologySpec`]), `--rack-power-w` adds a per-rack admission budget;
+//! [`pliant_bench::fleet`]), `--rack-power-w` adds a per-rack admission budget;
 //! `--trace-level` records each run's decision events into the `obs` block and
 //! `--trace PATH` also writes them to `PATH` tagged `{nodes}n-{policy}` (see
 //! [`pliant_bench::fleet`]).

@@ -7,14 +7,15 @@
 //! policies see the identical fault schedule under common random numbers, so the
 //! comparison isolates what the co-location policy contributes to fault tolerance:
 //! Pliant's reclaimed headroom absorbs the shed traffic of a dead node at fleet sizes
-//! where the Precise baseline violates QoS.
+//! where the Precise baseline violates QoS. A fleet too small for the offered load, or
+//! for the trace (which strikes node 2), is skipped with a `note:` line.
 //!
 //! Usage: `fig_failure [--json] [--seed N] [--total-load X] [--nodes N] [--approx K]
 //!                     [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
 //!                     [--trace PATH] [--trace-level off|decisions|full]`
 //!
 //! `--topology` lays each fleet out in racked power domains (sizes the rack shape
-//! cannot tile stay flat — see [`pliant_bench::TopologySpec`]) and `--rack-power-w`
+//! cannot tile stay flat — see [`pliant_bench::fleet`]) and `--rack-power-w`
 //! adds a per-rack admission budget; both default to the flat, rack-free fleet.
 //! `--approx K` simulates each fleet through the clustered approximation with `K`
 //! representatives per node group (`0` or absent = exact); faulted nodes are always
@@ -94,6 +95,11 @@ fn main() {
     // decision events even without `--trace` (tracing observes, never perturbs).
     let mut runner = FleetRunner::new(&cli).reporting_decisions();
 
+    // The fixed trace strikes nodes by index, so a fleet must reach past its highest
+    // target to run it.
+    let fault_profile = cluster_failure_trace();
+    let last_struck = fault_profile.scheduled.iter().map(|f| f.node).max();
+
     let service = ServiceId::Memcached;
     let mut curve = Vec::new();
     let mut sweeps: [Vec<(usize, ClusterOutcome)>; 2] = [Vec::new(), Vec::new()];
@@ -110,6 +116,13 @@ fn main() {
                 );
                 continue;
             };
+            if let Some(node) = last_struck.filter(|&node| node >= nodes) {
+                eprintln!(
+                    "note: skipping {nodes}-machine fleet — the failure trace strikes \
+                     node {node}, which it does not have"
+                );
+                continue;
+            }
             let (outcome, _) = runner.run(&mut scenario, &format!("{nodes}n-{policy}"));
             let faults = outcome
                 .faults
@@ -142,7 +155,7 @@ fn main() {
         service: service.name().to_string(),
         total_load_node_units: total_load,
         seed,
-        fault_profile: cluster_failure_trace(),
+        fault_profile,
         curve,
         machines_needed_precise: machines_precise,
         machines_needed_pliant: machines_pliant,

@@ -26,7 +26,7 @@ use std::io::{BufRead, BufReader};
 
 use pliant_bench::cli::{reject, Cli};
 use pliant_bench::print_table;
-use pliant_telemetry::obs::{Event, EventKind, EventRecord, EVENT_KINDS};
+use pliant_telemetry::obs::{Event, EventKind, EventRecord, MetricsRegistry};
 
 fn usage() -> ! {
     eprintln!(
@@ -72,17 +72,14 @@ fn load(path: &str) -> Vec<EventRecord> {
     records
 }
 
-/// Per-kind (raw, weighted) counters over a record slice — the offline analogue of
-/// the run's `MetricsRegistry` (restricted to retained records).
-fn count_kinds(records: &[EventRecord]) -> ([u64; EVENT_KINDS], [u64; EVENT_KINDS]) {
-    let mut counts = [0u64; EVENT_KINDS];
-    let mut weighted = [0u64; EVENT_KINDS];
+/// Per-kind (raw, weighted) counters over a record slice: the run's own registry,
+/// rebuilt from the retained records.
+fn count_kinds(records: &[EventRecord]) -> MetricsRegistry {
+    let mut registry = MetricsRegistry::new();
     for r in records {
-        let i = r.event.kind() as usize;
-        counts[i] += 1;
-        weighted[i] += r.weight as u64;
+        registry.record(r.event.kind(), r.weight);
     }
-    (counts, weighted)
+    registry
 }
 
 fn describe(r: &EventRecord) -> String {
@@ -123,15 +120,15 @@ fn cmd_summary(records: &[EventRecord], path: &str) {
         );
     }
     println!();
-    let (counts, weighted) = count_kinds(records);
+    let registry = count_kinds(records);
     let rows: Vec<Vec<String>> = EventKind::ALL
-        .iter()
-        .filter(|k| counts[**k as usize] > 0)
+        .into_iter()
+        .filter(|&k| registry.count(k) > 0)
         .map(|k| {
             vec![
                 k.name().to_string(),
-                counts[*k as usize].to_string(),
-                weighted[*k as usize].to_string(),
+                registry.count(k).to_string(),
+                registry.weighted(k).to_string(),
             ]
         })
         .collect();
@@ -169,24 +166,21 @@ fn cmd_filter(path: &str, cli: &Cli) {
 }
 
 fn cmd_diff(a_path: &str, b_path: &str) {
-    let a = load(a_path);
-    let b = load(b_path);
-    let (a_counts, a_weighted) = count_kinds(&a);
-    let (b_counts, b_weighted) = count_kinds(&b);
+    let a = count_kinds(&load(a_path));
+    let b = count_kinds(&load(b_path));
     let mut drifted = false;
     let rows: Vec<Vec<String>> = EventKind::ALL
-        .iter()
-        .filter(|k| a_counts[**k as usize] > 0 || b_counts[**k as usize] > 0)
+        .into_iter()
+        .filter(|&k| a.count(k) > 0 || b.count(k) > 0)
         .map(|k| {
-            let i = *k as usize;
-            let delta = b_weighted[i] as i64 - a_weighted[i] as i64;
+            let delta = b.weighted(k) as i64 - a.weighted(k) as i64;
             if delta != 0 {
                 drifted = true;
             }
             vec![
                 k.name().to_string(),
-                format!("{} ({}w)", a_counts[i], a_weighted[i]),
-                format!("{} ({}w)", b_counts[i], b_weighted[i]),
+                format!("{} ({}w)", a.count(k), a.weighted(k)),
+                format!("{} ({}w)", b.count(k), b.weighted(k)),
                 format!("{delta:+}"),
             ]
         })

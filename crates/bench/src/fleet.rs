@@ -7,6 +7,10 @@
 //! one cell's scenario, checks it, restores and snapshots the cell, runs it, and
 //! exports its event log.
 //!
+//! The `--topology` grid is fitted to each cell's fleet size: as written when it
+//! multiplies out to the fleet, else the same rack shape with as many racks as the
+//! fleet fills, else flat when the fleet cannot be cut into whole racks.
+//!
 //! The trace level sets what a run records: `--trace-level` when given, `decisions`
 //! when only `--trace` is, and nothing otherwise. Every run that records lands in the
 //! figure's `obs` block; `--trace` only adds a file per run, with the run's name
@@ -26,71 +30,54 @@ use serde::Serialize;
 
 use crate::cli::{reject, Cli};
 
-/// The rack shape of the `--topology <racks>x<nodes-per-rack>` and `--rack-power-w
-/// <watts>` flags.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologySpec {
-    /// Racks in the grid as written on the command line.
-    pub racks: usize,
-    /// Nodes per rack.
-    pub nodes_per_rack: usize,
-    /// Shared per-rack power budget in watts, when `--rack-power-w` was given.
-    pub rack_power_w: Option<f64>,
+/// Parses `--topology <racks>x<nodes-per-rack>` and `--rack-power-w <watts>` into the
+/// grid as written: absent means the scenario keeps its own topology, `None`. Exits
+/// with status 2 on a malformed grid, a non-positive dimension or wattage, or
+/// `--rack-power-w` without `--topology`.
+fn topology_flag(cli: &Cli) -> Option<TopologyConfig> {
+    let rack_power_w: Option<f64> = cli.value("--rack-power-w");
+    let Some(grid) = cli.text("--topology") else {
+        if rack_power_w.is_some() {
+            reject("--rack-power-w requires --topology");
+        }
+        return None;
+    };
+    let parsed = grid
+        .split_once('x')
+        .and_then(|(r, n)| Some((r.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
+    let Some((racks, nodes_per_rack)) = parsed else {
+        reject("--topology expects <racks>x<nodes-per-rack>, e.g. 4x2");
+    };
+    if racks == 0 || nodes_per_rack == 0 {
+        reject("--topology dimensions must be positive");
+    }
+    if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
+        reject("--rack-power-w must be positive");
+    }
+    Some(TopologyConfig::Racks {
+        racks,
+        nodes_per_rack,
+        rack_power_w,
+    })
 }
 
-impl TopologySpec {
-    /// Parses the flags: absent means the flat (historical) topology, `None`. Exits
-    /// with status 2 on a malformed grid, a non-positive dimension or wattage, or
-    /// `--rack-power-w` without `--topology`.
-    fn from_cli(cli: &Cli) -> Option<TopologySpec> {
-        let rack_power_w: Option<f64> = cli.value("--rack-power-w");
-        let Some(grid) = cli.text("--topology") else {
-            if rack_power_w.is_some() {
-                reject("--rack-power-w requires --topology");
-            }
-            return None;
-        };
-        let parsed = grid
-            .split_once('x')
-            .and_then(|(r, n)| Some((r.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-        let Some((racks, nodes_per_rack)) = parsed else {
-            reject("--topology expects <racks>x<nodes-per-rack>, e.g. 4x2");
-        };
-        if racks == 0 || nodes_per_rack == 0 {
-            reject("--topology dimensions must be positive");
-        }
-        if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
-            reject("--rack-power-w must be positive");
-        }
-        Some(TopologySpec {
-            racks,
+/// Fits the `--topology` grid to a fleet of `nodes`: the grid as written when it
+/// multiplies out to `nodes`, else the same rack shape and budget with the rack count
+/// scaled to the fleet (so one `--topology` flag follows a machines-needed sweep across
+/// fleet sizes), else flat when the fleet cannot be cut into whole racks. The first
+/// case is the second at the written size, so one division decides.
+fn fit_topology(grid: &TopologyConfig, nodes: usize) -> TopologyConfig {
+    match *grid {
+        TopologyConfig::Racks {
             nodes_per_rack,
             rack_power_w,
-        })
-    }
-
-    /// Resolves the spec against a concrete fleet size. The written grid is used
-    /// verbatim when it multiplies out to `nodes`; when it does not but the fleet
-    /// divides evenly into racks of `nodes_per_rack`, the rack *shape* is kept and
-    /// the rack count scales with the fleet (so one `--topology` flag follows a
-    /// machines-needed sweep across fleet sizes). A fleet that cannot be cut into
-    /// whole racks falls back to the flat topology.
-    pub fn config_for(&self, nodes: usize) -> TopologyConfig {
-        if self.racks * self.nodes_per_rack == nodes {
-            TopologyConfig::Racks {
-                racks: self.racks,
-                nodes_per_rack: self.nodes_per_rack,
-                rack_power_w: self.rack_power_w,
-            }
-        } else if self.nodes_per_rack > 0 && nodes.is_multiple_of(self.nodes_per_rack) {
-            TopologyConfig::Racks {
-                racks: nodes / self.nodes_per_rack,
-                nodes_per_rack: self.nodes_per_rack,
-                rack_power_w: self.rack_power_w,
-            }
-        } else {
-            TopologyConfig::Flat
-        }
+            ..
+        } if nodes_per_rack > 0 && nodes.is_multiple_of(nodes_per_rack) => TopologyConfig::Racks {
+            racks: nodes / nodes_per_rack,
+            nodes_per_rack,
+            rack_power_w,
+        },
+        _ => TopologyConfig::Flat,
     }
 }
 
@@ -134,7 +121,8 @@ fn io_failure(message: String) -> ! {
 pub struct FleetRunner {
     engine: Engine,
     approximation: Option<FleetApproximation>,
-    topology: Option<TopologySpec>,
+    /// The `--topology`/`--rack-power-w` grid as written, fitted to each cell's size.
+    topology: Option<TopologyConfig>,
     trace: Option<String>,
     /// The level every run records at and reports in `obs`.
     level: ObsLevel,
@@ -181,7 +169,7 @@ impl FleetRunner {
         FleetRunner {
             engine: Engine::new(),
             approximation,
-            topology: TopologySpec::from_cli(cli),
+            topology: topology_flag(cli),
             trace,
             level,
             floor: ObsLevel::Off,
@@ -213,8 +201,8 @@ impl FleetRunner {
         if let Some(approximation) = self.approximation {
             scenario.approximation = approximation;
         }
-        if let Some(spec) = &self.topology {
-            scenario.topology = spec.config_for(scenario.nodes);
+        if let Some(grid) = &self.topology {
+            scenario.topology = fit_topology(grid, scenario.nodes);
         }
         if let Err(e) = scenario.validate() {
             reject(format!(
@@ -299,5 +287,31 @@ impl FleetRunner {
                 }
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn grid(racks: usize, nodes_per_rack: usize) -> TopologyConfig {
+        TopologyConfig::Racks {
+            racks,
+            nodes_per_rack,
+            rack_power_w: Some(300.0),
+        }
+    }
+
+    #[test]
+    fn topology_flag_fits_each_fleet_size() {
+        // A grid that multiplies out to the fleet is used as written.
+        assert_eq!(fit_topology(&grid(2, 3), 6), grid(2, 3));
+        // Otherwise the rack shape and budget are kept and the rack count scales.
+        assert_eq!(fit_topology(&grid(2, 3), 9), grid(3, 3));
+        assert_eq!(fit_topology(&grid(2, 3), 3), grid(1, 3));
+        // A fleet that cannot be cut into whole racks runs flat.
+        assert_eq!(fit_topology(&grid(2, 3), 7), TopologyConfig::Flat);
+        assert_eq!(fit_topology(&grid(2, 3), 1), TopologyConfig::Flat);
+        assert_eq!(fit_topology(&TopologyConfig::Flat, 5), TopologyConfig::Flat);
     }
 }

@@ -20,7 +20,7 @@ pub mod cli;
 pub mod fleet;
 
 pub use cli::Cli;
-pub use fleet::{FleetRunner, TopologySpec, TraceRunSummary};
+pub use fleet::{FleetRunner, TraceRunSummary};
 
 use pliant_approx::catalog::AppId;
 use pliant_core::experiment::ColocationOutcome;

@@ -480,3 +480,20 @@ fn one_node_fleets_are_skipped_with_a_note() {
         );
     }
 }
+
+/// A fleet light enough to carry the load but too small for the fixed failure trace
+/// (which strikes node 2) is skipped with a note, not rejected as an invalid fleet.
+#[test]
+fn fleets_the_failure_trace_cannot_strike_are_skipped_with_a_note() {
+    let bin = env!("CARGO_BIN_EXE_fig_failure");
+    let output = Command::new(bin)
+        .args(["--nodes", "2", "--total-load", "0.5"])
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{bin} --nodes 2 failed: {stderr}");
+    assert!(
+        stderr.contains("note: skipping 2-machine fleet — the failure trace strikes node 2"),
+        "{bin} --nodes 2 must note the skipped fleet, stderr: {stderr}"
+    );
+}

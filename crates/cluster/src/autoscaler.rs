@@ -400,21 +400,9 @@ impl Autoscaler {
         snapshots: &[NodeSnapshot],
         slots_per_node: usize,
     ) -> AutoscalerAction {
-        assert_eq!(
-            snapshots.len(),
-            self.state.states.len(),
-            "autoscaler built for {} instances, got {} snapshots",
-            self.state.states.len(),
-            snapshots.len()
-        );
-
         // Park fully-drained instances (suspending costs nothing to decide; no
         // cooldown).
-        for (state, snap) in self.state.states.iter_mut().zip(snapshots) {
-            if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
-                *state = NodePowerState::Parked;
-            }
-        }
+        self.park_drained(snapshots, slots_per_node, |_| {});
 
         let active_replicas = self.active_replicas();
         let per_node_load = total_load / active_replicas.max(1) as f64;
@@ -564,6 +552,17 @@ impl Autoscaler {
         slots_per_node: usize,
         parked: &mut Vec<usize>,
     ) {
+        self.park_drained(snapshots, slots_per_node, |i| parked.push(i));
+    }
+
+    /// The one park rule of [`Self::plan`] and [`Self::park_fully_drained`]: every
+    /// draining instance whose slots are all free parks, and `on_park` hears its index.
+    fn park_drained(
+        &mut self,
+        snapshots: &[NodeSnapshot],
+        slots_per_node: usize,
+        mut on_park: impl FnMut(usize),
+    ) {
         assert_eq!(
             snapshots.len(),
             self.state.states.len(),
@@ -574,7 +573,7 @@ impl Autoscaler {
         for (i, (state, snap)) in self.state.states.iter_mut().zip(snapshots).enumerate() {
             if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
                 *state = NodePowerState::Parked;
-                parked.push(i);
+                on_park(i);
             }
         }
     }

@@ -71,7 +71,6 @@ use crate::outcome::{ClusterOutcome, NodeOutcome};
 use crate::population::NodePopulation;
 use crate::scenario::ClusterScenario;
 use crate::scheduler::{BatchScheduler, SchedulerStats};
-use crate::topology::Topology;
 
 /// Seed-derivation stream for the rack-placement sampling RNG (racked topologies
 /// only; flat fleets never create the stream, let alone draw from it).
@@ -192,10 +191,6 @@ pub struct ClusterRun {
     /// Autoscaler power states at the start of the previous plan, used to diff out
     /// [`Event::AutoscalerTransition`]s (traced runs only).
     power_state_scratch: Vec<NodePowerState>,
-    /// The resolved physical topology: racks as shared power budgets and failure
-    /// domains. A flat scenario resolves to one unbudgeted rack holding the whole
-    /// fleet and skips rack admission, sampling, and metering.
-    topology: Topology,
     /// Rack of each instance, via its seed member (replica groups never span racks —
     /// see [`NodeGroup::rack`](crate::population::NodeGroup::rack) — so the seed
     /// member's rack is every member's rack).
@@ -321,7 +316,7 @@ impl ClusterRun {
         let initial = scenario.initial_job_count();
         let population = NodePopulation::from_scenario(scenario);
         let clustered = scenario.approximation.is_clustered();
-        let topology = Topology::resolve(&scenario.topology, scenario.nodes);
+        let topology = &scenario.topology;
         let fault_schedule = scenario
             .fault_profile
             .as_ref()
@@ -331,7 +326,7 @@ impl ClusterRun {
                     profile,
                     scenario.seed,
                     &population,
-                    &topology,
+                    topology,
                     scenario.max_intervals(),
                 )
             });
@@ -446,7 +441,6 @@ impl ClusterRun {
             requeue_scratch: Vec::new(),
             fleet_obs,
             power_state_scratch: Vec::new(),
-            topology,
             instance_racks,
             rack_rng,
             rack_power_w,
@@ -455,11 +449,6 @@ impl ClusterRun {
             park_scratch: Vec::new(),
             books: FleetBooks::new(scenario.nodes, max_intervals),
         }
-    }
-
-    /// The resolved physical topology the fleet runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Per-rack measured power draw over the previous interval, in watts. Empty on a
@@ -560,7 +549,7 @@ impl ClusterRun {
     /// its member instances. Returns `(score, headroom_w, mean_slack)`; the headroom in
     /// watts is reported as 0.0 for unbudgeted racks, which have no meaningful wattage.
     fn rack_score(&self, rack: usize) -> (f64, f64, f64) {
-        let (headroom_frac, headroom_w) = match self.topology.power_budget_w(rack) {
+        let (headroom_frac, headroom_w) = match self.scenario.topology.power_budget_w() {
             Some(budget) if budget > 0.0 => {
                 let headroom = (budget - self.rack_power_w[rack]).max(0.0);
                 ((headroom / budget).min(1.0), headroom)
@@ -637,20 +626,22 @@ impl ClusterRun {
         // A rack outage lands as per-member crashes (compiled into the schedule), but
         // the cause is a fleet-level event: record each power-domain failure the
         // interval it strikes, before its member crashes are applied.
-        if self.fleet_obs.enabled() {
-            if let Some(profile) = &self.scenario.fault_profile {
-                for outage in &profile.rack_outages {
-                    if outage.at_interval == interval {
-                        self.fleet_obs.emit(
-                            obs_interval,
-                            self.time_s,
-                            Event::RackOutage {
-                                rack: outage.rack as u32,
-                                nodes: self.topology.racks()[outage.rack].members.len() as u32,
-                                duration_intervals: outage.duration_intervals as u32,
-                            },
-                        );
-                    }
+        if let Some(profile) = &self.scenario.fault_profile {
+            for outage in &profile.rack_outages {
+                if outage.at_interval == interval {
+                    let members = self
+                        .scenario
+                        .topology
+                        .rack_members(outage.rack, self.scenario.nodes);
+                    self.fleet_obs.emit(
+                        obs_interval,
+                        self.time_s,
+                        Event::RackOutage {
+                            rack: outage.rack as u32,
+                            nodes: members.len() as u32,
+                            duration_intervals: outage.duration_intervals as u32,
+                        },
+                    );
                 }
             }
         }
@@ -664,13 +655,11 @@ impl ClusterRun {
                 _ => continue,
             }
             *health = NodeHealth::Up;
-            if self.fleet_obs.enabled() {
-                self.fleet_obs.emit(
-                    obs_interval,
-                    self.time_s,
-                    Event::NodeRecovered { node: i as u32 },
-                );
-            }
+            self.fleet_obs.emit(
+                obs_interval,
+                self.time_s,
+                Event::NodeRecovered { node: i as u32 },
+            );
         }
         // Apply the events scheduled for this interval. Events addressing a logical
         // node with no exact instance (impossible by construction — the isolating
@@ -690,16 +679,14 @@ impl ClusterRun {
                 FaultKind::Crash => {
                     faults.health[instance] = NodeHealth::Down { until };
                     faults.crashes += 1;
-                    if self.fleet_obs.enabled() {
-                        self.fleet_obs.emit(
-                            obs_interval,
-                            self.time_s,
-                            Event::NodeFailed {
-                                node: instance as u32,
-                                outage_intervals: event.duration as u32,
-                            },
-                        );
-                    }
+                    self.fleet_obs.emit(
+                        obs_interval,
+                        self.time_s,
+                        Event::NodeFailed {
+                            node: instance as u32,
+                            outage_intervals: event.duration as u32,
+                        },
+                    );
                     // Unfinished batch jobs die with the node; hand them back to the
                     // scheduler queue. (The node's slots keep simulating the abandoned
                     // work and free up when it would have finished — the requeued copy
@@ -709,34 +696,30 @@ impl ClusterRun {
                     for &(app, weight) in &self.requeue_scratch {
                         self.scheduler.requeue(app, weight);
                         faults.jobs_requeued += weight as u64;
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::JobRequeued {
-                                    node: instance as u32,
-                                    job_code: job_code(app),
-                                    weight: weight as u32,
-                                },
-                            );
-                        }
+                        self.fleet_obs.emit(
+                            obs_interval,
+                            self.time_s,
+                            Event::JobRequeued {
+                                node: instance as u32,
+                                job_code: job_code(app),
+                                weight: weight as u32,
+                            },
+                        );
                     }
                 }
                 FaultKind::Degrade { factor } => {
                     faults.health[instance] = NodeHealth::Degraded { until, factor };
                     faults.degradations += 1;
                     self.nodes[instance].set_degrade(factor);
-                    if self.fleet_obs.enabled() {
-                        self.fleet_obs.emit(
-                            obs_interval,
-                            self.time_s,
-                            Event::NodeDegraded {
-                                node: instance as u32,
-                                factor,
-                                intervals: event.duration as u32,
-                            },
-                        );
-                    }
+                    self.fleet_obs.emit(
+                        obs_interval,
+                        self.time_s,
+                        Event::NodeDegraded {
+                            node: instance as u32,
+                            factor,
+                            intervals: event.duration as u32,
+                        },
+                    );
                 }
             }
         }
@@ -842,24 +825,23 @@ impl ClusterRun {
     /// nor migration arrivals. Flat fleets have a single unbudgeted rack and skip the
     /// scan entirely.
     fn admit_racks(&mut self) {
-        if self.topology.is_flat() {
+        let topology = &self.scenario.topology;
+        if topology.is_flat() {
             return;
         }
         self.rack_admissible.clear();
-        for rack in 0..self.topology.rack_count() {
-            let admissible = self
-                .topology
-                .power_budget_w(rack)
-                .is_none_or(|budget| self.rack_power_w[rack] < budget);
+        let budget_w = topology.power_budget_w();
+        for (rack, &power_w) in self.rack_power_w.iter().enumerate() {
+            let admissible = budget_w.is_none_or(|budget| power_w < budget);
             self.rack_admissible.push(admissible);
-            if !admissible && self.fleet_obs.enabled() {
+            if !admissible {
                 self.fleet_obs.emit(
                     self.intervals as u32,
                     self.time_s,
                     Event::RackPowerCapped {
                         rack: rack as u32,
-                        power_w: self.rack_power_w[rack],
-                        budget_w: self.topology.power_budget_w(rack).unwrap_or(0.0),
+                        power_w,
+                        budget_w: budget_w.unwrap_or(0.0),
                     },
                 );
             }
@@ -881,7 +863,7 @@ impl ClusterRun {
         {
             return;
         }
-        let racked = !self.topology.is_flat();
+        let racked = !self.scenario.topology.is_flat();
         let n = self.nodes.len();
         let mut migrations = 0usize;
         for src in 0..n {
@@ -917,17 +899,15 @@ impl ClusterRun {
                     "destination advertised a free slot but refused the implant"
                 );
                 migrations += 1;
-                if self.fleet_obs.enabled() {
-                    self.fleet_obs.emit(
-                        self.intervals as u32,
-                        self.time_s,
-                        Event::JobMigrated {
-                            node: src as u32,
-                            to_node: dst as u32,
-                            weight: weight as u32,
-                        },
-                    );
-                }
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::JobMigrated {
+                        node: src as u32,
+                        to_node: dst as u32,
+                        weight: weight as u32,
+                    },
+                );
             }
         }
         if migrations == 0 {
@@ -943,18 +923,16 @@ impl ClusterRun {
             );
             for &i in &self.park_scratch {
                 self.nodes[i].set_parked(true);
-                if self.fleet_obs.enabled() {
-                    self.fleet_obs.emit(
-                        self.intervals as u32,
-                        self.time_s,
-                        Event::AutoscalerTransition {
-                            node: i as u32,
-                            from: PowerStateKind::Draining,
-                            to: PowerStateKind::Parked,
-                            trigger: ScaleTrigger::DrainComplete,
-                        },
-                    );
-                }
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::AutoscalerTransition {
+                        node: i as u32,
+                        from: PowerStateKind::Draining,
+                        to: PowerStateKind::Parked,
+                        trigger: ScaleTrigger::DrainComplete,
+                    },
+                );
             }
         }
     }
@@ -966,7 +944,7 @@ impl ClusterRun {
     /// draining node handed fresh jobs would never park, and a crashed one cannot run
     /// them. On a racked fleet each placement is confined to a sampled rack first.
     fn place_jobs(&mut self) -> usize {
-        let racked = !self.topology.is_flat();
+        let racked = !self.scenario.topology.is_flat();
         let mut jobs_placed = 0usize;
         loop {
             self.refresh_snapshots();
@@ -994,17 +972,15 @@ impl ClusterRun {
                 // from snapshots with `free_slots > 0` taken this same interval.
                 .expect("scheduler only places onto nodes with free slots");
             jobs_placed += weight;
-            if self.fleet_obs.enabled() {
-                self.fleet_obs.emit(
-                    self.intervals as u32,
-                    self.time_s,
-                    Event::JobPlaced {
-                        node: node as u32,
-                        job_code: job_code(app),
-                        weight: weight as u32,
-                    },
-                );
-            }
+            self.fleet_obs.emit(
+                self.intervals as u32,
+                self.time_s,
+                Event::JobPlaced {
+                    node: node as u32,
+                    job_code: job_code(app),
+                    weight: weight as u32,
+                },
+            );
         }
         jobs_placed
     }
@@ -1022,7 +998,7 @@ impl ClusterRun {
             return false;
         }
         self.rack_candidates.clear();
-        for rack in 0..self.topology.rack_count() {
+        for rack in 0..self.scenario.topology.rack_count() {
             let has_free = self
                 .snapshot_scratch
                 .iter()
@@ -1068,18 +1044,16 @@ impl ClusterRun {
                 _ => {}
             }
         }
-        if self.fleet_obs.enabled() {
-            self.fleet_obs.emit(
-                self.intervals as u32,
-                self.time_s,
-                Event::RackPlacement {
-                    rack: winner as u32,
-                    candidates: if k == 1 { 1 } else { 2 },
-                    power_headroom_w: best.1,
-                    qos_slack: best.2,
-                },
-            );
-        }
+        self.fleet_obs.emit(
+            self.intervals as u32,
+            self.time_s,
+            Event::RackPlacement {
+                rack: winner as u32,
+                candidates: if k == 1 { 1 } else { 2 },
+                power_headroom_w: best.1,
+                qos_slack: best.2,
+            },
+        );
         for snap in self.snapshot_scratch.iter_mut() {
             if self.instance_racks[snap.index] != winner {
                 snap.free_slots = 0;
@@ -1155,7 +1129,7 @@ impl ClusterRun {
     ) {
         let dt = self.scenario.decision_interval_s;
         self.scheduler.record_completions(completions);
-        let racked = !self.topology.is_flat();
+        let racked = !self.scenario.topology.is_flat();
         if racked {
             self.rack_power_w.fill(0.0);
         }
@@ -1182,19 +1156,17 @@ impl ClusterRun {
             fleet_power_w += obs.power_w * replicas as f64;
         }
         self.time_s += dt;
-        if self.fleet_obs.enabled() {
-            self.fleet_obs.emit(
-                self.intervals as u32,
-                self.time_s,
-                Event::IntervalSummary {
-                    active_nodes: active_nodes as u32,
-                    total_load: total_offered_load,
-                    busy: busy as u32,
-                    violating: violating as u32,
-                    jobs_placed: jobs_placed as u32,
-                },
-            );
-        }
+        self.fleet_obs.emit(
+            self.intervals as u32,
+            self.time_s,
+            Event::IntervalSummary {
+                active_nodes: active_nodes as u32,
+                total_load: total_offered_load,
+                busy: busy as u32,
+                violating: violating as u32,
+                jobs_placed: jobs_placed as u32,
+            },
+        );
         self.intervals += 1;
         let books = &mut self.books;
         books.total_load_sum += total_offered_load;
@@ -1226,7 +1198,7 @@ impl ClusterRun {
             autoscaler: self.autoscaler.as_ref().map(|a| a.state().clone()),
             faults: self.faults.as_ref().map(|f| f.progress.clone()),
             rack_rng: self.rack_rng.clone(),
-            rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
+            rack_power_w: (!self.scenario.topology.is_flat()).then(|| self.rack_power_w.clone()),
             node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
             books: self.books.clone(),
         }
@@ -1300,7 +1272,7 @@ impl ClusterRun {
                 )
             }
         }
-        match (self.topology.is_flat(), &checkpoint.rack_power_w) {
+        match (self.scenario.topology.is_flat(), &checkpoint.rack_power_w) {
             (false, Some(power)) => {
                 if power.len() != self.rack_power_w.len() {
                     return Err(format!(

@@ -32,7 +32,7 @@ use pliant_telemetry::rng::{derive_seed, seeded_rng};
 use rand::Rng;
 
 use crate::population::{InstancePlan, NodePopulation};
-use crate::topology::Topology;
+use crate::topology::TopologyConfig;
 
 /// RNG stream label for the stochastic fault schedule (derived from the scenario seed;
 /// disjoint from every node/balancer/monitor stream, so enabling faults never perturbs
@@ -84,13 +84,12 @@ pub struct GroupOutage {
 /// A correlated outage taking down every node of one topology rack at once — a power-
 /// domain failure (the rack's power feed or busbar trips), addressed by *physical*
 /// rack rather than population group. Racks come from the scenario's
-/// [`TopologyConfig`](crate::topology::TopologyConfig); on a flat topology the single
-/// implicit rack covers the whole fleet, so a rack outage there is a full-fleet
-/// blackout.
+/// [`TopologyConfig`]; on a flat topology the single implicit rack covers the whole
+/// fleet, so a rack outage there is a full-fleet blackout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RackOutage {
-    /// Index of the [`Rack`](crate::topology::Rack) that loses power, in topology
-    /// order.
+    /// Index of the rack that loses power, in topology order (its members are
+    /// [`TopologyConfig::rack_members`]).
     pub rack: usize,
     /// Decision interval at which the outage begins (0-based).
     pub at_interval: u64,
@@ -397,7 +396,7 @@ pub(crate) fn compile_schedule(
     profile: &FaultProfile,
     seed: u64,
     population: &NodePopulation<'_>,
-    topology: &Topology,
+    topology: &TopologyConfig,
     max_intervals: usize,
 ) -> Vec<FaultEvent> {
     let nodes = population.total_nodes();
@@ -446,7 +445,7 @@ pub(crate) fn compile_schedule(
         }
     }
     for outage in &profile.rack_outages {
-        for member in topology.racks()[outage.rack].members.clone() {
+        for member in topology.rack_members(outage.rack, nodes) {
             schedule.push(FaultEvent {
                 interval: outage.at_interval,
                 node: member,
@@ -636,10 +635,6 @@ mod tests {
     use pliant_approx::catalog::AppId;
     use pliant_workloads::service::ServiceId;
 
-    fn flat(nodes: usize) -> Topology {
-        Topology::resolve(&crate::topology::TopologyConfig::Flat, nodes)
-    }
-
     fn scenario(nodes: usize) -> ClusterScenario {
         let mix = [AppId::Canneal, AppId::Snp, AppId::Raytrace];
         ClusterScenario::builder(ServiceId::Memcached)
@@ -658,7 +653,7 @@ mod tests {
             &profile,
             42,
             &NodePopulation::from_scenario(&s),
-            &flat(6),
+            &TopologyConfig::Flat,
             40,
         );
         assert!(schedule.is_empty());
@@ -676,14 +671,14 @@ mod tests {
         };
         let s = scenario(6);
         let pop = NodePopulation::from_scenario(&s);
-        let a = compile_schedule(&profile, 42, &pop, &flat(6), 200);
-        let b = compile_schedule(&profile, 42, &pop, &flat(6), 200);
+        let a = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 200);
+        let b = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 200);
         assert_eq!(a, b, "same seed must reproduce the same schedule");
         assert!(
             !a.is_empty(),
             "200x6 node-intervals at 2%+3% must draw hits"
         );
-        let c = compile_schedule(&profile, 43, &pop, &flat(6), 200);
+        let c = compile_schedule(&profile, 43, &pop, &TopologyConfig::Flat, 200);
         assert_ne!(a, c, "different seeds must draw different schedules");
         // Sorted by (interval, node): a cursor walk consumes it in one pass.
         assert!(a
@@ -703,7 +698,7 @@ mod tests {
         };
         let s = scenario(7);
         let pop = NodePopulation::from_scenario(&s); // group 0 = members [0, 3, 6]
-        let schedule = compile_schedule(&profile, 42, &pop, &flat(7), 40);
+        let schedule = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 40);
         assert_eq!(schedule.len(), 3);
         let nodes: Vec<usize> = schedule.iter().map(|e| e.node).collect();
         assert_eq!(nodes, vec![0, 3, 6]);
@@ -790,14 +785,11 @@ mod tests {
         };
         let s = scenario(6);
         let pop = NodePopulation::from_scenario(&s);
-        let topo = Topology::resolve(
-            &crate::topology::TopologyConfig::Racks {
-                racks: 2,
-                nodes_per_rack: 3,
-                rack_power_w: None,
-            },
-            6,
-        );
+        let topo = TopologyConfig::Racks {
+            racks: 2,
+            nodes_per_rack: 3,
+            rack_power_w: None,
+        };
         let schedule = compile_schedule(&profile, 42, &pop, &topo, 40);
         // Rack 1 holds the contiguous back half of the fleet; every member crashes.
         let nodes: Vec<usize> = schedule.iter().map(|e| e.node).collect();
@@ -808,7 +800,7 @@ mod tests {
         // On a flat topology the single implicit rack is the whole fleet.
         let mut blackout = profile.clone();
         blackout.rack_outages[0].rack = 0;
-        let schedule = compile_schedule(&blackout, 42, &pop, &flat(6), 40);
+        let schedule = compile_schedule(&blackout, 42, &pop, &TopologyConfig::Flat, 40);
         assert_eq!(schedule.len(), 6);
     }
 
@@ -825,7 +817,7 @@ mod tests {
         };
         let s = scenario(4);
         let pop = NodePopulation::from_scenario(&s);
-        let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
+        let schedule = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 20);
         let plans = pop.plan_instances(&crate::scenario::FleetApproximation::Exact);
         let mut state = FaultState::new(schedule.clone(), &plans);
         // Exact mode: logical node 2 is instance 2.
@@ -835,7 +827,7 @@ mod tests {
         // its event resolves to none...
         let mut on_three = profile.clone();
         on_three.scheduled[0].node = 3;
-        let schedule3 = compile_schedule(&on_three, 42, &pop, &flat(4), 20);
+        let schedule3 = compile_schedule(&on_three, 42, &pop, &TopologyConfig::Flat, 20);
         let single = crate::scenario::FleetApproximation::Clustered {
             representatives_per_group: 1,
         };

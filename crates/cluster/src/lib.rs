@@ -85,7 +85,7 @@ pub use scenario::{
 };
 pub use scheduler::{BatchScheduler, SchedulerKind, SchedulerStats};
 pub use suite::{ClusterSuite, ClusterSweepAxis};
-pub use topology::{Rack, Topology, TopologyConfig, TopologyConfigError};
+pub use topology::{TopologyConfig, TopologyConfigError};
 
 /// Commonly-used items, re-exported for convenience.
 pub mod prelude {
@@ -102,5 +102,5 @@ pub mod prelude {
     };
     pub use crate::scheduler::SchedulerKind;
     pub use crate::suite::{ClusterSuite, ClusterSweepAxis};
-    pub use crate::topology::{Topology, TopologyConfig};
+    pub use crate::topology::TopologyConfig;
 }

@@ -376,7 +376,7 @@ impl ChunkCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Topology, TopologyConfig};
+    use crate::topology::TopologyConfig;
     use pliant_workloads::service::ServiceId;
     use proptest::prelude::*;
     use rand::Rng;
@@ -409,11 +409,10 @@ mod tests {
 
         pub fn groups(scenario: &ClusterScenario) -> Vec<Group> {
             let spn = scenario.slots_per_node;
-            let topology = Topology::resolve(&scenario.topology, scenario.nodes);
             let mut groups: Vec<Group> = Vec::new();
             for index in 0..scenario.nodes {
                 let slice = &scenario.jobs[index * spn..(index + 1) * spn];
-                let rack = topology.rack_of(index);
+                let rack = scenario.topology.rack_of(index);
                 match groups
                     .iter_mut()
                     .find(|g| g.jobs == slice && g.rack == rack)
@@ -554,9 +553,10 @@ mod tests {
             .build();
         let pop = NodePopulation::from_scenario(&racked);
         assert_eq!(pop.groups().len(), 6, "3 job keys x 2 racks");
-        let topology = Topology::resolve(&racked.topology, racked.nodes);
         for (gi, group) in pop.groups().iter().enumerate() {
-            assert!(pop.members(gi).all(|m| topology.rack_of(m) == group.rack));
+            assert!(pop
+                .members(gi)
+                .all(|m| racked.topology.rack_of(m) == group.rack));
         }
         // Replica weights still conserve the fleet, and every clustered instance
         // inherits its group's single rack.

@@ -5,18 +5,18 @@
 //! a real datacenter happens against rack structure: nodes share a rack-level power
 //! budget (the breaker rating of the rack's PDU) and a rack-level failure domain (a
 //! failed PDU or top-of-rack switch takes the whole rack down at once). This module
-//! adds that structure as a thin, serializable layer over the existing flat node list:
+//! adds that structure as a thin, serializable layer over the existing flat node list.
 //!
-//! * [`TopologyConfig`] is the declarative knob on
-//!   [`ClusterScenario`](crate::scenario::ClusterScenario): either [`TopologyConfig::Flat`]
-//!   (the default — one implicit rack holding every node, no budget, byte-identical to
-//!   the pre-topology simulator) or [`TopologyConfig::Racks`] (a regular `racks ×
-//!   nodes_per_rack` grid with an optional shared per-rack power budget).
-//! * [`Topology`] is the resolved, run-time form: one [`Rack`] per power domain, built
-//!   once per run by [`Topology::resolve`]. Racks are rack-major blocks of the node
-//!   index space, so a rack's members are a [`Range`] and the rack of a node is one
-//!   division, computed by the config for both forms. Resolving costs O(racks)
-//!   whatever the fleet size.
+//! [`TopologyConfig`] is the declarative knob on
+//! [`ClusterScenario`](crate::scenario::ClusterScenario) and the only description of
+//! rack structure: either [`TopologyConfig::Flat`] (the default — one implicit rack
+//! holding every node, no budget, byte-identical to the pre-topology simulator) or
+//! [`TopologyConfig::Racks`] (a regular `racks × nodes_per_rack` grid with an optional
+//! shared per-rack power budget). Racks are rack-major blocks of the node index space,
+//! so a rack's members are a [`Range`] ([`TopologyConfig::rack_members`]), the rack of a
+//! node is one division ([`TopologyConfig::rack_of`]), and every rack shares the one
+//! budget ([`TopologyConfig::power_budget_w`]). No query allocates or depends on the
+//! fleet size beyond that arithmetic.
 //!
 //! Rack identity feeds three consumers: the scheduler's sampling-based online
 //! placement (score candidate racks by power headroom and QoS slack before picking a
@@ -68,7 +68,7 @@ impl TopologyConfig {
         matches!(self, TopologyConfig::Flat)
     }
 
-    /// Number of racks this configuration resolves to (flat = one implicit rack).
+    /// Number of racks (flat = one implicit rack).
     pub fn rack_count(&self) -> usize {
         match self {
             TopologyConfig::Flat => 1,
@@ -78,7 +78,7 @@ impl TopologyConfig {
 
     /// The rack logical node `node` lives in: rack 0 on a flat fleet, else
     /// `node / nodes_per_rack`.
-    pub(crate) fn rack_of(&self, node: usize) -> usize {
+    pub fn rack_of(&self, node: usize) -> usize {
         match self {
             TopologyConfig::Flat => 0,
             TopologyConfig::Racks { nodes_per_rack, .. } => node / nodes_per_rack,
@@ -87,12 +87,21 @@ impl TopologyConfig {
 
     /// The logical nodes of rack `rack` in a fleet of `nodes`: the whole fleet on a flat
     /// topology, else the rack's `nodes_per_rack`-long block.
-    pub(crate) fn rack_members(&self, rack: usize, nodes: usize) -> Range<usize> {
+    pub fn rack_members(&self, rack: usize, nodes: usize) -> Range<usize> {
         match self {
             TopologyConfig::Flat => 0..nodes,
             TopologyConfig::Racks { nodes_per_rack, .. } => {
                 rack * nodes_per_rack..(rack + 1) * nodes_per_rack
             }
+        }
+    }
+
+    /// The shared power budget of every rack in watts: `None` on a flat fleet and on an
+    /// unbudgeted grid.
+    pub fn power_budget_w(&self) -> Option<f64> {
+        match self {
+            TopologyConfig::Flat => None,
+            TopologyConfig::Racks { rack_power_w, .. } => *rack_power_w,
         }
     }
 
@@ -188,112 +197,39 @@ impl std::fmt::Display for TopologyConfigError {
 
 impl std::error::Error for TopologyConfigError {}
 
-/// One rack of the resolved topology: its block of logical nodes plus the shared
-/// budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rack {
-    /// Logical node indices living in this rack: a contiguous block, in ascending order.
-    pub members: Range<usize>,
-    /// Shared power budget in watts (`None` = unbudgeted).
-    pub power_budget_w: Option<f64>,
-}
-
-/// The resolved, run-time rack structure: built once per run from the scenario's
-/// [`TopologyConfig`] and never mutated afterwards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Topology {
-    config: TopologyConfig,
-    racks: Vec<Rack>,
-}
-
-impl Topology {
-    /// Resolves a validated config against a fleet of `nodes` logical nodes.
-    ///
-    /// `Flat` resolves to one unbudgeted rack holding every node; `Racks` assigns node
-    /// `i` to rack `i / nodes_per_rack`. Callers must have validated the config (the
-    /// scenario boundary does), so a mismatched grid here is a logic error.
-    pub fn resolve(config: &TopologyConfig, nodes: usize) -> Self {
-        let power_budget_w = match config {
-            TopologyConfig::Flat => None,
-            TopologyConfig::Racks {
-                racks,
-                nodes_per_rack,
-                rack_power_w,
-            } => {
-                debug_assert_eq!(racks * nodes_per_rack, nodes, "validated upstream");
-                *rack_power_w
-            }
-        };
-        Topology {
-            config: config.clone(),
-            racks: (0..config.rack_count())
-                .map(|rack| Rack {
-                    members: config.rack_members(rack, nodes),
-                    power_budget_w,
-                })
-                .collect(),
-        }
-    }
-
-    /// Whether this topology came from the flat default (one implicit rack). Flat
-    /// fleets take the pre-topology code paths verbatim.
-    pub fn is_flat(&self) -> bool {
-        self.config.is_flat()
-    }
-
-    /// Number of racks.
-    pub fn rack_count(&self) -> usize {
-        self.racks.len()
-    }
-
-    /// The racks, in index order.
-    pub fn racks(&self) -> &[Rack] {
-        &self.racks
-    }
-
-    /// The rack a logical node lives in.
-    pub fn rack_of(&self, node: usize) -> usize {
-        self.config.rack_of(node)
-    }
-
-    /// The shared power budget of a rack in watts (`None` = unbudgeted).
-    pub fn power_budget_w(&self, rack: usize) -> Option<f64> {
-        self.racks[rack].power_budget_w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn flat_resolves_to_one_unbudgeted_rack() {
-        let t = Topology::resolve(&TopologyConfig::Flat, 5);
+        let t = TopologyConfig::Flat;
         assert!(t.is_flat());
         assert_eq!(t.rack_count(), 1);
-        assert_eq!(t.racks()[0].members, 0..5);
-        assert_eq!(t.power_budget_w(0), None);
+        assert_eq!(t.rack_members(0, 5), 0..5);
+        assert_eq!(t.power_budget_w(), None);
         assert!((0..5).all(|i| t.rack_of(i) == 0));
     }
 
     #[test]
     fn rack_grid_assigns_contiguous_members() {
-        let config = TopologyConfig::Racks {
+        let t = TopologyConfig::Racks {
             racks: 3,
             nodes_per_rack: 2,
             rack_power_w: Some(400.0),
         };
-        let t = Topology::resolve(&config, 6);
         assert!(!t.is_flat());
         assert_eq!(t.rack_count(), 3);
-        assert_eq!(t.racks()[1].members, 2..4);
+        assert_eq!(t.rack_members(1, 6), 2..4);
         assert_eq!(t.rack_of(4), 2);
-        assert!(t
-            .racks()
-            .iter()
-            .enumerate()
-            .all(|(r, rack)| rack.members.clone().all(|i| t.rack_of(i) == r)));
-        assert_eq!(t.power_budget_w(2), Some(400.0));
+        assert!((0..t.rack_count()).all(|r| t.rack_members(r, 6).all(|i| t.rack_of(i) == r)));
+        assert_eq!(t.power_budget_w(), Some(400.0));
+        let unbudgeted = TopologyConfig::Racks {
+            racks: 3,
+            nodes_per_rack: 2,
+            rack_power_w: None,
+        };
+        assert_eq!(unbudgeted.power_budget_w(), None);
     }
 
     #[test]
