@@ -9,7 +9,9 @@
 //!
 //! The `--topology` grid is fitted to each cell's fleet size: as written when it
 //! multiplies out to the fleet, else the same rack shape with as many racks as the
-//! fleet fills, else flat when the fleet cannot be cut into whole racks.
+//! fleet fills, else flat when the fleet cannot be cut into whole racks. A fitted grid
+//! that differs from the written one is noted on stderr, once per fleet size, naming
+//! both; stdout and `--json` do not change.
 //!
 //! The trace level sets what a run records: `--trace-level` when given, `decisions`
 //! when only `--trace` is, and nothing otherwise. Every run that records lands in the
@@ -81,6 +83,18 @@ fn fit_topology(grid: &TopologyConfig, nodes: usize) -> TopologyConfig {
     }
 }
 
+/// `<racks>x<nodes-per-rack>` for a rack grid, `flat` for a flat fleet.
+fn grid_label(grid: &TopologyConfig) -> String {
+    match grid {
+        TopologyConfig::Racks {
+            racks,
+            nodes_per_rack,
+            ..
+        } => format!("{racks}x{nodes_per_rack}"),
+        TopologyConfig::Flat => "flat".to_string(),
+    }
+}
+
 /// One traced run's export record, attached to figure `--json` outputs as the `obs`
 /// summary block (empty list when the figure ran untraced).
 #[derive(Debug, Clone, Serialize)]
@@ -123,6 +137,8 @@ pub struct FleetRunner {
     approximation: Option<FleetApproximation>,
     /// The `--topology`/`--rack-power-w` grid as written, fitted to each cell's size.
     topology: Option<TopologyConfig>,
+    /// Fleet sizes whose fitted grid differs from the written one and has been noted.
+    refitted: Vec<usize>,
     trace: Option<String>,
     /// The level every run records at and reports in `obs`.
     level: ObsLevel,
@@ -170,6 +186,7 @@ impl FleetRunner {
             engine: Engine::new(),
             approximation,
             topology: topology_flag(cli),
+            refitted: Vec::new(),
             trace,
             level,
             floor: ObsLevel::Off,
@@ -197,12 +214,22 @@ impl FleetRunner {
 
     /// Applies the `--approx` and `--topology` overrides to `scenario` and checks it.
     /// Exits with status 2 when the result does not validate.
-    fn prepare(&self, scenario: &mut ClusterScenario) {
+    fn prepare(&mut self, scenario: &mut ClusterScenario) {
         if let Some(approximation) = self.approximation {
             scenario.approximation = approximation;
         }
         if let Some(grid) = &self.topology {
-            scenario.topology = fit_topology(grid, scenario.nodes);
+            let fitted = fit_topology(grid, scenario.nodes);
+            if fitted != *grid && !self.refitted.contains(&scenario.nodes) {
+                self.refitted.push(scenario.nodes);
+                eprintln!(
+                    "note: --topology {} does not fit the {}-machine fleet; it runs as {}",
+                    grid_label(grid),
+                    scenario.nodes,
+                    grid_label(&fitted)
+                );
+            }
+            scenario.topology = fitted;
         }
         if let Err(e) = scenario.validate() {
             reject(format!(
@@ -263,7 +290,7 @@ impl FleetRunner {
     }
 
     /// Runs one cell with the overrides applied, unrecorded whatever the trace flags.
-    pub fn run_untraced(&self, scenario: &mut ClusterScenario) -> ClusterOutcome {
+    pub fn run_untraced(&mut self, scenario: &mut ClusterScenario) -> ClusterOutcome {
         self.prepare(scenario);
         self.engine.run_cluster(scenario)
     }

@@ -497,3 +497,35 @@ fn fleets_the_failure_trace_cannot_strike_are_skipped_with_a_note() {
         "{bin} --nodes 2 must note the skipped fleet, stderr: {stderr}"
     );
 }
+
+/// The rack count of `--topology` yields to the fleet size: `fig_topology --topology
+/// 1x2` runs its 8-machine fleet as the default 4x2 grid, so its `--json` is the
+/// default golden, and a single stderr note names both grids. A grid that fits as
+/// written runs without a note.
+#[test]
+fn a_refitted_topology_grid_is_noted_on_stderr() {
+    let bin = env!("CARGO_BIN_EXE_fig_topology");
+    for (grid, note) in [
+        (
+            "1x2",
+            Some("note: --topology 1x2 does not fit the 8-machine fleet; it runs as 4x2\n"),
+        ),
+        ("4x2", None),
+    ] {
+        let output = Command::new(bin)
+            .args(["--json", "--topology", grid])
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success(),
+            "--topology {grid} failed: {stderr}"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            golden("fig_topology.json"),
+            "--topology {grid} must not change the figure"
+        );
+        assert_eq!(stderr, note.unwrap_or(""), "--topology {grid}");
+    }
+}

@@ -10,11 +10,15 @@
 //! monitor and reset between intervals (never reallocated), the subsample is chosen by
 //! geometric skip-sampling (one logarithm per *selected* request instead of one uniform
 //! draw per request), and recording a sample is O(1) bit manipulation. The skip gaps are
-//! drawn in chunks of 32 so their logarithms run as one vectorized loop over the
-//! branch-free [`fast_ln_unit`]; each chunk's selected indices are then read with one
-//! [`LatencySource::gather`], so a [`LatencySamples`] source maps only the samples the
-//! monitor reads (or, once a fleet node has materialized it for its histogram, returns
-//! the stored latencies), and recorded with one [`LatencyHistogram::record_scaled_n`].
+//! drawn in chunks of 32 so their logarithms run as one vectorized loop,
+//! [`ln_unit_ratio`], over the branch-free
+//! [`fast_ln_unit`](pliant_telemetry::fastmath::fast_ln_unit). That loop runs at AVX2
+//! width when the CPU has it and with the same bits either way: it is IEEE-754
+//! operations only, which Rust never contracts into fused multiply-adds. Each chunk's
+//! selected indices are then read with one [`LatencySource::gather`], so a
+//! [`LatencySamples`] source maps only the samples the monitor reads (or, once a fleet
+//! node has materialized it for its histogram, returns the stored latencies), and
+//! recorded with one [`LatencyHistogram::record_scaled_n`].
 //! At the end of an interval the RNG is rewound to the last chunk's start and advanced
 //! by exactly the gaps consumed, so the selection, the stream position and the
 //! checkpointed [`MonitorState`] match drawing one gap per selection. Because the
@@ -28,9 +32,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use pliant_telemetry::fastmath::fast_ln_unit;
 use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::rng::{seeded_rng, LatencySamples};
+use pliant_telemetry::simd::ln_unit_ratio;
 use pliant_telemetry::window::EwmaTracker;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
@@ -304,11 +308,10 @@ impl PerformanceMonitor {
                 }
                 // 1 - unit uniform lies in [2^-53, 1], the domain of `fast_ln_unit`, so
                 // the logarithm is finite and <= 0; the ratio of two non-positive finite
-                // numbers is non-negative. Gaps stay `f64` here so the loop vectorizes;
-                // the walk casts them, saturating on the (bounded) maximum.
-                for (gap, &u) in gaps.iter_mut().zip(&uniforms) {
-                    *gap = fast_ln_unit(u) / ln_one_minus_rate;
-                }
+                // numbers is non-negative. Gaps stay `f64` here so the loop vectorizes
+                // (AVX2 width when the CPU has it, same bits); the walk casts them,
+                // saturating on the (bounded) maximum.
+                ln_unit_ratio(&uniforms, ln_one_minus_rate, &mut gaps);
                 let mut taken = 0usize;
                 let mut past_end = None;
                 for (k, &gap) in gaps.iter().enumerate() {

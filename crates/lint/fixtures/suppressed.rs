@@ -58,3 +58,8 @@ impl ArchiveModel {
         }
     }
 }
+
+// pliant-lint: allow(unsafe-scope): standalone form.
+unsafe fn read_raw(p: *const f64) -> f64 {
+    unsafe { *p } // pliant-lint: allow(unsafe-scope): trailing form.
+}

@@ -51,3 +51,7 @@ impl ArchiveModel {
         }
     }
 }
+
+unsafe fn read_raw(p: *const f64) -> f64 {
+    unsafe { *p }
+}

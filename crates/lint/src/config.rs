@@ -16,6 +16,10 @@ pub struct LintConfig {
     /// only the repo benchmark (`perfbench/`) measures real time by design. The figure
     /// binaries report simulated outcomes, so their output stays seed-deterministic.
     pub wallclock_allowed: Vec<String>,
+    /// Path prefixes where the `unsafe` keyword is allowed: only the telemetry crate's
+    /// `simd` module, whose kernels call their AVX2 builds after a runtime feature
+    /// check. Everywhere else, test code included, `unsafe` is a finding.
+    pub unsafe_allowed: Vec<String>,
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
     /// `crates/cluster/` prefix deliberately covers the fault-injection and
@@ -66,6 +70,12 @@ impl LintConfig {
                 "LatencySamples::gather",
                 "LatencySamples::map_in_place",
                 "LatencySamples::materialize",
+                // The two vector kernels those loops run through, and their one-copy
+                // loop bodies.
+                "exp_map_in_range",
+                "exp_map_in_range_portable",
+                "ln_unit_ratio",
+                "ln_unit_ratio_portable",
                 // The replica-weighted dispatch path (PR 7): runs once per interval
                 // on every fleet, including clustered ones whose logical size can
                 // reach 1M nodes, and the per-sample replication inside
@@ -121,6 +131,7 @@ impl LintConfig {
                 "GlimmerKernel::keys",
             ]),
             wallclock_allowed: s(&["perfbench/"]),
+            unsafe_allowed: s(&["crates/telemetry/src/simd.rs"]),
             hash_container_scoped: s(&[
                 "crates/sim/",
                 "crates/core/",
@@ -148,6 +159,7 @@ impl LintConfig {
     pub fn all_paths() -> Self {
         LintConfig {
             wallclock_allowed: Vec::new(),
+            unsafe_allowed: Vec::new(),
             hash_container_scoped: vec![String::new()],
             panic_hygiene_scoped: vec![String::new()],
             validate_bypass_exempt: Vec::new(),

@@ -14,6 +14,8 @@ pub mod rules {
     pub const VALIDATE_BYPASS: &str = "validate-bypass";
     /// `unwrap()`/`expect()` in non-test library code.
     pub const PANIC_HYGIENE: &str = "panic-hygiene";
+    /// The `unsafe` keyword outside the files allowed to use it.
+    pub const UNSAFE_SCOPE: &str = "unsafe-scope";
 }
 
 /// Static description of one rule, for `--list-rules` and the README catalog.
@@ -48,6 +50,11 @@ pub const ALL_RULES: &[RuleInfo] = &[
     RuleInfo {
         id: rules::PANIC_HYGIENE,
         summary: "unwrap()/expect() in non-test library code of sim/core/cluster/telemetry",
+    },
+    RuleInfo {
+        id: rules::UNSAFE_SCOPE,
+        summary: "the unsafe keyword outside the allowlisted files (the AVX2 dispatch of \
+                  crates/telemetry/src/simd.rs)",
     },
 ];
 

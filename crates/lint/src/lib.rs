@@ -14,6 +14,8 @@
 //!   `validate()` method (the PR 5 `InterferenceModel`/`PowerModel` bug).
 //! * [`findings::rules::PANIC_HYGIENE`] — `unwrap()`/`expect()` in non-test library code
 //!   of the simulation crates.
+//! * [`findings::rules::UNSAFE_SCOPE`] — the `unsafe` keyword outside the one module that
+//!   needs it, the AVX2 dispatch in `crates/telemetry/src/simd.rs`.
 //!
 //! The tool is dependency-free (std only) with its own small Rust lexer — consistent
 //! with the workspace's offline compat-shim environment — and deny-by-default:

@@ -1,4 +1,4 @@
-//! The five rules, each grounded in a bug class this repository has actually shipped
+//! The six rules, each grounded in a bug class this repository has actually shipped
 //! and then fixed reactively (see the README "Static analysis" section for the history).
 
 use crate::analysis::FileAnalysis;
@@ -15,6 +15,7 @@ pub fn run_rules(a: &FileAnalysis, cfg: &LintConfig) -> Vec<Finding> {
     nondeterminism(a, cfg, &mut findings);
     validate_bypass(a, cfg, &mut findings);
     panic_hygiene(a, cfg, &mut findings);
+    unsafe_scope(a, cfg, &mut findings);
 
     findings.retain(|f| !a.is_suppressed(f.rule, f.line));
     findings.sort_by(|x, y| (x.line, x.rule).cmp(&(y.line, y.rule)));
@@ -229,6 +230,26 @@ fn panic_hygiene(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>
                 ),
             );
         }
+    }
+}
+
+/// The `unsafe` keyword outside [`LintConfig::unsafe_allowed`]. The workspace's one
+/// `unsafe` block calls an AVX2 loop after checking the CPU has AVX2; the rule keeps any
+/// other `unsafe` from arriving unreviewed, in test code as well.
+fn unsafe_scope(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>) {
+    if path_in(&a.rel_path, &cfg.unsafe_allowed) {
+        return;
+    }
+    for tok in a.tokens.iter().filter(|t| t.is_ident("unsafe")) {
+        emit(
+            findings,
+            rules::UNSAFE_SCOPE,
+            a,
+            tok.line,
+            "`unsafe` outside crates/telemetry/src/simd.rs; write it safely, or annotate with \
+             `// pliant-lint: allow(unsafe-scope)` naming why it cannot be"
+                .to_string(),
+        );
     }
 }
 

@@ -58,6 +58,8 @@ fn violations_fixture_findings_are_exact() {
         ("nondeterminism", 32),
         ("nondeterminism", 36),
         ("validate-bypass", 40),
+        ("unsafe-scope", 55),
+        ("unsafe-scope", 56),
     ];
     assert_eq!(got, want);
     // Diagnostics carry the scan-relative path and an actionable message.
@@ -261,6 +263,10 @@ fn sample_generation_passes_stay_on_the_hot_path_denylist() {
         "LatencySamples::map_in_place",
         "fast_exp_in_range",
         "fast_ln_unit",
+        "exp_map_in_range",
+        "exp_map_in_range_portable",
+        "ln_unit_ratio",
+        "ln_unit_ratio_portable",
         "sample_normal_ziggurat",
         "zig_normal",
         "zig_reject",
@@ -335,6 +341,30 @@ fn glimmer_window_scoring_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// The AVX2 dispatch in `crates/telemetry/src/simd.rs` is the only place `unsafe` may
+/// appear: the same block anywhere else, a test file or another telemetry module
+/// included, is a finding.
+#[test]
+fn unsafe_is_allowed_only_in_the_simd_module() {
+    let cfg = LintConfig::repo_default();
+    assert_eq!(cfg.unsafe_allowed, ["crates/telemetry/src/simd.rs"]);
+    let src = "fn f(x: &[f64]) -> f64 { unsafe { *x.as_ptr() } }";
+    assert!(lint_source("crates/telemetry/src/simd.rs", src, &cfg).is_empty());
+    for path in [
+        "crates/telemetry/src/rng.rs",
+        "crates/core/src/monitor.rs",
+        "perfbench/src/measure.rs",
+        "tests/hot_path.rs",
+    ] {
+        let findings = lint_source(path, src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "unsafe-scope"),
+            "an unsafe block in {path} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// The repo benchmark measures host time by design, so `perfbench/` may read the wall
 /// clock; the simulation crates it drives may not.
 #[test]
@@ -393,6 +423,7 @@ fn cli_check_fails_on_the_violations_fixture() {
         "hot-path-alloc",
         "nondeterminism",
         "validate-bypass",
+        "unsafe-scope",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
     }
@@ -432,7 +463,8 @@ fn cli_only_and_skip_filter_rules() {
         &fixtures_dir(),
         &[
             "--skip",
-            "nan-unsafe-cmp,hot-path-alloc,nondeterminism,validate-bypass,panic-hygiene",
+            "nan-unsafe-cmp,hot-path-alloc,nondeterminism,validate-bypass,panic-hygiene,\
+             unsafe-scope",
             "--check",
             "violations.rs",
         ],

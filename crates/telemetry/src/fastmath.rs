@@ -10,10 +10,16 @@
 //! return the general functions' bits on their domains:
 //!
 //! - [`fast_exp_in_range`] is [`fast_exp`] on `[-700, 700]`. The latency-sample map
-//!   ([`crate::rng::LatencySamples`]) uses it because its ziggurat normals satisfy
+//!   ([`crate::simd::exp_map_in_range`]) uses it because its ziggurat normals satisfy
 //!   `|z| <= 13.71`, which keeps `sigma * z` in range for every `sigma <= 51`.
 //! - [`fast_ln_unit`] is [`fast_ln`] on `[2^-53, 1]`, where every `1 - unit` uniform
-//!   lies. The monitor's skip-sampler uses it for its gap logarithms.
+//!   lies. The monitor's skip-sampler uses it for its gap logarithms
+//!   ([`crate::simd::ln_unit_ratio`]).
+//!
+//! Both loops run through [`crate::simd`], at AVX2 width when the CPU has it and at
+//! baseline SSE2 width otherwise, with the same bits: the restricted forms are IEEE-754
+//! operations and integer bit manipulation only, each rounded per lane the same way at
+//! any width, and Rust never contracts a multiply and an add into a fused multiply-add.
 //!
 //! Accuracy is bounded well below `1e-11` relative error across the full double range
 //! (tested against `std` in this module), which is far tighter than the statistical
@@ -76,10 +82,10 @@ pub fn fast_exp(x: f64) -> f64 {
 /// `n` is read from the mantissa bits of the rounding-shift sum `x·log2(e) + 1.5·2^52`
 /// (whose ulp is 1, so its low bits hold `n` in two's complement) instead of through a
 /// float-to-integer conversion. The body is straight-line `f64` and `u64` arithmetic
-/// that LLVM vectorizes on baseline SSE2, which is what the latency-sample map
-/// ([`crate::rng::LatencySamples`]) relies on. Within the range, `|n| <= 1010`, so the
-/// single-step scale `2^n` is a normal double and no branch of [`fast_exp`] can differ.
-/// Outside it the result is unspecified (but never a panic).
+/// that LLVM vectorizes at any width: baseline SSE2, or the AVX2 build of the
+/// latency-sample map ([`crate::simd::exp_map_in_range`]). Within the range,
+/// `|n| <= 1010`, so the single-step scale `2^n` is a normal double and no branch of
+/// [`fast_exp`] can differ. Outside it the result is unspecified (but never a panic).
 #[inline]
 pub fn fast_exp_in_range(x: f64) -> f64 {
     let shifted = x * LOG2_E + ROUND_SHIFT;
@@ -174,10 +180,11 @@ pub fn fast_ln(x: f64) -> f64 {
 ///
 /// The exponent reaches `f64` through the rounding-shift bits,
 /// `from_bits(bits(1.5·2^52) + k) - 1.5·2^52`, which is exact for `|k| < 2^51` and
-/// equals `k as f64`; unlike an `i64 as f64` cast it vectorizes on baseline SSE2. The
-/// body is straight-line `f64` and `u64` arithmetic, so the skip-sampling monitor's
-/// 32-gap logarithm loop vectorizes. Outside the range the result is unspecified (but
-/// never a panic).
+/// equals `k as f64`; unlike an `i64 as f64` cast, which has no vector instruction
+/// below AVX-512, it vectorizes at baseline SSE2 and AVX2 width. The body is
+/// straight-line `f64` and `u64` arithmetic, so the skip-sampling monitor's 32-gap
+/// logarithm loop ([`crate::simd::ln_unit_ratio`]) vectorizes. Outside the range the
+/// result is unspecified (but never a panic).
 #[inline]
 pub fn fast_ln_unit(x: f64) -> f64 {
     let bits = x.to_bits();

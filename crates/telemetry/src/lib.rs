@@ -12,6 +12,8 @@
 //!   paper's dynamic-behaviour figures (Fig. 4 and Fig. 6).
 //! * [`violin`] — distribution summaries (min/max/quartiles/density) matching the violin
 //!   plots of Fig. 7.
+//! * [`simd`] — the latency-sample map and the skip-sampling gap logarithms, run at
+//!   AVX2 width when the CPU has it and with the same bits either way.
 //! * [`rng`] — deterministic random-number helpers and the samplers (exponential, Poisson,
 //!   lognormal, Pareto) the workload generators and queueing models rely on.
 //! * [`obs`] — the deterministic tracing subsystem: typed sim-time [`obs::Event`]s,
@@ -32,13 +34,17 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `simd` calls its AVX2 builds after a runtime feature check; no other module may use
+// `unsafe` (the pliant-lint `unsafe-scope` rule pins it to that one file).
+#![deny(unsafe_code)]
 
 pub mod fastmath;
 pub mod histogram;
 pub mod obs;
 pub mod rng;
 pub mod series;
+#[allow(unsafe_code)]
+pub mod simd;
 pub mod stats;
 pub mod violin;
 pub mod window;

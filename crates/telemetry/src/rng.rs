@@ -6,7 +6,8 @@
 //!
 //! Per-interval latency samples are the hot path: [`LatencySamples`] draws them as
 //! 256-layer ziggurat normals ([`sample_normal_ziggurat`]) and maps a normal to a
-//! lognormal latency only when a reader asks for it, in chunks that vectorize.
+//! lognormal latency only when a reader asks for it, through the one mapping loop of
+//! [`crate::simd::exp_map_in_range`] (AVX2 width when the CPU has it, same bits).
 
 use std::sync::OnceLock;
 
@@ -14,7 +15,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
 
-use crate::fastmath::{fast_exp, fast_exp_in_range, fast_ln};
+use crate::fastmath::{fast_exp, fast_ln};
+use crate::simd::{exp_map_in_range, exp_map_in_range_portable};
 
 /// Creates a deterministic RNG from an explicit seed.
 ///
@@ -236,7 +238,8 @@ fn zig_reject<R: Rng + ?Sized>(
     }
 }
 
-/// Largest `sigma` for which `sigma·z` provably stays inside [`fast_exp_in_range`]'s
+/// Largest `sigma` for which `sigma·z` provably stays inside
+/// [`fast_exp_in_range`](crate::fastmath::fast_exp_in_range)'s
 /// `[-700, 700]` domain: `51 × 13.71 ≈ 699` (see [`sample_normal_ziggurat`] for the
 /// bound on `|z|`).
 const IN_RANGE_MAX_SIGMA: f64 = 51.0;
@@ -248,10 +251,12 @@ const IN_RANGE_MAX_SIGMA: f64 = 51.0;
 /// normal, in the same RNG order as drawing the samples one at a time, but a sample
 /// becomes a latency, `median * fast_exp_in_range(sigma * z)`, only when something
 /// reads it: the monitor reads about a fifth of them. Each read path maps through one
-/// branch-free loop that LLVM vectorizes: [`Self::gather`] maps a selection, and
+/// branch-free loop, [`exp_map_in_range`], which runs at AVX2 width when the CPU has it
+/// and returns the same bits either way: [`Self::gather`] maps a selection, and
 /// [`Self::materialize`] maps every sample in place. Because
 /// `|z| <= 13.71`, `sigma * z` stays inside `[-700, 700]` whenever `sigma <= 51`, where
-/// [`fast_exp_in_range`] returns [`fast_exp`]'s bits; larger shapes fall back to
+/// [`fast_exp_in_range`](crate::fastmath::fast_exp_in_range) returns [`fast_exp`]'s
+/// bits; larger shapes fall back to
 /// [`fast_exp`] itself. Every value read, and the RNG position after [`Self::fill`],
 /// are bit-identical to drawing `sample_normal_ziggurat` then `fast_exp` one sample at
 /// a time. Ziggurat normals plus the polynomial exponential are several times faster
@@ -327,7 +332,7 @@ impl LatencySamples {
     /// read returns. Later reads return the stored latencies without mapping again.
     pub fn materialize(&mut self) -> &[f64] {
         if !self.mapped {
-            Self::map_in_place(self.median, self.sigma, &mut self.values);
+            Self::map_in_place(self.median, self.sigma, &mut self.values, exp_map_in_range);
             self.mapped = true;
         }
         &self.values
@@ -342,7 +347,7 @@ impl LatencySamples {
     pub fn get(&self, i: usize) -> f64 {
         let mut v = [self.values[i]];
         if !self.mapped {
-            Self::map_in_place(self.median, self.sigma, &mut v);
+            Self::map_in_place(self.median, self.sigma, &mut v, exp_map_in_range_portable);
         }
         v[0]
     }
@@ -364,18 +369,23 @@ impl LatencySamples {
             *o = self.values[i];
         }
         if !self.mapped {
-            Self::map_in_place(self.median, self.sigma, out);
+            Self::map_in_place(self.median, self.sigma, out, exp_map_in_range);
         }
     }
 
-    /// Maps normals of the given shape to latencies in place: the one mapping loop
-    /// every read path shares.
+    /// Maps normals of the given shape to latencies in place: the one mapping every
+    /// read path shares. `in_range` is [`exp_map_in_range`] (AVX2 width when the CPU
+    /// has it) on slices, and its portable body for [`Self::get`]'s one sample, so a
+    /// single read never dispatches.
     #[inline]
-    fn map_in_place(median: f64, sigma: f64, values: &mut [f64]) {
+    fn map_in_place(
+        median: f64,
+        sigma: f64,
+        values: &mut [f64],
+        in_range: impl Fn(f64, f64, &mut [f64]),
+    ) {
         if sigma <= IN_RANGE_MAX_SIGMA {
-            for v in values.iter_mut() {
-                *v = median * fast_exp_in_range(sigma * *v);
-            }
+            in_range(median, sigma, values);
         } else {
             for v in values.iter_mut() {
                 *v = median * fast_exp(sigma * *v);
@@ -642,6 +652,46 @@ mod tests {
             }
         }
         assert!(tails > 0 && wedges > 0, "tails {tails} wedges {wedges}");
+    }
+
+    /// Both sides of the `fast_exp` fallback: at `sigma` 51 the read paths map through
+    /// the dispatched [`exp_map_in_range`] (and `get` through its portable body), above
+    /// it through `fast_exp`. Planted `±13.71`, the largest `|z|` the ziggurat returns,
+    /// puts `sigma * z` at the edge of the in-range domain.
+    #[test]
+    fn every_read_path_returns_the_same_bits_at_the_fallback_edge() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = seeded_rng(51);
+        for sigma in [51.0, 51.5] {
+            for n in [1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 1_000] {
+                let at = format!("sigma {sigma} n {n}");
+                let mut normals: Vec<f64> =
+                    (0..n).map(|_| sample_normal_ziggurat(&mut rng)).collect();
+                normals[0] = 13.71;
+                normals[n - 1] = -13.71;
+                let expected: Vec<f64> = normals
+                    .iter()
+                    .map(|z| 0.002 * fast_exp(sigma * z))
+                    .collect();
+                let mut samples = LatencySamples {
+                    values: normals,
+                    median: 0.002,
+                    sigma,
+                    mapped: false,
+                };
+                let by_get: Vec<f64> = (0..n).map(|i| samples.get(i)).collect();
+                assert_eq!(bits(&by_get), bits(&expected), "get: {at}");
+                let every: Vec<usize> = (0..n).collect();
+                let mut gathered = vec![0.0; n];
+                samples.gather(&every, &mut gathered);
+                assert_eq!(bits(&gathered), bits(&expected), "gather: {at}");
+                assert_eq!(
+                    bits(samples.materialize()),
+                    bits(&expected),
+                    "materialize: {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -175,9 +175,12 @@ fn track_bytes(delta: isize) {
     PEAK_BYTES.with(|peak| peak.set(peak.get().max(live)));
 }
 
+// pliant-lint: allow(unsafe-scope): `GlobalAlloc` is an unsafe trait.
 unsafe impl GlobalAlloc for CountingAllocator {
+    // pliant-lint: allow(unsafe-scope): a `GlobalAlloc` method.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // pliant-lint: allow(unsafe-scope): forwards the caller's layout.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             track_bytes(layout.size() as isize);
@@ -185,13 +188,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ptr
     }
 
+    // pliant-lint: allow(unsafe-scope): a `GlobalAlloc` method.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         track_bytes(-(layout.size() as isize));
+        // pliant-lint: allow(unsafe-scope): forwards the caller's pointer and layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
+    // pliant-lint: allow(unsafe-scope): a `GlobalAlloc` method.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // pliant-lint: allow(unsafe-scope): forwards the caller's pointer and layout.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
         if !moved.is_null() {
             track_bytes(new_size as isize - layout.size() as isize);
