@@ -9,15 +9,15 @@
 //! the same traffic with fewer machines.
 //!
 //! Usage: `fig_cluster [--json] [--seed N] [--total-load X] [--nodes N] [--approx K]
-//!                     [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
+//!                     [--rack-size N [--rack-power-w W]]
 //!                     [--trace PATH] [--trace-level off|decisions|full]
 //!                     [--checkpoint-at K --checkpoint-dir DIR] [--resume-dir DIR]`
 //!
 //! `--nodes N` replaces the default fleet-size sweep with the single given size (pair
 //! it with a matching `--total-load`); `--approx K` simulates each fleet through the
 //! clustered approximation with `K` representatives per node group (`0` or absent =
-//! exact simulation of every node); `--topology` lays each fleet out in racked power
-//! domains (sizes the rack shape cannot tile stay flat — see
+//! exact simulation of every node); `--rack-size N` cuts each fleet into racked power
+//! domains of `N` nodes (a fleet size that is not a multiple of `N` stays flat — see
 //! [`pliant_bench::fleet`]), `--rack-power-w` adds a per-rack admission budget;
 //! `--trace-level` records each run's decision events into the `obs` block and
 //! `--trace PATH` also writes them to `PATH` tagged `{nodes}n-{policy}` (see
@@ -76,7 +76,7 @@ fn main() {
         "--total-load X",
         "--nodes N",
         "--approx K",
-        "--topology RxN",
+        "--rack-size N",
         "--rack-power-w W",
         "--trace PATH",
         "--trace-level off|decisions|full",

@@ -11,15 +11,16 @@
 //! same load within QoS at measurably lower joules.
 //!
 //! Usage: `fig_energy [--json] [--seed N] [--nodes N] [--approx K]
-//!                    [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
+//!                    [--rack-size N [--rack-power-w W]]
 //!                    [--trace PATH] [--trace-level off|decisions|full]`
 //!
 //! `--nodes N` scales the fleet (same day/night cycle per provisioned node, see
 //! [`cluster_energy_scenario_at_scale`]); `--approx K` simulates it through the
 //! clustered approximation with `K` representatives per node group (`0` or absent =
-//! exact simulation of every node); `--topology` lays the fleet out in racked power
-//! domains, `--rack-power-w` adds a per-rack admission budget (both default to the
-//! flat, rack-free fleet); `--trace-level` records each policy run's decision events
+//! exact simulation of every node); `--rack-size N` cuts the fleet into racked power
+//! domains of `N` nodes (flat when the fleet size is not a multiple of `N`),
+//! `--rack-power-w` adds a per-rack admission budget (both default to the flat,
+//! rack-free fleet); `--trace-level` records each policy run's decision events
 //! into the `obs` block and `--trace PATH` also writes them to `PATH` tagged by policy
 //! (see [`pliant_bench::fleet`]).
 
@@ -84,7 +85,7 @@ fn main() {
         "--seed N",
         "--nodes N",
         "--approx K",
-        "--topology RxN",
+        "--rack-size N",
         "--rack-power-w W",
         "--trace PATH",
         "--trace-level off|decisions|full",

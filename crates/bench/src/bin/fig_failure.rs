@@ -11,12 +11,13 @@
 //! for the trace (which strikes node 2), is skipped with a `note:` line.
 //!
 //! Usage: `fig_failure [--json] [--seed N] [--total-load X] [--nodes N] [--approx K]
-//!                     [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
+//!                     [--rack-size N [--rack-power-w W]]
 //!                     [--trace PATH] [--trace-level off|decisions|full]`
 //!
-//! `--topology` lays each fleet out in racked power domains (sizes the rack shape
-//! cannot tile stay flat — see [`pliant_bench::fleet`]) and `--rack-power-w`
-//! adds a per-rack admission budget; both default to the flat, rack-free fleet.
+//! `--rack-size N` cuts each fleet into racked power domains of `N` nodes (a fleet size
+//! that is not a multiple of `N` stays flat — see [`pliant_bench::fleet`]) and
+//! `--rack-power-w` adds a per-rack admission budget; both default to the flat,
+//! rack-free fleet.
 //! `--approx K` simulates each fleet through the clustered approximation with `K`
 //! representatives per node group (`0` or absent = exact); faulted nodes are always
 //! carved out of their groups and simulated exactly.
@@ -77,7 +78,7 @@ fn main() {
         "--total-load X",
         "--nodes N",
         "--approx K",
-        "--topology RxN",
+        "--rack-size N",
         "--rack-power-w W",
         "--trace PATH",
         "--trace-level off|decisions|full",

@@ -13,10 +13,12 @@
 //! what that is worth in joules.
 //!
 //! Usage: `fig_topology [--json] [--seed N] [--approx K]
-//!                      [--topology <racks>x<nodes-per-rack>] [--rack-power-w W]
+//!                      [--rack-size N [--rack-power-w W]]
 //!                      [--trace PATH] [--trace-level off|decisions|full]`
 //!
-//! `--topology` / `--rack-power-w` override the default 4x2 unbudgeted grid;
+//! `--rack-size N` / `--rack-power-w` override the default grid of four unbudgeted
+//! 2-node racks (`--rack-size 2` alone is that grid; a size that does not divide the
+//! 8-machine fleet runs it flat);
 //! `--approx K` simulates the fleet through the clustered approximation with `K`
 //! representatives per node group (`0` or absent = exact). Runs always record their
 //! decision events, which the park, migration and outage columns are counted from;
@@ -127,7 +129,7 @@ fn main() {
     let cli = Cli::figure(&[
         "--seed N",
         "--approx K",
-        "--topology RxN",
+        "--rack-size N",
         "--rack-power-w W",
         "--trace PATH",
         "--trace-level off|decisions|full",

@@ -1,17 +1,15 @@
 //! The fleet-cell runner the five fleet figures share.
 //!
 //! [`FleetRunner::new`] reads the fleet flags a figure declares: `--approx K`,
-//! `--topology <racks>x<nodes-per-rack>` with `--rack-power-w W`, `--trace PATH` with
+//! `--rack-size N` with `--rack-power-w W`, `--trace PATH` with
 //! `--trace-level off|decisions|full`, and `--checkpoint-at K --checkpoint-dir DIR`
 //! with `--resume-dir DIR`. Each [`FleetRunner::run`] then applies the overrides to
 //! one cell's scenario, checks it, restores and snapshots the cell, runs it, and
 //! exports its event log.
 //!
-//! The `--topology` grid is fitted to each cell's fleet size: as written when it
-//! multiplies out to the fleet, else the same rack shape with as many racks as the
-//! fleet fills, else flat when the fleet cannot be cut into whole racks. A fitted grid
-//! that differs from the written one is noted on stderr, once per fleet size, naming
-//! both; stdout and `--json` do not change.
+//! `--rack-size N` cuts each cell's fleet into racks of `N` nodes, as many as the fleet
+//! fills, each with the `--rack-power-w` budget when one is given. A fleet whose size
+//! is not a multiple of `N` runs flat.
 //!
 //! The trace level sets what a run records: `--trace-level` when given, `decisions`
 //! when only `--trace` is, and nothing otherwise. Every run that records lands in the
@@ -32,66 +30,18 @@ use serde::Serialize;
 
 use crate::cli::{reject, Cli};
 
-/// Parses `--topology <racks>x<nodes-per-rack>` and `--rack-power-w <watts>` into the
-/// grid as written: absent means the scenario keeps its own topology, `None`. Exits
-/// with status 2 on a malformed grid, a non-positive dimension or wattage, or
-/// `--rack-power-w` without `--topology`.
-fn topology_flag(cli: &Cli) -> Option<TopologyConfig> {
-    let rack_power_w: Option<f64> = cli.value("--rack-power-w");
-    let Some(grid) = cli.text("--topology") else {
-        if rack_power_w.is_some() {
-            reject("--rack-power-w requires --topology");
-        }
-        return None;
-    };
-    let parsed = grid
-        .split_once('x')
-        .and_then(|(r, n)| Some((r.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-    let Some((racks, nodes_per_rack)) = parsed else {
-        reject("--topology expects <racks>x<nodes-per-rack>, e.g. 4x2");
-    };
-    if racks == 0 || nodes_per_rack == 0 {
-        reject("--topology dimensions must be positive");
-    }
-    if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
-        reject("--rack-power-w must be positive");
-    }
-    Some(TopologyConfig::Racks {
-        racks,
-        nodes_per_rack,
-        rack_power_w,
-    })
-}
-
-/// Fits the `--topology` grid to a fleet of `nodes`: the grid as written when it
-/// multiplies out to `nodes`, else the same rack shape and budget with the rack count
-/// scaled to the fleet (so one `--topology` flag follows a machines-needed sweep across
-/// fleet sizes), else flat when the fleet cannot be cut into whole racks. The first
-/// case is the second at the written size, so one division decides.
-fn fit_topology(grid: &TopologyConfig, nodes: usize) -> TopologyConfig {
-    match *grid {
+/// The `--rack-size` layout of a fleet of `nodes`: racks of `nodes_per_rack` with the
+/// `--rack-power-w` budget, as many as the fleet fills, or flat when the fleet cannot
+/// be cut into whole racks.
+fn racks_of(nodes_per_rack: usize, rack_power_w: Option<f64>, nodes: usize) -> TopologyConfig {
+    if nodes.is_multiple_of(nodes_per_rack) {
         TopologyConfig::Racks {
-            nodes_per_rack,
-            rack_power_w,
-            ..
-        } if nodes_per_rack > 0 && nodes.is_multiple_of(nodes_per_rack) => TopologyConfig::Racks {
             racks: nodes / nodes_per_rack,
             nodes_per_rack,
             rack_power_w,
-        },
-        _ => TopologyConfig::Flat,
-    }
-}
-
-/// `<racks>x<nodes-per-rack>` for a rack grid, `flat` for a flat fleet.
-fn grid_label(grid: &TopologyConfig) -> String {
-    match grid {
-        TopologyConfig::Racks {
-            racks,
-            nodes_per_rack,
-            ..
-        } => format!("{racks}x{nodes_per_rack}"),
-        TopologyConfig::Flat => "flat".to_string(),
+        }
+    } else {
+        TopologyConfig::Flat
     }
 }
 
@@ -135,10 +85,9 @@ fn io_failure(message: String) -> ! {
 pub struct FleetRunner {
     engine: Engine,
     approximation: Option<FleetApproximation>,
-    /// The `--topology`/`--rack-power-w` grid as written, fitted to each cell's size.
-    topology: Option<TopologyConfig>,
-    /// Fleet sizes whose fitted grid differs from the written one and has been noted.
-    refitted: Vec<usize>,
+    /// `--rack-size`: nodes per rack, laid out over each cell's fleet.
+    rack_size: Option<usize>,
+    rack_power_w: Option<f64>,
     trace: Option<String>,
     /// The level every run records at and reports in `obs`.
     level: ObsLevel,
@@ -151,10 +100,21 @@ pub struct FleetRunner {
 
 impl FleetRunner {
     /// Reads the fleet flags; a figure that does not declare one never sees it. Exits
-    /// with status 2 on an invalid value, on `--checkpoint-at` without
-    /// `--checkpoint-dir` or the reverse, and on a checkpoint or resume flag in a
-    /// traced run.
+    /// with status 2 on an invalid value, on `--rack-power-w` without `--rack-size`, on
+    /// `--checkpoint-at` without `--checkpoint-dir` or the reverse, and on a checkpoint
+    /// or resume flag in a traced run.
     pub fn new(cli: &Cli) -> Self {
+        let rack_size: Option<usize> = cli.value("--rack-size");
+        if rack_size == Some(0) {
+            reject("--rack-size must be positive");
+        }
+        let rack_power_w: Option<f64> = cli.value("--rack-power-w");
+        if rack_power_w.is_some() && rack_size.is_none() {
+            reject("--rack-power-w requires --rack-size");
+        }
+        if rack_power_w.is_some_and(|watts| !watts.is_finite() || watts <= 0.0) {
+            reject("--rack-power-w must be positive");
+        }
         let trace = cli.text("--trace").map(str::to_string);
         let level = match cli.text("--trace-level") {
             Some(name) => ObsLevel::parse(name)
@@ -185,8 +145,8 @@ impl FleetRunner {
         FleetRunner {
             engine: Engine::new(),
             approximation,
-            topology: topology_flag(cli),
-            refitted: Vec::new(),
+            rack_size,
+            rack_power_w,
             trace,
             level,
             floor: ObsLevel::Off,
@@ -212,24 +172,14 @@ impl FleetRunner {
         self
     }
 
-    /// Applies the `--approx` and `--topology` overrides to `scenario` and checks it.
+    /// Applies the `--approx` and `--rack-size` overrides to `scenario` and checks it.
     /// Exits with status 2 when the result does not validate.
-    fn prepare(&mut self, scenario: &mut ClusterScenario) {
+    fn prepare(&self, scenario: &mut ClusterScenario) {
         if let Some(approximation) = self.approximation {
             scenario.approximation = approximation;
         }
-        if let Some(grid) = &self.topology {
-            let fitted = fit_topology(grid, scenario.nodes);
-            if fitted != *grid && !self.refitted.contains(&scenario.nodes) {
-                self.refitted.push(scenario.nodes);
-                eprintln!(
-                    "note: --topology {} does not fit the {}-machine fleet; it runs as {}",
-                    grid_label(grid),
-                    scenario.nodes,
-                    grid_label(&fitted)
-                );
-            }
-            scenario.topology = fitted;
+        if let Some(nodes_per_rack) = self.rack_size {
+            scenario.topology = racks_of(nodes_per_rack, self.rack_power_w, scenario.nodes);
         }
         if let Err(e) = scenario.validate() {
             reject(format!(
@@ -290,7 +240,7 @@ impl FleetRunner {
     }
 
     /// Runs one cell with the overrides applied, unrecorded whatever the trace flags.
-    pub fn run_untraced(&mut self, scenario: &mut ClusterScenario) -> ClusterOutcome {
+    pub fn run_untraced(&self, scenario: &mut ClusterScenario) -> ClusterOutcome {
         self.prepare(scenario);
         self.engine.run_cluster(scenario)
     }
@@ -330,15 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn topology_flag_fits_each_fleet_size() {
-        // A grid that multiplies out to the fleet is used as written.
-        assert_eq!(fit_topology(&grid(2, 3), 6), grid(2, 3));
-        // Otherwise the rack shape and budget are kept and the rack count scales.
-        assert_eq!(fit_topology(&grid(2, 3), 9), grid(3, 3));
-        assert_eq!(fit_topology(&grid(2, 3), 3), grid(1, 3));
+    fn rack_size_cuts_each_fleet_size_into_whole_racks() {
+        // The rack shape and budget are kept and the rack count follows the fleet.
+        assert_eq!(racks_of(3, Some(300.0), 6), grid(2, 3));
+        assert_eq!(racks_of(3, Some(300.0), 9), grid(3, 3));
+        assert_eq!(racks_of(3, Some(300.0), 3), grid(1, 3));
         // A fleet that cannot be cut into whole racks runs flat.
-        assert_eq!(fit_topology(&grid(2, 3), 7), TopologyConfig::Flat);
-        assert_eq!(fit_topology(&grid(2, 3), 1), TopologyConfig::Flat);
-        assert_eq!(fit_topology(&TopologyConfig::Flat, 5), TopologyConfig::Flat);
+        assert_eq!(racks_of(3, Some(300.0), 7), TopologyConfig::Flat);
+        assert_eq!(racks_of(3, Some(300.0), 1), TopologyConfig::Flat);
     }
 }

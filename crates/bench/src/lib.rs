@@ -129,8 +129,9 @@ pub fn cluster_failure_scenario(
     Some(scenario)
 }
 
-/// The fleet scenario of the energy study (`fig_energy`), shared with the integration
-/// test that pins its headline result: a 6-machine memcached fleet under one day/night
+/// The fleet scenario of the energy study (`fig_energy`) at `nodes` machines, shared
+/// with the integration test that pins its headline result. At its default of 6: a
+/// memcached fleet under one day/night
 /// load cycle — a day plateau at exactly the fig_cluster operating point (2.6
 /// node-units), an evening decline, and a night valley at 1.26 node-units — serving a
 /// fixed batch of 12 jobs, with the energy-aware autoscaler sizing the active set.
@@ -145,20 +146,11 @@ pub fn cluster_failure_scenario(
 /// interactive load and complete the identical batch within QoS — the Pliant fleet
 /// simply does it with more machines parked at the suspend draw, which is the
 /// machines-needed headline expressed in joules.
-pub fn cluster_energy_scenario(
-    policy: pliant_core::policy::PolicyKind,
-    seed: u64,
-) -> pliant_cluster::ClusterScenario {
-    cluster_energy_scenario_at_scale(6, policy, seed)
-}
-
-/// The energy study generalized to an arbitrary fleet size: the same day/night cycle
-/// *per provisioned node* as [`cluster_energy_scenario`] (so the total traffic scales
-/// linearly with the fleet), two batch jobs per node from the same three-kernel mix,
-/// and the same autoscaler thresholds with the active-set floor scaled to a third of
-/// the fleet (which is the historical floor of 2 at the 6-node figure).
-/// [`cluster_energy_scenario`] delegates here at `nodes == 6`, so the historical
-/// figure is exactly the 6-node slice of this family.
+///
+/// At other fleet sizes the study keeps the same day/night cycle *per provisioned
+/// node* (so the total traffic scales linearly with the fleet), two batch jobs per node
+/// from the same three-kernel mix, and the same autoscaler thresholds with the
+/// active-set floor scaled to a third of the fleet (the floor of 2 at 6 nodes).
 pub fn cluster_energy_scenario_at_scale(
     nodes: usize,
     policy: pliant_core::policy::PolicyKind,

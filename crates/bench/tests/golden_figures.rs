@@ -166,7 +166,9 @@ fn single_node_full_trace_is_byte_identical_to_the_golden() {
         .seed(17)
         .build();
     let (_, log) = Engine::new().run_scenario_traced(&scenario, ObsLevel::Full);
-    let fresh = log.to_jsonl_string();
+    let mut fresh = Vec::new();
+    log.write_jsonl(&mut fresh).expect("in-memory write");
+    let fresh = String::from_utf8(fresh).expect("JSON is UTF-8");
     let out = format!(
         "{}/single_node_full_trace.jsonl",
         env!("CARGO_TARGET_TMPDIR")
@@ -397,6 +399,20 @@ fn value_flags_without_a_valid_value_exit_with_status_2() {
             env!("CARGO_BIN_EXE_fig7_violins"),
             ["--combos", "0"].as_slice(),
         ),
+        // Rack flags: racks are set by `--rack-size`, not a `--topology` grid, a rack
+        // size must be positive, and a budget needs a rack size.
+        (
+            env!("CARGO_BIN_EXE_fig_cluster"),
+            ["--topology", "2x2"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_topology"),
+            ["--rack-size", "0"].as_slice(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig_energy"),
+            ["--rack-power-w", "300"].as_slice(),
+        ),
         // Flags a binary does not read, and a flag given twice.
         (
             env!("CARGO_BIN_EXE_fig5_aggregate"),
@@ -498,34 +514,21 @@ fn fleets_the_failure_trace_cannot_strike_are_skipped_with_a_note() {
     );
 }
 
-/// The rack count of `--topology` yields to the fleet size: `fig_topology --topology
-/// 1x2` runs its 8-machine fleet as the default 4x2 grid, so its `--json` is the
-/// default golden, and a single stderr note names both grids. A grid that fits as
-/// written runs without a note.
+/// `--rack-size 2` cuts `fig_topology`'s 8-machine fleet into its default grid of four
+/// 2-node racks, so its `--json` is the default golden, with nothing on stderr.
 #[test]
-fn a_refitted_topology_grid_is_noted_on_stderr() {
+fn a_rack_size_of_the_default_grid_reproduces_the_golden() {
     let bin = env!("CARGO_BIN_EXE_fig_topology");
-    for (grid, note) in [
-        (
-            "1x2",
-            Some("note: --topology 1x2 does not fit the 8-machine fleet; it runs as 4x2\n"),
-        ),
-        ("4x2", None),
-    ] {
-        let output = Command::new(bin)
-            .args(["--json", "--topology", grid])
-            .output()
-            .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            output.status.success(),
-            "--topology {grid} failed: {stderr}"
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&output.stdout),
-            golden("fig_topology.json"),
-            "--topology {grid} must not change the figure"
-        );
-        assert_eq!(stderr, note.unwrap_or(""), "--topology {grid}");
-    }
+    let output = Command::new(bin)
+        .args(["--json", "--rack-size", "2"])
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "--rack-size 2 failed: {stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        golden("fig_topology.json"),
+        "--rack-size 2 must not change the figure"
+    );
+    assert_eq!(stderr, "");
 }

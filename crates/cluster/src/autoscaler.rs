@@ -339,11 +339,6 @@ impl Autoscaler {
             .sum()
     }
 
-    /// Logical nodes each instance stands for, in instance order.
-    pub fn weights(&self) -> &[usize] {
-        &self.weights
-    }
-
     /// The learned capacity ceiling: the smallest per-active-node load at which QoS
     /// pressure has forced a scale-out so far (infinity until it happens). Each
     /// pressure event contributes the *peak* per-node load observed over its streak,

@@ -451,12 +451,6 @@ impl ClusterRun {
         }
     }
 
-    /// Per-rack measured power draw over the previous interval, in watts. Empty on a
-    /// flat topology, which does not track rack power.
-    pub fn rack_power_w(&self) -> &[f64] {
-        &self.rack_power_w
-    }
-
     /// Takes the merged decision-event stream of the run so far: the coordinator's
     /// events followed by every node's, interleaved chronologically (stable per-interval
     /// order: fleet first, then nodes in instance order). Buffers are drained, so
@@ -470,43 +464,16 @@ impl ClusterRun {
         EventLog::merge(level, buffers)
     }
 
-    /// Logical fleet size (the number of nodes the scenario describes, regardless of
-    /// how many instances the approximation simulates).
-    pub fn node_count(&self) -> usize {
-        self.scenario.nodes
-    }
-
-    /// Simulated instances (equals [`Self::node_count`] in exact mode; the number of
+    /// Simulated instances (the logical fleet size in exact mode; the number of
     /// cluster representatives under
     /// [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)).
     pub fn instance_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Logical nodes each instance stands for, in instance order (all ones in exact
-    /// mode).
-    pub fn replica_weights(&self) -> &[usize] {
-        &self.replica_weights
-    }
-
-    /// Current experiment time in seconds.
-    pub fn time_s(&self) -> f64 {
-        self.time_s
-    }
-
     /// Decision intervals advanced so far.
     pub fn intervals(&self) -> usize {
         self.intervals
-    }
-
-    /// Job-queue statistics so far.
-    pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.scheduler.stats()
-    }
-
-    /// Jobs still waiting in the queue.
-    pub fn pending_jobs(&self) -> usize {
-        self.scheduler.pending()
     }
 
     /// Fault-injection outcome counters so far, when the scenario carries a
@@ -516,20 +483,6 @@ impl ClusterRun {
         self.faults
             .as_ref()
             .map(|f| f.stats(self.scenario.nodes, self.intervals))
-    }
-
-    /// Logical nodes currently serving traffic (the whole fleet without an
-    /// autoscaler). In clustered mode a whole replica block counts at once, since the
-    /// autoscaler parks and drains instances atomically.
-    pub fn active_nodes(&self) -> usize {
-        self.autoscaler
-            .as_ref()
-            .map_or(self.scenario.nodes, |a| a.active_replicas())
-    }
-
-    /// The current snapshots of every instance, in instance order.
-    pub fn snapshots(&self) -> Vec<NodeSnapshot> {
-        self.nodes.iter().map(ClusterNode::snapshot).collect()
     }
 
     /// Immutable access to instance `index`.

@@ -471,12 +471,6 @@ impl ClusterScenarioBuilder {
         self
     }
 
-    /// Appends one batch job to the submission queue.
-    pub fn job(mut self, app: AppId) -> Self {
-        self.scenario.jobs.push(app);
-        self
-    }
-
     /// Appends several batch jobs to the submission queue. A `Vec` handed to an empty
     /// queue becomes the queue, without a copy or a second buffer.
     pub fn jobs(mut self, jobs: impl IntoIterator<Item = AppId>) -> Self {
@@ -508,24 +502,6 @@ impl ClusterScenarioBuilder {
         self
     }
 
-    /// Sets the decision interval in seconds.
-    pub fn decision_interval_s(mut self, dt_s: f64) -> Self {
-        self.scenario.decision_interval_s = dt_s;
-        self
-    }
-
-    /// Sets the per-node controllers' latency-slack threshold.
-    pub fn slack_threshold(mut self, threshold: f64) -> Self {
-        self.scenario.slack_threshold = threshold;
-        self
-    }
-
-    /// Sets the per-node controllers' relaxation hysteresis.
-    pub fn consecutive_slack_required(mut self, intervals: u32) -> Self {
-        self.scenario.consecutive_slack_required = intervals;
-        self
-    }
-
     /// Caps the run at a number of decision intervals.
     pub fn horizon_intervals(mut self, intervals: usize) -> Self {
         self.scenario.horizon = Horizon::Intervals(intervals);
@@ -543,12 +519,6 @@ impl ClusterScenarioBuilder {
     /// convergence transient too).
     pub fn warmup_intervals(mut self, intervals: usize) -> Self {
         self.scenario.warmup_intervals = intervals;
-        self
-    }
-
-    /// Overrides every node's QoS target in seconds.
-    pub fn qos_target_s(mut self, qos_s: f64) -> Self {
-        self.scenario.qos_target_s = Some(qos_s);
         self
     }
 
@@ -652,7 +622,7 @@ mod tests {
         let s = ClusterScenario::builder(ServiceId::Memcached)
             .nodes(2)
             .jobs(vec![AppId::Canneal, AppId::Snp])
-            .job(AppId::Glimmer)
+            .jobs([AppId::Glimmer])
             .jobs(vec![AppId::Fasta])
             .jobs([AppId::Snp])
             .build();
@@ -702,12 +672,14 @@ mod tests {
                 .unwrap_err(),
             ClusterScenarioError::InvalidLoad
         );
-        assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
+        let zero_target = ClusterScenario {
+            qos_target_s: Some(0.0),
+            ..ClusterScenario::builder(ServiceId::Nginx)
                 .jobs(jobs(4))
-                .qos_target_s(0.0)
-                .try_build()
-                .unwrap_err(),
+                .build()
+        };
+        assert_eq!(
+            zero_target.validate().unwrap_err(),
             ClusterScenarioError::InvalidQosTarget
         );
         let err = ClusterScenario::builder(ServiceId::Nginx)
@@ -736,10 +708,13 @@ mod tests {
             })
             .autoscaler(AutoscalerConfig::default())
             .horizon_seconds(30.0)
-            .qos_target_s(0.012)
             .seed(1234)
             .label("round-trip")
             .build();
+        let s = ClusterScenario {
+            qos_target_s: Some(0.012),
+            ..s
+        };
         let json = serde_json::to_string_pretty(&s).expect("serializable");
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, s);

@@ -286,7 +286,7 @@ mod tests {
         let legacy = json.replace("\"approximation\":\"Exact\",", "");
         assert!(!legacy.contains("approximation"));
         let back: ClusterSuite = serde_json::from_str(&legacy).expect("deserializable");
-        assert_eq!(back.base().approximation, FleetApproximation::Exact);
+        assert_eq!(back.scenario_at(0).approximation, FleetApproximation::Exact);
     }
 
     #[test]

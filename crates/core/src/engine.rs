@@ -33,7 +33,7 @@ use crate::suite::{Suite, SweepScenario};
 /// one node scenario, or one whole fleet in `pliant_cluster`; a fleet steps its nodes
 /// on the thread that runs its cell, whatever the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
+enum ExecMode {
     /// Run cells one after another on the calling thread.
     Serial,
     /// Fan cells out over worker threads (`threads == 0` means one worker per available
@@ -98,17 +98,6 @@ impl Engine {
         self
     }
 
-    /// Switches back to serial execution.
-    pub fn serial(mut self) -> Self {
-        self.mode = ExecMode::Serial;
-        self
-    }
-
-    /// The current execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The catalog scenarios run against.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -124,6 +113,7 @@ impl Engine {
     /// [`ObsLevel::Off`] this is exactly [`Self::run_scenario`] plus an empty log; the
     /// simulation itself is identical at every level — tracing observes decisions, it
     /// never alters them.
+    // pliant-lint: allow(test-only-pub) README "Observability" shows it as the traced entry point
     pub fn run_scenario_traced(
         &self,
         scenario: &Scenario,
@@ -548,16 +538,17 @@ mod tests {
             .seed(5)
             .build();
         let outcome = Engine::new().run_scenario(&scenario);
-        for phase in LoadPhase::all() {
+        let phase = |phase| outcome.phase_qos.iter().find(|s| s.phase == phase);
+        for p in LoadPhase::all() {
             assert!(
-                outcome.phase(phase).is_some(),
-                "a 30 s run over a 16 s transient must visit {phase}"
+                phase(p).is_some(),
+                "a 30 s run over a 16 s transient must visit {p}"
             );
         }
         let total: usize = outcome.phase_qos.iter().map(|p| p.intervals).sum();
         assert_eq!(total + outcome.idle_intervals, outcome.intervals);
-        let steady = outcome.phase(LoadPhase::Steady).unwrap();
-        let peak = outcome.phase(LoadPhase::Peak).unwrap();
+        let steady = phase(LoadPhase::Steady).unwrap();
+        let peak = phase(LoadPhase::Peak).unwrap();
         assert!(peak.mean_offered_load > steady.mean_offered_load);
     }
 

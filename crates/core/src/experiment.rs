@@ -132,11 +132,6 @@ impl ColocationOutcome {
             .sum::<f64>()
             / self.app_outcomes.len() as f64
     }
-
-    /// The QoS statistics of one load phase, if the run entered it.
-    pub fn phase(&self, phase: LoadPhase) -> Option<&PhaseQosStats> {
-        self.phase_qos.iter().find(|s| s.phase == phase)
-    }
 }
 
 /// Classification used by the Fig. 10 breakdown: what it took to restore QoS.

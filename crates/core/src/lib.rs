@@ -75,7 +75,7 @@ pub mod suite;
 
 pub use actuator::{Action, Actuator};
 pub use controller::ControllerConfig;
-pub use engine::{CellOutcome, Engine, ExecMode};
+pub use engine::{CellOutcome, Engine};
 pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};
 pub use multi::MultiAppController;

@@ -208,11 +208,6 @@ impl PerformanceMonitor {
         }
     }
 
-    /// Number of intervals observed so far.
-    pub fn intervals_observed(&self) -> u64 {
-        self.state.intervals_observed
-    }
-
     /// The monitor's mutable state (the configuration is rebuilt from the scenario, the
     /// interval histogram from the next interval).
     pub fn state(&self) -> &MonitorState {
@@ -498,7 +493,7 @@ mod tests {
         assert_eq!(idle.slack_fraction, 0.0, "no fresh slack evidence");
         // The EWMA and adaptive-sampling state are untouched by idle gaps.
         let after = monitor.observe_interval(busy.as_slice());
-        assert_eq!(monitor.intervals_observed(), 3);
+        assert_eq!(monitor.state.intervals_observed, 3);
         assert!(after.smoothed_p99_s > 0.0);
     }
 
@@ -650,6 +645,6 @@ mod tests {
         let r2 = monitor.observe_interval(high.as_slice());
         assert!(r2.smoothed_p99_s < r2.p99_s, "EWMA should lag the jump");
         assert!(r2.smoothed_p99_s > r1.p99_s);
-        assert_eq!(monitor.intervals_observed(), 2);
+        assert_eq!(monitor.state.intervals_observed, 2);
     }
 }

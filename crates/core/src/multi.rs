@@ -103,16 +103,6 @@ impl MultiAppController {
         self.apps[app].cores_reclaimed
     }
 
-    /// Total cores reclaimed across all applications.
-    pub fn total_cores_reclaimed(&self) -> u32 {
-        self.apps.iter().map(|a| a.cores_reclaimed).sum()
-    }
-
-    /// Total decisions taken.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
     /// Re-binds slot `app` to a new application with `variant_count` admissible variants
     /// (batch-job scheduling: a finished job's slot is handed the next queued job).
     ///
@@ -213,6 +203,10 @@ impl MultiAppController {
 mod tests {
     use super::*;
 
+    fn total_cores_reclaimed(c: &MultiAppController) -> u32 {
+        c.apps.iter().map(|a| a.cores_reclaimed).sum()
+    }
+
     fn violated() -> MonitorReport {
         MonitorReport {
             p99_s: 1.0,
@@ -279,7 +273,7 @@ mod tests {
         assert_eq!(a3, vec![Action::ReclaimCore { app: 0 }]);
         let a4 = c.decide(&violated());
         assert_eq!(a4, vec![Action::ReclaimCore { app: 1 }]);
-        assert_eq!(c.total_cores_reclaimed(), 2);
+        assert_eq!(total_cores_reclaimed(&c), 2);
         assert_eq!(c.cores_reclaimed(0), 1);
         assert_eq!(c.cores_reclaimed(1), 1);
     }
@@ -309,7 +303,7 @@ mod tests {
             assert!(!c.decide(&violated()).is_empty());
         }
         assert!(c.decide(&violated()).is_empty());
-        assert_eq!(c.total_cores_reclaimed(), 2);
+        assert_eq!(total_cores_reclaimed(&c), 2);
     }
 
     #[test]
@@ -322,7 +316,7 @@ mod tests {
         assert!(matches!(r1[0], Action::ReturnCore { .. }));
         let r2 = c.decide(&met(0.3));
         assert!(matches!(r2[0], Action::ReturnCore { .. }));
-        assert_eq!(c.total_cores_reclaimed(), 0);
+        assert_eq!(total_cores_reclaimed(&c), 0);
         let r3 = c.decide(&met(0.3));
         assert!(matches!(r3[0], Action::SetVariant { .. }));
     }
@@ -352,7 +346,7 @@ mod tests {
         assert!(c.decide(&idle).is_empty());
         let after: Vec<Option<usize>> = (0..c.app_count()).map(|i| c.variant(i)).collect();
         assert_eq!(before, after);
-        assert_eq!(c.total_cores_reclaimed(), 0);
+        assert_eq!(total_cores_reclaimed(&c), 0);
     }
 
     #[test]
@@ -512,7 +506,7 @@ mod tests {
         let mut c = single(ControllerConfig::default(), 4, 8);
         let _ = c.decide(&met(0.0));
         let _ = c.decide(&met(0.0));
-        assert_eq!(c.decisions(), 2);
+        assert_eq!(c.decisions, 2);
     }
 
     #[test]

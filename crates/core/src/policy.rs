@@ -241,7 +241,7 @@ mod tests {
 
     fn total_cores_reclaimed(policy: &Policy) -> u32 {
         match policy {
-            Policy::Pliant(controller) => controller.total_cores_reclaimed(),
+            Policy::Pliant(c) => (0..c.app_count()).map(|app| c.cores_reclaimed(app)).sum(),
             _ => panic!("not a Pliant policy"),
         }
     }

@@ -301,24 +301,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the decision interval in seconds.
-    pub fn decision_interval_s(mut self, dt_s: f64) -> Self {
-        self.scenario.decision_interval_s = dt_s;
-        self
-    }
-
-    /// Sets the latency-slack threshold for relaxing.
-    pub fn slack_threshold(mut self, threshold: f64) -> Self {
-        self.scenario.slack_threshold = threshold;
-        self
-    }
-
-    /// Sets the relaxation hysteresis (consecutive high-slack intervals required).
-    pub fn consecutive_slack_required(mut self, intervals: u32) -> Self {
-        self.scenario.consecutive_slack_required = intervals;
-        self
-    }
-
     /// Caps the run at a number of decision intervals.
     pub fn horizon_intervals(mut self, intervals: usize) -> Self {
         self.scenario.horizon = Horizon::Intervals(intervals);
@@ -342,18 +324,6 @@ impl ScenarioBuilder {
     /// Forces instrumentation on or off, overriding the policy default.
     pub fn instrumented(mut self, instrumented: bool) -> Self {
         self.scenario.instrumented = Some(instrumented);
-        self
-    }
-
-    /// Overrides the service's QoS target in seconds.
-    pub fn qos_target_s(mut self, qos_s: f64) -> Self {
-        self.scenario.qos_target_s = Some(qos_s);
-        self
-    }
-
-    /// Overrides the number of latency samples delivered per decision interval.
-    pub fn samples_per_interval(mut self, samples: usize) -> Self {
-        self.scenario.samples_per_interval = Some(samples);
         self
     }
 
@@ -437,12 +407,13 @@ mod tests {
                 .unwrap_err(),
             ScenarioError::InvalidLoad
         );
+        let valid = Scenario::builder(ServiceId::Nginx).app(AppId::Snp).build();
+        let negative_interval = Scenario {
+            decision_interval_s: -1.0,
+            ..valid.clone()
+        };
         assert_eq!(
-            Scenario::builder(ServiceId::Nginx)
-                .app(AppId::Snp)
-                .decision_interval_s(-1.0)
-                .try_build()
-                .unwrap_err(),
+            negative_interval.validate().unwrap_err(),
             ScenarioError::InvalidDecisionInterval
         );
         assert_eq!(
@@ -453,12 +424,12 @@ mod tests {
                 .unwrap_err(),
             ScenarioError::InvalidHorizon
         );
+        let nan_target = Scenario {
+            qos_target_s: Some(f64::NAN),
+            ..valid
+        };
         assert_eq!(
-            Scenario::builder(ServiceId::Nginx)
-                .app(AppId::Snp)
-                .qos_target_s(f64::NAN)
-                .try_build()
-                .unwrap_err(),
+            nan_target.validate().unwrap_err(),
             ScenarioError::InvalidQosTarget
         );
     }
@@ -562,17 +533,19 @@ mod tests {
 
     #[test]
     fn scenario_round_trips_through_json() {
-        let s = Scenario::builder(ServiceId::MongoDb)
-            .apps([AppId::Raytrace, AppId::Bayesian])
-            .policy(PolicyKind::ReclaimOnly)
-            .load(0.9)
-            .decision_interval_s(0.5)
-            .horizon_seconds(30.0)
-            .qos_target_s(0.012)
-            .samples_per_interval(500)
-            .seed(1234567890123456789)
-            .label("round-trip")
-            .build();
+        let s = Scenario {
+            decision_interval_s: 0.5,
+            qos_target_s: Some(0.012),
+            samples_per_interval: Some(500),
+            ..Scenario::builder(ServiceId::MongoDb)
+                .apps([AppId::Raytrace, AppId::Bayesian])
+                .policy(PolicyKind::ReclaimOnly)
+                .load(0.9)
+                .horizon_seconds(30.0)
+                .seed(1234567890123456789)
+                .label("round-trip")
+                .build()
+        };
         let json = serde_json::to_string_pretty(&s).expect("serializable");
         let back: Scenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, s);

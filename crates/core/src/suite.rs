@@ -322,16 +322,6 @@ impl<S: SweepScenario> Suite<S> {
         &self.name
     }
 
-    /// The base scenario the sweeps are applied to.
-    pub fn base(&self) -> &S {
-        &self.base
-    }
-
-    /// The sweep axes in application order (earlier axes vary slowest).
-    pub fn axes(&self) -> &[S::Axis] {
-        &self.axes
-    }
-
     /// Re-checks the invariants the builder enforces (non-empty axes, one axis per
     /// scenario knob) and that every cell's scenario passes its own validation.
     /// Deserialization and [`Engine::run_collect`] call this before anything runs.

@@ -238,8 +238,7 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
 
         analysis.context.push(TokenContext {
             function: scopes.iter().rev().find_map(|s| s.function),
-            in_test: scopes.iter().any(|s| s.test)
-                || (pending.test && matches!(pending.item, Some(PendingItem::Fn(_)))),
+            in_test: in_test_now(&scopes, &pending),
         });
         i += 1;
     }

@@ -1,8 +1,9 @@
 //! Lint configuration: which functions are hot paths and which paths each
 //! path-scoped rule covers.
 //!
-//! Paths are matched against the diagnostic path (the path relative to the scan root,
-//! with `/` separators), so the tool expects to be invoked from — or pointed at — the
+//! Paths are matched against the diagnostic path (`/` separators): a relative scan path
+//! as given, relative to the current directory, or, for an absolute scan root, the path
+//! relative to that root. So the tool expects to be invoked from — or pointed at — the
 //! workspace root, which is how CI and the self-hosting tests run it.
 
 /// Configuration shared by every rule.
@@ -35,6 +36,9 @@ pub struct LintConfig {
     /// Path prefixes exempt from the `validate-bypass` rule (the serde compat shim
     /// itself).
     pub validate_bypass_exempt: Vec<String>,
+    /// Path prefixes exempt from the `test-only-pub` rule: the compat shims, whose
+    /// stand-ins mirror the API of the external crates they replace.
+    pub test_only_pub_exempt: Vec<String>,
     /// Directory names skipped entirely while walking (build output, VCS metadata, and
     /// the lint crate's own seeded-violation fixtures).
     pub skip_dirs: Vec<String>,
@@ -149,21 +153,8 @@ impl LintConfig {
                 "crates/telemetry/src/",
             ]),
             validate_bypass_exempt: s(&["crates/compat/"]),
+            test_only_pub_exempt: s(&["crates/compat/"]),
             skip_dirs: s(&["target", ".git", "fixtures"]),
-        }
-    }
-
-    /// A configuration whose path-scoped rules apply to *every* file: used by the
-    /// fixture tests, where the seeded violations do not live under the repository's
-    /// crate paths.
-    pub fn all_paths() -> Self {
-        LintConfig {
-            wallclock_allowed: Vec::new(),
-            unsafe_allowed: Vec::new(),
-            hash_container_scoped: vec![String::new()],
-            panic_hygiene_scoped: vec![String::new()],
-            validate_bypass_exempt: Vec::new(),
-            ..Self::repo_default()
         }
     }
 }
@@ -176,7 +167,12 @@ pub fn path_in(rel_path: &str, prefixes: &[String]) -> bool {
 /// Whether the file is test-only by location: under a `tests/`, `benches/`, or
 /// `examples/` directory.
 pub fn path_is_test_code(rel_path: &str) -> bool {
-    ["tests/", "benches/", "examples/"]
-        .iter()
+    path_under_dir(rel_path, &["tests/", "benches/", "examples/"])
+}
+
+/// Whether `rel_path` lies under a directory named by one of `dirs` (each `name/`), at
+/// any depth.
+pub(crate) fn path_under_dir(rel_path: &str, dirs: &[&str]) -> bool {
+    dirs.iter()
         .any(|dir| rel_path.starts_with(dir) || rel_path.contains(&format!("/{dir}")))
 }

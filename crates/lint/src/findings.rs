@@ -16,6 +16,8 @@ pub mod rules {
     pub const PANIC_HYGIENE: &str = "panic-hygiene";
     /// The `unsafe` keyword outside the files allowed to use it.
     pub const UNSAFE_SCOPE: &str = "unsafe-scope";
+    /// A library `pub fn` that no non-test code in the workspace uses.
+    pub const TEST_ONLY_PUB: &str = "test-only-pub";
 }
 
 /// Static description of one rule, for `--list-rules` and the README catalog.
@@ -55,6 +57,11 @@ pub const ALL_RULES: &[RuleInfo] = &[
         id: rules::UNSAFE_SCOPE,
         summary: "the unsafe keyword outside the allowlisted files (the AVX2 dispatch of \
                   crates/telemetry/src/simd.rs)",
+    },
+    RuleInfo {
+        id: rules::TEST_ONLY_PUB,
+        summary: "pub fn in library code that no non-test code in the workspace names \
+                  (directory scans only; matched by name)",
     },
 ];
 

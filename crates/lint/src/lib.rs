@@ -16,6 +16,9 @@
 //!   of the simulation crates.
 //! * [`findings::rules::UNSAFE_SCOPE`] — the `unsafe` keyword outside the one module that
 //!   needs it, the AVX2 dispatch in `crates/telemetry/src/simd.rs`.
+//! * [`findings::rules::TEST_ONLY_PUB`] — a library `pub fn` that only tests call, or
+//!   nothing at all (52 of them when the rule arrived). The one cross-file rule: it runs
+//!   on directory and file scans ([`lint_path`]), not on [`lint_source`].
 //!
 //! The tool is dependency-free (std only) with its own small Rust lexer — consistent
 //! with the workspace's offline compat-shim environment — and deny-by-default:
@@ -45,17 +48,19 @@ pub mod findings;
 pub mod rules;
 pub mod tokenizer;
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use config::LintConfig;
 use findings::Finding;
 
-/// Lints one in-memory source file. `rel_path` is the diagnostic path and drives the
-/// path-scoped rules.
+/// Lints one in-memory source file with every single-file rule. `rel_path` is the
+/// diagnostic path and drives the path-scoped rules.
+// pliant-lint: allow(test-only-pub) the crate docs' example shows it as the single-file API
 pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Vec<Finding> {
     let analysis = analysis::analyze(rel_path, source);
-    rules::run_rules(&analysis, cfg)
+    rules::run_rules(&analysis, cfg, None)
 }
 
 /// Recursively collects the `.rs` files under `root` (or `root` itself if it is a
@@ -85,22 +90,38 @@ pub fn collect_rs_files(root: &Path, cfg: &LintConfig) -> io::Result<Vec<PathBuf
     Ok(files)
 }
 
-/// Lints every `.rs` file under `root`. Diagnostic paths are reported relative to
-/// `root`, so path-scoped rules expect `root` to be the workspace root.
+/// Lints every `.rs` file under `root` (a directory, or one file) with every rule.
+///
+/// Diagnostic paths, which the path-scoped rules match, are relative to a base: the
+/// current directory when `root` is relative (`crates/sim` reports
+/// `crates/sim/src/colocation.rs`, as `.` does), or `root` itself when it is absolute
+/// (its directory, for a file). `test-only-pub` looks for uses in every `.rs` file under
+/// that base, so run the tool from the workspace root.
 pub fn lint_path(root: &Path, cfg: &LintConfig) -> io::Result<Vec<Finding>> {
+    let base = match root.is_absolute() {
+        false => Path::new("."),
+        true if root.is_file() => root.parent().unwrap_or(root),
+        true => root,
+    };
+    let mut used = BTreeSet::new();
+    for file in collect_rs_files(base, cfg)? {
+        let source = std::fs::read_to_string(&file)?;
+        let analysis = analysis::analyze(&diagnostic_path(base, &file), &source);
+        rules::collect_uses(&analysis, &mut used);
+    }
     let mut all = Vec::new();
     for file in collect_rs_files(root, cfg)? {
-        let rel = diagnostic_path(root, &file);
         let source = std::fs::read_to_string(&file)?;
-        all.extend(lint_source(&rel, &source, cfg));
+        let analysis = analysis::analyze(&diagnostic_path(base, &file), &source);
+        all.extend(rules::run_rules(&analysis, cfg, Some(&used)));
     }
     Ok(all)
 }
 
-/// The `/`-separated path of `file` relative to `root` (or `file` itself when it is not
-/// under `root`), with any leading `./` stripped.
-fn diagnostic_path(root: &Path, file: &Path) -> String {
-    let rel = file.strip_prefix(root).unwrap_or(file);
+/// The `/`-separated path of `file` relative to `base` (or `file` itself when it is not
+/// under `base`), with any leading `./` stripped.
+fn diagnostic_path(base: &Path, file: &Path) -> String {
+    let rel = file.strip_prefix(base).unwrap_or(file);
     let joined = rel
         .components()
         .map(|c| c.as_os_str().to_string_lossy())

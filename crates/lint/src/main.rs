@@ -12,9 +12,10 @@
 //! ```
 //!
 //! With no path, the current directory is scanned. Paths are scanned recursively for
-//! `.rs` files (skipping `target/`, `.git/`, and `fixtures/`); diagnostic paths are
-//! reported relative to each scan root, so run the tool from the workspace root for the
-//! path-scoped rules to apply as configured.
+//! `.rs` files (skipping `target/`, `.git/`, and `fixtures/`). A relative path is
+//! reported as given, relative to the current directory (an absolute one relative to
+//! itself), and `test-only-pub` looks for uses under the current directory, so run the
+//! tool from the workspace root for the path-scoped rules to apply as configured.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;

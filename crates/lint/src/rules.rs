@@ -1,14 +1,22 @@
-//! The six rules, each grounded in a bug class this repository has actually shipped
+//! The seven rules, each grounded in a bug class this repository has actually shipped
 //! and then fixed reactively (see the README "Static analysis" section for the history).
 
+use std::collections::BTreeSet;
+
 use crate::analysis::FileAnalysis;
-use crate::config::{path_in, path_is_test_code, LintConfig};
+use crate::config::{path_in, path_is_test_code, path_under_dir, LintConfig};
 use crate::findings::{rules, Finding};
 use crate::tokenizer::{Token, TokenKind};
 
 /// Runs every rule over one analyzed file. Findings are sorted by line then rule, with
 /// at most one finding per `(rule, line)` pair, and pragma-suppressed findings removed.
-pub fn run_rules(a: &FileAnalysis, cfg: &LintConfig) -> Vec<Finding> {
+/// `used` is the workspace's index of used names (`collect_uses`); without it the one
+/// cross-file rule, `test-only-pub`, does not run.
+pub fn run_rules(
+    a: &FileAnalysis,
+    cfg: &LintConfig,
+    used: Option<&BTreeSet<String>>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     nan_unsafe_cmp(a, &mut findings);
     hot_path_alloc(a, cfg, &mut findings);
@@ -16,6 +24,9 @@ pub fn run_rules(a: &FileAnalysis, cfg: &LintConfig) -> Vec<Finding> {
     validate_bypass(a, cfg, &mut findings);
     panic_hygiene(a, cfg, &mut findings);
     unsafe_scope(a, cfg, &mut findings);
+    if let Some(used) = used {
+        test_only_pub(a, cfg, used, &mut findings);
+    }
 
     findings.retain(|f| !a.is_suppressed(f.rule, f.line));
     findings.sort_by(|x, y| (x.line, x.rule).cmp(&(y.line, y.rule)));
@@ -250,6 +261,128 @@ fn unsafe_scope(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>)
              `// pliant-lint: allow(unsafe-scope)` naming why it cannot be"
                 .to_string(),
         );
+    }
+}
+
+/// A `pub fn` in library code whose name no non-test code in the workspace uses: an API
+/// kept alive only by tests (or by nothing) is code the system does not need. Library
+/// code is non-test code under `crates/*/src/` and `src/`, minus binaries and
+/// [`LintConfig::test_only_pub_exempt`]. Uses are matched by name only (see
+/// [`collect_uses`]), so a function sharing its name with one that is used elsewhere
+/// passes (`SlidingWindow::quantile` passes on `perfbench`'s `measure::quantile`).
+fn test_only_pub(
+    a: &FileAnalysis,
+    cfg: &LintConfig,
+    used: &BTreeSet<String>,
+    findings: &mut Vec<Finding>,
+) {
+    if !is_library_code(&a.rel_path) || path_in(&a.rel_path, &cfg.test_only_pub_exempt) {
+        return;
+    }
+    let toks = &a.tokens;
+    for i in 0..toks.len() {
+        if a.context[i].in_test || !toks[i].is_ident("pub") {
+            continue;
+        }
+        let Some(name) = pub_fn_name(toks, i) else {
+            continue;
+        };
+        if !used.contains(name) {
+            emit(
+                findings,
+                rules::TEST_ONLY_PUB,
+                a,
+                toks[i].line,
+                format!(
+                    "`pub fn {name}` has no caller in non-test code of the workspace; delete \
+                     it, move it into the test that uses it, or annotate with \
+                     `// pliant-lint: allow(test-only-pub)` naming the README section, \
+                     example or cross-crate reference test that makes it API"
+                ),
+            );
+        }
+    }
+}
+
+/// Whether `rel_path` is library source: under `src/` or `crates/<name>/src/`, and not a
+/// binary (`bin/`, `main.rs`) or test code.
+fn is_library_code(rel_path: &str) -> bool {
+    let segments: Vec<&str> = rel_path.split('/').collect();
+    let in_src = match segments.as_slice() {
+        ["src", rest @ ..] | ["crates", _, "src", rest @ ..] => {
+            !rest.contains(&"bin") && rest.last() != Some(&"main.rs")
+        }
+        _ => false,
+    };
+    in_src && !path_is_test_code(rel_path)
+}
+
+/// The name of the function that a `pub` at `toks[i]` declares, if it does: `pub fn f`,
+/// or with qualifiers, `pub const fn f`. A restricted `pub(crate) fn` is not public API.
+fn pub_fn_name(toks: &[Token], i: usize) -> Option<&str> {
+    let mut j = i + 1;
+    while toks
+        .get(j)
+        .is_some_and(|t| ["const", "async", "unsafe"].iter().any(|q| t.is_ident(q)))
+    {
+        j += 1;
+    }
+    if !toks.get(j)?.is_ident("fn") {
+        return None;
+    }
+    toks.get(j + 1)
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
+}
+
+/// Adds to `used` every name that non-test code in `a` spells the way a function is
+/// used: a name followed by `(` or `::<` (not a definition's own name), a name after
+/// `::`, any name inside a `use` item (which covers a function imported and passed by
+/// name), and the last `::` segment of a string inside an attribute (which covers
+/// `#[serde(validate = "T::f")]`). Comments, doc tests, fields and locals do not count:
+/// a field `self.mode` must not hide an unused `fn mode`. Files under `tests/` and
+/// `benches/` add nothing; `examples/` do, since an example shows API.
+pub(crate) fn collect_uses(a: &FileAnalysis, used: &mut BTreeSet<String>) {
+    if path_under_dir(&a.rel_path, &["tests/", "benches/"]) {
+        return;
+    }
+    let toks = &a.tokens;
+    let punct = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
+    let mut in_use = false;
+    let mut attribute_end = 0usize;
+    for (i, tok) in toks.iter().enumerate() {
+        if a.context[i].in_test {
+            continue;
+        }
+        match tok.kind {
+            TokenKind::Ident if tok.text == "use" => in_use = true,
+            TokenKind::Ident => {
+                let defined = i >= 1 && toks[i - 1].is_ident("fn");
+                let called = punct(i + 1, '(')
+                    || (punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<'));
+                let after_path = i >= 2 && punct(i - 1, ':') && punct(i - 2, ':');
+                if in_use || after_path || (called && !defined) {
+                    used.insert(tok.text.clone());
+                }
+            }
+            TokenKind::Punct if tok.is_punct(';') => in_use = false,
+            TokenKind::Punct if tok.is_punct('#') => {
+                let open = if punct(i + 1, '!') { i + 2 } else { i + 1 };
+                if punct(open, '[') {
+                    attribute_end = matching(toks, open, '[', ']').unwrap_or(toks.len());
+                }
+            }
+            TokenKind::Str if i < attribute_end => {
+                let last = tok.text.rsplit("::").next().unwrap_or_default();
+                if tok.text.contains("::")
+                    && !last.is_empty()
+                    && last.chars().all(|c| c.is_alphanumeric() || c == '_')
+                {
+                    used.insert(last.to_string());
+                }
+            }
+            _ => {}
+        }
     }
 }
 

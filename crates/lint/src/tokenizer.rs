@@ -14,7 +14,8 @@ pub enum TokenKind {
     Ident,
     /// A single punctuation character (`::` is two `:` tokens).
     Punct,
-    /// String literal (regular, raw, or byte; contents are not inspected by any rule).
+    /// String literal (regular, raw, or byte). A `"..."` or `b"..."` string keeps its body
+    /// as text, for the paths written in attribute strings (`#[serde(validate = "T::f")]`).
     Str,
     /// Character or byte literal.
     Char,
@@ -162,19 +163,22 @@ impl Lexer {
         self.out.comments.push(Comment { line, text });
     }
 
-    /// Consumes a `"..."` string body (the opening quote not yet consumed).
+    /// Consumes a `"..."` string (the opening quote not yet consumed), keeping its body
+    /// as written, escapes unresolved.
     fn string(&mut self, line: u32) {
         self.bump(); // opening quote
+        let mut text = String::new();
         while let Some(c) = self.bump() {
             match c {
                 '\\' => {
-                    self.bump();
+                    text.push(c);
+                    text.extend(self.bump());
                 }
                 '"' => break,
-                _ => {}
+                _ => text.push(c),
             }
         }
-        self.push(TokenKind::Str, String::new(), line);
+        self.push(TokenKind::Str, text, line);
     }
 
     /// Consumes a raw string `r"..."` / `r#"..."#` (pointer on the first `#` or quote).

@@ -17,6 +17,19 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// A configuration whose path-scoped rules apply to *every* file: the seeded
+/// violations do not live under the repository's crate paths.
+fn all_paths() -> LintConfig {
+    LintConfig {
+        wallclock_allowed: Vec::new(),
+        unsafe_allowed: Vec::new(),
+        hash_container_scoped: vec![String::new()],
+        panic_hygiene_scoped: vec![String::new()],
+        validate_bypass_exempt: Vec::new(),
+        ..LintConfig::repo_default()
+    }
+}
+
 /// Reads a fixture, returning the diagnostic path the findings should carry plus the
 /// source text.
 fn fixture(name: &str) -> (String, String) {
@@ -41,7 +54,7 @@ fn run_cli(current_dir: &Path, args: &[&str]) -> (i32, String, String) {
 #[test]
 fn violations_fixture_findings_are_exact() {
     let (rel, src) = fixture("violations.rs");
-    let findings = lint_source(&rel, &src, &LintConfig::all_paths());
+    let findings = lint_source(&rel, &src, &all_paths());
     let got: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     let want = vec![
         ("nan-unsafe-cmp", 6),
@@ -74,7 +87,7 @@ fn violations_fixture_findings_are_exact() {
 fn validate_bypass_is_satisfied_by_the_validate_hook() {
     let bypass = |name: &str| {
         let (rel, src) = fixture(name);
-        lint_source(&rel, &src, &LintConfig::all_paths())
+        lint_source(&rel, &src, &all_paths())
             .into_iter()
             .filter(|f| f.rule == "validate-bypass")
             .collect::<Vec<_>>()
@@ -95,7 +108,7 @@ fn validate_bypass_is_satisfied_by_the_validate_hook() {
 #[test]
 fn suppressed_fixture_produces_zero_findings() {
     let (rel, src) = fixture("suppressed.rs");
-    let findings = lint_source(&rel, &src, &LintConfig::all_paths());
+    let findings = lint_source(&rel, &src, &all_paths());
     assert!(
         findings.is_empty(),
         "every violation carries a pragma, but got:\n{}",
@@ -106,7 +119,7 @@ fn suppressed_fixture_produces_zero_findings() {
 #[test]
 fn clean_fixture_produces_zero_findings() {
     let (rel, src) = fixture("clean.rs");
-    let findings = lint_source(&rel, &src, &LintConfig::all_paths());
+    let findings = lint_source(&rel, &src, &all_paths());
     assert!(
         findings.is_empty(),
         "clean fixture flagged:\n{}",
@@ -365,6 +378,55 @@ fn unsafe_is_allowed_only_in_the_simd_module() {
     }
 }
 
+/// The `test-only-pub` mini-workspace (`fixtures/test_only_pub/`): a `pub fn` in
+/// library code that only a `#[cfg(test)]` module or `tests/` calls is flagged; one
+/// called from `examples/` or `perfbench/src`, imported by `use` and passed by name,
+/// named in a serde attribute string, or carrying the pragma is not.
+#[test]
+fn cli_flags_pub_fns_only_tests_call() {
+    let (code, stdout, _) = run_cli(&fixtures_dir().join("test_only_pub"), &["--check", "."]);
+    assert_eq!(
+        code, 1,
+        "test-only pub fns must fail --check; stdout:\n{stdout}"
+    );
+    let flagged: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("[test-only-pub]"))
+        .map(|l| l.split(": [").next().unwrap())
+        .collect();
+    assert_eq!(
+        flagged,
+        ["crates/sim/src/lib.rs:5", "crates/sim/src/lib.rs:10"],
+        "only the unit-tested and the integration-tested fn are flagged:\n{stdout}"
+    );
+    assert!(stdout.contains("`pub fn only_unit_tested`"));
+}
+
+/// A scan of a sub-path reports what a scan of `.` reports for the same files, so the
+/// path-scoped rules (`panic-hygiene` here) and `test-only-pub` still apply: a relative
+/// path is reported as given, and callers are looked for under the current directory.
+#[test]
+fn cli_sub_path_and_single_file_scans_match_the_full_scan() {
+    let dir = fixtures_dir().join("test_only_pub");
+    let (_, full, _) = run_cli(&dir, &["."]);
+    assert!(
+        full.contains("crates/sim/src/lib.rs:54: [panic-hygiene]"),
+        "{full}"
+    );
+    assert!(full.contains("[test-only-pub]"), "{full}");
+    for path in ["crates/sim", "./crates/sim/", "crates/sim/src/lib.rs"] {
+        let (_, scoped, _) = run_cli(&dir, &[path]);
+        assert_eq!(
+            scoped, full,
+            "`pliant-lint {path}` differs from `pliant-lint .`"
+        );
+    }
+    // The library entry point on an absolute root reports root-relative paths.
+    let findings = lint_path(&dir, &LintConfig::repo_default()).unwrap();
+    let rendered: String = findings.iter().map(|f| format!("{f}\n")).collect();
+    assert_eq!(rendered, full);
+}
+
 /// The repo benchmark measures host time by design, so `perfbench/` may read the wall
 /// clock; the simulation crates it drives may not.
 #[test]
@@ -464,7 +526,7 @@ fn cli_only_and_skip_filter_rules() {
         &[
             "--skip",
             "nan-unsafe-cmp,hot-path-alloc,nondeterminism,validate-bypass,panic-hygiene,\
-             unsafe-scope",
+             unsafe-scope,test-only-pub",
             "--check",
             "violations.rs",
         ],

@@ -91,16 +91,6 @@ impl BatchAppState {
         self.finished_at_s.is_some()
     }
 
-    /// Completion time in seconds since the experiment start, if finished.
-    pub fn finished_at_s(&self) -> Option<f64> {
-        self.finished_at_s
-    }
-
-    /// Number of variant switches performed so far.
-    pub fn switches(&self) -> u32 {
-        self.switches
-    }
-
     /// Shared-resource pressure the application currently exerts (zero once finished).
     pub fn current_pressure(&self) -> ResourcePressure {
         if self.is_finished() {
@@ -277,7 +267,7 @@ mod tests {
             (rel - (1.0 + overhead)).abs() < 1e-9,
             "relative execution time {rel} must equal 1 + instrumentation overhead {overhead}"
         );
-        let finished_at = s.finished_at_s().expect("finished");
+        let finished_at = s.finished_at_s.expect("finished");
         assert!(
             (finished_at - nominal * (1.0 + overhead)).abs() < 1e-9,
             "completion must be stamped at the pro-rated instant, not the interval end"
@@ -332,7 +322,7 @@ mod tests {
         assert!(s.set_variant(Some(3)));
         assert!(!s.set_variant(Some(3)), "same variant is a no-op");
         assert!(s.set_variant(None));
-        assert_eq!(s.switches(), 2);
+        assert_eq!(s.switches, 2);
         // Out-of-range variants are clamped to the most aggressive one.
         assert!(s.set_variant(Some(99)));
         assert_eq!(s.variant(), Some(3));

@@ -315,11 +315,6 @@ impl ColocationSim {
         &self.state
     }
 
-    /// Current experiment time in seconds.
-    pub fn time_s(&self) -> f64 {
-        self.state.time_s
-    }
-
     /// Cores currently allocated to the interactive service.
     pub fn service_cores(&self) -> u32 {
         self.state.service_cores
@@ -391,11 +386,6 @@ impl ColocationSim {
             "degrade factor must be in (0, 1], got {factor}"
         );
         self.state.degrade = factor;
-    }
-
-    /// Current straggler degrade factor (`1.0` = healthy; see [`Self::set_degrade`]).
-    pub fn degrade(&self) -> f64 {
-        self.state.degrade
     }
 
     /// Replaces the **finished** application in slot `index` with a fresh job.
@@ -1178,7 +1168,7 @@ mod tests {
         // A busy interval draws more than the fully-idle allocation and less than
         // every core pegged at 100%.
         let allocated = sim.service_cores() + sim.app(0).cores();
-        assert!(obs.power_w > power.idle_node_power_w(allocated, freq));
+        assert!(obs.power_w > power.power_w(allocated, 0.0, freq));
         assert!(obs.power_w < power.power_w(allocated, allocated as f64, freq));
         assert_eq!(obs.energy_j, obs.power_w * 1.0);
         // Energy scales with the interval length.
@@ -1205,7 +1195,7 @@ mod tests {
         let idle = sim.advance(1.0);
         assert_eq!(idle.arrivals, 0);
         let allocated = sim.service_cores() + sim.app(0).cores();
-        assert_eq!(idle.power_w, power.idle_node_power_w(allocated, freq));
+        assert_eq!(idle.power_w, power.power_w(allocated, 0.0, freq));
         assert_eq!(idle.energy_j, idle.power_w);
     }
 

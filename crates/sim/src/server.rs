@@ -96,13 +96,6 @@ impl PowerModel {
                 * (allocated_cores as f64 * self.core_idle_w
                     + busy_core_equivalents.max(0.0) * self.core_active_w)
     }
-
-    /// Power of an idle (zero-utilization) node with `allocated_cores` allocated cores
-    /// at `freq_ghz` — what a drained-but-not-yet-parked node bills once its batch
-    /// jobs have finished.
-    pub fn idle_node_power_w(&self, allocated_cores: u32, freq_ghz: f64) -> f64 {
-        self.power_w(allocated_cores, 0.0, freq_ghz)
-    }
 }
 
 /// Why a [`PowerModel`] failed validation.
@@ -341,7 +334,6 @@ mod tests {
         assert_eq!(idle, p.idle_w);
         let allocated = p.power_w(16, 0.0, 2.2);
         assert!(allocated > idle);
-        assert_eq!(allocated, p.idle_node_power_w(16, 2.2));
         let busy = p.power_w(16, 10.0, 2.2);
         assert!(busy > allocated);
         let turbo = p.power_w(16, 10.0, 3.6);

@@ -27,7 +27,9 @@ const EXP_BUCKETS: usize = 40;
 /// use pliant_telemetry::histogram::LatencyHistogram;
 ///
 /// let mut h = LatencyHistogram::new();
-/// h.record_many(&[1.0, 2.0, 3.0, 100.0]);
+/// for v in [1.0, 2.0, 3.0, 100.0] {
+///     h.record(v);
+/// }
 /// assert_eq!(h.count(), 4);
 /// assert!(h.percentile(0.5) >= 2.0);
 /// ```
@@ -119,6 +121,7 @@ impl LatencyHistogram {
     /// the linear containment range. The very last bucket absorbs everything beyond the
     /// covered range, so its upper edge is `f64::INFINITY` (no width bound exists
     /// there).
+    // pliant-lint: allow(test-only-pub) the one-bucket bound tests/hot_path.rs asserts the p99 against
     pub fn bucket_bounds(value: f64) -> (f64, f64) {
         let v = Self::clamp(value);
         let index = Self::bucket_index(v);
@@ -200,11 +203,6 @@ impl LatencyHistogram {
         self.sum = sum;
         self.min = Some(min);
         self.max = Some(max);
-    }
-
-    /// Records every value in `values`.
-    pub fn record_many(&mut self, values: &[f64]) {
-        self.record_scaled_n(values, 1.0, 1);
     }
 
     /// Merges another histogram into this one.
@@ -292,11 +290,6 @@ impl LatencyHistogram {
     /// paper.
     pub fn p99(&self) -> f64 {
         self.percentile(0.99)
-    }
-
-    /// Convenience accessor for the median.
-    pub fn p50(&self) -> f64 {
-        self.percentile(0.50)
     }
 
     /// Clears all recorded values, zeroing only the buckets that values between the
@@ -530,7 +523,7 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut h = LatencyHistogram::new();
-        h.record_many(&[1.0, 2.0, 3.0]);
+        h.record_scaled_n(&[1.0, 2.0, 3.0], 1.0, 1);
         h.reset();
         assert!(h.is_empty());
         assert_eq!(h.percentile(0.5), 0.0);
@@ -755,7 +748,7 @@ mod tests {
         let last = SUB_BUCKETS * EXP_BUCKETS - 1;
         let range = |values: &[f64]| {
             let mut h = LatencyHistogram::new();
-            h.record_many(values);
+            h.record_scaled_n(values, 1.0, 1);
             let occupied = h.occupied();
             for &v in values {
                 let i = LatencyHistogram::bucket_index(LatencyHistogram::clamp(v));
@@ -800,7 +793,7 @@ mod tests {
     fn deserialization_rejects_histograms_no_recording_produces() {
         use serde::Value::{Array, Float, Null, UInt};
         let mut h = LatencyHistogram::new();
-        h.record_many(&[300.0, 450.0, 900.0]);
+        h.record_scaled_n(&[300.0, 450.0, 900.0], 1.0, 1);
         let parse = |v: &serde::Value| <LatencyHistogram as serde::Deserialize>::from_value(v);
         let restored = parse(&serde::Serialize::to_value(&h)).expect("a recorded histogram parses");
         assert_eq!(json(&restored), json(&h));

@@ -755,16 +755,6 @@ impl ObsBuffer {
         self.records.is_empty()
     }
 
-    /// Records the ring overwrote (or skipped, for zero-capacity buffers).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The buffer's counters.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Drains the ring into `out` in chronological order and folds the counters into
     /// `registry`, leaving the buffer empty but reusable.
     fn drain_into(&mut self, out: &mut Vec<EventRecord>, registry: &mut MetricsRegistry) -> u64 {
@@ -793,16 +783,6 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// An empty log at a level.
-    pub fn empty(level: ObsLevel) -> Self {
-        EventLog {
-            level,
-            records: Vec::new(),
-            dropped: 0,
-            registry: MetricsRegistry::new(),
-        }
-    }
-
     /// Merges per-source buffers into one deterministic stream. `buffers` must be
     /// supplied in source order (fleet coordinator first, then instances by index) —
     /// the same deterministic node order the cluster engine uses to merge latency
@@ -839,12 +819,6 @@ impl EventLog {
         self.records.is_empty()
     }
 
-    /// The log's merged counters (these count every emitted event, including records
-    /// the rings dropped).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Folds the log into the outcome-attached rollup.
     pub fn summary(&self) -> ObsSummary {
         let counters = EventKind::ALL
@@ -874,16 +848,6 @@ impl EventLog {
             writeln!(w, "{line}")?;
         }
         Ok(())
-    }
-
-    /// The JSONL export as one string (used by the byte-identity tests).
-    pub fn to_jsonl_string(&self) -> String {
-        let mut out = Vec::new();
-        // pliant-lint: allow(panic-hygiene): writing to a Vec<u8> cannot fail and
-        // every Event serializes (plain enums and floats).
-        self.write_jsonl(&mut out).expect("in-memory write");
-        // pliant-lint: allow(panic-hygiene): serde_json output is valid UTF-8.
-        String::from_utf8(out).expect("serde_json emits UTF-8")
     }
 
     /// Writes the log in Chrome trace-event JSON (the `traceEvents` array format).
@@ -1024,8 +988,8 @@ mod tests {
         let mut b = ObsBuffer::new(ObsLevel::Off, 1, 1, 128);
         b.emit(0, 0.0, decision(0));
         assert!(b.is_empty());
-        assert_eq!(b.dropped(), 0);
-        assert_eq!(b.registry().total(), 0);
+        assert_eq!(b.dropped, 0);
+        assert_eq!(b.registry.total(), 0);
     }
 
     #[test]
@@ -1041,8 +1005,8 @@ mod tests {
         );
         b.emit(0, 0.0, decision(0));
         assert_eq!(b.len(), 1);
-        assert_eq!(b.registry().count(EventKind::BalancerDispatch), 0);
-        assert_eq!(b.registry().count(EventKind::ControllerDecision), 1);
+        assert_eq!(b.registry.count(EventKind::BalancerDispatch), 0);
+        assert_eq!(b.registry.count(EventKind::ControllerDecision), 1);
         let mut full = ObsBuffer::new(ObsLevel::Full, 1, 1, 128);
         full.emit(
             0,
@@ -1062,9 +1026,9 @@ mod tests {
             b.emit(i, i as f64, decision(i));
         }
         assert_eq!(b.len(), 4);
-        assert_eq!(b.dropped(), 6);
+        assert_eq!(b.dropped, 6);
         // Counters are exempt from retention.
-        assert_eq!(b.registry().count(EventKind::ControllerDecision), 10);
+        assert_eq!(b.registry.count(EventKind::ControllerDecision), 10);
         let log = EventLog::merge(ObsLevel::Decisions, [b]);
         let intervals: Vec<u32> = log.records.iter().map(|r| r.interval).collect();
         assert_eq!(intervals, vec![6, 7, 8, 9], "ring keeps the newest records");
@@ -1132,8 +1096,10 @@ mod tests {
             },
         );
         let log = EventLog::merge(ObsLevel::Decisions, [b]);
-        let jsonl = log.to_jsonl_string();
-        let parsed: Vec<EventRecord> = jsonl
+        let mut jsonl = Vec::new();
+        log.write_jsonl(&mut jsonl).expect("in-memory write");
+        let parsed: Vec<EventRecord> = String::from_utf8(jsonl)
+            .expect("JSON is UTF-8")
             .lines()
             .map(|l| serde_json::from_str(l).expect("every line parses"))
             .collect();

@@ -49,19 +49,6 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Samples an exponentially-distributed value with the given rate (events per unit time).
-///
-/// Used for Poisson-process inter-arrival times in the open-loop workload generators.
-///
-/// # Panics
-///
-/// Panics if `rate` is not strictly positive.
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "exponential rate must be positive");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate
-}
-
 /// Samples a Poisson-distributed count with the given mean.
 ///
 /// Uses Knuth's multiplication method for small means and a normal approximation for large
@@ -164,6 +151,7 @@ fn zig_tables() -> &'static ZigTables {
 /// strip's edge): rectangles and wedges stay below `R`, and the tail's exponential
 /// candidate is at most `-ln(2^-53)/R` because the smallest non-zero uniform is
 /// `2^-53` (a zero uniform is rejected).
+// pliant-lint: allow(test-only-pub) the one-draw scalar reference the batch-fill tests compare against
 pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let t = zig_tables();
     let bits: u64 = rng.gen();
@@ -422,18 +410,6 @@ mod tests {
         assert_ne!(s1, s2);
         assert_ne!(s1, s3);
         assert_eq!(derive_seed(42, 0), s1);
-    }
-
-    #[test]
-    fn exponential_mean_matches_rate() {
-        let mut rng = seeded_rng(7);
-        let rate = 4.0;
-        let n = 50_000;
-        let mean: f64 = (0..n)
-            .map(|_| sample_exponential(&mut rng, rate))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 1.0 / rate).abs() < 0.01, "mean {mean}");
     }
 
     #[test]
@@ -741,22 +717,7 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic]
-    fn exponential_rejects_zero_rate() {
-        let mut rng = seeded_rng(1);
-        let _ = sample_exponential(&mut rng, 0.0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_exponential_positive(seed in 0u64..1000, rate in 0.01f64..100.0) {
-            let mut rng = seeded_rng(seed);
-            let x = sample_exponential(&mut rng, rate);
-            prop_assert!(x > 0.0);
-            prop_assert!(x.is_finite());
-        }
-
         #[test]
         fn prop_lognormal_positive(seed in 0u64..1000, median in 0.01f64..1e4, sigma in 0.0f64..2.0) {
             let mut rng = seeded_rng(seed);

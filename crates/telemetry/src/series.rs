@@ -27,7 +27,7 @@ pub struct TimePoint {
 /// s.push(0.0, 4.2);
 /// s.push(1.0, 5.0);
 /// assert_eq!(s.len(), 2);
-/// assert_eq!(s.max_value(), Some(5.0));
+/// assert_eq!(s.values(), vec![4.2, 5.0]);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -82,31 +82,6 @@ impl TimeSeries {
     pub fn values(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.value).collect()
     }
-
-    /// Largest recorded value.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Smallest recorded value.
-    pub fn min_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// Mean of the recorded values.
-    pub fn mean_value(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64)
-        }
-    }
 }
 
 /// A bundle of related time series captured by one experiment run (e.g. tail latency +
@@ -156,17 +131,11 @@ mod tests {
     fn series_basic_accessors() {
         let mut s = TimeSeries::new("lat");
         assert!(s.is_empty());
-        assert_eq!(s.max_value(), None);
-        assert_eq!(s.min_value(), None);
-        assert_eq!(s.mean_value(), None);
         s.push(0.0, 10.0);
         s.push(1.0, 30.0);
         s.push(2.0, 20.0);
         assert_eq!(s.name(), "lat");
         assert_eq!(s.len(), 3);
-        assert_eq!(s.max_value(), Some(30.0));
-        assert_eq!(s.min_value(), Some(10.0));
-        assert_eq!(s.mean_value(), Some(20.0));
         assert_eq!(s.values(), vec![10.0, 30.0, 20.0]);
     }
 

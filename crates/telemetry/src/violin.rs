@@ -116,11 +116,6 @@ impl ViolinSummary {
             density,
         }
     }
-
-    /// Full range (`max - min`).
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,7 @@ mod tests {
     fn empty_samples_give_degenerate_summary() {
         let v = ViolinSummary::from_samples("x", &[], 8);
         assert_eq!(v.count, 0);
-        assert_eq!(v.range(), 0.0);
+        assert_eq!(v.max - v.min, 0.0);
         assert!(v.grid.is_empty());
     }
 
@@ -174,7 +169,7 @@ mod tests {
         let vw = ViolinSummary::from_samples("wide", &wide, 16);
         let vn = ViolinSummary::from_samples("narrow", &narrow, 16);
         assert!(vn.q3 - vn.q1 < vw.q3 - vw.q1);
-        assert!(vn.range() < vw.range());
+        assert!(vn.max - vn.min < vw.max - vw.min);
     }
 
     proptest! {
@@ -184,7 +179,7 @@ mod tests {
             prop_assert_eq!(v.count, samples.len());
             prop_assert!(v.min <= v.median && v.median <= v.max);
             prop_assert!(v.q1 <= v.q3);
-            prop_assert!(v.range() >= 0.0);
+            prop_assert!(v.max - v.min >= 0.0);
             prop_assert!(v.density.iter().all(|d| d.is_finite()));
         }
     }

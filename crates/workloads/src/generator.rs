@@ -3,15 +3,12 @@
 //! The paper drives every interactive service with open-loop client generators: requests
 //! arrive according to the offered load regardless of how quickly the server responds,
 //! which is what makes tail latency explode once the service saturates. The
-//! [`OpenLoopGenerator`] produces Poisson arrival counts and exact arrival timestamps for
-//! the simulators.
+//! [`OpenLoopGenerator`] produces the simulators' Poisson arrival counts.
 
 use serde::{Deserialize, Serialize};
 
-use pliant_telemetry::fastmath::fast_ln;
 use pliant_telemetry::rng::{sample_poisson, seeded_rng};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// An open-loop (Poisson) request generator with a fixed target rate.
 ///
@@ -50,11 +47,6 @@ impl OpenLoopGenerator {
         }
     }
 
-    /// Target request rate in queries per second.
-    pub fn qps(&self) -> f64 {
-        self.qps
-    }
-
     /// Changes the offered load (used by the load-sweep experiments).
     pub fn set_qps(&mut self, qps: f64) {
         assert!(qps.is_finite() && qps >= 0.0, "qps must be non-negative");
@@ -67,45 +59,6 @@ impl OpenLoopGenerator {
             return 0;
         }
         sample_poisson(&mut self.rng, self.qps * window_s)
-    }
-
-    /// Samples explicit arrival timestamps (seconds, relative to the window start) for a
-    /// window of `window_s` seconds; the count follows the same Poisson process as
-    /// [`Self::arrivals_in`].
-    ///
-    /// Convenience wrapper over [`Self::arrival_times_into`] that allocates a fresh
-    /// vector per call.
-    pub fn arrival_times_in(&mut self, window_s: f64) -> Vec<f64> {
-        let mut times = Vec::new();
-        self.arrival_times_into(window_s, &mut times);
-        times
-    }
-
-    /// Clears `out` and fills it with the window's arrival timestamps (see
-    /// [`Self::arrival_times_in`]).
-    ///
-    /// This is the batch entry point for drivers that generate arrivals every window:
-    /// the caller's buffer is reused across windows, the expected arrival count is
-    /// reserved up front, and the exponential gaps are sampled with the polynomial
-    /// [`fast_ln`] instead of one `libm` call per request — an arrival-stream analogue
-    /// of the latency sampler's batch path.
-    pub fn arrival_times_into(&mut self, window_s: f64, out: &mut Vec<f64>) {
-        out.clear();
-        if self.qps <= 0.0 || window_s <= 0.0 {
-            return;
-        }
-        out.reserve((self.qps * window_s) as usize + 1);
-        let mut t = 0.0;
-        loop {
-            // Inverse-CDF exponential gap; the uniform is drawn on the same half-open
-            // range as `sample_exponential` so a zero can never reach the logarithm.
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += -fast_ln(u) / self.qps;
-            if t >= window_s {
-                break;
-            }
-            out.push(t);
-        }
     }
 
     /// Resets the generator to its initial seed, replaying the identical arrival stream.
@@ -136,18 +89,8 @@ mod tests {
     fn zero_rate_or_zero_window_produces_no_arrivals() {
         let mut idle = OpenLoopGenerator::new(0.0, 1);
         assert_eq!(idle.arrivals_in(10.0), 0);
-        assert!(idle.arrival_times_in(10.0).is_empty());
         let mut busy = OpenLoopGenerator::new(100.0, 1);
         assert_eq!(busy.arrivals_in(0.0), 0);
-    }
-
-    #[test]
-    fn arrival_times_are_sorted_and_within_window() {
-        let mut gen = OpenLoopGenerator::new(5_000.0, 9);
-        let times = gen.arrival_times_in(0.05);
-        assert!(!times.is_empty());
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert!(times.iter().all(|t| *t >= 0.0 && *t < 0.05));
     }
 
     #[test]
@@ -163,7 +106,7 @@ mod tests {
     fn set_qps_changes_rate() {
         let mut gen = OpenLoopGenerator::new(1_000.0, 5);
         gen.set_qps(100_000.0);
-        assert_eq!(gen.qps(), 100_000.0);
+        assert_eq!(gen.qps, 100_000.0);
         let arrivals = gen.arrivals_in(0.1);
         assert!(
             arrivals > 5_000,
@@ -222,13 +165,6 @@ mod tests {
             let n = gen.arrivals_in(window);
             // Allow generous head-room above the mean (Poisson tail).
             prop_assert!((n as f64) < qps * window + 10.0 * (qps * window).sqrt() + 50.0);
-        }
-
-        #[test]
-        fn prop_arrival_times_count_similar_to_counts(seed in 0u64..200) {
-            let mut a = OpenLoopGenerator::new(20_000.0, seed);
-            let times = a.arrival_times_in(0.1);
-            prop_assert!((times.len() as f64 - 2_000.0).abs() < 500.0);
         }
     }
 }

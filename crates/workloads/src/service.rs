@@ -164,12 +164,6 @@ impl ServiceProfile {
         self.saturation_qps * load_fraction.clamp(0.0, Self::MAX_OFFERED_LOAD)
     }
 
-    /// The high-load operating point used throughout the paper's evaluation (~77% of
-    /// saturation, the middle of the quoted 75–80% band).
-    pub fn high_load_qps(&self) -> f64 {
-        self.qps_at_load(0.77)
-    }
-
     /// The QoS target expressed in the service's display unit (ms for NGINX and MongoDB,
     /// µs for memcached).
     pub fn qos_target_display(&self) -> f64 {
@@ -230,8 +224,6 @@ mod tests {
     fn load_helpers() {
         let p = ServiceProfile::paper_default(ServiceId::Nginx);
         assert_eq!(p.qps_at_load(0.5), 350_000.0);
-        assert!(p.high_load_qps() > p.qps_at_load(0.7));
-        assert!(p.high_load_qps() < p.qps_at_load(0.8));
         assert!(p.per_core_rate() > 0.0);
         // Load is clamped to a sane range.
         assert_eq!(p.qps_at_load(5.0), p.qps_at_load(1.2));

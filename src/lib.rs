@@ -69,7 +69,7 @@ pub mod prelude {
     pub use pliant_approx::catalog::{AppId, AppProfile, Catalog};
     pub use pliant_approx::kernel::{ApproxConfig, ApproxKernel};
     pub use pliant_cluster::prelude::*;
-    pub use pliant_core::engine::{CellOutcome, Engine, ExecMode};
+    pub use pliant_core::engine::{CellOutcome, Engine};
     pub use pliant_core::experiment::{
         classify_effort, ColocationOutcome, EffortClass, PhaseQosStats,
     };

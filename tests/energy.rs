@@ -57,7 +57,7 @@ fn single_node_energy_integrates_the_power_trace() {
 }
 
 fn autoscaled_fleet(seed: u64) -> ClusterScenario {
-    let mut scenario = pliant_bench::cluster_energy_scenario(PolicyKind::Pliant, seed);
+    let mut scenario = pliant_bench::cluster_energy_scenario_at_scale(6, PolicyKind::Pliant, seed);
     // A shorter cycle keeps the invariant tests fast; the headline test below runs the
     // full fig_energy horizon.
     scenario.horizon = Horizon::Seconds(80.0);
@@ -126,7 +126,7 @@ fn idle_and_parked_machines_bill_exactly_what_the_model_says() {
     let idle = sim.advance(1.0);
     let allocated = sim.service_cores() + sim.app(0).cores();
     assert_eq!(idle.arrivals, 0);
-    assert_eq!(idle.power_w, power.idle_node_power_w(allocated, freq));
+    assert_eq!(idle.power_w, power.power_w(allocated, 0.0, freq));
     sim.set_parked(true);
     let parked = sim.advance(1.0);
     assert_eq!(parked.power_w, power.parked_w);
@@ -166,11 +166,13 @@ fn pliant_fleet_serves_the_same_load_within_qos_at_lower_joules() {
     // energy-aware autoscaler converts Pliant's tail headroom into parked machines:
     // ≤ 0.9× the Precise fleet's joules.
     let engine = Engine::new().parallel();
-    let precise = engine.run_cluster(&pliant_bench::cluster_energy_scenario(
+    let precise = engine.run_cluster(&pliant_bench::cluster_energy_scenario_at_scale(
+        6,
         PolicyKind::Precise,
         7,
     ));
-    let pliant = engine.run_cluster(&pliant_bench::cluster_energy_scenario(
+    let pliant = engine.run_cluster(&pliant_bench::cluster_energy_scenario_at_scale(
+        6,
         PolicyKind::Pliant,
         7,
     ));

@@ -331,9 +331,16 @@ fn flash_crowd_forces_reapproximation_then_stepwise_recovery() {
 
     // Per-phase QoS: the steady base is clean under Pliant, and Pliant absorbs the peak
     // the Precise baseline cannot.
-    let pliant_steady = pliant.phase(LoadPhase::Steady).expect("steady phase");
-    let pliant_peak = pliant.phase(LoadPhase::Peak).expect("peak phase");
-    let precise_peak = precise.phase(LoadPhase::Peak).expect("peak phase");
+    fn phase(outcome: &ColocationOutcome, phase: LoadPhase) -> &PhaseQosStats {
+        outcome
+            .phase_qos
+            .iter()
+            .find(|s| s.phase == phase)
+            .expect("the run visits the phase")
+    }
+    let pliant_steady = phase(pliant, LoadPhase::Steady);
+    let pliant_peak = phase(pliant, LoadPhase::Peak);
+    let precise_peak = phase(precise, LoadPhase::Peak);
     assert!(pliant_steady.qos_violation_fraction < 0.1);
     assert!(
         pliant_peak.qos_violation_fraction < precise_peak.qos_violation_fraction,

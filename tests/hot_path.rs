@@ -304,7 +304,6 @@ fn building_a_million_node_clustered_fleet_holds_no_per_node_tables() {
     };
     let engine = Engine::new();
     let (run, peak) = peak_live_bytes_during(|| ClusterRun::new(&scenario, &engine));
-    assert_eq!(run.node_count(), nodes);
     assert_eq!(
         run.instance_count(),
         12,

@@ -36,6 +36,13 @@ fn fleet_scenario(approximation: FleetApproximation) -> ClusterScenario {
 /// Checks every interval's [`Event::IntervalSummary`] against the outcome's trace: its
 /// `violating` count must equal the `violating_nodes` point and its `active_nodes` the
 /// `active_nodes` point, at the same interval end time.
+/// The log's JSONL export, the bytes `pliant-trace` reads back.
+fn jsonl(log: &EventLog) -> Vec<u8> {
+    let mut out = Vec::new();
+    log.write_jsonl(&mut out).expect("in-memory write");
+    out
+}
+
 fn assert_rollups_match_the_trace(outcome: &ClusterOutcome, log: &EventLog, context: &str) {
     let series = |name: &str| outcome.trace.get(name).expect("outcome series").points();
     let (violating_nodes, active_nodes) = (series("violating_nodes"), series("active_nodes"));
@@ -84,14 +91,14 @@ fn event_streams_are_byte_identical_across_execution_modes() {
         for level in [ObsLevel::Decisions, ObsLevel::Full] {
             let (outcome, log) = Engine::new().run_cluster_traced(&scenario, level);
             let (replay_outcome, replay_log) = Engine::new().run_cluster_traced(&scenario, level);
-            let jsonl = log.to_jsonl_string();
+            let stream = jsonl(&log);
             assert!(
-                !jsonl.is_empty(),
+                !stream.is_empty(),
                 "{approximation:?}/{level:?}: a traced fleet run must record events"
             );
             assert_eq!(
-                jsonl,
-                replay_log.to_jsonl_string(),
+                stream,
+                jsonl(&replay_log),
                 "{approximation:?}/{level:?}: a replayed event stream must be byte-identical"
             );
             assert_eq!(
@@ -149,7 +156,7 @@ fn single_node_traced_run_matches_untraced_outcome() {
     );
     // The same run traced twice produces the same bytes.
     let (_, again) = engine.run_scenario_traced(&scenario, ObsLevel::Decisions);
-    assert_eq!(log.to_jsonl_string(), again.to_jsonl_string());
+    assert_eq!(jsonl(&log), jsonl(&again));
 }
 
 /// Under the clustered approximation, a node-sourced event recorded by a
