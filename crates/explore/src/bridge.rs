@@ -7,10 +7,25 @@
 
 use pliant_approx::catalog::{AppId, Catalog, VariantProfile};
 
-use crate::dse::ExplorationResult;
-
 /// Returns a catalog identical to `base` except that `app`'s variant list is replaced
 /// with `variants` (ordered from closest-to-precise to most aggressive).
+///
+/// With an exploration's selected near-pareto set, this is the DSE-to-runtime bridge:
+///
+/// ```
+/// use pliant_approx::catalog::{AppId, Catalog};
+/// use pliant_approx::kernels::kernel_for;
+/// use pliant_explore::{bridge, explore_kernel, ExplorationConfig};
+///
+/// let kernel = kernel_for(AppId::KMeans, 7);
+/// let result = explore_kernel(kernel.as_ref(), &ExplorationConfig::default());
+/// let variants = result.selected_variants();
+/// let catalog = bridge::catalog_with_variants(&Catalog::default(), AppId::KMeans, variants);
+/// assert_eq!(
+///     catalog.profile(AppId::KMeans).unwrap().variant_count(),
+///     result.selected_count()
+/// );
+/// ```
 ///
 /// # Panics
 ///
@@ -34,28 +49,6 @@ pub fn catalog_with_variants(base: &Catalog, app: AppId, variants: Vec<VariantPr
     )
 }
 
-/// Returns a catalog identical to `base` except that `app`'s variants come from the
-/// exploration result's selected near-pareto set.
-///
-/// This is the one-call DSE-to-runtime bridge:
-///
-/// ```
-/// use pliant_approx::catalog::{AppId, Catalog};
-/// use pliant_approx::kernels::kernel_for;
-/// use pliant_explore::{bridge, explore_kernel, ExplorationConfig};
-///
-/// let kernel = kernel_for(AppId::KMeans, 7);
-/// let result = explore_kernel(kernel.as_ref(), &ExplorationConfig::default());
-/// let catalog = bridge::catalog_with_explored(&Catalog::default(), AppId::KMeans, &result);
-/// assert_eq!(
-///     catalog.profile(AppId::KMeans).unwrap().variant_count(),
-///     result.selected_count()
-/// );
-/// ```
-pub fn catalog_with_explored(base: &Catalog, app: AppId, result: &ExplorationResult) -> Catalog {
-    catalog_with_variants(base, app, result.selected_variants())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +60,7 @@ mod tests {
         let base = Catalog::default();
         let kernel = kernel_for(AppId::Fasta, 5);
         let result = explore_kernel(kernel.as_ref(), &ExplorationConfig::default());
-        let bridged = catalog_with_explored(&base, AppId::Fasta, &result);
+        let bridged = catalog_with_variants(&base, AppId::Fasta, result.selected_variants());
         assert_eq!(
             bridged.profile(AppId::Fasta).unwrap().variant_count(),
             result.selected_count()

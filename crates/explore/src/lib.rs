@@ -32,6 +32,6 @@ pub mod bridge;
 pub mod dse;
 pub mod pareto;
 
-pub use bridge::{catalog_with_explored, catalog_with_variants};
+pub use bridge::catalog_with_variants;
 pub use dse::{explore_kernel, ExplorationConfig, ExplorationResult, Measurement};
 pub use pareto::{pareto_frontier, PointKind};

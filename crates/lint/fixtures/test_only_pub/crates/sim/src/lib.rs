@@ -49,6 +49,11 @@ pub fn kept_with_pragma() -> u32 {
     5
 }
 
+mod reexport;
+
+/// Re-exported, but only `crates/sim/tests/api.rs` calls it: flagged in `reexport.rs`.
+pub use reexport::only_reexported;
+
 /// Library code under `crates/sim/src/`, where `panic-hygiene` applies.
 fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()

@@ -33,12 +33,10 @@ pub struct LintConfig {
     pub hash_container_scoped: Vec<String>,
     /// Path prefixes where `unwrap()`/`expect()` in non-test code are denied.
     pub panic_hygiene_scoped: Vec<String>,
-    /// Path prefixes exempt from the `validate-bypass` rule (the serde compat shim
-    /// itself).
-    pub validate_bypass_exempt: Vec<String>,
-    /// Path prefixes exempt from the `test-only-pub` rule: the compat shims, whose
-    /// stand-ins mirror the API of the external crates they replace.
-    pub test_only_pub_exempt: Vec<String>,
+    /// Path prefixes of the compat shims, which stand in for external crates: exempt
+    /// from `validate-bypass` (the serde shim itself) and from `test-only-pub` (their
+    /// API mirrors the crates they replace).
+    pub compat_shims: Vec<String>,
     /// Directory names skipped entirely while walking (build output, VCS metadata, and
     /// the lint crate's own seeded-violation fixtures).
     pub skip_dirs: Vec<String>,
@@ -152,8 +150,7 @@ impl LintConfig {
                 "crates/cluster/src/",
                 "crates/telemetry/src/",
             ]),
-            validate_bypass_exempt: s(&["crates/compat/"]),
-            test_only_pub_exempt: s(&["crates/compat/"]),
+            compat_shims: s(&["crates/compat/"]),
             skip_dirs: s(&["target", ".git", "fixtures"]),
         }
     }

@@ -17,8 +17,8 @@
 //! * [`findings::rules::UNSAFE_SCOPE`] — the `unsafe` keyword outside the one module that
 //!   needs it, the AVX2 dispatch in `crates/telemetry/src/simd.rs`.
 //! * [`findings::rules::TEST_ONLY_PUB`] — a library `pub fn` that only tests call, or
-//!   nothing at all (52 of them when the rule arrived). The one cross-file rule: it runs
-//!   on directory and file scans ([`lint_path`]), not on [`lint_source`].
+//!   nothing at all (53 of them when the rule arrived). The one cross-file rule: it runs
+//!   on directory and file scans ([`lint_paths`]), not on [`lint_source`].
 //!
 //! The tool is dependency-free (std only) with its own small Rust lexer — consistent
 //! with the workspace's offline compat-shim environment — and deny-by-default:
@@ -48,10 +48,11 @@ pub mod findings;
 pub mod rules;
 pub mod tokenizer;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
+use analysis::FileAnalysis;
 use config::LintConfig;
 use findings::Finding;
 
@@ -90,32 +91,75 @@ pub fn collect_rs_files(root: &Path, cfg: &LintConfig) -> io::Result<Vec<PathBuf
     Ok(files)
 }
 
-/// Lints every `.rs` file under `root` (a directory, or one file) with every rule.
+/// Lints every `.rs` file under each of `roots` (directories, or single files) with
+/// every rule.
 ///
 /// Diagnostic paths, which the path-scoped rules match, are relative to a base: the
-/// current directory when `root` is relative (`crates/sim` reports
-/// `crates/sim/src/colocation.rs`, as `.` does), or `root` itself when it is absolute
+/// current directory when a root is relative (`crates/sim` reports
+/// `crates/sim/src/colocation.rs`, as `.` does), or the root itself when it is absolute
 /// (its directory, for a file). `test-only-pub` looks for uses in every `.rs` file under
-/// that base, so run the tool from the workspace root.
-pub fn lint_path(root: &Path, cfg: &LintConfig) -> io::Result<Vec<Finding>> {
-    let base = match root.is_absolute() {
-        false => Path::new("."),
-        true if root.is_file() => root.parent().unwrap_or(root),
-        true => root,
-    };
-    let mut used = BTreeSet::new();
-    for file in collect_rs_files(base, cfg)? {
-        let source = std::fs::read_to_string(&file)?;
-        let analysis = analysis::analyze(&diagnostic_path(base, &file), &source);
-        rules::collect_uses(&analysis, &mut used);
-    }
+/// that base, so run the tool from the workspace root. Each file under a base is read
+/// and analyzed once, however many roots share the base. An error names the root it
+/// arose under.
+pub fn lint_paths<P: AsRef<Path>>(roots: &[P], cfg: &LintConfig) -> io::Result<Vec<Finding>> {
+    let mut workspaces: BTreeMap<PathBuf, Workspace> = BTreeMap::new();
     let mut all = Vec::new();
-    for file in collect_rs_files(root, cfg)? {
-        let source = std::fs::read_to_string(&file)?;
-        let analysis = analysis::analyze(&diagnostic_path(base, &file), &source);
-        all.extend(rules::run_rules(&analysis, cfg, Some(&used)));
+    for root in roots {
+        let root = root.as_ref();
+        let in_root = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", root.display()));
+        let files = collect_rs_files(root, cfg).map_err(in_root)?;
+        let base = match root.is_absolute() {
+            false => Path::new("."),
+            true if root.is_file() => root.parent().unwrap_or(root),
+            true => root,
+        };
+        if !workspaces.contains_key(base) {
+            let ws = Workspace::index(base, cfg).map_err(in_root)?;
+            workspaces.insert(base.to_path_buf(), ws);
+        }
+        let ws = &workspaces[base];
+        for file in files {
+            let rel = diagnostic_path(base, &file);
+            // A root inside a skipped directory (`fixtures/`) is not in the index.
+            let outside;
+            let analysis = match ws.files.get(&rel) {
+                Some(a) => a,
+                None => {
+                    outside = analyze_file(&rel, &file).map_err(in_root)?;
+                    &outside
+                }
+            };
+            all.extend(rules::run_rules(analysis, cfg, Some(&ws.used)));
+        }
     }
     Ok(all)
+}
+
+/// Every `.rs` file under a scan base, analyzed, keyed by diagnostic path, and the
+/// names their non-test code uses.
+struct Workspace {
+    files: BTreeMap<String, FileAnalysis>,
+    used: BTreeSet<String>,
+}
+
+impl Workspace {
+    fn index(base: &Path, cfg: &LintConfig) -> io::Result<Self> {
+        let mut ws = Workspace {
+            files: BTreeMap::new(),
+            used: BTreeSet::new(),
+        };
+        for file in collect_rs_files(base, cfg)? {
+            let rel = diagnostic_path(base, &file);
+            let analysis = analyze_file(&rel, &file)?;
+            rules::collect_uses(&analysis, &mut ws.used);
+            ws.files.insert(rel, analysis);
+        }
+        Ok(ws)
+    }
+}
+
+fn analyze_file(rel_path: &str, file: &Path) -> io::Result<FileAnalysis> {
+    Ok(analysis::analyze(rel_path, &std::fs::read_to_string(file)?))
 }
 
 /// The `/`-separated path of `file` relative to `base` (or `file` itself when it is not

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use pliant_lint::config::LintConfig;
 use pliant_lint::findings::{is_known_rule, to_json, Finding, ALL_RULES};
-use pliant_lint::lint_path;
+use pliant_lint::lint_paths;
 
 fn main() -> ExitCode {
     let mut check = false;
@@ -81,16 +81,13 @@ fn main() -> ExitCode {
     }
 
     let cfg = LintConfig::repo_default();
-    let mut findings: Vec<Finding> = Vec::new();
-    for path in &paths {
-        match lint_path(path, &cfg) {
-            Ok(found) => findings.extend(found),
-            Err(e) => {
-                eprintln!("error: cannot lint {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
+    let mut findings: Vec<Finding> = match lint_paths(&paths, &cfg) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("error: cannot lint {e}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
     findings.retain(|f| only.as_ref().is_none_or(|o| o.contains(f.rule)) && !skip.contains(f.rule));
     findings

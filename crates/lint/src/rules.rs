@@ -188,7 +188,7 @@ fn nondeterminism(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding
 /// PR 5 InterferenceModel/PowerModel bug). The fix is the hook, which makes the derived
 /// `from_value` call the check.
 fn validate_bypass(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>) {
-    if path_in(&a.rel_path, &cfg.validate_bypass_exempt) || path_is_test_code(&a.rel_path) {
+    if path_in(&a.rel_path, &cfg.compat_shims) || path_is_test_code(&a.rel_path) {
         return;
     }
     for d in &a.derives {
@@ -267,7 +267,7 @@ fn unsafe_scope(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>)
 /// A `pub fn` in library code whose name no non-test code in the workspace uses: an API
 /// kept alive only by tests (or by nothing) is code the system does not need. Library
 /// code is non-test code under `crates/*/src/` and `src/`, minus binaries and
-/// [`LintConfig::test_only_pub_exempt`]. Uses are matched by name only (see
+/// [`LintConfig::compat_shims`]. Uses are matched by name only (see
 /// [`collect_uses`]), so a function sharing its name with one that is used elsewhere
 /// passes (`SlidingWindow::quantile` passes on `perfbench`'s `measure::quantile`).
 fn test_only_pub(
@@ -276,7 +276,7 @@ fn test_only_pub(
     used: &BTreeSet<String>,
     findings: &mut Vec<Finding>,
 ) {
-    if !is_library_code(&a.rel_path) || path_in(&a.rel_path, &cfg.test_only_pub_exempt) {
+    if !is_library_code(&a.rel_path) || path_in(&a.rel_path, &cfg.compat_shims) {
         return;
     }
     let toks = &a.tokens;
@@ -337,11 +337,13 @@ fn pub_fn_name(toks: &[Token], i: usize) -> Option<&str> {
 
 /// Adds to `used` every name that non-test code in `a` spells the way a function is
 /// used: a name followed by `(` or `::<` (not a definition's own name), a name after
-/// `::`, any name inside a `use` item (which covers a function imported and passed by
-/// name), and the last `::` segment of a string inside an attribute (which covers
-/// `#[serde(validate = "T::f")]`). Comments, doc tests, fields and locals do not count:
-/// a field `self.mode` must not hide an unused `fn mode`. Files under `tests/` and
-/// `benches/` add nothing; `examples/` do, since an example shows API.
+/// `::`, any name inside a private `use` item (which covers a function imported and
+/// passed by name), and the last `::` segment of a string inside an attribute (which
+/// covers `#[serde(validate = "T::f")]`). Comments, doc tests, fields and locals do not
+/// count: a field `self.mode` must not hide an unused `fn mode`. Nor does a re-export
+/// (`pub use`, `pub(..) use`): it only renames what a caller elsewhere must still use.
+/// Files under `tests/` and `benches/` add nothing; `examples/` do, since an example
+/// shows API.
 pub(crate) fn collect_uses(a: &FileAnalysis, used: &mut BTreeSet<String>) {
     if path_under_dir(&a.rel_path, &["tests/", "benches/"]) {
         return;
@@ -349,13 +351,18 @@ pub(crate) fn collect_uses(a: &FileAnalysis, used: &mut BTreeSet<String>) {
     let toks = &a.tokens;
     let punct = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
     let mut in_use = false;
+    let mut in_reexport = false;
     let mut attribute_end = 0usize;
     for (i, tok) in toks.iter().enumerate() {
         if a.context[i].in_test {
             continue;
         }
         match tok.kind {
-            TokenKind::Ident if tok.text == "use" => in_use = true,
+            TokenKind::Ident if tok.text == "use" => {
+                in_use = true;
+                in_reexport = is_reexport(toks, i);
+            }
+            TokenKind::Ident if in_reexport => {}
             TokenKind::Ident => {
                 let defined = i >= 1 && toks[i - 1].is_ident("fn");
                 let called = punct(i + 1, '(')
@@ -365,7 +372,10 @@ pub(crate) fn collect_uses(a: &FileAnalysis, used: &mut BTreeSet<String>) {
                     used.insert(tok.text.clone());
                 }
             }
-            TokenKind::Punct if tok.is_punct(';') => in_use = false,
+            TokenKind::Punct if tok.is_punct(';') => {
+                in_use = false;
+                in_reexport = false;
+            }
             TokenKind::Punct if tok.is_punct('#') => {
                 let open = if punct(i + 1, '!') { i + 2 } else { i + 1 };
                 if punct(open, '[') {
@@ -387,6 +397,16 @@ pub(crate) fn collect_uses(a: &FileAnalysis, used: &mut BTreeSet<String>) {
 }
 
 // --- token-pattern helpers ---------------------------------------------------------
+
+/// The `use` at `toks[i]` is a re-export: `pub use` or `pub(..) use`.
+fn is_reexport(toks: &[Token], i: usize) -> bool {
+    let vis = match i.checked_sub(1).map(|j| &toks[j]) {
+        Some(t) if t.is_punct(')') => (0..i - 1).rev().find(|&j| toks[j].is_punct('(')),
+        _ => Some(i),
+    };
+    vis.and_then(|j| j.checked_sub(1))
+        .is_some_and(|j| toks[j].is_ident("pub"))
+}
 
 /// `tokens[i..]` spells `first::second` (e.g. `Vec::new`, `Instant::now`).
 fn path_call(toks: &[Token], i: usize, first: &str, second: &str) -> bool {

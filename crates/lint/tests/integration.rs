@@ -7,7 +7,7 @@ use std::process::Command;
 
 use pliant_lint::config::LintConfig;
 use pliant_lint::findings::ALL_RULES;
-use pliant_lint::{lint_path, lint_source};
+use pliant_lint::{lint_paths, lint_source};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -25,7 +25,7 @@ fn all_paths() -> LintConfig {
         unsafe_allowed: Vec::new(),
         hash_container_scoped: vec![String::new()],
         panic_hygiene_scoped: vec![String::new()],
-        validate_bypass_exempt: Vec::new(),
+        compat_shims: Vec::new(),
         ..LintConfig::repo_default()
     }
 }
@@ -131,7 +131,7 @@ fn clean_fixture_produces_zero_findings() {
 /// configuration. This is the library-level twin of the CI `--check` step.
 #[test]
 fn workspace_is_lint_clean() {
-    let findings = lint_path(&workspace_root(), &LintConfig::repo_default()).unwrap();
+    let findings = lint_paths(&[workspace_root()], &LintConfig::repo_default()).unwrap();
     assert!(
         findings.is_empty(),
         "workspace must be lint-clean:\n{}",
@@ -379,9 +379,10 @@ fn unsafe_is_allowed_only_in_the_simd_module() {
 }
 
 /// The `test-only-pub` mini-workspace (`fixtures/test_only_pub/`): a `pub fn` in
-/// library code that only a `#[cfg(test)]` module or `tests/` calls is flagged; one
-/// called from `examples/` or `perfbench/src`, imported by `use` and passed by name,
-/// named in a serde attribute string, or carrying the pragma is not.
+/// library code that only a `#[cfg(test)]` module or `tests/` calls is flagged, also
+/// when a `pub use` re-exports it; one called from `examples/` or `perfbench/src`,
+/// imported by `use` and passed by name, named in a serde attribute string, or carrying
+/// the pragma is not.
 #[test]
 fn cli_flags_pub_fns_only_tests_call() {
     let (code, stdout, _) = run_cli(&fixtures_dir().join("test_only_pub"), &["--check", "."]);
@@ -396,8 +397,13 @@ fn cli_flags_pub_fns_only_tests_call() {
         .collect();
     assert_eq!(
         flagged,
-        ["crates/sim/src/lib.rs:5", "crates/sim/src/lib.rs:10"],
-        "only the unit-tested and the integration-tested fn are flagged:\n{stdout}"
+        [
+            "crates/sim/src/lib.rs:5",
+            "crates/sim/src/lib.rs:10",
+            "crates/sim/src/reexport.rs:2"
+        ],
+        "only the unit-tested, the integration-tested and the re-exported fn are \
+         flagged:\n{stdout}"
     );
     assert!(stdout.contains("`pub fn only_unit_tested`"));
 }
@@ -410,19 +416,34 @@ fn cli_sub_path_and_single_file_scans_match_the_full_scan() {
     let dir = fixtures_dir().join("test_only_pub");
     let (_, full, _) = run_cli(&dir, &["."]);
     assert!(
-        full.contains("crates/sim/src/lib.rs:54: [panic-hygiene]"),
+        full.contains("crates/sim/src/lib.rs:59: [panic-hygiene]"),
         "{full}"
     );
     assert!(full.contains("[test-only-pub]"), "{full}");
-    for path in ["crates/sim", "./crates/sim/", "crates/sim/src/lib.rs"] {
+    for path in ["crates/sim", "./crates/sim/"] {
         let (_, scoped, _) = run_cli(&dir, &[path]);
         assert_eq!(
             scoped, full,
             "`pliant-lint {path}` differs from `pliant-lint .`"
         );
     }
+    let file = "crates/sim/src/lib.rs";
+    let (_, scoped, _) = run_cli(&dir, &[file]);
+    let full_of_file: String = full
+        .lines()
+        .filter(|l| l.starts_with(&format!("{file}:")))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(full_of_file.contains("[test-only-pub]"), "{full}");
+    assert_eq!(
+        scoped, full_of_file,
+        "`pliant-lint {file}` differs from `pliant-lint .` on that file"
+    );
+    // Several paths share one index of callers.
+    let (_, both, _) = run_cli(&dir, &[file, "crates/sim/src/reexport.rs"]);
+    assert_eq!(both, full, "two file paths differ from `pliant-lint .`");
     // The library entry point on an absolute root reports root-relative paths.
-    let findings = lint_path(&dir, &LintConfig::repo_default()).unwrap();
+    let findings = lint_paths(&[dir], &LintConfig::repo_default()).unwrap();
     let rendered: String = findings.iter().map(|f| format!("{f}\n")).collect();
     assert_eq!(rendered, full);
 }

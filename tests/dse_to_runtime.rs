@@ -23,7 +23,7 @@ fn explored_variants_flow_into_the_runtime_catalog() {
     }
 
     // 2. Bridge: replace kmeans' calibrated variant table with the measured one.
-    let catalog = bridge::catalog_with_explored(&Catalog::default(), AppId::KMeans, &exploration);
+    let catalog = bridge::catalog_with_variants(&Catalog::default(), AppId::KMeans, variants);
 
     // 3. Online: run the colocation against the bridged catalog under Pliant.
     let scenario = Scenario::builder(ServiceId::Nginx)

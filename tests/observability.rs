@@ -33,9 +33,6 @@ fn fleet_scenario(approximation: FleetApproximation) -> ClusterScenario {
     scenario
 }
 
-/// Checks every interval's [`Event::IntervalSummary`] against the outcome's trace: its
-/// `violating` count must equal the `violating_nodes` point and its `active_nodes` the
-/// `active_nodes` point, at the same interval end time.
 /// The log's JSONL export, the bytes `pliant-trace` reads back.
 fn jsonl(log: &EventLog) -> Vec<u8> {
     let mut out = Vec::new();
@@ -43,6 +40,9 @@ fn jsonl(log: &EventLog) -> Vec<u8> {
     out
 }
 
+/// Checks every interval's [`Event::IntervalSummary`] against the outcome's trace: its
+/// `violating` count must equal the `violating_nodes` point and its `active_nodes` the
+/// `active_nodes` point, at the same interval end time.
 fn assert_rollups_match_the_trace(outcome: &ClusterOutcome, log: &EventLog, context: &str) {
     let series = |name: &str| outcome.trace.get(name).expect("outcome series").points();
     let (violating_nodes, active_nodes) = (series("violating_nodes"), series("active_nodes"));
