@@ -72,12 +72,14 @@ impl LintConfig {
                 "LatencySamples::gather",
                 "LatencySamples::map_in_place",
                 "LatencySamples::materialize",
-                // The two vector kernels those loops run through, and their one-copy
-                // loop bodies.
+                // The vector kernels those loops and the fleet histogram run through,
+                // and their loop bodies.
                 "exp_map_in_range",
                 "exp_map_in_range_portable",
                 "ln_unit_ratio",
                 "ln_unit_ratio_portable",
+                "bucket_scaled",
+                "bucket_scaled_avx2",
                 // The replica-weighted dispatch path (PR 7): runs once per interval
                 // on every fleet, including clustered ones whose logical size can
                 // reach 1M nodes, and the per-sample replication inside

@@ -95,18 +95,21 @@ pub fn collect_rs_files(root: &Path, cfg: &LintConfig) -> io::Result<Vec<PathBuf
 /// every rule.
 ///
 /// Diagnostic paths, which the path-scoped rules match, are relative to a base: the
-/// current directory when a root is relative (`crates/sim` reports
-/// `crates/sim/src/colocation.rs`, as `.` does), or the root itself when it is absolute
-/// (its directory, for a file). `test-only-pub` looks for uses in every `.rs` file under
-/// that base, so run the tool from the workspace root. Each file under a base is read
-/// and analyzed once, however many roots share the base. An error names the root it
-/// arose under.
+/// current directory when a root is relative or an absolute path under it
+/// (`crates/sim` and `$PWD/crates/sim` report `crates/sim/src/colocation.rs`, as `.`
+/// does), or else the root itself (its directory, for a file). `test-only-pub` looks
+/// for uses in every `.rs` file under that base, so run the tool from the workspace
+/// root. Each file under a base is read and analyzed once, however many roots share the
+/// base. An error names the root it arose under.
 pub fn lint_paths<P: AsRef<Path>>(roots: &[P], cfg: &LintConfig) -> io::Result<Vec<Finding>> {
+    let cwd = std::env::current_dir().and_then(|d| d.canonicalize()).ok();
     let mut workspaces: BTreeMap<PathBuf, Workspace> = BTreeMap::new();
     let mut all = Vec::new();
     for root in roots {
         let root = root.as_ref();
         let in_root = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", root.display()));
+        let under_cwd = cwd.as_deref().and_then(|cwd| relative_to(root, cwd));
+        let root = under_cwd.as_deref().unwrap_or(root);
         let files = collect_rs_files(root, cfg).map_err(in_root)?;
         let base = match root.is_absolute() {
             false => Path::new("."),
@@ -133,6 +136,22 @@ pub fn lint_paths<P: AsRef<Path>>(roots: &[P], cfg: &LintConfig) -> io::Result<V
         }
     }
     Ok(all)
+}
+
+/// The relative form of an absolute `root` that lies under the canonical `cwd` (`.` for
+/// `cwd` itself), compared in canonical form so that `..` and symbolic links resolve;
+/// `None` otherwise.
+fn relative_to(root: &Path, cwd: &Path) -> Option<PathBuf> {
+    if !root.is_absolute() {
+        return None;
+    }
+    let canonical = root.canonicalize().ok()?;
+    let rel = canonical.strip_prefix(cwd).ok()?;
+    Some(if rel.as_os_str().is_empty() {
+        PathBuf::from(".")
+    } else {
+        rel.to_path_buf()
+    })
 }
 
 /// Every `.rs` file under a scan base, analyzed, keyed by diagnostic path, and the

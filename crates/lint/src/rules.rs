@@ -269,7 +269,7 @@ fn unsafe_scope(a: &FileAnalysis, cfg: &LintConfig, findings: &mut Vec<Finding>)
 /// code is non-test code under `crates/*/src/` and `src/`, minus binaries and
 /// [`LintConfig::compat_shims`]. Uses are matched by name only (see
 /// [`collect_uses`]), so a function sharing its name with one that is used elsewhere
-/// passes (`SlidingWindow::quantile` passes on `perfbench`'s `measure::quantile`).
+/// passes (an uncalled `T::new` passes on every other `new` called in the workspace).
 fn test_only_pub(
     a: &FileAnalysis,
     cfg: &LintConfig,

@@ -442,10 +442,47 @@ fn cli_sub_path_and_single_file_scans_match_the_full_scan() {
     // Several paths share one index of callers.
     let (_, both, _) = run_cli(&dir, &[file, "crates/sim/src/reexport.rs"]);
     assert_eq!(both, full, "two file paths differ from `pliant-lint .`");
-    // The library entry point on an absolute root reports root-relative paths.
-    let findings = lint_paths(&[dir], &LintConfig::repo_default()).unwrap();
-    let rendered: String = findings.iter().map(|f| format!("{f}\n")).collect();
-    assert_eq!(rendered, full);
+}
+
+/// An absolute path under the current directory (`$PWD/crates/sim`) scans as its
+/// relative form does: the same paths, so the path-scoped rules and `test-only-pub`
+/// still match. One outside it keeps paths relative to itself.
+#[test]
+fn absolute_sub_path_scans_match_their_relative_form() {
+    let dir = fixtures_dir().join("test_only_pub");
+    let (_, full, _) = run_cli(&dir, &["."]);
+    assert!(full.contains("[panic-hygiene]") && full.contains("[test-only-pub]"));
+    let (_, relative, _) = run_cli(&dir, &["crates/sim"]);
+    for path in [dir.join("crates/sim"), dir.join("crates/sim/../sim/")] {
+        let (_, absolute, _) = run_cli(&dir, &[path.to_str().unwrap()]);
+        assert_eq!(absolute, relative, "`pliant-lint {}`", path.display());
+    }
+    let file = "crates/sim/src/lib.rs";
+    let (_, relative, _) = run_cli(&dir, &[file]);
+    let (_, absolute, _) = run_cli(&dir, &[dir.join(file).to_str().unwrap()]);
+    assert_eq!(absolute, relative, "`pliant-lint $PWD/{file}`");
+    let (_, absolute, _) = run_cli(&dir, &[dir.to_str().unwrap()]);
+    assert_eq!(absolute, full, "`pliant-lint $PWD`");
+    // The library entry point, from this test's current directory (the crate root): an
+    // absolute file is rebased onto it, so its findings name it from there, not from
+    // its own directory.
+    let cfg = LintConfig::repo_default();
+    let render_scan = |root: &Path| -> Vec<String> {
+        let findings = lint_paths(&[root], &cfg).unwrap();
+        findings.iter().map(|f| f.to_string()).collect()
+    };
+    let absolute = render_scan(&fixtures_dir().join("violations.rs"));
+    assert!(absolute.iter().any(|f| f.contains("[nan-unsafe-cmp]")));
+    for finding in &absolute {
+        assert!(finding.starts_with("fixtures/violations.rs:"), "{finding}");
+    }
+    assert_eq!(absolute, render_scan(Path::new("fixtures/violations.rs")));
+    // Outside it (the fixture scanned from its `crates/`), paths are relative to the root.
+    let (_, outside, _) = run_cli(&dir.join("crates"), &[dir.to_str().unwrap()]);
+    assert_eq!(
+        outside, full,
+        "`pliant-lint` on a root above the current directory"
+    );
 }
 
 /// The repo benchmark measures host time by design, so `perfbench/` may read the wall

@@ -6,14 +6,15 @@
 //!   used by the performance monitor to estimate tail latency (p99).
 //! * [`stats`] — streaming summary statistics (mean/variance/min/max) and
 //!   [`stats::Summary`] snapshots.
-//! * [`window`] — sliding-window and exponentially-weighted latency trackers used for
-//!   adaptive sampling in the monitor.
+//! * [`window`] — the exponentially-weighted tail tracker the monitor smooths its
+//!   interval p99 with.
 //! * [`series`] — a time-series recorder used by the experiment harness to regenerate the
 //!   paper's dynamic-behaviour figures (Fig. 4 and Fig. 6).
 //! * [`violin`] — distribution summaries (min/max/quartiles/density) matching the violin
 //!   plots of Fig. 7.
-//! * [`simd`] — the latency-sample map and the skip-sampling gap logarithms, run at
-//!   AVX2 width when the CPU has it and with the same bits either way.
+//! * [`simd`] — the latency-sample map, the skip-sampling gap logarithms and the
+//!   histogram's bucketing of recorded samples, run at AVX2 width when the CPU has it
+//!   and with the same bits either way.
 //! * [`rng`] — deterministic random-number helpers and the samplers (exponential, Poisson,
 //!   lognormal, Pareto) the workload generators and queueing models rely on.
 //! * [`obs`] — the deterministic tracing subsystem: typed sim-time [`obs::Event`]s,
@@ -53,4 +54,4 @@ pub use histogram::LatencyHistogram;
 pub use series::{TimePoint, TimeSeries};
 pub use stats::{OnlineStats, Summary};
 pub use violin::ViolinSummary;
-pub use window::{EwmaTracker, SlidingWindow};
+pub use window::EwmaTracker;

@@ -1,98 +1,10 @@
-//! Sliding-window and exponentially-weighted latency tracking.
+//! Exponentially-weighted latency tracking.
 //!
-//! Pliant's performance monitor samples end-to-end latency adaptively: within each decision
-//! interval it keeps a bounded window of recent samples for percentile estimation, and it
-//! maintains an EWMA of the tail to smooth out single-interval noise when deciding whether
-//! to step approximation up or down.
+//! Pliant's performance monitor estimates each decision interval's tail latency from
+//! the samples it selects that interval, and it maintains an EWMA of that tail to smooth
+//! out single-interval noise when deciding whether to step approximation up or down.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-use crate::stats::exact_quantile;
-
-/// A bounded FIFO window of latency samples with quantile queries.
-///
-/// # Example
-///
-/// ```
-/// use pliant_telemetry::window::SlidingWindow;
-///
-/// let mut w = SlidingWindow::new(3);
-/// w.push(1.0);
-/// w.push(2.0);
-/// w.push(3.0);
-/// w.push(4.0); // evicts 1.0
-/// assert_eq!(w.len(), 3);
-/// assert_eq!(w.quantile(1.0), Some(4.0));
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlidingWindow {
-    capacity: usize,
-    samples: VecDeque<f64>,
-}
-
-impl SlidingWindow {
-    /// Creates a window holding at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        Self {
-            capacity,
-            samples: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Adds a sample, evicting the oldest if the window is full.
-    pub fn push(&mut self, value: f64) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(value);
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Maximum number of samples the window can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Exact quantile of the samples currently in the window.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let values: Vec<f64> = self.samples.iter().copied().collect();
-        exact_quantile(&values, q)
-    }
-
-    /// Mean of the samples currently in the window, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    /// Removes all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-
-    /// Iterates over samples from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &f64> {
-        self.samples.iter()
-    }
-}
 
 /// Exponentially-weighted moving average with a configurable smoothing factor.
 ///
@@ -155,38 +67,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn window_eviction_keeps_latest() {
-        let mut w = SlidingWindow::new(2);
-        w.push(1.0);
-        w.push(2.0);
-        w.push(3.0);
-        let all: Vec<f64> = w.iter().copied().collect();
-        assert_eq!(all, vec![2.0, 3.0]);
-        assert_eq!(w.capacity(), 2);
-    }
-
-    #[test]
-    fn window_quantile_and_mean() {
-        let mut w = SlidingWindow::new(10);
-        assert!(w.is_empty());
-        assert_eq!(w.quantile(0.5), None);
-        assert_eq!(w.mean(), None);
-        for v in [5.0, 1.0, 3.0] {
-            w.push(v);
-        }
-        assert_eq!(w.quantile(0.5), Some(3.0));
-        assert!((w.mean().unwrap() - 3.0).abs() < 1e-12);
-        w.clear();
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_panics() {
-        let _ = SlidingWindow::new(0);
-    }
-
-    #[test]
     fn ewma_converges_to_constant_input() {
         let mut e = EwmaTracker::new(0.3);
         assert_eq!(e.value(), None);
@@ -213,18 +93,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_window_never_exceeds_capacity(
-            cap in 1usize..50,
-            values in proptest::collection::vec(0.0f64..1e6, 0..200),
-        ) {
-            let mut w = SlidingWindow::new(cap);
-            for v in &values {
-                w.push(*v);
-                prop_assert!(w.len() <= cap);
-            }
-        }
-
         #[test]
         fn prop_ewma_bounded_by_input_range(
             alpha in 0.01f64..1.0,

@@ -10,9 +10,10 @@
 //!    previous interval's sample buffer; an idle interval must still deliver an empty
 //!    sample set and drive the monitor to a `no_signal` report, never a stale one.
 //!
-//! The counting allocator at the bottom also pins two memory contracts: the disabled
-//! and saturated observability paths allocate nothing, and building a clustered fleet
-//! holds no table over its logical nodes.
+//! The counting allocator at the bottom also pins three memory contracts: the disabled
+//! and saturated observability paths allocate nothing, neither does recording a node's
+//! samples into its latency histogram, and building a clustered fleet holds no table
+//! over its logical nodes.
 
 use pliant::prelude::*;
 use pliant::telemetry::histogram::LatencyHistogram;
@@ -142,9 +143,10 @@ fn reused_buffers_report_no_signal_on_idle_intervals_after_busy_ones() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Observability's Null-sink contract: with tracing off, and on a saturated
-//    preallocated ring, the per-interval emit path allocates nothing — so the hot
-//    loop's allocation profile is unchanged by the observability layer.
+// 3. Allocation-free per-interval paths. Observability's Null-sink contract: with
+//    tracing off, and on a saturated preallocated ring, the per-interval emit path
+//    allocates nothing — so the hot loop's allocation profile is unchanged by the
+//    observability layer. And a node's histogram records its samples in place.
 // ---------------------------------------------------------------------------
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -275,6 +277,26 @@ fn obs_emit_is_allocation_free_when_off_and_when_saturated() {
         0,
         "counter recording must never allocate"
     );
+}
+
+/// A fleet node records each measured interval's 1,000 samples with one
+/// `record_scaled_n`; its vector chunks stay on the stack, so recording allocates
+/// nothing, over whole chunks, their tail and a slice shorter than one chunk.
+#[test]
+fn batched_histogram_recording_is_allocation_free() {
+    let samples: Vec<f64> = (0..1_000).map(|i| 1e-4 * (1.0 + (i % 97) as f64)).collect();
+    let mut hist = LatencyHistogram::new();
+    assert_eq!(
+        allocations_during(|| {
+            for weight in [1, 3] {
+                hist.record_scaled_n(&samples, 1e6, weight);
+                hist.record_scaled_n(&samples[..40], 1e6, weight);
+            }
+        }),
+        0,
+        "recording a node's samples must never allocate"
+    );
+    assert_eq!(hist.count(), 4 * 1_040);
 }
 
 // ---------------------------------------------------------------------------
