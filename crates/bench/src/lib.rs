@@ -24,6 +24,7 @@ pub use fleet::{FleetRunner, TraceRunSummary};
 
 use pliant_approx::catalog::AppId;
 use pliant_core::experiment::ColocationOutcome;
+use pliant_core::scenario::Horizon;
 use pliant_workloads::service::ServiceId;
 
 /// The four approximate applications Fig. 4 and Fig. 6 focus on, chosen in the paper for
@@ -73,18 +74,17 @@ pub fn cluster_machines_needed_scenario(
         return None;
     }
     let mix = [AppId::Bayesian, AppId::Semphy, AppId::ClustalW];
-    Some(
-        pliant_cluster::ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(nodes)
-            .jobs(repeat_mix(&mix, nodes))
-            .avg_node_load(avg_node_load)
-            .policy(policy)
-            .balancer(pliant_cluster::BalancerKind::RoundRobin)
-            .horizon_seconds(90.0)
-            .warmup_intervals(8)
-            .seed(seed)
-            .build(),
-    )
+    Some(pliant_cluster::ClusterScenario {
+        nodes,
+        jobs: repeat_mix(&mix, nodes),
+        avg_node_load,
+        policy,
+        balancer: pliant_cluster::BalancerKind::RoundRobin,
+        horizon: Horizon::Seconds(90.0),
+        warmup_intervals: 8,
+        seed,
+        ..pliant_cluster::ClusterScenario::paper_default(ServiceId::Memcached)
+    })
 }
 
 /// The fixed failure trace of the availability study (`fig_failure`), shared with the
@@ -163,12 +163,12 @@ pub fn cluster_energy_scenario_at_scale(
     // covers identical interactive load *and* identical batch work. Pliant's
     // approximated jobs finish earlier, so its drained nodes reach the park state
     // sooner.
-    pliant_cluster::ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(nodes)
-        .jobs(repeat_mix(&mix, 2 * nodes))
-        .policy(policy)
-        .balancer(pliant_cluster::BalancerKind::RoundRobin)
-        .scheduler(pliant_cluster::SchedulerKind::QosSlackAware)
+    pliant_cluster::ClusterScenario {
+        nodes,
+        jobs: repeat_mix(&mix, 2 * nodes),
+        policy,
+        balancer: pliant_cluster::BalancerKind::RoundRobin,
+        scheduler: pliant_cluster::SchedulerKind::QosSlackAware,
         // One day/night cycle, expressed per provisioned node (×nodes for node-units,
         // quoted below for the historical 6-node figure): a
         // day plateau at exactly the fig_cluster operating point (2.6 node-units),
@@ -177,7 +177,7 @@ pub fn cluster_energy_scenario_at_scale(
         // machines-needed headline online — Pliant consolidates to 4 machines at
         // 0.65 load each while Precise burns that ceiling and settles on 5 — and at
         // night Pliant serves the valley on 2 machines where Precise needs 3.
-        .load_profile(LoadProfile::Trace {
+        load_profile: Some(LoadProfile::Trace {
             points: vec![
                 (0.0, 2.6 / 6.0),
                 (120.0, 2.6 / 6.0),
@@ -185,8 +185,8 @@ pub fn cluster_energy_scenario_at_scale(
                 (330.0, 1.26 / 6.0),
                 (360.0, 1.8 / 6.0),
             ],
-        })
-        .autoscaler(pliant_cluster::AutoscalerConfig {
+        }),
+        autoscaler: Some(pliant_cluster::AutoscalerConfig {
             min_active: (nodes / 3).max(2),
             scale_out_load: 0.74,
             scale_out_violation_fraction: 0.6,
@@ -196,11 +196,12 @@ pub fn cluster_energy_scenario_at_scale(
             scale_in_sustain_intervals: 4,
             cooldown_intervals: 5,
             consolidate: false,
-        })
-        .horizon_seconds(360.0)
-        .warmup_intervals(8)
-        .seed(seed)
-        .build()
+        }),
+        horizon: Horizon::Seconds(360.0),
+        warmup_intervals: 8,
+        seed,
+        ..pliant_cluster::ClusterScenario::paper_default(ServiceId::Memcached)
+    }
 }
 
 /// The fleet scenario of the topology figure (`fig_topology`): the 8-node energy

@@ -85,9 +85,8 @@ pub enum AutoscalerAction {
     ScaleIn(usize),
 }
 
-/// Configuration of the fleet autoscaler; attach to a
-/// [`ClusterScenario`](crate::scenario::ClusterScenario) via
-/// [`ClusterScenarioBuilder::autoscaler`](crate::scenario::ClusterScenarioBuilder::autoscaler).
+/// Configuration of the fleet autoscaler; attach it as a
+/// [`ClusterScenario`](crate::scenario::ClusterScenario)'s `autoscaler`.
 ///
 /// Deserialization runs [`AutoscalerConfig::validate`], so a hand-edited config whose
 /// scale-in and scale-out thresholds would flap the fleet membership is rejected when

@@ -85,35 +85,11 @@ pub trait ClusterEngineExt {
     /// Panics if the scenario fails [`ClusterScenario::validate`] or names an
     /// application missing from the engine's catalog.
     fn run_cluster(&self, scenario: &ClusterScenario) -> ClusterOutcome;
-
-    /// Runs one cluster scenario with observability enabled at `level`, returning the
-    /// outcome plus the merged fleet-wide decision-event stream (see
-    /// [`pliant_telemetry::obs`]). With [`ObsLevel::Off`] this is exactly
-    /// [`Self::run_cluster`] plus an empty log; the simulation is byte-identical at
-    /// every level — tracing observes decisions, it never alters them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario fails [`ClusterScenario::validate`] or names an
-    /// application missing from the engine's catalog.
-    fn run_cluster_traced(
-        &self,
-        scenario: &ClusterScenario,
-        level: ObsLevel,
-    ) -> (ClusterOutcome, EventLog);
 }
 
 impl ClusterEngineExt for Engine {
     fn run_cluster(&self, scenario: &ClusterScenario) -> ClusterOutcome {
-        self.run_cluster_traced(scenario, ObsLevel::Off).0
-    }
-
-    fn run_cluster_traced(
-        &self,
-        scenario: &ClusterScenario,
-        level: ObsLevel,
-    ) -> (ClusterOutcome, EventLog) {
-        ClusterRun::with_obs(scenario, self, level).finish()
+        ClusterRun::new(scenario, self).finish().0
     }
 }
 
@@ -133,13 +109,15 @@ impl ClusterEngineExt for Engine {
 /// use pliant_approx::catalog::AppId;
 /// use pliant_cluster::prelude::*;
 /// use pliant_core::engine::Engine;
+/// use pliant_core::scenario::Horizon;
 /// use pliant_workloads::service::ServiceId;
 ///
-/// let scenario = ClusterScenario::builder(ServiceId::Memcached)
-///     .nodes(2)
-///     .jobs(vec![AppId::Canneal, AppId::Snp, AppId::Bayesian])
-///     .horizon_intervals(12)
-///     .build();
+/// let scenario = ClusterScenario {
+///     nodes: 2,
+///     jobs: vec![AppId::Canneal, AppId::Snp, AppId::Bayesian],
+///     horizon: Horizon::Intervals(12),
+///     ..ClusterScenario::paper_default(ServiceId::Memcached)
+/// };
 /// let engine = Engine::new();
 /// let mut first = ClusterRun::new(&scenario, &engine);
 /// while first.intervals() < 5 {
@@ -1080,7 +1058,7 @@ impl ClusterRun {
         active_nodes: usize,
         jobs_placed: usize,
     ) {
-        let dt = self.scenario.decision_interval_s;
+        let dt = self.scenario.decision_interval_s();
         self.scheduler.record_completions(completions);
         let racked = !self.scenario.topology.is_flat();
         if racked {
@@ -1290,9 +1268,8 @@ impl ClusterRun {
         for node in &self.nodes {
             fleet.merge(&node.books().hist);
         }
-        let qos_target_s = scenario.qos_target_s.unwrap_or_else(|| {
-            pliant_workloads::service::ServiceProfile::paper_default(scenario.service).qos_target_s
-        });
+        let qos_target_s =
+            pliant_workloads::service::ServiceProfile::paper_default(scenario.service).qos_target_s;
 
         let node_outcomes: Vec<NodeOutcome> = self
             .nodes
@@ -1300,12 +1277,6 @@ impl ClusterRun {
             .enumerate()
             .map(|(i, node)| {
                 let books = node.books();
-                let inaccuracies = &books.completed_inaccuracy_pct;
-                // Replica-weighted mean: a job completed at weight `w` stood for `w`
-                // logical completions. With all-ones weights (exact mode) this reduces
-                // bit-for-bit to the plain arithmetic mean the engine always computed.
-                let weights = &books.completed_weights;
-                let weight_total: usize = weights.iter().sum();
                 NodeOutcome {
                     node: i,
                     replicas: node.replicas(),
@@ -1317,15 +1288,12 @@ impl ClusterRun {
                     mean_assigned_load: books.assigned_sum / max_intervals.max(1) as f64,
                     max_extra_service_cores: books.max_extra,
                     jobs_completed: books.jobs_completed,
-                    mean_completed_inaccuracy_pct: if inaccuracies.is_empty() {
+                    // Replica-weighted mean: a job completed at weight `w` stood for `w`
+                    // logical completions, and the weights sum to `jobs_completed`.
+                    mean_completed_inaccuracy_pct: if books.jobs_completed == 0 {
                         0.0
                     } else {
-                        inaccuracies
-                            .iter()
-                            .zip(weights)
-                            .map(|(v, &w)| v * w as f64)
-                            .sum::<f64>()
-                            / weight_total as f64
+                        books.completed_inaccuracy_weighted_sum / books.jobs_completed as f64
                     },
                     energy_j: books.energy_j,
                 }
@@ -1346,7 +1314,7 @@ impl ClusterRun {
         // Fleet energy is the exact sum of the per-node accounting, mirroring how the
         // fleet p99 is the exact merge of the per-node histograms.
         let fleet_energy_j: f64 = node_outcomes.iter().map(|node| node.energy_j).sum();
-        let simulated_s = max_intervals as f64 * scenario.decision_interval_s;
+        let simulated_s = max_intervals as f64 * scenario.decision_interval_s();
         let completed = scheduler_stats.completed;
 
         let mut trace = TraceBundle::new();
@@ -1397,7 +1365,7 @@ impl ClusterRun {
 
 /// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
 /// breaking change to the snapshot layout.
-pub const CLUSTER_CHECKPOINT_VERSION: u32 = 4;
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 5;
 
 /// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
 /// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario
@@ -1461,16 +1429,18 @@ mod tests {
     use super::*;
     use pliant_approx::catalog::AppId;
     use pliant_core::policy::PolicyKind;
+    use pliant_core::scenario::Horizon;
     use pliant_workloads::service::ServiceId;
 
     fn small_scenario() -> ClusterScenario {
-        ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(3)
-            .jobs([AppId::Canneal, AppId::Snp, AppId::Bayesian, AppId::KMeans])
-            .avg_node_load(0.6)
-            .horizon_intervals(20)
-            .seed(11)
-            .build()
+        ClusterScenario {
+            nodes: 3,
+            jobs: vec![AppId::Canneal, AppId::Snp, AppId::Bayesian, AppId::KMeans],
+            avg_node_load: 0.6,
+            horizon: Horizon::Intervals(20),
+            seed: 11,
+            ..ClusterScenario::paper_default(ServiceId::Memcached)
+        }
     }
 
     #[test]
@@ -1508,20 +1478,21 @@ mod tests {
     fn queued_jobs_flow_through_the_fleet() {
         // 2 nodes, 6 jobs: 2 placed initially, 4 queued; a long horizon lets several
         // complete and be replaced.
-        let scenario = ClusterScenario::builder(ServiceId::MongoDb)
-            .nodes(2)
-            .jobs([
+        let scenario = ClusterScenario {
+            nodes: 2,
+            jobs: vec![
                 AppId::Raytrace,
                 AppId::Snp,
                 AppId::KMeans,
                 AppId::Bayesian,
                 AppId::Snp,
                 AppId::KMeans,
-            ])
-            .avg_node_load(0.5)
-            .horizon_intervals(200)
-            .seed(3)
-            .build();
+            ],
+            avg_node_load: 0.5,
+            horizon: Horizon::Intervals(200),
+            seed: 3,
+            ..ClusterScenario::paper_default(ServiceId::MongoDb)
+        };
         let outcome = Engine::new().run_cluster(&scenario);
         assert_eq!(outcome.scheduler_stats.submitted, 6);
         assert!(
@@ -1546,13 +1517,14 @@ mod tests {
 
     #[test]
     fn precise_fleet_runs_uninstrumented_and_never_reclaims() {
-        let scenario = ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs([AppId::Canneal, AppId::Snp])
-            .policy(PolicyKind::Precise)
-            .avg_node_load(0.5)
-            .horizon_intervals(15)
-            .build();
+        let scenario = ClusterScenario {
+            nodes: 2,
+            jobs: vec![AppId::Canneal, AppId::Snp],
+            policy: PolicyKind::Precise,
+            avg_node_load: 0.5,
+            horizon: Horizon::Intervals(15),
+            ..ClusterScenario::paper_default(ServiceId::Nginx)
+        };
         let outcome = Engine::new().run_cluster(&scenario);
         assert_eq!(outcome.max_total_extra_cores, 0);
         assert_eq!(outcome.mean_completed_inaccuracy_pct(), 0.0);

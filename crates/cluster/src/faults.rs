@@ -637,11 +637,12 @@ mod tests {
 
     fn scenario(nodes: usize) -> ClusterScenario {
         let mix = [AppId::Canneal, AppId::Snp, AppId::Raytrace];
-        ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(nodes)
-            .jobs((0..nodes).map(|i| mix[i % 3]))
-            .horizon_intervals(40)
-            .build()
+        ClusterScenario {
+            nodes,
+            jobs: (0..nodes).map(|i| mix[i % 3]).collect(),
+            horizon: pliant_core::scenario::Horizon::Intervals(40),
+            ..ClusterScenario::paper_default(ServiceId::Memcached)
+        }
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //!   replica. [`FleetApproximation::Exact`] (the default) simulates every node and is
 //!   byte-identical to the pre-population simulator.
 //!
+//! A [`ClusterScenario`] is plain data, built by struct update over
+//! [`ClusterScenario::paper_default`]. Every node runs the paper's per-node controller
+//! at [`ControllerConfig::default`](pliant_core::controller::ControllerConfig) against
+//! its service's paper QoS target.
+//!
 //! Fleet metrics come from merging every node's latency histogram
 //! ([`LatencyHistogram::merge`](pliant_telemetry::histogram::LatencyHistogram::merge)),
 //! so the fleet p99 is the exact quantile over every request in the fleet — the number
@@ -38,14 +43,16 @@
 //! use pliant_approx::catalog::AppId;
 //! use pliant_cluster::prelude::*;
 //! use pliant_core::engine::Engine;
+//! use pliant_core::scenario::Horizon;
 //! use pliant_workloads::service::ServiceId;
 //!
-//! let scenario = ClusterScenario::builder(ServiceId::Memcached)
-//!     .nodes(3)
-//!     .jobs(vec![AppId::Canneal, AppId::Snp, AppId::Bayesian, AppId::KMeans])
-//!     .avg_node_load(0.6)
-//!     .horizon_intervals(20)
-//!     .build();
+//! let scenario = ClusterScenario {
+//!     nodes: 3,
+//!     jobs: vec![AppId::Canneal, AppId::Snp, AppId::Bayesian, AppId::KMeans],
+//!     avg_node_load: 0.6,
+//!     horizon: Horizon::Intervals(20),
+//!     ..ClusterScenario::paper_default(ServiceId::Memcached)
+//! };
 //! let outcome = Engine::new().run_cluster(&scenario);
 //! assert_eq!(outcome.nodes, 3);
 //! println!("fleet p99/QoS = {:.2}", outcome.fleet_tail_latency_ratio);
@@ -80,9 +87,7 @@ pub use faults::{
 pub use node::{ClusterNode, NodeBooks, NodeCheckpoint, NodeSnapshot};
 pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
 pub use population::{InstancePlan, NodeGroup, NodePopulation};
-pub use scenario::{
-    ClusterScenario, ClusterScenarioBuilder, ClusterScenarioError, FleetApproximation,
-};
+pub use scenario::{ClusterScenario, ClusterScenarioError, FleetApproximation};
 pub use scheduler::{BatchScheduler, SchedulerKind, SchedulerStats};
 pub use suite::{ClusterSuite, ClusterSweepAxis};
 pub use topology::{TopologyConfig, TopologyConfigError};
@@ -97,9 +102,7 @@ pub mod prelude {
     };
     pub use crate::outcome::{machines_needed, ClusterOutcome, NodeOutcome};
     pub use crate::population::NodePopulation;
-    pub use crate::scenario::{
-        ClusterScenario, ClusterScenarioBuilder, ClusterScenarioError, FleetApproximation,
-    };
+    pub use crate::scenario::{ClusterScenario, ClusterScenarioError, FleetApproximation};
     pub use crate::scheduler::SchedulerKind;
     pub use crate::suite::{ClusterSuite, ClusterSweepAxis};
     pub use crate::topology::TopologyConfig;

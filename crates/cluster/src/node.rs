@@ -119,18 +119,15 @@ impl ClusterNode {
         let mut config = ColocationConfig::paper_default(scenario.service, initial_jobs, node_seed)
             .with_load(scenario.avg_node_load);
         config.instrumented = scenario.effective_instrumented();
-        if let Some(qos_s) = scenario.qos_target_s {
-            config.service.qos_target_s = qos_s;
-        }
-        let controller_config = ControllerConfig {
-            decision_interval_s: scenario.decision_interval_s,
-            slack_threshold: scenario.slack_threshold,
-            consecutive_slack_required: scenario.consecutive_slack_required,
-        };
         Self {
             index,
-            runtime: NodeRuntime::new(config, catalog, scenario.policy, controller_config),
-            decision_interval_s: scenario.decision_interval_s,
+            runtime: NodeRuntime::new(
+                config,
+                catalog,
+                scenario.policy,
+                ControllerConfig::default(),
+            ),
+            decision_interval_s: scenario.decision_interval_s(),
             warmup_intervals: scenario.warmup_intervals,
             observation: None,
             replicas,
@@ -138,8 +135,9 @@ impl ClusterNode {
             books: NodeBooks {
                 slot_done: vec![false; initial_jobs.len()],
                 slot_weight: vec![replicas; initial_jobs.len()],
-                completed_inaccuracy_pct: Vec::new(),
-                completed_weights: Vec::new(),
+                // Starts where `Iterator::sum` over `f64` starts, so the running sum
+                // has the bits of a sum over every completion.
+                completed_inaccuracy_weighted_sum: -0.0,
                 smoothed_p99_s: 0.0,
                 utilization: 0.0,
                 intervals_stepped: 0,
@@ -319,24 +317,20 @@ impl ClusterNode {
 
     /// Restores a checkpoint captured by [`Self::checkpoint`] into this node, which
     /// must have been built for the same scenario slot (same seed, jobs, slot count and
-    /// policy). Books no run can produce are rejected: per-slot and per-completion
-    /// vectors of the wrong length (a histogram no run can produce already fails to
-    /// deserialize). The last observation is dropped: it is not part of the checkpoint,
-    /// and the next step starts from fresh buffers.
+    /// policy). Books no run can produce are rejected: per-slot vectors of the wrong
+    /// length (a histogram no run can produce already fails to deserialize). The last
+    /// observation is dropped: it is not part of the checkpoint, and the next step
+    /// starts from fresh buffers.
     pub fn restore(&mut self, checkpoint: &NodeCheckpoint) -> Result<(), String> {
         let books = &checkpoint.books;
-        let (slots, completed) = (self.books.slot_done.len(), books.completed_weights.len());
-        if books.slot_done.len() != slots
-            || books.slot_weight.len() != slots
-            || books.completed_inaccuracy_pct.len() != completed
-        {
+        let slots = self.books.slot_done.len();
+        if books.slot_done.len() != slots || books.slot_weight.len() != slots {
             return Err(format!(
                 "node {} checkpoint does not fit the node: {} slot latches and {} slot weights \
-                 for {slots} slots, {completed} completed-job weights for {} completed jobs",
+                 for {slots} slots",
                 self.index,
                 books.slot_done.len(),
-                books.slot_weight.len(),
-                books.completed_inaccuracy_pct.len()
+                books.slot_weight.len()
             ));
         }
         self.runtime
@@ -451,10 +445,8 @@ impl ClusterNode {
                 self.books.slot_done[slot] = true;
                 jobs_completed += self.books.slot_weight[slot];
                 let inaccuracy_pct = sim.app(slot).inaccuracy_pct();
-                self.books.completed_inaccuracy_pct.push(inaccuracy_pct);
-                self.books
-                    .completed_weights
-                    .push(self.books.slot_weight[slot]);
+                self.books.completed_inaccuracy_weighted_sum +=
+                    inaccuracy_pct * self.books.slot_weight[slot] as f64;
                 self.obs.emit(
                     interval,
                     observation.time_s,
@@ -525,10 +517,10 @@ pub struct NodeBooks {
     /// the node's `replicas` copies (every member of the chunk starts the same job);
     /// jobs placed later carry the batch weight the scheduler popped for them.
     pub slot_weight: Vec<usize>,
-    /// Inaccuracy of every job completed on this node so far, in percent.
-    pub completed_inaccuracy_pct: Vec<f64>,
-    /// Replica weight of every completed job, parallel to `completed_inaccuracy_pct`.
-    pub completed_weights: Vec<usize>,
+    /// Σ inaccuracy (percent) × replica weight over every job completed on this node
+    /// so far, added in completion order; divided by `jobs_completed` (the sum of the
+    /// weights) it is the node's replica-weighted mean inaccuracy.
+    pub completed_inaccuracy_weighted_sum: f64,
     /// Balancer-visible smoothed tail-latency estimate, in seconds: the monitor's EWMA
     /// after a traffic-serving interval, decayed through idle ones; `0.0` until the
     /// first traffic-serving interval.
@@ -590,14 +582,15 @@ mod tests {
         // same interval with its samples mapped on read: recording those one at a time
         // must give the same histogram bits, and the node's materialized samples must
         // read the same as the twin's.
-        let scenario = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(1)
-            .jobs([AppId::Canneal, AppId::KMeans])
-            .avg_node_load(0.7)
-            .horizon_intervals(12)
-            .seed(5)
-            .build();
         let jobs = [AppId::Canneal, AppId::KMeans];
+        let scenario = ClusterScenario {
+            nodes: 1,
+            jobs: jobs.to_vec(),
+            avg_node_load: 0.7,
+            horizon: pliant_core::scenario::Horizon::Intervals(12),
+            seed: 5,
+            ..ClusterScenario::paper_default(ServiceId::Memcached)
+        };
         let mut node = ClusterNode::representative(&scenario, 0, 0, 3, &jobs, &Catalog::default());
         let mut expected = LatencyHistogram::new();
         let mut recorded = 0usize;
@@ -607,7 +600,7 @@ mod tests {
         for interval in 0..12 {
             let mut twin = node.runtime.sim().clone();
             twin.set_load_fraction(0.7);
-            let lazy = twin.advance_reusing(scenario.decision_interval_s, None);
+            let lazy = twin.advance_reusing(scenario.decision_interval_s(), None);
             node.step(0.7);
             let observation = node.observation().expect("stepped");
             assert_eq!(

@@ -377,6 +377,7 @@ impl ChunkCursor {
 mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
+    use pliant_core::scenario::Horizon;
     use pliant_workloads::service::ServiceId;
     use proptest::prelude::*;
     use rand::Rng;
@@ -384,11 +385,12 @@ mod tests {
     fn scenario(nodes: usize) -> ClusterScenario {
         // Three-app cyclic mix: nodes i, i+3, i+6, … share a group.
         let mix = [AppId::Canneal, AppId::Snp, AppId::Raytrace];
-        ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(nodes)
-            .jobs((0..nodes).map(|i| mix[i % 3]))
-            .horizon_intervals(20)
-            .build()
+        ClusterScenario {
+            nodes,
+            jobs: (0..nodes).map(|i| mix[i % 3]).collect(),
+            horizon: Horizon::Intervals(20),
+            ..ClusterScenario::paper_default(ServiceId::Memcached)
+        }
     }
 
     fn members(pop: &NodePopulation<'_>, group: usize) -> Vec<usize> {
@@ -540,17 +542,14 @@ mod tests {
         // Same cyclic job mix, but a 2x3 rack grid: nodes 0..3 and 3..6 live in
         // different power domains, so e.g. nodes 0 and 3 (same job slice) must land in
         // different groups — a replica block must never span racks.
-        let mix = [AppId::Canneal, AppId::Snp, AppId::Raytrace];
-        let racked = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(6)
-            .jobs((0..6).map(|i| mix[i % 3]))
-            .topology(TopologyConfig::Racks {
+        let racked = ClusterScenario {
+            topology: TopologyConfig::Racks {
                 racks: 2,
                 nodes_per_rack: 3,
                 rack_power_w: None,
-            })
-            .horizon_intervals(20)
-            .build();
+            },
+            ..scenario(6)
+        };
         let pop = NodePopulation::from_scenario(&racked);
         assert_eq!(pop.groups().len(), 6, "3 job keys x 2 racks");
         for (gi, group) in pop.groups().iter().enumerate() {
@@ -687,13 +686,12 @@ mod tests {
                 rack_power_w: None,
             },
         ] {
-            let scenario = ClusterScenario::builder(ServiceId::Memcached)
-                .nodes(14)
-                .slots_per_node(2)
-                .jobs((0..14).flat_map(|node| slices[node % 3]))
-                .topology(topology)
-                .horizon_intervals(20)
-                .build();
+            let scenario = ClusterScenario {
+                slots_per_node: 2,
+                jobs: (0..14).flat_map(|node| slices[node % 3]).collect(),
+                topology,
+                ..scenario(14)
+            };
             let pop = NodePopulation::from_scenario(&scenario);
             let reference = reference::groups(&scenario);
             let racks = scenario.topology.rack_count();
@@ -766,13 +764,12 @@ mod tests {
                     rack_power_w: None,
                 }
             };
-            let scenario = ClusterScenario::builder(ServiceId::Memcached)
-                .nodes(nodes)
-                .slots_per_node(slots_per_node)
-                .jobs(jobs)
-                .topology(topology)
-                .horizon_intervals(20)
-                .build();
+            let scenario = ClusterScenario {
+                slots_per_node,
+                jobs,
+                topology,
+                ..scenario(nodes)
+            };
             let pop = NodePopulation::from_scenario(&scenario);
             let reference = reference::groups(&scenario);
             prop_assert_eq!(pop.groups().len(), reference.len());

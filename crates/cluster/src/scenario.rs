@@ -4,10 +4,15 @@
 //! [`Scenario`](pliant_core::scenario::Scenario): a complete, serializable description of
 //! one cluster run — how many nodes, which interactive service they all front, which
 //! per-node runtime policy, how cluster-wide load is balanced, how queued batch jobs are
-//! placed, and from which seed every stochastic component derives. Scenarios are built
-//! with the fluent [`ClusterScenarioBuilder`] and executed by
-//! [`ClusterEngineExt::run_cluster`](crate::engine::ClusterEngineExt::run_cluster);
-//! grids are composed with [`ClusterSuite`](crate::suite::ClusterSuite).
+//! placed, and from which seed every stochastic component derives. A scenario is plain
+//! data: start from [`ClusterScenario::paper_default`] and set the rest by struct
+//! update. It is executed by [`ClusterRun`](crate::engine::ClusterRun); grids are
+//! composed with [`ClusterSuite`](crate::suite::ClusterSuite).
+//!
+//! Every node runs the paper's per-node controller at [`ControllerConfig::default`]
+//! (1 s decisions, 10% slack threshold) against its service's paper QoS target, so the
+//! decision interval, the slack knobs and the QoS target are constants of the fleet
+//! model, not scenario fields.
 //!
 //! # Load semantics
 //!
@@ -20,6 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::AppId;
+use pliant_core::controller::ControllerConfig;
 use pliant_core::policy::PolicyKind;
 use pliant_core::scenario::Horizon;
 use pliant_workloads::profile::{LoadProfile, LoadProfileError, MAX_LOAD_FRACTION};
@@ -71,10 +77,31 @@ impl FleetApproximation {
 
 /// A complete, serializable description of one fleet experiment.
 ///
-/// Construct with [`ClusterScenario::builder`]. All fields are public so sinks and
-/// analysis code can read them back from archived runs. Deserialization runs
-/// [`ClusterScenario::validate`], so a hand-edited or corrupted archive is rejected with
-/// a descriptive error instead of becoming an impossible fleet that fails mid-run.
+/// Construct by struct update over [`ClusterScenario::paper_default`]:
+///
+/// ```
+/// use pliant_approx::catalog::AppId;
+/// use pliant_cluster::scenario::ClusterScenario;
+/// use pliant_core::scenario::Horizon;
+/// use pliant_workloads::service::ServiceId;
+///
+/// let scenario = ClusterScenario {
+///     nodes: 2,
+///     jobs: vec![AppId::Raytrace, AppId::Canneal, AppId::Snp],
+///     avg_node_load: 0.6,
+///     horizon: Horizon::Intervals(30),
+///     seed: 7,
+///     ..ClusterScenario::paper_default(ServiceId::MongoDb)
+/// };
+/// assert_eq!(scenario.validate(), Ok(()));
+/// assert_eq!(scenario.initial_job_count(), 2);
+/// ```
+///
+/// All fields are public so sinks and analysis code can read them back from archived
+/// runs. Nothing is checked at construction: [`ClusterRun`](crate::engine::ClusterRun)
+/// runs [`ClusterScenario::validate`] before it builds a fleet, and so does
+/// deserialization, so a hand-edited or corrupted archive is rejected with a descriptive
+/// error instead of becoming an impossible fleet that fails mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(validate = "ClusterScenario::validate")]
 pub struct ClusterScenario {
@@ -102,13 +129,6 @@ pub struct ClusterScenario {
     pub avg_node_load: f64,
     /// Time-varying per-node-average load (`None` = constant at `avg_node_load`).
     pub load_profile: Option<LoadProfile>,
-    /// Decision interval in seconds (shared by the balancer, scheduler, and every
-    /// node's controller).
-    pub decision_interval_s: f64,
-    /// Latency-slack threshold for the per-node controllers.
-    pub slack_threshold: f64,
-    /// Consecutive high-slack intervals required before a node's controller relaxes.
-    pub consecutive_slack_required: u32,
     /// How long to simulate.
     pub horizon: Horizon,
     /// Decision intervals excluded from the fleet's latency/QoS statistics at the start
@@ -118,8 +138,6 @@ pub struct ClusterScenario {
     /// sample, so without a warm-up the one-off convergence transient would sit in the
     /// histogram forever and dominate the tail of an otherwise healthy steady state.
     pub warmup_intervals: usize,
-    /// Overrides the service's QoS target in seconds (`None` = paper default).
-    pub qos_target_s: Option<f64>,
     /// Energy-aware autoscaling of the active node set (`None` = every node serves for
     /// the whole run). Absent in pre-energy archives (deserializes as `None`).
     #[serde(default)]
@@ -146,9 +164,31 @@ pub struct ClusterScenario {
 }
 
 impl ClusterScenario {
-    /// Starts building a scenario for `service` with paper-default knobs.
-    pub fn builder(service: ServiceId) -> ClusterScenarioBuilder {
-        ClusterScenarioBuilder::new(service)
+    /// A fleet fronting `service` with paper-style defaults: 4 nodes with one batch
+    /// slot each, Pliant per node, least-loaded balancing, first-fit placement, 75%
+    /// average load, a 120-interval horizon with a 5-interval warm-up, flat and
+    /// fault-free, seed 42. It has no jobs, so it fails [`Self::validate`] until the
+    /// caller supplies at least one job per slot.
+    pub fn paper_default(service: ServiceId) -> Self {
+        ClusterScenario {
+            label: None,
+            nodes: 4,
+            service,
+            policy: PolicyKind::Pliant,
+            balancer: BalancerKind::LeastLoaded,
+            scheduler: SchedulerKind::FirstFit,
+            jobs: Vec::new(),
+            slots_per_node: 1,
+            avg_node_load: 0.75,
+            load_profile: None,
+            horizon: Horizon::Intervals(120),
+            warmup_intervals: 5,
+            autoscaler: None,
+            approximation: FleetApproximation::Exact,
+            fault_profile: None,
+            topology: TopologyConfig::Flat,
+            seed: 42,
+        }
     }
 
     /// Whether the nodes' applications run instrumented (the policy default: every
@@ -167,9 +207,15 @@ impl ClusterScenario {
         }
     }
 
+    /// The length of one fleet interval in seconds: the decision interval of
+    /// [`ControllerConfig::default`], which every node's controller runs.
+    pub fn decision_interval_s(&self) -> f64 {
+        ControllerConfig::default().decision_interval_s
+    }
+
     /// The number of decision intervals this scenario simulates.
     pub fn max_intervals(&self) -> usize {
-        self.horizon.max_intervals(self.decision_interval_s)
+        self.horizon.max_intervals(self.decision_interval_s())
     }
 
     /// Jobs needed to fill every slot of every node at start.
@@ -177,10 +223,11 @@ impl ClusterScenario {
         self.nodes * self.slots_per_node
     }
 
-    /// Checks the same invariants [`ClusterScenarioBuilder::try_build`] enforces.
+    /// Checks that the scenario describes a fleet that can run.
     ///
-    /// Cluster scenarios are plain serde-able data, so a deserialized archive can
-    /// describe an impossible experiment; the engine re-checks this before running.
+    /// Cluster scenarios are plain serde-able data, so a hand-built scenario or a
+    /// deserialized archive can describe an impossible experiment; the engine checks
+    /// this before running, and deserialization before accepting an archive.
     pub fn validate(&self) -> Result<(), ClusterScenarioError> {
         if self.nodes == 0 {
             return Err(ClusterScenarioError::NoNodes);
@@ -197,9 +244,6 @@ impl ClusterScenario {
         if !(self.avg_node_load > 0.0 && self.avg_node_load <= MAX_LOAD_FRACTION) {
             return Err(ClusterScenarioError::InvalidLoad);
         }
-        if !(self.decision_interval_s > 0.0 && self.decision_interval_s.is_finite()) {
-            return Err(ClusterScenarioError::InvalidDecisionInterval);
-        }
         let horizon_ok = match self.horizon {
             Horizon::Intervals(n) => n > 0,
             Horizon::Seconds(secs) => secs > 0.0 && secs.is_finite(),
@@ -207,19 +251,11 @@ impl ClusterScenario {
         if !horizon_ok {
             return Err(ClusterScenarioError::InvalidHorizon);
         }
-        if !(self.slack_threshold >= 0.0 && self.slack_threshold.is_finite()) {
-            return Err(ClusterScenarioError::InvalidSlackThreshold);
-        }
         if self.warmup_intervals >= self.max_intervals() {
             return Err(ClusterScenarioError::WarmupConsumesHorizon {
                 warmup: self.warmup_intervals,
                 horizon: self.max_intervals(),
             });
-        }
-        if let Some(qos_s) = self.qos_target_s {
-            if !(qos_s > 0.0 && qos_s.is_finite()) {
-                return Err(ClusterScenarioError::InvalidQosTarget);
-            }
         }
         if let Some(profile) = &self.load_profile {
             profile
@@ -282,7 +318,7 @@ impl ClusterScenario {
     }
 }
 
-/// Why a [`ClusterScenarioBuilder`] refused to produce a [`ClusterScenario`].
+/// Why [`ClusterScenario::validate`] refused a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterScenarioError {
     /// The fleet has no nodes.
@@ -299,15 +335,8 @@ pub enum ClusterScenarioError {
     },
     /// The average per-node load is outside `(0, MAX_LOAD_FRACTION]`.
     InvalidLoad,
-    /// The decision interval is not strictly positive.
-    InvalidDecisionInterval,
     /// The horizon is empty or not finite.
     InvalidHorizon,
-    /// The slack threshold is negative or not finite.
-    InvalidSlackThreshold,
-    /// The QoS-target override is zero, negative, or not finite (every latency ratio
-    /// and slack fraction divides by it).
-    InvalidQosTarget,
     /// The warm-up exclusion covers the whole horizon, leaving no measured intervals.
     WarmupConsumesHorizon {
         /// Warm-up intervals requested.
@@ -350,17 +379,8 @@ impl std::fmt::Display for ClusterScenarioError {
                 f,
                 "average per-node load must be in (0, {MAX_LOAD_FRACTION}]"
             ),
-            ClusterScenarioError::InvalidDecisionInterval => {
-                f.write_str("decision interval must be positive")
-            }
             ClusterScenarioError::InvalidHorizon => {
                 f.write_str("horizon must be positive and finite")
-            }
-            ClusterScenarioError::InvalidSlackThreshold => {
-                f.write_str("slack threshold must be non-negative")
-            }
-            ClusterScenarioError::InvalidQosTarget => {
-                f.write_str("QoS-target override must be positive and finite")
             }
             ClusterScenarioError::WarmupConsumesHorizon { warmup, horizon } => write!(
                 f,
@@ -391,199 +411,6 @@ impl std::fmt::Display for ClusterScenarioError {
 
 impl std::error::Error for ClusterScenarioError {}
 
-/// Fluent builder for [`ClusterScenario`] with paper-default knobs.
-///
-/// # Example
-///
-/// ```
-/// use pliant_approx::catalog::AppId;
-/// use pliant_cluster::scenario::ClusterScenario;
-/// use pliant_workloads::service::ServiceId;
-///
-/// let scenario = ClusterScenario::builder(ServiceId::MongoDb)
-///     .nodes(2)
-///     .jobs([AppId::Raytrace, AppId::Canneal, AppId::Snp])
-///     .avg_node_load(0.6)
-///     .horizon_intervals(30)
-///     .seed(7)
-///     .build();
-/// assert_eq!(scenario.initial_job_count(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClusterScenarioBuilder {
-    scenario: ClusterScenario,
-}
-
-impl ClusterScenarioBuilder {
-    /// Starts from paper-style defaults: 4 nodes with one batch slot each, Pliant per
-    /// node, least-loaded balancing, first-fit placement, 75% average load, 1 s
-    /// decisions, 10% slack threshold, 120-interval horizon with a 5-interval warm-up,
-    /// seed 42. Jobs must be supplied explicitly.
-    pub fn new(service: ServiceId) -> Self {
-        ClusterScenarioBuilder {
-            scenario: ClusterScenario {
-                label: None,
-                nodes: 4,
-                service,
-                policy: PolicyKind::Pliant,
-                balancer: BalancerKind::LeastLoaded,
-                scheduler: SchedulerKind::FirstFit,
-                jobs: Vec::new(),
-                slots_per_node: 1,
-                avg_node_load: 0.75,
-                load_profile: None,
-                decision_interval_s: 1.0,
-                slack_threshold: 0.10,
-                consecutive_slack_required: 2,
-                horizon: Horizon::Intervals(120),
-                warmup_intervals: 5,
-                qos_target_s: None,
-                autoscaler: None,
-                approximation: FleetApproximation::Exact,
-                fault_profile: None,
-                topology: TopologyConfig::Flat,
-                seed: 42,
-            },
-        }
-    }
-
-    /// Sets the fleet size.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.scenario.nodes = nodes;
-        self
-    }
-
-    /// Selects the per-node runtime policy (default: [`PolicyKind::Pliant`]).
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.scenario.policy = policy;
-        self
-    }
-
-    /// Selects the load-balancing policy (default: [`BalancerKind::LeastLoaded`]).
-    pub fn balancer(mut self, balancer: BalancerKind) -> Self {
-        self.scenario.balancer = balancer;
-        self
-    }
-
-    /// Selects the job-placement policy (default: [`SchedulerKind::FirstFit`]).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scenario.scheduler = scheduler;
-        self
-    }
-
-    /// Appends several batch jobs to the submission queue. A `Vec` handed to an empty
-    /// queue becomes the queue, without a copy or a second buffer.
-    pub fn jobs(mut self, jobs: impl IntoIterator<Item = AppId>) -> Self {
-        if self.scenario.jobs.is_empty() {
-            self.scenario.jobs = jobs.into_iter().collect();
-        } else {
-            self.scenario.jobs.extend(jobs);
-        }
-        self
-    }
-
-    /// Sets the co-location width (batch slots per node; default 1).
-    pub fn slots_per_node(mut self, slots: usize) -> Self {
-        self.scenario.slots_per_node = slots;
-        self
-    }
-
-    /// Sets a constant average offered load per node, clearing any time-varying
-    /// profile set earlier.
-    pub fn avg_node_load(mut self, load: f64) -> Self {
-        self.scenario.avg_node_load = load;
-        self.scenario.load_profile = None;
-        self
-    }
-
-    /// Sets a time-varying per-node-average load profile (diurnal, flash crowd, …).
-    pub fn load_profile(mut self, profile: LoadProfile) -> Self {
-        self.scenario.load_profile = Some(profile);
-        self
-    }
-
-    /// Caps the run at a number of decision intervals.
-    pub fn horizon_intervals(mut self, intervals: usize) -> Self {
-        self.scenario.horizon = Horizon::Intervals(intervals);
-        self
-    }
-
-    /// Caps the run at a simulated wall-clock budget.
-    pub fn horizon_seconds(mut self, seconds: f64) -> Self {
-        self.scenario.horizon = Horizon::Seconds(seconds);
-        self
-    }
-
-    /// Sets how many initial intervals are excluded from the fleet's latency/QoS
-    /// statistics while the per-node runtimes converge (default 5; 0 measures the
-    /// convergence transient too).
-    pub fn warmup_intervals(mut self, intervals: usize) -> Self {
-        self.scenario.warmup_intervals = intervals;
-        self
-    }
-
-    /// Enables energy-aware autoscaling of the active node set (see
-    /// [`crate::autoscaler`]).
-    pub fn autoscaler(mut self, config: AutoscalerConfig) -> Self {
-        self.scenario.autoscaler = Some(config);
-        self
-    }
-
-    /// Selects how the node population is materialized into simulated instances
-    /// (default: [`FleetApproximation::Exact`]).
-    pub fn approximation(mut self, approximation: FleetApproximation) -> Self {
-        self.scenario.approximation = approximation;
-        self
-    }
-
-    /// Attaches a fault profile: deterministic, seed-derived node crashes,
-    /// degraded-frequency stragglers, and correlated group outages (see
-    /// [`crate::faults`]).
-    pub fn faults(mut self, profile: FaultProfile) -> Self {
-        self.scenario.fault_profile = Some(profile);
-        self
-    }
-
-    /// Sets the rack/power-domain structure of the fleet (default:
-    /// [`TopologyConfig::Flat`] — no structure; see [`crate::topology`]).
-    pub fn topology(mut self, topology: TopologyConfig) -> Self {
-        self.scenario.topology = topology;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.scenario.seed = seed;
-        self
-    }
-
-    /// Attaches a display label.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.scenario.label = Some(label.into());
-        self
-    }
-
-    /// Validates and returns the scenario.
-    pub fn try_build(self) -> Result<ClusterScenario, ClusterScenarioError> {
-        self.scenario.validate()?;
-        Ok(self.scenario)
-    }
-
-    /// Validates and returns the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario is invalid (no nodes/slots, fewer jobs than fleet slots,
-    /// non-positive load/interval/horizon, or a bad load profile); use
-    /// [`Self::try_build`] to handle the error.
-    pub fn build(self) -> ClusterScenario {
-        match self.try_build() {
-            Ok(s) => s,
-            Err(e) => panic!("invalid cluster scenario: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,121 +427,92 @@ mod tests {
             .collect()
     }
 
+    /// A `nodes`-node paper-default fleet of `service` with one job per slot.
+    fn fleet(service: ServiceId, nodes: usize) -> ClusterScenario {
+        ClusterScenario {
+            nodes,
+            jobs: jobs(nodes),
+            ..ClusterScenario::paper_default(service)
+        }
+    }
+
     #[test]
-    fn builder_applies_defaults_and_validates() {
-        let s = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .build();
-        assert_eq!(s.nodes, 4);
+    fn paper_default_applies_defaults_and_validates() {
+        let s = fleet(ServiceId::Memcached, 4);
+        assert_eq!(s.validate(), Ok(()));
         assert_eq!(s.slots_per_node, 1);
         assert_eq!(s.policy, PolicyKind::Pliant);
         assert_eq!(s.balancer, BalancerKind::LeastLoaded);
         assert_eq!(s.scheduler, SchedulerKind::FirstFit);
         assert_eq!(s.avg_node_load, 0.75);
         assert_eq!(s.seed, 42);
+        assert_eq!(s.max_intervals(), 120);
         assert!(s.effective_instrumented());
         assert_eq!(s.load_at(0.0), 0.75);
         assert_eq!(s.load_at(1e6), 0.75);
-    }
-
-    #[test]
-    fn job_lists_append_in_call_order() {
-        let s = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(2)
-            .jobs(vec![AppId::Canneal, AppId::Snp])
-            .jobs([AppId::Glimmer])
-            .jobs(vec![AppId::Fasta])
-            .jobs([AppId::Snp])
-            .build();
+        // With no jobs the defaults alone describe no fleet.
         assert_eq!(
-            s.jobs,
-            [
-                AppId::Canneal,
-                AppId::Snp,
-                AppId::Glimmer,
-                AppId::Fasta,
-                AppId::Snp
-            ]
+            ClusterScenario::paper_default(ServiceId::Memcached).validate(),
+            Err(ClusterScenarioError::NotEnoughJobs { needed: 4, got: 0 })
         );
     }
 
     #[test]
     fn validation_catches_degenerate_fleets() {
         assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .nodes(0)
-                .jobs(jobs(1))
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::NoNodes
+            fleet(ServiceId::Nginx, 0).validate(),
+            Err(ClusterScenarioError::NoNodes)
         );
-        assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .nodes(3)
-                .jobs(jobs(2))
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::NotEnoughJobs { needed: 3, got: 2 }
-        );
-        assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .jobs(jobs(4))
-                .slots_per_node(0)
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::NoSlots
-        );
-        assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .jobs(jobs(4))
-                .avg_node_load(0.0)
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::InvalidLoad
-        );
-        let zero_target = ClusterScenario {
-            qos_target_s: Some(0.0),
-            ..ClusterScenario::builder(ServiceId::Nginx)
-                .jobs(jobs(4))
-                .build()
+        let short = ClusterScenario {
+            jobs: jobs(2),
+            ..fleet(ServiceId::Nginx, 3)
         };
         assert_eq!(
-            zero_target.validate().unwrap_err(),
-            ClusterScenarioError::InvalidQosTarget
+            short.validate(),
+            Err(ClusterScenarioError::NotEnoughJobs { needed: 3, got: 2 })
         );
-        let err = ClusterScenario::builder(ServiceId::Nginx)
-            .jobs(jobs(4))
-            .load_profile(LoadProfile::Trace { points: vec![] })
-            .try_build()
-            .unwrap_err();
+        let no_slots = ClusterScenario {
+            slots_per_node: 0,
+            ..fleet(ServiceId::Nginx, 4)
+        };
+        assert_eq!(no_slots.validate(), Err(ClusterScenarioError::NoSlots));
+        let idle = ClusterScenario {
+            avg_node_load: 0.0,
+            ..fleet(ServiceId::Nginx, 4)
+        };
+        assert_eq!(idle.validate(), Err(ClusterScenarioError::InvalidLoad));
+        let err = ClusterScenario {
+            load_profile: Some(LoadProfile::Trace { points: vec![] }),
+            ..fleet(ServiceId::Nginx, 4)
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, ClusterScenarioError::InvalidLoadProfile(_)));
         assert!(err.to_string().contains("load profile"));
     }
 
     #[test]
     fn scenario_round_trips_through_json() {
-        let s = ClusterScenario::builder(ServiceId::MongoDb)
-            .nodes(3)
-            .slots_per_node(2)
-            .jobs(jobs(8))
-            .policy(PolicyKind::Precise)
-            .balancer(BalancerKind::PowerOfTwoChoices)
-            .scheduler(SchedulerKind::QosSlackAware)
-            .load_profile(LoadProfile::Diurnal {
+        let s = ClusterScenario {
+            nodes: 3,
+            slots_per_node: 2,
+            jobs: jobs(8),
+            policy: PolicyKind::Precise,
+            balancer: BalancerKind::PowerOfTwoChoices,
+            scheduler: SchedulerKind::QosSlackAware,
+            load_profile: Some(LoadProfile::Diurnal {
                 base: 0.6,
                 amplitude: 0.2,
                 period_s: 60.0,
                 phase_s: 0.0,
-            })
-            .autoscaler(AutoscalerConfig::default())
-            .horizon_seconds(30.0)
-            .seed(1234)
-            .label("round-trip")
-            .build();
-        let s = ClusterScenario {
-            qos_target_s: Some(0.012),
-            ..s
+            }),
+            autoscaler: Some(AutoscalerConfig::default()),
+            horizon: Horizon::Seconds(30.0),
+            seed: 1234,
+            label: Some("round-trip".into()),
+            ..ClusterScenario::paper_default(ServiceId::MongoDb)
         };
+        assert_eq!(s.validate(), Ok(()));
         let json = serde_json::to_string_pretty(&s).expect("serializable");
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, s);
@@ -743,53 +541,49 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_autoscaler_configs() {
-        let err = ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs(jobs(2))
-            .autoscaler(AutoscalerConfig {
+        let err = ClusterScenario {
+            autoscaler: Some(AutoscalerConfig {
                 min_active: 0,
                 ..AutoscalerConfig::default()
-            })
-            .try_build()
-            .unwrap_err();
+            }),
+            ..fleet(ServiceId::Nginx, 2)
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, ClusterScenarioError::InvalidAutoscaler(_)));
         assert!(err.to_string().contains("autoscaler"));
+        let oversized = ClusterScenario {
+            autoscaler: Some(AutoscalerConfig {
+                min_active: 5,
+                ..AutoscalerConfig::default()
+            }),
+            ..fleet(ServiceId::Nginx, 2)
+        };
         assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .nodes(2)
-                .jobs(jobs(2))
-                .autoscaler(AutoscalerConfig {
-                    min_active: 5,
-                    ..AutoscalerConfig::default()
-                })
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::AutoscalerMinimumExceedsFleet {
+            oversized.validate(),
+            Err(ClusterScenarioError::AutoscalerMinimumExceedsFleet {
                 min_active: 5,
                 nodes: 2
-            }
+            })
         );
     }
 
     #[test]
     fn approximation_round_trips_and_legacy_archives_default_to_exact() {
-        let clustered = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(6)
-            .jobs(jobs(6))
-            .approximation(FleetApproximation::Clustered {
+        let clustered = ClusterScenario {
+            approximation: FleetApproximation::Clustered {
                 representatives_per_group: 2,
-            })
-            .build();
+            },
+            ..fleet(ServiceId::Memcached, 6)
+        };
         let json = serde_json::to_string(&clustered).expect("serializable");
         assert!(json.contains("representatives_per_group"));
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, clustered);
         assert!(back.approximation.is_clustered());
 
-        // Exact serializes, round-trips, and is the builder default.
-        let exact = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .build();
+        // Exact serializes, round-trips, and is the paper default.
+        let exact = fleet(ServiceId::Memcached, 4);
         assert_eq!(exact.approximation, FleetApproximation::Exact);
         let json = serde_json::to_string(&exact).expect("serializable");
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
@@ -816,26 +610,18 @@ mod tests {
 
     #[test]
     fn zero_representative_approximations_are_rejected() {
+        let clustered = |representatives_per_group| ClusterScenario {
+            approximation: FleetApproximation::Clustered {
+                representatives_per_group,
+            },
+            ..fleet(ServiceId::Nginx, 2)
+        };
         assert_eq!(
-            ClusterScenario::builder(ServiceId::Nginx)
-                .nodes(2)
-                .jobs(jobs(2))
-                .approximation(FleetApproximation::Clustered {
-                    representatives_per_group: 0,
-                })
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::InvalidApproximation
+            clustered(0).validate(),
+            Err(ClusterScenarioError::InvalidApproximation)
         );
         // The same invariant holds at the archive boundary.
-        let good = ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs(jobs(2))
-            .approximation(FleetApproximation::Clustered {
-                representatives_per_group: 2,
-            })
-            .build();
-        let json = serde_json::to_string(&good).expect("serializable");
+        let json = serde_json::to_string(&clustered(2)).expect("serializable");
         let corrupted = json.replace(
             "\"representatives_per_group\":2",
             "\"representatives_per_group\":0",
@@ -859,11 +645,11 @@ mod tests {
             }],
             ..FaultProfile::new()
         };
-        let s = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(3)
-            .jobs(jobs(3))
-            .faults(profile.clone())
-            .build();
+        let s = ClusterScenario {
+            fault_profile: Some(profile.clone()),
+            ..fleet(ServiceId::Memcached, 3)
+        };
+        assert_eq!(s.validate(), Ok(()));
         let json = serde_json::to_string(&s).expect("serializable");
         assert!(json.contains("fault_profile"));
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
@@ -871,19 +657,14 @@ mod tests {
 
         // Fault-free scenarios omit the field entirely, and archives without it
         // (everything written before fault injection existed) deserialize as None.
-        let plain = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .build();
-        let json = serde_json::to_string(&plain).expect("serializable");
+        let json = serde_json::to_string(&fleet(ServiceId::Memcached, 4)).expect("serializable");
         assert!(!json.contains("fault_profile"));
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back.fault_profile, None);
 
-        // Builder-side validation: a scheduled fault must target a real node.
-        let err = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(2)
-            .jobs(jobs(2))
-            .faults(FaultProfile {
+        // A scheduled fault must target a real node.
+        let err = ClusterScenario {
+            fault_profile: Some(FaultProfile {
                 scheduled: vec![ScheduledFault {
                     node: 9,
                     at_interval: 0,
@@ -891,26 +672,29 @@ mod tests {
                     kind: FaultKind::Crash,
                 }],
                 ..FaultProfile::new()
-            })
-            .try_build()
-            .unwrap_err();
+            }),
+            ..fleet(ServiceId::Memcached, 2)
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, ClusterScenarioError::InvalidFaultProfile(_)));
         assert!(err.to_string().contains("fault"));
 
         // Group outages are checked against the actual population (jobs(4)
         // alternates two apps, so 4 nodes form 2 groups).
-        let err = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .faults(FaultProfile {
+        let err = ClusterScenario {
+            fault_profile: Some(FaultProfile {
                 group_outages: vec![GroupOutage {
                     group: 2,
                     at_interval: 0,
                     duration_intervals: 1,
                 }],
                 ..FaultProfile::new()
-            })
-            .try_build()
-            .unwrap_err();
+            }),
+            ..fleet(ServiceId::Memcached, 4)
+        }
+        .validate()
+        .unwrap_err();
         assert!(
             err.to_string().contains("group"),
             "out-of-range group outage must be rejected: {err}"
@@ -927,15 +711,16 @@ mod tests {
 
     #[test]
     fn topology_round_trips_and_legacy_archives_default_to_flat() {
-        let racked = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(6)
-            .jobs(jobs(6))
-            .topology(TopologyConfig::Racks {
-                racks: 2,
-                nodes_per_rack: 3,
-                rack_power_w: Some(450.0),
-            })
-            .build();
+        let racks = |rack_power_w| TopologyConfig::Racks {
+            racks: 2,
+            nodes_per_rack: 3,
+            rack_power_w,
+        };
+        let racked = ClusterScenario {
+            topology: racks(Some(450.0)),
+            ..fleet(ServiceId::Memcached, 6)
+        };
+        assert_eq!(racked.validate(), Ok(()));
         let json = serde_json::to_string(&racked).expect("serializable");
         assert!(json.contains("nodes_per_rack"));
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
@@ -943,43 +728,33 @@ mod tests {
 
         // Flat scenarios omit the field entirely, and archives without it (everything
         // written before the topology layer existed) deserialize as Flat.
-        let flat = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .build();
-        let json = serde_json::to_string(&flat).expect("serializable");
+        let json = serde_json::to_string(&fleet(ServiceId::Memcached, 4)).expect("serializable");
         assert!(!json.contains("topology"));
         let back: ClusterScenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back.topology, TopologyConfig::Flat);
 
         // A grid that does not cover the fleet is rejected at both boundaries.
+        let uncovered = ClusterScenario {
+            topology: racks(None),
+            ..fleet(ServiceId::Memcached, 5)
+        };
         assert_eq!(
-            ClusterScenario::builder(ServiceId::Memcached)
-                .nodes(5)
-                .jobs(jobs(5))
-                .topology(TopologyConfig::Racks {
+            uncovered.validate(),
+            Err(ClusterScenarioError::InvalidTopology(
+                TopologyConfigError::NodeCountMismatch {
                     racks: 2,
                     nodes_per_rack: 3,
-                    rack_power_w: None,
-                })
-                .try_build()
-                .unwrap_err(),
-            ClusterScenarioError::InvalidTopology(TopologyConfigError::NodeCountMismatch {
-                racks: 2,
-                nodes_per_rack: 3,
-                nodes: 5,
-            })
+                    nodes: 5,
+                }
+            ))
         );
         // Surplus jobs keep the job-count invariant satisfied after the corruption,
         // so the failure isolated here is the topology coverage check.
-        let surplus = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(6)
-            .jobs(jobs(8))
-            .topology(TopologyConfig::Racks {
-                racks: 2,
-                nodes_per_rack: 3,
-                rack_power_w: None,
-            })
-            .build();
+        let surplus = ClusterScenario {
+            jobs: jobs(8),
+            topology: racks(None),
+            ..fleet(ServiceId::Memcached, 6)
+        };
         let corrupted = serde_json::to_string(&surplus)
             .expect("serializable")
             .replace("\"nodes\":6", "\"nodes\":7");
@@ -990,25 +765,20 @@ mod tests {
 
     #[test]
     fn describe_summarizes_the_fleet() {
-        let s = ClusterScenario::builder(ServiceId::Memcached)
-            .nodes(6)
-            .jobs(jobs(6))
-            .build();
-        assert_eq!(s.describe(), "6xmemcached/pliant/least-loaded");
-        let labeled = ClusterScenario::builder(ServiceId::Memcached)
-            .jobs(jobs(4))
-            .label("cell-1")
-            .build();
+        assert_eq!(
+            fleet(ServiceId::Memcached, 6).describe(),
+            "6xmemcached/pliant/least-loaded"
+        );
+        let labeled = ClusterScenario {
+            label: Some("cell-1".into()),
+            ..fleet(ServiceId::Memcached, 4)
+        };
         assert_eq!(labeled.describe(), "cell-1");
     }
 
     #[test]
     fn corrupted_archives_are_rejected_at_the_deserialization_boundary() {
-        let good = ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs(jobs(2))
-            .build();
-        let json = serde_json::to_string(&good).expect("serializable");
+        let json = serde_json::to_string(&fleet(ServiceId::Nginx, 2)).expect("serializable");
         let corrupted = json.replace("\"nodes\":2", "\"nodes\":9");
         let err = serde_json::from_str::<ClusterScenario>(&corrupted)
             .expect_err("a fleet violating its invariants must not deserialize");

@@ -35,13 +35,15 @@ use crate::scheduler::SchedulerKind;
 /// use pliant_cluster::suite::{ClusterSuite, ClusterSweepAxis};
 /// use pliant_core::engine::Engine;
 /// use pliant_core::policy::PolicyKind;
+/// use pliant_core::scenario::Horizon;
 /// use pliant_workloads::service::ServiceId;
 ///
-/// let base = ClusterScenario::builder(ServiceId::Memcached)
-///     .nodes(2)
-///     .jobs(vec![AppId::Canneal; 4])
-///     .horizon_intervals(20)
-///     .build();
+/// let base = ClusterScenario {
+///     nodes: 2,
+///     jobs: vec![AppId::Canneal; 4],
+///     horizon: Horizon::Intervals(20),
+///     ..ClusterScenario::paper_default(ServiceId::Memcached)
+/// };
 /// let suite = ClusterSuite::new(base)
 ///     .sweep(ClusterSweepAxis::Policies(vec![PolicyKind::Precise, PolicyKind::Pliant]))
 ///     .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4]));
@@ -154,16 +156,18 @@ impl SweepScenario for ClusterScenario {
 mod tests {
     use super::*;
     use pliant_approx::catalog::AppId;
+    use pliant_core::scenario::Horizon;
     use pliant_core::suite::{SeedMode, SuiteError};
     use pliant_workloads::service::ServiceId;
 
     fn base() -> ClusterScenario {
-        ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs(vec![AppId::Canneal; 6])
-            .horizon_intervals(15)
-            .seed(7)
-            .build()
+        ClusterScenario {
+            nodes: 2,
+            jobs: vec![AppId::Canneal; 6],
+            horizon: Horizon::Intervals(15),
+            seed: 7,
+            ..ClusterScenario::paper_default(ServiceId::Nginx)
+        }
     }
 
     #[test]
@@ -247,15 +251,12 @@ mod tests {
     fn approximation_config_round_trips_through_the_suite_archive() {
         use crate::scenario::FleetApproximation;
 
-        let clustered_base = ClusterScenario::builder(ServiceId::Nginx)
-            .nodes(2)
-            .jobs(vec![AppId::Canneal; 6])
-            .approximation(FleetApproximation::Clustered {
+        let clustered_base = ClusterScenario {
+            approximation: FleetApproximation::Clustered {
                 representatives_per_group: 3,
-            })
-            .horizon_intervals(15)
-            .seed(7)
-            .build();
+            },
+            ..base()
+        };
         let suite = ClusterSuite::new(clustered_base)
             .named("approx-rt")
             .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]));
@@ -291,9 +292,8 @@ mod tests {
 
     #[test]
     fn suites_with_invalid_approximation_are_rejected_at_the_archive_boundary() {
-        // A zero-representative clustered config can never be built through the
-        // builder (validate panics), so forge it in the archive: the suite must be
-        // rejected on deserialize, not when the engine expands the grid.
+        // Forge a zero-representative clustered config in the archive: the suite must
+        // be rejected on deserialize, not when the engine expands the grid.
         let suite = ClusterSuite::new(base()).named("forged");
         let json = serde_json::to_string(&suite).expect("serializable");
         let forged = json.replace(
@@ -323,9 +323,11 @@ mod tests {
 
     #[test]
     fn suite_wire_format_is_pinned() {
-        // Captured while fleet suites still had their own implementation: the generic
-        // suite must write and read the same archive bytes.
-        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"nodes":2,"service":"Nginx","policy":"pliant","balancer":"least-loaded","scheduler":"first-fit","jobs":["Canneal","Canneal","Canneal","Canneal","Canneal","Canneal"],"slots_per_node":1,"avg_node_load":0.75,"load_profile":null,"decision_interval_s":1.0,"slack_threshold":0.1,"consecutive_slack_required":2,"horizon":{"Intervals":15},"warmup_intervals":5,"qos_target_s":null,"autoscaler":null,"approximation":"Exact","seed":7},"seed_mode":"Independent","axes":[{"NodeCounts":[2,3]},{"Balancers":["round-robin","least-loaded"]}]}"#;
+        // Captured while fleet suites still had their own implementation, less the
+        // four controller fields (decision interval, slack threshold, slack streak,
+        // QoS override) that fleet scenarios no longer carry: the generic suite must
+        // write and read the same archive bytes.
+        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"nodes":2,"service":"Nginx","policy":"pliant","balancer":"least-loaded","scheduler":"first-fit","jobs":["Canneal","Canneal","Canneal","Canneal","Canneal","Canneal"],"slots_per_node":1,"avg_node_load":0.75,"load_profile":null,"horizon":{"Intervals":15},"warmup_intervals":5,"autoscaler":null,"approximation":"Exact","seed":7},"seed_mode":"Independent","axes":[{"NodeCounts":[2,3]},{"Balancers":["round-robin","least-loaded"]}]}"#;
         let suite = pinned_suite();
         assert_eq!(serde_json::to_string(&suite).expect("serializable"), PINNED);
         let back: ClusterSuite = serde_json::from_str(PINNED).expect("deserializable");

@@ -160,8 +160,6 @@ pub struct MonitorState {
     pub ewma: EwmaTracker,
     /// Whether adaptive sampling is currently escalated.
     pub currently_elevated: bool,
-    /// Intervals observed so far.
-    pub intervals_observed: u64,
 }
 
 /// The performance monitor.
@@ -186,7 +184,6 @@ impl PerformanceMonitor {
                 rng: seeded_rng(seed),
                 ewma: EwmaTracker::new(config.ewma_alpha),
                 currently_elevated: false,
-                intervals_observed: 0,
             },
             hist: LatencyHistogram::new(),
             base_skip_ln: (1.0 - config.base_sample_rate).ln(),
@@ -239,7 +236,6 @@ impl PerformanceMonitor {
         &mut self,
         latencies_s: &S,
     ) -> MonitorReport {
-        self.state.intervals_observed += 1;
         // An interval without a single request (idle gap / load trough) used to fall
         // through the empty-histogram path as `p99 = 0, slack = 1.0` — maximal headroom
         // out of thin air, driving the controller to relax exactly when it should hold.
@@ -493,7 +489,6 @@ mod tests {
         assert_eq!(idle.slack_fraction, 0.0, "no fresh slack evidence");
         // The EWMA and adaptive-sampling state are untouched by idle gaps.
         let after = monitor.observe_interval(busy.as_slice());
-        assert_eq!(monitor.state.intervals_observed, 3);
         assert!(after.smoothed_p99_s > 0.0);
     }
 
@@ -645,6 +640,5 @@ mod tests {
         let r2 = monitor.observe_interval(high.as_slice());
         assert!(r2.smoothed_p99_s < r2.p99_s, "EWMA should lag the jump");
         assert!(r2.smoothed_p99_s > r1.p99_s);
-        assert_eq!(monitor.state.intervals_observed, 2);
     }
 }

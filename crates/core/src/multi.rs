@@ -47,7 +47,6 @@ pub struct MultiAppController {
     pointer: usize,
     /// Consecutive intervals with slack above the threshold.
     slack_streak: u32,
-    decisions: u64,
 }
 
 impl MultiAppController {
@@ -84,7 +83,6 @@ impl MultiAppController {
             apps,
             pointer: start_pointer % variant_counts.len().max(1),
             slack_streak: 0,
-            decisions: 0,
         }
     }
 
@@ -118,7 +116,6 @@ impl MultiAppController {
 
     /// Takes one decision from the monitor's report.
     pub fn decide(&mut self, report: &MonitorReport) -> Vec<Action> {
-        self.decisions += 1;
         let n = self.apps.len();
         if report.no_signal {
             // An idle interval (no arrivals) carries no latency evidence: hold every
@@ -499,14 +496,6 @@ mod tests {
                 variant: None
             }]
         );
-    }
-
-    #[test]
-    fn decision_counter_counts_every_report() {
-        let mut c = single(ControllerConfig::default(), 4, 8);
-        let _ = c.decide(&met(0.0));
-        let _ = c.decide(&met(0.0));
-        assert_eq!(c.decisions, 2);
     }
 
     #[test]

@@ -939,9 +939,6 @@ impl EventLog {
 /// Export formats for a merged [`EventLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkFormat {
-    /// Write nothing (the default sink; recording at [`ObsLevel::Off`] makes even
-    /// the in-memory half free).
-    Null,
     /// JSON Lines, one [`EventRecord`] per line (`pliant-trace` input).
     Jsonl,
     /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
@@ -959,10 +956,9 @@ impl SinkFormat {
         }
     }
 
-    /// Writes `log` to `w` in this format ([`SinkFormat::Null`] writes nothing).
+    /// Writes `log` to `w` in this format.
     pub fn write(&self, log: &EventLog, w: &mut dyn Write) -> io::Result<()> {
         match self {
-            SinkFormat::Null => Ok(()),
             SinkFormat::Jsonl => log.write_jsonl(w),
             SinkFormat::ChromeTrace => log.write_chrome_trace(w),
         }

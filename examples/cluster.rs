@@ -12,7 +12,7 @@ fn main() {
     // Two batch slots per node; the initial placement is node-major, so node 0 starts
     // with two heavy canneal jobs while the rest run lighter kernels — placement
     // policies then face a genuinely uneven fleet when the queued jobs are admitted.
-    let jobs = [
+    let jobs = vec![
         AppId::Canneal,
         AppId::Canneal,
         AppId::Snp,
@@ -27,21 +27,22 @@ fn main() {
         AppId::Plsa,
         AppId::Semphy,
     ];
-    let base = ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(4)
-        .slots_per_node(2)
-        .jobs(jobs)
-        .load_profile(LoadProfile::Diurnal {
+    let base = ClusterScenario {
+        nodes: 4,
+        slots_per_node: 2,
+        jobs,
+        load_profile: Some(LoadProfile::Diurnal {
             base: 0.5,
             amplitude: 0.15,
             period_s: 60.0,
             phase_s: 0.0,
-        })
-        .balancer(BalancerKind::LeastLoaded)
-        .horizon_seconds(90.0)
-        .warmup_intervals(8)
-        .seed(7)
-        .build();
+        }),
+        balancer: BalancerKind::LeastLoaded,
+        horizon: Horizon::Seconds(90.0),
+        warmup_intervals: 8,
+        seed: 7,
+        ..ClusterScenario::paper_default(ServiceId::Memcached)
+    };
 
     println!(
         "4-node {} fleet, two batch slots per node, diurnal load 35-65%, {} jobs\n",

@@ -15,21 +15,22 @@ use pliant::prelude::*;
 /// nodes (so the population clusters into three groups) under a diurnal load.
 fn scenario(nodes: usize, approximation: FleetApproximation) -> ClusterScenario {
     let mix = [AppId::Bayesian, AppId::Semphy, AppId::ClustalW];
-    ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(nodes)
-        .jobs((0..nodes).map(|i| mix[i % mix.len()]))
-        .load_profile(LoadProfile::Diurnal {
+    ClusterScenario {
+        nodes,
+        jobs: (0..nodes).map(|i| mix[i % mix.len()]).collect(),
+        load_profile: Some(LoadProfile::Diurnal {
             base: 0.55,
             amplitude: 0.2,
             period_s: 120.0,
             phase_s: 0.0,
-        })
-        .balancer(BalancerKind::RoundRobin)
-        .approximation(approximation)
-        .horizon_seconds(120.0)
-        .warmup_intervals(8)
-        .seed(7)
-        .build()
+        }),
+        balancer: BalancerKind::RoundRobin,
+        approximation,
+        horizon: Horizon::Seconds(120.0),
+        warmup_intervals: 8,
+        seed: 7,
+        ..ClusterScenario::paper_default(ServiceId::Memcached)
+    }
 }
 
 fn main() {

@@ -22,13 +22,14 @@ fn jobs() -> Vec<AppId> {
 }
 
 fn scenario() -> ClusterScenario {
-    ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(4)
-        .jobs(jobs())
-        .avg_node_load(0.7)
-        .horizon_intervals(30)
-        .seed(2024)
-        .build()
+    ClusterScenario {
+        nodes: 4,
+        jobs: jobs(),
+        avg_node_load: 0.7,
+        horizon: Horizon::Intervals(30),
+        seed: 2024,
+        ..ClusterScenario::paper_default(ServiceId::Memcached)
+    }
 }
 
 #[test]
@@ -198,53 +199,53 @@ fn balancer_policies_change_distribution_but_conserve_load() {
 /// scheduled crash and straggler, and a whole-rack power outage, so fault recovery,
 /// job requeueing, rack admission and rack-sampled placement all run inside the cells.
 fn faulted_racked_base() -> ClusterScenario {
-    let mut base = ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(4)
-        .jobs([
+    ClusterScenario {
+        nodes: 4,
+        jobs: vec![
             AppId::Raytrace,
             AppId::Raytrace,
             AppId::Raytrace,
             AppId::Raytrace,
             AppId::Canneal,
             AppId::Snp,
-        ])
-        .avg_node_load(0.6)
-        .horizon_intervals(40)
-        .seed(11)
-        .build();
-    base.topology = TopologyConfig::Racks {
-        racks: 2,
-        nodes_per_rack: 2,
-        rack_power_w: Some(300.0),
-    };
-    base.fault_profile = Some(FaultProfile {
-        crash_probability: 0.02,
-        outage_intervals: 3,
-        degrade_probability: 0.02,
-        degrade_factor: 0.6,
-        degrade_intervals: 3,
-        scheduled: vec![
-            ScheduledFault {
-                node: 0,
-                at_interval: 2,
-                duration_intervals: 4,
-                kind: FaultKind::Crash,
-            },
-            ScheduledFault {
-                node: 3,
-                at_interval: 5,
-                duration_intervals: 3,
-                kind: FaultKind::Degrade { factor: 0.5 },
-            },
         ],
-        rack_outages: vec![RackOutage {
-            rack: 1,
-            at_interval: 9,
-            duration_intervals: 3,
-        }],
-        ..FaultProfile::new()
-    });
-    base
+        avg_node_load: 0.6,
+        horizon: Horizon::Intervals(40),
+        seed: 11,
+        topology: TopologyConfig::Racks {
+            racks: 2,
+            nodes_per_rack: 2,
+            rack_power_w: Some(300.0),
+        },
+        fault_profile: Some(FaultProfile {
+            crash_probability: 0.02,
+            outage_intervals: 3,
+            degrade_probability: 0.02,
+            degrade_factor: 0.6,
+            degrade_intervals: 3,
+            scheduled: vec![
+                ScheduledFault {
+                    node: 0,
+                    at_interval: 2,
+                    duration_intervals: 4,
+                    kind: FaultKind::Crash,
+                },
+                ScheduledFault {
+                    node: 3,
+                    at_interval: 5,
+                    duration_intervals: 3,
+                    kind: FaultKind::Degrade { factor: 0.5 },
+                },
+            ],
+            rack_outages: vec![RackOutage {
+                rack: 1,
+                at_interval: 9,
+                duration_intervals: 3,
+            }],
+            ..FaultProfile::new()
+        }),
+        ..ClusterScenario::paper_default(ServiceId::Memcached)
+    }
 }
 
 #[test]
@@ -252,13 +253,12 @@ fn fleet_suites_are_byte_identical_for_any_worker_count() {
     // Whole fleets fan out over the workers: 1, 2 and 3 workers split the cells
     // differently, and every split must return the same cells in the same order. The
     // second suite's faulted, racked fleets exercise every coordinator phase.
-    let flat = ClusterScenario::builder(ServiceId::Memcached)
-        .nodes(2)
-        .jobs(jobs())
-        .avg_node_load(0.7)
-        .horizon_intervals(12)
-        .seed(5)
-        .build();
+    let flat = ClusterScenario {
+        nodes: 2,
+        horizon: Horizon::Intervals(12),
+        seed: 5,
+        ..scenario()
+    };
     let suites = [
         ClusterSuite::new(flat)
             .named("workers")

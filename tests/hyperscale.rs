@@ -196,7 +196,7 @@ fn clustered_trace_series_stay_consistent_with_outcome_aggregates() {
     // fleet_power_w integrates to the fleet energy total (same replica weighting,
     // different summation order — hence the tolerance).
     let power = outcome.trace.get("fleet_power_w").expect("power series");
-    let integrated: f64 = power.values().iter().sum::<f64>() * scenario.decision_interval_s;
+    let integrated: f64 = power.values().iter().sum::<f64>() * scenario.decision_interval_s();
     let rel = (integrated - outcome.fleet_energy_j).abs() / outcome.fleet_energy_j;
     assert!(
         rel < 1e-9,

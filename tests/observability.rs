@@ -89,8 +89,9 @@ fn event_streams_are_byte_identical_across_execution_modes() {
     ] {
         let scenario = fleet_scenario(approximation);
         for level in [ObsLevel::Decisions, ObsLevel::Full] {
-            let (outcome, log) = Engine::new().run_cluster_traced(&scenario, level);
-            let (replay_outcome, replay_log) = Engine::new().run_cluster_traced(&scenario, level);
+            let (outcome, log) = ClusterRun::with_obs(&scenario, &Engine::new(), level).finish();
+            let (replay_outcome, replay_log) =
+                ClusterRun::with_obs(&scenario, &Engine::new(), level).finish();
             let stream = jsonl(&log);
             assert!(
                 !stream.is_empty(),
@@ -115,8 +116,8 @@ fn tracing_never_perturbs_the_simulation() {
     let scenario = fleet_scenario(FleetApproximation::Exact);
     let engine = Engine::new().parallel();
     let untraced = engine.run_cluster(&scenario);
-    let (decisions, _) = engine.run_cluster_traced(&scenario, ObsLevel::Decisions);
-    let (full, _) = engine.run_cluster_traced(&scenario, ObsLevel::Full);
+    let (decisions, _) = ClusterRun::with_obs(&scenario, &engine, ObsLevel::Decisions).finish();
+    let (full, _) = ClusterRun::with_obs(&scenario, &engine, ObsLevel::Full).finish();
 
     let baseline = strip_obs(&untraced);
     assert_eq!(
@@ -167,16 +168,20 @@ fn single_node_traced_run_matches_untraced_outcome() {
 #[test]
 fn clustered_event_counts_conserve_logical_totals() {
     let engine = Engine::new().parallel();
-    let (exact, exact_log) = engine.run_cluster_traced(
+    let (exact, exact_log) = ClusterRun::with_obs(
         &fleet_scenario(FleetApproximation::Exact),
+        &engine,
         ObsLevel::Decisions,
-    );
-    let (clustered, clustered_log) = engine.run_cluster_traced(
+    )
+    .finish();
+    let (clustered, clustered_log) = ClusterRun::with_obs(
         &fleet_scenario(FleetApproximation::Clustered {
             representatives_per_group: 2,
         }),
+        &engine,
         ObsLevel::Decisions,
-    );
+    )
+    .finish();
     assert!(
         clustered.simulated_instances < exact.simulated_instances,
         "the approximation must actually collapse the fleet"
