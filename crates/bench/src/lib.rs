@@ -138,7 +138,8 @@ pub fn cluster_failure_scenario(
 /// Round-robin balancing and slack-aware job placement keep the Precise/Pliant
 /// comparison purely paired under common random numbers.
 ///
-/// The autoscaler's drain boundary (0.66 per node) sits at the load Pliant serves
+/// The autoscaler's fixed drain boundary (0.66 per node; see
+/// [`pliant_cluster::autoscaler`]) sits at the load Pliant serves
 /// within QoS in `fig_cluster` but Precise does not: the Pliant fleet consolidates to
 /// 4 machines at 0.65 load each by day and 2 at night, while the Precise fleet's drain
 /// into the same operating point triggers QoS pressure, burns the learned capacity
@@ -149,8 +150,9 @@ pub fn cluster_failure_scenario(
 ///
 /// At other fleet sizes the study keeps the same day/night cycle *per provisioned
 /// node* (so the total traffic scales linearly with the fleet), two batch jobs per node
-/// from the same three-kernel mix, and the same autoscaler thresholds with the
-/// active-set floor scaled to a third of the fleet (the floor of 2 at 6 nodes).
+/// from the same three-kernel mix, and the autoscaler's active-set floor scaled to a
+/// third of the fleet (the floor of 2 at 6 nodes); its thresholds are the same at
+/// every size.
 pub fn cluster_energy_scenario_at_scale(
     nodes: usize,
     policy: pliant_core::policy::PolicyKind,
@@ -188,13 +190,6 @@ pub fn cluster_energy_scenario_at_scale(
         }),
         autoscaler: Some(pliant_cluster::AutoscalerConfig {
             min_active: (nodes / 3).max(2),
-            scale_out_load: 0.74,
-            scale_out_violation_fraction: 0.6,
-            scale_out_sustain_intervals: 2,
-            scale_in_max_load: 0.66,
-            scale_in_max_p99_fraction: 0.95,
-            scale_in_sustain_intervals: 4,
-            cooldown_intervals: 5,
             consolidate: false,
         }),
         horizon: Horizon::Seconds(360.0),

@@ -18,17 +18,18 @@
 //!   bills the park draw until reactivated.
 //!
 //! Decisions are made once per decision interval, before load balancing, from the
-//! previous interval's node snapshots:
+//! previous interval's node snapshots. The thresholds are constants of the fleet model
+//! (every autoscaled fleet runs the same ones); only the active-set floor and the
+//! consolidation switch are configured per fleet, in [`AutoscalerConfig`].
 //!
 //! * **Feed-forward scale-out**: the coming interval's offered load is known at
-//!   planning time, so a fleet asked to serve more than
-//!   [`AutoscalerConfig::scale_out_load`] per active node grows immediately — no
-//!   sustain, no cooldown.
+//!   planning time, so a fleet asked to serve more than `SCALE_OUT_LOAD` (0.74) per
+//!   active node grows immediately — no sustain, no cooldown.
 //! * **Reactive scale-out** triggers on *sustained fleet QoS pressure*: when at least
-//!   [`AutoscalerConfig::scale_out_violation_fraction`] of the active nodes sit above
-//!   their QoS target (by smoothed tail latency) for
-//!   [`AutoscalerConfig::scale_out_sustain_intervals`] consecutive intervals, one node
-//!   is reactivated — a draining node first (it is still warm), else a parked one.
+//!   `SCALE_OUT_VIOLATION_FRACTION` (60%) of the active nodes sit above their QoS
+//!   target (by smoothed tail latency) for `SCALE_OUT_SUSTAIN_INTERVALS` (2)
+//!   consecutive intervals, one node is reactivated — a draining node first (it is
+//!   still warm), else a parked one.
 //!   The per-node load at which this fires is remembered as a **learned capacity
 //!   ceiling**: the fleet demonstrated it cannot serve that load per node within QoS,
 //!   so scale-in never projects back into it. This is what converts a policy's true
@@ -36,17 +37,17 @@
 //!   into a machine count, instead of rediscovering the limit through repeated failed
 //!   drains.
 //! * **Scale-in** drains the least-loaded active node when the fleet has been
-//!   violation-free, every active node shows real tail headroom
-//!   ([`AutoscalerConfig::scale_in_max_p99_fraction`]), and the load the remaining
+//!   violation-free, every active node's smoothed tail latency sits at or below
+//!   `SCALE_IN_MAX_P99_FRACTION` (95%) of its QoS target, and the load the remaining
 //!   nodes would carry (`total_load / (active - 1)`) stays at or below both
-//!   [`AutoscalerConfig::scale_in_max_load`] and the learned ceiling — sustained over
-//!   [`AutoscalerConfig::scale_in_sustain_intervals`] intervals.
+//!   `SCALE_IN_MAX_LOAD` (0.66) and the learned ceiling — sustained over
+//!   `SCALE_IN_SUSTAIN_INTERVALS` (4) intervals.
 //!
-//! Reactive actions are followed by [`AutoscalerConfig::cooldown_intervals`] of
-//! enforced holding, and the gap between the scale-in and scale-out load ceilings is a
-//! hysteresis band; together they damp flapping at an operating point that straddles a
-//! threshold. All decisions are deterministic functions of the snapshots, so autoscaled
-//! fleets replay byte for byte and pair cleanly under common random numbers.
+//! Reactive actions are followed by `COOLDOWN_INTERVALS` (5) of enforced holding, and
+//! the gap between the scale-in and scale-out load ceilings is a hysteresis band;
+//! together they damp flapping at an operating point that straddles a threshold. All
+//! decisions are deterministic functions of the snapshots, so autoscaled fleets replay
+//! byte for byte and pair cleanly under common random numbers.
 //!
 //! Reintegration relies on the balancer's rejoin decay: a drained node's
 //! balancer-visible latency estimate halves every idle interval
@@ -55,8 +56,6 @@
 //! reading.
 
 use serde::{Deserialize, Serialize};
-
-use pliant_workloads::profile::MAX_LOAD_FRACTION;
 
 use crate::node::NodeSnapshot;
 
@@ -86,151 +85,52 @@ pub enum AutoscalerAction {
 }
 
 /// Configuration of the fleet autoscaler; attach it as a
-/// [`ClusterScenario`](crate::scenario::ClusterScenario)'s `autoscaler`.
-///
-/// Deserialization runs [`AutoscalerConfig::validate`], so a hand-edited config whose
-/// scale-in and scale-out thresholds would flap the fleet membership is rejected when
-/// it is read instead of misbehaving mid-run.
+/// [`ClusterScenario`](crate::scenario::ClusterScenario)'s `autoscaler`. The scenario
+/// checks `min_active` against the fleet size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(validate = "AutoscalerConfig::validate")]
 pub struct AutoscalerConfig {
     /// Lower bound on the active set; the autoscaler never drains below this.
     pub min_active: usize,
-    /// Feed-forward overload ceiling: when the coming interval's per-active-node load
-    /// exceeds this, a node is reactivated immediately (bypassing the cooldown — the
-    /// offered load is known at planning time, so there is nothing noisy to sustain).
-    pub scale_out_load: f64,
-    /// Fraction of active nodes whose smoothed tail latency must exceed the QoS target
-    /// to count as fleet QoS pressure (the reactive scale-out trigger).
-    pub scale_out_violation_fraction: f64,
-    /// Consecutive intervals QoS pressure must hold before the reactive scale-out
-    /// fires.
-    pub scale_out_sustain_intervals: u32,
-    /// Ceiling on the per-active-node load the fleet would carry *after* draining one
-    /// more node; scale-in is only considered while the projection stays at or below
-    /// this. Keep it below [`Self::scale_out_load`] — the gap is the hysteresis band
-    /// that keeps a slowly-varying load from flapping the membership.
-    pub scale_in_max_load: f64,
-    /// Latency-headroom guard for scale-in: every active node's smoothed tail latency
-    /// must sit at or below this fraction of its QoS target before a drain is
-    /// considered. A fleet hovering just under its target would fail the drain it is
-    /// about to attempt.
-    pub scale_in_max_p99_fraction: f64,
-    /// Consecutive intervals the scale-in trigger must hold before a drain fires.
-    pub scale_in_sustain_intervals: u32,
-    /// Intervals of enforced holding after a membership change (the feed-forward
-    /// overload path exempts itself; see [`Self::scale_out_load`]).
-    pub cooldown_intervals: u32,
     /// Active consolidation: when set, a draining node does not wait for its batch
     /// jobs to run to completion — the fleet migrates its in-flight jobs onto active
     /// nodes with free slots each interval, so the drain (and the park that follows)
     /// completes as soon as destinations exist instead of when the slowest job
-    /// finishes. Off by default; absent in pre-topology archives.
-    #[serde(default, skip_serializing_if = "is_false")]
+    /// finishes.
     pub consolidate: bool,
 }
 
-/// `skip_serializing_if` helper: keeps `consolidate: false` out of archives so
-/// pre-topology configs round-trip byte-identically.
-fn is_false(b: &bool) -> bool {
-    !*b
-}
+/// Feed-forward overload ceiling: when the coming interval's per-active-node load
+/// exceeds this, a node is reactivated immediately (bypassing the cooldown — the
+/// offered load is known at planning time, so there is nothing noisy to sustain).
+const SCALE_OUT_LOAD: f64 = 0.74;
 
-impl Default for AutoscalerConfig {
-    fn default() -> Self {
-        Self {
-            min_active: 1,
-            scale_out_load: 0.75,
-            scale_out_violation_fraction: 0.25,
-            scale_out_sustain_intervals: 2,
-            scale_in_max_load: 0.65,
-            scale_in_max_p99_fraction: 0.9,
-            scale_in_sustain_intervals: 4,
-            cooldown_intervals: 5,
-            consolidate: false,
-        }
-    }
-}
+/// Fraction of active nodes whose smoothed tail latency must exceed the QoS target to
+/// count as fleet QoS pressure (the reactive scale-out trigger).
+const SCALE_OUT_VIOLATION_FRACTION: f64 = 0.6;
 
-impl AutoscalerConfig {
-    /// Checks the configuration's invariants.
-    pub fn validate(&self) -> Result<(), AutoscalerConfigError> {
-        if self.min_active == 0 {
-            return Err(AutoscalerConfigError::NoMinimumActive);
-        }
-        if !(self.scale_out_violation_fraction > 0.0 && self.scale_out_violation_fraction <= 1.0) {
-            return Err(AutoscalerConfigError::InvalidViolationFraction);
-        }
-        if !(self.scale_in_max_load > 0.0 && self.scale_in_max_load <= MAX_LOAD_FRACTION) {
-            return Err(AutoscalerConfigError::InvalidScaleInLoad);
-        }
-        if !(self.scale_in_max_p99_fraction > 0.0 && self.scale_in_max_p99_fraction <= 1.0) {
-            return Err(AutoscalerConfigError::InvalidScaleInHeadroom);
-        }
-        if !(self.scale_out_load > 0.0 && self.scale_out_load <= MAX_LOAD_FRACTION) {
-            return Err(AutoscalerConfigError::InvalidScaleOutLoad);
-        }
-        if self.scale_in_max_load >= self.scale_out_load {
-            return Err(AutoscalerConfigError::NoHysteresis);
-        }
-        if self.scale_out_sustain_intervals == 0 || self.scale_in_sustain_intervals == 0 {
-            return Err(AutoscalerConfigError::NoSustain);
-        }
-        Ok(())
-    }
-}
+/// Consecutive intervals QoS pressure must hold before the reactive scale-out fires.
+const SCALE_OUT_SUSTAIN_INTERVALS: u32 = 2;
 
-/// Why an [`AutoscalerConfig`] failed validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AutoscalerConfigError {
-    /// `min_active` is zero — the fleet must keep at least one serving node.
-    NoMinimumActive,
-    /// The scale-out violation fraction is outside `(0, 1]`.
-    InvalidViolationFraction,
-    /// The scale-in load ceiling is outside `(0, MAX_LOAD_FRACTION]`.
-    InvalidScaleInLoad,
-    /// The scale-in latency-headroom fraction is outside `(0, 1]`.
-    InvalidScaleInHeadroom,
-    /// The feed-forward overload ceiling is outside `(0, MAX_LOAD_FRACTION]`.
-    InvalidScaleOutLoad,
-    /// The scale-in load ceiling is at or above the scale-out ceiling, leaving no
-    /// hysteresis band: a slowly-varying load would flap the membership every few
-    /// intervals.
-    NoHysteresis,
-    /// A sustain count is zero — every reactive trigger needs at least one interval of
-    /// evidence.
-    NoSustain,
-}
+/// Ceiling on the per-active-node load the fleet would carry *after* draining one more
+/// node; scale-in is only considered while the projection stays at or below this. The
+/// gap up to [`SCALE_OUT_LOAD`] is the hysteresis band that keeps a slowly-varying
+/// load from flapping the membership.
+const SCALE_IN_MAX_LOAD: f64 = 0.66;
 
-impl std::fmt::Display for AutoscalerConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AutoscalerConfigError::NoMinimumActive => {
-                f.write_str("autoscaler must keep at least one active node")
-            }
-            AutoscalerConfigError::InvalidViolationFraction => {
-                f.write_str("scale-out violation fraction must lie in (0, 1]")
-            }
-            AutoscalerConfigError::InvalidScaleInLoad => write!(
-                f,
-                "scale-in load ceiling must lie in (0, {MAX_LOAD_FRACTION}]"
-            ),
-            AutoscalerConfigError::InvalidScaleInHeadroom => {
-                f.write_str("scale-in latency-headroom fraction must lie in (0, 1]")
-            }
-            AutoscalerConfigError::InvalidScaleOutLoad => write!(
-                f,
-                "scale-out load ceiling must lie in (0, {MAX_LOAD_FRACTION}]"
-            ),
-            AutoscalerConfigError::NoHysteresis => {
-                f.write_str("scale_in_max_load must be strictly below scale_out_load (hysteresis)")
-            }
-            AutoscalerConfigError::NoSustain => f.write_str("sustain intervals must be at least 1"),
-        }
-    }
-}
+/// Latency-headroom guard for scale-in: every active node's smoothed tail latency must
+/// sit at or below this fraction of its QoS target before a drain is considered. A
+/// fleet hovering just under its target would fail the drain it is about to attempt.
+const SCALE_IN_MAX_P99_FRACTION: f64 = 0.95;
 
-impl std::error::Error for AutoscalerConfigError {}
+/// Consecutive intervals the scale-in trigger must hold before a drain fires.
+const SCALE_IN_SUSTAIN_INTERVALS: u32 = 4;
+
+/// Intervals of enforced holding after a membership change (the feed-forward overload
+/// path exempts itself; see [`SCALE_OUT_LOAD`]).
+const COOLDOWN_INTERVALS: u32 = 5;
+
+// The hysteresis band between the two load ceilings must not be empty.
+const _: () = assert!(SCALE_IN_MAX_LOAD < SCALE_OUT_LOAD);
 
 /// Safety margin applied to the learned capacity ceiling: after a pressure-driven
 /// scale-out at per-node load `L`, drains are only considered while the projected
@@ -286,12 +186,13 @@ impl Autoscaler {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, any weight is zero, or `min_active`
-    /// exceeds the summed logical fleet size.
+    /// Panics if `min_active` is zero or exceeds the summed logical fleet size, or if
+    /// any weight is zero.
     pub fn for_instances(config: AutoscalerConfig, weights: Vec<usize>) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid autoscaler config: {e}");
-        }
+        assert!(
+            config.min_active > 0,
+            "the autoscaler must keep at least one active node"
+        );
         assert!(
             weights.iter().all(|w| *w > 0),
             "instance weights must be positive"
@@ -412,8 +313,7 @@ impl Autoscaler {
             .map(|(_, w)| *w)
             .sum();
         let pressure = violating > 0
-            && violating as f64
-                >= self.config.scale_out_violation_fraction * active_replicas as f64;
+            && violating as f64 >= SCALE_OUT_VIOLATION_FRACTION * active_replicas as f64;
         let can_grow = self
             .state
             .states
@@ -426,13 +326,9 @@ impl Autoscaler {
             .zip(snapshots)
             .all(|(state, snap)| {
                 *state != NodePowerState::Active
-                    || snap.smoothed_p99_s
-                        <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
+                    || snap.smoothed_p99_s <= SCALE_IN_MAX_P99_FRACTION * snap.qos_target_s
             });
-        let drain_ceiling = self
-            .config
-            .scale_in_max_load
-            .min(BURN_MARGIN * self.burned_per_node_load());
+        let drain_ceiling = SCALE_IN_MAX_LOAD.min(BURN_MARGIN * self.burned_per_node_load());
         // A drain candidate must leave at least `min_active` logical nodes serving and
         // keep the survivors' per-node load at or below the ceiling *after losing the
         // candidate's whole replica block*.
@@ -470,14 +366,14 @@ impl Autoscaler {
         };
 
         // Feed-forward overload: the coming interval's load is *known*, so a fleet
-        // asked to serve more per node than the (configured or learned) ceiling grows
+        // asked to serve more per node than the (fixed or learned) ceiling grows
         // immediately — no sustain, no cooldown. This cannot flap against scale-in:
         // drains only fire while the projection stays in the hysteresis band below.
-        let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load());
+        let overload_ceiling = SCALE_OUT_LOAD.min(self.burned_per_node_load());
         if can_grow && per_node_load > overload_ceiling {
             let target = self.reactivation_target();
             self.state.states[target] = NodePowerState::Active;
-            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.cooldown = COOLDOWN_INTERVALS;
             self.state.out_streak = 0;
             self.state.in_streak = 0;
             return AutoscalerAction::ScaleOut(target);
@@ -488,7 +384,7 @@ impl Autoscaler {
             return AutoscalerAction::Hold;
         }
 
-        if self.state.out_streak >= self.config.scale_out_sustain_intervals {
+        if self.state.out_streak >= SCALE_OUT_SUSTAIN_INTERVALS {
             // The fleet demonstrated it cannot serve the streak's peak per-node load
             // within QoS: remember the ceiling so scale-in never projects back into
             // it. The ceiling is deliberately monotone (no decay) — conservative, and
@@ -497,13 +393,13 @@ impl Autoscaler {
                 Some(self.burned_per_node_load().min(self.state.streak_peak_load));
             let target = self.reactivation_target();
             self.state.states[target] = NodePowerState::Active;
-            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.cooldown = COOLDOWN_INTERVALS;
             self.state.out_streak = 0;
             self.state.in_streak = 0;
             return AutoscalerAction::ScaleOut(target);
         }
 
-        if self.state.in_streak >= self.config.scale_in_sustain_intervals {
+        if self.state.in_streak >= SCALE_IN_SUSTAIN_INTERVALS {
             // Drain the least-utilized *eligible* instance, ties broken toward the
             // highest index (instance 0 stays active the longest).
             let target = snapshots
@@ -519,7 +415,7 @@ impl Autoscaler {
                 .expect("an eligible instance exists")
                 .index;
             self.state.states[target] = NodePowerState::Draining;
-            self.state.cooldown = self.config.cooldown_intervals;
+            self.state.cooldown = COOLDOWN_INTERVALS;
             self.state.out_streak = 0;
             self.state.in_streak = 0;
             return AutoscalerAction::ScaleIn(target);
@@ -609,116 +505,97 @@ mod tests {
         (0..n).map(|i| snapshot(i, 0.005, 0.5, 0)).collect()
     }
 
-    /// An autoscaler over an exact fleet: `n` instances of one logical node each.
-    fn exact(config: AutoscalerConfig, n: usize) -> Autoscaler {
-        Autoscaler::for_instances(config, vec![1; n])
-    }
-
-    fn config() -> AutoscalerConfig {
+    fn config(min_active: usize) -> AutoscalerConfig {
         AutoscalerConfig {
-            min_active: 1,
-            scale_out_load: 1.0,
-            scale_out_violation_fraction: 0.25,
-            scale_out_sustain_intervals: 2,
-            scale_in_max_load: 0.7,
-            scale_in_max_p99_fraction: 0.8,
-            scale_in_sustain_intervals: 2,
-            cooldown_intervals: 3,
+            min_active,
             consolidate: false,
         }
     }
 
+    /// An autoscaler over an exact fleet: `n` instances of one logical node each.
+    fn exact(min_active: usize, n: usize) -> Autoscaler {
+        Autoscaler::for_instances(config(min_active), vec![1; n])
+    }
+
+    /// Plans `intervals - 1` holds at `load`, then returns the last plan's action: what
+    /// a trigger that first holds on this call does once it has been sustained.
+    fn sustain(
+        scaler: &mut Autoscaler,
+        intervals: u32,
+        load: f64,
+        snaps: &[NodeSnapshot],
+    ) -> AutoscalerAction {
+        for _ in 1..intervals {
+            assert_eq!(scaler.plan(load, snaps, 1), AutoscalerAction::Hold);
+        }
+        scaler.plan(load, snaps, 1)
+    }
+
+    /// Plans through a full cooldown at `load`, every interval a hold.
+    fn cool_down(scaler: &mut Autoscaler, load: f64, snaps: &[NodeSnapshot]) {
+        for _ in 0..COOLDOWN_INTERVALS {
+            assert_eq!(scaler.plan(load, snaps, 1), AutoscalerAction::Hold);
+        }
+    }
+
     #[test]
-    fn config_validation_catches_degenerate_knobs() {
-        assert!(AutoscalerConfig::default().validate().is_ok());
-        let mut c = config();
-        c.min_active = 0;
-        assert_eq!(c.validate(), Err(AutoscalerConfigError::NoMinimumActive));
-        let mut c = config();
-        c.scale_out_violation_fraction = 0.0;
-        assert_eq!(
-            c.validate(),
-            Err(AutoscalerConfigError::InvalidViolationFraction)
-        );
-        let mut c = config();
-        c.scale_in_max_load = 2.0;
-        assert_eq!(c.validate(), Err(AutoscalerConfigError::InvalidScaleInLoad));
-        let mut c = config();
-        c.scale_out_sustain_intervals = 0;
-        assert_eq!(c.validate(), Err(AutoscalerConfigError::NoSustain));
-        let mut c = config();
-        c.scale_in_sustain_intervals = 0;
-        assert_eq!(c.validate(), Err(AutoscalerConfigError::NoSustain));
-        let mut c = config();
-        c.scale_in_max_p99_fraction = 0.0;
-        assert_eq!(
-            c.validate(),
-            Err(AutoscalerConfigError::InvalidScaleInHeadroom)
-        );
-        let mut c = config();
-        c.scale_out_load = 0.0;
-        assert_eq!(
-            c.validate(),
-            Err(AutoscalerConfigError::InvalidScaleOutLoad)
-        );
-        let mut c = config();
-        c.scale_in_max_load = c.scale_out_load;
-        assert_eq!(c.validate(), Err(AutoscalerConfigError::NoHysteresis));
+    #[should_panic(expected = "at least one active node")]
+    fn a_zero_active_floor_is_refused() {
+        exact(0, 3);
     }
 
     #[test]
     fn scale_in_requires_latency_headroom_on_every_active_node() {
-        let mut scaler = exact(config(), 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
-        // One node hovering at 90% of its target (no violation, no headroom either):
-        // the fleet must not drain.
-        snaps[1].smoothed_p99_s = 0.009;
-        for _ in 0..4 {
+        // One node hovering at 97% of its target (no violation, no headroom either):
+        // the fleet must not drain, however long the trigger is otherwise asserted.
+        snaps[1].smoothed_p99_s = 0.0097;
+        for _ in 0..2 * SCALE_IN_SUSTAIN_INTERVALS {
             assert_eq!(scaler.plan(0.8, &snaps, 1), AutoscalerAction::Hold);
         }
         assert_eq!(scaler.active_replicas(), 3);
-        // Headroom restored → the drain proceeds.
+        // Headroom restored → the drain proceeds once sustained.
         snaps[1].smoothed_p99_s = 0.004;
-        scaler.plan(0.8, &snaps, 1);
         assert!(matches!(
-            scaler.plan(0.8, &snaps, 1),
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
             AutoscalerAction::ScaleIn(_)
         ));
     }
 
     #[test]
     fn sustained_headroom_drains_the_least_loaded_node() {
-        let mut scaler = exact(config(), 4);
+        let mut scaler = exact(1, 4);
         let mut snaps = healthy(4);
         snaps[2].utilization = 0.2; // least loaded
-                                    // Total load 1.0 over 3 remaining nodes = 0.33 <= 0.7 → eligible.
-        assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
-        assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::ScaleIn(2));
+                                    // Total load 1.0 over 3 remaining nodes = 0.33 <= 0.66 → eligible.
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 1.0, &snaps),
+            AutoscalerAction::ScaleIn(2)
+        );
         assert_eq!(scaler.states()[2], NodePowerState::Draining);
         assert_eq!(scaler.active_replicas(), 3);
-        // Cooldown holds even though the trigger stays asserted (1.0 / 2 = 0.5 ≤ 0.7)...
-        for _ in 0..3 {
-            assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
-        }
+        // Cooldown holds even though the trigger stays asserted (1.0 / 2 = 0.5 ≤ 0.66)...
+        cool_down(&mut scaler, 1.0, &snaps);
         // ...then the sustained streak fires immediately after it expires.
         let next = scaler.plan(1.0, &snaps, 1);
         assert!(matches!(next, AutoscalerAction::ScaleIn(_)), "{next:?}");
         // With 2 active nodes a further drain would project 1.0 load per node — above
         // the ceiling, so the fleet settles.
-        for _ in 0..3 {
-            scaler.plan(1.0, &snaps, 1);
-        }
+        cool_down(&mut scaler, 1.0, &snaps);
         assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::Hold);
         assert_eq!(scaler.active_replicas(), 2);
     }
 
     #[test]
     fn draining_nodes_park_once_their_slots_are_free() {
-        let mut scaler = exact(config(), 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[1].utilization = 0.1;
-        scaler.plan(0.8, &snaps, 1);
-        scaler.plan(0.8, &snaps, 1);
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(1)
+        );
         assert_eq!(scaler.states()[1], NodePowerState::Draining);
         // Still running its job: stays draining.
         scaler.plan(0.8, &snaps, 1);
@@ -731,36 +608,44 @@ mod tests {
 
     #[test]
     fn sustained_qos_pressure_reactivates_a_node() {
-        let mut scaler = exact(config(), 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[0].utilization = 0.1;
-        scaler.plan(0.8, &snaps, 1); // streak 1
-        assert_eq!(scaler.plan(0.8, &snaps, 1), AutoscalerAction::ScaleIn(0));
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(0)
+        );
         snaps[0].free_slots = 1;
-        for _ in 0..3 {
-            scaler.plan(0.8, &snaps, 1); // cooldown; node 0 parks meanwhile
-        }
+        cool_down(&mut scaler, 0.8, &snaps); // node 0 parks meanwhile
         assert_eq!(scaler.states()[0], NodePowerState::Parked);
-        // One of two active nodes over target = 50% ≥ 25% → pressure.
+        // One of two active nodes over target = 50% < 60%: no pressure, however long
+        // it lasts (at 0.7 per node, below the feed-forward ceiling).
         snaps[1].smoothed_p99_s = 0.02;
-        scaler.plan(2.0, &snaps, 1); // streak 1
-        assert_eq!(scaler.plan(2.0, &snaps, 1), AutoscalerAction::ScaleOut(0));
+        for _ in 0..2 * SCALE_OUT_SUSTAIN_INTERVALS {
+            assert_eq!(scaler.plan(1.4, &snaps, 1), AutoscalerAction::Hold);
+        }
+        // Both active nodes over target = 100% ≥ 60% → pressure.
+        snaps[2].smoothed_p99_s = 0.02;
+        assert_eq!(
+            sustain(&mut scaler, SCALE_OUT_SUSTAIN_INTERVALS, 1.4, &snaps),
+            AutoscalerAction::ScaleOut(0)
+        );
         assert_eq!(scaler.states()[0], NodePowerState::Active);
         assert_eq!(scaler.active_replicas(), 3);
     }
 
     #[test]
     fn scale_out_prefers_draining_over_parked_nodes() {
-        let mut scaler = exact(config(), 4);
+        let mut scaler = exact(1, 4);
         let mut snaps = healthy(4);
         // Drain node 3, park it; then drain node 2 and keep it draining.
         snaps[3].utilization = 0.1;
-        scaler.plan(0.8, &snaps, 1);
-        scaler.plan(0.8, &snaps, 1);
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(3)
+        );
         snaps[3].free_slots = 1;
-        for _ in 0..3 {
-            scaler.plan(0.8, &snaps, 1);
-        }
+        cool_down(&mut scaler, 0.8, &snaps);
         // The eligibility streak kept accruing through the cooldown, so the next plan
         // fires immediately and drains the now-least-loaded node 2.
         snaps[2].utilization = 0.15;
@@ -771,85 +656,81 @@ mod tests {
         // comes back first.
         snaps[0].smoothed_p99_s = 0.02;
         snaps[1].smoothed_p99_s = 0.02;
-        for _ in 0..3 {
-            scaler.plan(1.8, &snaps, 1); // cooldown drains while pressure accrues
-        }
-        assert_eq!(scaler.plan(1.8, &snaps, 1), AutoscalerAction::ScaleOut(2));
+        cool_down(&mut scaler, 1.4, &snaps); // cooldown drains while pressure accrues
+        assert_eq!(scaler.plan(1.4, &snaps, 1), AutoscalerAction::ScaleOut(2));
     }
 
     #[test]
     fn feed_forward_overload_grows_immediately_and_bypasses_cooldown() {
-        let mut scaler = exact(config(), 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
-        scaler.plan(0.8, &snaps, 1);
-        assert_eq!(scaler.plan(0.8, &snaps, 1), AutoscalerAction::ScaleIn(2));
-        // Load jumps above the ceiling (2.2 / 2 = 1.1 > 1.0) while the cooldown is
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(2)
+        );
+        // Load jumps above the ceiling (1.6 / 2 = 0.8 > 0.74) while the cooldown is
         // still running: the offered load is known, so the fleet grows at once.
-        assert_eq!(scaler.plan(2.2, &snaps, 1), AutoscalerAction::ScaleOut(2));
+        assert_eq!(scaler.plan(1.6, &snaps, 1), AutoscalerAction::ScaleOut(2));
         assert_eq!(scaler.active_replicas(), 3);
     }
 
     #[test]
     fn pressure_scale_outs_burn_a_capacity_ceiling_that_blocks_re_drains() {
-        let cfg = AutoscalerConfig {
-            cooldown_intervals: 0,
-            ..config()
-        };
-        let mut scaler = exact(cfg, 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
-        // Drain to 2 nodes at 0.6 per node (projection 1.2/2 = 0.6 ≤ 0.7).
-        scaler.plan(1.2, &snaps, 1);
-        assert_eq!(scaler.plan(1.2, &snaps, 1), AutoscalerAction::ScaleIn(2));
+        // Drain to 2 nodes at 0.6 per node (projection 1.2/2 = 0.6 ≤ 0.66).
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 1.2, &snaps),
+            AutoscalerAction::ScaleIn(2)
+        );
         assert_eq!(scaler.burned_per_node_load(), f64::INFINITY);
-        // The 2-node fleet violates at 0.6 per node → pressure-driven scale-out burns
-        // that per-node load as the learned ceiling.
+        // The 2-node fleet violates at 0.6 per node → pressure-driven scale-out (once
+        // the cooldown ends) burns that per-node load as the learned ceiling.
         snaps[0].smoothed_p99_s = 0.02;
-        scaler.plan(1.2, &snaps, 1);
+        snaps[1].smoothed_p99_s = 0.02;
+        cool_down(&mut scaler, 1.2, &snaps);
         assert_eq!(scaler.plan(1.2, &snaps, 1), AutoscalerAction::ScaleOut(2));
         assert_eq!(scaler.burned_per_node_load(), 0.6);
         // Back at 3 healthy nodes, the same drain is no longer eligible: the
         // projection (0.6) is above the burned ceiling with its margin (0.57).
         snaps[0].smoothed_p99_s = 0.005;
-        for _ in 0..5 {
+        snaps[1].smoothed_p99_s = 0.005;
+        for _ in 0..COOLDOWN_INTERVALS + 2 * SCALE_IN_SUSTAIN_INTERVALS {
             assert_eq!(scaler.plan(1.2, &snaps, 1), AutoscalerAction::Hold);
         }
         assert_eq!(scaler.active_replicas(), 3);
         // A lighter load projects below the burned ceiling and may drain again.
-        scaler.plan(1.0, &snaps, 1);
         assert!(matches!(
-            scaler.plan(1.0, &snaps, 1),
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 1.0, &snaps),
             AutoscalerAction::ScaleIn(_)
         ));
     }
 
     #[test]
     fn never_drains_below_min_active_and_never_grows_past_the_fleet() {
-        let cfg = AutoscalerConfig {
-            min_active: 2,
-            scale_out_sustain_intervals: 1,
-            scale_in_sustain_intervals: 1,
-            cooldown_intervals: 0,
-            ..config()
-        };
-        let mut scaler = exact(cfg, 3);
+        let mut scaler = exact(2, 3);
         let snaps = healthy(3);
         assert!(matches!(
-            scaler.plan(0.4, &snaps, 1),
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.4, &snaps),
             AutoscalerAction::ScaleIn(_)
         ));
         // At min_active, unconditional hold regardless of headroom.
-        assert_eq!(scaler.plan(0.1, &snaps, 1), AutoscalerAction::Hold);
+        for _ in 0..COOLDOWN_INTERVALS + 2 * SCALE_IN_SUSTAIN_INTERVALS {
+            assert_eq!(scaler.plan(0.1, &snaps, 1), AutoscalerAction::Hold);
+        }
         assert_eq!(scaler.active_replicas(), 2);
-        // Fully-active fleet under pressure cannot grow.
+        // Fully-active fleet under pressure and over the feed-forward ceiling cannot
+        // grow.
         let mut hot = healthy(3);
         for s in &mut hot {
             s.smoothed_p99_s = 0.05;
         }
-        let mut full = exact(config(), 2);
-        assert_eq!(full.plan(3.0, &hot[..2], 1), AutoscalerAction::Hold);
-        assert_eq!(full.plan(3.0, &hot[..2], 1), AutoscalerAction::Hold);
+        let mut full = exact(1, 2);
+        for _ in 0..2 * SCALE_OUT_SUSTAIN_INTERVALS {
+            assert_eq!(full.plan(3.0, &hot[..2], 1), AutoscalerAction::Hold);
+        }
         assert_eq!(full.active_replicas(), 2);
     }
 
@@ -858,25 +739,23 @@ mod tests {
         // Pressure is EWMA-driven and can outlast the spike that caused it: if the
         // load has already fallen by the time the streak completes, the ceiling must
         // still record the spike's load, not the healthy post-spike level.
-        let cfg = AutoscalerConfig {
-            scale_out_sustain_intervals: 3,
-            cooldown_intervals: 0,
-            ..config()
-        };
-        let mut scaler = exact(cfg, 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
-        scaler.plan(1.2, &snaps, 1);
-        assert_eq!(scaler.plan(1.2, &snaps, 1), AutoscalerAction::ScaleIn(2));
-        // Spike to 0.9 per node (1.8 over 2 active); the EWMA stays over target even
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 1.2, &snaps),
+            AutoscalerAction::ScaleIn(2)
+        );
+        cool_down(&mut scaler, 1.2, &snaps);
+        // Spike to 0.7 per node (1.4 over 2 active); the EWMA stays over target even
         // as the load falls back to 0.5 per node.
         snaps[0].smoothed_p99_s = 0.02;
-        scaler.plan(1.8, &snaps, 1); // streak 1 at 0.9/node
-        scaler.plan(1.4, &snaps, 1); // streak 2 at 0.7/node
+        snaps[1].smoothed_p99_s = 0.02;
+        assert_eq!(scaler.plan(1.4, &snaps, 1), AutoscalerAction::Hold); // streak 1 at 0.7/node
         assert_eq!(scaler.plan(1.0, &snaps, 1), AutoscalerAction::ScaleOut(2));
         assert_eq!(
             scaler.burned_per_node_load(),
-            0.9,
+            0.7,
             "the ceiling must be the streak's peak load, not the completion load (0.5)"
         );
     }
@@ -886,96 +765,58 @@ mod tests {
         // Two instances of 5 replicas each, min_active = 6: draining either block
         // would leave 5 < 6 logical nodes, so no drain is ever eligible even at a
         // trivial load.
-        let cfg = AutoscalerConfig {
-            min_active: 6,
-            scale_in_sustain_intervals: 1,
-            cooldown_intervals: 0,
-            ..config()
-        };
-        let mut scaler = Autoscaler::for_instances(cfg, vec![5, 5]);
+        let mut scaler = Autoscaler::for_instances(config(6), vec![5, 5]);
         let snaps = healthy(2);
-        for _ in 0..4 {
+        for _ in 0..2 * SCALE_IN_SUSTAIN_INTERVALS {
             assert_eq!(scaler.plan(0.5, &snaps, 1), AutoscalerAction::Hold);
         }
         assert_eq!(scaler.active_replicas(), 10);
 
         // With min_active = 5 one block may drain; the projection divides by the
-        // surviving 5 logical nodes (3.0 / 5 = 0.6 ≤ 0.7 → eligible).
-        let cfg = AutoscalerConfig {
-            min_active: 5,
-            scale_in_sustain_intervals: 1,
-            cooldown_intervals: 0,
-            ..config()
-        };
-        let mut scaler = Autoscaler::for_instances(cfg, vec![5, 5]);
+        // surviving 5 logical nodes (3.0 / 5 = 0.6 ≤ 0.66 → eligible).
+        let mut scaler = Autoscaler::for_instances(config(5), vec![5, 5]);
         let mut snaps = healthy(2);
         snaps[0].utilization = 0.2;
-        assert_eq!(scaler.plan(3.0, &snaps, 1), AutoscalerAction::ScaleIn(0));
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 3.0, &snaps),
+            AutoscalerAction::ScaleIn(0)
+        );
         assert_eq!(scaler.active_replicas(), 5);
         assert_eq!(scaler.states()[0], NodePowerState::Draining);
-        // Feed-forward overload measures per *logical* node: 5.5 / 5 = 1.1 > 1.0.
+        // Feed-forward overload measures per *logical* node: 3.5 / 5 = 0.7 ≤ 0.74
+        // holds (per active instance it would be 3.5), 4.0 / 5 = 0.8 > 0.74 grows.
         snaps[0].free_slots = 1;
-        assert_eq!(scaler.plan(5.5, &snaps, 1), AutoscalerAction::ScaleOut(0));
+        assert_eq!(scaler.plan(3.5, &snaps, 1), AutoscalerAction::Hold);
+        assert_eq!(scaler.plan(4.0, &snaps, 1), AutoscalerAction::ScaleOut(0));
         assert_eq!(scaler.active_replicas(), 10);
     }
 
     #[test]
-    fn config_round_trips_through_json() {
-        let cfg = config();
-        let json = serde_json::to_string(&cfg).expect("serializable");
-        let back: AutoscalerConfig = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn parsing_rejects_an_inverted_scale_band() {
-        let inverted = AutoscalerConfig {
-            scale_in_max_load: 0.8,
-            scale_out_load: 0.7,
-            ..config()
-        };
-        let json = serde_json::to_string(&inverted).expect("serializable");
-        let err = serde_json::from_str::<AutoscalerConfig>(&json).unwrap_err();
-        assert!(
-            err.to_string().contains("invalid autoscaler config")
-                && err
-                    .to_string()
-                    .contains(&AutoscalerConfigError::NoHysteresis.to_string()),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn consolidate_defaults_off_and_is_omitted_from_archives() {
-        // Pre-topology archives carry no `consolidate` key; the wire default keeps
-        // them deserializing, and an off flag round-trips to the same bytes.
-        let cfg = AutoscalerConfig::default();
-        assert!(!cfg.consolidate);
-        let json = serde_json::to_string(&cfg).expect("serializable");
-        assert!(
-            !json.contains("consolidate"),
-            "off flag must be omitted: {json}"
-        );
-        let back: AutoscalerConfig = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, cfg);
-
-        let on = AutoscalerConfig {
-            consolidate: true,
-            ..AutoscalerConfig::default()
-        };
-        let json = serde_json::to_string(&on).expect("serializable");
-        assert!(json.contains("consolidate"), "{json}");
-        let back: AutoscalerConfig = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, on);
+    fn config_round_trips_through_json_with_consolidation_off_and_on() {
+        for consolidate in [false, true] {
+            let cfg = AutoscalerConfig {
+                min_active: 3,
+                consolidate,
+            };
+            let json = serde_json::to_string(&cfg).expect("serializable");
+            assert_eq!(
+                json,
+                format!(r#"{{"min_active":3,"consolidate":{consolidate}}}"#)
+            );
+            let back: AutoscalerConfig = serde_json::from_str(&json).expect("deserializable");
+            assert_eq!(back, cfg);
+        }
     }
 
     #[test]
     fn mid_interval_park_pass_retires_drains_completed_by_migration() {
-        let mut scaler = exact(config(), 3);
+        let mut scaler = exact(1, 3);
         let mut snaps = healthy(3);
         snaps[2].utilization = 0.1;
-        scaler.plan(0.8, &snaps, 1);
-        assert_eq!(scaler.plan(0.8, &snaps, 1), AutoscalerAction::ScaleIn(2));
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(2)
+        );
         // The planning step saw the node still busy; nothing to park yet.
         let mut parked = Vec::new();
         scaler.park_fully_drained(&snaps, 1, &mut parked);

@@ -303,7 +303,7 @@ impl ClusterRun {
                 faults::compile_schedule(
                     profile,
                     scenario.seed,
-                    &population,
+                    scenario.nodes,
                     topology,
                     scenario.max_intervals(),
                 )

@@ -1,9 +1,9 @@
-//! Deterministic fault injection: node crashes, stragglers, and correlated outages.
+//! Deterministic fault injection: node crashes, stragglers, and rack power outages.
 //!
 //! A [`FaultProfile`] is the failure-side sibling of a
 //! [`LoadProfile`](pliant_workloads::profile::LoadProfile): it describes *what goes wrong*
 //! over a run — stochastic per-node crash and degradation hazards, explicitly scheduled
-//! faults, and correlated whole-group outages — without saying anything about how the
+//! faults, and correlated whole-rack outages — without saying anything about how the
 //! fleet reacts. The profile is compiled once, before the run starts, into a flat
 //! schedule of fault events over *logical* nodes, drawn from a dedicated RNG stream
 //! derived from the scenario seed. Compilation is independent of everything the
@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use pliant_telemetry::rng::{derive_seed, seeded_rng};
 use rand::Rng;
 
-use crate::population::{InstancePlan, NodePopulation};
+use crate::population::InstancePlan;
 use crate::topology::TopologyConfig;
 
 /// RNG stream label for the stochastic fault schedule (derived from the scenario seed;
@@ -68,24 +68,10 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
-/// A correlated outage taking down every member of one population group at once
-/// (modelling a shared failure domain: a rack power feed, a top-of-rack switch).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GroupOutage {
-    /// Index of the [`NodeGroup`](crate::population::NodeGroup) that fails, in
-    /// population order.
-    pub group: usize,
-    /// Decision interval at which the outage begins (0-based).
-    pub at_interval: u64,
-    /// How many decision intervals the outage lasts (≥ 1).
-    pub duration_intervals: u64,
-}
-
 /// A correlated outage taking down every node of one topology rack at once — a power-
-/// domain failure (the rack's power feed or busbar trips), addressed by *physical*
-/// rack rather than population group. Racks come from the scenario's
-/// [`TopologyConfig`]; on a flat topology the single implicit rack covers the whole
-/// fleet, so a rack outage there is a full-fleet blackout.
+/// domain failure (the rack's power feed or busbar trips). Racks come from the
+/// scenario's [`TopologyConfig`]; on a flat topology the single implicit rack covers
+/// the whole fleet, so a rack outage there is a full-fleet blackout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RackOutage {
     /// Index of the rack that loses power, in topology order (its members are
@@ -99,16 +85,16 @@ pub struct RackOutage {
 
 /// The failure-side input of a cluster scenario; see the module docs.
 ///
-/// All axes compose: stochastic hazards, scheduled faults, and group outages are merged
+/// All axes compose: stochastic hazards, scheduled faults, and rack outages are merged
 /// into one schedule. The default profile is empty (no faults), and an empty profile is
 /// guaranteed not to perturb the run in any way — the simulator takes the exact same
 /// code paths as a scenario with no profile at all.
 ///
 /// Deserialization runs [`FaultProfile::validate_shape`], so no profile enters through
 /// an archive without passing it; the fleet-dependent range checks run later, in
-/// `ClusterScenario::validate`, where the population is known. Missing fields take
-/// their defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `ClusterScenario::validate`, where the fleet size and topology are known. Missing
+/// fields take their defaults.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(validate = "FaultProfile::validate_shape")]
 pub struct FaultProfile {
     /// Per-node, per-interval crash probability (0 disables stochastic crashes).
@@ -132,27 +118,9 @@ pub struct FaultProfile {
     /// Explicitly scheduled faults, on top of the stochastic hazards.
     #[serde(default)]
     pub scheduled: Vec<ScheduledFault>,
-    /// Correlated group outages, on top of everything else.
-    #[serde(default)]
-    pub group_outages: Vec<GroupOutage>,
     /// Correlated rack power-domain outages, addressed by topology rack.
     #[serde(default)]
     pub rack_outages: Vec<RackOutage>,
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        FaultProfile {
-            crash_probability: 0.0,
-            outage_intervals: 0,
-            degrade_probability: 0.0,
-            degrade_factor: 0.0,
-            degrade_intervals: 0,
-            scheduled: Vec::new(),
-            group_outages: Vec::new(),
-            rack_outages: Vec::new(),
-        }
-    }
 }
 
 impl FaultProfile {
@@ -166,13 +134,12 @@ impl FaultProfile {
         self.crash_probability <= 0.0
             && self.degrade_probability <= 0.0
             && self.scheduled.is_empty()
-            && self.group_outages.is_empty()
             && self.rack_outages.is_empty()
     }
 
     /// The fleet-independent half of validation: probabilities in range, every enabled
     /// hazard carries a duration, every factor in `(0, 1)`. Enforced at the
-    /// deserialization boundary, where the fleet shape is not yet known; node/group
+    /// deserialization boundary, where the fleet shape is not yet known; node and rack
     /// ranges are checked by [`Self::validate`].
     pub fn validate_shape(&self) -> Result<(), FaultProfileError> {
         if !(0.0..=1.0).contains(&self.crash_probability) {
@@ -202,11 +169,6 @@ impl FaultProfile {
                 }
             }
         }
-        for (index, outage) in self.group_outages.iter().enumerate() {
-            if outage.duration_intervals == 0 {
-                return Err(FaultProfileError::GroupZeroDuration { index });
-            }
-        }
         for (index, outage) in self.rack_outages.iter().enumerate() {
             if outage.duration_intervals == 0 {
                 return Err(FaultProfileError::RackZeroDuration { index });
@@ -215,14 +177,9 @@ impl FaultProfile {
         Ok(())
     }
 
-    /// Validates the profile against a fleet of `nodes` logical nodes partitioned into
-    /// `groups` population groups and `racks` topology racks.
-    pub fn validate(
-        &self,
-        nodes: usize,
-        groups: usize,
-        racks: usize,
-    ) -> Result<(), FaultProfileError> {
+    /// Validates the profile against a fleet of `nodes` logical nodes in `racks`
+    /// topology racks.
+    pub fn validate(&self, nodes: usize, racks: usize) -> Result<(), FaultProfileError> {
         self.validate_shape()?;
         for (index, fault) in self.scheduled.iter().enumerate() {
             if fault.node >= nodes {
@@ -230,15 +187,6 @@ impl FaultProfile {
                     index,
                     node: fault.node,
                     nodes,
-                });
-            }
-        }
-        for (index, outage) in self.group_outages.iter().enumerate() {
-            if outage.group >= groups {
-                return Err(FaultProfileError::GroupOutOfRange {
-                    index,
-                    group: outage.group,
-                    groups,
                 });
             }
         }
@@ -288,20 +236,6 @@ pub enum FaultProfileError {
         /// Position in [`FaultProfile::scheduled`].
         index: usize,
     },
-    /// A group outage names a group outside the population.
-    GroupOutOfRange {
-        /// Position in [`FaultProfile::group_outages`].
-        index: usize,
-        /// The out-of-range group.
-        group: usize,
-        /// Number of population groups.
-        groups: usize,
-    },
-    /// A group outage lasts zero intervals.
-    GroupZeroDuration {
-        /// Position in [`FaultProfile::group_outages`].
-        index: usize,
-    },
     /// A rack outage names a rack outside the topology.
     RackOutOfRange {
         /// Position in [`FaultProfile::rack_outages`].
@@ -347,17 +281,6 @@ impl std::fmt::Display for FaultProfileError {
                 f,
                 "scheduled fault {index} has a degrade factor outside (0, 1)"
             ),
-            FaultProfileError::GroupOutOfRange {
-                index,
-                group,
-                groups,
-            } => write!(
-                f,
-                "group outage {index} targets group {group} but the population has {groups} groups"
-            ),
-            FaultProfileError::GroupZeroDuration { index } => {
-                write!(f, "group outage {index} must last at least one interval")
-            }
             FaultProfileError::RackOutOfRange { index, rack, racks } => write!(
                 f,
                 "rack outage {index} targets rack {rack} but the topology has {racks} racks"
@@ -388,18 +311,16 @@ pub(crate) struct FaultEvent {
 /// seed-derived stream, interval-major then node-minor, one draw per enabled hazard per
 /// node-interval regardless of hits — so the schedule is a pure function of profile,
 /// seed, fleet size, and horizon), merged with the scheduled faults and the expanded
-/// group and rack outages, sorted by `(interval, node)`. Rack outages expand over the
-/// topology's rack blocks exactly as group outages expand over the population's
-/// members, so every downstream consumer — stats, availability, the isolating instance
-/// planner — sees plain per-node crashes and composes for free.
+/// rack outages, sorted by `(interval, node)`. Rack outages expand over the topology's
+/// rack blocks, so every downstream consumer — stats, availability, the isolating
+/// instance planner — sees plain per-node crashes and composes for free.
 pub(crate) fn compile_schedule(
     profile: &FaultProfile,
     seed: u64,
-    population: &NodePopulation<'_>,
+    nodes: usize,
     topology: &TopologyConfig,
     max_intervals: usize,
 ) -> Vec<FaultEvent> {
-    let nodes = population.total_nodes();
     let mut schedule = Vec::new();
     if profile.crash_probability > 0.0 || profile.degrade_probability > 0.0 {
         let mut rng = seeded_rng(derive_seed(seed, FAULT_STREAM));
@@ -433,16 +354,6 @@ pub(crate) fn compile_schedule(
             kind: fault.kind,
             duration: fault.duration_intervals,
         });
-    }
-    for outage in &profile.group_outages {
-        for member in population.members(outage.group) {
-            schedule.push(FaultEvent {
-                interval: outage.at_interval,
-                node: member,
-                kind: FaultKind::Crash,
-                duration: outage.duration_intervals,
-            });
-        }
     }
     for outage in &profile.rack_outages {
         for member in topology.rack_members(outage.rack, nodes) {
@@ -503,7 +414,7 @@ impl NodeHealth {
 /// comparable between exact and clustered runs of the same scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
-    /// Crash events applied (a correlated group outage counts one per member).
+    /// Crash events applied (a rack outage counts one per member).
     pub crashes: u64,
     /// Degradation events applied.
     pub degradations: u64,
@@ -631,6 +542,7 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::NodePopulation;
     use crate::scenario::ClusterScenario;
     use pliant_approx::catalog::AppId;
     use pliant_workloads::service::ServiceId;
@@ -649,14 +561,7 @@ mod tests {
     fn empty_profile_compiles_to_an_empty_schedule() {
         let profile = FaultProfile::new();
         assert!(profile.is_empty());
-        let s = scenario(6);
-        let schedule = compile_schedule(
-            &profile,
-            42,
-            &NodePopulation::from_scenario(&s),
-            &TopologyConfig::Flat,
-            40,
-        );
+        let schedule = compile_schedule(&profile, 42, 6, &TopologyConfig::Flat, 40);
         assert!(schedule.is_empty());
     }
 
@@ -670,16 +575,14 @@ mod tests {
             degrade_intervals: 4,
             ..FaultProfile::new()
         };
-        let s = scenario(6);
-        let pop = NodePopulation::from_scenario(&s);
-        let a = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 200);
-        let b = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 200);
+        let a = compile_schedule(&profile, 42, 6, &TopologyConfig::Flat, 200);
+        let b = compile_schedule(&profile, 42, 6, &TopologyConfig::Flat, 200);
         assert_eq!(a, b, "same seed must reproduce the same schedule");
         assert!(
             !a.is_empty(),
             "200x6 node-intervals at 2%+3% must draw hits"
         );
-        let c = compile_schedule(&profile, 43, &pop, &TopologyConfig::Flat, 200);
+        let c = compile_schedule(&profile, 43, 6, &TopologyConfig::Flat, 200);
         assert_ne!(a, c, "different seeds must draw different schedules");
         // Sorted by (interval, node): a cursor walk consumes it in one pass.
         assert!(a
@@ -688,33 +591,10 @@ mod tests {
     }
 
     #[test]
-    fn group_outages_expand_to_every_member() {
-        let profile = FaultProfile {
-            group_outages: vec![GroupOutage {
-                group: 0,
-                at_interval: 7,
-                duration_intervals: 3,
-            }],
-            ..FaultProfile::new()
-        };
-        let s = scenario(7);
-        let pop = NodePopulation::from_scenario(&s); // group 0 = members [0, 3, 6]
-        let schedule = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 40);
-        assert_eq!(schedule.len(), 3);
-        let nodes: Vec<usize> = schedule.iter().map(|e| e.node).collect();
-        assert_eq!(nodes, vec![0, 3, 6]);
-        assert!(schedule
-            .iter()
-            .all(|e| e.interval == 7 && e.duration == 3 && e.kind == FaultKind::Crash));
-        assert_eq!(faulted_logical_nodes(&schedule), vec![0, 3, 6]);
-    }
-
-    #[test]
     fn validate_rejects_malformed_profiles() {
         let nodes = 4;
-        let groups = 2;
         let racks = 2;
-        let ok = |p: &FaultProfile| p.validate(nodes, groups, racks);
+        let ok = |p: &FaultProfile| p.validate(nodes, racks);
         assert!(ok(&FaultProfile::new()).is_ok());
         let mut p = FaultProfile::new();
         p.crash_probability = 1.5;
@@ -739,13 +619,6 @@ mod tests {
             kind: FaultKind::Crash,
         });
         assert!(ok(&p).is_err(), "scheduled node out of range");
-        let mut p = FaultProfile::new();
-        p.group_outages.push(GroupOutage {
-            group: groups,
-            at_interval: 0,
-            duration_intervals: 1,
-        });
-        assert!(ok(&p).is_err(), "group out of range");
         let mut p = FaultProfile::new();
         p.rack_outages.push(RackOutage {
             rack: racks,
@@ -784,24 +657,23 @@ mod tests {
             }],
             ..FaultProfile::new()
         };
-        let s = scenario(6);
-        let pop = NodePopulation::from_scenario(&s);
         let topo = TopologyConfig::Racks {
             racks: 2,
             nodes_per_rack: 3,
             rack_power_w: None,
         };
-        let schedule = compile_schedule(&profile, 42, &pop, &topo, 40);
+        let schedule = compile_schedule(&profile, 42, 6, &topo, 40);
         // Rack 1 holds the contiguous back half of the fleet; every member crashes.
         let nodes: Vec<usize> = schedule.iter().map(|e| e.node).collect();
         assert_eq!(nodes, vec![3, 4, 5]);
         assert!(schedule
             .iter()
             .all(|e| e.interval == 5 && e.duration == 4 && e.kind == FaultKind::Crash));
+        assert_eq!(faulted_logical_nodes(&schedule), vec![3, 4, 5]);
         // On a flat topology the single implicit rack is the whole fleet.
         let mut blackout = profile.clone();
         blackout.rack_outages[0].rack = 0;
-        let schedule = compile_schedule(&blackout, 42, &pop, &TopologyConfig::Flat, 40);
+        let schedule = compile_schedule(&blackout, 42, 6, &TopologyConfig::Flat, 40);
         assert_eq!(schedule.len(), 6);
     }
 
@@ -818,7 +690,7 @@ mod tests {
         };
         let s = scenario(4);
         let pop = NodePopulation::from_scenario(&s);
-        let schedule = compile_schedule(&profile, 42, &pop, &TopologyConfig::Flat, 20);
+        let schedule = compile_schedule(&profile, 42, s.nodes, &TopologyConfig::Flat, 20);
         let plans = pop.plan_instances(&crate::scenario::FleetApproximation::Exact);
         let mut state = FaultState::new(schedule.clone(), &plans);
         // Exact mode: logical node 2 is instance 2.
@@ -828,7 +700,7 @@ mod tests {
         // its event resolves to none...
         let mut on_three = profile.clone();
         on_three.scheduled[0].node = 3;
-        let schedule3 = compile_schedule(&on_three, 42, &pop, &TopologyConfig::Flat, 20);
+        let schedule3 = compile_schedule(&on_three, 42, s.nodes, &TopologyConfig::Flat, 20);
         let single = crate::scenario::FleetApproximation::Clustered {
             representatives_per_group: 1,
         };
@@ -874,11 +746,6 @@ mod tests {
                 at_interval: 30,
                 duration_intervals: 20,
                 kind: FaultKind::Degrade { factor: 0.5 },
-            }],
-            group_outages: vec![GroupOutage {
-                group: 0,
-                at_interval: 10,
-                duration_intervals: 8,
             }],
             rack_outages: vec![RackOutage {
                 rack: 1,

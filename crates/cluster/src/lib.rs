@@ -81,8 +81,8 @@ pub use engine::{
     ClusterEngineExt, ClusterRun, ClusterRunCheckpoint, FleetBooks, CLUSTER_CHECKPOINT_VERSION,
 };
 pub use faults::{
-    FaultKind, FaultProfile, FaultProfileError, FaultProgress, FaultStats, GroupOutage, NodeHealth,
-    RackOutage, ScheduledFault,
+    FaultKind, FaultProfile, FaultProfileError, FaultProgress, FaultStats, NodeHealth, RackOutage,
+    ScheduledFault,
 };
 pub use node::{ClusterNode, NodeBooks, NodeCheckpoint, NodeSnapshot};
 pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
@@ -97,9 +97,7 @@ pub mod prelude {
     pub use crate::autoscaler::{AutoscalerConfig, NodePowerState};
     pub use crate::balancer::BalancerKind;
     pub use crate::engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint};
-    pub use crate::faults::{
-        FaultKind, FaultProfile, FaultStats, GroupOutage, RackOutage, ScheduledFault,
-    };
+    pub use crate::faults::{FaultKind, FaultProfile, FaultStats, RackOutage, ScheduledFault};
     pub use crate::outcome::{machines_needed, ClusterOutcome, NodeOutcome};
     pub use crate::population::NodePopulation;
     pub use crate::scenario::{ClusterScenario, ClusterScenarioError, FleetApproximation};

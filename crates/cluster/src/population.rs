@@ -37,8 +37,7 @@
 //! and told apart by the rest of their slice. Planning is a second pass that rebuilds
 //! the table of each rack from its groups, looks each node up, and counts it down in its
 //! group's current chunk, emitting a plan wherever a chunk starts; it stops at the last
-//! chunk start. A group's member list is recovered on demand by
-//! [`NodePopulation::members`], which scans the group's rack from its first member.
+//! chunk start.
 
 use crate::scenario::{ClusterScenario, FleetApproximation};
 use pliant_approx::catalog::AppId;
@@ -118,21 +117,6 @@ impl<'s> NodePopulation<'s> {
     /// Total logical nodes across all groups (the scenario's `nodes`).
     pub fn total_nodes(&self) -> usize {
         self.scenario.nodes
-    }
-
-    /// The members of group `group`, in ascending logical-node order: the nodes of the
-    /// group's rack, from its first member on, that start the group's jobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is not an index into [`Self::groups`].
-    pub fn members(&self, group: usize) -> impl Iterator<Item = usize> + '_ {
-        let group = &self.groups[group];
-        let scenario = self.scenario;
-        let rack = scenario.topology.rack_members(group.rack, scenario.nodes);
-        (group.first..rack.end)
-            .filter(move |&node| job_slice(scenario, node) == group.jobs.as_slice())
-            .take(group.len)
     }
 
     /// The index into [`Self::groups`] of logical node `node`'s group (`None` for a
@@ -393,8 +377,16 @@ mod tests {
         }
     }
 
+    /// The members of group `group`, in ascending logical-node order: the nodes of the
+    /// group's rack, from its first member on, that start the group's jobs.
     fn members(pop: &NodePopulation<'_>, group: usize) -> Vec<usize> {
-        pop.members(group).collect()
+        let group = &pop.groups[group];
+        let scenario = pop.scenario;
+        let rack = scenario.topology.rack_members(group.rack, scenario.nodes);
+        (group.first..rack.end)
+            .filter(|&node| job_slice(scenario, node) == group.jobs.as_slice())
+            .take(group.len)
+            .collect()
     }
 
     /// The member-list grouping and planners the one-pass ones replaced, kept as the
@@ -553,9 +545,9 @@ mod tests {
         let pop = NodePopulation::from_scenario(&racked);
         assert_eq!(pop.groups().len(), 6, "3 job keys x 2 racks");
         for (gi, group) in pop.groups().iter().enumerate() {
-            assert!(pop
-                .members(gi)
-                .all(|m| racked.topology.rack_of(m) == group.rack));
+            assert!(members(&pop, gi)
+                .iter()
+                .all(|&m| racked.topology.rack_of(m) == group.rack));
         }
         // Replica weights still conserve the fleet, and every clustered instance
         // inherits its group's single rack.

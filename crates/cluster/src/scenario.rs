@@ -31,7 +31,7 @@ use pliant_core::scenario::Horizon;
 use pliant_workloads::profile::{LoadProfile, LoadProfileError, MAX_LOAD_FRACTION};
 use pliant_workloads::service::ServiceId;
 
-use crate::autoscaler::{AutoscalerConfig, AutoscalerConfigError};
+use crate::autoscaler::AutoscalerConfig;
 use crate::balancer::BalancerKind;
 use crate::faults::{FaultProfile, FaultProfileError};
 use crate::scheduler::SchedulerKind;
@@ -147,7 +147,7 @@ pub struct ClusterScenario {
     /// `Exact`).
     #[serde(default)]
     pub approximation: FleetApproximation,
-    /// Deterministic fault injection — node crashes, stragglers, correlated group
+    /// Deterministic fault injection — node crashes, stragglers, whole-rack power
     /// outages (`None` = nothing ever fails). Absent in pre-fault archives
     /// (deserializes as `None`).
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -263,11 +263,8 @@ impl ClusterScenario {
                 .map_err(ClusterScenarioError::InvalidLoadProfile)?;
         }
         if let Some(autoscaler) = &self.autoscaler {
-            autoscaler
-                .validate()
-                .map_err(ClusterScenarioError::InvalidAutoscaler)?;
-            if autoscaler.min_active > self.nodes {
-                return Err(ClusterScenarioError::AutoscalerMinimumExceedsFleet {
+            if !(1..=self.nodes).contains(&autoscaler.min_active) {
+                return Err(ClusterScenarioError::AutoscalerMinimumOutOfRange {
                     min_active: autoscaler.min_active,
                     nodes: self.nodes,
                 });
@@ -285,19 +282,8 @@ impl ClusterScenario {
             .validate(self.nodes)
             .map_err(ClusterScenarioError::InvalidTopology)?;
         if let Some(profile) = &self.fault_profile {
-            // Group-outage targets are indices into the node population, which (after
-            // the job-count and topology checks above) is well-defined here. Counting
-            // the groups is a pass over the job list, so it is made only when an
-            // outage names a group.
-            let groups = if profile.group_outages.is_empty() {
-                0
-            } else {
-                crate::population::NodePopulation::from_scenario(self)
-                    .groups()
-                    .len()
-            };
             profile
-                .validate(self.nodes, groups, self.topology.rack_count())
+                .validate(self.nodes, self.topology.rack_count())
                 .map_err(ClusterScenarioError::InvalidFaultProfile)?;
         }
         Ok(())
@@ -346,10 +332,8 @@ pub enum ClusterScenarioError {
     },
     /// The load profile failed its own validation.
     InvalidLoadProfile(LoadProfileError),
-    /// The autoscaler configuration failed its own validation.
-    InvalidAutoscaler(AutoscalerConfigError),
-    /// The autoscaler's active-set floor exceeds the fleet size.
-    AutoscalerMinimumExceedsFleet {
+    /// The autoscaler's active-set floor is zero or exceeds the fleet size.
+    AutoscalerMinimumOutOfRange {
         /// Requested minimum active nodes.
         min_active: usize,
         /// Provisioned fleet size.
@@ -389,12 +373,9 @@ impl std::fmt::Display for ClusterScenarioError {
             ClusterScenarioError::InvalidLoadProfile(e) => {
                 write!(f, "invalid load profile: {e}")
             }
-            ClusterScenarioError::InvalidAutoscaler(e) => {
-                write!(f, "invalid autoscaler config: {e}")
-            }
-            ClusterScenarioError::AutoscalerMinimumExceedsFleet { min_active, nodes } => write!(
+            ClusterScenarioError::AutoscalerMinimumOutOfRange { min_active, nodes } => write!(
                 f,
-                "autoscaler min_active of {min_active} exceeds the {nodes}-node fleet"
+                "autoscaler min_active of {min_active} is outside 1..={nodes} for the {nodes}-node fleet"
             ),
             ClusterScenarioError::InvalidApproximation => f.write_str(
                 "clustered approximation needs at least one representative per group",
@@ -506,7 +487,10 @@ mod tests {
                 period_s: 60.0,
                 phase_s: 0.0,
             }),
-            autoscaler: Some(AutoscalerConfig::default()),
+            autoscaler: Some(AutoscalerConfig {
+                min_active: 2,
+                consolidate: true,
+            }),
             horizon: Horizon::Seconds(30.0),
             seed: 1234,
             label: Some("round-trip".into()),
@@ -521,7 +505,7 @@ mod tests {
         for t_s in [0.0, 15.0, 45.0] {
             assert_eq!(back.load_at(t_s), profile.load_at(t_s));
         }
-        assert_eq!(back.autoscaler, Some(AutoscalerConfig::default()));
+        assert_eq!(back.autoscaler, s.autoscaler);
         // Pre-energy archives carry no autoscaler field and deserialize as None.
         let value: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let legacy = serde_json::to_string(&serde::Value::Object(
@@ -541,31 +525,33 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_autoscaler_configs() {
-        let err = ClusterScenario {
+        let floor = |min_active| ClusterScenario {
             autoscaler: Some(AutoscalerConfig {
-                min_active: 0,
-                ..AutoscalerConfig::default()
-            }),
-            ..fleet(ServiceId::Nginx, 2)
-        }
-        .validate()
-        .unwrap_err();
-        assert!(matches!(err, ClusterScenarioError::InvalidAutoscaler(_)));
-        assert!(err.to_string().contains("autoscaler"));
-        let oversized = ClusterScenario {
-            autoscaler: Some(AutoscalerConfig {
-                min_active: 5,
-                ..AutoscalerConfig::default()
+                min_active,
+                consolidate: false,
             }),
             ..fleet(ServiceId::Nginx, 2)
         };
-        assert_eq!(
-            oversized.validate(),
-            Err(ClusterScenarioError::AutoscalerMinimumExceedsFleet {
-                min_active: 5,
-                nodes: 2
-            })
-        );
+        assert_eq!(floor(1).validate(), Ok(()));
+        assert_eq!(floor(2).validate(), Ok(()));
+        for min_active in [0, 5] {
+            let err = floor(min_active).validate().unwrap_err();
+            assert_eq!(
+                err,
+                ClusterScenarioError::AutoscalerMinimumOutOfRange {
+                    min_active,
+                    nodes: 2
+                }
+            );
+            assert!(err.to_string().contains("autoscaler"), "{err}");
+            // The same invariant holds at the archive boundary.
+            let corrupted = serde_json::to_string(&floor(2))
+                .expect("serializable")
+                .replace("\"min_active\":2", &format!("\"min_active\":{min_active}"));
+            let parsed = serde_json::from_str::<ClusterScenario>(&corrupted)
+                .expect_err("an out-of-range active-set floor must not deserialize");
+            assert!(parsed.to_string().contains(&err.to_string()), "{parsed}");
+        }
     }
 
     #[test]
@@ -633,7 +619,7 @@ mod tests {
 
     #[test]
     fn fault_profiles_round_trip_and_are_validated_at_both_boundaries() {
-        use crate::faults::{FaultKind, GroupOutage, ScheduledFault};
+        use crate::faults::{FaultKind, RackOutage, ScheduledFault};
         let profile = FaultProfile {
             crash_probability: 0.01,
             outage_intervals: 10,
@@ -680,25 +666,40 @@ mod tests {
         assert!(matches!(err, ClusterScenarioError::InvalidFaultProfile(_)));
         assert!(err.to_string().contains("fault"));
 
-        // Group outages are checked against the actual population (jobs(4)
-        // alternates two apps, so 4 nodes form 2 groups).
-        let err = ClusterScenario {
+        // Rack outages are checked against the scenario's topology (two 2-node
+        // racks), at both boundaries.
+        let outage = |rack| ClusterScenario {
             fault_profile: Some(FaultProfile {
-                group_outages: vec![GroupOutage {
-                    group: 2,
+                rack_outages: vec![RackOutage {
+                    rack,
                     at_interval: 0,
                     duration_intervals: 1,
                 }],
                 ..FaultProfile::new()
             }),
+            topology: TopologyConfig::Racks {
+                racks: 2,
+                nodes_per_rack: 2,
+                rack_power_w: None,
+            },
             ..fleet(ServiceId::Memcached, 4)
-        }
-        .validate()
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("group"),
-            "out-of-range group outage must be rejected: {err}"
+        };
+        assert_eq!(outage(1).validate(), Ok(()));
+        let err = outage(2).validate().unwrap_err();
+        assert_eq!(
+            err,
+            ClusterScenarioError::InvalidFaultProfile(FaultProfileError::RackOutOfRange {
+                index: 0,
+                rack: 2,
+                racks: 2,
+            })
         );
+        let corrupted = serde_json::to_string(&outage(1))
+            .expect("serializable")
+            .replace("\"rack\":1", "\"rack\":2");
+        let parsed = serde_json::from_str::<ClusterScenario>(&corrupted)
+            .expect_err("an out-of-range rack outage must not deserialize");
+        assert!(parsed.to_string().contains(&err.to_string()), "{parsed}");
 
         // The same invariants hold at the archive boundary.
         let corrupted = serde_json::to_string(&s)

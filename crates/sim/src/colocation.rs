@@ -21,7 +21,7 @@ use crate::queueing::{LatencyInputs, LatencyModel};
 use crate::server::ServerSpec;
 
 /// Configuration of one co-location experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ColocationConfig {
     /// Platform model.
     pub server: ServerSpec,
@@ -43,40 +43,6 @@ pub struct ColocationConfig {
     pub samples_per_interval: usize,
     /// Master RNG seed.
     pub seed: u64,
-}
-
-// Hand-written, not derived: configurations serialized before `load: LoadProfile`
-// existed carry a scalar `load_fraction` field instead, which maps onto a constant
-// profile. A field read that falls back to another field is a form the derive's
-// attributes cannot express.
-impl serde::Deserialize for ColocationConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: serde::Deserialize>(
-            value: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            T::from_value(
-                value
-                    .get(name)
-                    .ok_or_else(|| serde::Error::missing_field("ColocationConfig", name))?,
-            )
-        }
-        let load = match value.get("load") {
-            Some(profile) => LoadProfile::from_value(profile)?,
-            None => LoadProfile::constant(field::<f64>(value, "load_fraction")?),
-        };
-        Ok(Self {
-            server: field(value, "server")?,
-            service: field(value, "service")?,
-            load,
-            apps: field(value, "apps")?,
-            instrumented: field(value, "instrumented")?,
-            interference: field(value, "interference")?,
-            latency: field(value, "latency")?,
-            samples_per_interval: field(value, "samples_per_interval")?,
-            seed: field(value, "seed")?,
-        })
-    }
 }
 
 impl ColocationConfig {
@@ -890,24 +856,17 @@ mod tests {
     }
 
     #[test]
-    fn pre_profile_config_archives_still_deserialize() {
-        // Configurations archived before `load` was a LoadProfile carry a scalar
-        // `load_fraction`; the hand-written deserializer maps it onto a constant profile.
-        let current = ColocationConfig::paper_default(ServiceId::Nginx, &[AppId::Snp], 9);
+    fn config_round_trips_through_json() {
+        let current =
+            ColocationConfig::paper_default(ServiceId::Nginx, &[AppId::Snp], 9).with_load(0.6);
         let json = serde_json::to_string(&current).expect("serializable");
         let round: ColocationConfig = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(round.load, current.load);
-        let legacy = json.replace(
-            &format!(
-                "\"load\":{}",
-                serde_json::to_string(&current.load).expect("serializable")
-            ),
-            "\"load_fraction\":0.6",
+        assert_eq!(
+            serde_json::to_string(&round).expect("serializable"),
+            json,
+            "every field must survive the round trip"
         );
-        assert_ne!(legacy, json, "the load field must have been replaced");
-        let old: ColocationConfig =
-            serde_json::from_str(&legacy).expect("legacy config archives deserialize");
-        assert_eq!(old.load, LoadProfile::constant(0.6));
     }
 
     #[test]

@@ -242,7 +242,6 @@ fn faulted_racked_base() -> ClusterScenario {
                 at_interval: 9,
                 duration_intervals: 3,
             }],
-            ..FaultProfile::new()
         }),
         ..ClusterScenario::paper_default(ServiceId::Memcached)
     }
