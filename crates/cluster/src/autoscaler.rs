@@ -632,6 +632,28 @@ mod tests {
         );
         assert_eq!(scaler.states()[0], NodePowerState::Active);
         assert_eq!(scaler.active_replicas(), 3);
+
+        // Part of the fleet suffices: with node 0 parked, two of three active nodes
+        // over target = 66.7% ≥ 60% → pressure (at 2.0 / 3 = 0.67 per node, below the
+        // feed-forward ceiling). With the 50% hold above, this pins the threshold from
+        // both sides.
+        let mut scaler = exact(1, 4);
+        let mut snaps = healthy(4);
+        snaps[0].utilization = 0.1;
+        assert_eq!(
+            sustain(&mut scaler, SCALE_IN_SUSTAIN_INTERVALS, 0.8, &snaps),
+            AutoscalerAction::ScaleIn(0)
+        );
+        snaps[0].free_slots = 1;
+        cool_down(&mut scaler, 0.8, &snaps);
+        assert_eq!(scaler.states()[0], NodePowerState::Parked);
+        snaps[1].smoothed_p99_s = 0.02;
+        snaps[2].smoothed_p99_s = 0.02;
+        assert_eq!(
+            sustain(&mut scaler, SCALE_OUT_SUSTAIN_INTERVALS, 2.0, &snaps),
+            AutoscalerAction::ScaleOut(0)
+        );
+        assert_eq!(scaler.active_replicas(), 4);
     }
 
     #[test]

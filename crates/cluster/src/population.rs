@@ -29,8 +29,8 @@
 //!
 //! Nothing here is stored per logical node, so a clustered fleet costs memory in its
 //! groups and instances, not in its logical size. Grouping is one pass over the
-//! scenario's job list that keeps, per group, the job slice, the rack, the first member
-//! and the member count. Racks are contiguous blocks of the node index space, so the
+//! scenario's job list that keeps, per group, the job slice, the rack and the member
+//! count. Racks are contiguous blocks of the node index space, so the
 //! groups of one rack are contiguous in group order, and a 24-entry table of the rack's
 //! groups indexed by first job finds a node's group with one read. Only groups that
 //! share a first job (possible when `slots_per_node > 1`) are chained behind one entry
@@ -53,8 +53,6 @@ pub struct NodeGroup {
     /// never spans racks. On a flat topology every node is in the implicit rack 0 and
     /// the grouping is identical to the pre-topology one.
     pub rack: usize,
-    /// The lowest logical-node index among the members; groups are ordered by it.
-    pub first: usize,
     /// Number of logical nodes in the group (at least 1).
     pub len: usize,
 }
@@ -74,7 +72,7 @@ pub struct InstancePlan {
 /// The fleet's logical nodes partitioned into groups of interchangeable members.
 ///
 /// Borrows its scenario: the job list is the only per-node record, and the population
-/// reads it again to plan instances and to list a group's members.
+/// reads it again to plan instances.
 #[derive(Debug, Clone)]
 pub struct NodePopulation<'s> {
     scenario: &'s ClusterScenario,
@@ -92,13 +90,12 @@ impl<'s> NodePopulation<'s> {
         let mut index = FirstJobIndex::new();
         for rack in 0..scenario.topology.rack_count() {
             index.start_rack();
-            for (node, jobs) in rack_slices(scenario, rack) {
+            for (_, jobs) in rack_slices(scenario, rack) {
                 let group = index.find(&groups, jobs).unwrap_or_else(|| {
                     index.insert(groups.len(), jobs[0]);
                     groups.push(NodeGroup {
                         jobs: jobs.to_vec(),
                         rack,
-                        first: node,
                         len: 0,
                     });
                     groups.len() - 1
@@ -378,14 +375,14 @@ mod tests {
     }
 
     /// The members of group `group`, in ascending logical-node order: the nodes of the
-    /// group's rack, from its first member on, that start the group's jobs.
+    /// group's rack that start the group's jobs.
     fn members(pop: &NodePopulation<'_>, group: usize) -> Vec<usize> {
         let group = &pop.groups[group];
         let scenario = pop.scenario;
-        let rack = scenario.topology.rack_members(group.rack, scenario.nodes);
-        (group.first..rack.end)
+        scenario
+            .topology
+            .rack_members(group.rack, scenario.nodes)
             .filter(|&node| job_slice(scenario, node) == group.jobs.as_slice())
-            .take(group.len)
             .collect()
     }
 
@@ -517,11 +514,8 @@ mod tests {
         assert_eq!(members(&pop, 1), vec![1, 4]);
         assert_eq!(members(&pop, 2), vec![2, 5]);
         assert_eq!(
-            pop.groups()
-                .iter()
-                .map(|g| (g.first, g.len))
-                .collect::<Vec<_>>(),
-            vec![(0, 3), (1, 2), (2, 2)]
+            pop.groups().iter().map(|g| g.len).collect::<Vec<_>>(),
+            vec![3, 2, 2]
         );
         assert_eq!(pop.groups()[0].jobs, vec![AppId::Canneal]);
         assert!(pop.groups().iter().all(|g| g.rack == 0), "flat = one rack");
@@ -692,7 +686,6 @@ mod tests {
             for (gi, (group, expected)) in pop.groups().iter().zip(&reference).enumerate() {
                 assert_eq!(group.jobs, expected.jobs);
                 assert_eq!(group.rack, expected.rack);
-                assert_eq!(group.first, expected.members[0]);
                 assert_eq!(group.len, expected.members.len());
                 assert_eq!(members(&pop, gi), expected.members);
                 for &member in &expected.members {
@@ -769,7 +762,6 @@ mod tests {
                 prop_assert_eq!(&group.jobs, &expected.jobs);
                 prop_assert_eq!(group.rack, expected.rack);
                 prop_assert_eq!(group.len, expected.members.len());
-                prop_assert_eq!(group.first, expected.members[0]);
                 prop_assert_eq!(members(&pop, gi), expected.members.clone());
                 for &member in &expected.members {
                     prop_assert_eq!(pop.group_of(member), Some(gi));
