@@ -57,9 +57,9 @@ fn repeat_mix(mix: &[AppId], len: usize) -> Vec<AppId> {
 /// integration test that pins its headline result: `nodes` memcached machines serving
 /// `total_load` node-saturation units, each co-locating one long-running batch job
 /// (bayesian / semphy / clustalw — kernels whose precise execution clearly violates QoS
-/// at ~0.65 load per node while their approximate variants absorb the interference),
-/// balanced round-robin so the Precise/Pliant comparison is purely paired under common
-/// random numbers. Returns `None` when the fleet is too small to even describe the
+/// at ~0.65 load per node while their approximate variants absorb the interference).
+/// The fleet's even load split keeps the Precise/Pliant comparison purely paired under
+/// common random numbers. Returns `None` when the fleet is too small to even describe the
 /// offered load (above the profile bound of 1.5x saturation per node) — such a fleet
 /// trivially cannot meet QoS, and capping the traffic instead would silently compare
 /// fleets serving different totals.
@@ -79,7 +79,6 @@ pub fn cluster_machines_needed_scenario(
         jobs: repeat_mix(&mix, nodes),
         avg_node_load,
         policy,
-        balancer: pliant_cluster::BalancerKind::RoundRobin,
         horizon: Horizon::Seconds(90.0),
         warmup_intervals: 8,
         seed,
@@ -135,7 +134,7 @@ pub fn cluster_failure_scenario(
 /// load cycle — a day plateau at exactly the fig_cluster operating point (2.6
 /// node-units), an evening decline, and a night valley at 1.26 node-units — serving a
 /// fixed batch of 12 jobs, with the energy-aware autoscaler sizing the active set.
-/// Round-robin balancing and slack-aware job placement keep the Precise/Pliant
+/// The even load split and slack-aware job placement keep the Precise/Pliant
 /// comparison purely paired under common random numbers.
 ///
 /// The autoscaler's fixed drain boundary (0.66 per node; see
@@ -169,7 +168,6 @@ pub fn cluster_energy_scenario_at_scale(
         nodes,
         jobs: repeat_mix(&mix, 2 * nodes),
         policy,
-        balancer: pliant_cluster::BalancerKind::RoundRobin,
         scheduler: pliant_cluster::SchedulerKind::QosSlackAware,
         // One day/night cycle, expressed per provisioned node (×nodes for node-units,
         // quoted below for the historical 6-node figure): a

@@ -9,15 +9,15 @@
 //!
 //! Each node is in one of three [`NodePowerState`]s:
 //!
-//! * **Active** — serves balancer traffic and accepts batch-job placements.
-//! * **Draining** — removed from the serving set (the balancer assigns it zero load and
+//! * **Active** — serves its share of the offered load and accepts batch-job placements.
+//! * **Draining** — removed from the serving set (the load split assigns it zero load and
 //!   the scheduler stops placing jobs on it) but still powered while its remaining
 //!   batch jobs run to completion. Its power falls toward allocated-core idle as slots
 //!   finish.
 //! * **Parked** — drained *and* every batch slot free: the machine is suspended and
 //!   bills the park draw until reactivated.
 //!
-//! Decisions are made once per decision interval, before load balancing, from the
+//! Decisions are made once per decision interval, before the load split, from the
 //! previous interval's node snapshots. The thresholds are constants of the fleet model
 //! (every autoscaled fleet runs the same ones); only the active-set floor and the
 //! consolidation switch are configured per fleet, in [`AutoscalerConfig`].
@@ -49,10 +49,11 @@
 //! decisions are deterministic functions of the snapshots, so autoscaled fleets replay
 //! byte for byte and pair cleanly under common random numbers.
 //!
-//! Reintegration relies on the balancer's rejoin decay: a drained node's
-//! balancer-visible latency estimate halves every idle interval
-//! (see [`ClusterNode`](crate::node::ClusterNode)), so a reactivated node re-enters the
-//! rotation within a few intervals instead of being starved on its last pre-drain
+//! Reintegration relies on the fleet-visible estimate decay: a drained node's smoothed
+//! latency estimate halves every idle interval
+//! (see [`ClusterNode`](crate::node::ClusterNode)), so a reactivated node takes its
+//! even share at once and, within a few intervals of idling, no longer counts toward
+//! QoS pressure, blocks a scale-in or repels job placements on its last pre-drain
 //! reading.
 
 use serde::{Deserialize, Serialize};

@@ -1,4 +1,4 @@
-//! Running one fleet: N nodes coupled by a load balancer and a batch scheduler.
+//! Running one fleet: N nodes coupled by an even load split and a batch scheduler.
 //!
 //! A [`ClusterRun`] owns the whole fleet, the books its outcome is assembled from, and
 //! its checkpoint. [`ClusterRun::step`] advances it one decision interval: it samples
@@ -17,8 +17,8 @@
 //! 5. `place_jobs` — the batch scheduler places queued jobs into free slots on serving
 //!    nodes, each placement confined to a sampled rack on racked fleets
 //!    (`confine_to_sampled_rack`);
-//! 6. `balance_load` — the [`LoadBalancer`] splits the total load over the serving
-//!    mask (using the previous interval's node snapshots);
+//! 6. `balance_load` — the total load is split evenly over the serving mask: every
+//!    serving logical node gets the same share, every other node none;
 //! 7. `step_nodes` — every node advances independently: its simulator runs the
 //!    interval and its [`NodeRuntime`](pliant_core::runtime::NodeRuntime), the same
 //!    runtime a single-node experiment runs, monitors, decides and actuates; the node
@@ -42,14 +42,13 @@
 //! [`FleetApproximation::Exact`](crate::scenario::FleetApproximation::Exact) the two
 //! coincide — one weight-1 instance per logical node. Under
 //! [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)
-//! each instance is a representative standing for
-//! `replicas` interchangeable logical nodes: the balancer splits the *logical* total
-//! load over representatives (weighted, per-replica), the scheduler pops replica-sized
-//! job batches, the autoscaler parks and drains whole replica blocks, and every
-//! per-node statistic a representative produces is replicated by its weight
-//! node-side. Interval cost then scales with the number of instances while the
-//! reported fleet stays at its logical size. Both modes run the same phases; an exact
-//! fleet is the case where every replica weight is 1.
+//! each instance is a representative standing for `replicas` interchangeable logical
+//! nodes: the even split divides the *logical* total load by the serving logical nodes
+//! (a per-replica share), the scheduler pops replica-sized job batches, the autoscaler
+//! parks and drains whole replica blocks, and every per-node statistic a representative
+//! produces is replicated by its weight node-side. Interval cost then scales with the
+//! number of instances while the reported fleet stays at its logical size. Both modes
+//! run the same phases; an exact fleet is the case where every replica weight is 1.
 
 use pliant_approx::catalog::{AppId, Catalog};
 use pliant_core::engine::Engine;
@@ -64,7 +63,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::autoscaler::{Autoscaler, AutoscalerState, NodePowerState};
-use crate::balancer::LoadBalancer;
 use crate::faults::{self, FaultKind, FaultProgress, FaultState, FaultStats, NodeHealth};
 use crate::node::{ClusterNode, NodeCheckpoint, NodeSnapshot};
 use crate::outcome::{ClusterOutcome, NodeOutcome};
@@ -140,7 +138,6 @@ pub struct ClusterRun {
     nodes: Vec<ClusterNode>,
     /// Logical nodes each instance stands for (all ones in exact mode).
     replica_weights: Vec<usize>,
-    balancer: LoadBalancer,
     scheduler: BatchScheduler,
     /// Energy-aware sizing of the active node set (`None` = every node always serves).
     autoscaler: Option<Autoscaler>,
@@ -152,9 +149,9 @@ pub struct ClusterRun {
     /// The scenario's horizon, in decision intervals.
     max_intervals: usize,
     /// Scratch buffer of node snapshots, refreshed by [`Self::refresh_snapshots`] and
-    /// reused across the planning, placement, and balancing phases.
+    /// reused across the planning, consolidation, and placement phases.
     snapshot_scratch: Vec<NodeSnapshot>,
-    /// Per-replica load the balancer assigned each instance this interval.
+    /// Per-replica load the even split assigned each instance this interval.
     assigned_scratch: Vec<f64>,
     /// This interval's serving mask: autoscaler `Active` and fault-healthy, computed
     /// once per interval by [`Self::plan_serving_set`].
@@ -380,10 +377,6 @@ impl ClusterRun {
         } else {
             vec![0.0; topology.rack_count()]
         };
-        let balancer = scenario.balancer.build(
-            nodes.len(),
-            pliant_telemetry::rng::derive_seed(scenario.seed, 0xBA_1A_4C_E0),
-        );
         let scheduler = BatchScheduler::new(
             scenario.scheduler,
             scenario.jobs[initial..].iter().copied(),
@@ -406,7 +399,6 @@ impl ClusterRun {
             catalog: catalog.clone(),
             nodes,
             replica_weights,
-            balancer,
             scheduler,
             autoscaler,
             faults,
@@ -533,7 +525,7 @@ impl ClusterRun {
         self.admit_racks();
         self.consolidate();
         let jobs_placed = self.place_jobs();
-        self.balance_load(total_offered_load);
+        self.balance_load(total_offered_load, active_nodes);
         let completions = self.step_nodes();
         self.close_interval(completions, total_offered_load, active_nodes, jobs_placed);
         !self.is_done()
@@ -671,9 +663,8 @@ impl ClusterRun {
     /// modelling simplification — an outage is billed like a park, not as zero draw).
     ///
     /// Then computes the interval's serving mask into `serving`: autoscaler `Active`
-    /// and fault-healthy. Consolidation, placement, balancing, and the dispatch audit
-    /// all read it. Returns the logical nodes serving, the replica-weighted count over
-    /// the mask.
+    /// and fault-healthy. Consolidation, placement, and the load split all read it.
+    /// Returns the logical nodes serving, the replica-weighted count over the mask.
     fn plan_serving_set(&mut self, total_offered_load: f64) -> usize {
         if self.autoscaler.is_some() {
             self.refresh_snapshots();
@@ -993,40 +984,35 @@ impl ClusterRun {
         true
     }
 
-    /// Balancing phase: splits the offered load over the serving mask into
-    /// `assigned_scratch` — per-replica loads from fresh snapshots; see
-    /// [`LoadBalancer::split`] — and records the dispatch audit on traced runs.
-    fn balance_load(&mut self, total_offered_load: f64) {
-        self.refresh_snapshots();
-        self.balancer.split(
-            total_offered_load,
-            &self.snapshot_scratch,
-            &self.replica_weights,
-            &self.serving,
-            &mut self.assigned_scratch,
+    /// Balancing phase: the even split. Each serving instance gets the per-replica
+    /// share `total_offered_load / serving_nodes` (so every serving logical node
+    /// carries the same load and the replica-weighted shares sum to the offered load);
+    /// every other instance gets 0. `serving_nodes` is the replica-weighted size of
+    /// the serving mask, as [`Self::plan_serving_set`] returned it. Traced runs record
+    /// each routed share at Full level.
+    fn balance_load(&mut self, total_offered_load: f64, serving_nodes: usize) {
+        let share = if total_offered_load > 0.0 && serving_nodes > 0 {
+            total_offered_load / serving_nodes as f64
+        } else {
+            0.0
+        };
+        self.assigned_scratch.clear();
+        self.assigned_scratch.extend(
+            self.serving
+                .iter()
+                .map(|&serving| if serving { share } else { 0.0 }),
         );
-        if self.fleet_obs.enabled() && total_offered_load > 0.0 {
-            // Dispatch audit: at Full level every routed assignment is recorded; at
-            // Decisions level only sheds are (a serving node squeezed out of the
-            // rotation is a balancer decision worth auditing, per-node routing isn't).
+        if self.fleet_obs.enabled() && share > 0.0 {
             let interval = self.intervals as u32;
-            for (i, (&load, &serving)) in
-                self.assigned_scratch.iter().zip(&self.serving).enumerate()
-            {
-                if load > 0.0 {
+            for (i, &serving) in self.serving.iter().enumerate() {
+                if serving {
                     self.fleet_obs.emit(
                         interval,
                         self.time_s,
                         Event::BalancerDispatch {
                             node: i as u32,
-                            assigned_load: load,
+                            assigned_load: share,
                         },
-                    );
-                } else if serving {
-                    self.fleet_obs.emit(
-                        interval,
-                        self.time_s,
-                        Event::BalancerShed { node: i as u32 },
                     );
                 }
             }
@@ -1113,7 +1099,7 @@ impl ClusterRun {
 
     /// Captures the full mutable state of the run between intervals: every node's
     /// simulator/monitor/policy/actuator and per-node books, the scheduler queue, the
-    /// balancer RNG, the autoscaler and fault state if configured, and the fleet books.
+    /// autoscaler, fault and rack-sampling state if configured, and the fleet books.
     /// Serializable; see [`ClusterRunCheckpoint`].
     pub fn checkpoint(&self) -> ClusterRunCheckpoint {
         ClusterRunCheckpoint {
@@ -1123,7 +1109,6 @@ impl ClusterRun {
             instances: self.nodes.len(),
             time_s: self.time_s,
             intervals: self.intervals,
-            balancer_rng: self.balancer.rng.clone(),
             scheduler_queue: self.scheduler.queue_snapshot(),
             scheduler_stats: self.scheduler.stats(),
             autoscaler: self.autoscaler.as_ref().map(|a| a.state().clone()),
@@ -1221,7 +1206,6 @@ impl ClusterRun {
                 )
             }
         }
-        self.balancer.rng.clone_from(&checkpoint.balancer_rng);
         self.scheduler = BatchScheduler::restore(
             self.scenario.scheduler,
             checkpoint.scheduler_queue.clone(),
@@ -1325,7 +1309,6 @@ impl ClusterRun {
         let outcome = ClusterOutcome {
             service: scenario.service,
             policy: scenario.policy,
-            balancer: scenario.balancer,
             scheduler: scenario.scheduler,
             nodes: self.scenario.nodes,
             approximation: scenario.approximation,
@@ -1365,7 +1348,7 @@ impl ClusterRun {
 
 /// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
 /// breaking change to the snapshot layout.
-pub const CLUSTER_CHECKPOINT_VERSION: u32 = 5;
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 6;
 
 /// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
 /// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario
@@ -1388,8 +1371,6 @@ pub struct ClusterRunCheckpoint {
     pub time_s: f64,
     /// Decision intervals advanced at capture.
     pub intervals: usize,
-    /// Load-balancer RNG (serialized as its xoshiro256++ state words).
-    pub balancer_rng: SmallRng,
     /// Queued batch jobs, in submission order.
     pub scheduler_queue: Vec<AppId>,
     /// Scheduler counters at capture.
@@ -1443,6 +1424,71 @@ mod tests {
         }
     }
 
+    /// Runs the balancing phase of `run` over the serving `mask`, as `step` does after
+    /// planning that serving set, and returns the per-replica shares it assigned.
+    fn split(run: &mut ClusterRun, total: f64, mask: &[bool]) -> Vec<f64> {
+        run.serving = mask.to_vec();
+        let serving_nodes = mask
+            .iter()
+            .zip(&run.replica_weights)
+            .filter(|(serving, _)| **serving)
+            .map(|(_, &weight)| weight)
+            .sum();
+        run.balance_load(total, serving_nodes);
+        run.assigned_scratch.clone()
+    }
+
+    #[test]
+    fn even_split_conserves_replica_weighted_load() {
+        // Three replica groups of 5, 3 and 2 logical nodes, one representative each.
+        let jobs = [
+            [AppId::Canneal; 5].as_slice(),
+            &[AppId::Snp; 3],
+            &[AppId::Bayesian; 2],
+        ];
+        let scenario = ClusterScenario {
+            nodes: 10,
+            jobs: jobs.concat(),
+            approximation: crate::scenario::FleetApproximation::Clustered {
+                representatives_per_group: 1,
+            },
+            ..ClusterScenario::paper_default(ServiceId::Memcached)
+        };
+        let mut run = ClusterRun::new(&scenario, &Engine::new());
+        let weights = run.replica_weights.clone();
+        assert_eq!(weights, [5, 3, 2]);
+        let logical = |out: &[f64]| -> f64 {
+            out.iter()
+                .zip(&weights)
+                .map(|(load, &w)| load * w as f64)
+                .sum()
+        };
+        // Every serving logical node carries the same load, whatever its block size.
+        let out = split(&mut run, 6.0, &[true; 3]);
+        assert_eq!(out, [0.6; 3]);
+        assert!((logical(&out) - 6.0).abs() < 1e-12);
+        // Draining an instance starves its whole replica block; the other seven
+        // logical nodes absorb its load.
+        let out = split(&mut run, 6.0, &[true, false, true]);
+        assert_eq!(out, [6.0 / 7.0, 0.0, 6.0 / 7.0]);
+        assert!((logical(&out) - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn even_split_starves_non_serving_instances() {
+        let scenario = ClusterScenario {
+            nodes: 4,
+            jobs: vec![AppId::Canneal; 4],
+            ..small_scenario()
+        };
+        let mut run = ClusterRun::new(&scenario, &Engine::new());
+        let out = split(&mut run, 1.5, &[true, false, true, false]);
+        assert_eq!(out, [0.75, 0.0, 0.75, 0.0]);
+        // No serving instance, or no load: every instance gets exactly 0.
+        assert_eq!(split(&mut run, 1.5, &[false; 4]), [0.0; 4]);
+        assert_eq!(split(&mut run, 0.0, &[true; 4]), [0.0; 4]);
+    }
+
     #[test]
     fn run_cluster_produces_consistent_fleet_statistics() {
         let outcome = Engine::new().run_cluster(&small_scenario());
@@ -1454,7 +1500,7 @@ mod tests {
         assert!(outcome.fleet_mean_latency_s < outcome.fleet_p99_s);
         // Offered load: 3 nodes at 0.6 average = 1.8 node-units.
         assert!((outcome.mean_total_offered_load - 1.8).abs() < 1e-9);
-        // The balancer conserves load: per-node means sum to the fleet average.
+        // The even split conserves load: per-node means sum to the fleet average.
         let assigned: f64 = outcome
             .node_outcomes
             .iter()

@@ -35,7 +35,7 @@ use crate::population::InstancePlan;
 use crate::topology::TopologyConfig;
 
 /// RNG stream label for the stochastic fault schedule (derived from the scenario seed;
-/// disjoint from every node/balancer/monitor stream, so enabling faults never perturbs
+/// disjoint from every node/monitor/rack-sampling stream, so enabling faults never perturbs
 /// the traffic or batch randomness of the run).
 const FAULT_STREAM: u64 = 0xFA17_0001;
 

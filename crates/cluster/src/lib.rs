@@ -5,21 +5,21 @@
 //! machines**. This crate lifts the single-node reproduction to an N-node fleet in
 //! which every node runs the exact single-node loop — a
 //! [`ColocationSim`](pliant_sim::colocation::ColocationSim) driven by its own
-//! monitor/policy/actuator — while three fleet-level components couple the nodes
-//! between decision intervals:
+//! monitor/policy/actuator — while fleet-level components couple the nodes between
+//! decision intervals:
 //!
-//! * [`balancer`] — splits the cluster-wide offered load into per-node load each
-//!   interval ([`BalancerKind::RoundRobin`], [`BalancerKind::LeastLoaded`],
-//!   [`BalancerKind::PowerOfTwoChoices`]).
-//! * [`scheduler`] — admits queued batch jobs into node slots freed by completed jobs
-//!   ([`SchedulerKind::FirstFit`], [`SchedulerKind::UtilizationAware`], and the
-//!   approximation-aware [`SchedulerKind::QosSlackAware`]).
 //! * [`engine`] — one fleet run and its integration with the core
 //!   [`Engine`](pliant_core::engine::Engine): a [`ClusterRun`] owns the fleet, its
 //!   books and its checkpoint, and steps its nodes in index order on the calling
-//!   thread; [`ClusterEngineExt::run_cluster`] runs one to completion, and
+//!   thread. Each interval it splits the cluster-wide offered load evenly over the
+//!   serving nodes: every serving logical node gets the same share and drained,
+//!   parked or crashed nodes get none, so paired Precise/Pliant fleets see the same
+//!   per-node load; [`ClusterEngineExt::run_cluster`] runs one to completion, and
 //!   [`Engine::run_collect`](pliant_core::engine::Engine::run_collect) runs whole
 //!   fleets of a [`ClusterSuite`] side by side on the engine's workers.
+//! * [`scheduler`] — admits queued batch jobs into node slots freed by completed jobs
+//!   ([`SchedulerKind::FirstFit`] or the approximation-aware
+//!   [`SchedulerKind::QosSlackAware`]).
 //! * [`population`] — the population/instance split behind hyperscale fleets: the
 //!   logical fleet is grouped into clusters of interchangeable nodes, and
 //!   [`FleetApproximation::Clustered`] simulates one representative per cluster under
@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 pub mod autoscaler;
-pub mod balancer;
 pub mod engine;
 pub mod faults;
 pub mod node;
@@ -76,7 +75,6 @@ pub mod topology;
 pub use autoscaler::{
     Autoscaler, AutoscalerAction, AutoscalerConfig, AutoscalerState, NodePowerState,
 };
-pub use balancer::{BalancerKind, LoadBalancer};
 pub use engine::{
     ClusterEngineExt, ClusterRun, ClusterRunCheckpoint, FleetBooks, CLUSTER_CHECKPOINT_VERSION,
 };
@@ -95,7 +93,6 @@ pub use topology::{TopologyConfig, TopologyConfigError};
 /// Commonly-used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::autoscaler::{AutoscalerConfig, NodePowerState};
-    pub use crate::balancer::BalancerKind;
     pub use crate::engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint};
     pub use crate::faults::{FaultKind, FaultProfile, FaultStats, RackOutage, ScheduledFault};
     pub use crate::outcome::{machines_needed, ClusterOutcome, NodeOutcome};

@@ -2,9 +2,9 @@
 //!
 //! A [`ClusterNode`] holds the same [`NodeRuntime`] a single-node experiment runs — a
 //! co-location simulator driven by its monitor, policy and actuator — and advances it
-//! one decision interval at a time under whatever offered load the cluster's balancer
+//! one decision interval at a time under whatever offered load the fleet's even split
 //! assigns. Around the runtime it keeps what only a fleet needs: its [`NodeBooks`]
-//! (per-slot completion latches and replica weights, the balancer-visible latency
+//! (per-slot completion latches and replica weights, the fleet-visible latency
 //! estimate, the post-warm-up latency histogram and QoS counters, energy, assigned
 //! load, reclaimed cores, completions) and the last interval's observation. Nodes are
 //! fully independent within an interval (each derives its own RNG streams from the
@@ -29,14 +29,16 @@ use pliant_telemetry::rng::derive_seed;
 
 use crate::scenario::ClusterScenario;
 
-/// Per-idle-interval decay of the balancer-visible smoothed-latency estimate. The
+/// Per-idle-interval decay of the fleet-visible smoothed-latency estimate. The
 /// monitor's own EWMA is untouched (idle gaps are no evidence for the controller); this
-/// only ages the dispatcher's view so a shed node rejoins the rotation within a few
-/// intervals instead of being starved on a frozen reading.
+/// only ages the view that the autoscaler's pressure and scale-in checks, the QoS-slack
+/// scheduler and rack scoring read, so a drained or crashed node's last reading stops
+/// counting as QoS pressure or repelling job placements within a few intervals instead
+/// of holding frozen.
 const IDLE_ESTIMATE_DECAY: f64 = 0.5;
 
-/// A node's externally visible state at an interval boundary, consumed by the load
-/// balancer and the batch scheduler.
+/// A node's externally visible state at an interval boundary, consumed by the
+/// autoscaler, the batch scheduler and rack placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSnapshot {
     /// Index of the node within the fleet.
@@ -182,7 +184,7 @@ impl ClusterNode {
         &self.books
     }
 
-    /// The node's state as the balancer and scheduler see it.
+    /// The node's state as the autoscaler, scheduler and rack placement see it.
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
             index: self.index,
@@ -377,7 +379,7 @@ impl ClusterNode {
         Some(slot)
     }
 
-    /// Advances the node one decision interval at the balancer-assigned offered load:
+    /// Advances the node one decision interval at its assigned offered load:
     /// the simulator runs the interval (recycling the buffers of the last observation),
     /// the node's books are updated, and the node's [`NodeRuntime`] acts on the
     /// interval's latency samples — the same runtime, and the same control step, as a
@@ -469,10 +471,10 @@ impl ClusterNode {
         );
         if report.no_signal {
             // The monitor rightly holds its EWMA through idle intervals (no evidence —
-            // the *controller* must not relax), but the balancer-visible estimate must
-            // age out: an idle node has an empty queue, and freezing its last (possibly
-            // terrible) latency reading would starve it forever once the dispatcher
-            // sheds its traffic.
+            // the *controller* must not relax), but the fleet-visible estimate must age
+            // out: an idle node has an empty queue, and freezing its last (possibly
+            // terrible) latency reading would keep it counting as QoS pressure and
+            // repelling job placements long after it stopped serving.
             self.books.smoothed_p99_s *= IDLE_ESTIMATE_DECAY;
         } else {
             self.books.smoothed_p99_s = report.smoothed_p99_s;
@@ -521,7 +523,7 @@ pub struct NodeBooks {
     /// so far, added in completion order; divided by `jobs_completed` (the sum of the
     /// weights) it is the node's replica-weighted mean inaccuracy.
     pub completed_inaccuracy_weighted_sum: f64,
-    /// Balancer-visible smoothed tail-latency estimate, in seconds: the monitor's EWMA
+    /// Fleet-visible smoothed tail-latency estimate, in seconds: the monitor's EWMA
     /// after a traffic-serving interval, decayed through idle ones; `0.0` until the
     /// first traffic-serving interval.
     pub smoothed_p99_s: f64,
@@ -546,7 +548,7 @@ pub struct NodeBooks {
     /// whenever the machine is on, regardless of measurement windows. Recorded
     /// node-side like the histogram, so fleet energy is the exact sum of these.
     pub energy_j: f64,
-    /// Sum of the offered load the balancer routed to the node over every interval
+    /// Sum of the offered load the even split routed to the node over every interval
     /// stepped, as a fraction of the node's saturation throughput. Routed, not served:
     /// the workload generator caps at 1.2x saturation, so in overload this exceeds the
     /// load the node actually ran.

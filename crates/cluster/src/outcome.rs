@@ -15,7 +15,6 @@ use pliant_telemetry::obs::ObsSummary;
 use pliant_telemetry::series::TraceBundle;
 use pliant_workloads::service::ServiceId;
 
-use crate::balancer::BalancerKind;
 use crate::faults::FaultStats;
 use crate::scenario::FleetApproximation;
 use crate::scheduler::{SchedulerKind, SchedulerStats};
@@ -41,14 +40,14 @@ pub struct NodeOutcome {
     pub replicas: usize,
     /// Measured (post-warm-up) decision intervals in which the node served traffic.
     pub busy_intervals: usize,
-    /// Measured intervals with zero arrivals (the balancer assigned ~no load).
+    /// Measured intervals with zero arrivals (the node was assigned ~no load).
     pub idle_intervals: usize,
     /// The node's own 99th-percentile latency over its measured (post-warm-up)
     /// traffic-serving intervals, in seconds.
     pub p99_s: f64,
     /// Fraction of the node's traffic-serving intervals that violated QoS.
     pub qos_violation_fraction: f64,
-    /// Mean offered load the balancer *routed* to this node over the full run. Routed
+    /// Mean offered load the even split *routed* to this node over the full run. Routed
     /// loads conserve the cluster total (they sum to
     /// [`ClusterOutcome::mean_total_offered_load`]); in overload a node serves less
     /// than it was routed, because the workload generator caps at 1.2x saturation.
@@ -73,8 +72,6 @@ pub struct ClusterOutcome {
     pub service: ServiceId,
     /// Per-node runtime policy.
     pub policy: PolicyKind,
-    /// Load-balancing policy.
-    pub balancer: BalancerKind,
     /// Job-placement policy.
     pub scheduler: SchedulerKind,
     /// Logical fleet size (the number of nodes the scenario describes).
@@ -215,7 +212,6 @@ mod tests {
         ClusterOutcome {
             service: ServiceId::Nginx,
             policy: PolicyKind::Pliant,
-            balancer: BalancerKind::LeastLoaded,
             scheduler: SchedulerKind::FirstFit,
             nodes,
             approximation: FleetApproximation::Exact,

@@ -3,8 +3,8 @@
 //!
 //! A [`ClusterScenario`] describes `nodes` *logical*
 //! nodes. Every per-node input except the initial batch-job slice is scenario-wide
-//! (service, policy, QoS target, decision cadence, load share under a symmetric
-//! balancer), so the population partitions the fleet into [`NodeGroup`]s keyed by that
+//! (service, policy, QoS target, decision cadence, load share under the even
+//! split), so the population partitions the fleet into [`NodeGroup`]s keyed by that
 //! slice: two logical nodes whose slots start with the same job sequence are
 //! interchangeable up to their seeds. [`NodePopulation::plan_instances`] then turns the
 //! population plus a [`FleetApproximation`] into an ordered list of [`InstancePlan`]s —

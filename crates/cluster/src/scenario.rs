@@ -3,8 +3,8 @@
 //! A [`ClusterScenario`] is the fleet-level analogue of a single-node
 //! [`Scenario`](pliant_core::scenario::Scenario): a complete, serializable description of
 //! one cluster run — how many nodes, which interactive service they all front, which
-//! per-node runtime policy, how cluster-wide load is balanced, how queued batch jobs are
-//! placed, and from which seed every stochastic component derives. A scenario is plain
+//! per-node runtime policy, how queued batch jobs are placed, and from which seed every
+//! stochastic component derives. A scenario is plain
 //! data: start from [`ClusterScenario::paper_default`] and set the rest by struct
 //! update. It is executed by [`ClusterRun`](crate::engine::ClusterRun); grids are
 //! composed with [`ClusterSuite`](crate::suite::ClusterSuite).
@@ -18,9 +18,10 @@
 //!
 //! Cluster load is expressed as the *average load per node*, as a fraction of one node's
 //! saturation throughput: a 4-node cluster at `avg_node_load = 0.75` offers `3.0`
-//! node-saturation units of traffic in total, which the balancer then splits (not
-//! necessarily evenly). A time-varying [`LoadProfile`] modulates the same per-node
-//! average over simulated time.
+//! node-saturation units of traffic in total, which the run splits evenly over the
+//! nodes serving that interval (every serving node gets the same share; drained,
+//! parked and crashed nodes get none). A time-varying [`LoadProfile`] modulates the
+//! same per-node average over simulated time.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +33,6 @@ use pliant_workloads::profile::{LoadProfile, LoadProfileError, MAX_LOAD_FRACTION
 use pliant_workloads::service::ServiceId;
 
 use crate::autoscaler::AutoscalerConfig;
-use crate::balancer::BalancerKind;
 use crate::faults::{FaultProfile, FaultProfileError};
 use crate::scheduler::SchedulerKind;
 use crate::topology::{TopologyConfig, TopologyConfigError};
@@ -114,8 +114,6 @@ pub struct ClusterScenario {
     pub service: ServiceId,
     /// Per-node runtime policy.
     pub policy: PolicyKind,
-    /// How cluster-wide offered load is split across nodes each interval.
-    pub balancer: BalancerKind,
     /// How queued batch jobs are placed onto free node slots.
     pub scheduler: SchedulerKind,
     /// Batch jobs in submission order. The first `nodes × slots_per_node` jobs fill the
@@ -158,14 +156,14 @@ pub struct ClusterScenario {
     /// byte-identically.
     #[serde(default, skip_serializing_if = "TopologyConfig::is_flat")]
     pub topology: TopologyConfig,
-    /// Master seed; every node, the balancer, the monitor sampling streams, and the
-    /// fault schedule derive from it.
+    /// Master seed; every node, the monitor sampling streams, the rack-placement
+    /// sampling and the fault schedule derive from it.
     pub seed: u64,
 }
 
 impl ClusterScenario {
     /// A fleet fronting `service` with paper-style defaults: 4 nodes with one batch
-    /// slot each, Pliant per node, least-loaded balancing, first-fit placement, 75%
+    /// slot each, Pliant per node, first-fit placement, 75%
     /// average load, a 120-interval horizon with a 5-interval warm-up, flat and
     /// fault-free, seed 42. It has no jobs, so it fails [`Self::validate`] until the
     /// caller supplies at least one job per slot.
@@ -175,7 +173,6 @@ impl ClusterScenario {
             nodes: 4,
             service,
             policy: PolicyKind::Pliant,
-            balancer: BalancerKind::LeastLoaded,
             scheduler: SchedulerKind::FirstFit,
             jobs: Vec::new(),
             slots_per_node: 1,
@@ -289,17 +286,11 @@ impl ClusterScenario {
         Ok(())
     }
 
-    /// The label if set, otherwise a generated `Nxservice/policy/balancer` description.
+    /// The label if set, otherwise a generated `Nxservice/policy` description.
     pub fn describe(&self) -> String {
         match &self.label {
             Some(l) => l.clone(),
-            None => format!(
-                "{}x{}/{}/{}",
-                self.nodes,
-                self.service.name(),
-                self.policy,
-                self.balancer
-            ),
+            None => format!("{}x{}/{}", self.nodes, self.service.name(), self.policy),
         }
     }
 }
@@ -423,7 +414,6 @@ mod tests {
         assert_eq!(s.validate(), Ok(()));
         assert_eq!(s.slots_per_node, 1);
         assert_eq!(s.policy, PolicyKind::Pliant);
-        assert_eq!(s.balancer, BalancerKind::LeastLoaded);
         assert_eq!(s.scheduler, SchedulerKind::FirstFit);
         assert_eq!(s.avg_node_load, 0.75);
         assert_eq!(s.seed, 42);
@@ -479,7 +469,6 @@ mod tests {
             slots_per_node: 2,
             jobs: jobs(8),
             policy: PolicyKind::Precise,
-            balancer: BalancerKind::PowerOfTwoChoices,
             scheduler: SchedulerKind::QosSlackAware,
             load_profile: Some(LoadProfile::Diurnal {
                 base: 0.6,
@@ -768,13 +757,38 @@ mod tests {
     fn describe_summarizes_the_fleet() {
         assert_eq!(
             fleet(ServiceId::Memcached, 6).describe(),
-            "6xmemcached/pliant/least-loaded"
+            "6xmemcached/pliant"
         );
         let labeled = ClusterScenario {
             label: Some("cell-1".into()),
             ..fleet(ServiceId::Memcached, 4)
         };
         assert_eq!(labeled.describe(), "cell-1");
+    }
+
+    #[test]
+    fn retired_balancer_keys_load_and_retired_schedulers_fail_to_parse() {
+        // Fleets split load one way, so a `"balancer"` key from an older archive is an
+        // unknown field: it is ignored and the fleet runs the even split.
+        let s = fleet(ServiceId::Nginx, 2);
+        let json = serde_json::to_string(&s).expect("serializable");
+        assert!(!json.contains("balancer"));
+        for balancer in ["round-robin", "least-loaded", "p2c"] {
+            let legacy = json.replace(
+                "\"scheduler\"",
+                &format!("\"balancer\":\"{balancer}\",\"scheduler\""),
+            );
+            assert_ne!(legacy, json, "the legacy key must have been written");
+            let back: ClusterScenario =
+                serde_json::from_str(&legacy).expect("an unknown key is ignored");
+            assert_eq!(back, s);
+        }
+        // The utilization-aware scheduler is gone: naming it fails to parse.
+        let retired = json.replace("\"first-fit\"", "\"utilization-aware\"");
+        assert_ne!(retired, json);
+        let err = serde_json::from_str::<ClusterScenario>(&retired)
+            .expect_err("a retired scheduler must not deserialize");
+        assert!(err.to_string().contains("utilization-aware"), "{err}");
     }
 
     #[test]

@@ -19,16 +19,12 @@ use crate::node::NodeSnapshot;
 /// Selector for the built-in job-placement policies.
 ///
 /// Serializes as its display name (the same string [`SchedulerKind::name`] returns), so
-/// JSON result rows are tagged `"first-fit"`, `"utilization-aware"`, etc.
+/// JSON result rows are tagged `"first-fit"` or `"qos-slack"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum SchedulerKind {
     /// Place each job on the lowest-indexed node with a free slot.
     #[serde(rename = "first-fit")]
     FirstFit,
-    /// Place each job on the free node whose interactive service is least utilized —
-    /// the classic interference-oblivious heuristic.
-    #[serde(rename = "utilization-aware")]
-    UtilizationAware,
     /// Approximation-aware placement: prefer the free node with the most tail-latency
     /// slack relative to its QoS target. A node with slack can absorb a fresh
     /// (initially precise) co-runner without violating QoS, while a node already near
@@ -39,19 +35,14 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Every built-in scheduler, in reporting order.
-    pub fn all() -> [SchedulerKind; 3] {
-        [
-            SchedulerKind::FirstFit,
-            SchedulerKind::UtilizationAware,
-            SchedulerKind::QosSlackAware,
-        ]
+    pub fn all() -> [SchedulerKind; 2] {
+        [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware]
     }
 
     /// Short name used in result rows (also the serialized representation).
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerKind::FirstFit => "first-fit",
-            SchedulerKind::UtilizationAware => "utilization-aware",
             SchedulerKind::QosSlackAware => "qos-slack",
         }
     }
@@ -63,17 +54,10 @@ impl SchedulerKind {
         let candidates = snapshots.iter().filter(|s| s.free_slots > 0);
         match self {
             SchedulerKind::FirstFit => candidates.map(|s| s.index).min(),
-            // `total_cmp`, not `partial_cmp(..).expect(..)`: utilizations and slack
-            // fractions are finite by construction today, but a NaN introduced by a
-            // future model change must degrade to a deterministic placement (NaN sorts
-            // as the largest value), not panic the whole fleet step.
-            SchedulerKind::UtilizationAware => candidates
-                .min_by(|a, b| {
-                    a.utilization
-                        .total_cmp(&b.utilization)
-                        .then(a.index.cmp(&b.index))
-                })
-                .map(|s| s.index),
+            // `total_cmp`, not `partial_cmp(..).expect(..)`: slack fractions are finite
+            // by construction today, but a NaN introduced by a future model change must
+            // degrade to a deterministic placement (NaN sorts as the largest value), not
+            // panic the whole fleet step.
             SchedulerKind::QosSlackAware => candidates
                 .max_by(|a, b| {
                     a.slack_fraction()
@@ -237,16 +221,6 @@ mod tests {
             snapshot(2, 2, 0.1, 0.001),
         ];
         assert_eq!(SchedulerKind::FirstFit.choose(&snaps), Some(1));
-    }
-
-    #[test]
-    fn utilization_aware_takes_the_idlest_free_node() {
-        let snaps = [
-            snapshot(0, 1, 0.8, 0.001),
-            snapshot(1, 1, 0.2, 0.009),
-            snapshot(2, 0, 0.0, 0.000),
-        ];
-        assert_eq!(SchedulerKind::UtilizationAware.choose(&snaps), Some(1));
     }
 
     #[test]

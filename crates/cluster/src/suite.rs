@@ -1,8 +1,8 @@
 //! Fleet-level sweeps: the cluster axes of the generic [`pliant_core::suite::Suite`].
 //!
 //! A [`ClusterSuite`] is a [`Suite`] over a base [`ClusterScenario`], swept by
-//! [`ClusterSweepAxis`] values — node counts, balancer and scheduler policies,
-//! per-node runtime policies, loads, and seeds — and run with
+//! [`ClusterSweepAxis`] values — node counts, scheduler policies, per-node runtime
+//! policies, loads, and seeds — and run with
 //! [`Engine::run_collect`](pliant_core::engine::Engine::run_collect), which fans whole
 //! fleets out over the engine's workers while each fleet steps its nodes serially.
 //! Seed handling is the single-node suite's: [`SeedMode::CommonRandomNumbers`] gives
@@ -19,7 +19,6 @@ use pliant_core::engine::Engine;
 use pliant_core::policy::PolicyKind;
 use pliant_core::suite::{Axis, Suite, SweepScenario};
 
-use crate::balancer::BalancerKind;
 use crate::engine::ClusterRun;
 use crate::outcome::ClusterOutcome;
 use crate::scenario::{ClusterScenario, ClusterScenarioError};
@@ -60,8 +59,6 @@ pub enum ClusterSweepAxis {
     /// base scenario's job list must cover the largest node count
     /// (`nodes × slots_per_node` jobs), or validation rejects the suite.
     NodeCounts(Vec<usize>),
-    /// Vary the load-balancing policy.
-    Balancers(Vec<BalancerKind>),
     /// Vary the job-placement policy.
     Schedulers(Vec<SchedulerKind>),
     /// Vary the per-node runtime policy.
@@ -76,7 +73,6 @@ impl Axis<ClusterScenario> for ClusterSweepAxis {
     fn value_count(&self) -> usize {
         match self {
             ClusterSweepAxis::NodeCounts(v) => v.len(),
-            ClusterSweepAxis::Balancers(v) => v.len(),
             ClusterSweepAxis::Schedulers(v) => v.len(),
             ClusterSweepAxis::Policies(v) => v.len(),
             ClusterSweepAxis::AvgLoads(v) => v.len(),
@@ -87,7 +83,6 @@ impl Axis<ClusterScenario> for ClusterSweepAxis {
     fn knob(&self) -> &'static str {
         match self {
             ClusterSweepAxis::NodeCounts(_) => "nodes",
-            ClusterSweepAxis::Balancers(_) => "balancer",
             ClusterSweepAxis::Schedulers(_) => "scheduler",
             ClusterSweepAxis::Policies(_) => "policy",
             ClusterSweepAxis::AvgLoads(_) => "load",
@@ -100,10 +95,6 @@ impl Axis<ClusterScenario> for ClusterSweepAxis {
             ClusterSweepAxis::NodeCounts(v) => {
                 scenario.nodes = v[idx];
                 format!("nodes={}", v[idx])
-            }
-            ClusterSweepAxis::Balancers(v) => {
-                scenario.balancer = v[idx];
-                v[idx].name().to_string()
             }
             ClusterSweepAxis::Schedulers(v) => {
                 scenario.scheduler = v[idx];
@@ -205,7 +196,10 @@ mod tests {
         let suite = ClusterSuite::new(base())
             .seed_mode(SeedMode::Independent)
             .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]))
-            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()))
+            .sweep(ClusterSweepAxis::Policies(vec![
+                PolicyKind::Precise,
+                PolicyKind::Pliant,
+            ]))
             .sweep(ClusterSweepAxis::Schedulers(SchedulerKind::all().to_vec()));
         let seeds: std::collections::BTreeSet<u64> =
             suite.scenarios().iter().map(|s| s.seed).collect();
@@ -227,11 +221,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot sweep the `balancer` knob twice")]
+    #[should_panic(expected = "cannot sweep the `scheduler` knob twice")]
     fn duplicate_axes_are_rejected() {
         let _ = ClusterSuite::new(base())
-            .sweep(ClusterSweepAxis::Balancers(vec![BalancerKind::RoundRobin]))
-            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()));
+            .sweep(ClusterSweepAxis::Schedulers(vec![SchedulerKind::FirstFit]))
+            .sweep(ClusterSweepAxis::Schedulers(SchedulerKind::all().to_vec()));
     }
 
     #[test]
@@ -315,9 +309,9 @@ mod tests {
             .named("pin")
             .seed_mode(SeedMode::Independent)
             .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3]))
-            .sweep(ClusterSweepAxis::Balancers(vec![
-                BalancerKind::RoundRobin,
-                BalancerKind::LeastLoaded,
+            .sweep(ClusterSweepAxis::Schedulers(vec![
+                SchedulerKind::FirstFit,
+                SchedulerKind::QosSlackAware,
             ]))
     }
 
@@ -325,9 +319,9 @@ mod tests {
     fn suite_wire_format_is_pinned() {
         // Captured while fleet suites still had their own implementation, less the
         // four controller fields (decision interval, slack threshold, slack streak,
-        // QoS override) that fleet scenarios no longer carry: the generic suite must
-        // write and read the same archive bytes.
-        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"nodes":2,"service":"Nginx","policy":"pliant","balancer":"least-loaded","scheduler":"first-fit","jobs":["Canneal","Canneal","Canneal","Canneal","Canneal","Canneal"],"slots_per_node":1,"avg_node_load":0.75,"load_profile":null,"horizon":{"Intervals":15},"warmup_intervals":5,"autoscaler":null,"approximation":"Exact","seed":7},"seed_mode":"Independent","axes":[{"NodeCounts":[2,3]},{"Balancers":["round-robin","least-loaded"]}]}"#;
+        // QoS override) and the balancer that fleet scenarios no longer carry: the
+        // generic suite must write and read the same archive bytes.
+        const PINNED: &str = r#"{"name":"pin","base":{"label":null,"nodes":2,"service":"Nginx","policy":"pliant","scheduler":"first-fit","jobs":["Canneal","Canneal","Canneal","Canneal","Canneal","Canneal"],"slots_per_node":1,"avg_node_load":0.75,"load_profile":null,"horizon":{"Intervals":15},"warmup_intervals":5,"autoscaler":null,"approximation":"Exact","seed":7},"seed_mode":"Independent","axes":[{"NodeCounts":[2,3]},{"Schedulers":["first-fit","qos-slack"]}]}"#;
         let suite = pinned_suite();
         assert_eq!(serde_json::to_string(&suite).expect("serializable"), PINNED);
         let back: ClusterSuite = serde_json::from_str(PINNED).expect("deserializable");
@@ -335,19 +329,34 @@ mod tests {
     }
 
     #[test]
+    fn suites_sweeping_the_retired_balancer_axis_fail_to_parse() {
+        let json = serde_json::to_string(&pinned_suite()).expect("serializable");
+        let retired = json.replace(
+            r#"{"Schedulers":["first-fit","qos-slack"]}"#,
+            r#"{"Balancers":["round-robin","least-loaded"]}"#,
+        );
+        assert_ne!(retired, json, "the retired axis must have been written");
+        let err = serde_json::from_str::<ClusterSuite>(&retired)
+            .expect_err("fleets split load one way: there is no balancer axis");
+        assert!(err.to_string().contains("Balancers"), "{err}");
+    }
+
+    #[test]
     fn independent_fleet_seeds_are_pinned() {
         // No figure golden covers fleet suites in Independent mode, so pin the derived
         // seeds (fleet salt, two coordinate axes) captured from the original derivation.
+        // Seeds derive from axis positions, not knobs, so they are the ones the
+        // original derivation gave a node-count × two-value second axis.
         let cells: Vec<(u64, String)> = pinned_suite()
             .scenarios()
             .into_iter()
             .map(|s| (s.seed, s.label.expect("suites label every cell")))
             .collect();
         let expected = [
-            (6531731496540709764, "pin/nodes=2/round-robin"),
-            (4356111305606929025, "pin/nodes=2/least-loaded"),
-            (13690443037434887891, "pin/nodes=3/round-robin"),
-            (8405753463952676410, "pin/nodes=3/least-loaded"),
+            (6531731496540709764, "pin/nodes=2/first-fit"),
+            (4356111305606929025, "pin/nodes=2/qos-slack"),
+            (13690443037434887891, "pin/nodes=3/first-fit"),
+            (8405753463952676410, "pin/nodes=3/qos-slack"),
         ];
         assert_eq!(cells.len(), expected.len());
         for ((seed, label), (want_seed, want_label)) in cells.iter().zip(expected) {

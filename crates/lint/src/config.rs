@@ -80,11 +80,11 @@ impl LintConfig {
                 "ln_unit_ratio_portable",
                 "bucket_scaled",
                 "bucket_scaled_avx2",
-                // The replica-weighted dispatch path (PR 7): runs once per interval
+                // The replica-weighted planning path: runs once per interval
                 // on every fleet, including clustered ones whose logical size can
                 // reach 1M nodes, and the per-sample replication inside
-                // ClusterNode::step.
-                "LoadBalancer::split",
+                // ClusterNode::step. The load split itself is ClusterRun::balance_load,
+                // listed with the coordinator phases below.
                 "Autoscaler::plan",
                 "LatencyHistogram::record_n",
                 "LatencyHistogram::record_scaled_n",

@@ -174,7 +174,7 @@ fn fault_and_checkpoint_modules_stay_in_the_determinism_scopes() {
     }
     for hot in [
         "NodeHealth::is_serving",
-        "LoadBalancer::split",
+        "ClusterRun::balance_load",
         "ClusterNode::step",
         "NodeRuntime::control",
     ] {

@@ -1,8 +1,8 @@
 //! Deterministic sim-time tracing: typed events, metric counters, ring-buffer
 //! retention, and export sinks.
 //!
-//! Every decision layer of the simulator (per-node Pliant controllers, the load
-//! balancer, the batch scheduler, the energy-aware autoscaler, and the hyperscale
+//! Every decision layer of the simulator (per-node Pliant controllers, the fleet's
+//! load split, the batch scheduler, the energy-aware autoscaler, and the hyperscale
 //! planner) emits typed, sim-time-stamped [`Event`]s into per-source [`ObsBuffer`]s.
 //! Buffers are filled *source-side* — each node's buffer lives inside the node and is
 //! written as the node steps, exactly like the per-node latency histograms and energy
@@ -18,9 +18,9 @@
 //! * [`ObsLevel::Off`] — the default *null sink*. [`ObsBuffer::emit`] returns
 //!   immediately without touching memory; the hot path pays one branch.
 //! * [`ObsLevel::Decisions`] — every decision event (controller actions, QoS
-//!   violations, autoscaler transitions, placements, sheds, interval summaries).
+//!   violations, autoscaler transitions, placements, interval summaries).
 //! * [`ObsLevel::Full`] — adds the high-volume per-node-per-interval events
-//!   (balancer dispatch assignments).
+//!   (load-split dispatch assignments).
 //!
 //! Retention is bounded: each buffer is a preallocated ring that keeps the most recent
 //! `capacity` records and counts what it overwrote in [`EventLog::dropped`], so a
@@ -192,16 +192,18 @@ pub enum Event {
         /// The node's QoS target, in seconds.
         qos_target_s: f64,
     },
-    /// The balancer routed load to a node this interval (Full level only — one per
-    /// serving node per interval).
+    /// The fleet's even load split routed load to a node this interval (Full level
+    /// only — one per serving node per interval).
     BalancerDispatch {
         /// Instance index.
         node: u32,
         /// Offered load routed to the node, per replica, in saturation units.
         assigned_load: f64,
     },
-    /// The balancer shed an active node: it received zero load while the fleet had
-    /// load to place (latency-aware dispatch squeezed it out of the rotation).
+    /// A serving node received zero load while the fleet had load to place. No fleet
+    /// emits it: the even load split hands every serving node a positive share. The
+    /// variant stays because the benchmark's counter table (`balancer.sheds`) names
+    /// its kind; it goes when the benchmark retires that counter.
     BalancerShed {
         /// Instance index.
         node: u32,

@@ -1,8 +1,11 @@
-//! Fleet simulation: a multi-node cluster with load balancing and batch-job scheduling.
+//! Fleet simulation: a multi-node cluster with an even load split and batch-job
+//! scheduling.
 //!
 //! Runs a 4-node memcached fleet through a diurnal load pattern with a queue of batch
 //! jobs flowing through the nodes' slots, then prints the fleet-level QoS summary, the
-//! per-node breakdown, and the effect of the placement policy.
+//! per-node breakdown, and the effect of the placement policy. Every node is assigned
+//! the same share of the load, so the per-node differences come from each node's batch
+//! jobs alone.
 //!
 //! Run with: `cargo run --release --example cluster`
 
@@ -37,7 +40,6 @@ fn main() {
             period_s: 60.0,
             phase_s: 0.0,
         }),
-        balancer: BalancerKind::LeastLoaded,
         horizon: Horizon::Seconds(90.0),
         warmup_intervals: 8,
         seed: 7,

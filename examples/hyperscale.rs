@@ -24,7 +24,6 @@ fn scenario(nodes: usize, approximation: FleetApproximation) -> ClusterScenario 
             period_s: 120.0,
             phase_s: 0.0,
         }),
-        balancer: BalancerKind::RoundRobin,
         approximation,
         horizon: Horizon::Seconds(120.0),
         warmup_intervals: 8,

@@ -7,7 +7,10 @@
 //!    over every latency sample the fleet produced.
 //! 3. Under common random numbers, the Pliant fleet absorbs load the Precise fleet
 //!    cannot, and batch jobs flow through the queue deterministically.
+//! 4. Every interval, the even load split hands each serving node the same share,
+//!    conserves the offered load, and routes nothing to down, draining or parked nodes.
 
+use pliant::cluster::NodeHealth;
 use pliant::prelude::*;
 
 fn jobs() -> Vec<AppId> {
@@ -166,33 +169,89 @@ fn pliant_fleet_needs_fewer_machines_than_precise_at_the_qos_target() {
 }
 
 #[test]
-fn balancer_policies_change_distribution_but_conserve_load() {
-    let base = scenario();
-    let suite = ClusterSuite::new(base)
-        .named("balancers")
-        .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec()));
-    let cells = Engine::new().run_collect(&suite);
-    for cell in &cells {
-        let assigned: f64 = cell
-            .outcome
-            .node_outcomes
-            .iter()
-            .map(|n| n.mean_assigned_load)
-            .sum();
+fn even_split_conserves_load_and_starves_non_serving_nodes() {
+    // The topology figure's racked, autoscaled, consolidating fleet with its whole-rack
+    // outage, plus a straggler: nodes leave the serving set by crashing, draining and
+    // parking, and a degraded node keeps serving.
+    let mut scenario = pliant_bench::cluster_topology_scenario(PolicyKind::Pliant, true, 7);
+    if let Some(profile) = &mut scenario.fault_profile {
+        profile.scheduled.push(ScheduledFault {
+            node: 5,
+            at_interval: 20,
+            duration_intervals: 30,
+            kind: FaultKind::Degrade { factor: 0.6 },
+        });
+    }
+    let engine = Engine::new();
+    let mut run = ClusterRun::new(&scenario, &engine);
+    let n = run.instance_count();
+    let mut assigned_before = vec![0.0; n];
+    let [mut down, mut draining, mut parked, mut degraded] = [0usize; 4];
+    while !run.is_done() {
+        run.step();
+        // The interval's serving set, read back from the state it was planned from:
+        // the autoscaler's power states and the fault health, neither of which changes
+        // again before the next interval.
+        let checkpoint = run.checkpoint();
+        let states = &checkpoint.autoscaler.as_ref().expect("autoscaled").states;
+        let health = &checkpoint.faults.as_ref().expect("faulted").health;
+        let offered = checkpoint
+            .books
+            .load_series
+            .points()
+            .last()
+            .expect("one point per interval")
+            .value;
+        let mut shares = Vec::new();
+        let mut routed = 0.0;
+        for i in 0..n {
+            let books = run.node(i).books();
+            let assigned = books.assigned_sum - assigned_before[i];
+            assigned_before[i] = books.assigned_sum;
+            if states[i] == NodePowerState::Active && health[i].is_serving() {
+                degraded += usize::from(matches!(health[i], NodeHealth::Degraded { .. }));
+                shares.push(assigned);
+                routed += assigned * run.node(i).replicas() as f64;
+                continue;
+            }
+            assert_eq!(
+                assigned,
+                0.0,
+                "interval {}: non-serving node {i} ({:?}, {:?}) was routed load",
+                run.intervals(),
+                states[i],
+                health[i]
+            );
+            match (states[i], health[i]) {
+                (_, NodeHealth::Down { .. }) => down += 1,
+                (NodePowerState::Draining, _) => draining += 1,
+                _ => parked += 1,
+            }
+        }
+        let share = shares[0];
         assert!(
-            (assigned - cell.outcome.mean_total_offered_load).abs() < 1e-9,
-            "{}: balancers must conserve offered load",
-            cell.scenario.describe()
+            share > 0.0,
+            "interval {}: serving nodes carry load",
+            run.intervals()
+        );
+        for s in &shares {
+            assert!(
+                (s - share).abs() <= 1e-12 * share,
+                "interval {}: uneven shares {shares:?}",
+                run.intervals()
+            );
+        }
+        assert!(
+            (routed - offered).abs() <= 1e-9 * offered,
+            "interval {}: routed {routed} of {offered} offered",
+            run.intervals()
         );
     }
-    // Round-robin splits evenly; the adaptive balancers need not.
-    let rr = &cells[0].outcome;
-    for node in &rr.node_outcomes {
-        assert!(
-            (node.mean_assigned_load - rr.mean_total_offered_load / rr.nodes as f64).abs() < 1e-9,
-            "round-robin assigns every node the same mean load"
-        );
-    }
+    // Every way out of (and the degraded way within) the serving set occurred.
+    assert!(
+        down > 0 && draining > 0 && parked > 0 && degraded > 0,
+        "down {down}, draining {draining}, parked {parked}, degraded {degraded}"
+    );
 }
 
 /// A 2×2-rack fleet under every fault kind: stochastic crashes and stragglers, a
@@ -270,7 +329,10 @@ fn fleet_suites_are_byte_identical_for_any_worker_count() {
                 PolicyKind::Precise,
                 PolicyKind::Pliant,
             ]))
-            .sweep(ClusterSweepAxis::Balancers(BalancerKind::all().to_vec())),
+            .sweep(ClusterSweepAxis::Schedulers(vec![
+                SchedulerKind::FirstFit,
+                SchedulerKind::QosSlackAware,
+            ])),
     ];
     for suite in &suites {
         assert_eq!(suite.validate(), Ok(()));

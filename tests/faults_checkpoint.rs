@@ -461,7 +461,6 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
         // RNG states of the wrong width, or the all-zero fixed point.
         ("/node_checkpoints[]/sim/rng", words(&[1, 2, 3])),
         ("/node_checkpoints[]/monitor/rng", words(&[1, 2, 3, 4, 5])),
-        ("/balancer_rng", words(&[0, 0, 0, 0])),
         ("/rack_rng", words(&[0, 0, 0, 0])),
         // `percentile` would panic in `f64::clamp` on a minimum above the maximum.
         ("/node_checkpoints[]/books/hist/min", Float(hist_max * 3.0)),
@@ -580,7 +579,7 @@ fn clustered_group_fault_splits_the_group_and_conserves_totals() {
     // The 12-node machines-needed operating point (same anchor as the hyperscale
     // tests). No autoscaler: group park/unpark decisions quantize differently under
     // the approximation and would dominate the comparison; the fault semantics under
-    // test are the planner's group split and the balancer's shedding.
+    // test are the planner's group split and the load split starving down nodes.
     let scenario_with = |approximation: FleetApproximation, faulted: bool| {
         let mut scenario =
             pliant_bench::cluster_machines_needed_scenario(12, 5.2, PolicyKind::Pliant, 7)
