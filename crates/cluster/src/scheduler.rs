@@ -117,11 +117,6 @@ impl BatchScheduler {
         }
     }
 
-    /// The placement policy.
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
     /// Jobs still waiting in the queue.
     pub fn pending(&self) -> usize {
         self.queue.len()

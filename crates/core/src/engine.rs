@@ -25,6 +25,7 @@ use pliant_workloads::profile::LoadPhase;
 
 use crate::controller::ControllerConfig;
 use crate::experiment::{AppOutcome, ColocationOutcome, PhaseQosStats};
+use crate::policy::PolicyKind;
 use crate::runtime::NodeRuntime;
 use crate::scenario::Scenario;
 use crate::suite::{Suite, SweepScenario};
@@ -205,7 +206,12 @@ pub(crate) fn execute_scenario_traced(
     if let Some(qos_s) = scenario.qos_target_s {
         config.service.qos_target_s = qos_s;
     }
-    if let Some(samples) = scenario.samples_per_interval {
+    // The precise baseline runs no runtime to monitor it: its policy takes no action
+    // and the engine reads nothing the monitor reports, so it draws no latency samples,
+    // whatever the scenario asks for. Every other policy reads its monitor.
+    if scenario.policy == PolicyKind::Precise {
+        config.samples_per_interval = 0;
+    } else if let Some(samples) = scenario.samples_per_interval {
         config.samples_per_interval = samples;
     }
     let service_id = config.service.id;
@@ -311,7 +317,9 @@ pub(crate) fn execute_scenario_traced(
             break;
         }
 
-        // Monitor → policy → actuator, exactly once per decision interval.
+        // Monitor → policy → actuator, exactly once per decision interval. A precise
+        // run hands the monitor an empty sample set every interval; it reports
+        // no-signal and the policy holds.
         runtime.control(
             &obs.latency_samples_s,
             &mut obs_buf,

@@ -84,7 +84,8 @@ pub struct Scenario {
     pub instrumented: Option<bool>,
     /// Overrides the service's QoS target in seconds (`None` = paper default).
     pub qos_target_s: Option<f64>,
-    /// Overrides the number of latency samples delivered per decision interval.
+    /// Overrides the number of latency samples delivered per decision interval. The
+    /// precise baseline ignores it: no monitor reads a precise run, so it draws none.
     pub samples_per_interval: Option<usize>,
     /// Master seed for every stochastic component of the run.
     pub seed: u64,

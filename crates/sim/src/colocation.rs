@@ -39,7 +39,8 @@ pub struct ColocationConfig {
     pub interference: InterferenceModel,
     /// Latency-model constants.
     pub latency: LatencyModel,
-    /// Number of latency samples delivered to the monitor per decision interval.
+    /// Number of latency samples delivered to the monitor per decision interval. 0
+    /// means no monitor reads this node: no interval draws samples.
     pub samples_per_interval: usize,
     /// Master RNG seed.
     pub seed: u64,
@@ -117,7 +118,9 @@ pub struct IntervalObservation {
     /// The service's QoS target, in seconds.
     pub qos_target_s: f64,
     /// Raw latency samples for the performance monitor (client-side sampling), in
-    /// seconds. Each is mapped from its stored normal only when read.
+    /// seconds. Each is mapped from its stored normal only when read. Empty when the
+    /// interval had no arrivals or when samples are off
+    /// ([`ColocationConfig::samples_per_interval`] is 0).
     pub latency_samples_s: LatencySamples,
     /// Utilization of the interactive service during the interval.
     pub utilization: f64,
@@ -591,8 +594,10 @@ impl ColocationSim {
         // An interval with zero arrivals serves no requests, so the client-side monitor
         // receives no samples: deliver an empty set (the monitor reports no-signal and
         // the runtime holds) instead of fabricating `samples_per_interval` synthetic
-        // low-latency samples that would read as maximal headroom at a load trough.
-        if arrivals > 0 {
+        // low-latency samples that would read as maximal headroom at a load trough. A
+        // node no monitor reads (`samples_per_interval == 0`) skips the draw as well;
+        // nothing but the samples reads `sample_rng`, so every other output is the same.
+        if arrivals > 0 && config.samples_per_interval > 0 {
             config.latency.fill_samples(
                 &config.service,
                 p99,
@@ -960,6 +965,58 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn turning_samples_off_changes_nothing_but_the_samples() {
+        // Nothing but the latency samples reads the sample stream, so a node no monitor
+        // reads (0 samples per interval) must observe everything else exactly as its
+        // sampled twin does: through a diurnal load, an idle stretch and a batch job
+        // that finishes.
+        let diurnal = LoadProfile::Diurnal {
+            base: 0.6,
+            amplitude: 0.3,
+            period_s: 20.0,
+            phase_s: 0.0,
+        };
+        let twin = |samples: usize| {
+            let mut cfg =
+                ColocationConfig::paper_default(ServiceId::MongoDb, &[AppId::Raytrace], 11)
+                    .with_load_profile(diurnal.clone());
+            cfg.samples_per_interval = samples;
+            ColocationSim::new(cfg, &catalog())
+        };
+        let (mut sampled, mut unsampled) = (twin(1_000), twin(0));
+        let (mut sampled_obs, mut unsampled_obs) = (None, None);
+        let (mut idle, mut finished) = (0, false);
+        for k in 0..120 {
+            if k == 30 {
+                sampled.set_load_fraction(0.0);
+                unsampled.set_load_fraction(0.0);
+            }
+            if k == 36 {
+                sampled.set_load_profile(diurnal.clone());
+                unsampled.set_load_profile(diurnal.clone());
+            }
+            let mut a = sampled.advance_reusing(1.0, sampled_obs.take());
+            let mut b = unsampled.advance_reusing(1.0, unsampled_obs.take());
+            let busy_samples = if a.arrivals > 0 { 1_000 } else { 0 };
+            assert_eq!(a.latency_samples_s.len(), busy_samples, "interval {k}");
+            assert!(b.latency_samples_s.is_empty(), "interval {k} drew samples");
+            a.latency_samples_s.clear();
+            b.latency_samples_s.clear();
+            assert_eq!(
+                serde_json::to_string(&a).expect("serializable"),
+                serde_json::to_string(&b).expect("serializable"),
+                "interval {k} differs"
+            );
+            idle += usize::from(a.arrivals == 0);
+            finished |= a.all_apps_finished;
+            sampled_obs = Some(a);
+            unsampled_obs = Some(b);
+        }
+        assert!(idle >= 5, "the zero-load stretch must idle the node");
+        assert!(finished, "the batch job must finish within the run");
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! 4. The controller's core ledger stays in lock-step with the simulator through the
 //!    one-core floor, and Pliant re-approximates through a flash crowd then steps back
 //!    toward precise afterward.
+//! 5. The precise baseline draws no latency samples, whatever the scenario's sample
+//!    count says, while a monitored policy still runs at the count it is given.
 
 use pliant::prelude::*;
 use pliant::runtime::actuator::Actuator;
 use pliant::runtime::monitor::MonitorReport;
 use pliant::runtime::multi::MultiAppController;
+use pliant::telemetry::obs::{EventLog, ObsLevel};
 
 fn base() -> Scenario {
     Scenario::builder(ServiceId::Memcached)
@@ -360,4 +363,66 @@ fn scenario_and_outcome_round_trip_through_json() {
     assert_eq!(back.outcome.mean_p99_s, results[0].outcome.mean_p99_s);
     assert_eq!(back.outcome.policy, results[0].outcome.policy);
     assert_eq!(serde_json::to_string(&back).unwrap(), json);
+}
+
+fn with_samples(policy: PolicyKind, samples: Option<usize>) -> Scenario {
+    let mut scenario = Scenario::builder(ServiceId::Memcached)
+        .app(AppId::Canneal)
+        .policy(policy)
+        .load_profile(flash_crowd())
+        .horizon_seconds(40.0)
+        .stop_when_apps_finish(false)
+        .seed(4242)
+        .build();
+    scenario.samples_per_interval = samples;
+    scenario
+}
+
+fn jsonl(log: &EventLog) -> Vec<u8> {
+    let mut out = Vec::new();
+    log.write_jsonl(&mut out).expect("in-memory write");
+    out
+}
+
+#[test]
+fn precise_runs_are_the_same_at_every_sample_count() {
+    let engine = Engine::new();
+    let run = |samples: Option<usize>| {
+        let precise = with_samples(PolicyKind::Precise, samples);
+        let outcome = serde_json::to_string(&engine.run_scenario(&precise)).expect("serializable");
+        let traces: Vec<(String, Vec<u8>)> = [ObsLevel::Off, ObsLevel::Decisions, ObsLevel::Full]
+            .into_iter()
+            .map(|level| {
+                let (traced, log) = engine.run_scenario_traced(&precise, level);
+                let traced = serde_json::to_string(&traced).expect("serializable");
+                (traced, jsonl(&log))
+            })
+            .collect();
+        (outcome, traces)
+    };
+    let default = run(None);
+    assert!(
+        default.1.iter().any(|(_, log)| !log.is_empty()),
+        "the precise flash crowd must trace its QoS violations"
+    );
+    for samples in [Some(1), Some(5_000)] {
+        assert!(
+            run(samples) == default,
+            "a precise run must not depend on samples_per_interval = {samples:?}"
+        );
+    }
+}
+
+#[test]
+fn monitored_runs_still_take_the_sample_count_override() {
+    let engine = Engine::new();
+    let outcome = |samples: Option<usize>| {
+        let pliant = with_samples(PolicyKind::Pliant, samples);
+        serde_json::to_string(&engine.run_scenario(&pliant)).expect("serializable")
+    };
+    assert_ne!(
+        outcome(None),
+        outcome(Some(1)),
+        "a Pliant run must read the samples it is given"
+    );
 }
