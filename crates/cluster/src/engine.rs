@@ -30,9 +30,9 @@
 //! Nodes share no state within an interval: all cross-node decisions happen in the
 //! other phases, and phase 7 steps the instances in index order on the calling thread.
 //! A fleet is one simulation; parallelism comes from running whole fleets side by side
-//! ([`Engine::run_collect`] over a [`ClusterSuite`](crate::suite::ClusterSuite)), where
-//! the engine's workers take whole fleets and the cell order of the results does not
-//! depend on the worker count. [`ClusterEngineExt`] runs one fleet on an [`Engine`],
+//! (`engine.map_ordered(cells.len(), |i| engine.run_cluster(&cells[i]))` over a list of
+//! scenarios, see [`Engine::map_ordered`]), where the engine's workers take whole
+//! fleets and the order of the results does not depend on the worker count. [`ClusterEngineExt`] runs one fleet on an [`Engine`],
 //! sharing the engine's catalog with every node.
 //!
 //! # Population vs instances

@@ -15,8 +15,8 @@
 //!   serving nodes: every serving logical node gets the same share and drained,
 //!   parked or crashed nodes get none, so paired Precise/Pliant fleets see the same
 //!   per-node load; [`ClusterEngineExt::run_cluster`] runs one to completion, and
-//!   [`Engine::run_collect`](pliant_core::engine::Engine::run_collect) runs whole
-//!   fleets of a [`ClusterSuite`] side by side on the engine's workers.
+//!   [`Engine::map_ordered`](pliant_core::engine::Engine::map_ordered) runs a list of
+//!   whole fleets side by side on the engine's workers.
 //! * [`scheduler`] — admits queued batch jobs into node slots freed by completed jobs
 //!   ([`SchedulerKind::FirstFit`] or the approximation-aware
 //!   [`SchedulerKind::QosSlackAware`]).
@@ -69,7 +69,6 @@ pub mod outcome;
 pub mod population;
 pub mod scenario;
 pub mod scheduler;
-pub mod suite;
 pub mod topology;
 
 pub use autoscaler::{
@@ -87,7 +86,6 @@ pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
 pub use population::{InstancePlan, NodeGroup, NodePopulation};
 pub use scenario::{ClusterScenario, ClusterScenarioError, FleetApproximation};
 pub use scheduler::{BatchScheduler, SchedulerKind, SchedulerStats};
-pub use suite::{ClusterSuite, ClusterSweepAxis};
 pub use topology::{TopologyConfig, TopologyConfigError};
 
 /// Commonly-used items, re-exported for convenience.
@@ -99,6 +97,5 @@ pub mod prelude {
     pub use crate::population::NodePopulation;
     pub use crate::scenario::{ClusterScenario, ClusterScenarioError, FleetApproximation};
     pub use crate::scheduler::SchedulerKind;
-    pub use crate::suite::{ClusterSuite, ClusterSweepAxis};
     pub use crate::topology::TopologyConfig;
 }

@@ -6,8 +6,9 @@
 //! per-node runtime policy, how queued batch jobs are placed, and from which seed every
 //! stochastic component derives. A scenario is plain
 //! data: start from [`ClusterScenario::paper_default`] and set the rest by struct
-//! update. It is executed by [`ClusterRun`](crate::engine::ClusterRun); grids are
-//! composed with [`ClusterSuite`](crate::suite::ClusterSuite).
+//! update. It is executed by [`ClusterRun`](crate::engine::ClusterRun); a sweep is a
+//! `Vec` of scenarios, each built by struct update over a base with an explicit seed,
+//! fanned out by [`Engine::map_ordered`](pliant_core::engine::Engine::map_ordered).
 //!
 //! Every node runs the paper's per-node controller at [`ControllerConfig::default`]
 //! (1 s decisions, 10% slack threshold) against its service's paper QoS target, so the
@@ -105,7 +106,7 @@ impl FleetApproximation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(validate = "ClusterScenario::validate")]
 pub struct ClusterScenario {
-    /// Optional display label (cluster suites set this to the cell's sweep coordinates).
+    /// Optional display label (for instance, the cell's sweep coordinates).
     pub label: Option<String>,
     /// Number of nodes in the fleet.
     pub nodes: usize,

@@ -34,11 +34,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Every built-in scheduler, in reporting order.
-    pub fn all() -> [SchedulerKind; 2] {
-        [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware]
-    }
-
     /// Short name used in result rows (also the serialized representation).
     pub fn name(&self) -> &'static str {
         match self {
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn no_capacity_means_no_placement() {
         let snaps = [snapshot(0, 0, 0.2, 0.001), snapshot(1, 0, 0.2, 0.001)];
-        for kind in SchedulerKind::all() {
+        for kind in [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware] {
             assert_eq!(kind.choose(&snaps), None);
         }
     }
@@ -283,7 +278,7 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_serializable() {
-        for kind in SchedulerKind::all() {
+        for kind in [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware] {
             let json = serde_json::to_string(&kind).expect("serializable");
             assert_eq!(json, format!("\"{}\"", kind.name()));
             let back: SchedulerKind = serde_json::from_str(&json).expect("deserializable");

@@ -24,11 +24,11 @@
 //!   with the fluent [`scenario::ScenarioBuilder`].
 //! * [`suite`] — composable sweeps (loads, intervals, policies, seeds, services,
 //!   application mixes) expanding into cartesian grids of scenarios with deterministic
-//!   per-cell seeds; generic over the [`suite::SweepScenario`], so fleet suites share
-//!   it.
+//!   per-cell seeds.
 //! * [`engine`] — executes scenarios and suites serially or on worker threads;
-//!   [`engine::Engine::run_collect`] returns a suite's cells in index order either
-//!   way.
+//!   [`engine::Engine::map_ordered`] is its one worker pool, and
+//!   [`engine::Engine::run_collect`] returns a suite's cells in index order through
+//!   it.
 //! * [`experiment`] — the outcome types every scenario run produces, and the Fig. 10
 //!   effort classification.
 //!
@@ -82,4 +82,4 @@ pub use multi::MultiAppController;
 pub use policy::{Policy, PolicyKind};
 pub use runtime::NodeRuntime;
 pub use scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
-pub use suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};
+pub use suite::{SeedMode, Suite, SuiteError, SweepAxis};

@@ -1,14 +1,9 @@
-//! Composable sweeps over scenario axes, for single nodes and fleets alike.
+//! Composable sweeps over single-node scenario axes.
 //!
 //! A [`Suite`] is a base scenario plus an ordered list of sweep axes. The suite expands
 //! into the cartesian grid of all axis values; each grid cell is a fully-specified
 //! scenario with a deterministic seed and a generated label, ready for
 //! [`crate::engine::Engine::run_collect`] to execute serially or in parallel.
-//!
-//! The suite is generic over the [`SweepScenario`] it sweeps: [`Scenario`] (one node,
-//! swept by [`SweepAxis`]) here, and the fleet-level `ClusterScenario` in
-//! `pliant_cluster`. Grid expansion, seed derivation, labels, validation and the
-//! archive format exist once for both.
 //!
 //! # Seed derivation
 //!
@@ -19,10 +14,10 @@
 //!   vs Pliant at the same load — then see *identical* arrival and service-time
 //!   randomness, which is the classic variance-reduction technique for A/B comparisons
 //!   and matches how the legacy free-function drivers behaved.
-//! * [`SeedMode::Independent`]: every cell's seed is derived from the base seed, the
-//!   scenario type's [`SweepScenario::SEED_SALT`] and the cell's sweep coordinates
-//!   through the SplitMix64 finalizer chain, so no two cells share an RNG stream — the
-//!   right mode when aggregating across cells as if they were independent experiments.
+//! * [`SeedMode::Independent`]: every cell's seed is derived from the base seed, a
+//!   fixed salt and the cell's sweep coordinates through the SplitMix64 finalizer
+//!   chain, so no two cells share an RNG stream — the right mode when aggregating
+//!   across cells as if they were independent experiments.
 //!
 //! Both modes are fully deterministic: the same suite always expands to the same
 //! scenarios with the same seeds.
@@ -36,49 +31,13 @@ use pliant_telemetry::rng::derive_seed;
 use pliant_workloads::profile::LoadProfile;
 use pliant_workloads::service::ServiceId;
 
-use crate::engine::Engine;
-use crate::experiment::ColocationOutcome;
 use crate::policy::PolicyKind;
 use crate::scenario::{Scenario, ScenarioError};
 
-/// A scenario type a [`Suite`] can sweep and an [`Engine`] can run cell by cell.
-pub trait SweepScenario: Clone + Serialize + Deserialize + Send + Sync {
-    /// One sweep dimension over this scenario's knobs.
-    type Axis: Axis<Self>;
-    /// What running one cell produces.
-    type Outcome: Serialize + Deserialize + Send;
-    /// Why a cell's scenario cannot run.
-    type Error: fmt::Display;
-    /// Salt of the [`SeedMode::Independent`] derivation; distinct per scenario type.
-    const SEED_SALT: u64;
-    /// The name of a suite that was never [`Suite::named`].
-    const DEFAULT_NAME: &'static str;
-    /// The seed the suite derives per cell.
-    fn seed_mut(&mut self) -> &mut u64;
-    /// The label the suite writes per cell.
-    fn label_mut(&mut self) -> &mut Option<String>;
-    /// Checks that the scenario can run.
-    fn validate(&self) -> Result<(), Self::Error>;
-    /// Runs the scenario on `engine`'s catalog. Suites fan cells out across the
-    /// engine's workers, so a cell itself runs on one thread.
-    fn run_cell(&self, engine: &Engine) -> Self::Outcome;
-}
+/// Salt of the [`SeedMode::Independent`] derivation.
+const SEED_SALT: u64 = 0x1D0_5EED;
 
-/// One sweep dimension of a [`Suite`] over scenario type `S`: a list of values for one
-/// scenario knob.
-pub trait Axis<S>: Serialize + Deserialize {
-    /// Number of values.
-    fn value_count(&self) -> usize;
-    /// The scenario knob this axis writes. Axes writing the same knob cannot coexist in
-    /// one suite (the later one would silently overwrite the earlier in every cell).
-    /// The knob `"seed"` marks the replication axis, which
-    /// [`SeedMode::Independent`] leaves out of the coordinate hash.
-    fn knob(&self) -> &'static str;
-    /// Applies value `idx` to `scenario`, returning the label fragment.
-    fn apply(&self, idx: usize, scenario: &mut S) -> String;
-}
-
-/// One sweep dimension of a single-node [`Suite`].
+/// One sweep dimension of a [`Suite`]: a list of values for one scenario knob.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SweepAxis {
     /// Vary the interactive service.
@@ -100,7 +59,8 @@ pub enum SweepAxis {
     Seeds(Vec<u64>),
 }
 
-impl Axis<Scenario> for SweepAxis {
+impl SweepAxis {
+    /// Number of values.
     fn value_count(&self) -> usize {
         match self {
             SweepAxis::Services(v) => v.len(),
@@ -113,6 +73,10 @@ impl Axis<Scenario> for SweepAxis {
         }
     }
 
+    /// The scenario knob this axis writes. Axes writing the same knob cannot coexist in
+    /// one suite (the later one would silently overwrite the earlier in every cell).
+    /// The knob `"seed"` marks the replication axis, which
+    /// [`SeedMode::Independent`] leaves out of the coordinate hash.
     fn knob(&self) -> &'static str {
         match self {
             SweepAxis::Services(_) => "service",
@@ -124,6 +88,7 @@ impl Axis<Scenario> for SweepAxis {
         }
     }
 
+    /// Applies value `idx` to `scenario`, returning the label fragment.
     fn apply(&self, idx: usize, scenario: &mut Scenario) -> String {
         match self {
             SweepAxis::Services(v) => {
@@ -160,36 +125,6 @@ impl Axis<Scenario> for SweepAxis {
     }
 }
 
-impl SweepScenario for Scenario {
-    type Axis = SweepAxis;
-    type Outcome = ColocationOutcome;
-    type Error = ScenarioError;
-    const SEED_SALT: u64 = 0x1D0_5EED;
-    const DEFAULT_NAME: &'static str = "suite";
-
-    fn seed_mut(&mut self) -> &mut u64 {
-        &mut self.seed
-    }
-
-    fn label_mut(&mut self) -> &mut Option<String> {
-        &mut self.label
-    }
-
-    fn validate(&self) -> Result<(), ScenarioError> {
-        Scenario::validate(self)
-    }
-
-    fn run_cell(&self, engine: &Engine) -> ColocationOutcome {
-        // Retain a copy, not the run's own outcome. The copy is allocated after the
-        // run's scratch buffers are freed, so retained cells pack together instead of
-        // pinning the holes those buffers leave, and its trace series hold their length
-        // rather than the `horizon` capacity they were reserved at (cells that stop
-        // when their apps finish use about half). Keeping the originals raised a
-        // 1,152-cell suite's peak RSS by 40%; the copy costs no measurable run time.
-        engine.run_scenario(self).clone()
-    }
-}
-
 /// Why a [`Suite`] failed [`Suite::validate`].
 ///
 /// The builder methods enforce the axis invariants at construction, but suites are
@@ -197,7 +132,7 @@ impl SweepScenario for Scenario {
 /// value can expand into a cell that cannot run. Deserialization and the engine both
 /// check every cell before anything runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuiteError<E = ScenarioError> {
+pub enum SuiteError {
     /// An axis has no values (the grid would be empty).
     EmptyAxis,
     /// Two axes write the same scenario knob; the later one would silently overwrite
@@ -208,11 +143,11 @@ pub enum SuiteError<E = ScenarioError> {
         /// Index of the first invalid cell.
         index: usize,
         /// Why that cell's scenario failed validation.
-        error: E,
+        error: ScenarioError,
     },
 }
 
-impl<E: fmt::Display> fmt::Display for SuiteError<E> {
+impl fmt::Display for SuiteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SuiteError::EmptyAxis => f.write_str("sweep axes must not be empty"),
@@ -226,7 +161,7 @@ impl<E: fmt::Display> fmt::Display for SuiteError<E> {
     }
 }
 
-impl<E: fmt::Debug + fmt::Display> std::error::Error for SuiteError<E> {}
+impl std::error::Error for SuiteError {}
 
 /// How a [`Suite`] assigns seeds to grid cells; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -269,18 +204,18 @@ pub enum SeedMode {
 /// engine reaches it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(validate = "Suite::validate")]
-pub struct Suite<S: SweepScenario = Scenario> {
+pub struct Suite {
     name: String,
-    base: S,
+    base: Scenario,
     seed_mode: SeedMode,
-    axes: Vec<S::Axis>,
+    axes: Vec<SweepAxis>,
 }
 
-impl<S: SweepScenario> Suite<S> {
+impl Suite {
     /// Creates a suite with no sweep axes (a single-cell grid of `base`).
-    pub fn new(base: S) -> Self {
+    pub fn new(base: Scenario) -> Self {
         Suite {
-            name: S::DEFAULT_NAME.to_string(),
+            name: "suite".to_string(),
             base,
             seed_mode: SeedMode::CommonRandomNumbers,
             axes: Vec::new(),
@@ -306,7 +241,7 @@ impl<S: SweepScenario> Suite<S> {
     /// Panics if the axis is empty or sweeps a knob an earlier axis already sweeps.
     /// (Constant loads and load profiles share one knob — fold constant loads into the
     /// profile axis as `LoadProfile::constant(...)` cells instead.)
-    pub fn sweep(mut self, axis: S::Axis) -> Self {
+    fn sweep(mut self, axis: SweepAxis) -> Self {
         assert!(axis.value_count() > 0, "sweep axes must not be empty");
         assert!(
             !self.axes.iter().any(|a| a.knob() == axis.knob()),
@@ -324,13 +259,14 @@ impl<S: SweepScenario> Suite<S> {
 
     /// Re-checks the invariants the builder enforces (non-empty axes, one axis per
     /// scenario knob) and that every cell's scenario passes its own validation.
-    /// Deserialization and [`Engine::run_collect`] call this before anything runs.
-    pub fn validate(&self) -> Result<(), SuiteError<S::Error>> {
+    /// Deserialization and [`crate::engine::Engine::run_collect`] call this before
+    /// anything runs.
+    pub fn validate(&self) -> Result<(), SuiteError> {
         self.checked_scenarios().map(drop)
     }
 
     /// Every cell in index order, after [`Self::validate`]'s checks.
-    pub(crate) fn checked_scenarios(&self) -> Result<Vec<S>, SuiteError<S::Error>> {
+    pub(crate) fn checked_scenarios(&self) -> Result<Vec<Scenario>, SuiteError> {
         let mut knobs: Vec<&'static str> = Vec::with_capacity(self.axes.len());
         for axis in &self.axes {
             if axis.value_count() == 0 {
@@ -353,7 +289,7 @@ impl<S: SweepScenario> Suite<S> {
 
     /// Number of grid cells (product of axis lengths; 1 with no axes).
     pub fn len(&self) -> usize {
-        self.axes.iter().map(Axis::value_count).product()
+        self.axes.iter().map(SweepAxis::value_count).product()
     }
 
     /// Whether the grid is empty (never, by construction).
@@ -366,7 +302,7 @@ impl<S: SweepScenario> Suite<S> {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
-    pub fn scenario_at(&self, index: usize) -> S {
+    pub fn scenario_at(&self, index: usize) -> Scenario {
         assert!(index < self.len(), "cell index {index} out of range");
         // Mixed-radix coordinates of the cell (earlier axes vary slowest).
         let mut coords = vec![0; self.axes.len()];
@@ -382,15 +318,15 @@ impl<S: SweepScenario> Suite<S> {
         }
         // The seed axis, if any, has already written the base seed of this cell.
         if self.seed_mode == SeedMode::Independent {
-            let mut seed = derive_seed(*scenario.seed_mut(), S::SEED_SALT);
+            let mut seed = derive_seed(scenario.seed, SEED_SALT);
             for (i, (axis, &c)) in self.axes.iter().zip(&coords).enumerate() {
                 if axis.knob() != "seed" {
                     seed = derive_seed(seed, ((i as u64 + 1) << 32) | c as u64);
                 }
             }
-            *scenario.seed_mut() = seed;
+            scenario.seed = seed;
         }
-        *scenario.label_mut() = Some(if parts.is_empty() {
+        scenario.label = Some(if parts.is_empty() {
             self.name.clone()
         } else {
             format!("{}/{}", self.name, parts.join("/"))
@@ -399,12 +335,10 @@ impl<S: SweepScenario> Suite<S> {
     }
 
     /// Materializes every cell in index order.
-    pub fn scenarios(&self) -> Vec<S> {
+    pub fn scenarios(&self) -> Vec<Scenario> {
         (0..self.len()).map(|i| self.scenario_at(i)).collect()
     }
-}
 
-impl Suite<Scenario> {
     /// Adds a sweep over interactive services.
     pub fn for_each_service(self, services: impl IntoIterator<Item = ServiceId>) -> Self {
         self.sweep(SweepAxis::Services(services.into_iter().collect()))
@@ -670,9 +604,9 @@ mod tests {
 
     #[test]
     fn suite_wire_format_is_pinned() {
-        // Captured before the node and fleet suites shared one generic implementation:
-        // archives written by either must keep reading back, and new archives must
-        // keep the same bytes.
+        // Captured before the node and fleet suites shared one generic implementation,
+        // and kept when the suite went back to single nodes only: archives written by
+        // any of them must keep reading back, and new archives must keep the same bytes.
         const PINNED: &str = r#"{"name":"pin","base":{"label":null,"service":"Nginx","apps":["Canneal"],"policy":"pliant","load_fraction":0.75,"load_profile":null,"decision_interval_s":1.0,"slack_threshold":0.1,"consecutive_slack_required":2,"horizon":{"Intervals":30},"stop_when_apps_finish":true,"instrumented":null,"qos_target_s":null,"samples_per_interval":null,"seed":7},"seed_mode":"Independent","axes":[{"AppSets":[["Canneal"],["Snp"]]},{"Policies":["precise","pliant"]},{"Loads":[0.5,0.9]}]}"#;
         let suite = Suite::new(base())
             .named("pin")

@@ -42,7 +42,6 @@ fn main() {
         }),
         horizon: Horizon::Seconds(90.0),
         warmup_intervals: 8,
-        seed: 7,
         ..ClusterScenario::paper_default(ServiceId::Memcached)
     };
 
@@ -52,17 +51,19 @@ fn main() {
         base.jobs.len()
     );
 
-    // One suite: the same fleet under both placement extremes, paired by common random
-    // numbers so the comparison isolates the scheduler.
+    // The same fleet under both placement extremes, paired by common random numbers
+    // (both cells run seed 7) so the comparison isolates the scheduler. The
+    // engine runs one whole fleet per worker and returns the outcomes in cell order.
+    let cells: Vec<ClusterScenario> = [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware]
+        .into_iter()
+        .map(|scheduler| ClusterScenario {
+            scheduler,
+            seed: 7,
+            ..base.clone()
+        })
+        .collect();
     let engine = Engine::new().parallel();
-    let suite = ClusterSuite::new(base)
-        .named("cluster-demo")
-        .sweep(ClusterSweepAxis::Schedulers(vec![
-            SchedulerKind::FirstFit,
-            SchedulerKind::QosSlackAware,
-        ]));
-    for cell in engine.run_collect(&suite) {
-        let o = &cell.outcome;
+    for o in engine.map_ordered(cells.len(), |i| engine.run_cluster(&cells[i])) {
         println!("scheduler = {}", o.scheduler);
         println!(
             "  fleet p99 / QoS        : {:.2}x",

@@ -75,7 +75,7 @@ pub mod prelude {
     };
     pub use pliant_core::policy::PolicyKind;
     pub use pliant_core::scenario::{Horizon, Scenario, ScenarioBuilder, ScenarioError};
-    pub use pliant_core::suite::{Axis, SeedMode, Suite, SuiteError, SweepAxis, SweepScenario};
+    pub use pliant_core::suite::{SeedMode, Suite, SuiteError, SweepAxis};
     pub use pliant_core::{ControllerConfig, MonitorConfig, PerformanceMonitor};
     pub use pliant_explore::{explore_kernel, ExplorationConfig};
     pub use pliant_sim::colocation::{ColocationConfig, ColocationSim};

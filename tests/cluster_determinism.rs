@@ -1,8 +1,9 @@
 //! Integration test: the cluster engine's core guarantees.
 //!
-//! 1. Fleet suites fan whole fleets out over the engine's workers, and every worker
-//!    count must produce byte-identical cells in the same order; a replayed scenario
-//!    archive reproduces its fleet run bit-for-bit.
+//! 1. A list of fleets fans out over the engine's workers (`Engine::map_ordered`, one
+//!    whole fleet per worker), and every worker count must produce byte-identical
+//!    outcomes in the same order; a replayed scenario archive reproduces its fleet run
+//!    bit-for-bit.
 //! 2. The fleet p99 reported from the merged per-node histograms must match a recompute
 //!    over every latency sample the fleet produced.
 //! 3. Under common random numbers, the Pliant fleet absorbs load the Precise fleet
@@ -81,17 +82,23 @@ fn fleet_p99_matches_a_recompute_over_all_samples() {
 
 #[test]
 fn cluster_suites_pair_policies_under_common_random_numbers() {
-    let suite = ClusterSuite::new(scenario())
-        .named("pairing")
-        .sweep(ClusterSweepAxis::Policies(vec![
-            PolicyKind::Precise,
-            PolicyKind::Pliant,
-        ]));
-    let cells = Engine::new().parallel().run_collect(&suite);
-    assert_eq!(cells.len(), 2);
-    assert_eq!(cells[0].scenario.seed, cells[1].scenario.seed);
-    let precise = &cells[0].outcome;
-    let pliant = &cells[1].outcome;
+    // A Precise and a Pliant fleet at one explicit seed: common random numbers.
+    let cells: Vec<ClusterScenario> = [PolicyKind::Precise, PolicyKind::Pliant]
+        .into_iter()
+        .map(|policy| ClusterScenario {
+            policy,
+            seed: 2024,
+            ..scenario()
+        })
+        .collect();
+    let engine = Engine::new().parallel();
+    let outcomes = engine.map_ordered(cells.len(), |i| engine.run_cluster(&cells[i]));
+    assert_eq!(outcomes.len(), 2);
+    let (precise, pliant) = (&outcomes[0], &outcomes[1]);
+    assert_eq!(
+        (precise.policy, pliant.policy),
+        (PolicyKind::Precise, PolicyKind::Pliant)
+    );
     // Both fleets saw the same offered-load sequence.
     assert_eq!(
         precise.mean_total_offered_load,
@@ -309,58 +316,47 @@ fn faulted_racked_base() -> ClusterScenario {
 #[test]
 fn fleet_suites_are_byte_identical_for_any_worker_count() {
     // Whole fleets fan out over the workers: 1, 2 and 3 workers split the cells
-    // differently, and every split must return the same cells in the same order. The
-    // second suite's faulted, racked fleets exercise every coordinator phase.
-    let flat = ClusterScenario {
-        nodes: 2,
-        horizon: Horizon::Intervals(12),
-        seed: 5,
-        ..scenario()
-    };
-    let suites = [
-        ClusterSuite::new(flat)
-            .named("workers")
-            .seed_mode(SeedMode::Independent)
-            .sweep(ClusterSweepAxis::NodeCounts(vec![2, 3, 4, 5, 6])),
-        ClusterSuite::new(faulted_racked_base())
-            .named("faulted-racked")
-            .seed_mode(SeedMode::Independent)
-            .sweep(ClusterSweepAxis::Policies(vec![
-                PolicyKind::Precise,
-                PolicyKind::Pliant,
-            ]))
-            .sweep(ClusterSweepAxis::Schedulers(vec![
-                SchedulerKind::FirstFit,
-                SchedulerKind::QosSlackAware,
-            ])),
-    ];
-    for suite in &suites {
-        assert_eq!(suite.validate(), Ok(()));
+    // differently, and every split must return the same outcomes in the same order. The
+    // second family's faulted, racked fleets exercise every coordinator phase.
+    let flat: Vec<ClusterScenario> = (2..=6)
+        .map(|nodes| ClusterScenario {
+            nodes,
+            horizon: Horizon::Intervals(12),
+            seed: 5 + nodes as u64,
+            ..scenario()
+        })
+        .collect();
+    let mut faulted_racked = Vec::new();
+    for policy in [PolicyKind::Precise, PolicyKind::Pliant] {
+        for scheduler in [SchedulerKind::FirstFit, SchedulerKind::QosSlackAware] {
+            faulted_racked.push(ClusterScenario {
+                policy,
+                scheduler,
+                seed: 11 + faulted_racked.len() as u64,
+                ..faulted_racked_base()
+            });
+        }
+    }
+    for (family, cells) in [("flat", flat), ("faulted-racked", faulted_racked)] {
         let archive = |threads: usize| -> Vec<String> {
-            Engine::new()
-                .parallel_threads(threads)
-                .run_collect(suite)
+            let engine = Engine::new().parallel_threads(threads);
+            engine
+                .map_ordered(cells.len(), |i| engine.run_cluster(&cells[i]))
                 .iter()
-                .enumerate()
-                .map(|(i, cell)| {
-                    assert_eq!(cell.index, i);
-                    serde_json::to_string(cell).expect("serializable")
+                .zip(&cells)
+                .map(|(outcome, cell)| {
+                    assert_eq!(
+                        (outcome.nodes, outcome.policy, outcome.scheduler),
+                        (cell.nodes, cell.policy, cell.scheduler),
+                        "{family}: outcomes must come back in cell order"
+                    );
+                    serde_json::to_string(outcome).expect("serializable")
                 })
                 .collect()
         };
         let one = archive(1);
-        assert_eq!(one.len(), suite.len());
-        assert_eq!(
-            one,
-            archive(2),
-            "{}: 2 workers changed the archive",
-            suite.name()
-        );
-        assert_eq!(
-            one,
-            archive(3),
-            "{}: 3 workers changed the archive",
-            suite.name()
-        );
+        assert_eq!(one.len(), cells.len());
+        assert_eq!(one, archive(2), "{family}: 2 workers changed the archive");
+        assert_eq!(one, archive(3), "{family}: 3 workers changed the archive");
     }
 }

@@ -3,7 +3,8 @@
 //! 1. A suite run serially and a suite run on the parallel engine must produce
 //!    byte-identical serialized outcomes, cell for cell — parallelism changes wall-clock
 //!    time, never output. This includes suites that sweep time-varying load profiles.
-//! 2. Per-cell seeds in `SeedMode::Independent` must never collide across sweep axes.
+//! 2. Per-cell seeds in `SeedMode::Independent` must never collide across sweep axes,
+//!    and their derivation (salt, seed axis, axis positions) and labels are pinned.
 //! 3. The wall-clock horizon must hold the simulated time constant across a
 //!    decision-interval sweep.
 //! 4. The controller's core ledger stays in lock-step with the simulator through the
@@ -425,4 +426,36 @@ fn monitored_runs_still_take_the_sample_count_override() {
         outcome(Some(1)),
         "a Pliant run must read the samples it is given"
     );
+}
+
+#[test]
+fn independent_seeds_and_labels_are_pinned() {
+    // Captured before `Suite` lost its scenario type parameter. The seed axis writes
+    // the base seed and stays out of the coordinate hash, while the axes after it keep
+    // their positions, so this grid pins every step of the derivation.
+    let suite = Suite::new(base())
+        .named("pin")
+        .seed_mode(SeedMode::Independent)
+        .sweep_policies([PolicyKind::Precise, PolicyKind::Pliant])
+        .sweep_seeds([1, 2])
+        .sweep_loads([0.6, 0.9]);
+    let cells: Vec<(u64, String)> = suite
+        .scenarios()
+        .into_iter()
+        .map(|s| (s.seed, s.label.expect("suites label every cell")))
+        .collect();
+    let expected = [
+        (1185942950400487146, "pin/precise/seed=1/load=0.60"),
+        (2105700314656037432, "pin/precise/seed=1/load=0.90"),
+        (3933098626545521759, "pin/precise/seed=2/load=0.60"),
+        (8130844426368741729, "pin/precise/seed=2/load=0.90"),
+        (1541245552231168483, "pin/pliant/seed=1/load=0.60"),
+        (9447783024046439278, "pin/pliant/seed=1/load=0.90"),
+        (15166572177661741730, "pin/pliant/seed=2/load=0.60"),
+        (8372817528000159558, "pin/pliant/seed=2/load=0.90"),
+    ];
+    assert_eq!(cells.len(), expected.len());
+    for ((seed, label), (want_seed, want_label)) in cells.iter().zip(expected) {
+        assert_eq!((*seed, label.as_str()), (want_seed, want_label));
+    }
 }
