@@ -389,7 +389,6 @@ impl ClusterRun {
         let max_intervals = scenario.max_intervals();
         Self {
             scenario: ClusterScenario {
-                label: scenario.label.clone(),
                 jobs: Vec::new(),
                 load_profile: scenario.load_profile.clone(),
                 fault_profile: scenario.fault_profile.clone(),
@@ -1347,8 +1346,10 @@ impl ClusterRun {
 }
 
 /// Format version written into [`ClusterRunCheckpoint::version`]; bump on any
-/// breaking change to the snapshot layout.
-pub const CLUSTER_CHECKPOINT_VERSION: u32 = 6;
+/// breaking change to the snapshot layout. Version 7 writes each node's latency
+/// histogram over its occupied buckets only (see [`LatencyHistogram`]), where
+/// versions up to 6 wrote all 1,280; such a document fails to parse.
+pub const CLUSTER_CHECKPOINT_VERSION: u32 = 7;
 
 /// A serializable snapshot of the full mutable state of a [`ClusterRun`] between
 /// intervals; see [`ClusterRun::checkpoint`]. Everything derivable from the scenario

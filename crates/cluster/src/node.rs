@@ -535,7 +535,10 @@ pub struct NodeBooks {
     /// Recorded node-side (inside [`ClusterNode::step`]) so the cluster engine
     /// aggregates fleet quantiles by merging N histograms instead of re-iterating every
     /// sample; per-node histograms share one bucket layout, so the fleet's p99 is their
-    /// exact merge (see [`LatencyHistogram::merge`]).
+    /// exact merge (see [`LatencyHistogram::merge`]). A checkpoint writes only the
+    /// buckets between the recorded extremes (63 to 120 per node in a `fig_cluster`
+    /// checkpoint, against the 1,280 of the full layout) and refuses to parse a list
+    /// of any other length.
     pub hist: LatencyHistogram,
     /// Post-warm-up intervals that served traffic.
     pub busy_intervals: usize,

@@ -106,8 +106,6 @@ impl FleetApproximation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(validate = "ClusterScenario::validate")]
 pub struct ClusterScenario {
-    /// Optional display label (for instance, the cell's sweep coordinates).
-    pub label: Option<String>,
     /// Number of nodes in the fleet.
     pub nodes: usize,
     /// Interactive service every node fronts (the fleet is homogeneous, like the
@@ -170,7 +168,6 @@ impl ClusterScenario {
     /// caller supplies at least one job per slot.
     pub fn paper_default(service: ServiceId) -> Self {
         ClusterScenario {
-            label: None,
             nodes: 4,
             service,
             policy: PolicyKind::Pliant,
@@ -287,12 +284,9 @@ impl ClusterScenario {
         Ok(())
     }
 
-    /// The label if set, otherwise a generated `Nxservice/policy` description.
+    /// A generated `Nxservice/policy` description.
     pub fn describe(&self) -> String {
-        match &self.label {
-            Some(l) => l.clone(),
-            None => format!("{}x{}/{}", self.nodes, self.service.name(), self.policy),
-        }
+        format!("{}x{}/{}", self.nodes, self.service.name(), self.policy)
     }
 }
 
@@ -483,7 +477,6 @@ mod tests {
             }),
             horizon: Horizon::Seconds(30.0),
             seed: 1234,
-            label: Some("round-trip".into()),
             ..ClusterScenario::paper_default(ServiceId::MongoDb)
         };
         assert_eq!(s.validate(), Ok(()));
@@ -760,11 +753,22 @@ mod tests {
             fleet(ServiceId::Memcached, 6).describe(),
             "6xmemcached/pliant"
         );
-        let labeled = ClusterScenario {
-            label: Some("cell-1".into()),
+        let precise = ClusterScenario {
+            policy: PolicyKind::Precise,
             ..fleet(ServiceId::Memcached, 4)
         };
-        assert_eq!(labeled.describe(), "cell-1");
+        assert_eq!(precise.describe(), "4xmemcached/precise");
+        // Scenarios carry no label: an older archive's `"label"` key is an unknown
+        // field, ignored on load, and the description is still the generated one.
+        let json = serde_json::to_string(&precise).expect("serializable");
+        assert!(!json.contains("label"));
+        for label in ["\"cell-1\"", "null"] {
+            let legacy = json.replacen('{', &format!("{{\"label\":{label},"), 1);
+            let back: ClusterScenario =
+                serde_json::from_str(&legacy).expect("an unknown key is ignored");
+            assert_eq!(back, precise);
+            assert_eq!(back.describe(), "4xmemcached/precise");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! orders of magnitude, which matters because the three interactive services span latencies
 //! from ~100 µs (memcached) to ~100 ms (MongoDB).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::simd;
 
@@ -36,12 +36,17 @@ pub(crate) const EXP_BUCKETS: usize = 40;
 /// assert!(h.percentile(0.5) >= 2.0);
 /// ```
 ///
-/// Deserialization validates the value, so an archived histogram satisfies the same
-/// invariants as one built in-process: a count equal to its buckets' sum, extremes
-/// present exactly when it is non-empty, and every recorded bucket inside the range its
-/// extremes span.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(validate = "LatencyHistogram::validate")]
+/// The serialized form carries only the buckets of the occupied range, the indices a
+/// value between the recorded `min` and `max` can fall into (none for an empty
+/// histogram), so a node whose latencies span a few octaves writes about a hundred
+/// buckets instead of all 1,280. The extremes fix that range, so no other field says
+/// where the list starts. Deserialization lays the list back into the full layout and
+/// validates the value, so an archived histogram satisfies the same invariants as one
+/// built in-process: a count equal to its buckets' sum, extremes present exactly when
+/// it is non-empty, a bucket list exactly as long as the range its extremes span,
+/// every recorded bucket holding a value a recording between them could produce, and
+/// recorded buckets under both extremes.
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -350,19 +355,43 @@ impl LatencyHistogram {
         start..end + 1
     }
 
-    /// Checks the invariants every recording keeps, so a deserialized histogram is one
-    /// a run could have produced: this build's bucket count, a count equal to the
-    /// buckets' sum, extremes present exactly when the count is non-zero, finite
-    /// non-negative `min <= max` and sum, and no recorded bucket outside
-    /// [`Self::occupied`] (which [`Self::reset`] and [`Self::percentile`] rely on).
-    fn validate(&self) -> Result<(), String> {
-        if self.buckets.len() != SUB_BUCKETS * EXP_BUCKETS {
-            return Err(format!(
-                "{} buckets where this build has {}",
-                self.buckets.len(),
-                SUB_BUCKETS * EXP_BUCKETS
-            ));
+    /// Checks what [`Self::occupied`] is computed from, so that the range can be taken
+    /// on any input: extremes present exactly when the count is non-zero, and a finite
+    /// non-negative sum and `min <= max`.
+    fn check_extremes(&self) -> Result<(), String> {
+        let valid = |x: f64| x.is_finite() && x >= 0.0;
+        if !valid(self.sum) {
+            return Err(format!("sum {} is negative or not finite", self.sum));
         }
+        match (self.min, self.max) {
+            (None, None) if self.count == 0 => Ok(()),
+            (Some(min), Some(max)) if self.count > 0 => {
+                if !valid(min) || !valid(max) {
+                    return Err(format!(
+                        "extremes {min} and {max} must be finite and non-negative"
+                    ));
+                }
+                if min > max {
+                    return Err(format!("min {min} exceeds max {max}"));
+                }
+                Ok(())
+            }
+            (min, max) => Err(format!(
+                "extremes {min:?} and {max:?} do not fit count {}",
+                self.count
+            )),
+        }
+    }
+
+    /// Checks the invariants every recording keeps in the buckets, on a full layout
+    /// whose extremes passed [`Self::check_extremes`], so a deserialized histogram is
+    /// one a run could have produced: a count equal to the buckets' sum, recorded
+    /// buckets under both extremes, and no recorded bucket that a value in `min..=max`
+    /// cannot fall into. That is every bucket outside [`Self::occupied`] (which
+    /// [`Self::reset`] and [`Self::percentile`] rely on) and, below 2, where `[0, 1)`
+    /// and `[1, 2)` share indices, a bucket neither of whose two value ranges meets
+    /// `min..=max`.
+    fn validate(&self) -> Result<(), String> {
         let recorded = self
             .buckets
             .iter()
@@ -374,40 +403,84 @@ impl LatencyHistogram {
                 self.count
             ));
         }
-        let valid = |x: f64| x.is_finite() && x >= 0.0;
-        if !valid(self.sum) {
-            return Err(format!("sum {} is negative or not finite", self.sum));
-        }
-        match (self.min, self.max) {
-            (None, None) if self.count == 0 => return Ok(()),
-            (Some(min), Some(max)) if self.count > 0 => {
-                if !valid(min) || !valid(max) {
-                    return Err(format!(
-                        "extremes {min} and {max} must be finite and non-negative"
-                    ));
+        let (min, max) = (self.min(), self.max());
+        if self.count > 0 {
+            for (name, v) in [("min", min), ("max", max)] {
+                let i = Self::bucket_index(v);
+                if self.buckets[i] == 0 {
+                    return Err(format!("{name} {v} falls in bucket {i}, which is empty"));
                 }
-                if min > max {
-                    return Err(format!("min {min} exceeds max {max}"));
-                }
-            }
-            (min, max) => {
-                return Err(format!(
-                    "extremes {min:?} and {max:?} do not fit count {}",
-                    self.count
-                ))
             }
         }
         let occupied = self.occupied();
-        if let Some(i) =
-            (0..self.buckets.len()).find(|i| self.buckets[*i] != 0 && !occupied.contains(i))
-        {
+        let reachable = |i: usize| {
+            occupied.contains(&i)
+                && (i >= SUB_BUCKETS || {
+                    let lo = i as f64 / SUB_BUCKETS as f64;
+                    let hi = (i + 1) as f64 / SUB_BUCKETS as f64;
+                    (lo <= max && min < hi) || (1.0 + lo <= max && min < 1.0 + hi)
+                })
+        };
+        if let Some(i) = (0..self.buckets.len()).find(|&i| self.buckets[i] != 0 && !reachable(i)) {
             return Err(format!(
-                "bucket {i} holds values outside the recorded range {}..={}",
-                self.min(),
-                self.max()
+                "bucket {i} holds values outside the recorded range {min}..={max}"
             ));
         }
         Ok(())
+    }
+}
+
+/// Writes the buckets of the occupied range only: the indices a value between the
+/// recorded extremes can fall into.
+impl Serialize for LatencyHistogram {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("buckets".into(), self.buckets[self.occupied()].to_value()),
+            ("count".into(), self.count.to_value()),
+            ("sum".into(), self.sum.to_value()),
+            ("min".into(), self.min.to_value()),
+            ("max".into(), self.max.to_value()),
+        ])
+    }
+}
+
+/// Reads the occupied-range form [`Serialize`] writes. The extremes are checked before
+/// they fix the range, the list must be exactly as long as that range, and the
+/// histogram it fills into the full layout must keep every invariant a recording
+/// keeps, so no input panics and none parses into a histogram no recording produces.
+impl Deserialize for LatencyHistogram {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
+            match v.get(name) {
+                Some(x) => T::from_value(x),
+                None => T::absent().ok_or_else(|| Error::missing_field("LatencyHistogram", name)),
+            }
+        }
+        if v.as_object().is_none() {
+            return Err(Error::unexpected("LatencyHistogram (object)", v));
+        }
+        let listed: Vec<u64> = field(v, "buckets")?;
+        let mut h = LatencyHistogram {
+            buckets: Vec::new(),
+            count: field(v, "count")?,
+            sum: field(v, "sum")?,
+            min: field(v, "min")?,
+            max: field(v, "max")?,
+        };
+        let invalid = |e: String| Error::custom(format!("invalid latency histogram: {e}"));
+        h.check_extremes().map_err(invalid)?;
+        let occupied = h.occupied();
+        if listed.len() != occupied.len() {
+            return Err(invalid(format!(
+                "{} buckets where the extremes span {}",
+                listed.len(),
+                occupied.len()
+            )));
+        }
+        h.buckets = vec![0; SUB_BUCKETS * EXP_BUCKETS];
+        h.buckets[occupied].copy_from_slice(&listed);
+        h.validate().map_err(invalid)?;
+        Ok(h)
     }
 }
 
@@ -798,8 +871,8 @@ mod tests {
         assert_eq!(range(&[0.5, 1e13]), 0..last + 1);
     }
 
-    /// A serialized histogram with one field replaced.
-    fn with_field(h: &LatencyHistogram, field: &str, value: serde::Value) -> serde::Value {
+    /// A serialized histogram (or a value already holding one) with one field replaced.
+    fn with_field(h: &impl serde::Serialize, field: &str, value: serde::Value) -> serde::Value {
         match serde::Serialize::to_value(h) {
             serde::Value::Object(entries) => serde::Value::Object(
                 entries
@@ -817,56 +890,166 @@ mod tests {
         }
     }
 
+    fn parse(v: &serde::Value) -> Result<LatencyHistogram, serde::Error> {
+        <LatencyHistogram as serde::Deserialize>::from_value(v)
+    }
+
+    /// The length of the serialized bucket list.
+    fn listed(h: &LatencyHistogram) -> usize {
+        let wire = serde::Serialize::to_value(h);
+        wire.get("buckets")
+            .and_then(serde::Value::as_array)
+            .expect("histograms serialize their buckets as a list")
+            .len()
+    }
+
+    /// Asserts that `v` fails to parse with an error naming the histogram and `reason`.
+    fn assert_rejected(v: &serde::Value, reason: &str) {
+        let err = parse(v)
+            .expect_err(&format!("{v:?} must not parse"))
+            .to_string();
+        assert!(
+            err.starts_with("invalid latency histogram") && err.contains(reason),
+            "expected `{reason}`, got `{err}`"
+        );
+    }
+
     #[test]
     fn deserialization_rejects_histograms_no_recording_produces() {
         use serde::Value::{Array, Float, Null, UInt};
         let mut h = LatencyHistogram::new();
         h.record_scaled_n(&[300.0, 450.0, 900.0], 1.0, 1);
-        let parse = |v: &serde::Value| <LatencyHistogram as serde::Deserialize>::from_value(v);
         let restored = parse(&serde::Serialize::to_value(&h)).expect("a recorded histogram parses");
         assert_eq!(json(&restored), json(&h));
         let empty = parse(&serde::Serialize::to_value(&LatencyHistogram::new()));
         assert!(empty.expect("an empty histogram parses").is_empty());
 
-        let mut buckets = vec![UInt(0); SUB_BUCKETS * EXP_BUCKETS];
-        let mut stray = h.clone();
-        stray.record(2.0);
-        let stray_bucket = LatencyHistogram::bucket_index(2.0);
-        buckets[stray_bucket] = UInt(1);
+        let span = h.occupied().len();
+        // A list of `len` buckets holding one count.
+        let list_of = |len: usize| {
+            let mut buckets = vec![UInt(0); len];
+            if let Some(first) = buckets.first_mut() {
+                *first = UInt(1);
+            }
+            Array(buckets)
+        };
+        let wrong_length = |n: usize| format!("{n} buckets where the extremes span {span}");
+        let finite = || String::from("finite and non-negative");
         let rejected = [
-            // The wrong bucket layout.
-            ("buckets", Array(vec![UInt(0); 64]), "64 buckets"),
+            // Bucket lists that do not match the range the extremes span, the full
+            // layout of earlier builds among them.
+            ("buckets", Array(vec![UInt(0); 64]), wrong_length(64)),
+            ("buckets", list_of(span + 1), wrong_length(span + 1)),
+            ("buckets", list_of(span - 1), wrong_length(span - 1)),
+            ("buckets", list_of(1280), wrong_length(1280)),
             // Count off by one either way.
-            ("count", UInt(4), "count 4 but the buckets hold 3"),
-            ("count", UInt(2), "count 2 but the buckets hold 3"),
-            // Extremes out of order, missing, or not finite and non-negative.
-            ("min", Float(1000.0), "min 1000 exceeds max 900"),
-            ("max", Null, "do not fit count 3"),
-            ("min", Float(-1.0), "finite and non-negative"),
-            ("max", Float(f64::INFINITY), "finite and non-negative"),
-            ("sum", Float(-5.0), "sum -5"),
-            ("sum", Float(f64::NAN), "not finite"),
+            ("count", UInt(4), "count 4 but the buckets hold 3".into()),
+            ("count", UInt(2), "count 2 but the buckets hold 3".into()),
+            // Extremes out of order, missing, or not finite and non-negative: each is
+            // refused before it could fix a reversed or unbounded range.
+            ("min", Float(1000.0), "min 1000 exceeds max 900".into()),
+            ("max", Float(100.0), "min 300 exceeds max 100".into()),
+            ("max", Null, "do not fit count 3".into()),
+            ("min", Null, "do not fit count 3".into()),
+            ("min", Float(-1.0), finite()),
+            ("max", Float(-1.0), finite()),
+            ("max", Float(f64::INFINITY), finite()),
+            ("min", Float(f64::INFINITY), finite()),
+            ("max", Float(f64::NEG_INFINITY), finite()),
+            ("min", Float(f64::NAN), finite()),
+            ("max", Float(f64::NAN), finite()),
+            ("sum", Float(-5.0), "sum -5".into()),
+            ("sum", Float(f64::NAN), "not finite".into()),
         ];
-        for (field, value, reason) in rejected {
-            let err = parse(&with_field(&h, field, value.clone()))
-                .expect_err(&format!("{field} = {value:?} must not parse"));
-            let err = err.to_string();
-            assert!(
-                err.starts_with("invalid latency histogram") && err.contains(reason),
-                "{field} = {value:?}: got `{err}`"
-            );
+        for (field, value, reason) in &rejected {
+            assert_rejected(&with_field(&h, field, value.clone()), reason);
         }
         // Extremes on an empty histogram.
         let empty = LatencyHistogram::new();
-        let err = parse(&with_field(&empty, "min", Float(1.0))).expect_err("min without count");
-        assert!(err.to_string().contains("do not fit count 0"), "{err}");
-        // A recorded bucket below the recorded minimum: the range would miss it.
-        let err = parse(&with_field(&stray, "min", Float(300.0)))
-            .expect_err("a bucket outside min..max must not parse");
-        assert!(
-            err.to_string()
-                .contains(&format!("bucket {stray_bucket} holds values outside")),
-            "{err}"
+        assert_rejected(&with_field(&empty, "min", Float(1.0)), "do not fit count 0");
+
+        // Below 2 the range always starts at index 0, so a recorded bucket whose values
+        // lie below the recorded minimum has a place in the list: 1.1 files at index 3,
+        // which no value of 1.5..=1.9 reaches.
+        let mut stray = LatencyHistogram::new();
+        stray.record_scaled_n(&[1.1, 1.5, 1.9], 1.0, 1);
+        assert_eq!(LatencyHistogram::bucket_index(1.1), 3);
+        assert_rejected(
+            &with_field(&stray, "min", Float(1.5)),
+            "bucket 3 holds values outside the recorded range 1.5..=1.9",
         );
+
+        // The same list read over another range of its length: 1.5 and 3.0 span
+        // indices 0..=48 with bucket 0 empty, and 2.0 and 6.0 span 32..=80, so the
+        // shifted list would put the minimum's bucket on that empty first entry.
+        let mut low = LatencyHistogram::new();
+        low.record_scaled_n(&[1.5, 3.0], 1.0, 1);
+        let shifted = with_field(&with_field(&low, "min", Float(2.0)), "max", Float(6.0));
+        assert_eq!(LatencyHistogram::bucket_index(2.0), SUB_BUCKETS);
+        assert_eq!(LatencyHistogram::bucket_index(6.0), SUB_BUCKETS + 48);
+        assert_rejected(&shifted, "min 2 falls in bucket 32, which is empty");
+        // A maximum moved inside the shared low indices keeps the list's length but
+        // lands on an empty bucket.
+        let mut narrow = LatencyHistogram::new();
+        narrow.record_scaled_n(&[1.5, 1.6], 1.0, 1);
+        assert_rejected(
+            &with_field(&narrow, "max", Float(1.9)),
+            "max 1.9 falls in bucket 28, which is empty",
+        );
+    }
+
+    #[test]
+    fn a_lognormal_interval_writes_only_its_occupied_buckets() {
+        // One fleet interval of a memcached-like node: 1,000 latencies in seconds
+        // around a 250 µs median, recorded in microseconds as the node books do.
+        let mut rng = crate::rng::seeded_rng(1);
+        let seconds: Vec<f64> = (0..1_000)
+            .map(|_| crate::rng::sample_lognormal(&mut rng, 250e-6, 0.4))
+            .collect();
+        let mut h = LatencyHistogram::new();
+        h.record_scaled_n(&seconds, 1e6, 1);
+        assert_eq!(listed(&h), h.occupied().len());
+        assert_eq!(listed(&h), 116, "the pinned interval spans 116 buckets");
+        assert!(listed(&h) < SUB_BUCKETS * EXP_BUCKETS / 8);
+        let back: LatencyHistogram = serde_json::from_str(&json(&h)).expect("it parses");
+        assert_eq!(back.buckets, h.buckets);
+        assert_eq!(json(&back), json(&h));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_recording_round_trips_through_its_occupied_buckets(
+            shape in 0usize..6,
+            values in proptest::collection::vec((0u8..9, 0.0f64..1.0), 0..200),
+            split in 0.0f64..1.0,
+            n_pick in 0usize..3,
+        ) {
+            // Empty, only below 1, only in [1, 2), only the clamp bucket past 2^40,
+            // only zeros and clamped values, or any mix of the test classes.
+            let class = |c: u8| [c, 2, 3, 4, 0, c][shape];
+            let values: Vec<f64> = if shape == 0 {
+                Vec::new()
+            } else {
+                values.iter().map(|&(c, u)| test_value(class(c), u)).collect()
+            };
+            let n = [1u64, 2, 5][n_pick];
+            let at = (split * values.len() as f64) as usize;
+            let mut h = LatencyHistogram::new();
+            h.record_scaled_n(&values[..at], 1.0, n);
+            for &v in &values[at..] {
+                h.record_n(v, n);
+            }
+            proptest::prop_assert_eq!(listed(&h), h.occupied().len());
+            let text = json(&h);
+            let back: LatencyHistogram =
+                serde_json::from_str(&text).map_err(|e| format!("{text}: {e}"))?;
+            proptest::prop_assert_eq!(json(&back), text);
+            proptest::prop_assert_eq!(&back.buckets, &h.buckets);
+            proptest::prop_assert_eq!(back.count(), h.count());
+            proptest::prop_assert_eq!(back.mean().to_bits(), h.mean().to_bits());
+            for q in [0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                proptest::prop_assert_eq!(back.percentile(q).to_bits(), h.percentile(q).to_bits());
+            }
+        }
     }
 }

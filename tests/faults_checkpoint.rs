@@ -15,6 +15,7 @@
 //! 4. **Observability**: fault transitions surface as first-class obs events.
 
 use pliant::prelude::*;
+use pliant::telemetry::histogram::LatencyHistogram;
 use pliant::telemetry::obs::{EventKind, ObsLevel};
 use pliant::telemetry::series::TimeSeries;
 
@@ -452,6 +453,17 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
         hist_count > 0,
         "the first node records samples by interval 50"
     );
+    let wire = serde_json::to_value(hist).expect("histograms serialize");
+    let Some(Array(listed)) = wire.get("buckets") else {
+        panic!("a histogram lists its buckets");
+    };
+    let longer = Array(listed.iter().cloned().chain([UInt(0)]).collect());
+    // The lower edge of the bucket after the one holding the maximum.
+    let next_bucket = LatencyHistogram::bucket_bounds(hist_max).1;
+    assert!(
+        next_bucket.is_finite(),
+        "µs latencies stay below the clamp bucket"
+    );
     let mutations = [
         // `set_qps` would panic on a negative rate inside `restore`.
         ("/node_checkpoints[]/sim/generator/qps", Float(-1.0)),
@@ -467,6 +479,10 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
         // A count the buckets do not hold would silently skew the fleet p99 and mean.
         ("/node_checkpoints[]/books/hist/count", UInt(hist_count + 1)),
         ("/node_checkpoints[]/books/hist/count", UInt(hist_count - 1)),
+        // The bucket list holds exactly the range the extremes span: one entry more,
+        // or a maximum moved up one bucket, leaves list and range one apart.
+        ("/node_checkpoints[]/books/hist/buckets", longer),
+        ("/node_checkpoints[]/books/hist/max", Float(next_bucket)),
     ];
     for (path, value) in mutations {
         let mut doc = pristine.clone();
@@ -495,6 +511,102 @@ fn a_mutated_checkpoint_value_is_rejected_without_panicking() {
     ClusterRun::new(&scenario, &engine)
         .restore(&checkpoint)
         .expect("the pristine checkpoint restores");
+}
+
+/// Index of the bucket `value` falls into (values of 2 and above), worked out from the
+/// bucket's lower edge `2^e · (1 + sub / 32)` as index `32·e + sub`.
+fn bucket_index(value: f64) -> usize {
+    let lower = LatencyHistogram::bucket_bounds(value).0;
+    let e = lower.log2().floor();
+    let sub = (lower / e.exp2() - 1.0) * 32.0;
+    32 * e as usize + sub as usize
+}
+
+#[test]
+fn a_version_6_checkpoint_with_full_histograms_is_refused() {
+    // Versions up to 6 wrote every node histogram over all 1,280 buckets. Such a
+    // document must be refused, at parse or at restore, never read as a histogram
+    // other than the one it holds.
+    let engine = Engine::new();
+    let scenario = failure_scenario(6, PolicyKind::Pliant);
+    let mut donor = ClusterRun::new(&scenario, &engine);
+    while donor.intervals() < 20 && donor.step() {}
+    let mut doc = serde_json::to_value(&donor.checkpoint()).expect("checkpoints serialize");
+    assert!(set_first_at(
+        &mut doc,
+        "/version",
+        &serde_json::Value::UInt(6)
+    ));
+    let serde_json::Value::Object(entries) = &mut doc else {
+        panic!("a checkpoint is an object");
+    };
+    let (_, serde_json::Value::Array(nodes)) = entries
+        .iter_mut()
+        .find(|(k, _)| k == "node_checkpoints")
+        .expect("the checkpoint lists its nodes")
+    else {
+        panic!("node checkpoints are a list");
+    };
+    let mut recorded = 0;
+    for (i, node) in nodes.iter_mut().enumerate() {
+        let hist = &donor.node(i).books().hist;
+        let mut full = vec![0u64; 1280];
+        if !hist.is_empty() {
+            let wire = serde_json::to_value(hist).expect("histograms serialize");
+            let listed: Vec<u64> = wire
+                .get("buckets")
+                .and_then(|b| serde_json::from_value(b).ok())
+                .expect("a histogram lists its bucket counts");
+            let start = if hist.min() < 2.0 {
+                0
+            } else {
+                bucket_index(hist.min())
+            };
+            assert!(
+                hist.max() >= 2.0,
+                "µs latencies reach past the shared low buckets"
+            );
+            assert_eq!(start + listed.len(), bucket_index(hist.max()) + 1);
+            full[start..start + listed.len()].copy_from_slice(&listed);
+            recorded += 1;
+        }
+        let v6 = serde_json::to_value(&full).expect("counts serialize");
+        assert!(set_first_at(node, "/books/hist/buckets", &v6));
+    }
+    assert!(recorded > 0, "the fleet records latencies by interval 20");
+    let err = serde_json::from_value::<ClusterRunCheckpoint>(&doc)
+        .expect_err("full-layout histograms must not parse")
+        .to_string();
+    assert!(
+        err.contains("invalid latency histogram: 1280 buckets where the extremes span"),
+        "got: {err}"
+    );
+
+    // Only a histogram whose extremes span every bucket, from below 1 into the
+    // clamp bucket, lists all 1,280 in both forms; it parses and the version refuses
+    // the restore.
+    let mut wide = LatencyHistogram::new();
+    wide.record_scaled_n(&[0.5, 2f64.powi(41)], 1.0, 1);
+    let wide = serde_json::to_value(&wide).expect("histograms serialize");
+    let listed = wide.get("buckets").and_then(serde_json::Value::as_array);
+    assert_eq!(listed.map(<[_]>::len), Some(1280));
+    let mut doc = serde_json::to_value(&donor.checkpoint()).expect("checkpoints serialize");
+    assert!(set_first_at(
+        &mut doc,
+        "/version",
+        &serde_json::Value::UInt(6)
+    ));
+    assert!(set_first_at(
+        &mut doc,
+        "/node_checkpoints[]/books/hist",
+        &wide
+    ));
+    let checkpoint: ClusterRunCheckpoint =
+        serde_json::from_value(&doc).expect("a full-range histogram parses");
+    let err = ClusterRun::new(&scenario, &engine)
+        .restore(&checkpoint)
+        .expect_err("a version 6 checkpoint must not restore");
+    assert!(err.contains("checkpoint format version 6"), "got: {err}");
 }
 
 #[test]
