@@ -14,11 +14,12 @@
 //! [`ln_unit_ratio`], over the branch-free
 //! [`fast_ln_unit`](pliant_telemetry::fastmath::fast_ln_unit). That loop runs at AVX2
 //! width when the CPU has it and with the same bits either way: it is IEEE-754
-//! operations only, which Rust never contracts into fused multiply-adds. Each chunk's
-//! selected indices are then read with one [`LatencySource::gather`], so a
-//! [`LatencySamples`] source maps only the samples the monitor reads (or, once a fleet
-//! node has materialized it for its histogram, returns the stored latencies), and
-//! recorded with one [`LatencyHistogram::record_scaled_n`].
+//! operations only, which Rust never contracts into fused multiply-adds. The selected
+//! indices collect in a stack batch of up to 256; each batch is read with one
+//! [`LatencySource::gather`], so a [`LatencySamples`] source maps only the samples the
+//! monitor reads (or, once a fleet node has materialized it for its histogram, returns
+//! the stored latencies), and recorded with one
+//! [`LatencyHistogram::record_scaled_n`], whose AVX2 kernel buckets 64 values a step.
 //! At the end of an interval the RNG is rewound to the last chunk's start and advanced
 //! by exactly the gaps consumed, so the selection, the stream position and the
 //! checkpointed [`MonitorState`] match drawing one gap per selection. Because the
@@ -43,10 +44,15 @@ use rand::{Rng, RngCore};
 /// [`PerformanceMonitor::observe_interval`].
 const GAP_CHUNK: usize = 32;
 
+/// Samples read and recorded per batch: eight gap chunks, so a batch reaches the
+/// histogram's 64-value vector step four times. The batch lives on the stack; the
+/// monitor keeps no sample buffer of its own.
+const RECORD_BATCH: usize = 8 * GAP_CHUNK;
+
 /// An interval's latency samples, in seconds, as the monitor reads them.
 ///
 /// The monitor reads a subsample by index, so a source that computes its values on read
-/// ([`LatencySamples`]) computes only those. The skip-sampler collects each chunk's
+/// ([`LatencySamples`]) computes only those. The skip-sampler collects up to 256
 /// selected indices and reads them with one [`Self::gather`], which lets a computing
 /// source map them in one vectorized loop.
 pub trait LatencySource {
@@ -281,18 +287,24 @@ impl PerformanceMonitor {
             };
             // Gaps are drawn GAP_CHUNK at a time: the uniforms first (the serial RNG
             // steps), then the logarithms and divisions in a separate loop whose
-            // iterations are independent, then a walk that selects indices from them,
-            // one gather of the selected samples, and their recording in order. The
-            // walk stops at the first gap that jumps past the interval, usually
-            // mid-chunk; the RNG is then rewound to the chunk's start and advanced by
-            // exactly the gaps consumed, so the stream position matches drawing one gap
-            // per selection.
+            // iterations are independent, then a walk that appends the selected
+            // indices to a batch. A batch without room for another chunk, and the last
+            // one, is read with one gather and recorded in order. The walk stops at the
+            // first gap that jumps past the interval, usually mid-chunk; the RNG is
+            // then rewound to the chunk's start and advanced by exactly the gaps
+            // consumed, so the stream position matches drawing one gap per selection.
             let mut uniforms = [0.0f64; GAP_CHUNK];
             let mut gaps = [0.0f64; GAP_CHUNK];
-            let mut picked = [0usize; GAP_CHUNK];
-            let mut values = [0.0f64; GAP_CHUNK];
+            let mut picked = [0usize; RECORD_BATCH];
+            let mut values = [0.0f64; RECORD_BATCH];
+            let mut taken = 0usize;
             let mut next = 0usize;
             loop {
+                if taken > RECORD_BATCH - GAP_CHUNK {
+                    sum = self.record_batch(latencies_s, &picked[..taken], &mut values, sum);
+                    sampled += taken as u64;
+                    taken = 0;
+                }
                 let chunk_start = self.state.rng.clone();
                 for u in uniforms.iter_mut() {
                     *u = 1.0 - self.state.rng.gen_range(0.0f64..1.0);
@@ -303,7 +315,6 @@ impl PerformanceMonitor {
                 // (AVX2 width when the CPU has it, same bits); the walk casts them,
                 // saturating on the (bounded) maximum.
                 ln_unit_ratio(&uniforms, ln_one_minus_rate, &mut gaps);
-                let mut taken = 0usize;
                 let mut past_end = None;
                 for (k, &gap) in gaps.iter().enumerate() {
                     let index = next + gap as usize;
@@ -315,9 +326,6 @@ impl PerformanceMonitor {
                     taken += 1;
                     next = index + 1;
                 }
-                latencies_s.gather(&picked[..taken], &mut values);
-                sum = self.record_chunk(&mut values[..taken], sum);
-                sampled += taken as u64;
                 if let Some(last) = past_end {
                     self.state.rng = chunk_start;
                     for _ in 0..=last {
@@ -326,6 +334,8 @@ impl PerformanceMonitor {
                     break;
                 }
             }
+            sum = self.record_batch(latencies_s, &picked[..taken], &mut values, sum);
+            sampled += taken as u64;
         }
         // Guard against an empty sample (tiny intervals at low load): fall back to the full
         // set, which the real monitor would also do by forcing a minimum sample count.
@@ -354,28 +364,35 @@ impl PerformanceMonitor {
     }
 
     /// Records every sample into the interval histogram, with non-finite samples
-    /// clamped to zero, and returns their sum in order. The samples are read
-    /// `GAP_CHUNK` at a time with one [`LatencySource::gather`] each.
+    /// clamped to zero, and returns their sum in order. The samples are read and
+    /// recorded `RECORD_BATCH` at a time.
     fn record_all<S: LatencySource + ?Sized>(&mut self, latencies_s: &S) -> f64 {
         let len = latencies_s.len();
-        let mut indices = [0usize; GAP_CHUNK];
-        let mut values = [0.0f64; GAP_CHUNK];
+        let mut indices = [0usize; RECORD_BATCH];
+        let mut values = [0.0f64; RECORD_BATCH];
         let mut sum = 0.0;
-        for start in (0..len).step_by(GAP_CHUNK) {
-            let indices = &mut indices[..GAP_CHUNK.min(len - start)];
+        for start in (0..len).step_by(RECORD_BATCH) {
+            let indices = &mut indices[..RECORD_BATCH.min(len - start)];
             for (k, index) in indices.iter_mut().enumerate() {
                 *index = start + k;
             }
-            latencies_s.gather(indices, &mut values);
-            sum = self.record_chunk(&mut values[..indices.len()], sum);
+            sum = self.record_batch(latencies_s, indices, &mut values, sum);
         }
         sum
     }
 
-    /// Clamps the non-finite samples of one chunk to zero, records the chunk into the
-    /// interval histogram in microseconds, and returns `sum` plus each sample, added in
-    /// order.
-    fn record_chunk(&mut self, values: &mut [f64], mut sum: f64) -> f64 {
+    /// Reads the samples at `indices` with one [`LatencySource::gather`] into `values`,
+    /// clamps the non-finite ones to zero, records them into the interval histogram in
+    /// microseconds, and returns `sum` plus each sample, added in order.
+    fn record_batch<S: LatencySource + ?Sized>(
+        &mut self,
+        latencies_s: &S,
+        indices: &[usize],
+        values: &mut [f64; RECORD_BATCH],
+        mut sum: f64,
+    ) -> f64 {
+        let values = &mut values[..indices.len()];
+        latencies_s.gather(indices, values);
         for l in values.iter_mut() {
             if !l.is_finite() {
                 *l = 0.0;
@@ -514,39 +531,43 @@ mod tests {
         assert!(report.mean_s.is_finite());
     }
 
-    /// The skip-sampling loop the chunked walk replaced: one uniform and one gap per
-    /// selection, drawn only when needed. Returns the interval's `(sampled, mean, p99)`
-    /// with the same small-interval fallback as the monitor.
+    /// The ingest the chunked, batched walk replaced, one `record` per sample: below
+    /// rate 1, one uniform and one gap per selection, drawn only when needed; at rate 1,
+    /// and when fewer than 20 were selected, every sample. Returns the interval's
+    /// `(sampled, mean, p99)` and whether the skip-sampled selection was kept.
     fn one_gap_at_a_time(
         rng: &mut SmallRng,
-        ln_one_minus_rate: f64,
+        rate: f64,
         latencies_s: &[f64],
-    ) -> (u64, f64, f64) {
+    ) -> (u64, f64, f64, bool) {
+        let ln_one_minus_rate = (1.0 - rate).ln();
         let skip = |rng: &mut SmallRng| {
             let u = 1.0 - rng.gen_range(0.0f64..1.0);
             (fast_ln(u) / ln_one_minus_rate) as usize
         };
         let mut hist = LatencyHistogram::new();
-        let (mut sum, mut sampled) = (0.0, 0u64);
-        let mut index = skip(rng);
-        while index < latencies_s.len() {
-            let l = latencies_s[index];
-            hist.record(l * 1e6);
-            sum += l;
-            sampled += 1;
-            index += 1 + skip(rng);
-        }
-        if sampled < 20 {
-            hist.reset();
-            let mut full_sum = 0.0;
-            for &l in latencies_s {
+        if rate < 1.0 {
+            let (mut sum, mut sampled) = (0.0, 0u64);
+            let mut index = skip(rng);
+            while index < latencies_s.len() {
+                let l = latencies_s[index];
                 hist.record(l * 1e6);
-                full_sum += l;
+                sum += l;
+                sampled += 1;
+                index += 1 + skip(rng);
             }
-            let n = latencies_s.len();
-            return (n as u64, full_sum / n as f64, hist.p99() / 1e6);
+            if sampled >= 20 {
+                return (sampled, sum / sampled as f64, hist.p99() / 1e6, true);
+            }
+            hist.reset();
         }
-        (sampled, sum / sampled as f64, hist.p99() / 1e6)
+        let mut full_sum = 0.0;
+        for &l in latencies_s {
+            hist.record(l * 1e6);
+            full_sum += l;
+        }
+        let n = latencies_s.len();
+        (n as u64, full_sum / n as f64, hist.p99() / 1e6, false)
     }
 
     /// Every field of a report as bits, so `-0.0` and `0.0` differ.
@@ -565,14 +586,18 @@ mod tests {
     #[test]
     fn chunked_gaps_are_bit_identical_to_one_gap_at_a_time() {
         // Lengths 1 and 31–33 take the `sampled < 20` full-ingest fallback at low rates.
-        let lengths = [1usize, 31, 32, 33, 1_000, 5_000];
+        // Lengths 63–65 and 256–257 put those counts in one interval at rate 1, in the
+        // fallback and, at rate 0.999, mostly in the skip-sampled walk: one short of,
+        // at and one past the histogram's 64-value step and the 256-sample batch.
+        let lengths = [1usize, 31, 32, 33, 63, 64, 65, 256, 257, 1_000, 5_000];
+        // The sample counts each ingest path took: (rate 1, fallback, skip-sampled).
+        let mut counts = [Vec::new(), Vec::new(), Vec::new()];
         for &rate in &[0.05, 0.25, 1.0, 1e-12, 0.999] {
             let config = MonitorConfig {
                 base_sample_rate: rate,
                 elevated_sample_rate: rate,
                 ..MonitorConfig::for_qos(0.010)
             };
-            let ln_one_minus_rate = (1.0 - rate).ln();
             for seed in 0..4u64 {
                 let mut monitor = PerformanceMonitor::new(config, seed);
                 // The same monitor reading the mapped samples from a plain slice, and
@@ -606,16 +631,18 @@ mod tests {
                             serde_json::to_string(m.state()).expect("serializable")
                         };
                         assert_eq!(state(&over_materialized), state(&monitor), "{at}");
-                        if rate < 1.0 {
-                            let (sampled, mean, p99) =
-                                one_gap_at_a_time(&mut reference, ln_one_minus_rate, &mapped);
-                            assert_eq!(report.sampled, sampled, "{at}");
-                            assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
-                            assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
-                            assert_eq!(monitor.state().rng, reference, "{at}");
+                        let (sampled, mean, p99, skipped) =
+                            one_gap_at_a_time(&mut reference, rate, &mapped);
+                        assert_eq!(report.sampled, sampled, "{at}");
+                        assert_eq!(report.mean_s.to_bits(), mean.to_bits(), "{at}");
+                        assert_eq!(report.p99_s.to_bits(), p99.to_bits(), "{at}");
+                        assert_eq!(monitor.state().rng, reference, "{at}");
+                        let path = if rate >= 1.0 {
+                            0
                         } else {
-                            assert_eq!(report.sampled, len as u64, "{at}");
-                        }
+                            1 + usize::from(skipped)
+                        };
+                        counts[path].push(sampled);
                         // A monitor restored mid-run continues identically.
                         if let Some(twin) = resumed.as_mut() {
                             assert_eq!(twin.observe_interval(&samples), report, "{at}");
@@ -628,6 +655,18 @@ mod tests {
                     }
                 }
             }
+        }
+        for (path, counts) in ["rate 1", "fallback", "skip-sampled"].iter().zip(&counts) {
+            for edge in [63, 64, 65, 256, 257] {
+                assert!(
+                    counts.contains(&edge),
+                    "{path} never ingested {edge} samples"
+                );
+            }
+            assert!(
+                counts.iter().any(|&n| n > 2 * 256),
+                "{path} never filled two batches"
+            );
         }
     }
 

@@ -147,7 +147,9 @@ pub fn analyze(rel_path: &str, source: &str) -> FileAnalysis {
                 "mod" => {
                     pending.item = Some(PendingItem::Mod);
                 }
-                "impl" => {
+                // `impl Trait` in a signature (`f: impl Fn()`, `-> impl Iterator`)
+                // is a type, not an impl block: the pending function keeps its body.
+                "impl" if !matches!(pending.item, Some(PendingItem::Fn(_))) => {
                     let (type_name, _) = impl_type_name(&tokens, i);
                     pending.item = Some(PendingItem::Impl(type_name));
                 }
@@ -399,6 +401,24 @@ mod tests {
         assert_eq!(a.functions[0].qualified, "Kernel::step");
         let idx = a.tokens.iter().position(|t| t.is_ident("work")).unwrap();
         assert_eq!(a.context[idx].function, Some(0));
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_keeps_the_function() {
+        let src = "
+            impl Samples {
+                fn map(v: &mut [f64], f: impl Fn(f64) -> f64) { work(); }
+                fn keys(&self) -> impl Iterator<Item = usize> + '_ { more(); }
+            }
+            fn after() {}
+        ";
+        let a = analyze("x.rs", src);
+        let qualified: Vec<&str> = a.functions.iter().map(|f| f.qualified.as_str()).collect();
+        assert_eq!(qualified, ["Samples::map", "Samples::keys", "after"]);
+        for (body, function) in [("work", 0), ("more", 1)] {
+            let idx = a.tokens.iter().position(|t| t.is_ident(body)).unwrap();
+            assert_eq!(a.context[idx].function, Some(function), "{body}");
+        }
     }
 
     #[test]

@@ -53,6 +53,9 @@ impl LintConfig {
                 // per sample.
                 "ColocationSim::advance_reusing",
                 "PerformanceMonitor::observe_interval",
+                // The monitor's batched read and record of its selected samples.
+                "PerformanceMonitor::record_all",
+                "PerformanceMonitor::record_batch",
                 "ClusterNode::step",
                 // The monitor -> policy -> actuator step every node runs per interval,
                 // single-node engine and fleet instance alike.

@@ -5,9 +5,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use std::collections::BTreeSet;
+
+use pliant_lint::analysis::analyze;
 use pliant_lint::config::LintConfig;
 use pliant_lint::findings::ALL_RULES;
-use pliant_lint::{lint_paths, lint_source};
+use pliant_lint::{collect_rs_files, lint_paths, lint_source};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -236,6 +239,31 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
     }
 }
 
+/// Every hot-path entry names a function the workspace defines, so renaming a function
+/// cannot leave an entry that guards nothing: a `Type::name` entry needs a `fn name`
+/// inside an `impl Type`, a bare entry any `fn` of that name, as the rule matches them.
+#[test]
+fn every_hot_path_entry_names_a_workspace_fn() {
+    let cfg = LintConfig::repo_default();
+    let mut defined = BTreeSet::new();
+    for path in collect_rs_files(&workspace_root(), &cfg).unwrap() {
+        let source = std::fs::read_to_string(&path).unwrap();
+        for f in analyze(&path.to_string_lossy(), &source).functions {
+            defined.insert(f.qualified);
+            defined.insert(f.name);
+        }
+    }
+    let dead: Vec<&String> = cfg
+        .hot_path_fns
+        .iter()
+        .filter(|hot| !defined.contains(*hot))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "hot-path entries name no fn in the workspace: {dead:?}"
+    );
+}
+
 /// Regression (one fleet code path): exact and clustered fleets share the
 /// coordinator's phase methods, so every phase of `ClusterRun::step`, the node step and
 /// the closing pass that folds the fleet books included, must stay on the
@@ -263,9 +291,10 @@ fn fleet_coordinator_phases_stay_on_the_hot_path_denylist() {
 }
 
 /// Regression (lazy sample mapping): the latency-sample fill and its read paths, the
-/// vectorized exponential and skip-gap logarithm, and the ziggurat's per-sample and
-/// rejection paths run for every latency sample or selection, so each must stay on the
-/// hot-path-alloc denylist beside the functions that call them.
+/// monitor's batched read and record of its selections, the vectorized exponential and
+/// skip-gap logarithm, and the ziggurat's per-sample and rejection paths run for every
+/// latency sample or selection, so each must stay on the hot-path-alloc denylist beside
+/// the functions that call them.
 #[test]
 fn sample_generation_passes_stay_on_the_hot_path_denylist() {
     let cfg = LintConfig::repo_default();
@@ -274,6 +303,8 @@ fn sample_generation_passes_stay_on_the_hot_path_denylist() {
         "LatencySamples::get",
         "LatencySamples::gather",
         "LatencySamples::map_in_place",
+        "PerformanceMonitor::record_all",
+        "PerformanceMonitor::record_batch",
         "fast_exp_in_range",
         "fast_ln_unit",
         "exp_map_in_range",

@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Serialize, Value};
 
 use crate::fastmath::{fast_exp, fast_ln};
@@ -108,11 +108,21 @@ const ZIG_LAYERS: usize = 256;
 const ZIG_R: f64 = 3.654_152_885_361_009;
 /// Common area of every ziggurat region (rectangle or base strip plus tail).
 const ZIG_V: f64 = 4.928_673_233_974_655e-3;
+/// `2^-53`, the step between the 53-bit uniforms a draw's top bits make.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// Precomputed ziggurat edges `x[i]` and densities `f[i] = exp(-x[i]^2 / 2)`.
+/// Precomputed ziggurat edges `x[i]` and densities `f[i] = exp(-x[i]^2 / 2)`, plus the
+/// two tables [`LatencySamples::fill`]'s fast-accept test reads in place of `x`.
 struct ZigTables {
     x: [f64; ZIG_LAYERS + 1],
     f: [f64; ZIG_LAYERS + 1],
+    /// Signed, prescaled edges: `xs[s << 8 | i] = ±x[i] · 2^-53`, negative for sign bit
+    /// `s = 1`, so a draw's low 9 bits index its layer and sign at once.
+    xs: [f64; 2 * ZIG_LAYERS],
+    /// Integer fast-accept thresholds: `th[i]` is the smallest 53-bit uniform `u` whose
+    /// candidate `u · 2^-53 · x[i]` reaches `x[i+1]` (`2^53` when none does), so a draw
+    /// is wholly inside its layer's inner rectangle exactly when `u < th[i]`.
+    th: [u64; ZIG_LAYERS],
 }
 
 /// Builds the ziggurat tables once per process via the standard downward recurrence
@@ -133,19 +143,42 @@ fn zig_tables() -> &'static ZigTables {
         for i in 0..=ZIG_LAYERS {
             f[i] = pdf(x[i]);
         }
-        ZigTables { x, f }
+        let mut xs = [0.0; 2 * ZIG_LAYERS];
+        let mut th = [0; ZIG_LAYERS];
+        for i in 0..ZIG_LAYERS {
+            // Scaling by a power of two is exact, so `u as f64 * xs[i]` rounds once, as
+            // `zig_candidate`'s product does, to the same bits.
+            xs[i] = x[i] * UNIT;
+            xs[ZIG_LAYERS + i] = -xs[i];
+            // The candidate's rounding is monotone in `u`: binary search for the first
+            // `u` it rejects.
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if mid as f64 * UNIT * x[i] >= x[i + 1] {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            th[i] = lo;
+        }
+        ZigTables { x, f, xs, th }
     })
 }
 
 /// Samples a standard normal variate with the 256-layer ziggurat algorithm
 /// (Marsaglia–Tsang).
 ///
-/// This is the hot-path normal sampler: the common case costs one 64-bit RNG draw, one
-/// table lookup, one multiply, and one compare (~98% of draws), versus a logarithm, a
-/// square root, and a cosine for the Box–Muller sampler in
-/// [`sample_standard_normal`]. The two samplers produce the same distribution but
-/// different streams; Box–Muller is kept for the calibrated kernel and noise streams
-/// whose historical sequences tests pin, while batch sample generation uses this one.
+/// One 64-bit RNG draw decides about 98.5% of variates: the draw falls wholly inside
+/// its layer's inner rectangle, a test of two edges and two multiplies, versus a
+/// logarithm, a square root, and a cosine for the Box–Muller sampler in
+/// [`sample_standard_normal`]. The other 1.5% take the wedge and tail tests. The two
+/// samplers produce the same distribution but different streams; Box–Muller is kept
+/// for the calibrated kernel and noise streams whose historical sequences tests pin.
+/// Batch sample generation ([`LatencySamples::fill`]) returns this sampler's bits
+/// through cheaper tables; this textbook float-compare form is the reference its tests
+/// compare against.
 ///
 /// Every variate satisfies `|z| < R + 53·ln(2)/R ≈ 13.71` (`R` = 3.654, the base
 /// strip's edge): rectangles and wedges stay below `R`, and the tail's exponential
@@ -175,7 +208,7 @@ fn zig_normal<R: Rng + ?Sized>(rng: &mut R, t: &ZigTables, bits: u64) -> f64 {
 #[inline(always)]
 fn zig_candidate(t: &ZigTables, bits: u64) -> (usize, f64) {
     let i = (bits & 0xff) as usize;
-    let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * t.x[i];
+    let x = (bits >> 11) as f64 * UNIT * t.x[i];
     (i, x)
 }
 
@@ -186,9 +219,9 @@ fn with_sign(x: f64, bits: u64) -> f64 {
     f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55))
 }
 
-/// The ziggurat's rare paths (~2% of draws): the tail and wedge tests for a draw that
-/// missed its layer's inner rectangle, then fresh draws until one is accepted. Consumes
-/// exactly the RNG words the textbook loop would, in the same order.
+/// The ziggurat's rare paths (about 1.5% of draws): the tail and wedge tests for a draw
+/// that missed its layer's inner rectangle, then fresh draws until one is accepted.
+/// Consumes exactly the RNG words the textbook loop would, in the same order.
 #[cold]
 #[inline(never)]
 fn zig_reject<R: Rng + ?Sized>(
@@ -275,21 +308,40 @@ impl LatencySamples {
     /// Replaces the samples with `n` fresh ones of the given median and shape, reusing
     /// the buffer.
     ///
-    /// Only the ziggurat's fast-accept test is inline, so the loop is one RNG step, a
-    /// table lookup and a well-predicted compare per sample.
+    /// Only the ziggurat's fast-accept test is inline, done on integers: a draw's
+    /// 53-bit uniform `u` is accepted when it is below its layer's threshold `th[i]`,
+    /// and the normal is then `u` times the signed, prescaled edge `xs[s << 8 | i]`,
+    /// so each sample is one RNG step, one compare and one multiply. Scaling by `2^-53`
+    /// is exact and IEEE multiplication is sign-symmetric, so the product has the bits
+    /// of [`sample_normal_ziggurat`]'s candidate with its sign, `-0.0` included. The
+    /// generator runs in a local copy, which stays in registers; a draw that misses
+    /// (about 1.5%) hands it to the cold `zig_reject` and takes it back, so the words
+    /// are consumed in the same order.
     ///
     /// # Panics
     ///
     /// Panics if `median` is not strictly positive or `sigma` is negative.
-    pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, median: f64, sigma: f64, n: usize) {
+    pub fn fill(&mut self, rng: &mut SmallRng, median: f64, sigma: f64, n: usize) {
         assert!(median > 0.0, "lognormal median must be positive");
         assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
         let t = zig_tables();
-        self.values.clear();
-        self.values.extend((0..n).map(|_| {
-            let bits: u64 = rng.gen();
-            zig_normal(rng, t, bits)
-        }));
+        let mut local = rng.clone();
+        // Every slot is overwritten below, so only slots past the old length are zeroed.
+        self.values.resize(n, 0.0);
+        for v in self.values.iter_mut() {
+            let bits = local.next_u64();
+            let u = bits >> 11;
+            *v = if u < t.th[(bits & 0xff) as usize] {
+                u as f64 * t.xs[(bits & 0x1ff) as usize]
+            } else {
+                *rng = local.clone();
+                let (i, x) = zig_candidate(t, bits);
+                let z = zig_reject(rng, t, bits, i, x);
+                local = rng.clone();
+                z
+            };
+        }
+        *rng = local;
         self.median = median;
         self.sigma = sigma;
         self.mapped = false;
@@ -470,6 +522,48 @@ mod tests {
         assert_eq!(t.f[ZIG_LAYERS], 1.0);
     }
 
+    /// The integer fast-accept test and the prescaled signed edges that
+    /// [`LatencySamples::fill`] reads agree with the float test and candidate of
+    /// [`zig_normal`] at each threshold's edge and the ends of the uniform range.
+    #[test]
+    fn fast_accept_tables_match_the_float_test() {
+        let t = zig_tables();
+        let accepts = |i: usize, u: u64| zig_candidate(t, u << 11 | i as u64).1 < t.x[i + 1];
+        let mut accepted = 0u64;
+        for i in 0..ZIG_LAYERS {
+            let th = t.th[i];
+            assert!(th <= 1 << 53, "layer {i} threshold {th}");
+            if th > 0 {
+                assert!(
+                    accepts(i, th - 1),
+                    "layer {i}: th - 1 = {} must accept",
+                    th - 1
+                );
+            }
+            if th < 1 << 53 {
+                assert!(!accepts(i, th), "layer {i}: th = {th} must reject");
+            }
+            accepted += th;
+            let mut edges = vec![0, 1, (1 << 53) - 1];
+            edges.extend(th.checked_sub(1));
+            for u in edges {
+                for sign in [0u64, 1] {
+                    let bits = u << 11 | sign << 8 | i as u64;
+                    let fast = u as f64 * t.xs[(bits & 0x1ff) as usize];
+                    let textbook = with_sign(zig_candidate(t, bits).1, bits);
+                    assert_eq!(
+                        fast.to_bits(),
+                        textbook.to_bits(),
+                        "layer {i} sign {sign} u {u}"
+                    );
+                }
+            }
+        }
+        // The share of draws the fast path accepts, as the docs state it.
+        let share = accepted as f64 / (ZIG_LAYERS as f64 * (1u64 << 53) as f64);
+        assert!((0.984..0.986).contains(&share), "fast-accept share {share}");
+    }
+
     #[test]
     fn ziggurat_matches_the_standard_normal_distribution() {
         let mut rng = seeded_rng(314);
@@ -628,6 +722,42 @@ mod tests {
             }
         }
         assert!(tails > 0 && wedges > 0, "tails {tails} wedges {wedges}");
+
+        // Fills whose last sample misses the fast-accept test, through a wedge or the
+        // tail: the generator comes back from the cold path at the very end and must
+        // be left where the reference leaves it.
+        let (mut tail_endings, mut wedge_endings) = (0usize, 0usize);
+        for seed in 0..2_000u64 {
+            let mut probe = CountingRng {
+                inner: seeded_rng(seed),
+                words: 0,
+            };
+            let (n, last) = (1..)
+                .find_map(|n| {
+                    let before = probe.words;
+                    let z = sample_normal_ziggurat(&mut probe);
+                    (probe.words - before > 1).then_some((n, z))
+                })
+                .expect("some draw is rejected");
+            if last.abs() >= ZIG_R {
+                tail_endings += 1;
+            } else if wedge_endings < 32 {
+                wedge_endings += 1;
+            } else {
+                continue;
+            }
+            let at = format!("seed {seed} n {n} ending in z {last}");
+            let mut reference = seeded_rng(seed);
+            let expected = per_sample_lognormals(&mut reference, 2.5, 0.6, n);
+            let mut rng = seeded_rng(seed);
+            samples.fill(&mut rng, 2.5, 0.6, n);
+            assert_eq!(rng.state(), reference.state(), "{at}");
+            assert_eq!(bits(samples.materialize()), bits(&expected), "{at}");
+        }
+        assert!(
+            tail_endings > 0 && wedge_endings > 0,
+            "tail endings {tail_endings} wedge endings {wedge_endings}"
+        );
     }
 
     /// Both sides of the `fast_exp` fallback: at `sigma` 51 the read paths map through
